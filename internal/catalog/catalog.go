@@ -36,6 +36,7 @@ type Item struct {
 
 	tokOnce     sync.Once
 	titleTokens []string // computed by tokOnce; nil is a valid cached value
+	titleSig    uint64   // computed by tokOnce; tokenize.Signature(titleTokens)
 
 	fpOnce sync.Once
 	fp     uint64 // computed by fpOnce; see Fingerprint
@@ -46,14 +47,25 @@ func (it *Item) Title() string { return it.Attrs["Title"] }
 
 // TitleTokens returns the tokenized title, computed exactly once. The
 // sync.Once makes the lazy cache safe when the same item is visible to
-// several goroutines (batch classification, TokenDF, data indexing) and
-// doubles as the "computed" flag, so an empty title — whose token slice is
-// nil — is not re-tokenized on every call.
+// several goroutines (batch classification, data indexing) and doubles as
+// the "computed" flag, so an empty title — whose token slice is nil — is not
+// re-tokenized on every call.
 func (it *Item) TitleTokens() []string {
-	it.tokOnce.Do(func() {
-		it.titleTokens = tokenize.Tokenize(it.Attrs["Title"])
-	})
+	it.tokOnce.Do(it.tokenizeTitle)
 	return it.titleTokens
+}
+
+// TitleSignature returns tokenize.Signature of the title tokens — the word
+// the rule index tests against each pattern's witness masks before it runs
+// the matcher. It is computed with the tokens, under the same sync.Once.
+func (it *Item) TitleSignature() uint64 {
+	it.tokOnce.Do(it.tokenizeTitle)
+	return it.titleSig
+}
+
+func (it *Item) tokenizeTitle() {
+	it.titleTokens = tokenize.Tokenize(it.Attrs["Title"])
+	it.titleSig = tokenize.Signature(it.titleTokens)
 }
 
 // RouteKey returns the item's shard routing key: the submitting vendor —
@@ -73,8 +85,8 @@ func (it *Item) RouteKey() string {
 // analyst/manual-team relabeling operation. Item must not be copied by value
 // (it embeds the token-cache sync.Once), so this is the supported way to
 // derive a corrected record; the copy shares the attribute map (treated as
-// read-only everywhere) and re-tokenizes — and re-fingerprints — lazily on
-// first use, so a clone whose Attrs map is later swapped for an edited copy
+// read-only everywhere) and re-tokenizes, re-signs and re-fingerprints lazily
+// on first use, so a clone whose Attrs map is later swapped for an edited copy
 // hashes the new content.
 func (it *Item) Relabeled(trueType string) *Item {
 	return &Item{

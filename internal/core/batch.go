@@ -14,7 +14,8 @@ import (
 // evaluation step: instead of probing the rule index once per item
 // (IndexedExecutor.Apply → CandidatesFor), a whole batch is inverted into a
 // token→items posting structure in one pass and joined against the rule
-// index's token→rules postings, yielding (rule, candidate-items) work units.
+// index's token→rules postings (through the same signature prefilter
+// RuleIndex.CandidatesFor applies), yielding (rule, candidate-items) work units.
 // Units are then evaluated rule-major across workers and merged into
 // positionally-aligned verdicts. The join amortizes three per-item costs:
 // the candidate dedup map, the candidate output slice, and one posting-map
@@ -82,8 +83,16 @@ func NewInstrumentedBatchMatcher(idx *RuleIndex, reg *obs.Registry, labels ...st
 	if reg == nil {
 		reg = obs.Default()
 	}
+	return newInstrumentedBatchMatcher(idx, reg, resolveRuleTelemetry(reg, idx.rules), labels...)
+}
+
+// newInstrumentedBatchMatcher is NewInstrumentedBatchMatcher over a per-rule
+// counter table the caller already resolved. InstrumentedExecutor passes its
+// own: a snapshot is rebuilt on every mutation, and resolving 2 x N
+// label-keyed counters a second time was paid by its first batch.
+func newInstrumentedBatchMatcher(idx *RuleIndex, reg *obs.Registry, byRule map[*Rule]ruleTelemetry, labels ...string) *BatchMatcher {
 	bm := NewBatchMatcher(idx)
-	tel := &batchTelemetry{
+	bm.tel = &batchTelemetry{
 		batches:        reg.Counter(MetricBatchBatches, labels...),
 		items:          reg.Counter(MetricBatchItems, labels...),
 		units:          reg.Counter(MetricBatchUnits, labels...),
@@ -94,21 +103,11 @@ func NewInstrumentedBatchMatcher(idx *RuleIndex, reg *obs.Registry, labels ...st
 		applies:        reg.Counter(MetricExecApplies, labels...),
 		execCandidates: reg.Counter(MetricExecCandidates, labels...),
 		matched:        reg.Counter(MetricExecMatched, labels...),
-		byRule:         map[*Rule]ruleTelemetry{},
+		byRule:         byRule,
 	}
 	reg.Help(MetricBatchBatches, "batches evaluated through the batch-inverted matcher")
 	reg.Help(MetricBatchUnits, "(rule, candidate-items) work units produced by the batch join")
 	reg.Help(MetricBatchPruned, "duplicate candidates removed by per-unit dedup")
-	for _, r := range idx.rules {
-		if r.ID == "" {
-			continue
-		}
-		tel.byRule[r] = ruleTelemetry{
-			fired:     reg.Counter(MetricRuleFired, "rule", r.ID),
-			effective: reg.Counter(MetricRuleEffective, "rule", r.ID),
-		}
-	}
-	bm.tel = tel
 	return bm
 }
 
@@ -118,6 +117,7 @@ type posting struct {
 	rules []*Rule
 	items []int32
 	last  int32 // last item appended — dedups repeats within one item
+	title bool  // title-token posting: its rules carry patterns to prefilter by
 }
 
 // batchUnit is one (rule, candidate-items) unit of work from the join.
@@ -145,10 +145,13 @@ func (bm *BatchMatcher) MatchBatch(items []*catalog.Item, workers int) []*Verdic
 	// token activates no rule); every repeat costs a single intern-map hit.
 	idx := bm.idx
 	var posts []posting
+	var sigs []uint64 // title signature per item, for the join's prefilter
 	var hits, misses int64
 	if len(idx.byToken) > 0 {
 		tokID := make(map[string]int32, 256)
+		sigs = make([]uint64, len(items))
 		for i, it := range items {
+			sigs[i] = it.TitleSignature()
 			for _, tok := range it.TitleTokens() {
 				id, ok := tokID[tok]
 				if !ok {
@@ -160,7 +163,7 @@ func (bm *BatchMatcher) MatchBatch(items []*catalog.Item, workers int) []*Verdic
 					}
 					id = int32(len(posts))
 					tokID[tok] = id
-					posts = append(posts, posting{rules: rs, last: -1})
+					posts = append(posts, posting{rules: rs, last: -1, title: true})
 				} else {
 					hits++
 					if id < 0 {
@@ -211,16 +214,28 @@ func (bm *BatchMatcher) MatchBatch(items []*catalog.Item, workers int) []*Verdic
 
 	// Phase 2 — join postings against the rule index: concatenate each
 	// posting's item list onto every rule it activates, then sort+dedup each
-	// rule's candidates into a work unit. Units are emitted in rule input
-	// order, so evaluation and merge are deterministic. Always-scan rules
-	// (pure wildcards, no witness token) get the full batch, matching
-	// CandidatesFor's unconditional scan list.
+	// rule's candidates into a work unit. A title-token posting appends only
+	// the items whose signature passes the rule's witness masks — the same
+	// prefilter CandidatesFor applies, here before a candidate is stored,
+	// sorted or counted. Units are emitted in rule input order, so evaluation
+	// and merge are deterministic. Always-scan rules (pure wildcards, no
+	// witness token) get the full batch, matching CandidatesFor's
+	// unconditional scan list.
 	cand := make([][]int32, len(idx.rules))
 	for pi := range posts {
 		p := &posts[pi]
 		for _, r := range p.rules {
 			s := bm.slot[r]
-			cand[s] = append(cand[s], p.items...)
+			if !p.title {
+				cand[s] = append(cand[s], p.items...)
+				continue
+			}
+			pat := r.compiled
+			for _, i := range p.items {
+				if pat.MayMatch(sigs[i]) {
+					cand[s] = append(cand[s], i)
+				}
+			}
 		}
 	}
 	for _, r := range idx.always {

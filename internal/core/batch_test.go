@@ -49,7 +49,7 @@ func randomBatchRules(t *testing.T, r *randx.Rand) []*Rule {
 		case 6:
 			rule, err = NewTypeRestrict(src, []string{target, types[r.Intn(len(types))]})
 		default:
-			// Pure wildcard: IndexKeys is empty, so the rule lands on the
+			// Pure wildcard: no witness set, so the rule lands on the
 			// index's unconditional always-scan list.
 			rule, err = NewWhitelist(`\w+`, target)
 		}

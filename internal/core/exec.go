@@ -207,12 +207,6 @@ func NewIndexedExecutor(rules []*Rule) *IndexedExecutor {
 	return &IndexedExecutor{idx: NewRuleIndex(rules)}
 }
 
-// NewIndexedExecutorWithDF builds a frequency-aware rule index (see
-// NewRuleIndexWithDF) and wraps it.
-func NewIndexedExecutorWithDF(rules []*Rule, df map[string]int) *IndexedExecutor {
-	return &IndexedExecutor{idx: NewRuleIndexWithDF(rules, df)}
-}
-
 // Apply implements Executor.
 func (e *IndexedExecutor) Apply(it *catalog.Item) *Verdict {
 	v := newVerdict()

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/pattern"
 )
 
 // RuleIndex answers "which rules could match this item?" without scanning
@@ -12,40 +13,69 @@ import (
 // a particular data item we can quickly locate those rules that are likely
 // to match".
 //
-// Pattern rules post under their most selective witness tokens
-// (pattern.IndexKeys): a title can only match if it contains one of them.
-// Attribute rules post under their attribute name. Rules with no witness
-// (pure wildcards) fall back to an unconditional scan list, preserving
-// exactness: CandidatesFor over-approximates but never misses a matching
-// rule.
+// Candidate generation has two steps, and both live here (and in
+// BatchMatcher's join, the set-oriented form of the same lookup) rather than
+// in Rule.Matches, so every indexed executor shares them and the sequential
+// oracle stays independent of them:
+//
+//   - Posting. A pattern rule posts under one of its witness sets
+//     (pattern.RequiredAlternatives): a title can only match if it contains
+//     one of those tokens. Which set is decided by rule-side document
+//     frequency — see NewRuleIndex. Attribute rules post under their
+//     attribute name. Rules with no witness (pure wildcards) sit on an
+//     unconditional scan list.
+//   - Prefilter. A posted rule is proposed only if the item's title signature
+//     intersects every witness mask of its pattern (pattern.MayMatch), which
+//     makes the lookup conjunctive over all witness sets without a second
+//     posting structure.
+//
+// Both steps only ever drop rules that cannot match: CandidatesFor
+// over-approximates but never misses a matching rule.
 type RuleIndex struct {
 	byToken map[string][]*Rule
 	byAttr  map[string][]*Rule
 	always  []*Rule
 	rules   []*Rule // indexed rules in input order (Filter rules excluded)
-	nRules  int
 }
 
 // NewRuleIndex builds an index over the given rules. Filter rules are not
 // item-matched and are excluded.
-func NewRuleIndex(rules []*Rule) *RuleIndex { return NewRuleIndexWithDF(rules, nil) }
-
-// NewRuleIndexWithDF builds a rule index using corpus token document
-// frequencies to pick each rule's posting keys: among a pattern's witness
-// sets, the one whose tokens are rarest in the corpus is chosen, so common
-// modifier tokens ("premium") stop flooding the posting lists. df is
-// typically gathered from a recent batch sample; nil falls back to the
-// smallest witness set by alternative count.
-func NewRuleIndexWithDF(rules []*Rule, df map[string]int) *RuleIndex {
+//
+// Each pattern rule posts under its rarest witness set, where a token's
+// frequency is the number of the given rules that mention it as a witness
+// (each rule counted once per token) and a set's cost is the sum over its
+// tokens. Head-anchored rules (<qualifier>.*<head>) therefore post under the
+// head noun a few dozen rules share, not under a qualifier ("premium") that
+// hundreds do. Ties go to the set with fewer tokens, then to the later
+// element — the head comes last. The choice is a pure function of the rule
+// list: it needs no corpus and does not depend on rule order.
+func NewRuleIndex(rules []*Rule) *RuleIndex {
 	idx := &RuleIndex{
 		byToken: map[string][]*Rule{},
 		byAttr:  map[string][]*Rule{},
 	}
+	// df[tok].n is the number of rules with tok in a witness set; last is
+	// the 1-based position of the latest rule counted, so a token repeated
+	// within one rule counts once.
+	type tally struct{ n, last int32 }
+	df := map[string]tally{}
+	for i, r := range rules {
+		if !r.IsPatternKind() {
+			continue
+		}
+		for _, ws := range r.Pattern().RequiredAlternatives() {
+			for _, tok := range ws {
+				if t := df[tok]; t.last != int32(i+1) {
+					df[tok] = tally{n: t.n + 1, last: int32(i + 1)}
+				}
+			}
+		}
+	}
 	for _, r := range rules {
 		switch {
 		case r.IsPatternKind():
-			keys := chooseKeys(r, df)
-			if len(keys) == 0 {
+			keys := chooseKeys(r.Pattern(), func(tok string) int { return int(df[tok].n) })
+			if keys == nil {
 				idx.always = append(idx.always, r)
 				break
 			}
@@ -53,59 +83,40 @@ func NewRuleIndexWithDF(rules []*Rule, df map[string]int) *RuleIndex {
 				idx.byToken[k] = append(idx.byToken[k], r)
 			}
 		case r.Kind == AttrExists || r.Kind == AttrValue:
-			idx.byAttr[strings.ToLower(r.Attr)] = append(idx.byAttr[strings.ToLower(r.Attr)], r)
+			attr := strings.ToLower(r.Attr)
+			idx.byAttr[attr] = append(idx.byAttr[attr], r)
 		default:
 			continue // Filter rules act on predictions, not items
 		}
 		idx.rules = append(idx.rules, r)
-		idx.nRules++
 	}
 	return idx
+}
+
+// chooseKeys returns the witness set of p whose tokens are rarest in total
+// under freq, or nil when p has none. Ties go to the set with fewer tokens,
+// then to the later element.
+func chooseKeys(p *pattern.Pattern, freq func(tok string) int) []string {
+	var keys []string
+	best := 0
+	for _, ws := range p.RequiredAlternatives() {
+		cost := 0
+		for _, tok := range ws {
+			cost += freq(tok)
+		}
+		if keys == nil || cost < best || (cost == best && len(ws) <= len(keys)) {
+			keys, best = ws, cost
+		}
+	}
+	return keys
 }
 
 // Rules returns the indexed rules in input order (Filter rules excluded).
 // The returned slice is shared; callers must not mutate it.
 func (idx *RuleIndex) Rules() []*Rule { return idx.rules }
 
-// chooseKeys picks a pattern rule's posting keys: without df, the smallest
-// witness set; with df, the witness set with the lowest total corpus
-// frequency (ties to the smaller set).
-func chooseKeys(r *Rule, df map[string]int) []string {
-	if df == nil {
-		return r.Pattern().IndexKeys()
-	}
-	var best []string
-	bestCost := -1
-	for _, ws := range r.Pattern().RequiredAlternatives() {
-		cost := 0
-		for _, tok := range ws {
-			cost += df[tok] + 1
-		}
-		if bestCost < 0 || cost < bestCost || (cost == bestCost && len(ws) < len(best)) {
-			best, bestCost = ws, cost
-		}
-	}
-	return best
-}
-
-// TokenDF tallies per-token document frequencies over a corpus sample, the
-// statistics NewRuleIndexWithDF consumes.
-func TokenDF(items []*catalog.Item) map[string]int {
-	df := map[string]int{}
-	for _, it := range items {
-		seen := map[string]bool{}
-		for _, tok := range it.TitleTokens() {
-			if !seen[tok] {
-				seen[tok] = true
-				df[tok]++
-			}
-		}
-	}
-	return df
-}
-
 // Len returns the number of indexed rules.
-func (idx *RuleIndex) Len() int { return idx.nRules }
+func (idx *RuleIndex) Len() int { return len(idx.rules) }
 
 // CandidatesFor returns the rules that could match the item, deduplicated,
 // in no particular order. The result is a superset of the actually matching
@@ -114,25 +125,30 @@ func (idx *RuleIndex) Len() int { return idx.nRules }
 func (idx *RuleIndex) CandidatesFor(it *catalog.Item) []*Rule {
 	seen := map[*Rule]bool{}
 	out := make([]*Rule, 0, 8)
-	add := func(rs []*Rule) {
-		for _, r := range rs {
-			if !seen[r] {
-				seen[r] = true
-				out = append(out, r)
+	add := func(r *Rule) {
+		if !seen[r] {
+			seen[r] = true
+			out = append(out, r)
+		}
+	}
+	sig := it.TitleSignature()
+	for _, tok := range it.TitleTokens() {
+		for _, r := range idx.byToken[tok] {
+			// The signature test is a few ANDs; the dedup-map insert it
+			// saves is the expensive part of this loop.
+			if r.compiled.MayMatch(sig) {
+				add(r)
 			}
 		}
 	}
-	for _, tok := range it.TitleTokens() {
-		if rs, ok := idx.byToken[tok]; ok {
-			add(rs)
-		}
-	}
 	for attr := range it.Attrs {
-		if rs, ok := idx.byAttr[strings.ToLower(attr)]; ok {
-			add(rs)
+		for _, r := range idx.byAttr[strings.ToLower(attr)] {
+			add(r)
 		}
 	}
-	add(idx.always)
+	for _, r := range idx.always {
+		add(r)
+	}
 	return out
 }
 
@@ -181,12 +197,13 @@ func (di *DataIndex) Size() int { return len(di.items) }
 
 // CandidateItems returns indices of items that could match the rule (a
 // superset of actual matches). Pattern rules with no witness and unknown
-// kinds fall back to the whole corpus.
+// kinds fall back to the whole corpus. With the corpus in hand the index
+// unions the witness set whose posting lists are shortest in total.
 func (di *DataIndex) CandidateItems(r *Rule) []int32 {
 	switch {
 	case r.IsPatternKind():
-		keys := r.Pattern().IndexKeys()
-		if len(keys) == 0 {
+		keys := chooseKeys(r.Pattern(), func(tok string) int { return len(di.byToken[tok]) })
+		if keys == nil {
 			return di.all()
 		}
 		return di.unionTokens(keys)

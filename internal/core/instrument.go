@@ -89,7 +89,6 @@ func NewInstrumentedExecutor(inner Executor, reg *obs.Registry, labels ...string
 	}
 	e := &InstrumentedExecutor{
 		inner:      inner,
-		byRule:     map[*Rule]ruleTelemetry{},
 		applies:    reg.Counter(MetricExecApplies, labels...),
 		candidates: reg.Counter(MetricExecCandidates, labels...),
 		matched:    reg.Counter(MetricExecMatched, labels...),
@@ -106,16 +105,24 @@ func NewInstrumentedExecutor(inner Executor, reg *obs.Registry, labels ...string
 	case *SequentialExecutor:
 		e.rules = ex.rules
 	}
-	for _, r := range e.rules {
+	e.byRule = resolveRuleTelemetry(reg, e.rules)
+	return e
+}
+
+// resolveRuleTelemetry looks up the fired/effective counter pair of every
+// rule that has an ID.
+func resolveRuleTelemetry(reg *obs.Registry, rules []*Rule) map[*Rule]ruleTelemetry {
+	byRule := make(map[*Rule]ruleTelemetry, len(rules))
+	for _, r := range rules {
 		if r.ID == "" {
 			continue
 		}
-		e.byRule[r] = ruleTelemetry{
+		byRule[r] = ruleTelemetry{
 			fired:     reg.Counter(MetricRuleFired, "rule", r.ID),
 			effective: reg.Counter(MetricRuleEffective, "rule", r.ID),
 		}
 	}
-	return e
+	return byRule
 }
 
 // Apply implements Executor. The verdict is identical to what the wrapped
@@ -197,8 +204,9 @@ func (e *InstrumentedExecutor) Apply(it *catalog.Item) *Verdict {
 // ApplyBatch implements BatchApplier. When the wrapped executor is indexed
 // it evaluates through a lazily-built instrumented BatchMatcher, which
 // records the batch_* metric families and keeps feeding the same exec-level
-// and per-rule counter series Apply uses (the registry hands out one counter
-// per name+labels, so both paths accumulate into one view). Per-Apply
+// and per-rule counter series Apply uses (the per-rule table is this
+// executor's own, and the registry hands out one counter per name+labels, so
+// both paths accumulate into one view). Per-Apply
 // latency sampling does not apply on the batch path; batch cost is visible
 // to callers' own span/histogram instrumentation instead. Non-indexed
 // executors fall back to the item-at-a-time reference path through Apply,
@@ -207,7 +215,7 @@ func (e *InstrumentedExecutor) ApplyBatch(items []*catalog.Item, workers int) []
 	if e.idx == nil {
 		return ExecuteBatchItemwise(e, items, workers)
 	}
-	e.bmOnce.Do(func() { e.bm = NewInstrumentedBatchMatcher(e.idx, e.reg, e.labels...) })
+	e.bmOnce.Do(func() { e.bm = newInstrumentedBatchMatcher(e.idx, e.reg, e.byRule, e.labels...) })
 	return e.bm.MatchBatch(items, workers)
 }
 

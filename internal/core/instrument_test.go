@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -122,6 +123,47 @@ func TestInstrumentedConcurrent(t *testing.T) {
 	wg.Wait()
 	if inst.Applies() != int64(8*len(items)) {
 		t.Fatalf("applies = %d", inst.Applies())
+	}
+}
+
+// TestInstrumentedBatchSharesRuleTelemetry pins the hand-off: the batch
+// matcher an InstrumentedExecutor builds records into the executor's own
+// per-rule table instead of resolving 2 x N registry counters a second time
+// (a cost the first batch after every mutation used to pay), and Health() /
+// Selectivity() read the same totals whichever path classified.
+func TestInstrumentedBatchSharesRuleTelemetry(t *testing.T) {
+	items, rules := corpusAndRules(t, 600)
+	perItem := NewInstrumentedExecutor(NewIndexedExecutor(rules), obs.NewRegistry())
+	batch := NewInstrumentedExecutor(NewIndexedExecutor(rules), obs.NewRegistry())
+	for _, it := range items {
+		perItem.Apply(it)
+	}
+	batch.ApplyBatch(items, 3)
+
+	if got, want := reflect.ValueOf(batch.bm.tel.byRule).Pointer(), reflect.ValueOf(batch.byRule).Pointer(); got != want {
+		t.Fatal("the executor's batch matcher must use the executor's per-rule table, not a second one")
+	}
+	if !reflect.DeepEqual(perItem.Health(0.92), batch.Health(0.92)) {
+		t.Fatalf("Health differs by path:\nper item: %+v\nbatch:    %+v", perItem.Health(0.92), batch.Health(0.92))
+	}
+	pc, pr := perItem.Selectivity()
+	bc, br := batch.Selectivity()
+	if pc != bc || pr != br {
+		t.Fatalf("Selectivity differs by path: per item (%v, %v), batch (%v, %v)", pc, pr, bc, br)
+	}
+	if pc == 0 {
+		t.Fatal("fixture proposed no candidates")
+	}
+
+	// The public constructor still stands alone: same series, own table.
+	reg := obs.NewRegistry()
+	bm := NewInstrumentedBatchMatcher(NewRuleIndex(rules), reg)
+	bm.MatchBatch(items, 1)
+	if got := reg.Counter(MetricExecApplies).Value(); got != int64(len(items)) {
+		t.Fatalf("standalone matcher counted %d applies, want %d", got, len(items))
+	}
+	if len(bm.tel.byRule) != len(rules) {
+		t.Fatalf("standalone matcher resolved %d per-rule series, want %d", len(bm.tel.byRule), len(rules))
 	}
 }
 

@@ -79,8 +79,8 @@ func TestE3Small(t *testing.T) {
 
 func TestE4Small(t *testing.T) {
 	rep := E4(ExecOptions{Seed: 5, NumTypes: 40, RuleCount: 2000, ItemCount: 300})
-	if len(rep.Rows) != 6 {
-		t.Fatalf("E4 should measure 6 execution strategies: %v", rep.Rows)
+	if len(rep.Rows) != 5 {
+		t.Fatalf("E4 should measure 5 execution strategies: %v", rep.Rows)
 	}
 	// The 10x speedup threshold needs the full 20k-rule scale; at any scale
 	// the executors must agree and indexing must not be slower.

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"repro/internal/randx"
+	"repro/internal/tokenize"
 )
 
 // ---------------------------------------------------------------------------
@@ -17,38 +18,49 @@ import (
 // contribute no witnesses. The result may be empty — e.g. for (\w+) oils?
 // the "oils?" element still yields {oil, oils}, but a pure-wildcard pattern
 // yields nothing and must be scanned unconditionally.
-func (p *Pattern) RequiredAlternatives() [][]string {
-	var out [][]string
+//
+// The sets are computed once when the pattern is built and shared by every
+// call (a rule index is rebuilt on every rulebase mutation and reads them for
+// every rule): callers must not modify them.
+func (p *Pattern) RequiredAlternatives() [][]string { return p.witness }
+
+// MayMatch reports whether a title with the given tokenize.Signature could
+// match the pattern: every witness set must have at least one token whose
+// bit is set. It can answer true for a title that does not match (a shared
+// bit, or witnesses present in the wrong order) but never false for one that
+// does — Match implies every witness set is hit, and a present token always
+// has its bit set. Patterns without witnesses pass every signature.
+func (p *Pattern) MayMatch(sig uint64) bool {
+	for _, m := range p.masks {
+		if m&sig == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// analyze derives the witness sets and their signature masks from elems.
+func (p *Pattern) analyze() {
+	p.witness, p.masks = nil, nil
 	for _, e := range p.elems {
 		if e.Kind != KindLit || e.Optional {
 			continue
 		}
-		set := make(map[string]bool, len(e.Alts))
-		var ws []string
+		ws := make([]string, 0, len(e.Alts))
+		var mask uint64
+	alts:
 		for _, alt := range e.Alts {
-			if !set[alt[0]] {
-				set[alt[0]] = true
-				ws = append(ws, alt[0])
+			for _, seen := range ws {
+				if seen == alt[0] {
+					continue alts
+				}
 			}
+			ws = append(ws, alt[0])
+			mask |= tokenize.TokenBit(alt[0])
 		}
-		out = append(out, ws)
+		p.witness = append(p.witness, ws)
+		p.masks = append(p.masks, mask)
 	}
-	return out
-}
-
-// IndexKeys returns the most selective witness set — the smallest
-// RequiredAlternatives entry — for use as posting keys in a rule index:
-// a title can only match the pattern if it contains one of these tokens.
-// It returns nil when the pattern has no mandatory literal element, in which
-// case the rule must live on the index's unconditional scan list.
-func (p *Pattern) IndexKeys() []string {
-	var best []string
-	for _, ws := range p.RequiredAlternatives() {
-		if best == nil || len(ws) < len(best) {
-			best = ws
-		}
-	}
-	return best
 }
 
 // ---------------------------------------------------------------------------

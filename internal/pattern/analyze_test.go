@@ -42,57 +42,57 @@ func TestRequiredAlternativesMultiTokenUsesFirstToken(t *testing.T) {
 	}
 }
 
-func TestIndexKeysPicksMostSelective(t *testing.T) {
-	p := MustParse("(motor | engine | car | truck) oils?")
-	keys := p.IndexKeys()
-	if !reflect.DeepEqual(keys, []string{"oil", "oils"}) {
-		t.Fatalf("IndexKeys should pick the smaller witness set, got %v", keys)
+func TestRequiredAlternativesCachedAndDeduplicated(t *testing.T) {
+	// Two alternatives with the same first token contribute it once.
+	p := MustParse("(a b | a c | d) oils?")
+	req := p.RequiredAlternatives()
+	if !reflect.DeepEqual(req, [][]string{{"a", "d"}, {"oil", "oils"}}) {
+		t.Fatalf("witness sets wrong: %v", req)
+	}
+	// Computed once at Parse: every call returns the same backing arrays.
+	again := p.RequiredAlternatives()
+	if &again[0][0] != &req[0][0] {
+		t.Fatal("RequiredAlternatives must return the cached sets, not rebuild them")
+	}
+	// WithSynExpanded builds a pattern without going through Parse; it must
+	// be analyzed too.
+	syn := MustParse(`(motor | engine | \syn) oils?`).WithSynExpanded([][]string{{"car"}})
+	if got := syn.RequiredAlternatives(); !reflect.DeepEqual(got, [][]string{{"motor", "engine", "car"}, {"oil", "oils"}}) {
+		t.Fatalf("expanded pattern has stale witnesses: %v", got)
 	}
 }
 
-func TestIndexKeysNilForPureWildcard(t *testing.T) {
-	p := MustParse(`(\w+) (\w+)`)
-	if keys := p.IndexKeys(); keys != nil {
-		t.Fatalf("pure wildcard pattern must have nil keys, got %v", keys)
+func TestMayMatch(t *testing.T) {
+	p := MustParse("diamond.*trio sets?")
+	sig := func(title string) uint64 { return tokenize.Signature(tokenize.Tokenize(title)) }
+	if !p.MayMatch(sig("diamond ring trio set")) {
+		t.Fatal("a matching title must pass")
 	}
-}
-
-func TestIndexKeysSoundnessProperty(t *testing.T) {
-	// Any title matched by the pattern must contain at least one index key.
-	pats := []*Pattern{
-		MustParse("rings?"),
-		MustParse("(motor | engine) oils?"),
-		MustParse("diamond.*trio sets?"),
-		MustParse("(abrasive|sand(er|ing))[ -](wheels?|discs?)"),
-		MustParse("wedding (band | ring)? set"),
+	// Every witness set must be hit, not just the posting key's.
+	reject := sig("trio set only")
+	if reject&tokenize.TokenBit("diamond") != 0 {
+		t.Fatal("fixture void: a filler token shares diamond's bit under the current hash; pick another")
 	}
-	vocab := []string{"alpha", "beta", "gamma", "delta", "motor", "oil", "ring"}
-	r := randx.New(99)
-	for _, p := range pats {
-		keys := p.IndexKeys()
-		if keys == nil {
-			t.Fatalf("pattern %q should have keys", p.Raw())
+	if p.MayMatch(reject) {
+		t.Fatal("a title without any 'diamond' witness bit must be rejected")
+	}
+	if p.MayMatch(0) {
+		t.Fatal("the empty title has no bits and matches no pattern with witnesses")
+	}
+	// No witnesses, no masks: pure wildcards and all-\syn patterns pass
+	// every signature, including the empty one.
+	for _, src := range []string{`(\w+) (\w+)`, `\syn`} {
+		w := MustParse(src)
+		if w.RequiredAlternatives() != nil {
+			t.Fatalf("%q must have no witness sets: %v", src, w.RequiredAlternatives())
 		}
-		keySet := map[string]bool{}
-		for _, k := range keys {
-			keySet[k] = true
+		if !w.MayMatch(0) || !w.MayMatch(^uint64(0)) {
+			t.Fatalf("%q has no masks and must pass every signature", src)
 		}
-		for i := 0; i < 200; i++ {
-			title := p.GenerateMatch(r, vocab)
-			if !p.Match(title) {
-				t.Fatalf("GenerateMatch produced a non-match for %q: %v", p.Raw(), title)
-			}
-			found := false
-			for _, tok := range title {
-				if keySet[tok] {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("match %v of %q contains no index key %v", title, p.Raw(), keys)
-			}
-		}
+	}
+	// A saturated signature rejects nothing.
+	if !p.MayMatch(^uint64(0)) {
+		t.Fatal("saturated signature must pass")
 	}
 }
 

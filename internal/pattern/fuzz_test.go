@@ -1,8 +1,10 @@
 package pattern
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/randx"
 	"repro/internal/tokenize"
 )
 
@@ -78,4 +80,73 @@ func FuzzParseRule(f *testing.F) {
 			t.Fatalf("canonical form not stable: %q -> %q -> %q", src, canon, canon2)
 		}
 	})
+}
+
+// FuzzWitnessSound checks the one fact both halves of the rule index rest on
+// (posting under a witness set, and the signature prefilter): for any
+// parsable pattern and any token list,
+//
+//	Match(tokens)  ⇒  every RequiredAlternatives() set has a token in tokens
+//	               ∧  MayMatch(tokenize.Signature(tokens))
+//
+// Random (pattern, title) pairs rarely match, so each parsable pattern is
+// also checked against a title GenerateMatch builds for it from the fuzzed
+// tokens — the antecedent holds on every iteration, not just on lucky ones.
+func FuzzWitnessSound(f *testing.F) {
+	seeds := [][2]string{
+		{"rings?", "gold ring"},
+		{"diamond.*trio sets?", "diamond ring trio set"},
+		{"diamond.*trio sets?", "trio set diamond"},
+		{"(motor | engine) oils?", "acme motor oils"},
+		{"(motor | engine | \\syn) oils?", "engine oil"},
+		{"(abrasive|sand(er|ing))[ -](wheels?|discs?)", "sanding disc 5 pack"},
+		{"pick[ -]?up (oil | lubricant)s?", "pick up lubricants"},
+		{"wedding (band | ring)? set", "wedding set"},
+		{"(\\w+) oils?", "olive oil"},
+		{"(\\w+\\s+\\w+)", "a b"},
+		{"(trio set | ring) box", "trio set box"},
+		{"a.*a", "a a"},
+		{"\\syn", "anything"},
+		{"premium.*ring", ""},
+	}
+	for _, s := range seeds {
+		f.Add(s[0], s[1], uint64(1))
+	}
+	f.Fuzz(func(t *testing.T, src, title string, seed uint64) {
+		p, err := Parse(src)
+		if err != nil {
+			return
+		}
+		tokens := strings.Fields(title)
+		checkWitnessSound(t, p, tokens)
+		vocab := tokens
+		if len(vocab) == 0 {
+			vocab = []string{"filler"}
+		}
+		gen := p.GenerateMatch(randx.New(seed), vocab)
+		if !p.Match(gen) {
+			t.Fatalf("GenerateMatch(%q) built a non-match: %q", src, gen)
+		}
+		checkWitnessSound(t, p, gen)
+	})
+}
+
+func checkWitnessSound(t *testing.T, p *Pattern, tokens []string) {
+	t.Helper()
+	if !p.Match(tokens) {
+		return
+	}
+	present := tokenize.TokenSet(tokens)
+	for i, ws := range p.RequiredAlternatives() {
+		hit := false
+		for _, w := range ws {
+			hit = hit || present[w]
+		}
+		if !hit {
+			t.Fatalf("%q matches %q but witness set %d %q is not hit", p.Raw(), tokens, i, ws)
+		}
+	}
+	if !p.MayMatch(tokenize.Signature(tokens)) {
+		t.Fatalf("%q matches %q but MayMatch rejects its signature", p.Raw(), tokens)
+	}
 }

@@ -68,6 +68,11 @@ type Elem struct {
 type Pattern struct {
 	raw   string
 	elems []Elem
+
+	// Derived from elems by analyze when the pattern is built; read-only
+	// afterwards (see RequiredAlternatives and MayMatch).
+	witness [][]string
+	masks   []uint64
 }
 
 // maxAlternatives caps the cross-product expansion of a single word unit or
@@ -163,6 +168,7 @@ func (p *Pattern) WithSynExpanded(synonyms [][]string) *Pattern {
 		break
 	}
 	out.raw = out.String()
+	out.analyze()
 	return out
 }
 
@@ -209,7 +215,9 @@ func Parse(src string) (*Pattern, error) {
 	if allOptional {
 		return nil, fmt.Errorf("pattern: %q: pattern matches everything (all elements optional)", src)
 	}
-	return &Pattern{raw: src, elems: elems}, nil
+	pat := &Pattern{raw: src, elems: elems}
+	pat.analyze()
+	return pat, nil
 }
 
 // MustParse is Parse for patterns known good at compile time; it panics on

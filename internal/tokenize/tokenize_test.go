@@ -1,6 +1,7 @@
 package tokenize
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -198,5 +199,36 @@ func TestTokenSet(t *testing.T) {
 	set := TokenSet([]string{"a", "b", "a"})
 	if len(set) != 2 || !set["a"] || !set["b"] {
 		t.Fatalf("bad token set: %v", set)
+	}
+}
+
+func TestSignature(t *testing.T) {
+	if Signature(nil) != 0 {
+		t.Fatal("no tokens, no bits")
+	}
+	used := uint64(0)
+	for i := 0; i < 2000; i++ {
+		tok := fmt.Sprintf("tok%d", i)
+		bit := TokenBit(tok)
+		if bit == 0 || bit&(bit-1) != 0 {
+			t.Fatalf("TokenBit(%q) = %b, want exactly one bit", tok, bit)
+		}
+		if bit != TokenBit(tok) {
+			t.Fatalf("TokenBit(%q) not deterministic", tok)
+		}
+		used |= bit
+	}
+	if used != ^uint64(0) {
+		t.Fatalf("2000 tokens left bits unused: %064b", used)
+	}
+	toks := []string{"gold", "diamond", "ring", "gold"}
+	sig := Signature(toks)
+	for _, tok := range toks {
+		if sig&TokenBit(tok) == 0 {
+			t.Fatalf("signature %b misses %q", sig, tok)
+		}
+	}
+	if sig != Signature([]string{"ring", "diamond", "gold"}) {
+		t.Fatal("signature must not depend on order or repeats")
 	}
 }

@@ -117,17 +117,15 @@ var (
 
 // Execution.
 var (
-	NewSequentialExecutor    = core.NewSequentialExecutor
-	NewIndexedExecutor       = core.NewIndexedExecutor
-	NewIndexedExecutorWithDF = core.NewIndexedExecutorWithDF
-	NewRuleIndex             = core.NewRuleIndex
-	NewDataIndex             = core.NewDataIndex
-	NewBatchMatcher          = core.NewBatchMatcher
-	ExecuteBatch             = core.ExecuteBatch
-	ExecuteBatchItemwise     = core.ExecuteBatchItemwise
-	TokenDF                  = core.TokenDF
-	CheckOrderIndependence   = core.CheckOrderIndependence
-	FindConflicts            = core.FindConflicts
+	NewSequentialExecutor  = core.NewSequentialExecutor
+	NewIndexedExecutor     = core.NewIndexedExecutor
+	NewRuleIndex           = core.NewRuleIndex
+	NewDataIndex           = core.NewDataIndex
+	NewBatchMatcher        = core.NewBatchMatcher
+	ExecuteBatch           = core.ExecuteBatch
+	ExecuteBatchItemwise   = core.ExecuteBatchItemwise
+	CheckOrderIndependence = core.CheckOrderIndependence
+	FindConflicts          = core.FindConflicts
 )
 
 // Maintenance analyses.

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # CI-style verification: formatting, vet, race-enabled tests on the
 # concurrency-sensitive packages (obs metrics hot paths, core executors),
-# then the tier-1 gate (full build + test, see ROADMAP.md).
+# a 10 s smoke of every fuzz target, the tier-1 gate (full build + test, see
+# ROADMAP.md), then the tests of the benchmark module, which ./... skips.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -24,6 +25,14 @@ go test -race ./internal/obs ./internal/core ./internal/serve ./internal/catalog
 echo "== go test -race (chimera resilience + decision provenance + sharded tier) =="
 go test -race ./internal/chimera -run 'TestResilientClient|TestClassifyDegraded|TestProvenance|TestShardedServer'
 
+echo "== fuzz smoke (10s per target) =="
+go test -fuzz=FuzzParseRule -fuzztime=10s -run '^$' ./internal/pattern
+go test -fuzz=FuzzWitnessSound -fuzztime=10s -run '^$' ./internal/pattern
+go test -fuzz=FuzzVerdictExplain -fuzztime=10s -run '^$' ./internal/core
+go test -fuzz=FuzzShardRouter -fuzztime=10s -run '^$' ./internal/serve
+go test -fuzz=FuzzItemFingerprint -fuzztime=10s -run '^$' ./internal/catalog
+go test -fuzz=FuzzWALDecode -fuzztime=10s -run '^$' ./internal/persist
+
 echo "== bench emitter + exit-code selftests + bench artifact validation =="
 sh scripts/bench.sh --emitter-selftest
 sh scripts/bench.sh --exitcode-selftest
@@ -34,5 +43,8 @@ fi
 echo "== tier-1: go build ./... && go test ./... =="
 go build ./...
 go test ./...
+
+echo "== benchmark of record: its own module's tests (world/traffic determinism, failure accounting, smoke of every run) =="
+(cd benchmark && go test ./...)
 
 echo "verify: OK"
