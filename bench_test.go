@@ -8,17 +8,16 @@ package repro
 // Experiment benchmarks run the corresponding experiments.E* function at a
 // bench-sized scale: large enough for the paper's shape to show, small
 // enough that `go test -bench=.` completes on a laptop.
+//
+// End-to-end serving and batch throughput, mutation visibility, cache and
+// persistence cost are not measured here: BENCHMARK.json + benchmark/ is the
+// benchmark of record for those (10,000 rules, four workloads, noise band).
 
 import (
-	"context"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/chimera"
 	"repro/internal/core"
 	"repro/internal/em"
 	"repro/internal/experiments"
@@ -26,9 +25,6 @@ import (
 	"repro/internal/mining"
 	"repro/internal/obs"
 	"repro/internal/pattern"
-	"repro/internal/persist"
-	"repro/internal/randx"
-	"repro/internal/serve"
 	"repro/internal/synonym"
 	"repro/internal/tokenize"
 )
@@ -385,278 +381,6 @@ func BenchmarkEMMatchCorpus(b *testing.B) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Serving-under-mutation benchmarks (locked vs snapshot)
-// ---------------------------------------------------------------------------
-
-// benchServeSetup builds the serving rulebase (same population as benchRules)
-// plus a shared item pool with pre-warmed token caches (items are shared
-// across the parallel classifier goroutines, and the lazy TitleTokens cache
-// must be populated before they race over it).
-func benchServeSetup(b *testing.B) (*core.Rulebase, string, []*catalog.Item) {
-	b.Helper()
-	cat := catalog.New(catalog.Config{Seed: 7, NumTypes: 80})
-	rb := core.NewRulebase()
-	for _, ty := range cat.Types() {
-		for _, h := range ty.HeadTerms {
-			if r, err := core.NewWhitelist(h.Text, ty.Name); err == nil {
-				_, _ = rb.Add(r, "bench")
-			}
-		}
-		for _, s := range ty.Synonyms {
-			if r, err := core.NewWhitelist(s.Text, ty.Name); err == nil {
-				_, _ = rb.Add(r, "bench")
-			}
-		}
-	}
-	items := cat.GenerateBatch(catalog.BatchSpec{Size: 256, Epoch: 0})
-	for _, it := range items {
-		it.TitleTokens()
-	}
-	return rb, rb.Active()[0].ID, items
-}
-
-// lockedServe is the pre-snapshot serving design this PR replaces: one
-// executor guarded by a RWMutex, classification under the read lock, and a
-// rulebase mutation forcing the next reader to rebuild inline under the
-// write lock — which stalls every concurrent reader for the whole rebuild
-// and convoys them on the lock even when nothing changed.
-type lockedServe struct {
-	rb   *core.Rulebase
-	reg  *obs.Registry
-	mu   sync.RWMutex
-	ver  uint64
-	exec core.Executor
-}
-
-func newLockedServe(rb *core.Rulebase) *lockedServe {
-	ls := &lockedServe{rb: rb, reg: obs.NewRegistry()}
-	ls.refresh()
-	return ls
-}
-
-func (ls *lockedServe) refresh() {
-	ver, active := ls.rb.ActiveView()
-	// Same telemetry decoration as the snapshot path, so the comparison
-	// isolates the serving architecture, not the instrumentation.
-	ls.exec = core.NewInstrumentedExecutor(core.NewIndexedExecutor(active), ls.reg)
-	ls.ver = ver
-}
-
-func (ls *lockedServe) Apply(it *catalog.Item) *core.Verdict {
-	for {
-		ls.mu.RLock()
-		if ls.ver == ls.rb.Version() {
-			v := ls.exec.Apply(it)
-			ls.mu.RUnlock()
-			return v
-		}
-		ls.mu.RUnlock()
-		ls.mu.Lock()
-		if ls.ver != ls.rb.Version() {
-			ls.refresh()
-		}
-		ls.mu.Unlock()
-	}
-}
-
-// serveMutationEvery is the serving benchmarks' mutation cadence: one rule
-// mutation per this many items served — the pipeline's own maintenance
-// rhythm (EvaluateAndImprove writes tens of patch rules, confidence updates
-// and scale-downs per ~2000-item batch). The locked design must rebuild
-// inline once per observed version change (~150–300µs for this rulebase),
-// so under this load a large fraction of its serving time goes to rebuilds;
-// the snapshot engine's debounced background loop collapses the same
-// mutation stream into far fewer rebuilds, and its readers never wait for
-// one. (On a multi-core host the gap widens further: an inline rebuild
-// under the write lock stalls every reader; the snapshot path stalls none.)
-const serveMutationEvery = 50
-
-// runServeBench drives parallel classification through apply, injecting one
-// rule mutation per serveMutationEvery items served.
-func runServeBench(b *testing.B, setup func(*core.Rulebase) func(*catalog.Item) *core.Verdict) {
-	rb, toggleID, items := benchServeSetup(b)
-	apply := setup(rb)
-
-	var served atomic.Int64
-	var toggle atomic.Bool
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			apply(items[i%len(items)])
-			i++
-			if served.Add(1)%serveMutationEvery == 0 {
-				if toggle.CompareAndSwap(false, true) {
-					_ = rb.Disable(toggleID, "bench", "mutation load")
-				} else {
-					toggle.Store(false)
-					_ = rb.Enable(toggleID, "bench", "mutation load")
-				}
-			}
-		}
-	})
-}
-
-// BenchmarkServeLockedUnderMutation is the baseline: classification under the
-// rulebase-guarding RWMutex, rebuilds inline on the serving path.
-func BenchmarkServeLockedUnderMutation(b *testing.B) {
-	runServeBench(b, func(rb *core.Rulebase) func(*catalog.Item) *core.Verdict {
-		return newLockedServe(rb).Apply
-	})
-}
-
-// BenchmarkServeSnapshotUnderMutation is the serving layer's path: one atomic
-// load per read, rebuild-and-swap on the engine's own goroutine.
-// EXPERIMENTS.md records the measured speedup over the locked baseline
-// (acceptance floor: 2×).
-func BenchmarkServeSnapshotUnderMutation(b *testing.B) {
-	runServeBench(b, func(rb *core.Rulebase) func(*catalog.Item) *core.Verdict {
-		eng := serve.NewEngine(rb, serve.EngineOptions{Obs: obs.NewRegistry()})
-		eng.Start()
-		b.Cleanup(eng.Close)
-		return func(it *catalog.Item) *core.Verdict {
-			return eng.Current().Apply(it)
-		}
-	})
-}
-
-// BenchmarkServeAcquireUnderMutation measures the old Pipeline.Classify hot
-// path on a started engine: Acquire reads the rulebase version under its
-// mutex on every call (and rebuilds inline when a mutation landed between
-// the async loop's swaps), so readers convoy with the mutation stream.
-// Pipeline.Classify/RuleHealth now use Current() when the engine is started;
-// EXPERIMENTS.md records the measured gap.
-func BenchmarkServeAcquireUnderMutation(b *testing.B) {
-	runServeBench(b, func(rb *core.Rulebase) func(*catalog.Item) *core.Verdict {
-		eng := serve.NewEngine(rb, serve.EngineOptions{Obs: obs.NewRegistry()})
-		eng.Start()
-		b.Cleanup(eng.Close)
-		return func(it *catalog.Item) *core.Verdict {
-			return eng.Acquire().Apply(it)
-		}
-	})
-}
-
-// ---------------------------------------------------------------------------
-// Batch-classification benchmarks (per-item index probes vs batch-inverted
-// join) — the standard 5k-item/1k-rule batch; acceptance floor: the batch
-// matcher at ≥1.5× the per-item indexed throughput (EXPERIMENTS.md records
-// the measured ratio).
-// ---------------------------------------------------------------------------
-
-// benchBatchWorkers is the worker count both batch-classification paths use,
-// so the comparison isolates the matching strategy, not the parallelism.
-const benchBatchWorkers = 4
-
-// benchBatchSetup builds the standard load: a ~1k-rule whitelist population
-// over a 250-type taxonomy and a 5k-item batch with pre-warmed token caches.
-func benchBatchSetup(b *testing.B) ([]*core.Rule, []*catalog.Item) {
-	b.Helper()
-	cat := catalog.New(catalog.Config{Seed: 7, NumTypes: 250})
-	rb := core.NewRulebase()
-	for _, ty := range cat.Types() {
-		for _, h := range ty.HeadTerms {
-			if r, err := core.NewWhitelist(h.Text, ty.Name); err == nil {
-				_, _ = rb.Add(r, "bench")
-			}
-		}
-		for _, s := range ty.Synonyms {
-			if r, err := core.NewWhitelist(s.Text, ty.Name); err == nil {
-				_, _ = rb.Add(r, "bench")
-			}
-		}
-	}
-	items := cat.GenerateBatch(catalog.BatchSpec{Size: 5000, Epoch: 0})
-	for _, it := range items {
-		it.TitleTokens()
-	}
-	return rb.Active(), items
-}
-
-// BenchmarkBatchClassifyPerItemIndexed is the reference path: per-item
-// CandidatesFor probes through the rule index, sharded across workers.
-func BenchmarkBatchClassifyPerItemIndexed(b *testing.B) {
-	rules, items := benchBatchSetup(b)
-	ex := core.NewIndexedExecutor(rules)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.ExecuteBatchItemwise(ex, items, benchBatchWorkers)
-	}
-	b.ReportMetric(float64(len(rules)), "rules")
-	b.ReportMetric(float64(b.N)*float64(len(items))/b.Elapsed().Seconds(), "items/sec")
-}
-
-// BenchmarkBatchClassifyBatchInverted is the batch-inverted matcher on the
-// same rulebase, items and worker count.
-func BenchmarkBatchClassifyBatchInverted(b *testing.B) {
-	rules, items := benchBatchSetup(b)
-	bm := core.NewBatchMatcher(core.NewIndexedExecutor(rules).Index())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bm.MatchBatch(items, benchBatchWorkers)
-	}
-	b.ReportMetric(float64(len(rules)), "rules")
-	b.ReportMetric(float64(b.N)*float64(len(items))/b.Elapsed().Seconds(), "items/sec")
-}
-
-// ---------------------------------------------------------------------------
-// Decision-provenance overhead: the full pipeline over the standard 5k-item
-// batch with audit capture disabled, at the default 1-in-8 sampling, and at
-// full capture. The acceptance budget is ≤5% overhead at default sampling
-// (BENCH_PR6.json records the measured ratio).
-// ---------------------------------------------------------------------------
-
-// benchAuditPipeline is a trained pipeline with head-term whitelist rules
-// over the 250-type taxonomy, audit configured as given. The training set is
-// kept small: the KNN ensemble member's per-item cost scales with it, and a
-// heavyweight classifier would only mask the audit overhead being measured.
-func benchAuditPipeline(b *testing.B, cfg obs.AuditConfig) (*chimera.Pipeline, []*catalog.Item) {
-	b.Helper()
-	cat := catalog.New(catalog.Config{Seed: 7, NumTypes: 250})
-	p := chimera.New(chimera.Config{Seed: 7, Audit: obs.NewAuditLog(cfg)})
-	p.Train(cat.LabeledData(500))
-	for _, ty := range cat.Types() {
-		for _, h := range ty.HeadTerms {
-			if r, err := core.NewWhitelist(h.Text, ty.Name); err == nil {
-				_, _ = p.Rules.Add(r, "bench")
-			}
-		}
-	}
-	items := cat.GenerateBatch(catalog.BatchSpec{Size: 5000, Epoch: 0})
-	for _, it := range items {
-		it.TitleTokens()
-	}
-	return p, items
-}
-
-func benchProcessBatchAudit(b *testing.B, cfg obs.AuditConfig) {
-	p, items := benchAuditPipeline(b, cfg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.ProcessBatch(items)
-	}
-	b.ReportMetric(float64(b.N)*float64(len(items))/b.Elapsed().Seconds(), "items/sec")
-}
-
-// BenchmarkBatchClassifyAuditOff is the baseline: provenance capture
-// disabled entirely (negative capacity).
-func BenchmarkBatchClassifyAuditOff(b *testing.B) {
-	benchProcessBatchAudit(b, obs.AuditConfig{Capacity: -1})
-}
-
-// BenchmarkBatchClassifyAuditDefault is the shipped configuration: 1-in-8
-// sampling with always-capture bias for declines and degraded decisions.
-func BenchmarkBatchClassifyAuditDefault(b *testing.B) {
-	benchProcessBatchAudit(b, obs.AuditConfig{})
-}
-
-// BenchmarkBatchClassifyAuditFull captures every decision — the upper bound
-// an operator pays for -audit-sample 1.
-func BenchmarkBatchClassifyAuditFull(b *testing.B) {
-	benchProcessBatchAudit(b, obs.AuditConfig{SampleEvery: 1})
-}
-
 func BenchmarkCatalogGenerate(b *testing.B) {
 	cat := catalog.New(catalog.Config{Seed: 7, NumTypes: 120})
 	b.ResetTimer()
@@ -664,318 +388,3 @@ func BenchmarkCatalogGenerate(b *testing.B) {
 		cat.GenerateBatch(catalog.BatchSpec{Size: 100, Epoch: 1})
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Sharded-vs-single serving throughput (scatter-gather over 1/2/4/8 shards)
-// — acceptance floor: the 4-shard tier at ≥2× the single-engine items/sec
-// under the same mutation load (EXPERIMENTS.md records the measured ratios).
-//
-// Each shard is one capacity unit: a fixed worker pool (shardedBenchWorkers)
-// over its own bounded queue and snapshot lifecycle. The handler sleeps
-// shardedBenchStall per item, standing in for the downstream work a real
-// classification RPC pays (feature fetch, enrichment, network) — so
-// throughput is latency-bound, and the sharded win is latency overlap across
-// independent shard pools, not CPU parallelism. That is the honest model for
-// this repository's 1-CPU benchmark host; on a multi-core host the same
-// structure additionally buys CPU parallelism.
-// ---------------------------------------------------------------------------
-
-// shardedBenchStall is the per-item downstream-work stand-in.
-const shardedBenchStall = 100 * time.Microsecond
-
-// shardedBenchWorkers is the worker-pool size of one capacity unit — the
-// single-engine baseline gets exactly one unit, an N-shard tier gets N.
-const shardedBenchWorkers = 2
-
-// shardedBenchBatch is the client batch size; batches scatter across shards
-// by routing key, so per-shard parts shrink as the tier widens.
-const shardedBenchBatch = 16
-
-// shardedBenchClients is the number of concurrent submitters — enough to
-// keep every worker of the widest tier (8 shards × 2 workers) busy.
-const shardedBenchClients = 24
-
-// shardedBenchHandler sleeps the downstream stand-in, then classifies
-// against the request's snapshot.
-func shardedBenchHandler(ctx context.Context, snap *serve.Snapshot, it *catalog.Item) string {
-	time.Sleep(shardedBenchStall)
-	return snap.Apply(it).Explain()
-}
-
-// runShardedBench drives shardedBenchClients concurrent submit-and-wait
-// loops through the given submit function, toggling a rule roughly once per
-// serveMutationEvery items served (the same maintenance rhythm as the
-// runServeBench family), and reports end-to-end items/sec.
-func runShardedBench(b *testing.B, setup func(rb *core.Rulebase) (submit func([]*catalog.Item) error, closeFn func())) {
-	rb, toggleID, items := benchServeSetup(b)
-	submit, closeFn := setup(rb)
-	defer closeFn()
-
-	var cursor, served atomic.Int64
-	var toggle atomic.Bool
-	var failure atomic.Value
-	b.SetParallelism(shardedBenchClients) // GOMAXPROCS is 1 on the bench host
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			off := int(cursor.Add(1)) * shardedBenchBatch % (len(items) - shardedBenchBatch + 1)
-			if err := submit(items[off : off+shardedBenchBatch]); err != nil {
-				failure.Store(err)
-				return
-			}
-			if served.Add(shardedBenchBatch)%(serveMutationEvery*shardedBenchBatch) < shardedBenchBatch {
-				if toggle.CompareAndSwap(false, true) {
-					_ = rb.Disable(toggleID, "bench", "mutation load")
-				} else {
-					toggle.Store(false)
-					_ = rb.Enable(toggleID, "bench", "mutation load")
-				}
-			}
-		}
-	})
-	b.StopTimer()
-	if err, _ := failure.Load().(error); err != nil {
-		b.Fatalf("submit failed: %v", err)
-	}
-	b.ReportMetric(float64(b.N)*shardedBenchBatch/b.Elapsed().Seconds(), "items/sec")
-}
-
-// BenchmarkShardedServeSingleEngine is the baseline: one engine, one server,
-// one capacity unit — every batch runs on a single worker pool.
-func BenchmarkShardedServeSingleEngine(b *testing.B) {
-	runShardedBench(b, func(rb *core.Rulebase) (func([]*catalog.Item) error, func()) {
-		reg := obs.NewRegistry()
-		eng := serve.NewEngine(rb, serve.EngineOptions{Obs: reg})
-		eng.Start()
-		srv := serve.NewServer[string](eng, shardedBenchHandler, serve.ServerOptions{
-			Workers: shardedBenchWorkers, QueueDepth: 4 * shardedBenchClients, Obs: reg,
-		})
-		submit := func(batch []*catalog.Item) error {
-			tk, err := srv.Submit(batch)
-			if err != nil {
-				return err
-			}
-			_, _, err = tk.Wait()
-			return err
-		}
-		return submit, func() { srv.Drain(); eng.Close() }
-	})
-}
-
-func runShardedServeBench(b *testing.B, shards int) {
-	runShardedBench(b, func(rb *core.Rulebase) (func([]*catalog.Item) error, func()) {
-		srv := serve.NewShardedServer(rb, shardedBenchHandler, serve.ShardedOptions{
-			Shards:     shards,
-			Workers:    shardedBenchWorkers,
-			QueueDepth: 4 * shardedBenchClients,
-			Obs:        obs.NewRegistry(),
-		})
-		submit := func(batch []*catalog.Item) error {
-			tk, err := srv.Submit(batch)
-			if err != nil {
-				return err
-			}
-			return tk.Wait().Err()
-		}
-		return submit, srv.Close
-	})
-}
-
-func BenchmarkShardedServeShards1(b *testing.B) { runShardedServeBench(b, 1) }
-func BenchmarkShardedServeShards2(b *testing.B) { runShardedServeBench(b, 2) }
-func BenchmarkShardedServeShards4(b *testing.B) { runShardedServeBench(b, 4) }
-func BenchmarkShardedServeShards8(b *testing.B) { runShardedServeBench(b, 8) }
-
-// ---------------------------------------------------------------------------
-// Verdict-cache ladder: the snapshot serving path over a Zipf-skewed repeat
-// stream at 0% / 50% / 90% nominal hit rates, against the same 90%-repeat
-// stream served uncached. Skewed repeat traffic is the serving tier's normal
-// diet (a head of popular items resubmitted by feeds and re-crawls), and the
-// cache's value proposition is collapsing that head to a hash probe.
-// Acceptance floor: ≥5× items/sec at the 90% rung vs cache-off
-// (BENCH_PR8.json records the measured ratio and per-rung hit_rate).
-// ---------------------------------------------------------------------------
-
-const (
-	benchCacheBatch   = 1000  // items per submission batch
-	benchCacheBatches = 32    // pre-drawn batches, cycled by the timed loop
-	benchCacheHot     = 500   // resident hot pool, Zipf(s=1.1) over ranks
-	benchCacheCold    = 20000 // rotating cold pool: always a miss at this cap
-	// benchCacheCap sizes the cache at ~2× the hot pool: enough that cold
-	// churn evicts other cold entries instead of the Zipf tail of the hot
-	// set (the OPERATIONS.md sizing rule). At exactly hot-pool size the tail
-	// gets evicted by churn and the measured hit rate sags below nominal.
-	benchCacheCap = 1024
-)
-
-// benchCacheSetup builds the ~1k-rule rulebase and the pre-drawn batches for
-// one ladder rung: hotShare of each batch drawn Zipf-skewed from the hot
-// pool, the rest taken round-robin from a cold pool far larger than the
-// cache, so the nominal hit rate is the hot share (steady-state, warm cache)
-// and every cold item exercises the insert/evict path.
-func benchCacheSetup(b *testing.B, hotShare float64) (*core.Rulebase, [][]*catalog.Item) {
-	b.Helper()
-	cat := catalog.New(catalog.Config{Seed: 11, NumTypes: 250})
-	rb := core.NewRulebase()
-	for _, ty := range cat.Types() {
-		for _, h := range ty.HeadTerms {
-			if r, err := core.NewWhitelist(h.Text, ty.Name); err == nil {
-				_, _ = rb.Add(r, "bench")
-			}
-		}
-		for _, s := range ty.Synonyms {
-			if r, err := core.NewWhitelist(s.Text, ty.Name); err == nil {
-				_, _ = rb.Add(r, "bench")
-			}
-		}
-	}
-	hot := cat.GenerateBatch(catalog.BatchSpec{Size: benchCacheHot, Epoch: 0})
-	cold := cat.GenerateBatch(catalog.BatchSpec{Size: benchCacheCold, Epoch: 1})
-	// Pre-warm token and fingerprint caches on both pools: the ladder
-	// measures serving, not lazy item initialization.
-	for _, it := range hot {
-		it.TitleTokens()
-		it.Fingerprint()
-	}
-	for _, it := range cold {
-		it.TitleTokens()
-		it.Fingerprint()
-	}
-	rng := randx.New(11).Split("cache-bench")
-	zipf := randx.NewZipf(rng, benchCacheHot, 1.1)
-	batches := make([][]*catalog.Item, benchCacheBatches)
-	coldIdx := 0
-	for i := range batches {
-		batch := make([]*catalog.Item, benchCacheBatch)
-		for j := range batch {
-			if rng.Float64() < hotShare {
-				batch[j] = hot[zipf.NextWith(rng)]
-			} else {
-				batch[j] = cold[coldIdx%len(cold)]
-				coldIdx++
-			}
-		}
-		batches[i] = batch
-	}
-	return rb, batches
-}
-
-// benchCacheRun serves the rung's batches through Snapshot.ApplyCached on an
-// engine with the given cache capacity (0 = uncached baseline), after one
-// warm pass so the steady state — hot pool resident, fingerprints computed —
-// is what the clock sees. Reports items/sec and the measured hit_rate over
-// the timed window.
-func benchCacheRun(b *testing.B, hotShare float64, capacity int) {
-	rb, batches := benchCacheSetup(b, hotShare)
-	eng := serve.NewEngine(rb, serve.EngineOptions{
-		Obs:   obs.NewRegistry(),
-		Cache: serve.CacheConfig{Capacity: capacity},
-	})
-	b.Cleanup(eng.Close)
-	snap := eng.Current()
-	for _, batch := range batches {
-		for _, it := range batch {
-			snap.ApplyCached(it)
-		}
-	}
-	start := eng.Cache().Stats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, it := range batches[i%len(batches)] {
-			snap.ApplyCached(it)
-		}
-	}
-	b.StopTimer()
-	end := eng.Cache().Stats()
-	hits := float64(end.Hits - start.Hits)
-	lookups := hits + float64(end.Misses-start.Misses) + float64(end.Coalesced-start.Coalesced)
-	if lookups > 0 {
-		b.ReportMetric(hits/lookups, "hit_rate")
-	}
-	b.ReportMetric(float64(b.N)*float64(benchCacheBatch)/b.Elapsed().Seconds(), "items/sec")
-}
-
-// BenchmarkVerdictCacheOff is the baseline: the 90%-repeat Zipf stream
-// served uncached (ApplyCached on a nil cache is exactly Apply).
-func BenchmarkVerdictCacheOff(b *testing.B) { benchCacheRun(b, 0.9, 0) }
-
-// BenchmarkVerdictCacheHit0 is the adversarial rung: pure cold traffic, so
-// every lookup pays the miss path (probe, insert, evict) on top of Apply —
-// the cache's worst-case overhead.
-func BenchmarkVerdictCacheHit0(b *testing.B) { benchCacheRun(b, 0.0, benchCacheCap) }
-
-// BenchmarkVerdictCacheHit50 is the mixed rung.
-func BenchmarkVerdictCacheHit50(b *testing.B) { benchCacheRun(b, 0.5, benchCacheCap) }
-
-// BenchmarkVerdictCacheHit90 is the headline rung: Zipf head traffic at a
-// 90% nominal hit rate.
-func BenchmarkVerdictCacheHit90(b *testing.B) { benchCacheRun(b, 0.9, benchCacheCap) }
-
-// --- Persistence overhead ladder (internal/persist) --------------------------
-//
-// One op = one rulebase mutation (a confidence update through the versioned
-// audit path). The three rungs price durability: no store at all, a
-// CRC-framed WAL append per mutation, and the same append with an fsync
-// barrier — the bench.sh emitter turns the ns/op ratios into
-// persist_wal_overhead_ratio / persist_wal_fsync_overhead_ratio.
-
-// benchPersistRulebase seeds a rulebase with a pool of rules to mutate.
-func benchPersistRulebase(b *testing.B) (*core.Rulebase, []string) {
-	b.Helper()
-	rb := core.NewRulebase()
-	ids := make([]string, 0, 16)
-	for i := 0; i < 16; i++ {
-		r, err := core.NewWhitelist("widget "+strconv.Itoa(i), "gadget")
-		if err != nil {
-			b.Fatal(err)
-		}
-		id, err := rb.Add(r, "bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	return rb, ids
-}
-
-func benchPersistMutations(b *testing.B, rb *core.Rulebase, ids []string) {
-	b.Helper()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := rb.UpdateConfidence(ids[i%len(ids)], 0.5+float64(i%50)/100, "bench"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPersistOff is the baseline: mutations with no store attached (the
-// change feed has no subscribers, so nothing is even cloned).
-func BenchmarkPersistOff(b *testing.B) {
-	rb, ids := benchPersistRulebase(b)
-	benchPersistMutations(b, rb, ids)
-}
-
-func benchPersistStore(b *testing.B, fsync bool) {
-	b.Helper()
-	rb, ids := benchPersistRulebase(b)
-	// Auto-snapshots off: the rung prices the append path, not compaction.
-	st, err := persist.Open(persist.Options{Dir: b.TempDir(), Fsync: fsync, SnapshotEvery: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := st.Attach(rb); err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	benchPersistMutations(b, rb, ids)
-	b.StopTimer()
-	b.ReportMetric(float64(st.WALSize())/float64(b.N), "wal_bytes/op")
-}
-
-// BenchmarkPersistWAL appends every mutation to the write-ahead log without
-// fsync (durability up to the OS page cache).
-func BenchmarkPersistWAL(b *testing.B) { benchPersistStore(b, false) }
-
-// BenchmarkPersistWALFsync adds the fsync barrier per append — the
-// power-fail-durable configuration.
-func BenchmarkPersistWALFsync(b *testing.B) { benchPersistStore(b, true) }

@@ -42,8 +42,7 @@ func main() {
 		chaos        = flag.Bool("chaos", false, "inject deterministic seeded faults (handler latency, rebuild stalls and failures) during the serving drill, and shrink the pool to force transient overload")
 		deadline     = flag.Duration("deadline", 0, "per-batch caller deadline in the serving drill (0 = none)")
 		retry        = flag.Int("retry", 0, "max retry-with-backoff attempts for shed submissions in the serving drill (0 = no retries)")
-		perItem      = flag.Bool("per-item", false, "classify batches item-at-a-time (reference path) instead of the batch-inverted matcher")
-		cacheCap     = flag.Int("cache", 0, "verdict-cache capacity: memoize classifier verdicts by (item fingerprint, snapshot version); per engine, so with -shards each shard gets its own cache of this size (0 = off)")
+		cacheCap     = flag.Int("cache", 0, "verdict-cache capacity: memoize classifier verdicts by (item fingerprint, snapshot version); with -shards the capacity is per shard (the tier keeps one cache of this size x shards) (0 = off)")
 		opsAddr      = flag.String("ops", "", `serve the live-ops HTTP surface (/metrics, /healthz, /readyz, /decisions, /decisions/export, /snapshot, /debug/pprof) on this address for the duration of the run (e.g. "127.0.0.1:6060" or ":0")`)
 		opsLinger    = flag.Duration("ops-linger", 0, "keep the ops server (and the process) up this long after the run finishes, so scrapers can read the final state (requires -ops)")
 		auditTail    = flag.Int("audit", 0, "print the last N decision-provenance records as NDJSON after the run")
@@ -91,7 +90,6 @@ func main() {
 	cat := repro.NewCatalog(repro.CatalogConfig{Seed: *seed, NumTypes: *types, ZipfS: 1.3})
 	p := repro.NewPipeline(repro.PipelineConfig{
 		Seed:          *seed,
-		PerItem:       *perItem,
 		CacheCapacity: *cacheCap,
 		Audit:         repro.NewAuditLog(repro.AuditConfig{SampleEvery: *auditEach}),
 	})
@@ -388,9 +386,9 @@ func persistRestartDrill(cat *repro.Catalog, p *repro.Pipeline) {
 var opsQueueCap atomic.Int64
 
 // opsShardStatuses holds a func() []repro.ShardStatus while the sharded
-// drill runs, so the ops health provider can report per-shard readiness (and
-// refresh the labeled shard gauges on every scrape). A typed-nil func means
-// "not sharded right now".
+// drill runs, so the ops health provider can report the tier's state and
+// per-shard queue readiness (and refresh the labeled shard gauges on every
+// scrape). A typed-nil func means "not sharded right now".
 var opsShardStatuses atomic.Value
 
 func init() { opsShardStatuses.Store((func() []repro.ShardStatus)(nil)) }
@@ -412,13 +410,11 @@ func opsOptions(p *repro.Pipeline) repro.OpsOptions {
 				QueueCapacity:   int(opsQueueCap.Load()),
 				SnapshotVersion: eng.Current().Version(),
 			}
-			if st.Degraded {
-				st.Detail = "serving stale snapshot: last rebuild failed"
-			}
-			// Under the sharded drill, /readyz switches to per-shard judgment:
-			// the tier is ready while any shard can absorb traffic.
+			// Under the sharded drill the tier's one engine is the serving
+			// engine (degraded state and version repeat on every shard), and
+			// /readyz switches to per-shard queue judgment: the tier is ready
+			// while any shard can absorb traffic.
 			if f, _ := opsShardStatuses.Load().(func() []repro.ShardStatus); f != nil {
-				degraded := 0
 				for _, ss := range f() {
 					st.Shards = append(st.Shards, repro.OpsShardHealth{
 						Shard:           ss.Shard,
@@ -427,13 +423,11 @@ func opsOptions(p *repro.Pipeline) repro.OpsOptions {
 						QueueCapacity:   ss.QueueCapacity,
 						SnapshotVersion: ss.SnapshotVersion,
 					})
-					if ss.Degraded {
-						degraded++
-					}
+					st.Degraded, st.SnapshotVersion = ss.Degraded, ss.SnapshotVersion
 				}
-				if degraded > 0 {
-					st.Detail = fmt.Sprintf("%d/%d shards serving stale snapshots", degraded, len(st.Shards))
-				}
+			}
+			if st.Degraded {
+				st.Detail = "serving stale snapshot: last rebuild failed"
 			}
 			return st
 		},
@@ -683,17 +677,18 @@ func serveDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 
 // shardedDrill exercises the scatter-gather serving tier under live
 // maintenance: clients submit catalog batches that fan out across the
-// consistent-hash ring while a mutator churns the rulebase under every
-// shard's snapshot engine at once. Each shard is an independent capacity
-// unit (its own worker pool, bounded queue and snapshot lifecycle), so the
-// drill's summary is a per-shard table, not one aggregate line.
+// consistent-hash ring while a mutator churns the rulebase under the tier's
+// one snapshot engine. Each shard is an independent capacity unit (its own
+// worker pool and bounded queue), so the drill's summary is a per-shard
+// table, not one aggregate line.
 //
 // With -chaos a seeded injector stalls shard 0's handlers (targeted shard
-// stalls) and fails its snapshot rebuilds, proving the isolation story live:
-// shard 0 degrades and sheds while the other shards' key ranges keep
-// serving; the recovery line shows one clean rebuild un-degrading it.
-// -deadline bounds each scatter end to end; -retry gives every shard its own
-// retry budget.
+// stalls) and fails the engine's snapshot rebuilds, showing both failure
+// scopes live: shard 0 sheds while the other shards' key ranges keep
+// serving, and a failed rebuild degrades the tier, which serves the last
+// good snapshot on every shard until the recovery line's one clean rebuild
+// un-degrades it. -deadline bounds each scatter end to end; -retry gives
+// every shard its own retry budget.
 func shardedDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 	clients := o.clients
 	if clients <= 0 {
@@ -736,10 +731,13 @@ func shardedDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 	}
 	srv := p.NewShardedServer(sopts, inj)
 	if o.chaos {
-		// Shard 0's rebuilds also fail with probability -chaos-rebuild-p.
+		// The tier's rebuilds also fail with probability -chaos-rebuild-p.
 		failer := repro.NewFaultInjector(repro.FaultConfig{Seed: o.seed + 101, RebuildErrorP: o.rebuildP})
-		srv.Engine(0).SetRebuildFault(failer.RebuildFault)
+		srv.Engine().SetRebuildFault(failer.RebuildFault)
 	}
+	// With -cache the batch loop's engine counted into the same serve_cache_*
+	// series; the drill reports only its own lookups.
+	cacheBefore := srv.CacheStats()
 	opsQueueCap.Store(int64(sopts.QueueDepth))
 	opsShardStatuses.Store(func() []repro.ShardStatus { return srv.ShardStatuses() })
 	defer func() {
@@ -857,7 +855,13 @@ func shardedDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 		batches, served, shed, expired, partial)
 	fmt.Printf("mutations applied: %d, versions observed: %d, final rulebase version: %d\n",
 		mutations, len(versions), p.Rules.Version())
-	printCacheStats("cache (all shards)", srv.CacheStats())
+	cache := srv.CacheStats()
+	cache.Hits -= cacheBefore.Hits
+	cache.Misses -= cacheBefore.Misses
+	cache.Coalesced -= cacheBefore.Coalesced
+	cache.Evictions -= cacheBefore.Evictions
+	cache.StaleDrops -= cacheBefore.StaleDrops
+	printCacheStats("cache (one, shared by all shards)", cache)
 	fmt.Printf("%-6s %9s %9s %8s %7s %9s  %s\n",
 		"shard", "routed", "served", "shed", "queue", "version", "degraded")
 	for _, st := range sts {
@@ -875,13 +879,13 @@ func shardedDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 			o.retry, attempts, success)
 	}
 	if inj != nil {
-		fmt.Printf("chaos: %d faults injected %v, shard 0 degraded: %v\n",
-			inj.Total(), inj.Counts(), srv.Engine(0).Degraded())
+		fmt.Printf("chaos: %d faults injected %v, tier degraded: %v\n",
+			inj.Total(), inj.Counts(), srv.Degraded())
 		// Recovery: with the fault cleared, one clean synchronous rebuild
-		// un-degrades shard 0 — the isolation story closed out live.
-		srv.Engine(0).SetRebuildFault(nil)
-		srv.Engine(0).Acquire()
-		fmt.Printf("recovery: shard 0 degraded after clean rebuild: %v\n", srv.Engine(0).Degraded())
+		// un-degrades the tier.
+		srv.Engine().SetRebuildFault(nil)
+		srv.Engine().Acquire()
+		fmt.Printf("recovery: tier degraded after clean rebuild: %v\n", srv.Degraded())
 	}
 }
 

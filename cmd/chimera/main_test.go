@@ -523,7 +523,7 @@ func TestCLIResilienceFlagsRequireServe(t *testing.T) {
 // summary switches to the per-shard table, traffic spreads over more than
 // one shard, and the single-engine drill lines stay absent.
 func TestCLIShardedDrill(t *testing.T) {
-	out, err := run(t, "-serve", "400ms", "-shards", "4", "-serve-clients", "4", "-metrics", "prom")
+	out, err := run(t, "-serve", "400ms", "-shards", "4", "-serve-clients", "4", "-cache", "256", "-metrics", "prom")
 	if err != nil {
 		t.Fatalf("chimera failed: %v\n%s", err, out)
 	}
@@ -532,6 +532,8 @@ func TestCLIShardedDrill(t *testing.T) {
 		"shards 4, clients 4",
 		"scatter: ",
 		"mutations applied: ",
+		"cache (one, shared by all shards): ",
+		"resident ",
 		"shard ",
 		"serve_shard_routed_total{shard=\"0\"}",
 		"serve_scatter_batches_total",
@@ -559,8 +561,8 @@ func TestCLIShardedDrill(t *testing.T) {
 	}
 }
 
-// TestCLIShardedChaosDrill: -shards with -chaos stalls shard 0 and fails its
-// rebuilds; the summary prints the chaos and recovery lines.
+// TestCLIShardedChaosDrill: -shards with -chaos stalls shard 0 and fails the
+// tier's rebuilds; the summary prints the tier-level chaos and recovery lines.
 func TestCLIShardedChaosDrill(t *testing.T) {
 	out, err := run(t, "-serve", "400ms", "-shards", "3", "-serve-clients", "4",
 		"-chaos", "-chaos-rebuild-p", "1.0", "-retry", "3")
@@ -571,7 +573,8 @@ func TestCLIShardedChaosDrill(t *testing.T) {
 		"== sharded serve drill ==",
 		"chaos: ",
 		"shard_stall",
-		"recovery: shard 0 degraded after clean rebuild: false",
+		"tier degraded: true",
+		"recovery: tier degraded after clean rebuild: false",
 		"retry (max 3, per-shard budgets): ",
 	} {
 		if !strings.Contains(out, want) {

@@ -64,11 +64,6 @@ type Config struct {
 	MinPatternSupport int
 	// ImpactThreshold feeds the §5.3 impactful-rule tracker (default 200).
 	ImpactThreshold int
-	// PerItem forces ProcessBatch onto the item-at-a-time reference path
-	// (per-item index probes) instead of the default batch-inverted matcher.
-	// Useful for A/B-ing the two paths and as the devloop fallback; single
-	// item Classify always uses the per-item path.
-	PerItem bool
 	// CacheCapacity bounds the snapshot engine's verdict cache (see
 	// serve.VerdictCache): classifier-stage verdicts are memoized by (item
 	// fingerprint, snapshot version), so re-submitted items under an
@@ -313,18 +308,20 @@ func (p *Pipeline) NewServer(opts serve.ServerOptions) *serve.Server[Decision] {
 }
 
 // NewShardedServer wraps the pipeline in the scatter-gather serving tier
-// (see serve.ShardedServer): a consistent-hash router over independent
-// per-shard engines and servers, all snapshotting p.Rules, each classifying
-// through the full Figure-2 stages. faults, when non-nil, injects handler
-// latency into every shard's workers and shard-targeted stalls via
-// ShardDelay — wire its RebuildFault into individual shard engines
-// (ShardedServer.Engine(i).SetRebuildFault) to fault one shard's snapshot
-// lifecycle. The caller owns Shutdown/Close on the returned tier; the
-// pipeline (and its own passive engine) remain usable afterwards.
+// (see serve.ShardedServer): a consistent-hash router over per-shard servers
+// that share one engine snapshotting p.Rules, each classifying through the
+// full Figure-2 stages. faults, when non-nil, injects handler latency into
+// every shard's workers and shard-targeted stalls via ShardDelay — wire its
+// RebuildFault into the tier's engine (ShardedServer.Engine().SetRebuildFault)
+// to fault the snapshot lifecycle. The caller owns Shutdown/Close on the
+// returned tier; the pipeline (and its own passive engine) remain usable
+// afterwards.
 //
-// Note: each shard's engine instruments its snapshots into that shard's
-// private registry, so per-rule executor telemetry is per shard there; the
-// labeled serve_shard_* rollup lands in opts.Obs (default p.Obs).
+// The tier's engine instruments its snapshots into opts.Obs (default p.Obs)
+// under the pipeline's own series labels, so RuleHealth and /metrics see the
+// rules tier traffic fires; so do the serve_snapshot_* and serve_cache_*
+// series, which in p.Obs therefore count the pipeline's own engine and cache
+// as well as the tier's.
 func (p *Pipeline) NewShardedServer(opts serve.ShardedOptions, faults *faultinject.Injector) *serve.ShardedServer[Decision] {
 	if opts.Obs == nil {
 		opts.Obs = p.Obs
@@ -333,8 +330,8 @@ func (p *Pipeline) NewShardedServer(opts serve.ShardedOptions, faults *faultinje
 		opts.Audit = p.Audit
 	}
 	if opts.Cache.Capacity == 0 && p.cfg.CacheCapacity > 0 {
-		// Inherit the pipeline's cache sizing: each shard gets its own
-		// private cache of this capacity (see serve.ShardedOptions.Cache).
+		// Inherit the pipeline's cache sizing, per shard (see
+		// serve.ShardedOptions.Cache: one cache of capacity × shards).
 		opts.Cache = serve.CacheConfig{Capacity: p.cfg.CacheCapacity}
 	}
 	return serve.NewShardedServer(p.Rules, func(ctx context.Context, snap *serve.Snapshot, it *catalog.Item) Decision {
@@ -624,29 +621,26 @@ func (p *Pipeline) ProcessBatchCtx(ctx context.Context, items []*catalog.Item) *
 	}
 	classify := span.Child("classify")
 	latency := p.Obs.Histogram(MetricClassifySecs, obs.LatencyBuckets)
-	var gvs, rvs []*core.Verdict
-	if !p.cfg.PerItem {
-		// Batch-inverted rule execution (core.BatchMatcher): gate the whole
-		// batch in one inverted join, then run the classifier stage only on
-		// the items the gate left undecided — mirroring the per-item
-		// short-circuit, so gate telemetry counts every item and classifier
-		// telemetry only the non-gated ones. The per-item loop below then
-		// assembles decisions from the precomputed verdicts.
-		gvs = snap.GateApplyBatch(items, workers)
-		pending := make([]*catalog.Item, 0, len(items))
-		pendIdx := make([]int, 0, len(items))
-		for i := range items {
-			if len(gvs[i].FinalTypes()) == 0 {
-				pending = append(pending, items[i])
-				pendIdx = append(pendIdx, i)
-			}
+	// Batch-inverted rule execution (core.BatchMatcher): gate the whole
+	// batch in one inverted join, then run the classifier stage only on
+	// the items the gate left undecided — mirroring the per-item
+	// short-circuit, so gate telemetry counts every item and classifier
+	// telemetry only the non-gated ones. The per-item loop below then
+	// assembles decisions from the precomputed verdicts.
+	gvs := snap.GateApplyBatch(items, workers)
+	pending := make([]*catalog.Item, 0, len(items))
+	pendIdx := make([]int, 0, len(items))
+	for i := range items {
+		if len(gvs[i].FinalTypes()) == 0 {
+			pending = append(pending, items[i])
+			pendIdx = append(pendIdx, i)
 		}
-		rvs = make([]*core.Verdict, len(items))
-		if len(pending) > 0 {
-			sub := snap.ApplyBatchCached(pending, workers)
-			for k, i := range pendIdx {
-				rvs[i] = sub[k]
-			}
+	}
+	rvs := make([]*core.Verdict, len(items))
+	if len(pending) > 0 {
+		sub := snap.ApplyBatchCached(pending, workers)
+		for k, i := range pendIdx {
+			rvs[i] = sub[k]
 		}
 	}
 	var wg sync.WaitGroup
@@ -668,10 +662,7 @@ func (p *Pipeline) ProcessBatchCtx(ctx context.Context, items []*catalog.Item) *
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
 				start := time.Now()
-				if p.cfg.PerItem {
-					// classifyWith records its own per-item audit entry.
-					res.Decisions[i] = p.classifyWith(ctx, items[i], snap)
-				} else if d, ok := p.gateDecision(items[i], snap, gvs[i]); ok {
+				if d, ok := p.gateDecision(items[i], snap, gvs[i]); ok {
 					res.Decisions[i] = d
 					p.auditDecision(ctx, snap.Version(), d, obs.PathBatchGate, gvs[i], nil, "assemble", time.Since(start), "", 0)
 				} else {

@@ -655,47 +655,73 @@ func TestPipelineRuleHealthFeedsMaintenance(t *testing.T) {
 	}
 }
 
-// TestBatchPathMatchesPerItemPath: ProcessBatch's default batch-inverted
-// rule execution must reproduce the item-at-a-time reference path
-// (Config.PerItem) decision-for-decision — type, decline flag, reason,
-// confidence and evidence.
+// TestBatchPathMatchesPerItemPath: ProcessBatch's batch-inverted rule
+// execution must reproduce the item-at-a-time reference path (Classify)
+// decision-for-decision — type, decline flag, reason, confidence and
+// evidence.
 func TestBatchPathMatchesPerItemPath(t *testing.T) {
-	build := func(perItem bool) (*catalog.Catalog, *Pipeline) {
-		cat := catalog.New(catalog.Config{Seed: 93, NumTypes: 40})
-		p := New(Config{Seed: 93, PerItem: perItem, Obs: obs.NewRegistry()})
-		p.Train(cat.LabeledData(4000))
-		add := func(r *core.Rule, err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := p.Rules.Add(r, "ana"); err != nil {
-				t.Fatal(err)
-			}
+	cat := catalog.New(catalog.Config{Seed: 93, NumTypes: 40})
+	p := New(Config{Seed: 93, Obs: obs.NewRegistry()})
+	p.Train(cat.LabeledData(4000))
+	add := func(r *core.Rule, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
 		}
-		add(core.NewWhitelist("rings?", "rings"))
-		add(core.NewWhitelist("jeans?", "jeans"))
-		add(core.NewWhitelist("(motor | engine) oils?", "motor oil"))
-		add(core.NewBlacklist("olive oils?", "motor oil"))
-		add(core.NewAttrExists("isbn", "books"))
-		add(core.NewGate("(satchel | purse | tote)", "handbags"))
-		add(core.NewFilter("jeans"))
-		return cat, p
+		if _, err := p.Rules.Add(r, "ana"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cat, batch := build(false)
-	_, perItem := build(true)
+	add(core.NewWhitelist("rings?", "rings"))
+	add(core.NewWhitelist("jeans?", "jeans"))
+	add(core.NewWhitelist("(motor | engine) oils?", "motor oil"))
+	add(core.NewBlacklist("olive oils?", "motor oil"))
+	add(core.NewAttrExists("isbn", "books"))
+	add(core.NewGate("(satchel | purse | tote)", "handbags"))
+	add(core.NewFilter("jeans"))
 	items := cat.GenerateBatch(catalog.BatchSpec{Size: 300, Epoch: 2})
 
-	rb := batch.ProcessBatch(items)
-	rp := perItem.ProcessBatch(items)
-	for i := range items {
-		db, dp := rb.Decisions[i], rp.Decisions[i]
+	rb := p.ProcessBatch(items)
+	for i, it := range items {
+		db, dp := rb.Decisions[i], p.Classify(it)
 		if db.Type != dp.Type || db.Declined != dp.Declined || db.Reason != dp.Reason ||
 			db.Confidence != dp.Confidence || strings.Join(db.Evidence, ",") != strings.Join(dp.Evidence, ",") {
 			t.Fatalf("paths diverge on item %d (%q):\nbatch:    %+v\nper-item: %+v",
-				i, items[i].Title(), db, dp)
+				i, it.Title(), db, dp)
 		}
 	}
+}
+
+// TestRuleHealthSeesShardedTraffic: the tier's one engine instruments its
+// snapshots into the pipeline's registry, so a rule fired only by traffic
+// through NewShardedServer shows up in Pipeline.RuleHealth.
+func TestRuleHealthSeesShardedTraffic(t *testing.T) {
+	p := New(Config{Seed: 23, Obs: obs.NewRegistry()})
+	r, err := core.NewWhitelist("rings?", "rings")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := p.Rules.Add(r, "ana")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := p.NewShardedServer(serve.ShardedOptions{Shards: 3}, nil)
+	defer srv.Close()
+
+	tk, err := srv.Submit([]*catalog.Item{{ID: "ring-1", Attrs: map[string]string{"Title": "sterling silver ring"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := tk.Wait()
+	if res.Err() != nil || res.Results[0].Type != "rings" {
+		t.Fatalf("tier did not classify the item by the rule: %+v (err %v)", res.Results[0], res.Err())
+	}
+	for _, h := range p.RuleHealth(0.92) {
+		if h.RuleID == id && h.Fired > 0 {
+			return
+		}
+	}
+	t.Fatalf("rule %s decided a tier item but RuleHealth does not report it fired: %+v", id, p.RuleHealth(0.92))
 }
 
 // TestShardedServerMatchesDirectClassification: the scatter-gather tier,

@@ -138,18 +138,21 @@ func TestProvenanceBatchPaths(t *testing.T) {
 	}
 }
 
-// TestProvenancePerItemPath: the PerItem reference path produces the same
-// exactly-one-record property with per-stage latencies (gate, classify).
+// TestProvenancePerItemPath: the per-item reference path (ClassifyCtx)
+// produces the same exactly-one-record property with per-stage latencies
+// (gate, classify) and the caller's request ID.
 func TestProvenancePerItemPath(t *testing.T) {
 	cat := catalog.New(catalog.Config{Seed: 412, NumTypes: 40})
 	p := New(Config{
-		Seed:    412,
-		PerItem: true,
-		Audit:   obs.NewAuditLog(obs.AuditConfig{Capacity: 1 << 12, SampleEvery: 1}),
+		Seed:  412,
+		Audit: obs.NewAuditLog(obs.AuditConfig{Capacity: 1 << 12, SampleEvery: 1}),
 	})
 	p.Train(cat.LabeledData(2000))
 	items := cat.GenerateBatch(catalog.BatchSpec{Size: 100, Epoch: 1})
-	res := p.ProcessBatch(items)
+	ctx := obs.WithRequestID(context.Background(), "ref-test-1")
+	for _, it := range items {
+		p.ClassifyCtx(ctx, it)
+	}
 
 	recs := recordsByItem(t, p, obs.PathPerItem)
 	if len(recs) != len(items) {
@@ -157,14 +160,14 @@ func TestProvenancePerItemPath(t *testing.T) {
 	}
 	for _, it := range items {
 		r := recs[it.ID]
-		if r.SnapshotVersion != res.SnapshotVersion {
-			t.Errorf("item %s: snapshot %d != %d", it.ID, r.SnapshotVersion, res.SnapshotVersion)
+		if r.SnapshotVersion != p.Rules.Version() {
+			t.Errorf("item %s: snapshot %d != %d", it.ID, r.SnapshotVersion, p.Rules.Version())
 		}
 		if len(r.Stages) == 0 || r.Stages[0].Stage != "gate" {
 			t.Errorf("item %s: per-item record missing gate stage: %+v", it.ID, r.Stages)
 		}
-		if !strings.HasPrefix(r.RequestID, "batch-") {
-			t.Errorf("item %s: missing generated batch request ID: %q", it.ID, r.RequestID)
+		if r.RequestID != "ref-test-1" {
+			t.Errorf("item %s: request ID %q, want the caller's", it.ID, r.RequestID)
 		}
 	}
 }

@@ -53,17 +53,21 @@ type HealthStatus struct {
 	// Detail is a free-form operator hint ("rebuild failed: ...", "ok").
 	Detail string `json:"detail,omitempty"`
 	// Shards, when non-empty, switches /readyz to sharded aggregation: each
-	// shard is judged independently (degraded flag + its own queue
-	// watermark) and the tier is ready while at least one shard can still
-	// absorb traffic — a single stalled shard degrades its key range, not
-	// the whole process's readiness. ReadyShards/TotalShards are filled by
-	// the handler on the way out.
+	// shard's queue is judged against its own watermark and the tier is
+	// ready while at least one shard can still absorb traffic — a single
+	// stalled shard degrades its key range, not the whole process's
+	// readiness. The sharded tier has one snapshot engine, so a failed
+	// rebuild sets Degraded on every shard at once and readiness goes with
+	// it, as on a single server. ReadyShards/TotalShards are filled by the
+	// handler on the way out.
 	Shards      []ShardHealth `json:"shards,omitempty"`
 	ReadyShards int           `json:"ready_shards,omitempty"`
 	TotalShards int           `json:"total_shards,omitempty"`
 }
 
 // ShardHealth is one shard's health probe inside a sharded HealthStatus.
+// Queue depth and capacity are the shard's own; Degraded and SnapshotVersion
+// repeat the tier's one engine.
 type ShardHealth struct {
 	Shard           int    `json:"shard"`
 	Degraded        bool   `json:"degraded"`
@@ -210,9 +214,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // handleReadyz is readiness: live, Ready, and the queue below the
 // watermark — the signal a load balancer uses to stop routing before the
 // server starts shedding. With a sharded health provider (Shards non-empty)
-// each shard is judged independently and the tier stays ready while at
-// least one shard can absorb traffic; ready_shards/total_shards in the body
-// give the balancer (and the operator) the partial-capacity picture.
+// each shard's queue is judged independently and the tier stays ready while
+// at least one shard can absorb traffic; ready_shards/total_shards in the
+// body give the balancer (and the operator) the partial-capacity picture.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	st := s.health()
 	ok := !st.Degraded && st.Ready

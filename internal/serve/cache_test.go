@@ -321,10 +321,11 @@ func TestCacheDegradedRollbackSafety(t *testing.T) {
 	}
 }
 
-// TestShardedCacheStatsRollup exercises per-shard caches end to end through
-// the scatter-gather tier: each shard owns a private cache, and repeat
-// submissions of the same items hit on their own shard.
-func TestShardedCacheStatsRollup(t *testing.T) {
+// TestShardedTierSharesOneCache exercises the tier's verdict cache end to end
+// through scatter-gather: every shard reads and fills the one cache (sized
+// Capacity × Shards), repeat submissions hit it, and its counters land in
+// the primary registry.
+func TestShardedTierSharesOneCache(t *testing.T) {
 	cat := catalog.New(catalog.Config{Seed: 11, NumTypes: 20})
 	rb := buildPropertyRulebase(t, cat, 11)
 	srv := NewShardedServer(rb, func(ctx context.Context, snap *Snapshot, it *catalog.Item) string {
@@ -360,13 +361,15 @@ func TestShardedCacheStatsRollup(t *testing.T) {
 	if st.Capacity != 3*512 {
 		t.Fatalf("tier capacity = %d, want %d", st.Capacity, 3*512)
 	}
-	// Shards are private: every lookup landed on some shard, and the rollup
-	// is the sum of the per-shard registries' counters.
-	var hits int64
-	for i := 0; i < srv.Shards(); i++ {
-		hits += srv.ShardRegistry(i).Counter(MetricCacheHits).Value()
+	if st != srv.Engine().Cache().Stats() {
+		t.Fatalf("tier stats %+v are not the engine cache's %+v", st, srv.Engine().Cache().Stats())
 	}
-	if hits != st.Hits {
-		t.Fatalf("per-shard registry hits %d != rollup %d", hits, st.Hits)
+	if hits := srv.Registry().Counter(MetricCacheHits).Value(); hits != st.Hits {
+		t.Fatalf("primary registry hits %d != cache stats %d", hits, st.Hits)
+	}
+	for i := 0; i < srv.Shards(); i++ {
+		if n := srv.ShardRegistry(i).Counter(MetricCacheHits).Value() + srv.ShardRegistry(i).Counter(MetricCacheMisses).Value(); n != 0 {
+			t.Fatalf("shard %d's private registry counted %d cache lookups — a second cache exists", i, n)
+		}
 	}
 }

@@ -34,14 +34,11 @@ const (
 	MetricShardRejected = "serve_shard_rejected_total"
 	// MetricShardQueueDepth / MetricShardQueueCap mirror each shard's live
 	// queue state (refreshed by ShardStatuses — wire it into the health
-	// provider so scrapes see fresh gauges).
+	// provider so scrapes see fresh gauges). There is no per-shard version or
+	// degraded gauge: the tier has one snapshot, reported by the engine's
+	// MetricSnapshotVersion / MetricDegraded in the same registry.
 	MetricShardQueueDepth = "serve_shard_queue_depth"
 	MetricShardQueueCap   = "serve_shard_queue_capacity"
-	// MetricShardVersion is the rulebase version each shard currently serves.
-	MetricShardVersion = "serve_shard_snapshot_version"
-	// MetricShardDegraded is 1 while a shard serves a stale snapshot after a
-	// failed rebuild, 0 otherwise.
-	MetricShardDegraded = "serve_shard_degraded"
 	// MetricScatterBatches / MetricScatterItems count scatter-gather
 	// submissions and their items; MetricScatterPartial counts the batches
 	// that resolved with at least one failed item (partial results).
@@ -81,7 +78,8 @@ func ShardFromContext(ctx context.Context) int {
 
 // ShardedOptions parameterizes a ShardedServer. Zero values take defaults.
 type ShardedOptions struct {
-	// Shards is the number of independent engine+server units (default 4).
+	// Shards is the number of independent queue+worker-pool units (default
+	// 4). All of them classify against the tier's one snapshot engine.
 	Shards int
 	// Replicas is the consistent-hash virtual-node count per shard
 	// (DefaultRouterReplicas when 0).
@@ -92,14 +90,15 @@ type ShardedOptions struct {
 	// totals; defaults follow ServerOptions: 4 workers, depth 64).
 	Workers    int
 	QueueDepth int
-	// Debounce is each shard engine's rebuild debounce (DefaultDebounce
-	// when 0; negative = immediate).
+	// Debounce is the engine's rebuild debounce (DefaultDebounce when 0;
+	// negative = immediate).
 	Debounce time.Duration
-	// Obs is the primary registry for the serve_shard_* / serve_scatter_*
-	// families (obs.Default when nil). Each shard's engine and server write
-	// their unlabeled serve_* internals into a private per-shard registry —
-	// see ShardedServer.ShardRegistry — so shards never fight over one
-	// gauge.
+	// Obs is the primary registry (obs.Default when nil): the serve_shard_* /
+	// serve_scatter_* families, the one engine's serve_snapshot_* series and
+	// per-rule executor telemetry, and the one cache's serve_cache_* series.
+	// Each shard's server and retrier write their unlabeled serve_* internals
+	// (queue depth, sheds, retries) into a private per-shard registry — see
+	// ShardedServer.ShardRegistry — so shards never fight over one gauge.
 	Obs *obs.Registry
 	// Audit, when non-nil, is shared by every shard server (the provenance
 	// ring is concurrent-safe), so shed/drain/expired records from all
@@ -110,22 +109,18 @@ type ShardedOptions struct {
 	// retry budget per shard — one hot shard exhausting its budget does not
 	// spend the other shards'. Seeds are decorrelated per shard.
 	Retry *RetryOptions
-	// Cache configures each shard engine's verdict cache (Capacity is per
-	// shard). Caches are fully private to their shard — no cross-shard
-	// locking — which the router makes effective: a routing key always lands
-	// on the same shard, so repeat traffic re-finds its own cache. The
-	// serve_cache_* counters land in each shard's private registry
-	// (ShardRegistry); CacheStats rolls them up.
+	// Cache sizes the tier's verdict cache. Capacity is stated per shard, so
+	// adding shards adds cache with the rest of the capacity; the tier builds
+	// one cache of Capacity × Shards entries that every shard reads and
+	// fills (it is lock-sharded inside, see CacheConfig.Shards).
 	Cache CacheConfig
 }
 
-// shard is one independent serving unit: engine, server, optional retrier,
-// a private registry for their unlabeled internals, and the labeled
-// per-shard counters in the primary registry.
+// shard is one independent serving unit: server, optional retrier, a private
+// registry for their unlabeled internals, and the labeled per-shard counters
+// in the primary registry.
 type shard[R any] struct {
-	idx  int
 	reg  *obs.Registry
-	eng  *Engine
 	srv  *Server[R]
 	retr *Retrier[R]
 
@@ -138,16 +133,19 @@ type shard[R any] struct {
 }
 
 // ShardedServer is the scatter-gather serving tier: a consistent-hash router
-// over N independent per-shard Engines and Servers, each with its own
-// bounded queue, snapshot lifecycle, retry budget and degraded state. One
-// shard's rebuild stall or overload sheds only that shard's key range; the
-// rest of the tier keeps serving. Batch submissions are split by routing
-// key, fanned out to the owning shards, and merged back preserving input
-// order — per-item errors mark exactly the items whose shard failed them.
+// over N Servers that share one Engine — one published snapshot, one rebuild
+// loop, one verdict cache — and each keep their own bounded queue, worker
+// pool and retry budget. A stalled or overloaded shard sheds only its own
+// key range while the rest of the tier keeps serving; a failed rebuild
+// degrades the whole tier, which keeps serving the last good snapshot on
+// every shard. Batch submissions are split by routing key, fanned out to the
+// owning shards, and merged back preserving input order — per-item errors
+// mark exactly the items whose shard failed them.
 type ShardedServer[R any] struct {
 	router *ShardRouter
 	route  RouteKeyFunc
 	obs    *obs.Registry
+	eng    *Engine
 	shards []*shard[R]
 
 	closed atomic.Bool
@@ -158,11 +156,10 @@ type ShardedServer[R any] struct {
 	scatterFanout  *obs.Histogram
 }
 
-// NewShardedServer builds the tier over one shared rulebase: every shard
-// snapshots the same rules (classification is identical on every shard —
-// sharding partitions load, not semantics) but owns its snapshot lifecycle,
-// so a stalled or failing rebuild degrades one shard only. Each shard's
-// worker pool and async rebuild loop start immediately; the caller owns
+// NewShardedServer builds the tier over one rulebase: one engine snapshots
+// it and every shard classifies against that engine's current snapshot
+// (sharding partitions load, not semantics). The worker pools and the
+// engine's async rebuild loop start immediately; the caller owns
 // Shutdown/Close.
 func NewShardedServer[R any](rb *core.Rulebase, h Handler[R], opts ShardedOptions) *ShardedServer[R] {
 	nShards := opts.Shards
@@ -177,10 +174,13 @@ func NewShardedServer[R any](rb *core.Rulebase, h Handler[R], opts ShardedOption
 	if reg == nil {
 		reg = obs.Default()
 	}
+	cache := opts.Cache
+	cache.Capacity *= nShards
 	s := &ShardedServer[R]{
 		router:         NewShardRouter(nShards, opts.Replicas),
 		route:          route,
 		obs:            reg,
+		eng:            NewEngine(rb, EngineOptions{Obs: reg, Debounce: opts.Debounce, Cache: cache}),
 		shards:         make([]*shard[R], nShards),
 		scatterBatches: reg.Counter(MetricScatterBatches),
 		scatterItems:   reg.Counter(MetricScatterItems),
@@ -193,27 +193,23 @@ func NewShardedServer[R any](rb *core.Rulebase, h Handler[R], opts ShardedOption
 	reg.Help(MetricShardExpired, "items whose deadline expired queued on each shard")
 	reg.Help(MetricShardDeclined, "items declined by each shard's shutdown drain")
 	reg.Help(MetricShardRejected, "items rejected after shard shutdown")
-	reg.Help(MetricShardDegraded, "1 while a shard serves a stale snapshot after a failed rebuild")
 	reg.Help(MetricScatterBatches, "scatter-gather batch submissions")
 	reg.Help(MetricScatterPartial, "scatter batches that resolved with at least one failed item")
 	for i := 0; i < nShards; i++ {
 		label := strconv.Itoa(i)
 		sreg := obs.NewRegistry()
-		eng := NewEngine(rb, EngineOptions{Obs: sreg, Debounce: opts.Debounce, Cache: opts.Cache})
 		idx := i
 		wrapped := func(ctx context.Context, snap *Snapshot, it *catalog.Item) R {
 			return h(WithShard(ctx, idx), snap, it)
 		}
-		srv := NewServer(eng, wrapped, ServerOptions{
+		srv := NewServer(s.eng, wrapped, ServerOptions{
 			Workers:    opts.Workers,
 			QueueDepth: opts.QueueDepth,
 			Obs:        sreg,
 			Audit:      opts.Audit,
 		})
 		sh := &shard[R]{
-			idx:      i,
 			reg:      sreg,
-			eng:      eng,
 			srv:      srv,
 			routed:   reg.Counter(MetricShardRouted, "shard", label),
 			served:   reg.Counter(MetricShardServed, "shard", label),
@@ -241,54 +237,36 @@ func (s *ShardedServer[R]) Shards() int { return len(s.shards) }
 func (s *ShardedServer[R]) Router() *ShardRouter { return s.router }
 
 // Registry returns the primary registry holding the labeled serve_shard_*
-// and serve_scatter_* families.
+// and serve_scatter_* families and the engine's and cache's series.
 func (s *ShardedServer[R]) Registry() *obs.Registry { return s.obs }
 
-// Engine returns shard i's snapshot engine (fault hooks, degraded state).
-func (s *ShardedServer[R]) Engine(i int) *Engine { return s.shards[i].eng }
+// Engine returns the tier's snapshot engine (fault hooks, degraded state,
+// verdict cache).
+func (s *ShardedServer[R]) Engine() *Engine { return s.eng }
 
 // Server returns shard i's server (direct per-shard submission, tests).
 func (s *ShardedServer[R]) Server(i int) *Server[R] { return s.shards[i].srv }
 
 // ShardRegistry returns shard i's private registry — the unlabeled serve_*
-// internals (queue depth, snapshot swaps, retry counters) of that shard.
+// internals (queue depth, sheds, retry counters) of that shard.
 func (s *ShardedServer[R]) ShardRegistry(i int) *obs.Registry { return s.shards[i].reg }
 
-// CacheStats rolls up the per-shard verdict-cache counters into one tier
-// total (all zero when caching is disabled). Per-shard numbers are available
-// from Engine(i).Cache().Stats().
-func (s *ShardedServer[R]) CacheStats() CacheStats {
-	var total CacheStats
-	for _, sh := range s.shards {
-		st := sh.eng.Cache().Stats()
-		total.Hits += st.Hits
-		total.Misses += st.Misses
-		total.Coalesced += st.Coalesced
-		total.Evictions += st.Evictions
-		total.StaleDrops += st.StaleDrops
-		total.Size += st.Size
-		total.Capacity += st.Capacity
-	}
-	return total
-}
+// CacheStats snapshots the tier's verdict-cache counters (all zero when
+// caching is disabled).
+func (s *ShardedServer[R]) CacheStats() CacheStats { return s.eng.Cache().Stats() }
 
 // ShardFor returns the shard that owns the item's routing key.
 func (s *ShardedServer[R]) ShardFor(it *catalog.Item) int {
 	return s.router.ShardFor(s.route(it))
 }
 
-// Degraded reports whether any shard is serving a stale snapshot after a
-// failed rebuild. Per-shard detail comes from ShardStatuses.
-func (s *ShardedServer[R]) Degraded() bool {
-	for _, sh := range s.shards {
-		if sh.eng.Degraded() {
-			return true
-		}
-	}
-	return false
-}
+// Degraded reports whether the tier is serving a stale snapshot after a
+// failed rebuild.
+func (s *ShardedServer[R]) Degraded() bool { return s.eng.Degraded() }
 
 // ShardStatus is one shard's live state, as reported by ShardStatuses.
+// Degraded and SnapshotVersion are the tier's and read the same on every
+// shard.
 type ShardStatus struct {
 	Shard           int    `json:"shard"`
 	QueueDepth      int    `json:"queue_depth"`
@@ -301,19 +279,20 @@ type ShardStatus struct {
 }
 
 // ShardStatuses reports every shard's live state and refreshes the labeled
-// per-shard gauges in the primary registry (queue depth/capacity, snapshot
-// version, degraded), so wiring it into the ops health provider keeps both
-// /readyz and /metrics fresh from one call.
+// per-shard queue depth/capacity gauges in the primary registry, so wiring it
+// into the ops health provider keeps both /readyz and /metrics fresh from one
+// call. (Snapshot version and degraded are the engine's own
+// serve_snapshot_version / serve_degraded gauges in the same registry.)
 func (s *ShardedServer[R]) ShardStatuses() []ShardStatus {
 	out := make([]ShardStatus, len(s.shards))
+	degraded, version := s.eng.Degraded(), s.eng.Current().Version()
 	for i, sh := range s.shards {
-		degraded := sh.eng.Degraded()
 		st := ShardStatus{
 			Shard:           i,
 			QueueDepth:      int(sh.reg.Gauge(MetricQueueDepth).Value()),
 			QueueCapacity:   sh.srv.QueueCapacity(),
 			Degraded:        degraded,
-			SnapshotVersion: sh.eng.Current().Version(),
+			SnapshotVersion: version,
 			Routed:          sh.routed.Value(),
 			Served:          sh.served.Value(),
 			Shed:            sh.shed.Value(),
@@ -321,12 +300,6 @@ func (s *ShardedServer[R]) ShardStatuses() []ShardStatus {
 		label := strconv.Itoa(i)
 		s.obs.Gauge(MetricShardQueueDepth, "shard", label).Set(float64(st.QueueDepth))
 		s.obs.Gauge(MetricShardQueueCap, "shard", label).Set(float64(st.QueueCapacity))
-		s.obs.Gauge(MetricShardVersion, "shard", label).Set(float64(st.SnapshotVersion))
-		deg := 0.0
-		if degraded {
-			deg = 1
-		}
-		s.obs.Gauge(MetricShardDegraded, "shard", label).Set(deg)
 		out[i] = st
 	}
 	return out
@@ -355,8 +328,8 @@ type GatherResult[R any] struct {
 	// wrapper), ErrShutdown, ErrDeclined, a context error}.
 	Errs []error
 	// Snapshots names the snapshot each item was classified under (nil for
-	// failed items). Items of one shard share one snapshot; shards may
-	// legitimately differ in version mid-rebuild.
+	// failed items). Items of one shard share one snapshot; parts picked up
+	// on either side of a swap may differ by a version.
 	Snapshots []*Snapshot
 	// ShardOf records the shard each item routed to.
 	ShardOf []int
@@ -545,9 +518,9 @@ func (s *ShardedServer[R]) runPart(ctx context.Context, p *scatterPart[R], wg *s
 
 // Shutdown stops accepting scatter submissions, shuts every shard server
 // down concurrently under ctx (each drains or declines per the Server
-// contract — every in-flight ticket still resolves), then closes the shard
-// engines. It returns the first shard's error, if any (ctx expiry during a
-// drain). Safe to call more than once.
+// contract — every in-flight ticket still resolves), then closes the engine.
+// It returns the first shard's error, if any (ctx expiry during a drain).
+// Safe to call more than once.
 func (s *ShardedServer[R]) Shutdown(ctx context.Context) error {
 	s.closed.Store(true)
 	errs := make([]error, len(s.shards))
@@ -560,9 +533,7 @@ func (s *ShardedServer[R]) Shutdown(ctx context.Context) error {
 		}(i, sh)
 	}
 	wg.Wait()
-	for _, sh := range s.shards {
-		sh.eng.Close()
-	}
+	s.eng.Close()
 	for _, err := range errs {
 		if err != nil {
 			return err

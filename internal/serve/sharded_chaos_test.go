@@ -1,16 +1,18 @@
 package serve
 
-// The sharded chaos harness (run under -race in verify.sh/CI): one shard is
-// made pathological — every handler invocation stalled via the fault
-// injector's targeted shard stalls AND every snapshot rebuild failing — while
-// concurrent clients keep scattering batches and a mutator churns the
-// rulebase. The isolation contract under assault:
+// The sharded chaos harness (run under -race in verify.sh/CI): one shard's
+// handlers are stalled via the fault injector's targeted shard stalls AND
+// every snapshot rebuild of the tier's one engine fails, while concurrent
+// clients keep scattering batches and a mutator churns the rulebase. The
+// contract under assault:
 //
-//   - the stalled shard degrades and sheds, but every ticket touching it
-//     still resolves (with served items or explicit per-item errors);
-//   - the healthy shards' key ranges never feel it: zero sheds, zero
-//     failures, not degraded — one bad shard costs its own keys, nothing
-//     else.
+//   - the stalled shard sheds, but every ticket touching it still resolves
+//     (with served items or explicit per-item errors);
+//   - the healthy shards' key ranges never feel the stall: zero sheds, zero
+//     failures — one bad shard costs its own keys, nothing else;
+//   - the failing rebuilds degrade the tier as a whole, and every shard keeps
+//     serving the last good snapshot until the next clean rebuild recovers
+//     it.
 
 import (
 	"context"
@@ -63,9 +65,10 @@ func TestShardedChaosStallIsolatesOneShard(t *testing.T) {
 		Debounce: 100 * time.Microsecond, Obs: reg,
 	})
 	defer srv.Close()
-	// Every rebuild on the target shard fails: it must pin its stale
-	// snapshot and flag degraded; nobody else may.
-	srv.Engine(target).SetRebuildFault(func() (time.Duration, error) {
+	// Every rebuild fails: the tier must pin its last good snapshot and flag
+	// degraded, and keep serving from it on every shard.
+	lastGood := rb.Version()
+	srv.Engine().SetRebuildFault(func() (time.Duration, error) {
 		return 0, errSimRebuild
 	})
 
@@ -110,9 +113,17 @@ func TestShardedChaosStallIsolatesOneShard(t *testing.T) {
 					healthyFailures[c] = err
 					return
 				}
-				if res := tk.Wait(); res.Err() != nil {
+				res := tk.Wait()
+				if res.Err() != nil {
 					healthyFailures[c] = res.Err()
 					return
+				}
+				for _, snap := range res.Snapshots {
+					if snap.Version() != lastGood {
+						healthyFailures[c] = fmt.Errorf("served version %d while every rebuild failed, last good is %d",
+							snap.Version(), lastGood)
+						return
+					}
 				}
 			}
 		}(c)
@@ -166,24 +177,28 @@ func TestShardedChaosStallIsolatesOneShard(t *testing.T) {
 		t.Fatal("stalled shard never shed — the chaos exercised nothing")
 	}
 
-	// Degradation is confined to the target: its failing rebuilds flag it
-	// (poll briefly — the rebuild loop is async), everyone else stays clean.
-	deadline := time.Now().Add(2 * time.Second)
-	for !srv.Engine(target).Degraded() {
-		if time.Now().After(deadline) {
-			t.Fatal("target shard never degraded despite failing every rebuild")
+	// The failing rebuilds flag the tier (poll briefly — the rebuild loop is
+	// async) and pin every shard on the last good version; sheds stay
+	// confined to the stalled shard.
+	nudgeUntil := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); !done(); {
+			if time.Now().After(deadline) {
+				t.Fatal(what)
+			}
+			_ = rb.Disable(ids[0], "chaos", "nudge")
+			_ = rb.Enable(ids[0], "chaos", "nudge")
+			time.Sleep(time.Millisecond)
 		}
-		_ = rb.Disable(ids[0], "chaos", "nudge")
-		_ = rb.Enable(ids[0], "chaos", "nudge")
-		time.Sleep(time.Millisecond)
 	}
-	if !srv.Degraded() {
-		t.Fatal("tier-level Degraded() missed the degraded shard")
+	nudgeUntil("tier never degraded despite failing every rebuild", srv.Degraded)
+	for _, st := range srv.ShardStatuses() {
+		if !st.Degraded || st.SnapshotVersion != lastGood {
+			t.Fatalf("shard %d reports degraded=%v version=%d, want degraded on last good version %d",
+				st.Shard, st.Degraded, st.SnapshotVersion, lastGood)
+		}
 	}
 	for _, sd := range []int{0, 1, 3} {
-		if srv.Engine(sd).Degraded() {
-			t.Fatalf("healthy shard %d degraded — rebuild fault leaked across shards", sd)
-		}
 		if got := reg.Counter(MetricShardShed, "shard", strconv.Itoa(sd)).Value(); got != 0 {
 			t.Fatalf("healthy shard %d shed %d items — overload leaked across shards", sd, got)
 		}
@@ -194,4 +209,11 @@ func TestShardedChaosStallIsolatesOneShard(t *testing.T) {
 	if cnt := inj.Counts()["shard_stall"]; cnt == 0 {
 		t.Fatal("injector never fired a shard stall")
 	}
+
+	// Recovery: the next clean rebuild un-degrades the tier and brings every
+	// shard to the rulebase's version.
+	srv.Engine().SetRebuildFault(nil)
+	nudgeUntil("tier still degraded after the rebuild fault cleared", func() bool {
+		return !srv.Degraded() && srv.Engine().Current().Version() == rb.Version()
+	})
 }

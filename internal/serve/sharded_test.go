@@ -221,6 +221,71 @@ func TestShardedPartialFailureIsolatesShard(t *testing.T) {
 	queued.Wait()
 }
 
+// TestShardedOneRebuildPerMutation pins the one-engine contract: whatever the
+// shard count, a mutation costs one snapshot build, and with no mutation in
+// flight every part of a gather was classified under the same snapshot.
+func TestShardedOneRebuildPerMutation(t *testing.T) {
+	rb := core.NewRulebase()
+	r, err := core.NewWhitelist("widget", "gadget")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := rb.Add(r, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards = 4
+	srv := NewShardedServer(rb, explainHandler, ShardedOptions{
+		Shards: shards, RouteKey: routeByID, Debounce: -1, Obs: obs.NewRegistry(),
+	})
+	defer srv.Close()
+	swaps := func() int64 {
+		n := srv.Registry().Counter(MetricSnapshotSwaps).Value()
+		for i := 0; i < srv.Shards(); i++ {
+			n += srv.ShardRegistry(i).Counter(MetricSnapshotSwaps).Value()
+		}
+		return n
+	}
+	before := swaps()
+	if before != 1 {
+		t.Fatalf("building a %d-shard tier published %d snapshots, want 1", shards, before)
+	}
+	if err := rb.UpdateConfidence(id, 0.9, "test"); err != nil {
+		t.Fatal(err)
+	}
+	for wait := time.Now().Add(5 * time.Second); swaps() == before; {
+		if time.Now().After(wait) {
+			t.Fatal("mutation never reached a published snapshot")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	var items []*catalog.Item
+	for sd := 0; sd < shards; sd++ {
+		items = append(items, itemsForShard(t, srv, sd, 2)...)
+	}
+	tk, err := srv.Submit(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := tk.Wait()
+	if res.Err() != nil {
+		t.Fatalf("gather error: %v", res.Err())
+	}
+	for i, snap := range res.Snapshots {
+		if snap != res.Snapshots[0] {
+			t.Fatalf("item %d (shard %d) served under snapshot v%d, item 0 under v%d — parts of one gather disagree",
+				i, res.ShardOf[i], snap.Version(), res.Snapshots[0].Version())
+		}
+	}
+	if got := res.Snapshots[0].Version(); got != rb.Version() {
+		t.Fatalf("gather served version %d, rulebase at %d", got, rb.Version())
+	}
+	if got := swaps() - before; got != 1 {
+		t.Fatalf("one mutation cost %d snapshot builds across %d shards, want 1", got, shards)
+	}
+}
+
 // TestShardedSubmitAfterShutdown: the tier rejects new scatters with
 // ErrShutdown once Shutdown began, and Shutdown is idempotent.
 func TestShardedSubmitAfterShutdown(t *testing.T) {
@@ -270,7 +335,7 @@ func TestShardFromContext(t *testing.T) {
 }
 
 // TestShardStatusesRefreshGauges: ShardStatuses reports live per-shard state
-// and pushes it into the labeled primary-registry gauges.
+// and pushes the queue figures into the labeled primary-registry gauges.
 func TestShardStatusesRefreshGauges(t *testing.T) {
 	rb := core.NewRulebase()
 	r, _ := core.NewWhitelist("widget", "gadget")
@@ -309,10 +374,11 @@ func TestShardStatusesRefreshGauges(t *testing.T) {
 		if got := reg.Gauge(MetricShardQueueCap, "shard", label).Value(); got != 7 {
 			t.Fatalf("shard %d capacity gauge %v, want 7", i, got)
 		}
-		if got := reg.Gauge(MetricShardVersion, "shard", label).Value(); got != float64(st.SnapshotVersion) {
-			t.Fatalf("shard %d version gauge %v, want %d", i, got, st.SnapshotVersion)
-		}
 		routed += st.Routed
+	}
+	// One engine, so one version gauge: the engine's own, in the same registry.
+	if got := reg.Gauge(MetricSnapshotVersion).Value(); got != float64(rb.Version()) {
+		t.Fatalf("tier version gauge %v, want %d", got, rb.Version())
 	}
 	if routed != 1 {
 		t.Fatalf("statuses account %d routed items, want 1", routed)

@@ -2,17 +2,17 @@ package serve
 
 // The deterministic simulation/soak harness for the sharded serving tier.
 // Each run drives a seeded workload — interleaved scatter-gather
-// classifications, rulebase mutations, shard rebuild faults (stalls and
-// outright failures), targeted shard handler stalls, and caller deadline
-// expiries — for K virtual seconds (rounds), and asserts the global
+// classifications, rulebase mutations, rebuild faults on the tier's engine
+// (stalls and outright failures), targeted shard handler stalls, and caller
+// deadline expiries — for K virtual seconds (rounds), and asserts the global
 // invariants the tier promises:
 //
 //   - every scatter ticket resolves exactly once, every item with either a
 //     verdict or one of the explicit failure errors — never silence;
 //   - sharded verdicts are byte-identical (Verdict.Explain) to a
-//     single-engine oracle's verdicts at the same rulebase version, even
-//     while shards lag behind mutations or serve stale snapshots after
-//     injected rebuild failures;
+//     separate oracle engine's verdicts at the same rulebase version, even
+//     while the tier lags behind mutations or serves a stale snapshot after
+//     an injected rebuild failure;
 //   - accounting closes per shard: routed == served + shed + expired +
 //     declined + rejected, and the harness's own books match the
 //     serve_shard_* counters exactly.
@@ -53,7 +53,7 @@ func TestSimShardedSoakEquivalence(t *testing.T) {
 	}
 }
 
-// cacheSimSeed runs its soak with per-shard verdict caches enabled and one
+// cacheSimSeed runs its soak with the tier's verdict cache enabled and one
 // duplicated submission per round, so the equivalence oracle also covers the
 // cached read path (hits, single-flight coalescing and stale drops under
 // mutation churn all feed the same byte-equality check).
@@ -76,9 +76,9 @@ func simRun(t *testing.T, seed uint64) {
 		ruleIDs = append(ruleIDs, r.ID)
 	}
 
-	// The single-engine oracle: passive (synchronous Acquire), recording an
+	// The oracle engine: passive (synchronous Acquire), recording an
 	// immutable snapshot of EVERY rulebase version the run passes through.
-	// A shard serving any version — current, debounce-stale, or pinned by a
+	// A tier serving any version — current, debounce-stale, or pinned by a
 	// failed rebuild — is then comparable against the oracle's snapshot at
 	// that same version.
 	oracle := NewEngine(rb, EngineOptions{Obs: obs.NewRegistry()})
@@ -128,19 +128,16 @@ func simRun(t *testing.T, seed uint64) {
 	}
 
 	for round := 0; round < rounds; round++ {
-		// Fault schedule for this virtual second: maybe fault one shard's
+		// Fault schedule for this virtual second: maybe fault the engine's
 		// rebuild path (stall or hard failure), maybe run clean.
-		for i := 0; i < shards; i++ {
-			srv.Engine(i).SetRebuildFault(nil)
-		}
+		srv.Engine().SetRebuildFault(nil)
 		if rng.Bool(0.5) {
-			f := rng.Intn(shards)
 			if rng.Bool(0.5) {
-				srv.Engine(f).SetRebuildFault(func() (time.Duration, error) {
+				srv.Engine().SetRebuildFault(func() (time.Duration, error) {
 					return 200 * time.Microsecond, nil
 				})
 			} else {
-				srv.Engine(f).SetRebuildFault(func() (time.Duration, error) {
+				srv.Engine().SetRebuildFault(func() (time.Duration, error) {
 					return 0, errSimRebuild
 				})
 			}

@@ -433,9 +433,10 @@ type (
 	// ResilienceOptions parameterizes a ResilientClient.
 	ResilienceOptions = chimera.ResilienceOptions
 	// ShardedServer is the scatter-gather serving tier instantiated by
-	// Pipeline.NewShardedServer: a consistent-hash router over N independent
-	// per-shard engines and servers, each with its own queue, snapshot
-	// lifecycle, retry budget and degraded state.
+	// Pipeline.NewShardedServer: a consistent-hash router over N servers,
+	// each with its own queue, workers and retry budget, that share one
+	// snapshot engine (one published version, one degraded state) and one
+	// verdict cache.
 	ShardedServer = serve.ShardedServer[chimera.Decision]
 	// ShardedOptions parameterizes a ShardedServer.
 	ShardedOptions = serve.ShardedOptions
@@ -451,7 +452,7 @@ type (
 	// RouteKeyFunc extracts an item's shard routing key.
 	RouteKeyFunc = serve.RouteKeyFunc
 	// OpsShardHealth is one shard's health inside a sharded OpsHealthStatus
-	// (drives /readyz per-shard aggregation).
+	// (drives /readyz per-shard queue aggregation).
 	OpsShardHealth = opshttp.ShardHealth
 	// VerdictCache is the snapshot-versioned, single-flight verdict cache
 	// (serve.VerdictCache) owned by an engine and served through
@@ -548,8 +549,6 @@ const (
 	MetricServeShardRejected   = serve.MetricShardRejected
 	MetricServeShardQueueDepth = serve.MetricShardQueueDepth
 	MetricServeShardQueueCap   = serve.MetricShardQueueCap
-	MetricServeShardVersion    = serve.MetricShardVersion
-	MetricServeShardDegraded   = serve.MetricShardDegraded
 	MetricServeScatterBatches  = serve.MetricScatterBatches
 	MetricServeScatterItems    = serve.MetricScatterItems
 	MetricServeScatterPartial  = serve.MetricScatterPartial

@@ -33,13 +33,6 @@ go test -fuzz=FuzzShardRouter -fuzztime=10s -run '^$' ./internal/serve
 go test -fuzz=FuzzItemFingerprint -fuzztime=10s -run '^$' ./internal/catalog
 go test -fuzz=FuzzWALDecode -fuzztime=10s -run '^$' ./internal/persist
 
-echo "== bench emitter + exit-code selftests + bench artifact validation =="
-sh scripts/bench.sh --emitter-selftest
-sh scripts/bench.sh --exitcode-selftest
-if ls BENCH_PR*.json >/dev/null 2>&1; then
-    go run ./scripts/jsoncheck BENCH_PR*.json
-fi
-
 echo "== tier-1: go build ./... && go test ./... =="
 go build ./...
 go test ./...
