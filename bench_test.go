@@ -268,12 +268,12 @@ func BenchmarkIndexedExecutorApply(b *testing.B) {
 	}
 }
 
-// BenchmarkInstrumentedExecutorApply measures the telemetry decorator against
+// BenchmarkInstrumentedExecutorApply measures the kernel with telemetry on against
 // BenchmarkIndexedExecutorApply on the same rulebase and items; the ratio of
 // the two ns/op figures is the observability overhead (budget: <5%).
 func BenchmarkInstrumentedExecutorApply(b *testing.B) {
 	rules := benchRules(b)
-	ex := core.NewInstrumentedExecutor(core.NewIndexedExecutor(rules), obs.NewRegistry())
+	ex := core.NewInstrumentedExecutor(rules, obs.NewRegistry())
 	items := benchItems(256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

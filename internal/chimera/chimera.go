@@ -388,7 +388,7 @@ func (p *Pipeline) snapshot() *serve.Snapshot {
 }
 
 // RuleHealth returns the telemetry-ranked health report for the classifier
-// rule executor (see core.InstrumentedExecutor.Health); minConfidence is
+// rule executor (see core.IndexedExecutor.Health); minConfidence is
 // the low-precision floor, typically the business gate. Nil until a batch
 // has been processed. The report feeds core.PlanHealthActions /
 // Rulebase.ApplyHealthActions — the §4 loop from telemetry to maintenance.
@@ -621,9 +621,9 @@ func (p *Pipeline) ProcessBatchCtx(ctx context.Context, items []*catalog.Item) *
 	}
 	classify := span.Child("classify")
 	latency := p.Obs.Histogram(MetricClassifySecs, obs.LatencyBuckets)
-	// Batch-inverted rule execution (core.BatchMatcher): gate the whole
-	// batch in one inverted join, then run the classifier stage only on
-	// the items the gate left undecided — mirroring the per-item
+	// Batch-inverted rule execution (core.IndexedExecutor.ApplyBatch): gate
+	// the whole batch in one inverted join, then run the classifier stage
+	// only on the items the gate left undecided — mirroring the per-item
 	// short-circuit, so gate telemetry counts every item and classifier
 	// telemetry only the non-gated ones. The per-item loop below then
 	// assembles decisions from the precomputed verdicts.

@@ -90,12 +90,12 @@ func randomBatchItems(r *randx.Rand, size int) []*catalog.Item {
 	return items
 }
 
-// TestBatchMatcherEquivalenceProperty is the tentpole's correctness
-// property: BatchMatcher ≡ IndexedExecutor ≡ SequentialExecutor. For random
-// rulebases × random batches, all three paths must produce identical final
-// types and evidence fingerprints, positionally aligned — including empty
-// batches, sub-batches sharing item pointers, and both serial and parallel
-// worker counts.
+// TestBatchMatcherEquivalenceProperty is the kernel's correctness property:
+// ApplyBatch ≡ Apply ≡ SequentialExecutor. For random rulebases × random
+// batches, all three paths must produce byte-identical verdicts and
+// explanations — same evidence in the same order — positionally aligned,
+// including empty batches, sub-batches sharing item pointers, and both serial
+// and parallel worker counts.
 func TestBatchMatcherEquivalenceProperty(t *testing.T) {
 	prop := func(seed uint64) bool {
 		r := randx.New(seed)
@@ -104,38 +104,42 @@ func TestBatchMatcherEquivalenceProperty(t *testing.T) {
 
 		seq := NewSequentialExecutor(rules)
 		idx := NewIndexedExecutor(rules)
-		bm := NewBatchMatcher(idx.Index())
+		same := func(a, b *Verdict) bool {
+			return verdictBytes(t, a) == verdictBytes(t, b) && a.Explain() == b.Explain()
+		}
 
 		want := ExecuteBatchItemwise(seq, items, 1)
 		itemwise := ExecuteBatchItemwise(idx, items, 3)
+		for i := range items {
+			if !same(want[i], itemwise[i]) {
+				t.Logf("seed %d: per-item Apply diverges from sequential on item %d:\nseq: %s\nidx: %s",
+					seed, i, want[i].Explain(), itemwise[i].Explain())
+				return false
+			}
+		}
 		for _, workers := range []int{1, 3} {
-			got := bm.MatchBatch(items, workers)
+			got := idx.ApplyBatch(items, workers)
 			if len(got) != len(items) {
 				t.Logf("seed %d: %d verdicts for %d items", seed, len(got), len(items))
 				return false
 			}
 			for i := range items {
-				if !VerdictsEqual(want[i], got[i]) {
+				if !same(want[i], got[i]) {
 					t.Logf("seed %d workers %d: batch diverges from sequential on item %d:\nseq: %s\nbatch: %s",
 						seed, workers, i, want[i].Explain(), got[i].Explain())
-					return false
-				}
-				if !VerdictsEqual(itemwise[i], got[i]) {
-					t.Logf("seed %d workers %d: batch diverges from itemwise-indexed on item %d",
-						seed, workers, i)
 					return false
 				}
 			}
 		}
 
-		// Items shared by pointer across overlapping sub-batches: the matcher
+		// Items shared by pointer across overlapping sub-batches: ApplyBatch
 		// keeps only batch-local state, so re-matching any sub-slice must
 		// reproduce the full-batch verdicts at the shifted positions.
 		if len(items) > 4 {
 			lo, hi := len(items)/4, 3*len(items)/4
-			sub := bm.MatchBatch(items[lo:hi], 2)
+			sub := idx.ApplyBatch(items[lo:hi], 2)
 			for i := range sub {
-				if !VerdictsEqual(want[lo+i], sub[i]) {
+				if !same(want[lo+i], sub[i]) {
 					t.Logf("seed %d: sub-batch diverges at item %d", seed, lo+i)
 					return false
 				}
@@ -151,23 +155,22 @@ func TestBatchMatcherEquivalenceProperty(t *testing.T) {
 // TestBatchMatcherEmptyBatch: zero items produce zero verdicts on every path.
 func TestBatchMatcherEmptyBatch(t *testing.T) {
 	rules := randomBatchRules(t, randx.New(1))
-	bm := NewBatchMatcher(NewIndexedExecutor(rules).Index())
+	idx := NewIndexedExecutor(rules)
 	for _, workers := range []int{1, 4} {
-		if got := bm.MatchBatch(nil, workers); len(got) != 0 {
+		if got := idx.ApplyBatch(nil, workers); len(got) != 0 {
 			t.Fatalf("empty batch produced %d verdicts", len(got))
 		}
 	}
 }
 
-// TestBatchMatcherConcurrentBatches: one matcher is safe for concurrent
-// MatchBatch calls over overlapping item sets (the serving layer shares a
-// snapshot's matcher across in-flight batches).
+// TestBatchMatcherConcurrentBatches: one executor is safe for concurrent
+// ApplyBatch calls over overlapping item sets (the serving layer shares a
+// snapshot's executor across in-flight batches).
 func TestBatchMatcherConcurrentBatches(t *testing.T) {
 	r := randx.New(7)
 	rules := randomBatchRules(t, r)
 	items := randomBatchItems(r, 50)
 	idx := NewIndexedExecutor(rules)
-	bm := NewBatchMatcher(idx.Index())
 	want := ExecuteBatchItemwise(NewSequentialExecutor(rules), items, 1)
 
 	done := make(chan error, 8)
@@ -175,7 +178,7 @@ func TestBatchMatcherConcurrentBatches(t *testing.T) {
 		go func(g int) {
 			lo := g % 3
 			sub := items[lo:]
-			got := bm.MatchBatch(sub, 3)
+			got := idx.ApplyBatch(sub, 3)
 			for i := range sub {
 				if !VerdictsEqual(want[lo+i], got[i]) {
 					done <- fmt.Errorf("goroutine %d: verdict %d diverges", g, i)
@@ -193,8 +196,8 @@ func TestBatchMatcherConcurrentBatches(t *testing.T) {
 }
 
 // TestInstrumentedBatchTelemetry checks the batch_* counter families and
-// that the batch path keeps feeding the shared exec-level and per-rule
-// series InstrumentedExecutor owns — one telemetry view across both paths.
+// that the batch path feeds the same exec-level and per-rule series Apply
+// does — one telemetry view across both paths.
 func TestInstrumentedBatchTelemetry(t *testing.T) {
 	reg := obs.NewRegistry()
 	w1, err := NewWhitelist("gold", "rings")
@@ -207,7 +210,7 @@ func TestInstrumentedBatchTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	b1.ID = "B1"
-	exec := NewInstrumentedExecutor(NewIndexedExecutor([]*Rule{w1, b1}), reg, "exec", "rules")
+	exec := NewInstrumentedExecutor([]*Rule{w1, b1}, reg, "exec", "rules")
 
 	items := []*catalog.Item{
 		{ID: "a", Attrs: map[string]string{"Title": "gold ring"}},
@@ -269,25 +272,6 @@ func TestInstrumentedBatchTelemetry(t *testing.T) {
 	for _, h := range health {
 		if h.Fired == 0 {
 			t.Fatalf("rule %s shows no firings despite batch telemetry", h.RuleID)
-		}
-	}
-}
-
-// TestExecuteBatchDelegation: ExecuteBatch routes BatchApplier executors
-// through the batch-inverted path and everything else through the itemwise
-// reference path, with identical verdicts either way.
-func TestExecuteBatchDelegation(t *testing.T) {
-	r := randx.New(3)
-	rules := randomBatchRules(t, r)
-	items := randomBatchItems(r, 40)
-
-	seq := NewSequentialExecutor(rules)
-	idx := NewIndexedExecutor(rules)
-	want := ExecuteBatch(seq, items, 2) // SequentialExecutor: itemwise path
-	got := ExecuteBatch(idx, items, 2)  // IndexedExecutor: BatchApplier path
-	for i := range items {
-		if !VerdictsEqual(want[i], got[i]) {
-			t.Fatalf("delegated batch path diverges on item %d", i)
 		}
 	}
 }

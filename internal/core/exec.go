@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/catalog"
 )
@@ -56,18 +57,19 @@ func (v *Verdict) absorb(r *Rule) {
 	}
 }
 
-// FinalTypes returns the surviving asserted types, sorted: asserted, not
+// survives reports whether an assertion of t stands in the final verdict: not
 // vetoed, and inside the Allowed constraint when one exists.
+func (v *Verdict) survives(t string) bool {
+	return len(v.Vetoed[t]) == 0 && (v.Allowed == nil || v.Allowed[t])
+}
+
+// FinalTypes returns the surviving asserted types, sorted.
 func (v *Verdict) FinalTypes() []string {
 	var out []string
 	for t := range v.Asserted {
-		if len(v.Vetoed[t]) > 0 {
-			continue
+		if v.survives(t) {
+			out = append(out, t)
 		}
-		if v.Allowed != nil && !v.Allowed[t] {
-			continue
-		}
-		out = append(out, t)
 	}
 	sort.Strings(out)
 	return out
@@ -193,68 +195,63 @@ func (e *SequentialExecutor) Apply(it *catalog.Item) *Verdict {
 	return v
 }
 
-// IndexedExecutor evaluates only the rules the index proposes. It produces
-// verdicts identical to SequentialExecutor over the same rules (tested as a
-// property), typically evaluating orders of magnitude fewer rules.
+// IndexedExecutor is the production rule kernel: it evaluates only the rules
+// the index proposes, one item at a time (Apply) or a batch at a time
+// (ApplyBatch, batch.go), optionally recording telemetry (instrument.go). All
+// of its verdicts are byte-identical to SequentialExecutor's over the same
+// rules — same types, same evidence, same evidence order — because every path
+// absorbs matches in ascending slot order, which is rule input order (tested as
+// a property). It is immutable after construction and safe for concurrent use.
 type IndexedExecutor struct {
-	idx    *RuleIndex
-	bmOnce sync.Once
-	bm     *BatchMatcher // lazily built by ApplyBatch
+	idx *RuleIndex
+	tel *execTelemetry // nil unless built by NewInstrumentedExecutor
 }
 
-// NewIndexedExecutor builds the rule index and wraps it.
+// NewIndexedExecutor builds the rule index and wraps it, without telemetry.
 func NewIndexedExecutor(rules []*Rule) *IndexedExecutor {
 	return &IndexedExecutor{idx: NewRuleIndex(rules)}
 }
 
 // Apply implements Executor.
 func (e *IndexedExecutor) Apply(it *catalog.Item) *Verdict {
+	tel := e.tel
+	sampled := tel != nil && tel.seq.Add(1)%LatencySampleEvery == 0
+	var start time.Time
+	if sampled {
+		start = time.Now()
+	}
+	// Both arrays stay on the stack unless an item draws more than 64
+	// postings or matches more than 24 rules.
+	var slotBuf [64]int32
+	var matchBuf [24]int32
+	slots := e.idx.candidateSlots(it, slotBuf[:0])
+	matched := matchBuf[:0]
 	v := newVerdict()
-	for _, r := range e.idx.CandidatesFor(it) {
-		if r.Matches(it) {
+	for _, s := range slots {
+		if r := e.idx.rules[s]; r.Matches(it) {
 			v.absorb(r)
+			if tel != nil {
+				matched = append(matched, s)
+			}
+		}
+	}
+	if tel != nil {
+		tel.recordApply(e.idx.rules, v, len(slots), matched)
+		if sampled {
+			tel.latency.Observe(time.Since(start).Seconds())
 		}
 	}
 	return v
 }
 
-// Index exposes the underlying rule index (for instrumentation and stats).
+// Index exposes the underlying rule index (for stats and tests).
 func (e *IndexedExecutor) Index() *RuleIndex { return e.idx }
 
-// ApplyBatch implements BatchApplier via a lazily-built BatchMatcher over the
-// executor's index. Verdicts are equivalent to per-item Apply (a tested
-// property).
-func (e *IndexedExecutor) ApplyBatch(items []*catalog.Item, workers int) []*Verdict {
-	e.bmOnce.Do(func() { e.bm = NewBatchMatcher(e.idx) })
-	return e.bm.MatchBatch(items, workers)
-}
-
-// BatchApplier is the set-oriented counterpart of Executor: evaluate a whole
-// batch at once, returning verdicts positionally aligned with items.
-// Implementations may amortize candidate generation across the batch (see
-// BatchMatcher) but must produce verdicts equivalent to applying the same
-// rules item-at-a-time.
-type BatchApplier interface {
-	ApplyBatch(items []*catalog.Item, workers int) []*Verdict
-}
-
-// ExecuteBatch applies exec to every item using workers goroutines — the
-// shared-nothing "cluster" substitute for the paper's Hadoop execution.
-// Results are positionally aligned with items. Executors that implement
-// BatchApplier (IndexedExecutor, InstrumentedExecutor over an index) take the
-// batch-inverted path; everything else falls back to item-at-a-time, which
-// remains the reference implementation (see ExecuteBatchItemwise).
-func ExecuteBatch(exec Executor, items []*catalog.Item, workers int) []*Verdict {
-	if ba, ok := exec.(BatchApplier); ok {
-		return ba.ApplyBatch(items, workers)
-	}
-	return ExecuteBatchItemwise(exec, items, workers)
-}
-
 // ExecuteBatchItemwise applies exec to every item individually, sharded
-// across workers goroutines. workers <= 1 runs inline. This is the reference
-// path the batch-inverted matcher is property-tested against, and the one
-// used for executors with no batch implementation.
+// across workers goroutines — the shared-nothing "cluster" substitute for the
+// paper's Hadoop execution. Results are positionally aligned with items;
+// workers <= 1 runs inline. With a SequentialExecutor this is the reference
+// path IndexedExecutor.ApplyBatch is property-tested against.
 func ExecuteBatchItemwise(exec Executor, items []*catalog.Item, workers int) []*Verdict {
 	out := make([]*Verdict, len(items))
 	if workers > len(items) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -292,8 +294,8 @@ func TestDataIndexMatchesBruteForce(t *testing.T) {
 func TestExecuteBatchParallelAgreesWithSerial(t *testing.T) {
 	items, rules := corpusAndRules(t, 1500)
 	ex := NewIndexedExecutor(rules)
-	serial := ExecuteBatch(ex, items, 1)
-	parallel := ExecuteBatch(ex, items, 8)
+	serial := ExecuteBatchItemwise(ex, items, 1)
+	parallel := ExecuteBatchItemwise(ex, items, 8)
 	if len(serial) != len(parallel) {
 		t.Fatal("result length mismatch")
 	}
@@ -307,7 +309,7 @@ func TestExecuteBatchParallelAgreesWithSerial(t *testing.T) {
 func TestExecuteBatchMoreWorkersThanItems(t *testing.T) {
 	items, rules := corpusAndRules(t, 3)
 	ex := NewSequentialExecutor(rules)
-	out := ExecuteBatch(ex, items, 16)
+	out := ExecuteBatchItemwise(ex, items, 16)
 	for i, v := range out {
 		if v == nil {
 			t.Fatalf("missing verdict %d", i)
@@ -368,5 +370,35 @@ func TestVerdictRuleIDProvenance(t *testing.T) {
 	v2 := NewSequentialExecutor([]*Rule{dup, dup2}).Apply(item("garden hose", nil))
 	if got := v2.FiredRuleIDs(); len(got) != 1 || got[0] != "w-dup" {
 		t.Fatalf("duplicate IDs not collapsed: %v", got)
+	}
+}
+
+// TestEvidenceOrderIsRuleInputOrder is the evidence-order contract: every
+// executor path lists the rules behind a type in rule input order, so an
+// item's explanation does not depend on which entry point served it or on how
+// Go happened to range over its attribute map. The item draws candidates from
+// two attribute postings and one token posting, so posting order alone gives
+// an order that differs from the oracle's and varies from call to call.
+func TestEvidenceOrderIsRuleInputOrder(t *testing.T) {
+	rules := []*Rule{
+		mustRule(NewAttrExists("isbn", "books")),
+		mustRule(NewAttrExists("author", "books")),
+		mustRule(NewWhitelist("novel", "books")),
+	}
+	for i, r := range rules {
+		r.ID = fmt.Sprintf("R%d", i)
+	}
+	it := item("a great novel", map[string]string{"isbn": "978", "author": "ana"})
+
+	want := NewSequentialExecutor(rules).Apply(it)
+	idx := NewIndexedExecutor(rules)
+	if got := idx.ApplyBatch([]*catalog.Item{it}, 1)[0]; got.Explain() != want.Explain() {
+		t.Fatalf("ApplyBatch explains differently from the oracle:\nseq:   %s\nbatch: %s", want.Explain(), got.Explain())
+	}
+	for i := 0; i < 200; i++ {
+		got := idx.Apply(it)
+		if got.Explain() != want.Explain() || !reflect.DeepEqual(got.Evidence("books"), want.Evidence("books")) {
+			t.Fatalf("call %d: Apply explains differently from the oracle:\nseq: %s\nidx: %s", i, want.Explain(), got.Explain())
+		}
 	}
 }

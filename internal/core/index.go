@@ -14,9 +14,9 @@ import (
 // to match".
 //
 // Candidate generation has two steps, and both live here (and in
-// BatchMatcher's join, the set-oriented form of the same lookup) rather than
-// in Rule.Matches, so every indexed executor shares them and the sequential
-// oracle stays independent of them:
+// IndexedExecutor.ApplyBatch's join, the set-oriented form of the same lookup)
+// rather than in Rule.Matches, so the per-item and batch paths share them and
+// the sequential oracle stays independent of them:
 //
 //   - Posting. A pattern rule posts under one of its witness sets
 //     (pattern.RequiredAlternatives): a title can only match if it contains
@@ -31,10 +31,14 @@ import (
 //
 // Both steps only ever drop rules that cannot match: CandidatesFor
 // over-approximates but never misses a matching rule.
+//
+// Postings hold slots — dense int32 positions into rules — not pointers, so
+// anything kept per rule (telemetry, a batch's candidate lists) is a slice
+// aligned with rules, and ascending slot order is rule input order.
 type RuleIndex struct {
-	byToken map[string][]*Rule
-	byAttr  map[string][]*Rule
-	always  []*Rule
+	byToken map[string][]int32
+	byAttr  map[string][]int32
+	always  []int32
 	rules   []*Rule // indexed rules in input order (Filter rules excluded)
 }
 
@@ -51,8 +55,8 @@ type RuleIndex struct {
 // list: it needs no corpus and does not depend on rule order.
 func NewRuleIndex(rules []*Rule) *RuleIndex {
 	idx := &RuleIndex{
-		byToken: map[string][]*Rule{},
-		byAttr:  map[string][]*Rule{},
+		byToken: map[string][]int32{},
+		byAttr:  map[string][]int32{},
 	}
 	// df[tok].n is the number of rules with tok in a witness set; last is
 	// the 1-based position of the latest rule counted, so a token repeated
@@ -72,19 +76,20 @@ func NewRuleIndex(rules []*Rule) *RuleIndex {
 		}
 	}
 	for _, r := range rules {
+		slot := int32(len(idx.rules))
 		switch {
 		case r.IsPatternKind():
 			keys := chooseKeys(r.Pattern(), func(tok string) int { return int(df[tok].n) })
 			if keys == nil {
-				idx.always = append(idx.always, r)
+				idx.always = append(idx.always, slot)
 				break
 			}
 			for _, k := range keys {
-				idx.byToken[k] = append(idx.byToken[k], r)
+				idx.byToken[k] = append(idx.byToken[k], slot)
 			}
 		case r.Kind == AttrExists || r.Kind == AttrValue:
 			attr := strings.ToLower(r.Attr)
-			idx.byAttr[attr] = append(idx.byAttr[attr], r)
+			idx.byAttr[attr] = append(idx.byAttr[attr], slot)
 		default:
 			continue // Filter rules act on predictions, not items
 		}
@@ -119,37 +124,35 @@ func (idx *RuleIndex) Rules() []*Rule { return idx.rules }
 func (idx *RuleIndex) Len() int { return len(idx.rules) }
 
 // CandidatesFor returns the rules that could match the item, deduplicated,
-// in no particular order. The result is a superset of the actually matching
-// rules. Deduplication is by rule identity, so rules that were never added
-// to a rulebase (and share the empty ID) are still all considered.
+// in rule input order. The result is a superset of the actually matching
+// rules. Deduplication is by slot, so rules that were never added to a
+// rulebase (and share the empty ID) are still all considered.
 func (idx *RuleIndex) CandidatesFor(it *catalog.Item) []*Rule {
-	seen := map[*Rule]bool{}
-	out := make([]*Rule, 0, 8)
-	add := func(r *Rule) {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
+	slots := idx.candidateSlots(it, nil)
+	out := make([]*Rule, len(slots))
+	for i, s := range slots {
+		out[i] = idx.rules[s]
 	}
+	return out
+}
+
+// candidateSlots appends the item's candidate slots to buf, ascending and
+// deduplicated. Ascending is rule input order: evaluating candidates in it is
+// what makes a per-item verdict list its evidence exactly as the sequential
+// oracle and the batch join do.
+func (idx *RuleIndex) candidateSlots(it *catalog.Item, buf []int32) []int32 {
 	sig := it.TitleSignature()
 	for _, tok := range it.TitleTokens() {
-		for _, r := range idx.byToken[tok] {
-			// The signature test is a few ANDs; the dedup-map insert it
-			// saves is the expensive part of this loop.
-			if r.compiled.MayMatch(sig) {
-				add(r)
+		for _, s := range idx.byToken[tok] {
+			if idx.rules[s].compiled.MayMatch(sig) {
+				buf = append(buf, s)
 			}
 		}
 	}
 	for attr := range it.Attrs {
-		for _, r := range idx.byAttr[strings.ToLower(attr)] {
-			add(r)
-		}
+		buf = append(buf, idx.byAttr[strings.ToLower(attr)]...)
 	}
-	for _, r := range idx.always {
-		add(r)
-	}
-	return out
+	return sortedUnique(append(buf, idx.always...))
 }
 
 // DataIndex answers the dual question — "which items could this rule

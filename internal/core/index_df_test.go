@@ -81,9 +81,10 @@ func headAnchoredRules(t testing.TB, cat *catalog.Catalog, n, perType int) []*Ru
 // rule under.
 func postingKeys(idx *RuleIndex) map[string][]string {
 	keys := map[string][]string{}
-	for tok, rs := range idx.byToken {
-		for _, r := range rs {
-			keys[r.ID] = append(keys[r.ID], tok)
+	for tok, slots := range idx.byToken {
+		for _, s := range slots {
+			id := idx.rules[s].ID
+			keys[id] = append(keys[id], tok)
 		}
 	}
 	for _, ks := range keys {

@@ -2,23 +2,23 @@ package core
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/obs"
 )
 
-// This file is the execution-side half of the §4 maintenance telemetry:
-// an executor decorator that records which rules fire, how selective the
-// rule index is, and how long each Apply takes — the substrate for
-// "detecting problematic rules" and retiring dead ones. The decorator is
-// verdict-transparent: it produces verdicts identical to the executor it
-// wraps (a tested property), so it can stay on in production.
+// This file is the execution-side half of the §4 maintenance telemetry: the
+// table an IndexedExecutor records into when built by NewInstrumentedExecutor
+// — which rules fire, how selective the rule index is, how long each Apply
+// takes — the substrate for "detecting problematic rules" and retiring dead
+// ones. Telemetry lives inside the kernel as one nil-checkable table rather
+// than a decorator that would have to repeat the candidate loop to observe it;
+// it never changes a verdict (a tested property), so it can stay on in
+// production.
 
-// Metric families recorded by InstrumentedExecutor. All counters; latency
-// is a histogram over obs.LatencyBuckets, sampled (see LatencySampleEvery).
+// Metric families recorded by an instrumented IndexedExecutor (the
+// core_batch_* families are declared in batch.go). All counters; latency is a
+// histogram over obs.LatencyBuckets, sampled (see LatencySampleEvery).
 const (
 	MetricExecApplies    = "core_exec_applies_total"
 	MetricExecCandidates = "core_exec_candidates_total"
@@ -30,216 +30,126 @@ const (
 
 // LatencySampleEvery is the Apply-latency sampling stride: one in every N
 // applies is timed and recorded into MetricExecLatency. Sampling keeps the
-// decorator's overhead under the 5% budget (two clock reads plus a histogram
+// telemetry's overhead under the 5% budget (two clock reads plus a histogram
 // observation cost more than the rest of the telemetry combined) while still
 // populating the latency distribution within a few thousand applies.
 const LatencySampleEvery = 16
 
 // ruleTelemetry is the per-rule counter pair: fired counts every match,
 // effective counts matches whose asserted type survived the final verdict.
+// The zero value belongs to a rule without an ID, which has no per-rule series.
 type ruleTelemetry struct {
 	fired     *obs.Counter
 	effective *obs.Counter
 }
 
-// matchedRule is one matched rule plus its telemetry handle, buffered during
-// the match loop so effectiveness can be settled after vetoes are known.
-type matchedRule struct {
-	r   *Rule
-	tel ruleTelemetry
-	ok  bool // false for rules without an ID (no per-rule series)
-}
-
-// InstrumentedExecutor decorates an Executor with per-rule hit counts,
-// candidate-vs-matched index selectivity, and per-Apply latency, all
-// recorded into an obs.Registry. When the wrapped executor is an
-// IndexedExecutor the decorator drives the index itself so it can observe
-// CandidatesFor directly; any other Executor is instrumented generically
-// (latency and per-rule hits only, reconstructed from the verdict).
-type InstrumentedExecutor struct {
-	inner Executor
-	idx   *RuleIndex // non-nil fast path: replicate IndexedExecutor.Apply
-
-	byRule map[*Rule]ruleTelemetry // read-only after construction
-	rules  []*Rule
-
+// execTelemetry is everything an instrumented IndexedExecutor records into.
+// The counters are registry instances (one per name+labels), so executors
+// rebuilt after a rulebase change keep accumulating into the same series.
+type execTelemetry struct {
 	applies    *obs.Counter
 	candidates *obs.Counter
 	matched    *obs.Counter
 	latency    *obs.Histogram
 	seq        atomic.Int64 // Apply sequence number, drives latency sampling
 
-	reg    *obs.Registry // retained for the lazy batch matcher
-	labels []string
-	bmOnce sync.Once
-	bm     *BatchMatcher
+	// Batch-path families, recorded by ApplyBatch only.
+	batches         *obs.Counter
+	batchItems      *obs.Counter
+	units           *obs.Counter
+	batchCandidates *obs.Counter
+	pruned          *obs.Counter
+	internHits      *obs.Counter
+	internMisses    *obs.Counter
+
+	rules []ruleTelemetry // aligned with RuleIndex.rules; read-only after construction
 }
 
-// NewInstrumentedExecutor wraps inner, recording into reg (obs.Default()
-// when nil). The optional labels (alternating name,value pairs) distinguish
-// the executor-level series when several executors share a registry, e.g.
+// NewInstrumentedExecutor is NewIndexedExecutor with telemetry recorded into
+// reg (obs.Default() when nil): Apply and ApplyBatch feed one table, so
+// Health and Selectivity read the same totals whichever path classified. The
+// optional labels (alternating name,value pairs) distinguish the
+// executor-level series when several executors share a registry, e.g.
 // "exec","gate" vs "exec","rules"; per-rule series are labeled by rule ID
 // alone, so telemetry keeps accumulating when the executor is rebuilt after
 // a rulebase change. Rules with an empty ID are aggregated into the
 // executor-level counters only, so prefer rules that went through a
 // Rulebase.
-func NewInstrumentedExecutor(inner Executor, reg *obs.Registry, labels ...string) *InstrumentedExecutor {
+func NewInstrumentedExecutor(rules []*Rule, reg *obs.Registry, labels ...string) *IndexedExecutor {
 	if reg == nil {
 		reg = obs.Default()
 	}
-	e := &InstrumentedExecutor{
-		inner:      inner,
-		applies:    reg.Counter(MetricExecApplies, labels...),
-		candidates: reg.Counter(MetricExecCandidates, labels...),
-		matched:    reg.Counter(MetricExecMatched, labels...),
-		latency:    reg.Histogram(MetricExecLatency, obs.LatencyBuckets, labels...),
-		reg:        reg,
-		labels:     labels,
+	e := NewIndexedExecutor(rules)
+	tel := &execTelemetry{
+		applies:         reg.Counter(MetricExecApplies, labels...),
+		candidates:      reg.Counter(MetricExecCandidates, labels...),
+		matched:         reg.Counter(MetricExecMatched, labels...),
+		latency:         reg.Histogram(MetricExecLatency, obs.LatencyBuckets, labels...),
+		batches:         reg.Counter(MetricBatchBatches, labels...),
+		batchItems:      reg.Counter(MetricBatchItems, labels...),
+		units:           reg.Counter(MetricBatchUnits, labels...),
+		batchCandidates: reg.Counter(MetricBatchCandidates, labels...),
+		pruned:          reg.Counter(MetricBatchPruned, labels...),
+		internHits:      reg.Counter(MetricBatchInternHits, labels...),
+		internMisses:    reg.Counter(MetricBatchInternMisses, labels...),
+		rules:           make([]ruleTelemetry, len(e.idx.rules)),
 	}
 	reg.Help(MetricRuleFired, "times each rule matched an item")
 	reg.Help(MetricRuleEffective, "times each rule's assertion survived the final verdict")
-	switch ex := inner.(type) {
-	case *IndexedExecutor:
-		e.idx = ex.Index()
-		e.rules = e.idx.Rules()
-	case *SequentialExecutor:
-		e.rules = ex.rules
+	reg.Help(MetricBatchBatches, "batches evaluated through the batch-inverted matcher")
+	reg.Help(MetricBatchUnits, "(rule, candidate-items) work units produced by the batch join")
+	reg.Help(MetricBatchPruned, "duplicate candidates removed by per-unit dedup")
+	for s, r := range e.idx.rules {
+		if r.ID != "" {
+			tel.rules[s] = ruleTelemetry{
+				fired:     reg.Counter(MetricRuleFired, "rule", r.ID),
+				effective: reg.Counter(MetricRuleEffective, "rule", r.ID),
+			}
+		}
 	}
-	e.byRule = resolveRuleTelemetry(reg, e.rules)
+	e.tel = tel
 	return e
 }
 
-// resolveRuleTelemetry looks up the fired/effective counter pair of every
-// rule that has an ID.
-func resolveRuleTelemetry(reg *obs.Registry, rules []*Rule) map[*Rule]ruleTelemetry {
-	byRule := make(map[*Rule]ruleTelemetry, len(rules))
-	for _, r := range rules {
-		if r.ID == "" {
+// recordApply settles one Apply: candidates proposed, the matched slots, and
+// — now that v is final and vetoes are known — which matches were effective.
+func (tel *execTelemetry) recordApply(rules []*Rule, v *Verdict, candidates int, matched []int32) {
+	tel.applies.Inc()
+	tel.candidates.Add(int64(candidates))
+	tel.matched.Add(int64(len(matched)))
+	for _, s := range matched {
+		rt := tel.rules[s]
+		if rt.fired == nil {
 			continue
 		}
-		byRule[r] = ruleTelemetry{
-			fired:     reg.Counter(MetricRuleFired, "rule", r.ID),
-			effective: reg.Counter(MetricRuleEffective, "rule", r.ID),
-		}
-	}
-	return byRule
-}
-
-// Apply implements Executor. The verdict is identical to what the wrapped
-// executor would produce: the indexed fast path replicates
-// IndexedExecutor.Apply (same candidate iteration, same absorb order), and
-// the generic path returns the inner verdict untouched.
-func (e *InstrumentedExecutor) Apply(it *catalog.Item) *Verdict {
-	sampled := e.seq.Add(1)%LatencySampleEvery == 0
-	var start time.Time
-	if sampled {
-		start = time.Now()
-	}
-	var v *Verdict
-	if e.idx != nil {
-		cands := e.idx.CandidatesFor(it)
-		v = newVerdict()
-		// Matched rules and their telemetry, buffered so the effectiveness
-		// pass below needs no second byRule lookup and no iteration over the
-		// verdict's maps (both measurably expensive at executor throughput).
-		// The array stays on the stack unless an item matches >24 rules.
-		var scratch [24]matchedRule
-		mt := scratch[:0]
-		for _, r := range cands {
-			if r.Matches(it) {
-				v.absorb(r)
-				tel, ok := e.byRule[r]
-				if ok {
-					tel.fired.Inc()
-				}
-				mt = append(mt, matchedRule{r: r, tel: tel, ok: ok})
-			}
-		}
-		e.candidates.Add(int64(len(cands)))
-		e.matched.Add(int64(len(mt)))
-		// Effectiveness: asserting rules whose target type survived vetoes
-		// and constraints (Verdict.FinalTypes semantics, allocation free).
-		for _, m := range mt {
-			if !m.ok {
-				continue
-			}
-			switch m.r.Kind {
-			case Whitelist, Gate, AttrExists:
-				t := m.r.TargetType
-				if len(v.Vetoed[t]) == 0 && (v.Allowed == nil || v.Allowed[t]) {
-					m.tel.effective.Inc()
-				}
-			}
-		}
-	} else {
-		v = e.inner.Apply(it)
-		for _, rs := range v.Asserted {
-			e.countFired(rs)
-		}
-		for _, rs := range v.Vetoed {
-			e.countFired(rs)
-		}
-		e.countFired(v.Constraints)
-		for t, rs := range v.Asserted {
-			if len(v.Vetoed[t]) > 0 {
-				continue
-			}
-			if v.Allowed != nil && !v.Allowed[t] {
-				continue
-			}
-			for _, r := range rs {
-				if tel, ok := e.byRule[r]; ok {
-					tel.effective.Inc()
-				}
-			}
-		}
-	}
-	e.applies.Inc()
-	if sampled {
-		e.latency.Observe(time.Since(start).Seconds())
-	}
-	return v
-}
-
-// ApplyBatch implements BatchApplier. When the wrapped executor is indexed
-// it evaluates through a lazily-built instrumented BatchMatcher, which
-// records the batch_* metric families and keeps feeding the same exec-level
-// and per-rule counter series Apply uses (the per-rule table is this
-// executor's own, and the registry hands out one counter per name+labels, so
-// both paths accumulate into one view). Per-Apply
-// latency sampling does not apply on the batch path; batch cost is visible
-// to callers' own span/histogram instrumentation instead. Non-indexed
-// executors fall back to the item-at-a-time reference path through Apply,
-// preserving full telemetry.
-func (e *InstrumentedExecutor) ApplyBatch(items []*catalog.Item, workers int) []*Verdict {
-	if e.idx == nil {
-		return ExecuteBatchItemwise(e, items, workers)
-	}
-	e.bmOnce.Do(func() { e.bm = newInstrumentedBatchMatcher(e.idx, e.reg, e.byRule, e.labels...) })
-	return e.bm.MatchBatch(items, workers)
-}
-
-func (e *InstrumentedExecutor) countFired(rs []*Rule) {
-	for _, r := range rs {
-		if tel, ok := e.byRule[r]; ok {
-			tel.fired.Inc()
+		rt.fired.Inc()
+		if r := rules[s]; r.asserting() && v.survives(r.TargetType) {
+			rt.effective.Inc()
 		}
 	}
 }
 
-// Applies returns how many items this executor has processed.
-func (e *InstrumentedExecutor) Applies() int64 { return e.applies.Value() }
+// Applies returns how many items this executor has processed (0 without
+// telemetry).
+func (e *IndexedExecutor) Applies() int64 {
+	if e.tel == nil {
+		return 0
+	}
+	return e.tel.applies.Value()
+}
 
 // Selectivity returns the average candidate-set size and the
-// matched/candidate ratio observed so far (0,0 before any Apply or when the
-// wrapped executor is not indexed).
-func (e *InstrumentedExecutor) Selectivity() (avgCandidates, matchRatio float64) {
-	n := e.applies.Value()
-	c := e.candidates.Value()
+// matched/candidate ratio observed so far (0,0 before any Apply and without
+// telemetry).
+func (e *IndexedExecutor) Selectivity() (avgCandidates, matchRatio float64) {
+	if e.tel == nil {
+		return 0, 0
+	}
+	n, c := e.tel.applies.Value(), e.tel.candidates.Value()
 	if n == 0 || c == 0 {
 		return 0, 0
 	}
-	return float64(c) / float64(n), float64(e.matched.Value()) / float64(c)
+	return float64(c) / float64(n), float64(e.tel.matched.Value()) / float64(c)
 }
 
 // Rule-health issue tags, ordered by severity for ranking.
@@ -272,30 +182,30 @@ func (h RuleHealth) Unhealthy() bool { return len(h.Issues) > 0 }
 // minConfidence is the precision floor below which a rule is tagged
 // low-precision (the paper's business gate, e.g. 0.92; pass 0 to disable).
 // Only assertion kinds (whitelist, gate, attr-exists) can be always-vetoed.
-// The report is empty until the executor has applied at least one item.
-func (e *InstrumentedExecutor) Health(minConfidence float64) []RuleHealth {
-	if e.applies.Value() == 0 {
+// The report is empty until the executor has applied at least one item, and
+// always without telemetry.
+func (e *IndexedExecutor) Health(minConfidence float64) []RuleHealth {
+	if e.Applies() == 0 {
 		return nil
 	}
-	out := make([]RuleHealth, 0, len(e.rules))
-	for _, r := range e.rules {
-		tel, ok := e.byRule[r]
-		if !ok {
+	out := make([]RuleHealth, 0, len(e.idx.rules))
+	for s, r := range e.idx.rules {
+		rt := e.tel.rules[s]
+		if rt.fired == nil {
 			continue
 		}
 		h := RuleHealth{
 			RuleID:     r.ID,
 			Kind:       r.Kind.String(),
 			TargetType: r.TargetType,
-			Fired:      tel.fired.Value(),
-			Effective:  tel.effective.Value(),
+			Fired:      rt.fired.Value(),
+			Effective:  rt.effective.Value(),
 			Confidence: r.Confidence,
 		}
-		asserting := r.Kind == Whitelist || r.Kind == Gate || r.Kind == AttrExists
 		switch {
 		case h.Fired == 0:
 			h.Issues = append(h.Issues, HealthNeverFired)
-		case asserting && h.Effective == 0:
+		case r.asserting() && h.Effective == 0:
 			h.Issues = append(h.Issues, HealthAlwaysVetoed)
 		}
 		if minConfidence > 0 && r.Confidence < minConfidence {

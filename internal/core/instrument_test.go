@@ -2,7 +2,10 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -30,12 +33,12 @@ func verdictBytes(t *testing.T, v *Verdict) string {
 }
 
 // TestInstrumentedVerdictsByteIdentical is the transparency property: over
-// a real corpus and random titles alike, the instrumented executor's
-// verdicts serialize byte-identically to the plain IndexedExecutor's.
+// a real corpus and random titles alike, an executor built with telemetry
+// returns verdicts that serialize byte-identically to a plain one's.
 func TestInstrumentedVerdictsByteIdentical(t *testing.T) {
 	items, rules := corpusAndRules(t, 1500)
 	plain := NewIndexedExecutor(rules)
-	inst := NewInstrumentedExecutor(NewIndexedExecutor(rules), obs.NewRegistry())
+	inst := NewInstrumentedExecutor(rules, obs.NewRegistry())
 	for _, it := range items {
 		a, b := plain.Apply(it), inst.Apply(it)
 		if ab, bb := verdictBytes(t, a), verdictBytes(t, b); ab != bb {
@@ -59,21 +62,10 @@ func TestInstrumentedVerdictsByteIdentical(t *testing.T) {
 	}
 }
 
-func TestInstrumentedGenericWrapAgrees(t *testing.T) {
-	items, rules := corpusAndRules(t, 500)
-	plain := NewSequentialExecutor(rules)
-	inst := NewInstrumentedExecutor(NewSequentialExecutor(rules), obs.NewRegistry())
-	for _, it := range items {
-		if !VerdictsEqual(plain.Apply(it), inst.Apply(it)) {
-			t.Fatalf("sequential wrap diverged on %q", it.Title())
-		}
-	}
-}
-
 func TestInstrumentedTelemetry(t *testing.T) {
 	items, rules := corpusAndRules(t, 800)
 	reg := obs.NewRegistry()
-	inst := NewInstrumentedExecutor(NewIndexedExecutor(rules), reg)
+	inst := NewInstrumentedExecutor(rules, reg)
 	for _, it := range items {
 		inst.Apply(it)
 	}
@@ -109,7 +101,7 @@ func TestInstrumentedTelemetry(t *testing.T) {
 // goroutines; -race verifies the telemetry hot path is lock-free-safe.
 func TestInstrumentedConcurrent(t *testing.T) {
 	items, rules := corpusAndRules(t, 400)
-	inst := NewInstrumentedExecutor(NewIndexedExecutor(rules), obs.NewRegistry())
+	inst := NewInstrumentedExecutor(rules, obs.NewRegistry())
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -126,23 +118,18 @@ func TestInstrumentedConcurrent(t *testing.T) {
 	}
 }
 
-// TestInstrumentedBatchSharesRuleTelemetry pins the hand-off: the batch
-// matcher an InstrumentedExecutor builds records into the executor's own
-// per-rule table instead of resolving 2 x N registry counters a second time
-// (a cost the first batch after every mutation used to pay), and Health() /
-// Selectivity() read the same totals whichever path classified.
+// TestInstrumentedBatchSharesRuleTelemetry: Apply and ApplyBatch record into
+// the executor's one telemetry table, so Health() / Selectivity() read the
+// same totals whichever path classified.
 func TestInstrumentedBatchSharesRuleTelemetry(t *testing.T) {
 	items, rules := corpusAndRules(t, 600)
-	perItem := NewInstrumentedExecutor(NewIndexedExecutor(rules), obs.NewRegistry())
-	batch := NewInstrumentedExecutor(NewIndexedExecutor(rules), obs.NewRegistry())
+	perItem := NewInstrumentedExecutor(rules, obs.NewRegistry())
+	batch := NewInstrumentedExecutor(rules, obs.NewRegistry())
 	for _, it := range items {
 		perItem.Apply(it)
 	}
 	batch.ApplyBatch(items, 3)
 
-	if got, want := reflect.ValueOf(batch.bm.tel.byRule).Pointer(), reflect.ValueOf(batch.byRule).Pointer(); got != want {
-		t.Fatal("the executor's batch matcher must use the executor's per-rule table, not a second one")
-	}
 	if !reflect.DeepEqual(perItem.Health(0.92), batch.Health(0.92)) {
 		t.Fatalf("Health differs by path:\nper item: %+v\nbatch:    %+v", perItem.Health(0.92), batch.Health(0.92))
 	}
@@ -154,16 +141,111 @@ func TestInstrumentedBatchSharesRuleTelemetry(t *testing.T) {
 	if pc == 0 {
 		t.Fatal("fixture proposed no candidates")
 	}
+}
 
-	// The public constructor still stands alone: same series, own table.
-	reg := obs.NewRegistry()
-	bm := NewInstrumentedBatchMatcher(NewRuleIndex(rules), reg)
-	bm.MatchBatch(items, 1)
-	if got := reg.Counter(MetricExecApplies).Value(); got != int64(len(items)) {
-		t.Fatalf("standalone matcher counted %d applies, want %d", got, len(items))
+// TestPlainExecutorHasNoTelemetry: NewIndexedExecutor answers the telemetry
+// accessors with zero values and records nothing anywhere — in particular not
+// into the process-wide default registry an instrumented executor falls back
+// to.
+func TestPlainExecutorHasNoTelemetry(t *testing.T) {
+	items, rules := corpusAndRules(t, 200)
+	before := obs.Default().Counter(MetricExecApplies).Value()
+	plain := NewIndexedExecutor(rules)
+	for _, it := range items {
+		plain.Apply(it)
 	}
-	if len(bm.tel.byRule) != len(rules) {
-		t.Fatalf("standalone matcher resolved %d per-rule series, want %d", len(bm.tel.byRule), len(rules))
+	plain.ApplyBatch(items, 2)
+	if n := plain.Applies(); n != 0 {
+		t.Fatalf("Applies() = %d, want 0", n)
+	}
+	if c, r := plain.Selectivity(); c != 0 || r != 0 {
+		t.Fatalf("Selectivity() = (%v, %v), want (0, 0)", c, r)
+	}
+	if h := plain.Health(0.92); h != nil {
+		t.Fatalf("Health() = %+v, want nil", h)
+	}
+	if after := obs.Default().Counter(MetricExecApplies).Value(); after != before {
+		t.Fatalf("a plain executor recorded %d applies into obs.Default()", after-before)
+	}
+}
+
+// TestInstrumentedRulesWithoutIDs: rules that never went through a Rulebase
+// have no ID and so no per-rule series; they are counted in the
+// executor-level series only, on both paths, and left out of Health.
+func TestInstrumentedRulesWithoutIDs(t *testing.T) {
+	reg := obs.NewRegistry()
+	named := mustRule(NewWhitelist("gold", "rings"))
+	named.ID = "W1"
+	inst := NewInstrumentedExecutor([]*Rule{mustRule(NewWhitelist("rings?", "rings")), named}, reg)
+	it := item("gold ring", nil)
+	inst.Apply(it)
+	inst.ApplyBatch([]*catalog.Item{it}, 1)
+	if got := reg.Counter(MetricExecMatched).Value(); got != 4 {
+		t.Fatalf("matched = %d, want 4 (two rules, two paths)", got)
+	}
+	if got := reg.Counter(MetricRuleFired, "rule", "W1").Value(); got != 2 {
+		t.Fatalf("W1 fired = %d, want 2", got)
+	}
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == MetricRuleFired && c.Labels[0].Value != "W1" {
+			t.Fatalf("per-rule series registered for a rule without an ID: %+v", c)
+		}
+	}
+	if h := inst.Health(0); len(h) != 1 || h[0].RuleID != "W1" {
+		t.Fatalf("Health() = %+v, want the one rule with an ID", h)
+	}
+}
+
+// TestInstrumentedMetricFamiliesPinned: the series, labels and help strings
+// an instrumented executor registers after one Apply and one ApplyBatch are
+// an interface — dashboards and benchmark/trace.go read them by name — so a
+// kernel change that renames, drops or adds one has to change this list.
+func TestInstrumentedMetricFamiliesPinned(t *testing.T) {
+	reg := obs.NewRegistry()
+	w1 := mustRule(NewWhitelist("gold", "rings"))
+	w1.ID = "W1"
+	inst := NewInstrumentedExecutor([]*Rule{w1}, reg, "exec", "rules")
+	it := item("gold ring", nil)
+	inst.Apply(it)
+	inst.ApplyBatch([]*catalog.Item{it}, 1)
+
+	snap := reg.Snapshot()
+	var got []string
+	for _, c := range snap.Counters {
+		got = append(got, fmt.Sprintf("counter %s %v", c.Name, c.Labels))
+	}
+	for _, h := range snap.Histograms {
+		got = append(got, fmt.Sprintf("histogram %s %v", h.Name, h.Labels))
+	}
+	for _, g := range snap.Gauges {
+		got = append(got, fmt.Sprintf("gauge %s %v", g.Name, g.Labels))
+	}
+	for name, text := range snap.Help {
+		got = append(got, fmt.Sprintf("help %s %q", name, text))
+	}
+	sort.Strings(got)
+	want := []string{
+		`counter core_batch_batches_total [{exec rules}]`,
+		`counter core_batch_candidates_pruned_total [{exec rules}]`,
+		`counter core_batch_candidates_total [{exec rules}]`,
+		`counter core_batch_intern_hits_total [{exec rules}]`,
+		`counter core_batch_intern_misses_total [{exec rules}]`,
+		`counter core_batch_items_total [{exec rules}]`,
+		`counter core_batch_units_total [{exec rules}]`,
+		`counter core_exec_applies_total [{exec rules}]`,
+		`counter core_exec_candidates_total [{exec rules}]`,
+		`counter core_exec_matched_total [{exec rules}]`,
+		`counter core_rule_effective_total [{rule W1}]`,
+		`counter core_rule_fired_total [{rule W1}]`,
+		`help core_batch_batches_total "batches evaluated through the batch-inverted matcher"`,
+		`help core_batch_candidates_pruned_total "duplicate candidates removed by per-unit dedup"`,
+		`help core_batch_units_total "(rule, candidate-items) work units produced by the batch join"`,
+		`help core_rule_effective_total "times each rule's assertion survived the final verdict"`,
+		`help core_rule_fired_total "times each rule matched an item"`,
+		`histogram core_exec_apply_seconds [{exec rules}]`,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("registered families changed:\ngot:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 	}
 }
 
@@ -188,7 +270,7 @@ func TestRuleHealthReport(t *testing.T) {
 	lowPrec := add(NewWhitelist("jeans?", "jeans"))
 	lowPrec.Confidence = 0.5
 
-	inst := NewInstrumentedExecutor(NewIndexedExecutor(rb.Active()), obs.NewRegistry())
+	inst := NewInstrumentedExecutor(rb.Active(), obs.NewRegistry())
 	if inst.Health(0.92) != nil {
 		t.Fatal("cold executor must report no health data")
 	}

@@ -326,7 +326,7 @@ type HealthAction struct {
 }
 
 // PlanHealthActions turns a telemetry-ranked RuleHealth report (see
-// InstrumentedExecutor.Health) into concrete maintenance actions:
+// IndexedExecutor.Health) into concrete maintenance actions:
 //
 //   - never-fired rules observed over at least minFired total applies are
 //     disable candidates (dead weight; re-enable is cheap if the corpus

@@ -213,6 +213,12 @@ func (r *Rule) IsPatternKind() bool {
 	return r.Kind == Whitelist || r.Kind == Blacklist || r.Kind == Gate || r.Kind == TypeRestrict
 }
 
+// asserting reports whether a match of the rule asserts its target type
+// (Verdict.Asserted) — the kinds a veto or constraint can override.
+func (r *Rule) asserting() bool {
+	return r.Kind == Whitelist || r.Kind == Gate || r.Kind == AttrExists
+}
+
 // Matches reports whether the rule's condition holds for the item.
 // For Filter rules it reports whether the rule applies to a *prediction* of
 // r.TargetType, so item-level Matches is always false.

@@ -108,26 +108,24 @@ func E4(opts ExecOptions) *Report {
 
 	seq := core.NewSequentialExecutor(rules)
 	idx := core.NewIndexedExecutor(rules)
-	bm := core.NewBatchMatcher(idx.Index())
 
-	// ExecuteBatchItemwise pins the per-item reference path: plain
-	// ExecuteBatch routes indexed executors through the batch-inverted
-	// matcher, which is measured separately below.
+	// ExecuteBatchItemwise is the per-item path (Apply on every item);
+	// idx.ApplyBatch is the same kernel's batch-inverted join.
 	// The indexed passes take ~0.1 s each, short enough for one GC cycle or
 	// scheduler hiccup to flip the shape checks below: keep the best of three.
 	tNaive := timeIt(func() { core.ExecuteBatchItemwise(seq, items, 1) })
 	tIndexed := bestOf(3, func() { core.ExecuteBatchItemwise(idx, items, 1) })
 	tParallel := bestOf(3, func() { core.ExecuteBatchItemwise(idx, items, opts.Workers) })
-	tBatch := bestOf(3, func() { bm.MatchBatch(items, 1) })
-	tBatchPar := bestOf(3, func() { bm.MatchBatch(items, opts.Workers) })
+	tBatch := bestOf(3, func() { idx.ApplyBatch(items, 1) })
+	tBatchPar := bestOf(3, func() { idx.ApplyBatch(items, opts.Workers) })
 
 	// Selectivity of candidate generation, counted (not timed) by the
 	// instrumented twins of the two indexed paths over a private registry.
 	// The sequential scan hands every item every rule.
-	perItemSel := core.NewInstrumentedExecutor(idx, obs.NewRegistry())
+	perItemSel := core.NewInstrumentedExecutor(rules, obs.NewRegistry())
 	core.ExecuteBatchItemwise(perItemSel, items, 1)
 	candItem, ratioItem := perItemSel.Selectivity()
-	batchSel := core.NewInstrumentedExecutor(idx, obs.NewRegistry())
+	batchSel := core.NewInstrumentedExecutor(rules, obs.NewRegistry())
 	batchSel.ApplyBatch(items, 1)
 	candBatch, ratioBatch := batchSel.Selectivity()
 	candNaive := float64(idx.Index().Len())
@@ -151,7 +149,7 @@ func E4(opts ExecOptions) *Report {
 	if len(probe) > 200 {
 		probe = probe[:200]
 	}
-	bvs := bm.MatchBatch(probe, 1)
+	bvs := idx.ApplyBatch(probe, 1)
 	for i, it := range probe {
 		sv := seq.Apply(it)
 		if !core.VerdictsEqual(sv, idx.Apply(it)) || !core.VerdictsEqual(sv, bvs[i]) {

@@ -42,8 +42,8 @@ func itemsForShard[R any](t *testing.T, srv *ShardedServer[R], shard, n int) []*
 
 // TestShardedEquivalenceProperty (satellite): for any seeded catalog batch
 // and rule population, the sharded scatter-gather verdicts are byte-identical
-// to a single Engine's snapshot AND to the core batch-inverted matcher over
-// the same active rules. Sharding partitions load, never semantics.
+// to a single Engine's snapshot AND to the core kernel's batch-inverted join
+// over the same active rules. Sharding partitions load, never semantics.
 func TestShardedEquivalenceProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		cat := catalog.New(catalog.Config{Seed: seed, NumTypes: 25})
@@ -51,10 +51,9 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 		items := cat.GenerateBatch(catalog.BatchSpec{Size: 60, Epoch: int(seed % 3)})
 
 		single := BuildSnapshot(rb, obs.NewRegistry())
-		bm := core.NewBatchMatcher(core.NewRuleIndex(rb.Active(
+		batch := core.NewIndexedExecutor(rb.Active(
 			core.Whitelist, core.Blacklist, core.AttrExists, core.AttrValue,
-			core.TypeRestrict)))
-		batch := bm.MatchBatch(items, 2)
+			core.TypeRestrict)).ApplyBatch(items, 2)
 
 		srv := NewShardedServer(rb, explainHandler, ShardedOptions{
 			Shards: 1 + int(seed%5), Obs: obs.NewRegistry(),

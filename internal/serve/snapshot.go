@@ -7,7 +7,7 @@
 // The package provides three pieces:
 //
 //   - Snapshot: the active rule set of a core.Rulebase frozen at one version
-//     into immutable pre-built executors (indexed + instrumented) plus the
+//     into immutable pre-built executors (indexed, with telemetry) plus the
 //     filter table. Built from a single atomic read (Rulebase.ActiveView),
 //     so a snapshot can never mix two versions.
 //   - Engine: publishes the current Snapshot through an atomic.Pointer, so
@@ -38,11 +38,9 @@ import (
 type Snapshot struct {
 	version   uint64
 	activeIDs []string // sorted IDs of the active rules, for audit traceability
-	gate      core.Executor
-	rules     core.Executor
-	gateInst  *core.InstrumentedExecutor // same executor as gate
-	ruleInst  *core.InstrumentedExecutor // same executor as rules
-	filters   map[string]string          // target type -> filter rule ID
+	gate      *core.IndexedExecutor
+	rules     *core.IndexedExecutor
+	filters   map[string]string // target type -> filter rule ID
 
 	// cache is the engine-owned verdict cache, attached after construction
 	// (the engine outlives snapshot generations; entries self-invalidate on
@@ -75,17 +73,11 @@ func BuildSnapshot(rb *core.Rulebase, reg *obs.Registry) *Snapshot {
 		}
 	}
 	sort.Strings(ids)
-	ruleInst := core.NewInstrumentedExecutor(
-		core.NewIndexedExecutor(classRules), reg, "exec", "rules")
-	gateInst := core.NewInstrumentedExecutor(
-		core.NewIndexedExecutor(gateRules), reg, "exec", "gate")
 	return &Snapshot{
 		version:   version,
 		activeIDs: ids,
-		gate:      gateInst,
-		rules:     ruleInst,
-		gateInst:  gateInst,
-		ruleInst:  ruleInst,
+		gate:      core.NewInstrumentedExecutor(gateRules, reg, "exec", "gate"),
+		rules:     core.NewInstrumentedExecutor(classRules, reg, "exec", "rules"),
 		filters:   filters,
 	}
 }
@@ -103,15 +95,15 @@ func (s *Snapshot) ActiveIDs() []string {
 }
 
 // Gate returns the Gate-Keeper executor (Gate rules only).
-func (s *Snapshot) Gate() core.Executor { return s.gate }
+func (s *Snapshot) Gate() *core.IndexedExecutor { return s.gate }
 
 // Rules returns the classifier executor (whitelist, blacklist, attribute and
 // type-restrict rules).
-func (s *Snapshot) Rules() core.Executor { return s.rules }
+func (s *Snapshot) Rules() *core.IndexedExecutor { return s.rules }
 
-// RuleTelemetry exposes the classifier executor's telemetry decorator (for
-// health reports over this snapshot's lifetime).
-func (s *Snapshot) RuleTelemetry() *core.InstrumentedExecutor { return s.ruleInst }
+// RuleTelemetry exposes the classifier executor for its telemetry (health
+// reports over this snapshot's lifetime). It is the executor Rules returns.
+func (s *Snapshot) RuleTelemetry() *core.IndexedExecutor { return s.rules }
 
 // Filters returns the active Filter table (target type → filter rule ID) as
 // the caller's own copy — a mutation cannot corrupt the shared immutable
@@ -151,7 +143,7 @@ func (s *Snapshot) Cache() *VerdictCache { return s.cache }
 // coalesce into a single evaluation. Identical to Apply when no cache is
 // configured.
 //
-// Note the telemetry trade: a cache hit skips the instrumented executor, so
+// Note the telemetry trade: a cache hit skips the executor, so
 // per-rule fired/selectivity telemetry counts evaluations, not servings.
 func (s *Snapshot) ApplyCached(it *catalog.Item) *core.Verdict {
 	if s.cache == nil {
@@ -164,24 +156,23 @@ func (s *Snapshot) ApplyCached(it *catalog.Item) *core.Verdict {
 }
 
 // ApplyBatch evaluates the classifier rules against a whole batch through
-// the snapshot's batch-inverted matcher (see core.BatchMatcher), returning
-// verdicts positionally aligned with items and equivalent to per-item Apply.
-// This is the default high-throughput classification path; single-item Apply
-// remains the reference path.
+// the executor's batch-inverted join (core.IndexedExecutor.ApplyBatch),
+// returning verdicts positionally aligned with items and byte-identical to
+// per-item Apply. This is the default high-throughput classification path.
 func (s *Snapshot) ApplyBatch(items []*catalog.Item, workers int) []*core.Verdict {
-	return s.ruleInst.ApplyBatch(items, workers)
+	return s.rules.ApplyBatch(items, workers)
 }
 
 // ApplyBatchCached is ApplyBatch through the verdict cache: cached verdicts
 // are filled in directly and only the misses go through the batch-inverted
-// matcher (as one sub-batch), whose verdicts are then inserted for the next
+// join (as one sub-batch), whose verdicts are then inserted for the next
 // round. Positionally aligned with items and verdict-equivalent to
 // ApplyBatch; identical to it when no cache is configured. The batch path
 // does its own miss collection instead of per-item single-flight — the batch
 // is the coalescing unit.
 func (s *Snapshot) ApplyBatchCached(items []*catalog.Item, workers int) []*core.Verdict {
 	if s.cache == nil {
-		return s.ruleInst.ApplyBatch(items, workers)
+		return s.rules.ApplyBatch(items, workers)
 	}
 	out := make([]*core.Verdict, len(items))
 	var missIdx []int
@@ -195,7 +186,7 @@ func (s *Snapshot) ApplyBatchCached(items []*catalog.Item, workers int) []*core.
 		}
 	}
 	if len(miss) > 0 {
-		vs := s.ruleInst.ApplyBatch(miss, workers)
+		vs := s.rules.ApplyBatch(miss, workers)
 		for k, i := range missIdx {
 			out[i] = vs[k]
 			s.cache.Put(miss[k].Fingerprint(), s.version, vs[k])
@@ -207,5 +198,5 @@ func (s *Snapshot) ApplyBatchCached(items []*catalog.Item, workers int) []*core.
 // GateApplyBatch evaluates the Gate-Keeper rules against a whole batch,
 // batch-inverted, aligned with items.
 func (s *Snapshot) GateApplyBatch(items []*catalog.Item, workers int) []*core.Verdict {
-	return s.gateInst.ApplyBatch(items, workers)
+	return s.gate.ApplyBatch(items, workers)
 }

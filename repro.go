@@ -9,8 +9,10 @@
 //   - Rules: NewWhitelist / NewBlacklist / NewGate / NewAttrExists /
 //     NewAttrValue / NewFilter construct analyst rules; NewRulebase manages
 //     them with versioning, scale-down/up and an audit log.
-//   - Execution: NewIndexedExecutor / NewSequentialExecutor evaluate rules
-//     over items; ExecuteBatch shards a batch across workers.
+//   - Execution: NewIndexedExecutor is the rule kernel — Apply per item,
+//     ApplyBatch per batch, NewInstrumentedExecutor for the same kernel with
+//     telemetry; NewSequentialExecutor is the scan-everything oracle, and
+//     ExecuteBatchItemwise shards per-item Apply across workers.
 //   - The pipeline: NewPipeline assembles the Chimera architecture
 //     (Figure 2): Gate Keeper → rule, attribute and learned classifiers →
 //     Voting Master → Filter, plus the crowd-evaluation / analyst-repair
@@ -67,11 +69,6 @@ type (
 	Executor = core.Executor
 	// RuleIndex locates the rules likely to match an item.
 	RuleIndex = core.RuleIndex
-	// BatchMatcher evaluates a rule index against whole batches via the
-	// batch-inverted join (§5.3 set-oriented execution).
-	BatchMatcher = core.BatchMatcher
-	// BatchApplier is the batch-at-a-time counterpart of Executor.
-	BatchApplier = core.BatchApplier
 	// DataIndex locates the items a rule is likely to match.
 	DataIndex = core.DataIndex
 	// SubsumedPair, DuplicatePair, OverlapPair and StaleRule are the
@@ -121,8 +118,6 @@ var (
 	NewIndexedExecutor     = core.NewIndexedExecutor
 	NewRuleIndex           = core.NewRuleIndex
 	NewDataIndex           = core.NewDataIndex
-	NewBatchMatcher        = core.NewBatchMatcher
-	ExecuteBatch           = core.ExecuteBatch
 	ExecuteBatchItemwise   = core.ExecuteBatchItemwise
 	CheckOrderIndependence = core.CheckOrderIndependence
 	FindConflicts          = core.FindConflicts
@@ -347,10 +342,6 @@ type (
 	Tracer = obs.Tracer
 	// Span is one timed pipeline stage.
 	Span = obs.Span
-	// InstrumentedExecutor decorates an executor with per-rule hit counts,
-	// index selectivity and per-Apply latency; verdicts are identical to
-	// the wrapped executor's.
-	InstrumentedExecutor = core.InstrumentedExecutor
 	// RuleHealth is one rule's telemetry-derived health record (never-fired,
 	// always-vetoed, low-precision).
 	RuleHealth = core.RuleHealth
@@ -612,7 +603,9 @@ var (
 	DefaultMetrics = obs.Default
 	// NewTracer returns an empty span tracer.
 	NewTracer = obs.NewTracer
-	// NewInstrumentedExecutor wraps an executor with telemetry.
+	// NewInstrumentedExecutor is NewIndexedExecutor recording per-rule hit
+	// counts, index selectivity and sampled Apply latency into a registry;
+	// verdicts are identical to the plain executor's.
 	NewInstrumentedExecutor = core.NewInstrumentedExecutor
 	// PlanHealthActions turns a RuleHealth report into maintenance actions.
 	PlanHealthActions = core.PlanHealthActions

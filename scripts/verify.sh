@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
-# CI-style verification: formatting, vet, race-enabled tests on the
-# concurrency-sensitive packages (obs metrics hot paths, core executors),
-# a 10 s smoke of every fuzz target, the tier-1 gate (full build + test, see
-# ROADMAP.md), then the tests of the benchmark module, which ./... skips.
+# The verification CI runs (.github/workflows/ci.yml calls this script, so the
+# race-package and fuzz-target lists exist once): formatting, vet,
+# race-enabled tests on the concurrency-sensitive packages (obs metrics hot
+# paths, the core kernel), a 10 s smoke of every fuzz target, the tier-1 gate
+# (full build + test, see ROADMAP.md), then the tests of the benchmark module,
+# which ./... skips.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -22,8 +24,8 @@ echo "== go test -race (obs, core, serve incl. sim soak + sharded chaos harness,
 go test -race ./internal/obs ./internal/core ./internal/serve ./internal/catalog \
     ./internal/faultinject ./internal/crowd ./internal/opshttp ./internal/persist
 
-echo "== go test -race (chimera resilience + decision provenance + sharded tier) =="
-go test -race ./internal/chimera -run 'TestResilientClient|TestClassifyDegraded|TestProvenance|TestShardedServer'
+echo "== go test -race (chimera resilience + decision provenance + sharded tier + shared rule telemetry under concurrent batches) =="
+go test -race ./internal/chimera -run 'TestResilientClient|TestClassifyDegraded|TestProvenance|TestShardedServer|TestRuleHealthSeesShardedTraffic|TestConcurrentProcessBatches'
 
 echo "== fuzz smoke (10s per target) =="
 go test -fuzz=FuzzParseRule -fuzztime=10s -run '^$' ./internal/pattern
