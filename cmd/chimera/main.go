@@ -35,14 +35,14 @@ func main() {
 		metrics      = flag.String("metrics", "", `dump the metric snapshot after the run: "json" or "prom"`)
 		profile      = flag.Bool("profile", false, "print the per-batch stage timing tree after the run")
 		health       = flag.Int("health", 0, "print the top-N telemetry-ranked rule-health entries after the run")
-		serveFor     = flag.Duration("serve", 0, "after the batch loop, run the concurrent serving drill for this long (0 = off)")
-		shards       = flag.Int("shards", 0, "run the serving drill through the sharded scatter-gather tier with this many shards (requires -serve; 0 = single-engine drill)")
+		serveFor     = flag.Duration("serve", 0, "after the batch loop, run the concurrent serving drill through the sharded tier for this long (0 = off)")
+		shards       = flag.Int("shards", 1, "shards of the scatter-gather tier the serving drill runs through (requires -serve; >= 1)")
 		serveCli     = flag.Int("serve-clients", 4, "concurrent catalog clients in the serving drill")
 		serveMut     = flag.Int("serve-mutations", 50, "rule mutations per second during the serving drill")
-		chaos        = flag.Bool("chaos", false, "inject deterministic seeded faults (handler latency, rebuild stalls and failures) during the serving drill, and shrink the pool to force transient overload")
+		chaos        = flag.Bool("chaos", false, "inject deterministic seeded faults (handler latency, shard-0 stalls, rebuild stalls and failures) during the serving drill, and shrink the shard queues to force transient overload")
 		deadline     = flag.Duration("deadline", 0, "per-batch caller deadline in the serving drill (0 = none)")
 		retry        = flag.Int("retry", 0, "max retry-with-backoff attempts for shed submissions in the serving drill (0 = no retries)")
-		cacheCap     = flag.Int("cache", 0, "verdict-cache capacity: memoize classifier verdicts by (item fingerprint, snapshot version); with -shards the capacity is per shard (the tier keeps one cache of this size x shards) (0 = off)")
+		cacheCap     = flag.Int("cache", 0, "verdict-cache capacity: memoize classifier verdicts by (item fingerprint, snapshot version); in the serving drill the capacity is per shard (the tier keeps one cache of this size x shards) (0 = off)")
 		opsAddr      = flag.String("ops", "", `serve the live-ops HTTP surface (/metrics, /healthz, /readyz, /decisions, /decisions/export, /snapshot, /debug/pprof) on this address for the duration of the run (e.g. "127.0.0.1:6060" or ":0")`)
 		opsLinger    = flag.Duration("ops-linger", 0, "keep the ops server (and the process) up this long after the run finishes, so scrapers can read the final state (requires -ops)")
 		auditTail    = flag.Int("audit", 0, "print the last N decision-provenance records as NDJSON after the run")
@@ -58,12 +58,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-metrics must be \"json\" or \"prom\", got %q\n", *metrics)
 		os.Exit(2)
 	}
-	if *serveFor <= 0 && (*chaos || *deadline > 0 || *retry > 0 || *shards > 0) {
+	shardsSet := false
+	flag.Visit(func(f *flag.Flag) { shardsSet = shardsSet || f.Name == "shards" })
+	if *serveFor <= 0 && (*chaos || *deadline > 0 || *retry > 0 || shardsSet) {
 		fmt.Fprintln(os.Stderr, "-chaos, -deadline, -retry and -shards only apply to the serving drill; set -serve too")
 		os.Exit(2)
 	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "-shards must be >= 0, got %d\n", *shards)
+	if *shards < 1 {
+		fmt.Fprintf(os.Stderr, "-shards must be >= 1, got %d\n", *shards)
 		os.Exit(2)
 	}
 	if *retry < 0 {
@@ -196,11 +198,7 @@ func main() {
 			retry:    *retry,
 			shards:   *shards,
 		}
-		if *shards > 0 {
-			shardedDrill(cat, p, o)
-		} else {
-			serveDrill(cat, p, o)
-		}
+		tierDrill(cat, p, o)
 	}
 
 	if *persistDrill {
@@ -381,22 +379,19 @@ func persistRestartDrill(cat *repro.Catalog, p *repro.Pipeline) {
 	fmt.Printf("persist drill: OK\n")
 }
 
-// opsQueueCap mirrors the serving drill's queue capacity so the ops /readyz
-// watermark has a denominator; zero outside the drill.
-var opsQueueCap atomic.Int64
-
-// opsShardStatuses holds a func() []repro.ShardStatus while the sharded
+// opsShardStatuses holds a func() []repro.ShardStatus while the serving
 // drill runs, so the ops health provider can report the tier's state and
 // per-shard queue readiness (and refresh the labeled shard gauges on every
-// scrape). A typed-nil func means "not sharded right now".
+// scrape). A typed-nil func means "no drill running".
 var opsShardStatuses atomic.Value
 
 func init() { opsShardStatuses.Store((func() []repro.ShardStatus)(nil)) }
 
 // opsOptions wires the ops surface to the pipeline: metrics from its
-// registry, decisions from its audit ring, health from the snapshot engine's
-// degraded state plus the live queue-depth gauge, and /snapshot from the
-// engine's current view plus telemetry-ranked rule health.
+// registry, decisions from its audit ring, health from the serving tier's
+// shard statuses while the drill runs (the pipeline's own engine otherwise),
+// and /snapshot from the engine's current view plus telemetry-ranked rule
+// health.
 func opsOptions(p *repro.Pipeline) repro.OpsOptions {
 	eng := p.Snapshots()
 	return repro.OpsOptions{
@@ -406,14 +401,11 @@ func opsOptions(p *repro.Pipeline) repro.OpsOptions {
 			st := repro.OpsHealthStatus{
 				Degraded:        eng.Degraded(),
 				Ready:           true,
-				QueueDepth:      int(p.Obs.Gauge(repro.MetricServeQueueDepth).Value()),
-				QueueCapacity:   int(opsQueueCap.Load()),
 				SnapshotVersion: eng.Current().Version(),
 			}
-			// Under the sharded drill the tier's one engine is the serving
-			// engine (degraded state and version repeat on every shard), and
-			// /readyz switches to per-shard queue judgment: the tier is ready
-			// while any shard can absorb traffic.
+			// The tier's one engine is the serving engine (degraded state and
+			// version repeat on every shard), and /readyz judges per-shard
+			// queues: the tier is ready while any shard can absorb traffic.
 			if f, _ := opsShardStatuses.Load().(func() []repro.ShardStatus); f != nil {
 				for _, ss := range f() {
 					st.Shards = append(st.Shards, repro.OpsShardHealth{
@@ -468,19 +460,22 @@ func printCacheStats(label string, st repro.VerdictCacheStats) {
 		100*st.HitRate(), st.Size, st.Capacity)
 }
 
-// serveDrill exercises the snapshot-isolated serving layer under live
-// maintenance: clients submit catalog batches through the pipeline's Server
-// while a mutator toggles and re-weights rules at the requested rate. The
-// catalog generator is not concurrency-safe, so each client gets its own
-// pre-generated batch pool and cycles it (submitting strictly one batch at a
-// time, so no item is classified by two workers at once).
+// tierDrill exercises the pipeline's one serving path under live
+// maintenance: clients send catalog batches through a ResilientClient, which
+// scatters them across the consistent-hash ring of the sharded tier, while a
+// mutator churns the rulebase under the tier's one snapshot engine. Each
+// shard is an independent capacity unit (its own worker pool and bounded
+// queue), so the summary ends in a per-shard table. The catalog generator is
+// not concurrency-safe, so each client cycles its own pre-generated pool.
 //
-// With -chaos the pool is undersized relative to the client fleet and a
-// seeded injector adds handler latency and rebuild stalls/failures, so
-// transient overload (sheds) actually occurs; -retry wraps each submission
-// in capped-backoff retries, turning those sheds into recovered requests;
-// -deadline bounds each submission end to end through queue and wait.
-func serveDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
+// With -chaos the queues shrink and a seeded injector adds handler latency,
+// stalls shard 0's handlers and stalls or fails the engine's rebuilds: shard
+// 0 sheds while the other shards' key ranges keep serving, shed items come
+// back gate-only, and a failed rebuild degrades the tier (every item
+// gate-only) until the recovery line's one clean rebuild un-degrades it.
+// -deadline bounds each batch end to end; -retry gives every shard its own
+// retry budget.
+func tierDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 	clients := o.clients
 	if clients <= 0 {
 		clients = 1
@@ -495,47 +490,58 @@ func serveDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 	}
 
 	var inj *repro.FaultInjector
-	sopts := repro.ServeOptions{Workers: clients, QueueDepth: 4 * clients}
+	sopts := repro.ShardedOptions{
+		Shards: o.shards,
+		// Uniform per-unit capacity: every shard gets the same worker pool
+		// and queue, so adding shards adds capacity instead of re-slicing it.
+		Workers:    2,
+		QueueDepth: 8,
+	}
 	if o.chaos {
 		inj = repro.NewFaultInjector(repro.FaultConfig{
-			Seed: o.seed + 99,
-			// Per-item: a 100-item batch picks up ~10ms of injected latency,
-			// enough to congest the halved pool without starving every
-			// deadline-bound client.
-			HandlerLatencyP: 0.20, HandlerLatency: 500 * time.Microsecond,
+			Seed:            o.seed + 99,
+			HandlerLatencyP: 0.05, HandlerLatency: 200 * time.Microsecond,
+			// The targeted stall: shard 0's handlers slow to a crawl while
+			// the other shards never feel it.
+			ShardStallP: 0.6, ShardStall: 2 * time.Millisecond, ShardTarget: 0,
 			RebuildStallP: 0.10, RebuildStall: time.Millisecond,
 			RebuildErrorP: o.rebuildP,
 		})
-		p.Snapshots().SetRebuildFault(inj.RebuildFault)
-		defer p.Snapshots().SetRebuildFault(nil)
-		// Undersize the pool so the fleet can actually overload it.
-		sopts.Workers = (clients + 1) / 2
 		sopts.QueueDepth = 2
 	}
-	opsQueueCap.Store(int64(sopts.QueueDepth))
-	defer opsQueueCap.Store(0)
-	ropts := repro.ResilienceOptions{Faults: inj}
 	if o.retry > 0 {
-		// Backoff spans a batch's service time (tens of ms), so a retried
-		// shed has a real chance of landing in a freed slot.
-		ropts.Retry = repro.ServeRetryOptions{
+		// Backoff spans a sub-batch's service time, so a retried shed has a
+		// real chance of landing in a freed slot.
+		sopts.Retry = &repro.ServeRetryOptions{
 			MaxAttempts: o.retry,
-			BaseDelay:   5 * time.Millisecond,
-			MaxDelay:    80 * time.Millisecond,
+			BaseDelay:   2 * time.Millisecond,
+			MaxDelay:    40 * time.Millisecond,
 			Seed:        o.seed + 11,
 		}
 	}
-	rc := p.NewResilientClient(sopts, ropts)
-	srv := rc.Server()
+	// The batch loop's engine counts into the same serve_cache_*,
+	// serve_snapshot_swaps_total and chimera_degraded_* series of the
+	// pipeline registry; the drill reports only its own share.
+	swaps := p.Obs.Counter(repro.MetricServeSnapshotSwaps)
+	degraded := p.Obs.Counter(repro.MetricDegradedItems)
+	swapsBefore, degradedBefore := swaps.Value(), degraded.Value()
+	rc := p.NewResilientClient(sopts, inj)
+	srv := rc.Tier()
+	if inj != nil {
+		srv.Engine().SetRebuildFault(inj.RebuildFault)
+	}
+	cacheBefore := srv.CacheStats()
+	opsShardStatuses.Store(func() []repro.ShardStatus { return srv.ShardStatuses() })
+	defer opsShardStatuses.Store((func() []repro.ShardStatus)(nil))
 
 	deadline := time.Now().Add(o.window)
 	var (
 		mu       sync.Mutex
 		versions = map[uint64]bool{}
+		batches  int
 		served   int
-		items    int
-		shed     int
 		expired  int
+		failed   int
 	)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -548,50 +554,30 @@ func serveDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 				if o.deadline > 0 {
 					ctx, cancel = context.WithTimeout(ctx, o.deadline)
 				}
-				var ticket *repro.ServeTicket
-				var err error
-				if o.retry > 0 {
-					ticket, err = rc.Retrier().Submit(ctx, pools[c][b%poolBatches])
-				} else {
-					ticket, err = srv.SubmitCtx(ctx, pools[c][b%poolBatches])
-				}
-				if err != nil {
-					cancel()
-					if errors.Is(err, repro.ErrServeShutdown) {
-						return
-					}
-					mu.Lock()
-					if errors.Is(err, repro.ErrServeQueueFull) {
-						shed++
-					} else {
-						expired++ // caller deadline spent while shed-retrying
-					}
-					mu.Unlock()
-					time.Sleep(time.Millisecond)
-					continue
-				}
-				out, snap, err := ticket.WaitContext(ctx)
+				batch := pools[c][b%poolBatches]
+				res, err := rc.Process(ctx, batch)
 				cancel()
-				if err != nil {
-					if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-						mu.Lock()
-						expired++
-						mu.Unlock()
-						continue
-					}
-					return // declined during shutdown; the drill is over
+				if errors.Is(err, repro.ErrServeShutdown) {
+					return
 				}
 				mu.Lock()
-				served++
-				items += len(out)
-				versions[snap.Version()] = true
+				if err != nil { // the caller deadline ran out
+					expired += len(batch)
+				} else {
+					batches++
+					served += res.Served
+					failed += res.Failed // declined or rejected by the tier's shutdown
+					for i, e := range res.Errs {
+						if e == nil {
+							versions[res.Snapshots[i].Version()] = true
+						}
+					}
+				}
 				mu.Unlock()
 			}
 		}(c)
 	}
 
-	// The maintenance side: disable/enable cycles and confidence updates
-	// against live rules, at the requested rate.
 	stopMut := make(chan struct{})
 	var mutations int
 	wg.Add(1)
@@ -643,218 +629,23 @@ func serveDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 	close(stopMut)
 	wg.Wait()
 
-	reg := p.Obs
-	fmt.Printf("\n== serve drill ==\n")
-	fmt.Printf("clients %d, mutation target %d/s, window %v\n", clients, o.mutPerS, o.window)
-	fmt.Printf("served: %d batches (%d items), shed: %d, declined: %d items\n",
-		served, items, shed, reg.Counter(repro.MetricServeDeclined).Value())
-	fmt.Printf("mutations applied: %d, snapshot swaps: %d, versions observed: %d, final rulebase version: %d\n",
-		mutations, reg.Counter(repro.MetricServeSnapshotSwaps).Value(), len(versions), p.Rules.Version())
-	printCacheStats("cache", p.Snapshots().Cache().Stats())
-	if o.deadline > 0 {
-		fmt.Printf("deadline %v: %d expired (%d recorded while queued)\n",
-			o.deadline, expired, reg.Counter(repro.MetricServeDeadlineExpired).Value())
-	}
-	if o.retry > 0 {
-		fmt.Printf("retry (max %d): %d attempts, %d sheds recovered on retry, %d gave up\n",
-			o.retry,
-			reg.Counter(repro.MetricServeRetryAttempts).Value(),
-			reg.Counter(repro.MetricServeRetrySuccess).Value(),
-			reg.Counter(repro.MetricServeRetryGiveUp).Value())
-	}
-	if inj != nil {
-		fmt.Printf("chaos: %d faults injected %v, rebuild errors: %d, degraded now: %v\n",
-			inj.Total(), inj.Counts(),
-			reg.Counter(repro.MetricServeBuildErrors).Value(),
-			p.Snapshots().Degraded())
-		// Clear the injector and prove recovery: with the fault gone, one
-		// clean rebuild un-degrades the engine (the /healthz flip back that
-		// the ops drill observes).
-		p.Snapshots().SetRebuildFault(nil)
-		p.Snapshots().Acquire()
-	}
-}
-
-// shardedDrill exercises the scatter-gather serving tier under live
-// maintenance: clients submit catalog batches that fan out across the
-// consistent-hash ring while a mutator churns the rulebase under the tier's
-// one snapshot engine. Each shard is an independent capacity unit (its own
-// worker pool and bounded queue), so the drill's summary is a per-shard
-// table, not one aggregate line.
-//
-// With -chaos a seeded injector stalls shard 0's handlers (targeted shard
-// stalls) and fails the engine's snapshot rebuilds, showing both failure
-// scopes live: shard 0 sheds while the other shards' key ranges keep
-// serving, and a failed rebuild degrades the tier, which serves the last
-// good snapshot on every shard until the recovery line's one clean rebuild
-// un-degrades it. -deadline bounds each scatter end to end; -retry gives
-// every shard its own retry budget.
-func shardedDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
-	clients := o.clients
-	if clients <= 0 {
-		clients = 1
-	}
-	const poolBatches, poolBatchSize = 8, 100
-	pools := make([][][]*repro.Item, clients)
-	for c := range pools {
-		pools[c] = make([][]*repro.Item, poolBatches)
-		for b := range pools[c] {
-			pools[c][b] = cat.GenerateBatch(repro.BatchSpec{Size: poolBatchSize, Epoch: 2})
+	// The shard servers and retriers keep their unlabeled serve_* counters in
+	// per-shard registries; the drill reports their sums.
+	sum := func(metric string) int64 {
+		var n int64
+		for i := 0; i < srv.Shards(); i++ {
+			n += srv.ShardRegistry(i).Counter(metric).Value()
 		}
+		return n
 	}
-
-	var inj *repro.FaultInjector
-	sopts := repro.ShardedOptions{
-		Shards: o.shards,
-		// Uniform per-unit capacity: every shard gets the same worker pool
-		// and queue, so adding shards adds capacity instead of re-slicing it.
-		Workers:    2,
-		QueueDepth: 8,
-	}
-	if o.chaos {
-		inj = repro.NewFaultInjector(repro.FaultConfig{
-			Seed:            o.seed + 99,
-			HandlerLatencyP: 0.05, HandlerLatency: 200 * time.Microsecond,
-			// The targeted stall: shard 0's handlers slow to a crawl while
-			// the other shards never feel it.
-			ShardStallP: 0.6, ShardStall: 2 * time.Millisecond, ShardTarget: 0,
-		})
-		sopts.QueueDepth = 2
-	}
-	if o.retry > 0 {
-		sopts.Retry = &repro.ServeRetryOptions{
-			MaxAttempts: o.retry,
-			BaseDelay:   2 * time.Millisecond,
-			MaxDelay:    40 * time.Millisecond,
-			Seed:        o.seed + 11,
-		}
-	}
-	srv := p.NewShardedServer(sopts, inj)
-	if o.chaos {
-		// The tier's rebuilds also fail with probability -chaos-rebuild-p.
-		failer := repro.NewFaultInjector(repro.FaultConfig{Seed: o.seed + 101, RebuildErrorP: o.rebuildP})
-		srv.Engine().SetRebuildFault(failer.RebuildFault)
-	}
-	// With -cache the batch loop's engine counted into the same serve_cache_*
-	// series; the drill reports only its own lookups.
-	cacheBefore := srv.CacheStats()
-	opsQueueCap.Store(int64(sopts.QueueDepth))
-	opsShardStatuses.Store(func() []repro.ShardStatus { return srv.ShardStatuses() })
-	defer func() {
-		opsQueueCap.Store(0)
-		opsShardStatuses.Store((func() []repro.ShardStatus)(nil))
-	}()
-
-	deadline := time.Now().Add(o.window)
-	var (
-		mu       sync.Mutex
-		versions = map[uint64]bool{}
-		batches  int
-		served   int
-		shed     int
-		expired  int
-		partial  int
-	)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for b := 0; time.Now().Before(deadline); b++ {
-				ctx := context.Background()
-				cancel := func() {}
-				if o.deadline > 0 {
-					ctx, cancel = context.WithTimeout(ctx, o.deadline)
-				}
-				ticket, err := srv.SubmitCtx(ctx, pools[c][b%poolBatches])
-				if err != nil {
-					cancel()
-					if errors.Is(err, repro.ErrServeShutdown) {
-						return
-					}
-					continue // an already-expired submit ctx
-				}
-				res := ticket.Wait()
-				cancel()
-				mu.Lock()
-				batches++
-				served += res.Served
-				if errors.Is(res.Err(), repro.ErrServePartial) {
-					partial++
-				}
-				for i, e := range res.Errs {
-					switch {
-					case e == nil:
-						versions[res.Snapshots[i].Version()] = true
-					case errors.Is(e, repro.ErrServeQueueFull):
-						shed++
-					case errors.Is(e, context.DeadlineExceeded), errors.Is(e, context.Canceled):
-						expired++
-					}
-				}
-				mu.Unlock()
-			}
-		}(c)
-	}
-
-	stopMut := make(chan struct{})
-	var mutations int
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := repro.NewRand(o.seed + 7)
-		interval := time.Second
-		if o.mutPerS > 0 {
-			interval = time.Second / time.Duration(o.mutPerS)
-		}
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		var disabled []string
-		for {
-			select {
-			case <-stopMut:
-				for _, id := range disabled {
-					_ = p.Rules.Enable(id, "drill", "sharded drill cleanup")
-				}
-				return
-			case <-tick.C:
-				active := p.Rules.Active()
-				if len(active) == 0 {
-					continue
-				}
-				r := active[rng.Intn(len(active))]
-				switch {
-				case len(disabled) > 0 && rng.Intn(3) == 0:
-					id := disabled[len(disabled)-1]
-					disabled = disabled[:len(disabled)-1]
-					_ = p.Rules.Enable(id, "drill", "sharded drill")
-				case rng.Intn(2) == 0:
-					if err := p.Rules.Disable(r.ID, "drill", "sharded drill"); err == nil {
-						disabled = append(disabled, r.ID)
-					}
-				default:
-					_ = p.Rules.UpdateConfidence(r.ID, 0.5+float64(rng.Intn(50))/100, "drill")
-				}
-				mutations++
-			}
-		}
-	}()
-
-	time.Sleep(time.Until(deadline))
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	_ = srv.Shutdown(ctx)
-	close(stopMut)
-	wg.Wait()
-
 	sts := srv.ShardStatuses()
-	fmt.Printf("\n== sharded serve drill ==\n")
+	fmt.Printf("\n== serve drill ==\n")
 	fmt.Printf("shards %d, clients %d, mutation target %d/s, window %v\n",
 		srv.Shards(), clients, o.mutPerS, o.window)
-	fmt.Printf("scatter: %d batches, served: %d items, shed: %d, expired: %d, partial gathers: %d\n",
-		batches, served, shed, expired, partial)
-	fmt.Printf("mutations applied: %d, versions observed: %d, final rulebase version: %d\n",
-		mutations, len(versions), p.Rules.Version())
+	fmt.Printf("served: %d batches, %d items (%d gate-only), sheds: %d, expired: %d items, failed at shutdown: %d items\n",
+		batches, served, degraded.Value()-degradedBefore, sum(repro.MetricServeShed), expired, failed)
+	fmt.Printf("mutations applied: %d, snapshot swaps: %d, versions observed: %d, final rulebase version: %d\n",
+		mutations, swaps.Value()-swapsBefore, len(versions), p.Rules.Version())
 	cache := srv.CacheStats()
 	cache.Hits -= cacheBefore.Hits
 	cache.Misses -= cacheBefore.Misses
@@ -869,20 +660,19 @@ func shardedDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 			st.Shard, st.Routed, st.Served, st.Shed,
 			st.QueueDepth, st.QueueCapacity, st.SnapshotVersion, st.Degraded)
 	}
+	if o.deadline > 0 {
+		fmt.Printf("deadline %v: %d items expired (%d shard requests expired at submit or while queued)\n",
+			o.deadline, expired, sum(repro.MetricServeDeadlineExpired))
+	}
 	if o.retry > 0 {
-		var attempts, success int64
-		for i := 0; i < srv.Shards(); i++ {
-			attempts += srv.ShardRegistry(i).Counter(repro.MetricServeRetryAttempts).Value()
-			success += srv.ShardRegistry(i).Counter(repro.MetricServeRetrySuccess).Value()
-		}
-		fmt.Printf("retry (max %d, per-shard budgets): %d attempts, %d sheds recovered\n",
-			o.retry, attempts, success)
+		fmt.Printf("retry (max %d, per-shard budgets): %d attempts, %d sheds recovered on retry, %d gave up\n",
+			o.retry, sum(repro.MetricServeRetryAttempts), sum(repro.MetricServeRetrySuccess), sum(repro.MetricServeRetryGiveUp))
 	}
 	if inj != nil {
 		fmt.Printf("chaos: %d faults injected %v, tier degraded: %v\n",
 			inj.Total(), inj.Counts(), srv.Degraded())
 		// Recovery: with the fault cleared, one clean synchronous rebuild
-		// un-degrades the tier.
+		// un-degrades the tier (the /healthz flip back the ops drill observes).
 		srv.Engine().SetRebuildFault(nil)
 		srv.Engine().Acquire()
 		fmt.Printf("recovery: tier degraded after clean rebuild: %v\n", srv.Degraded())

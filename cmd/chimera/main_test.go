@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -120,21 +121,23 @@ func TestCLIBadMetricsFlag(t *testing.T) {
 	}
 }
 
-// TestCLIServeDrill runs the -serve mode and checks the drill summary: work
-// was served, the serving layer swapped snapshots under mutation, and the
-// drill reports its accounting lines.
-func TestCLIServeDrill(t *testing.T) {
-	out, err := run(t, "-serve", "300ms", "-serve-clients", "2", "-serve-mutations", "200")
+// drill runs the serving drill with extra flags and checks what every run
+// of it prints: the one drill's summary, work actually served, and the
+// per-shard table.
+func drill(t *testing.T, extra ...string) string {
+	t.Helper()
+	out, err := run(t, extra...)
 	if err != nil {
 		t.Fatalf("chimera failed: %v\n%s", err, out)
 	}
 	for _, want := range []string{
 		"== serve drill ==",
-		"clients 2, mutation target 200/s, window 300ms",
 		"served: ",
+		"gate-only), sheds: ",
 		"mutations applied: ",
 		"snapshot swaps: ",
 		"final rulebase version: ",
+		"shard     routed",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -142,6 +145,30 @@ func TestCLIServeDrill(t *testing.T) {
 	}
 	if strings.Contains(out, "served: 0 batches") {
 		t.Errorf("serve drill served nothing:\n%s", out)
+	}
+	return out
+}
+
+// summaryCount parses the integer that follows prefix in the drill output
+// (-1 when the prefix is absent).
+func summaryCount(out, prefix string) int {
+	i := strings.Index(out, prefix)
+	if i < 0 {
+		return -1
+	}
+	n, err := strconv.Atoi(strings.Fields(out[i+len(prefix):])[0])
+	if err != nil {
+		return -1
+	}
+	return n
+}
+
+// TestCLIServeDrill runs -serve with the default one-shard tier and checks
+// the drill summary; the resilience lines stay absent without their flags.
+func TestCLIServeDrill(t *testing.T) {
+	out := drill(t, "-serve", "300ms", "-serve-clients", "2", "-serve-mutations", "200")
+	if !strings.Contains(out, "shards 1, clients 2, mutation target 200/s, window 300ms") {
+		t.Errorf("default drill is not the one-shard tier:\n%s", out)
 	}
 	for _, absent := range []string{"deadline ", "retry (max", "chaos:"} {
 		if strings.Contains(out, absent) {
@@ -151,61 +178,38 @@ func TestCLIServeDrill(t *testing.T) {
 }
 
 // TestCLIChaosRetryDrill is the resilience drill end to end: under -chaos
-// the pool is undersized and faults are injected, so transient overload
-// occurs; -retry wraps submissions in backoff and the summary plus the
-// metric snapshot show the serve_retry_* accounting.
+// the shard queues shrink and faults are injected, so transient overload
+// occurs; -retry gives every shard a backoff budget, and the summary line
+// sums the shards' serve_retry_* counters.
 func TestCLIChaosRetryDrill(t *testing.T) {
-	out, err := run(t, "-serve", "400ms", "-serve-clients", "6", "-chaos", "-retry", "5", "-metrics", "prom")
-	if err != nil {
-		t.Fatalf("chimera failed: %v\n%s", err, out)
-	}
+	out := drill(t, "-serve", "400ms", "-serve-clients", "6", "-chaos", "-retry", "5")
 	for _, want := range []string{
-		"== serve drill ==",
-		"retry (max 5): ",
 		"sheds recovered on retry",
 		"gave up",
-		"chaos: ",
 		"faults injected",
 		"handler_latency",
-		// serve_retry_* counters in the metric snapshot (ticket acceptance).
-		"serve_retry_attempts_total",
-		"serve_retry_success_total",
-		"serve_retry_giveup_total",
+		"recovery: tier degraded after clean rebuild: false",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "served: 0 batches") {
-		t.Errorf("chaos drill served nothing:\n%s", out)
-	}
-	if strings.Contains(out, "chaos: 0 faults injected") {
+	if n := summaryCount(out, "chaos: "); n <= 0 {
 		t.Errorf("chaos drill injected no faults:\n%s", out)
 	}
-	if strings.Contains(out, "retry (max 5): 0 attempts") {
-		t.Errorf("chaos drill never retried — no transient overload reached the retrier:\n%s", out)
+	if n := summaryCount(out, "retry (max 5, per-shard budgets): "); n <= 0 {
+		t.Errorf("chaos drill never retried — no transient overload reached the retriers:\n%s", out)
 	}
 }
 
-// TestCLIDeadlineDrill: -deadline bounds each submission end to end and the
+// TestCLIDeadlineDrill: -deadline bounds each batch end to end and the
 // summary reports the expiry accounting line.
 func TestCLIDeadlineDrill(t *testing.T) {
-	out, err := run(t, "-serve", "300ms", "-serve-clients", "2", "-deadline", "250ms")
-	if err != nil {
-		t.Fatalf("chimera failed: %v\n%s", err, out)
-	}
-	for _, want := range []string{
-		"== serve drill ==",
-		"deadline 250ms: ",
-		"expired (",
-		"recorded while queued",
-	} {
+	out := drill(t, "-serve", "300ms", "-serve-clients", "2", "-deadline", "250ms")
+	for _, want := range []string{"deadline 250ms: ", "items expired (", "shard requests expired"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
-	}
-	if strings.Contains(out, "served: 0 batches") {
-		t.Errorf("deadline drill served nothing — deadline too tight for the small world:\n%s", out)
 	}
 }
 
@@ -519,34 +523,21 @@ func TestCLIResilienceFlagsRequireServe(t *testing.T) {
 	}
 }
 
-// TestCLIShardedDrill drives the scatter-gather tier end to end: the drill
-// summary switches to the per-shard table, traffic spreads over more than
-// one shard, and the single-engine drill lines stay absent.
+// TestCLIShardedDrill drives a four-shard tier end to end: traffic spreads
+// over more than one shard, the one shared cache reports, and the labeled
+// tier families reach the metric dump.
 func TestCLIShardedDrill(t *testing.T) {
-	out, err := run(t, "-serve", "400ms", "-shards", "4", "-serve-clients", "4", "-cache", "256", "-metrics", "prom")
-	if err != nil {
-		t.Fatalf("chimera failed: %v\n%s", err, out)
-	}
+	out := drill(t, "-serve", "400ms", "-shards", "4", "-serve-clients", "4", "-cache", "256", "-metrics", "prom")
 	for _, want := range []string{
-		"== sharded serve drill ==",
 		"shards 4, clients 4",
-		"scatter: ",
-		"mutations applied: ",
 		"cache (one, shared by all shards): ",
 		"resident ",
-		"shard ",
 		"serve_shard_routed_total{shard=\"0\"}",
 		"serve_scatter_batches_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
-	}
-	if strings.Contains(out, "== serve drill ==") {
-		t.Errorf("single-engine drill ran alongside -shards:\n%s", out)
-	}
-	if strings.Contains(out, "scatter: 0 batches") {
-		t.Errorf("sharded drill served nothing:\n%s", out)
 	}
 	// Traffic must actually fan out: at least two shards with routed > 0.
 	busy := 0
@@ -561,17 +552,13 @@ func TestCLIShardedDrill(t *testing.T) {
 	}
 }
 
-// TestCLIShardedChaosDrill: -shards with -chaos stalls shard 0 and fails the
-// tier's rebuilds; the summary prints the tier-level chaos and recovery lines.
+// TestCLIShardedChaosDrill: -chaos stalls shard 0 and fails the tier's
+// rebuilds; a degraded tier answers gate-only, and the summary prints the
+// tier-level chaos and recovery lines.
 func TestCLIShardedChaosDrill(t *testing.T) {
-	out, err := run(t, "-serve", "400ms", "-shards", "3", "-serve-clients", "4",
+	out := drill(t, "-serve", "400ms", "-shards", "3", "-serve-clients", "4",
 		"-chaos", "-chaos-rebuild-p", "1.0", "-retry", "3")
-	if err != nil {
-		t.Fatalf("chimera failed: %v\n%s", err, out)
-	}
 	for _, want := range []string{
-		"== sharded serve drill ==",
-		"chaos: ",
 		"shard_stall",
 		"tier degraded: true",
 		"recovery: tier degraded after clean rebuild: false",
@@ -581,9 +568,13 @@ func TestCLIShardedChaosDrill(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
+	if i := strings.Index(out, "items ("); i < 0 || summaryCount(out[i:], "items (") <= 0 {
+		t.Errorf("a degraded tier answered no item gate-only:\n%s", out)
+	}
 }
 
-// TestCLIShardsRequiresServe: -shards without -serve is a usage error.
+// TestCLIShardsRequiresServe: -shards without -serve is a usage error, and
+// the tier needs at least one shard.
 func TestCLIShardsRequiresServe(t *testing.T) {
 	out, err := run(t, "-shards", "4")
 	var exit *exec.ExitError
@@ -593,8 +584,10 @@ func TestCLIShardsRequiresServe(t *testing.T) {
 	if !strings.Contains(out, "-shards only apply to the serving drill") {
 		t.Errorf("missing usage hint:\n%s", out)
 	}
-	if out2, err2 := run(t, "-serve", "100ms", "-shards", "-1"); err2 == nil ||
-		!strings.Contains(out2, "-shards must be >= 0") {
-		t.Errorf("negative -shards accepted: %v\n%s", err2, out2)
+	for _, n := range []string{"0", "-1"} {
+		out, err := run(t, "-serve", "100ms", "-shards", n)
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(out, "-shards must be >= 1") {
+			t.Errorf("-shards %s: want exit 2 with a usage message, got %v\n%s", n, err, out)
+		}
 	}
 }

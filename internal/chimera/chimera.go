@@ -285,27 +285,11 @@ func New(cfg Config) *Pipeline {
 	return p
 }
 
-// Snapshots returns the pipeline's snapshot engine. Passive by default
-// (Classify / ProcessBatch acquire version-cached snapshots synchronously);
-// NewServer starts its async rebuild loop for lock-free concurrent serving.
+// Snapshots returns the pipeline's own snapshot engine. It is passive:
+// Classify and ProcessBatch acquire version-cached snapshots synchronously.
+// Serving goes through NewShardedServer / NewResilientClient, whose tier owns
+// a second, running engine.
 func (p *Pipeline) Snapshots() *serve.Engine { return p.snaps }
-
-// NewServer wraps the pipeline in a snapshot-isolated concurrent server: a
-// bounded worker pool classifying submitted batches through the full
-// Figure-2 stages, each batch against a single snapshot, while rule
-// maintenance proceeds concurrently on p.Rules. Rule mutations are safe
-// during serving; retraining the ensemble is not (as before).
-func (p *Pipeline) NewServer(opts serve.ServerOptions) *serve.Server[Decision] {
-	if opts.Obs == nil {
-		opts.Obs = p.Obs
-	}
-	if opts.Audit == nil {
-		opts.Audit = p.Audit // serve-layer failures land in the same provenance log
-	}
-	return serve.NewServer(p.snaps, func(ctx context.Context, snap *serve.Snapshot, it *catalog.Item) Decision {
-		return p.classifyWith(ctx, it, snap)
-	}, opts)
-}
 
 // NewShardedServer wraps the pipeline in the scatter-gather serving tier
 // (see serve.ShardedServer): a consistent-hash router over per-shard servers
@@ -315,7 +299,8 @@ func (p *Pipeline) NewServer(opts serve.ServerOptions) *serve.Server[Decision] {
 // RebuildFault into the tier's engine (ShardedServer.Engine().SetRebuildFault)
 // to fault the snapshot lifecycle. The caller owns Shutdown/Close on the
 // returned tier; the pipeline (and its own passive engine) remain usable
-// afterwards.
+// afterwards. Rule mutations are safe during serving; retraining the
+// ensemble is not.
 //
 // The tier's engine instruments its snapshots into opts.Obs (default p.Obs)
 // under the pipeline's own series labels, so RuleHealth and /metrics see the
@@ -345,8 +330,8 @@ func (p *Pipeline) NewShardedServer(opts serve.ShardedOptions, faults *faultinje
 	}, opts)
 }
 
-// Close stops the snapshot engine's async rebuild loop (a no-op when it was
-// never started by NewServer). The pipeline remains usable afterwards.
+// Close closes the pipeline's own snapshot engine (a no-op unless a caller
+// started it). The pipeline remains usable afterwards.
 func (p *Pipeline) Close() { p.snaps.Close() }
 
 // Train sets (or extends) the training data and trains the ensemble.
@@ -373,27 +358,13 @@ func (p *Pipeline) ManualQueue() int {
 	return p.manualQ
 }
 
-// snapshot returns the snapshot for the hot read paths: the lock-free
-// Current when the engine's async loop keeps it fresh (stale by at most the
-// debounce window — the documented serving contract), the version-checked
-// Acquire otherwise. Acquire reads the rulebase version under its mutex, so
-// calling it per request would put the rulebase lock back on the hot path
-// the serving layer exists to avoid (see the benchmark note in
-// EXPERIMENTS.md).
-func (p *Pipeline) snapshot() *serve.Snapshot {
-	if p.snaps.Started() {
-		return p.snaps.Current()
-	}
-	return p.snaps.Acquire()
-}
-
 // RuleHealth returns the telemetry-ranked health report for the classifier
 // rule executor (see core.IndexedExecutor.Health); minConfidence is
 // the low-precision floor, typically the business gate. Nil until a batch
 // has been processed. The report feeds core.PlanHealthActions /
 // Rulebase.ApplyHealthActions — the §4 loop from telemetry to maintenance.
 func (p *Pipeline) RuleHealth(minConfidence float64) []core.RuleHealth {
-	return p.snapshot().RuleTelemetry().Health(minConfidence)
+	return p.snaps.Acquire().RuleTelemetry().Health(minConfidence)
 }
 
 // Classify runs one item through the Figure-2 stages.
@@ -404,7 +375,7 @@ func (p *Pipeline) Classify(it *catalog.Item) Decision {
 // ClassifyCtx is Classify with decision provenance: the request ID carried
 // by ctx (see obs.WithRequestID) is stamped on the item's audit record.
 func (p *Pipeline) ClassifyCtx(ctx context.Context, it *catalog.Item) Decision {
-	return p.classifyWith(ctx, it, p.snapshot())
+	return p.classifyWith(ctx, it, p.snaps.Acquire())
 }
 
 // classifyWith runs one item through the Figure-2 stages with per-item rule

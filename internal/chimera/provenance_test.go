@@ -172,34 +172,30 @@ func TestProvenancePerItemPath(t *testing.T) {
 	}
 }
 
-// TestProvenanceServerPath: items classified through the concurrent server
-// carry the submit-generated request ID end to end.
+// TestProvenanceServerPath: items classified through the serving tier carry
+// the scatter-generated request ID end to end, one ID for the whole batch.
 func TestProvenanceServerPath(t *testing.T) {
 	cat, p := provFixture(t, 413, true)
-	defer p.Close()
-	srv := p.NewServer(serve.ServerOptions{Workers: 2, QueueDepth: 8})
-	defer srv.Drain()
+	rc := p.NewResilientClient(serve.ShardedOptions{Shards: 3, Workers: 2, QueueDepth: 8}, nil)
+	defer rc.Tier().Close()
 
 	items := cat.GenerateBatch(catalog.BatchSpec{Size: 50, Epoch: 1})
-	ticket, err := srv.Submit(items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, snap, err := ticket.Wait()
-	if err != nil || len(out) != len(items) {
-		t.Fatalf("wait: %v (%d results)", err, len(out))
+	g, err := rc.Process(context.Background(), items)
+	if err != nil || g.Served != len(items) {
+		t.Fatalf("process: %v (%d served)", err, g.Served)
 	}
 	recs := recordsByItem(t, p, obs.PathPerItem)
 	if len(recs) != len(items) {
 		t.Fatalf("got %d records for %d items", len(recs), len(items))
 	}
-	for _, it := range items {
+	id := recs[items[0].ID].RequestID
+	for i, it := range items {
 		r := recs[it.ID]
-		if !strings.HasPrefix(r.RequestID, "req-") {
-			t.Errorf("item %s: request ID %q not generated at submit", it.ID, r.RequestID)
+		if !strings.HasPrefix(r.RequestID, "scatter-") || r.RequestID != id {
+			t.Errorf("item %s: request ID %q, want the batch's scatter ID %q", it.ID, r.RequestID, id)
 		}
-		if r.SnapshotVersion != snap.Version() {
-			t.Errorf("item %s: snapshot %d != served snapshot %d", it.ID, r.SnapshotVersion, snap.Version())
+		if r.SnapshotVersion != g.Snapshots[i].Version() {
+			t.Errorf("item %s: snapshot %d != served snapshot %d", it.ID, r.SnapshotVersion, g.Snapshots[i].Version())
 		}
 	}
 }
@@ -212,7 +208,8 @@ func TestProvenanceDegradedPath(t *testing.T) {
 	// SampleEvery 1000: only the decline/degraded bias can explain captures.
 	p := New(Config{Seed: 414, Audit: obs.NewAuditLog(obs.AuditConfig{Capacity: 1 << 12, SampleEvery: 1000})})
 	items := cat.GenerateBatch(catalog.BatchSpec{Size: 40, Epoch: 1})
-	out, snap := p.ClassifyDegraded(items)
+	snap := p.Snapshots().Acquire()
+	out := p.classifyDegraded(context.Background(), snap, items)
 	if len(out) != len(items) {
 		t.Fatalf("degraded returned %d decisions", len(out))
 	}

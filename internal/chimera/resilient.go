@@ -19,150 +19,117 @@ const (
 	MetricDegradedBatches = "chimera_degraded_batches_total"
 )
 
-// ResilienceOptions parameterizes a ResilientClient. Zero values take
-// defaults.
-type ResilienceOptions struct {
-	// Retry configures the backoff retrier over queue-full sheds.
-	Retry serve.RetryOptions
-	// DegradedWatermark is the queue-load fraction (of the server's queue
-	// capacity) at or above which new batches bypass the queue onto the
-	// gate-only degraded path (default 0.9; values outside (0,1] clamp).
-	DegradedWatermark float64
-	// Faults optionally injects per-item handler latency into the server's
-	// workers, and is available to the caller to also wire into the
-	// engine's rebuild path (Engine.SetRebuildFault) and crowd.Config.
-	Faults *faultinject.Injector
-}
-
-// ResilientClient is the failure-aware frontend over a Pipeline server: it
-// submits batches with caller-deadline propagation and retry-with-backoff,
-// and when the serving layer cannot take the work at all — the queue is
-// saturated past the load watermark, retries are exhausted, or the snapshot
-// engine is degraded after a failed rebuild — it falls back to the gate-only
-// degraded decision path instead of shedding silently. Degraded items are
-// routed to the manual queue with stage "degraded": recall is sacrificed,
-// item accounting never is.
+// ResilientClient is the failure-aware frontend over the pipeline's sharded
+// serving tier: it scatters batches with caller-deadline propagation (and
+// per-shard retry-with-backoff when ShardedOptions.Retry is set), and when
+// the tier cannot take the work — a shard queue stays full past its retries,
+// or the tier's snapshot engine is degraded after a failed rebuild — it falls
+// back to the gate-only degraded decision path instead of shedding. Degraded
+// items are routed to the manual queue with reason "degraded": recall is
+// sacrificed, item accounting never is.
 type ResilientClient struct {
-	p      *Pipeline
-	srv    *serve.Server[Decision]
-	retr   *serve.Retrier[Decision]
-	faults *faultinject.Injector
-
-	watermark int
-	depth     *obs.Gauge
+	p    *Pipeline
+	tier *serve.ShardedServer[Decision]
 
 	degItems   *obs.Counter
 	degBatches *obs.Counter
 }
 
-// NewResilientClient builds a server over the pipeline (with fault-injected
-// handler latency when ropts.Faults is set) and wraps it in retry/backoff
-// and degraded-mode fallback. The caller owns Shutdown on the client.
-func (p *Pipeline) NewResilientClient(sopts serve.ServerOptions, ropts ResilienceOptions) *ResilientClient {
-	if sopts.Obs == nil {
-		sopts.Obs = p.Obs
-	}
-	if sopts.Audit == nil {
-		sopts.Audit = p.Audit
-	}
-	inj := ropts.Faults
-	srv := serve.NewServer(p.snaps, func(ctx context.Context, snap *serve.Snapshot, it *catalog.Item) Decision {
-		if d := inj.HandlerDelay(); d > 0 {
-			time.Sleep(d)
-		}
-		return p.classifyWith(ctx, it, snap)
-	}, sopts)
-
-	w := ropts.DegradedWatermark
-	if w <= 0 || w > 1 {
-		w = 0.9
-	}
-	watermark := int(w * float64(srv.QueueCapacity()))
-	if watermark < 1 {
-		watermark = 1
-	}
-	rc := &ResilientClient{
+// NewResilientClient builds the pipeline's sharded tier (see
+// NewShardedServer; faults may be nil) and wraps it in the degraded-mode
+// fallback. The caller owns Shutdown/Close on Tier().
+func (p *Pipeline) NewResilientClient(opts serve.ShardedOptions, faults *faultinject.Injector) *ResilientClient {
+	p.Obs.Help(MetricDegradedItems, "items decided on the gate-only degraded path")
+	p.Obs.Help(MetricDegradedBatches, "batches that fell back to degraded mode")
+	return &ResilientClient{
 		p:          p,
-		srv:        srv,
-		retr:       serve.NewRetrier(srv, ropts.Retry),
-		faults:     inj,
-		watermark:  watermark,
-		depth:      sopts.Obs.Gauge(serve.MetricQueueDepth),
+		tier:       p.NewShardedServer(opts, faults),
 		degItems:   p.Obs.Counter(MetricDegradedItems),
 		degBatches: p.Obs.Counter(MetricDegradedBatches),
 	}
-	p.Obs.Help(MetricDegradedItems, "items decided on the gate-only degraded path")
-	p.Obs.Help(MetricDegradedBatches, "batches that fell back to degraded mode")
-	return rc
 }
 
-// Server exposes the underlying serve.Server (for Shutdown/Drain and tests).
-func (rc *ResilientClient) Server() *serve.Server[Decision] { return rc.srv }
-
-// Retrier exposes the backoff retrier (for budget inspection).
-func (rc *ResilientClient) Retrier() *serve.Retrier[Decision] { return rc.retr }
-
-// DegradedMode reports whether the next batch would take the degraded path:
-// the queue sits at or above the load watermark, or the snapshot engine is
-// serving a stale snapshot after a failed rebuild.
-func (rc *ResilientClient) DegradedMode() bool {
-	return int(rc.depth.Value()) >= rc.watermark || rc.p.snaps.Degraded()
-}
+// Tier exposes the serving tier (Shutdown, shard statuses, engine fault
+// hooks, per-shard registries).
+func (rc *ResilientClient) Tier() *serve.ShardedServer[Decision] { return rc.tier }
 
 // Process classifies one batch end to end under the resilience policy:
 //
-//  1. degraded mode active → gate-only decisions immediately (no queueing);
-//  2. otherwise submit with retry/backoff and wait under the caller's ctx;
-//  3. retries exhausted on a saturated queue → gate-only decisions — the
-//     overloaded system answers every item, it just answers conservatively;
-//  4. shutdown or an expired caller deadline → the error, unmasked.
+//  1. tier degraded → every item takes the gate-only path (no queueing);
+//  2. otherwise the batch is scattered and gathered under the caller's ctx;
+//  3. items a full shard queue shed (after that shard's retries) get
+//     gate-only decisions — the overloaded tier answers every item, it just
+//     answers conservatively;
+//  4. shutdown or an expired caller ctx → the error, unmasked.
 //
 // Every submitted item therefore resolves exactly once: with a full
-// decision, a degraded decision, or an explicit error — never silence.
-func (rc *ResilientClient) Process(ctx context.Context, items []*catalog.Item) ([]Decision, *serve.Snapshot, error) {
-	ctx, _ = obs.EnsureRequestID(ctx, "req")
-	if rc.DegradedMode() {
-		out, snap := rc.degrade(ctx, items)
-		return out, snap, nil
-	}
-	ticket, err := rc.retr.Submit(ctx, items)
-	if err != nil {
-		if errors.Is(err, serve.ErrQueueFull) {
-			out, snap := rc.degrade(ctx, items)
-			return out, snap, nil
+// decision, a gate-only decision, or an explicit per-item error (a shard's
+// shutdown drain) — never silence, and never ErrQueueFull.
+func (rc *ResilientClient) Process(ctx context.Context, items []*catalog.Item) (*serve.GatherResult[Decision], error) {
+	// One request ID for the whole batch, shared by its degraded items.
+	ctx, _ = obs.EnsureRequestID(ctx, "scatter")
+	var g *serve.GatherResult[Decision]
+	var shed []int
+	if rc.tier.Degraded() {
+		n := len(items)
+		g = &serve.GatherResult[Decision]{Results: make([]Decision, n), Errs: make([]error, n),
+			Snapshots: make([]*serve.Snapshot, n), ShardOf: make([]int, n), Failed: n}
+		for i, it := range items {
+			g.ShardOf[i] = rc.tier.ShardFor(it)
+			shed = append(shed, i)
 		}
-		return nil, nil, err
+	} else {
+		tk, err := rc.tier.SubmitCtx(ctx, items)
+		if err != nil {
+			return nil, err
+		}
+		if g, err = tk.WaitContext(ctx); err != nil {
+			return nil, err
+		}
+		// A gather can resolve as ctx expires (a dead ctx resolves every
+		// item with ctx.Err()); the expiry is the answer either way.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		for i, e := range g.Errs {
+			if errors.Is(e, serve.ErrQueueFull) {
+				shed = append(shed, i)
+			}
+		}
 	}
-	return ticket.WaitContext(ctx)
+	if len(shed) > 0 {
+		rc.degrade(ctx, items, shed, g)
+	}
+	return g, nil
 }
 
-// degrade runs the gate-only decision path over one batch: items the Gate
-// Keeper (or its Filter) decides keep their normal decision; everything else
-// is declined to the manual queue with reason "degraded". Manual-queue and
-// per-stage accounting run exactly as on the full path, so served + declined
-// totals still add up across modes.
-func (rc *ResilientClient) degrade(ctx context.Context, items []*catalog.Item) ([]Decision, *serve.Snapshot) {
-	out, snap := rc.p.ClassifyDegradedCtx(ctx, items)
+// degrade answers items[idx] gate-only under the tier's current snapshot and
+// marks them served in g.
+func (rc *ResilientClient) degrade(ctx context.Context, items []*catalog.Item, idx []int, g *serve.GatherResult[Decision]) {
+	sub := make([]*catalog.Item, len(idx))
+	for k, i := range idx {
+		sub[k] = items[i]
+	}
+	snap := rc.tier.Engine().Current()
+	out := rc.p.classifyDegraded(ctx, snap, sub)
+	for k, i := range idx {
+		g.Results[i], g.Errs[i], g.Snapshots[i] = out[k], nil, snap
+	}
+	g.Served += len(idx)
+	g.Failed -= len(idx)
 	rc.degBatches.Inc()
-	rc.degItems.Add(int64(len(items)))
-	return out, snap
+	rc.degItems.Add(int64(len(idx)))
 }
 
-// ClassifyDegraded is the pipeline's gate-only decision path, used by the
-// resilience layer under overload and rebuild failure: only stage 1 (Gate
-// Keeper + Filter) runs; undecided items are declined with reason
-// "degraded" and routed to the manual queue. It reads the lock-free Current
-// snapshot — degraded mode must never wait on the rulebase.
-func (p *Pipeline) ClassifyDegraded(items []*catalog.Item) ([]Decision, *serve.Snapshot) {
-	return p.ClassifyDegradedCtx(context.Background(), items)
-}
-
-// ClassifyDegradedCtx is ClassifyDegraded with request-ID propagation. Every
-// item yields an always-captured audit record on the degraded path — the
-// records an operator tails first during an incident.
-func (p *Pipeline) ClassifyDegradedCtx(ctx context.Context, items []*catalog.Item) ([]Decision, *serve.Snapshot) {
+// classifyDegraded is the pipeline's gate-only decision path, used under
+// overload and rebuild failure: only stage 1 (Gate Keeper + Filter) runs on
+// snap; undecided items are declined with reason "degraded" and routed to
+// the manual queue. Manual-queue and per-stage accounting run exactly as on
+// the full path, so served + declined totals still add up across modes.
+// Every item yields an always-captured audit record on the degraded path —
+// the records an operator tails first during an incident.
+func (p *Pipeline) classifyDegraded(ctx context.Context, snap *serve.Snapshot, items []*catalog.Item) []Decision {
 	ctx, _ = obs.EnsureRequestID(ctx, "degraded")
-	snap := p.snaps.Current()
 	out := make([]Decision, len(items))
 	declined := 0
 	for i, it := range items {
@@ -188,5 +155,5 @@ func (p *Pipeline) ClassifyDegradedCtx(ctx context.Context, items []*catalog.Ite
 	p.Obs.Counter(MetricItems).Add(int64(len(items)))
 	p.Obs.Counter(MetricDeclined).Add(int64(declined))
 	p.Obs.Gauge(MetricQueueDepth).Set(float64(qdepth))
-	return out, snap
+	return out
 }

@@ -3,6 +3,8 @@ package chimera
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -36,6 +38,48 @@ func fixtureWithObs(t *testing.T, seed uint64, reg *obs.Registry) (*catalog.Cata
 	return cat, p
 }
 
+// forShardCounts runs f once against a 1-shard and once against a 3-shard
+// tier: the single-server case is the N = 1 tier, not a second frontend.
+func forShardCounts(t *testing.T, f func(t *testing.T, shards int)) {
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { f(t, n) })
+	}
+}
+
+// mutate adds one whitelist rule (a rulebase version bump).
+func mutate(t *testing.T, p *Pipeline, pattern, typ string) {
+	t.Helper()
+	r, err := core.NewWhitelist(pattern, typ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Rules.Add(r, "chaos"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitFor polls cond for up to two seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// shardSum sums one unlabeled serve_* counter over the tier's shard
+// registries.
+func shardSum(tier *serve.ShardedServer[Decision], metric string) int64 {
+	var n int64
+	for i := 0; i < tier.Shards(); i++ {
+		n += tier.ShardRegistry(i).Counter(metric).Value()
+	}
+	return n
+}
+
 // TestClassifyDegradedPropertySubsetOfManualQueue is the degraded-mode
 // property test: for any batch, the gate-only path yields exactly one
 // decision per item (no silent drops); every decision is either a genuine
@@ -45,15 +89,11 @@ func fixtureWithObs(t *testing.T, seed uint64, reg *obs.Registry) (*catalog.Cata
 // never a black hole.
 func TestClassifyDegradedPropertySubsetOfManualQueue(t *testing.T) {
 	cat, p := fixture(t, 91)
-	defer p.Close()
-	p.Snapshots().Acquire() // publish a snapshot current with the rules above
+	snap := p.Snapshots().Acquire() // a snapshot current with the rules above
 	for _, size := range []int{1, 7, 250, 1000} {
 		batch := cat.GenerateBatch(catalog.BatchSpec{Size: size, Epoch: 0})
 		before := p.ManualQueue()
-		decisions, snap := p.ClassifyDegraded(batch)
-		if snap == nil {
-			t.Fatalf("size %d: degraded decisions without a snapshot", size)
-		}
+		decisions := p.classifyDegraded(context.Background(), snap, batch)
 		if len(decisions) != len(batch) {
 			t.Fatalf("size %d: %d decisions for %d items — items dropped", size, len(decisions), len(batch))
 		}
@@ -85,10 +125,8 @@ func TestClassifyDegradedPropertySubsetOfManualQueue(t *testing.T) {
 func TestClassifyDegradedStageAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	cat, p := fixtureWithObs(t, 92, reg)
-	defer p.Close()
-	p.Snapshots().Acquire()
 	batch := cat.GenerateBatch(catalog.BatchSpec{Size: 300, Epoch: 0})
-	out, _ := p.ClassifyDegraded(batch)
+	out := p.classifyDegraded(context.Background(), p.Snapshots().Acquire(), batch)
 	degraded := 0
 	for _, d := range out {
 		if d.Declined && d.Reason == "degraded" {
@@ -106,139 +144,163 @@ func TestClassifyDegradedStageAccounting(t *testing.T) {
 	}
 }
 
-// TestResilientClientDegradesOnSaturation: with the one worker parked on
-// injected handler latency and the queue at the watermark, Process answers
-// every item via the gate-only path instead of surfacing ErrQueueFull —
-// shedding silently is not an outcome.
+// TestResilientClientDegradesOnSaturation: with every shard's one worker
+// parked on injected handler latency and its one queue slot taken, a full
+// shard queue after retries gives gate-only answers — Process answers every
+// item and never returns ErrQueueFull, in the whole batch or per item.
 func TestResilientClientDegradesOnSaturation(t *testing.T) {
 	reg := obs.NewRegistry()
 	cat, p := fixtureWithObs(t, 93, reg)
-	defer p.Close()
-
-	inj := faultinject.New(faultinject.Config{
-		Seed: 5, HandlerLatencyP: 1, HandlerLatency: 50 * time.Millisecond,
-	})
-	rc := p.NewResilientClient(
-		serve.ServerOptions{Workers: 1, QueueDepth: 2, Obs: reg},
-		ResilienceOptions{
-			Retry:             serve.RetryOptions{MaxAttempts: 2, BaseDelay: time.Microsecond, Seed: 5},
-			DegradedWatermark: 0.5, // watermark = 1 queued batch
-			Faults:            inj,
+	forShardCounts(t, func(t *testing.T, shards int) {
+		inj := faultinject.New(faultinject.Config{
+			Seed: 5, HandlerLatencyP: 1, HandlerLatency: 50 * time.Millisecond,
 		})
-	defer rc.Server().Drain()
+		rc := p.NewResilientClient(serve.ShardedOptions{
+			Shards: shards, Workers: 1, QueueDepth: 1, Obs: obs.NewRegistry(),
+			Retry: &serve.RetryOptions{MaxAttempts: 2, BaseDelay: time.Microsecond, Seed: 5},
+		}, inj)
+		tier := rc.Tier()
+		defer tier.Close()
 
-	// Two batches of 4: the worker parks on the first (4 × 50ms of injected
-	// latency), the second sits in the queue, so the depth gauge holds at the
-	// watermark for the whole test body.
-	slow := cat.GenerateBatch(catalog.BatchSpec{Size: 4, Epoch: 0})
-	for i := 0; i < 2; i++ {
-		if _, err := rc.Server().Submit(slow); err != nil {
-			t.Fatal(err)
+		// Park each shard: its worker on one slow batch (2 × 50ms of injected
+		// latency), its single queue slot on a second.
+		slow := cat.GenerateBatch(catalog.BatchSpec{Size: 2, Epoch: 0})
+		for i := 0; i < shards; i++ {
+			srv := tier.Server(i)
+			if _, err := srv.Submit(slow); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "worker pick-up", func() bool { return tier.ShardRegistry(i).Gauge(serve.MetricQueueDepth).Value() == 0 })
+			if _, err := srv.Submit(slow); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if !rc.DegradedMode() {
-		t.Fatal("client not in degraded mode with the queue at the watermark")
-	}
 
-	batch := cat.GenerateBatch(catalog.BatchSpec{Size: 120, Epoch: 0})
-	before := p.ManualQueue()
-	out, snap, err := rc.Process(context.Background(), batch)
-	if err != nil {
-		t.Fatalf("Process must not fail on saturation: %v", err)
-	}
-	if len(out) != len(batch) {
-		t.Fatalf("%d decisions for %d items", len(out), len(batch))
-	}
-	if snap == nil {
-		t.Fatal("degraded decisions must still reference a snapshot")
-	}
-	declined := 0
-	for _, d := range out {
-		if d.Declined {
-			declined++
+		batch := cat.GenerateBatch(catalog.BatchSpec{Size: 120, Epoch: 0})
+		before := p.ManualQueue()
+		degBatches, degItems := reg.Counter(MetricDegradedBatches).Value(), reg.Counter(MetricDegradedItems).Value()
+		g, err := rc.Process(context.Background(), batch)
+		if err != nil {
+			t.Fatalf("Process must not fail on saturation: %v", err)
 		}
-	}
-	if got := p.ManualQueue() - before; got != declined {
-		t.Fatalf("manual queue grew by %d, want %d", got, declined)
-	}
-	if got := reg.Counter(MetricDegradedBatches).Value(); got != 1 {
-		t.Fatalf("degraded-batch counter = %d, want 1", got)
-	}
-	if got := reg.Counter(MetricDegradedItems).Value(); got != int64(len(batch)) {
-		t.Fatalf("degraded-item counter = %d, want %d", got, len(batch))
-	}
-	// The parked worker is asynchronous: give it a moment to demonstrate the
-	// injected latency actually fired.
-	deadline := time.Now().Add(2 * time.Second)
-	for inj.Total() == 0 {
-		if time.Now().After(deadline) {
+		if len(g.Results) != len(batch) || g.Served != len(batch) || g.Failed != 0 || g.Err() != nil {
+			t.Fatalf("%d results, served %d, failed %d (err %v) for %d items", len(g.Results), g.Served, g.Failed, g.Err(), len(batch))
+		}
+		version := tier.Engine().Current().Version()
+		declined := 0
+		for i, d := range g.Results {
+			if g.Snapshots[i] == nil || g.Snapshots[i].Version() != version {
+				t.Fatalf("item %d: gate-only decision without the tier's snapshot", i)
+			}
+			if d.Item != batch[i] {
+				t.Fatalf("item %d: decision not aligned with its item", i)
+			}
+			if d.Declined {
+				declined++
+			}
+		}
+		if got := p.ManualQueue() - before; got != declined {
+			t.Fatalf("manual queue grew by %d, want %d", got, declined)
+		}
+		if got := reg.Counter(MetricDegradedBatches).Value() - degBatches; got != 1 {
+			t.Fatalf("degraded-batch counter moved by %d, want 1", got)
+		}
+		if got := reg.Counter(MetricDegradedItems).Value() - degItems; got != int64(len(batch)) {
+			t.Fatalf("degraded-item counter moved by %d, want %d", got, len(batch))
+		}
+		if shardSum(tier, serve.MetricRetryAttempts) == 0 || shardSum(tier, serve.MetricShed) == 0 {
+			t.Fatal("the saturated shards neither shed nor retried — the fallback was not exercised")
+		}
+		if inj.Total() == 0 {
 			t.Fatal("handler latency was never injected")
 		}
-		time.Sleep(time.Millisecond)
-	}
+	})
 }
 
 // TestResilientClientDegradesWhenEngineDegraded: a failed snapshot rebuild
-// flips the engine to degraded; the client notices, routes around the queue
-// entirely, and resumes full service once a rebuild succeeds again.
+// flips the tier's engine to degraded; the client notices, routes around the
+// queues entirely, and resumes full service once a rebuild succeeds again.
 func TestResilientClientDegradesWhenEngineDegraded(t *testing.T) {
 	reg := obs.NewRegistry()
 	cat, p := fixtureWithObs(t, 94, reg)
-	defer p.Close()
-	rc := p.NewResilientClient(serve.ServerOptions{Workers: 2, QueueDepth: 8, Obs: reg}, ResilienceOptions{})
-	defer rc.Server().Drain()
-
-	inj := faultinject.New(faultinject.Config{Seed: 6, RebuildErrorP: 1})
-	p.Snapshots().SetRebuildFault(inj.RebuildFault)
-	// Mutate so the async loop attempts (and fails) a rebuild.
-	mutate := func(pattern, typ string) {
-		t.Helper()
-		r, err := core.NewWhitelist(pattern, typ)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Rules.Add(r, "chaos"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mutate("satchels?", "handbags")
-	deadline := time.Now().Add(2 * time.Second)
-	for !p.Snapshots().Degraded() {
-		if time.Now().After(deadline) {
-			t.Fatal("engine never became degraded despite a p=1 rebuild fault")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if !rc.DegradedMode() {
-		t.Fatal("client does not report degraded mode while the engine is degraded")
-	}
-
 	batch := cat.GenerateBatch(catalog.BatchSpec{Size: 50, Epoch: 0})
-	out, _, err := rc.Process(context.Background(), batch)
-	if err != nil || len(out) != len(batch) {
-		t.Fatalf("degraded Process: err=%v decisions=%d", err, len(out))
-	}
-	if reg.Counter(MetricDegradedBatches).Value() == 0 {
-		t.Fatal("degraded-batch counter did not move")
+	forShardCounts(t, func(t *testing.T, shards int) {
+		rc := p.NewResilientClient(serve.ShardedOptions{Shards: shards, Workers: 2, QueueDepth: 8, Obs: obs.NewRegistry()}, nil)
+		tier := rc.Tier()
+		defer tier.Close()
+
+		inj := faultinject.New(faultinject.Config{Seed: 6, RebuildErrorP: 1})
+		tier.Engine().SetRebuildFault(inj.RebuildFault)
+		// Mutate so the async loop attempts (and fails) a rebuild.
+		mutate(t, p, fmt.Sprintf("satchels? %d", shards), "handbags")
+		waitFor(t, "a degraded tier under a p=1 rebuild fault", tier.Degraded)
+
+		degBatches := reg.Counter(MetricDegradedBatches).Value()
+		g, err := rc.Process(context.Background(), batch)
+		if err != nil || g.Served != len(batch) {
+			t.Fatalf("degraded Process: err=%v served=%d", err, g.Served)
+		}
+		if reg.Counter(MetricDegradedBatches).Value() == degBatches {
+			t.Fatal("degraded-batch counter did not move")
+		}
+		if n := shardSum(tier, serve.MetricItems); n != 0 {
+			t.Fatalf("a degraded tier queued %d items; degraded mode must bypass the shards", n)
+		}
+
+		// Clearing the fault recovers: the next mutation's rebuild succeeds and
+		// the client leaves degraded mode.
+		tier.Engine().SetRebuildFault(nil)
+		mutate(t, p, fmt.Sprintf("totes? %d", shards), "handbags")
+		waitFor(t, "recovery after the fault was cleared", func() bool { return !tier.Degraded() })
+		degBatches = reg.Counter(MetricDegradedBatches).Value()
+		g, err = rc.Process(context.Background(), batch)
+		if err != nil || g.Served != len(batch) {
+			t.Fatalf("recovered Process: err=%v served=%d", err, g.Served)
+		}
+		if reg.Counter(MetricDegradedBatches).Value() != degBatches {
+			t.Fatal("a recovered tier still answered gate-only")
+		}
+	})
+}
+
+// TestResilientClientDegradedReadsTierSnapshot: degraded decisions come from
+// the tier's published snapshot, not the pipeline's own passive engine, which
+// can be arbitrarily stale — here it is pinned two versions back.
+func TestResilientClientDegradedReadsTierSnapshot(t *testing.T) {
+	cat, p := provFixture(t, 96, false)
+	stale := p.Snapshots().Acquire().Version()
+	rc := p.NewResilientClient(serve.ShardedOptions{Shards: 3, Obs: obs.NewRegistry()}, nil)
+	tier := rc.Tier()
+	defer tier.Close()
+
+	mutate(t, p, "clutch bags?", "handbags")
+	waitFor(t, "the tier publishing the mutation", func() bool { return tier.Engine().Current().Version() == p.Rules.Version() })
+	tier.Engine().SetRebuildFault(faultinject.New(faultinject.Config{Seed: 7, RebuildErrorP: 1}).RebuildFault)
+	mutate(t, p, "hobo bags?", "handbags")
+	waitFor(t, "a degraded tier", tier.Degraded)
+	version := tier.Engine().Current().Version()
+	if version == stale || version == p.Rules.Version() {
+		t.Fatalf("tier at %d, pipeline engine at %d, rulebase at %d: the versions must all differ", version, stale, p.Rules.Version())
 	}
 
-	// Clearing the fault recovers: the next mutation's rebuild succeeds and
-	// the client leaves degraded mode.
-	p.Snapshots().SetRebuildFault(nil)
-	mutate("totes?", "handbags")
-	deadline = time.Now().Add(2 * time.Second)
-	for p.Snapshots().Degraded() {
-		if time.Now().After(deadline) {
-			t.Fatal("engine never recovered after the fault was cleared")
+	items := cat.GenerateBatch(catalog.BatchSpec{Size: 40, Epoch: 1})
+	g, err := rc.Process(context.Background(), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range items {
+		if v := g.Snapshots[i].Version(); v != version {
+			t.Fatalf("item %d: degraded under snapshot %d, tier serves %d", i, v, version)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	if rc.DegradedMode() {
-		t.Fatal("client still degraded after recovery with an empty queue")
+	recs := recordsByItem(t, p, obs.PathDegraded)
+	if len(recs) != len(items) {
+		t.Fatalf("got %d degraded records for %d items", len(recs), len(items))
 	}
-	out, snap, err := rc.Process(context.Background(), batch)
-	if err != nil || snap == nil || len(out) != len(batch) {
-		t.Fatalf("recovered Process: err=%v snap=%v decisions=%d", err, snap, len(out))
+	for _, it := range items {
+		if r := recs[it.ID]; r.SnapshotVersion != version {
+			t.Fatalf("item %s: record at snapshot %d, tier serves %d", it.ID, r.SnapshotVersion, version)
+		}
 	}
 }
 
@@ -249,17 +311,46 @@ func TestResilientClientDegradesWhenEngineDegraded(t *testing.T) {
 func TestResilientClientPropagatesRealErrors(t *testing.T) {
 	reg := obs.NewRegistry()
 	cat, p := fixtureWithObs(t, 95, reg)
-	defer p.Close()
-	rc := p.NewResilientClient(serve.ServerOptions{Workers: 1, QueueDepth: 4, Obs: reg}, ResilienceOptions{})
-	rc.Server().Drain()
-
 	batch := cat.GenerateBatch(catalog.BatchSpec{Size: 5, Epoch: 0})
-	if _, _, err := rc.Process(context.Background(), batch); !errors.Is(err, serve.ErrShutdown) {
-		t.Fatalf("got %v, want ErrShutdown", err)
+	forShardCounts(t, func(t *testing.T, shards int) {
+		rc := p.NewResilientClient(serve.ShardedOptions{Shards: shards, Workers: 1, QueueDepth: 4, Obs: obs.NewRegistry()}, nil)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := rc.Process(ctx, batch); !errors.Is(err, context.Canceled) {
+			t.Fatalf("got %v, want context.Canceled", err)
+		}
+		rc.Tier().Close()
+		if _, err := rc.Process(context.Background(), batch); !errors.Is(err, serve.ErrShutdown) {
+			t.Fatalf("got %v, want ErrShutdown", err)
+		}
+	})
+}
+
+// TestResilientClientShutdownLeaksNoGoroutines: once a 3-shard client that
+// served traffic is shut down, every goroutine it started — shard workers,
+// scatter parts, gathers, the tier engine's rebuild loop — has exited.
+func TestResilientClientShutdownLeaksNoGoroutines(t *testing.T) {
+	cat, p := fixtureWithObs(t, 97, obs.NewRegistry())
+	batch := cat.GenerateBatch(catalog.BatchSpec{Size: 60, Epoch: 0})
+	baseline := runtime.NumGoroutine()
+
+	rc := p.NewResilientClient(serve.ShardedOptions{Shards: 3, Obs: obs.NewRegistry()}, nil)
+	for i := 0; i < 5; i++ {
+		if _, err := rc.Process(context.Background(), batch); err != nil {
+			t.Fatal(err)
+		}
+		mutate(t, p, fmt.Sprintf("leak probe %d", i), "rings")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := rc.Process(ctx, batch); !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
+	if err := rc.Tier().Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Shutdown, %d before the client:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -98,7 +98,6 @@ type Engine struct {
 	buildErrs *obs.Counter
 	degGauge  *obs.Gauge
 
-	started   atomic.Bool
 	startOnce sync.Once
 	closeOnce sync.Once
 	kick      chan struct{}
@@ -235,11 +234,6 @@ func (e *Engine) SetRebuildFault(hook RebuildFaultHook) {
 	e.rebuildFault.Store(&hook)
 }
 
-// Started reports whether the async rebuild loop is running — the signal for
-// hot read paths to prefer the lock-free Current over the version-checked
-// Acquire (which reads the rulebase version under its mutex).
-func (e *Engine) Started() bool { return e.started.Load() }
-
 func (e *Engine) publish(snap *Snapshot, buildTime time.Duration) {
 	e.cur.Store(snap)
 	e.swaps.Inc()
@@ -253,7 +247,6 @@ func (e *Engine) publish(snap *Snapshot, buildTime time.Duration) {
 // Start, readers on Current never block on maintenance.
 func (e *Engine) Start() {
 	e.startOnce.Do(func() {
-		e.started.Store(true)
 		e.unsub = e.rb.Subscribe(func(uint64) {
 			select {
 			case e.kick <- struct{}{}:
@@ -293,7 +286,6 @@ func (e *Engine) loop() {
 // snapshot stays valid; Acquire keeps working in passive mode.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
-		e.started.Store(false) // hot paths fall back to version-checked Acquire
 		if e.unsub != nil {
 			e.unsub()
 		}

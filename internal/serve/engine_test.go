@@ -74,23 +74,6 @@ func TestAcquireCachesByVersion(t *testing.T) {
 	}
 }
 
-// TestEngineStartedFlag: Started flips on Start and back off on Close — the
-// signal hot read paths use to choose Current over Acquire.
-func TestEngineStartedFlag(t *testing.T) {
-	eng, _ := testEngine(t)
-	if eng.Started() {
-		t.Fatal("passive engine reports started")
-	}
-	eng.Start()
-	if !eng.Started() {
-		t.Fatal("started engine reports passive")
-	}
-	eng.Close()
-	if eng.Started() {
-		t.Fatal("closed engine still reports started")
-	}
-}
-
 // TestEngineRebuildFaultKeepsStaleSnapshot: an injected rebuild failure must
 // not tear or nil the published snapshot — the engine keeps serving the last
 // good one, flags itself degraded and counts the error; clearing the fault

@@ -119,9 +119,6 @@ type Server[R any] struct {
 // for load watermarks over the MetricQueueDepth gauge.
 func (s *Server[R]) QueueCapacity() int { return cap(s.queue) }
 
-// Engine returns the snapshot engine the server classifies through.
-func (s *Server[R]) Engine() *Engine { return s.eng }
-
 // Registry returns the registry the server's metrics land in.
 func (s *Server[R]) Registry() *obs.Registry { return s.obs }
 

@@ -452,12 +452,11 @@ func (s *ShardedServer[R]) Submit(items []*catalog.Item) (*ShardedTicket[R], err
 // shard's retrier when configured), and the ticket merges the verdicts back
 // in input order. Submission never blocks on a full shard queue — that
 // shard's items resolve with ErrQueueFull in the gather while other shards
-// proceed. Errors returned here are global only: an already-expired ctx, or
-// ErrShutdown after Shutdown began.
+// proceed. An already-expired ctx is scattered like any other: each shard
+// server counts and audits the expiry, and the gather resolves those items
+// with the context error. The only error returned here is ErrShutdown after
+// Shutdown began.
 func (s *ShardedServer[R]) SubmitCtx(ctx context.Context, items []*catalog.Item) (*ShardedTicket[R], error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if s.closed.Load() {
 		return nil, ErrShutdown
 	}

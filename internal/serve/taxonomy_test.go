@@ -3,10 +3,13 @@ package serve
 import (
 	"context"
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -89,6 +92,53 @@ func TestTaxonomySubmitTimeExpiry(t *testing.T) {
 	}
 	if rec.SnapshotVersion != 0 {
 		t.Fatalf("audit SnapshotVersion = %d, want 0 (no snapshot consulted)", rec.SnapshotVersion)
+	}
+}
+
+// TestTaxonomyTierSubmitTimeExpiry: a scatter submitted with an already-dead
+// context takes the same taxonomy bucket through the tier — every item
+// resolves with the context error, counts once in serve_shard_expired_total,
+// and leaves one OutcomeExpired serve record carrying the scatter request ID.
+func TestTaxonomyTierSubmitTimeExpiry(t *testing.T) {
+	reg := obs.NewRegistry()
+	audit := obs.NewAuditLog(obs.AuditConfig{Capacity: 64, SampleEvery: 1})
+	srv := NewShardedServer(core.NewRulebase(), explainHandler, ShardedOptions{
+		Shards: 3, RouteKey: routeByID, Obs: reg, Audit: audit,
+	})
+	defer srv.Close()
+	var items []*catalog.Item
+	for i := 0; i < 12; i++ {
+		items = append(items, &catalog.Item{ID: "doa-" + strconv.Itoa(i)})
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tk, err := srv.SubmitCtx(ctx, items)
+	if err != nil {
+		t.Fatalf("SubmitCtx with dead ctx: %v, want a ticket whose items resolve expired", err)
+	}
+	res := tk.Wait()
+	for i, e := range res.Errs {
+		if !errors.Is(e, context.Canceled) {
+			t.Fatalf("item %d: err %v, want context.Canceled", i, e)
+		}
+	}
+	var expired int64
+	for i := 0; i < srv.Shards(); i++ {
+		expired += reg.Counter(MetricShardExpired, "shard", strconv.Itoa(i)).Value()
+	}
+	if expired != int64(len(items)) {
+		t.Fatalf("serve_shard_expired_total over shards = %d, want %d", expired, len(items))
+	}
+	recs := audit.Tail(audit.Capacity())
+	if len(recs) != len(items) {
+		t.Fatalf("%d audit records for %d items", len(recs), len(items))
+	}
+	for _, rec := range recs {
+		if rec.Path != obs.PathServe || rec.Outcome != obs.OutcomeExpired || !strings.HasPrefix(rec.RequestID, "scatter-") {
+			t.Fatalf("audit record (path, outcome, request) = (%q, %q, %q), want (%q, %q, scatter-…)",
+				rec.Path, rec.Outcome, rec.RequestID, obs.PathServe, obs.OutcomeExpired)
+		}
 	}
 }
 

@@ -24,8 +24,25 @@ echo "== go test -race (obs, core, serve incl. sim soak + sharded chaos harness,
 go test -race ./internal/obs ./internal/core ./internal/serve ./internal/catalog \
     ./internal/faultinject ./internal/crowd ./internal/opshttp ./internal/persist
 
-echo "== go test -race (chimera resilience + decision provenance + sharded tier + shared rule telemetry under concurrent batches) =="
-go test -race ./internal/chimera -run 'TestResilientClient|TestClassifyDegraded|TestProvenance|TestShardedServer|TestRuleHealthSeesShardedTraffic|TestConcurrentProcessBatches'
+# race_run PKG PATTERN runs go test -race PKG -run PATTERN, but first fails
+# if any |-alternative of PATTERN matches no test in PKG (go test -list), so
+# a renamed or deleted test cannot drop out of the race list silently.
+race_run() {
+    listed=$(go test -list '.*' "$1")
+    old_ifs=$IFS
+    IFS='|'
+    for alt in $2; do
+        if ! printf '%s\n' "$listed" | grep -Eq "$alt"; then
+            echo "verify: -run alternative '$alt' matches no test in $1" >&2
+            exit 1
+        fi
+    done
+    IFS=$old_ifs
+    go test -race "$1" -run "$2"
+}
+
+echo "== go test -race (chimera resilience over the tier + decision provenance + sharded tier + shared rule telemetry under concurrent batches) =="
+race_run ./internal/chimera 'TestResilientClient|TestResilientClientShutdownLeaksNoGoroutines|TestResilientClientDegradedReadsTierSnapshot|TestClassifyDegraded|TestProvenance|TestShardedServer|TestRuleHealthSeesShardedTraffic|TestConcurrentProcessBatches'
 
 echo "== fuzz smoke (10s per target) =="
 go test -fuzz=FuzzParseRule -fuzztime=10s -run '^$' ./internal/pattern
