@@ -364,7 +364,7 @@ func (p *Pipeline) ManualQueue() int {
 // has been processed. The report feeds core.PlanHealthActions /
 // Rulebase.ApplyHealthActions — the §4 loop from telemetry to maintenance.
 func (p *Pipeline) RuleHealth(minConfidence float64) []core.RuleHealth {
-	return p.snaps.Acquire().RuleTelemetry().Health(minConfidence)
+	return p.snaps.Acquire().Rules().Health(minConfidence)
 }
 
 // Classify runs one item through the Figure-2 stages.

@@ -30,16 +30,18 @@ type Change struct {
 // respond by re-snapshotting the full state rather than appending.
 const ActionLoad = "load"
 
-// SubscribeChanges registers fn to receive every subsequent mutation as an
+// SubscribeChanges registers fn to receive every subsequent mutation — live
+// mutations, ApplyChange replays and UnmarshalJSON loads alike — as an
 // applyable Change record, and returns the rulebase version as of
-// registration — the two are read atomically, so every mutation with
-// Entry.Version > version is guaranteed to be delivered. Deliveries run
-// outside the rulebase lock on the mutating goroutine and may therefore
-// arrive out of version order under concurrent mutators; a durability layer
-// must reorder by Entry.Version (and drop the occasional duplicate of a
-// version ≤ the registration version from a mutation that raced
-// registration). fn must be fast and non-blocking. The returned cancel
-// removes the subscription.
+// registration. The two are read atomically, so fn receives exactly the
+// versions after version, in version order: deliveries run on the committing
+// goroutine, outside the rulebase lock, and the next commit waits until every
+// subscriber has returned.
+//
+// fn may read the rulebase but must not mutate it (the mutation would wait
+// for the delivery that is calling it). Every mutator waits on fn, so it
+// should be fast — typically a non-blocking send that wakes an async loop.
+// The returned cancel removes the subscription.
 func (rb *Rulebase) SubscribeChanges(fn func(Change)) (cancel func(), version uint64) {
 	// Holding the read half of rb.mu blocks mutators for the duration of the
 	// registration, making the (subscriber set, version) pair consistent.
@@ -63,7 +65,7 @@ func (rb *Rulebase) SubscribeChanges(fn func(Change)) (cancel func(), version ui
 
 // hasChangeSubs reports whether any change subscriber is registered, so
 // mutators can skip building the (allocating) Change payload when nobody
-// listens. Callers may hold rb.mu — the lock order is always mu before subMu.
+// listens. Called under rb.mu — the lock order is always mu before subMu.
 func (rb *Rulebase) hasChangeSubs() bool {
 	rb.subMu.RLock()
 	n := len(rb.chSubs)
@@ -71,22 +73,20 @@ func (rb *Rulebase) hasChangeSubs() bool {
 	return n > 0
 }
 
-// notifyChange delivers a mutation's Change record; callers must NOT hold
-// rb.mu.
-func (rb *Rulebase) notifyChange(ch Change) {
+// changeSubs copies the subscriber set (nil when empty). commit calls it
+// under rb.mu, which excludes registration, so the copy holds exactly the
+// subscribers registered before the commit's version.
+func (rb *Rulebase) changeSubs() []func(Change) {
 	rb.subMu.RLock()
+	defer rb.subMu.RUnlock()
 	if len(rb.chSubs) == 0 {
-		rb.subMu.RUnlock()
-		return
+		return nil
 	}
 	fns := make([]func(Change), 0, len(rb.chSubs))
 	for _, fn := range rb.chSubs {
 		fns = append(fns, fn)
 	}
-	rb.subMu.RUnlock()
-	for _, fn := range fns {
-		fn(ch)
-	}
+	return fns
 }
 
 // statusForAction maps a lifecycle audit action to the state it produces.
@@ -102,67 +102,59 @@ var statusForAction = map[string]Status{
 // clock stamps. Records must be applied in order — Entry.Version must be
 // exactly Version()+1 — which is how a WAL replayer detects gaps.
 //
-// Replay notifies version subscribers (so a serving engine tracking the
-// rulebase rebuilds) but NOT change subscribers: an attached durability layer
-// must not re-log what it is replaying. Mutation metrics are also not
-// counted — replay reconstructs history, it does not make new history.
+// Replay is delivered to subscribers like any live mutation, so a serving
+// engine tracking the rulebase rebuilds. A durability layer never hears its
+// own replay because persist.Store.Restore must precede Attach. Mutation
+// metrics are not counted — replay reconstructs history, it does not make
+// new history.
 func (rb *Rulebase) ApplyChange(ch Change) error {
-	rb.mu.Lock()
-	if ch.Entry.Version != rb.version+1 {
-		have := rb.version
-		rb.mu.Unlock()
-		return fmt.Errorf("core: change version %d does not follow rulebase version %d", ch.Entry.Version, have)
-	}
-	switch ch.Entry.Action {
-	case "add":
-		if ch.Rule == nil {
-			rb.mu.Unlock()
-			return fmt.Errorf("core: add change %d has no rule payload", ch.Entry.Version)
+	return rb.commit(func() (Change, error) {
+		if ch.Entry.Version != rb.version+1 {
+			return Change{}, fmt.Errorf("core: change version %d does not follow rulebase version %d", ch.Entry.Version, rb.version)
 		}
-		r := ch.Rule.Clone()
-		if r.ID == "" || r.ID != ch.Entry.RuleID {
-			rb.mu.Unlock()
-			return fmt.Errorf("core: add change %d rule id %q does not match entry %q", ch.Entry.Version, r.ID, ch.Entry.RuleID)
-		}
-		if _, exists := rb.rules[r.ID]; exists {
-			rb.mu.Unlock()
-			return fmt.Errorf("core: add change %d duplicates rule %q", ch.Entry.Version, r.ID)
-		}
-		rb.rules[r.ID] = r
-		rb.order = append(rb.order, r.ID)
-		// Advance (never rewind) the auto-ID counter; max semantics keep a
-		// concurrent live add from being undone.
-		for {
-			cur := rb.nextID.Load()
-			if int64(ch.NextID) <= cur || rb.nextID.CompareAndSwap(cur, int64(ch.NextID)) {
-				break
+		switch ch.Entry.Action {
+		case "add":
+			if ch.Rule == nil {
+				return Change{}, fmt.Errorf("core: add change %d has no rule payload", ch.Entry.Version)
 			}
+			r := ch.Rule.Clone()
+			if r.ID == "" || r.ID != ch.Entry.RuleID {
+				return Change{}, fmt.Errorf("core: add change %d rule id %q does not match entry %q", ch.Entry.Version, r.ID, ch.Entry.RuleID)
+			}
+			if _, exists := rb.rules[r.ID]; exists {
+				return Change{}, fmt.Errorf("core: add change %d duplicates rule %q", ch.Entry.Version, r.ID)
+			}
+			rb.rules[r.ID] = r
+			rb.order = append(rb.order, r.ID)
+			// Advance (never rewind) the auto-ID counter; max semantics keep
+			// a concurrent live add from being undone.
+			for {
+				cur := rb.nextID.Load()
+				if int64(ch.NextID) <= cur || rb.nextID.CompareAndSwap(cur, int64(ch.NextID)) {
+					break
+				}
+			}
+		case "disable", "enable", "retire":
+			r, ok := rb.rules[ch.Entry.RuleID]
+			if !ok {
+				return Change{}, fmt.Errorf("core: %s change %d targets unknown rule %q", ch.Entry.Action, ch.Entry.Version, ch.Entry.RuleID)
+			}
+			r.Status = statusForAction[ch.Entry.Action]
+			r.UpdatedAt = ch.Entry.Version
+		case "update":
+			r, ok := rb.rules[ch.Entry.RuleID]
+			if !ok {
+				return Change{}, fmt.Errorf("core: update change %d targets unknown rule %q", ch.Entry.Version, ch.Entry.RuleID)
+			}
+			r.Confidence = ch.Confidence
+			r.UpdatedAt = ch.Entry.Version
+		default:
+			return Change{}, fmt.Errorf("core: change %d has unknown action %q", ch.Entry.Version, ch.Entry.Action)
 		}
-	case "disable", "enable", "retire":
-		r, ok := rb.rules[ch.Entry.RuleID]
-		if !ok {
-			rb.mu.Unlock()
-			return fmt.Errorf("core: %s change %d targets unknown rule %q", ch.Entry.Action, ch.Entry.Version, ch.Entry.RuleID)
-		}
-		r.Status = statusForAction[ch.Entry.Action]
-		r.UpdatedAt = ch.Entry.Version
-	case "update":
-		r, ok := rb.rules[ch.Entry.RuleID]
-		if !ok {
-			rb.mu.Unlock()
-			return fmt.Errorf("core: update change %d targets unknown rule %q", ch.Entry.Version, ch.Entry.RuleID)
-		}
-		r.Confidence = ch.Confidence
-		r.UpdatedAt = ch.Entry.Version
-	default:
-		rb.mu.Unlock()
-		return fmt.Errorf("core: change %d has unknown action %q", ch.Entry.Version, ch.Entry.Action)
-	}
-	rb.version = ch.Entry.Version
-	rb.audit = append(rb.audit, ch.Entry)
-	rb.mu.Unlock()
-	rb.notify(ch.Entry.Version)
-	return nil
+		rb.version = ch.Entry.Version
+		rb.audit = append(rb.audit, ch.Entry)
+		return ch, nil
+	})
 }
 
 // Clone returns a deep copy of the rule: slices are copied, the compiled

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 )
@@ -185,32 +186,138 @@ func TestApplyChangeValidation(t *testing.T) {
 	}
 }
 
-// TestApplyChangeDoesNotEcho: replay must not be re-delivered to change
-// subscribers (a durability layer would otherwise re-log its own replay),
-// but version subscribers do hear it (serving engines must rebuild).
-func TestApplyChangeDoesNotEcho(t *testing.T) {
+// TestApplyChangeDelivers: replay is delivered on the same feed as live
+// mutations (serving engines must rebuild), with entries equal to the source
+// stream, and the delivered stream replays onto a third rulebase byte for
+// byte.
+func TestApplyChangeDelivers(t *testing.T) {
 	src := NewRulebase()
 	stream, cancel, _ := collectChanges(src)
 	scriptedMutations(t, src)
 	cancel()
 
 	dst := NewRulebase()
-	echoes, cancelEcho, _ := collectChanges(dst)
-	defer cancelEcho()
-	var versions []uint64
-	cancelVer := dst.Subscribe(func(v uint64) { versions = append(versions, v) })
-	defer cancelVer()
-
+	delivered, cancelDst, _ := collectChanges(dst)
+	defer cancelDst()
 	for _, ch := range *stream {
 		if err := dst.ApplyChange(ch); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(*echoes) != 0 {
-		t.Fatalf("replay echoed %d changes to change subscribers", len(*echoes))
+	if len(*delivered) != len(*stream) {
+		t.Fatalf("replay delivered %d changes, want %d", len(*delivered), len(*stream))
 	}
-	if len(versions) != len(*stream) {
-		t.Fatalf("version subscribers heard %d notifications, want %d", len(versions), len(*stream))
+	for i, ch := range *delivered {
+		if ch.Entry != (*stream)[i].Entry {
+			t.Fatalf("delivered change %d entry = %+v, want %+v", i, ch.Entry, (*stream)[i].Entry)
+		}
+	}
+
+	third := NewRulebase()
+	for _, ch := range *delivered {
+		if err := third.ApplyChange(ch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := json.Marshal(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rb := range map[string]*Rulebase{"dst": dst, "third": third} {
+		got, err := json.Marshal(rb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%s state differs from source:\nsource: %s\n%s: %s", name, want, name, got)
+		}
+	}
+}
+
+// TestChangeFeedOrdered: a second mutator that commits while the first
+// commit's delivery is still running is delivered after it. The version-1
+// delivery waits (up to 100 ms) for version 2 to be recorded; an unordered
+// feed records [2 1].
+func TestChangeFeedOrdered(t *testing.T) {
+	rb := NewRulebase()
+	var mu sync.Mutex
+	var order []uint64
+	record := func(v uint64) {
+		mu.Lock()
+		order = append(order, v)
+		mu.Unlock()
+	}
+	firstBegun := make(chan struct{})
+	secondRecorded := make(chan struct{})
+	cancel, _ := rb.SubscribeChanges(func(ch Change) {
+		switch ch.Entry.Version {
+		case 1:
+			close(firstBegun)
+			select {
+			case <-secondRecorded:
+			case <-time.After(100 * time.Millisecond):
+			}
+			record(1)
+		case 2:
+			record(2)
+			close(secondRecorded)
+		}
+	})
+	defer cancel()
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := rb.Add(mustRule(NewWhitelist("first", "t")), "a")
+		done <- err
+	}()
+	<-firstBegun
+	if _, err := rb.Add(mustRule(NewWhitelist("second", "t")), "b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(order, []uint64{1, 2}) {
+		t.Fatalf("delivery order = %v, want [1 2]", order)
+	}
+}
+
+// TestFailedLoadLeavesRulebaseUntouched: a load that fails validation (a
+// duplicated rule entry) changes nothing and delivers nothing.
+func TestFailedLoadLeavesRulebaseUntouched(t *testing.T) {
+	rb := NewRulebase()
+	for _, src := range []string{"rings?", "jeans?", "oils?"} {
+		if _, err := rb.Add(mustRule(NewWhitelist(src, "t-"+src)), "ana"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := json.Marshal(rb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered, cancel, _ := collectChanges(rb)
+	defer cancel()
+
+	foreign := mustRule(NewWhitelist("records?", "vinyl"))
+	foreign.ID = "X000001"
+	bad, err := json.Marshal(rulebaseJSON{Version: 1, NextID: 1, Rules: []*Rule{foreign, foreign}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(bad, rb); err == nil {
+		t.Fatal("load with a duplicated rule entry accepted")
+	}
+	after, err := json.Marshal(rb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Fatalf("failed load changed the rulebase:\nbefore: %s\nafter:  %s", before, after)
+	}
+	if len(*delivered) != 0 {
+		t.Fatalf("failed load delivered %d changes", len(*delivered))
 	}
 }
 

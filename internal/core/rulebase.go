@@ -25,7 +25,14 @@ type AuditEntry struct {
 // record that §4 argues industrial systems lack ("tens of thousands of rules
 // managed today in an ad-hoc fashion"). Every mutation bumps a logical clock
 // and appends to the audit log.
+//
+// Every state change goes through commit. Lock order: commitMu, then mu, then
+// subMu, never the reverse.
 type Rulebase struct {
+	// commitMu serializes whole commits — state change plus delivery — so
+	// subscribers see changes in version order.
+	commitMu sync.Mutex
+
 	mu      sync.RWMutex
 	rules   map[string]*Rule
 	order   []string // insertion order for deterministic iteration
@@ -38,12 +45,10 @@ type Rulebase struct {
 	// entering the critical section.
 	nextID atomic.Int64
 
-	// Mutation subscribers (see Subscribe and SubscribeChanges). Guarded
-	// separately from mu so notifications run outside the rulebase lock and
-	// subscribers may call back into the rulebase (e.g. to take an
-	// ActiveView). Lock order: mu before subMu, never the reverse.
+	// Change subscribers (see SubscribeChanges). Guarded separately from mu
+	// so delivery runs outside the rulebase lock and subscribers may read the
+	// rulebase (e.g. take an ActiveView).
 	subMu   sync.RWMutex
-	subs    map[int]func(version uint64)
 	chSubs  map[int]func(Change)
 	nextSub int
 }
@@ -97,43 +102,26 @@ func (rb *Rulebase) ActiveView() (version uint64, active []*Rule) {
 	return rb.version, active
 }
 
-// Subscribe registers fn to run after every completed mutation, with the
-// version that mutation produced. Notifications are delivered outside the
-// rulebase lock (subscribers may safely read the rulebase) and on the
-// mutating goroutine, so fn must be fast and non-blocking — typically a
-// non-blocking send that wakes an async rebuild loop. The returned cancel
-// removes the subscription.
-func (rb *Rulebase) Subscribe(fn func(version uint64)) (cancel func()) {
-	rb.subMu.Lock()
-	if rb.subs == nil {
-		rb.subs = map[int]func(uint64){}
+// commit is the rulebase's one write path. mutate runs under the write lock
+// and returns the Change it made — the zero Change when it changed nothing —
+// or an error. A Change is then delivered to every subscriber registered
+// before the commit: outside rb.mu, so readers never wait on a subscriber,
+// but still under commitMu, so the next commit waits and every subscriber
+// sees changes in version order.
+func (rb *Rulebase) commit(mutate func() (Change, error)) error {
+	rb.commitMu.Lock()
+	defer rb.commitMu.Unlock()
+	rb.mu.Lock()
+	ch, err := mutate()
+	var fns []func(Change)
+	if err == nil && ch.Entry.Action != "" {
+		fns = rb.changeSubs()
 	}
-	id := rb.nextSub
-	rb.nextSub++
-	rb.subs[id] = fn
-	rb.subMu.Unlock()
-	return func() {
-		rb.subMu.Lock()
-		delete(rb.subs, id)
-		rb.subMu.Unlock()
-	}
-}
-
-// notify delivers a mutation notification; callers must NOT hold rb.mu.
-func (rb *Rulebase) notify(version uint64) {
-	rb.subMu.RLock()
-	if len(rb.subs) == 0 {
-		rb.subMu.RUnlock()
-		return
-	}
-	fns := make([]func(uint64), 0, len(rb.subs))
-	for _, fn := range rb.subs {
-		fns = append(fns, fn)
-	}
-	rb.subMu.RUnlock()
+	rb.mu.Unlock()
 	for _, fn := range fns {
-		fn(version)
+		fn(ch)
 	}
+	return err
 }
 
 // Len returns the total number of rules (all statuses).
@@ -146,18 +134,8 @@ func (rb *Rulebase) Len() int {
 // Add inserts a rule, assigning its ID and clock stamps. The actor is
 // recorded in the audit log and as the rule author when the rule has none.
 func (rb *Rulebase) Add(r *Rule, actor string) (string, error) {
-	id, ch, err := rb.addLocked(r, actor)
-	if err != nil {
-		return "", err
-	}
-	rb.notify(ch.Entry.Version)
-	rb.notifyChange(ch)
-	return id, nil
-}
-
-func (rb *Rulebase) addLocked(r *Rule, actor string) (string, Change, error) {
 	if r == nil {
-		return "", Change{}, fmt.Errorf("core: nil rule")
+		return "", fmt.Errorf("core: nil rule")
 	}
 	// Assign the auto-ID and render the audit note before taking rb.mu: both
 	// allocate (fmt formatting over the whole rule), and the serving path
@@ -168,32 +146,35 @@ func (rb *Rulebase) addLocked(r *Rule, actor string) (string, Change, error) {
 		r.ID = fmt.Sprintf("R%06d", rb.nextID.Add(1))
 	}
 	note := r.String()
-	rb.mu.Lock()
-	if _, exists := rb.rules[r.ID]; exists {
-		rb.mu.Unlock()
-		return "", Change{}, fmt.Errorf("core: rule id %q already present", r.ID)
+	err := rb.commit(func() (Change, error) {
+		if _, exists := rb.rules[r.ID]; exists {
+			return Change{}, fmt.Errorf("core: rule id %q already present", r.ID)
+		}
+		rb.version++
+		r.CreatedAt = rb.version
+		r.UpdatedAt = rb.version
+		if r.Author == "" {
+			r.Author = actor
+		}
+		rb.rules[r.ID] = r
+		rb.order = append(rb.order, r.ID)
+		entry := AuditEntry{rb.version, "add", r.ID, actor, note}
+		rb.audit = append(rb.audit, entry)
+		rb.countMutation("add")
+		ch := Change{Entry: entry}
+		if rb.hasChangeSubs() {
+			// Freeze the rule content at mutation time: once rb.mu is
+			// released the inserted rule is shared and may be mutated again
+			// before the change record is consumed.
+			ch.Rule = r.Clone()
+			ch.NextID = int(rb.nextID.Load())
+		}
+		return ch, nil
+	})
+	if err != nil {
+		return "", err
 	}
-	rb.version++
-	r.CreatedAt = rb.version
-	r.UpdatedAt = rb.version
-	if r.Author == "" {
-		r.Author = actor
-	}
-	rb.rules[r.ID] = r
-	rb.order = append(rb.order, r.ID)
-	entry := AuditEntry{rb.version, "add", r.ID, actor, note}
-	rb.audit = append(rb.audit, entry)
-	rb.countMutation("add")
-	ch := Change{Entry: entry}
-	if rb.hasChangeSubs() {
-		// Freeze the rule content at mutation time: once rb.mu is released
-		// the inserted rule is shared and may be mutated again before the
-		// change record is consumed.
-		ch.Rule = r.Clone()
-		ch.NextID = int(rb.nextID.Load())
-	}
-	rb.mu.Unlock()
-	return r.ID, ch, nil
+	return r.ID, nil
 }
 
 // AddAll inserts a batch of rules, stopping at the first error.
@@ -215,37 +196,25 @@ func (rb *Rulebase) Get(id string) *Rule {
 
 // setStatus transitions a rule's lifecycle state.
 func (rb *Rulebase) setStatus(id string, st Status, action, actor, note string) error {
-	changed, ch, err := rb.setStatusLocked(id, st, action, actor, note)
-	if err != nil {
-		return err
-	}
-	if changed {
-		rb.notify(ch.Entry.Version)
-		rb.notifyChange(ch)
-	}
-	return nil
-}
-
-func (rb *Rulebase) setStatusLocked(id string, st Status, action, actor, note string) (bool, Change, error) {
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	r, ok := rb.rules[id]
-	if !ok {
-		return false, Change{}, fmt.Errorf("core: no rule %q", id)
-	}
-	if r.Status == Retired && st != Retired {
-		return false, Change{}, fmt.Errorf("core: rule %q is retired and cannot be %s", id, action)
-	}
-	if r.Status == st {
-		return false, Change{}, nil
-	}
-	rb.version++
-	r.Status = st
-	r.UpdatedAt = rb.version
-	entry := AuditEntry{rb.version, action, id, actor, note}
-	rb.audit = append(rb.audit, entry)
-	rb.countMutation(action)
-	return true, Change{Entry: entry, Status: st}, nil
+	return rb.commit(func() (Change, error) {
+		r, ok := rb.rules[id]
+		if !ok {
+			return Change{}, fmt.Errorf("core: no rule %q", id)
+		}
+		if r.Status == Retired && st != Retired {
+			return Change{}, fmt.Errorf("core: rule %q is retired and cannot be %s", id, action)
+		}
+		if r.Status == st {
+			return Change{}, nil
+		}
+		rb.version++
+		r.Status = st
+		r.UpdatedAt = rb.version
+		entry := AuditEntry{rb.version, action, id, actor, note}
+		rb.audit = append(rb.audit, entry)
+		rb.countMutation(action)
+		return Change{Entry: entry, Status: st}, nil
+	})
 }
 
 // Disable turns a rule off — the per-rule "scale down" of §3.2 ("if that
@@ -271,7 +240,7 @@ func (rb *Rulebase) Retire(id, actor, note string) error {
 // (e.g. all rules targeting clothes types when clothes classification goes
 // bad). The returned IDs can be passed to EnableAll to restore.
 func (rb *Rulebase) DisableWhere(pred func(*Rule) bool, actor, note string) []string {
-	rb.mu.Lock()
+	rb.mu.RLock()
 	ids := make([]string, 0)
 	for _, id := range rb.order {
 		r := rb.rules[id]
@@ -279,7 +248,7 @@ func (rb *Rulebase) DisableWhere(pred func(*Rule) bool, actor, note string) []st
 			ids = append(ids, id)
 		}
 	}
-	rb.mu.Unlock()
+	rb.mu.RUnlock()
 	for _, id := range ids {
 		_ = rb.Disable(id, actor, note)
 	}
@@ -295,32 +264,22 @@ func (rb *Rulebase) EnableAll(ids []string, actor, note string) {
 
 // UpdateConfidence records a fresh precision estimate for a rule.
 func (rb *Rulebase) UpdateConfidence(id string, conf float64, actor string) error {
-	ch, err := rb.updateConfidenceLocked(id, conf, actor)
-	if err != nil {
-		return err
-	}
-	rb.notify(ch.Entry.Version)
-	rb.notifyChange(ch)
-	return nil
-}
-
-func (rb *Rulebase) updateConfidenceLocked(id string, conf float64, actor string) (Change, error) {
 	// The audit note allocates; render it before entering the critical
 	// section (this is the hottest mutation — every precision re-estimate).
 	note := fmt.Sprintf("confidence=%.3f", conf)
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	r, ok := rb.rules[id]
-	if !ok {
-		return Change{}, fmt.Errorf("core: no rule %q", id)
-	}
-	rb.version++
-	r.Confidence = conf
-	r.UpdatedAt = rb.version
-	entry := AuditEntry{rb.version, "update", id, actor, note}
-	rb.audit = append(rb.audit, entry)
-	rb.countMutation("update")
-	return Change{Entry: entry, Confidence: conf}, nil
+	return rb.commit(func() (Change, error) {
+		r, ok := rb.rules[id]
+		if !ok {
+			return Change{}, fmt.Errorf("core: no rule %q", id)
+		}
+		rb.version++
+		r.Confidence = conf
+		r.UpdatedAt = rb.version
+		entry := AuditEntry{rb.version, "update", id, actor, note}
+		rb.audit = append(rb.audit, entry)
+		rb.countMutation("update")
+		return Change{Entry: entry, Confidence: conf}, nil
+	})
 }
 
 // Active returns active rules, optionally filtered by kinds (empty = all
@@ -434,40 +393,33 @@ func (rb *Rulebase) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON implements json.Unmarshaler. A successful load counts as one
-// mutation for subscribers: they are notified with the loaded version, and
-// change subscribers receive an ActionLoad pseudo-change (a wholesale
-// replacement is not an incremental mutation — a durability layer responds by
+// UnmarshalJSON implements json.Unmarshaler. The input is decoded and
+// validated in full before the rulebase is touched, so a failed load leaves
+// it exactly as it was. A successful load is one commit: subscribers receive
+// an ActionLoad pseudo-change at the loaded version (a wholesale replacement
+// is not an incremental mutation — a durability layer responds by
 // re-snapshotting, not appending).
 func (rb *Rulebase) UnmarshalJSON(data []byte) error {
 	var j rulebaseJSON
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
 	}
-	if err := rb.loadLocked(&j); err != nil {
-		return err
-	}
-	rb.notify(j.Version)
-	rb.notifyChange(Change{Entry: AuditEntry{Version: j.Version, Action: ActionLoad}})
-	return nil
-}
-
-func (rb *Rulebase) loadLocked(j *rulebaseJSON) error {
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	rb.rules = make(map[string]*Rule, len(j.Rules))
-	rb.order = rb.order[:0]
+	rules := make(map[string]*Rule, len(j.Rules))
+	order := make([]string, 0, len(j.Rules))
 	for _, r := range j.Rules {
-		if _, dup := rb.rules[r.ID]; dup {
+		if _, dup := rules[r.ID]; dup {
 			return fmt.Errorf("core: duplicate rule id %q in serialized rulebase", r.ID)
 		}
-		rb.rules[r.ID] = r
-		rb.order = append(rb.order, r.ID)
+		rules[r.ID] = r
+		order = append(order, r.ID)
 	}
-	rb.version = j.Version
-	rb.nextID.Store(int64(j.NextID))
-	rb.audit = j.Audit
-	return nil
+	return rb.commit(func() (Change, error) {
+		rb.rules, rb.order = rules, order
+		rb.version = j.Version
+		rb.nextID.Store(int64(j.NextID))
+		rb.audit = j.Audit
+		return Change{Entry: AuditEntry{Version: j.Version, Action: ActionLoad}}, nil
+	})
 }
 
 // TargetsSorted returns the sorted list of distinct active target types.

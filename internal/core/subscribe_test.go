@@ -2,13 +2,13 @@ package core
 
 import "testing"
 
-// TestSubscribeNotifications: every completed mutation notifies subscribers
-// with the version it produced; no-op or failed mutations stay silent;
+// TestSubscribeNotifications: every completed mutation is delivered with the
+// version it produced, in order; no-op or failed mutations stay silent;
 // cancel stops delivery.
 func TestSubscribeNotifications(t *testing.T) {
 	rb := NewRulebase()
 	var got []uint64
-	cancel := rb.Subscribe(func(v uint64) { got = append(got, v) })
+	cancel, _ := rb.SubscribeChanges(func(ch Change) { got = append(got, ch.Entry.Version) })
 
 	id, err := rb.Add(mustRule(NewWhitelist("rings?", "rings")), "ana")
 	if err != nil {
@@ -33,19 +33,22 @@ func TestSubscribeNotifications(t *testing.T) {
 		}
 	}
 
-	// A failed mutation (enabling an already-active rule is a no-op status
-	// change; unknown IDs error) must not notify.
+	// A no-op (enabling an already-active rule) or failed (unknown ID)
+	// mutation must not notify.
 	before := len(got)
+	if err := rb.Enable(id, "ana", "test"); err != nil {
+		t.Fatal(err)
+	}
 	_ = rb.Enable("no-such-rule", "ana", "test")
 	if len(got) != before {
-		t.Fatalf("failed mutation notified: %v", got)
+		t.Fatalf("no-op or failed mutation notified: %v", got)
 	}
 
-	// Subscribers may re-enter the rulebase: the notification runs outside
-	// the rulebase lock.
-	cancel2 := rb.Subscribe(func(v uint64) {
-		if rv := rb.Version(); rv < v {
-			t.Errorf("re-entrant Version() = %d behind notified %d", rv, v)
+	// Subscribers may read the rulebase: delivery runs outside the rulebase
+	// lock.
+	cancel2, _ := rb.SubscribeChanges(func(ch Change) {
+		if rv := rb.Version(); rv < ch.Entry.Version {
+			t.Errorf("re-entrant Version() = %d behind notified %d", rv, ch.Entry.Version)
 		}
 		_ = rb.Active()
 	})

@@ -103,12 +103,11 @@ type Store struct {
 
 	mu          sync.Mutex
 	wal         *os.File
-	walLen      int64                  // durable WAL length in bytes
-	records     []Record               // decoded at Open, consumed by Restore
-	snapVersion uint64                 // version held by the durable snapshot
-	lastVersion uint64                 // last version durable anywhere (snapshot or WAL)
-	sinceSnap   int                    // appends since the last snapshot
-	pending     map[uint64]core.Change // reorder buffer for out-of-order deliveries
+	walLen      int64    // durable WAL length in bytes
+	records     []Record // decoded at Open, consumed by Restore
+	snapVersion uint64   // version held by the durable snapshot
+	lastVersion uint64   // last version durable anywhere (snapshot or WAL)
+	sinceSnap   int      // appends since the last snapshot
 	rb          *core.Rulebase
 	unsub       func()
 	restored    bool
@@ -135,7 +134,6 @@ func Open(opts Options) (*Store, error) {
 		snapEvery: opts.SnapshotEvery,
 		reg:       opts.Obs,
 		faults:    opts.Faults,
-		pending:   map[uint64]core.Change{},
 	}
 	s.registerHelp()
 
@@ -241,38 +239,31 @@ func (s *Store) Restore(rb *core.Rulebase) (RestoreStats, error) {
 // between Restore and Attach), a full baseline snapshot is taken first.
 func (s *Store) Attach(rb *core.Rulebase) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return errors.New("persist: store is closed")
 	}
 	if s.broken != nil {
-		err := s.broken
-		s.mu.Unlock()
-		return err
+		return s.broken
 	}
 	if s.rb != nil {
-		s.mu.Unlock()
 		return errors.New("persist: already attached")
 	}
 	s.rb = rb
-	s.mu.Unlock()
-
 	// Registration returns the rulebase version atomically; every mutation
-	// beyond it is guaranteed to be delivered to onChange.
-	cancel, ver := rb.SubscribeChanges(s.onChange)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.unsub = cancel
+	// beyond it is delivered to onChange, in order. s.mu is held until the
+	// baseline snapshot is written, so onChange runs only after it.
+	var ver uint64
+	s.unsub, ver = rb.SubscribeChanges(s.onChange)
 	if ver != s.lastVersion {
 		return s.snapshotLocked()
 	}
 	return nil
 }
 
-// onChange receives one live mutation. Deliveries can arrive out of version
-// order (they run outside the rulebase lock on the mutating goroutines), so
-// records park in a reorder buffer and are appended contiguously.
+// onChange receives one committed mutation. Deliveries arrive in version
+// order, so each is appended as the next WAL record — unless a snapshot taken
+// outside a delivery (Attach's baseline, Store.Snapshot) already captured it.
 func (s *Store) onChange(ch core.Change) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -286,27 +277,20 @@ func (s *Store) onChange(ch core.Change) {
 		_ = s.snapshotLocked()
 		return
 	}
-	if ch.Entry.Version <= s.lastVersion {
-		return // duplicate from a mutation that raced registration
+	switch v := ch.Entry.Version; {
+	case v <= s.lastVersion:
+		return
+	case v > s.lastVersion+1:
+		// The feed is ordered and gap-free, so only a bug gets here. Appending
+		// would leave a WAL that Restore cannot replay past the hole.
+		s.broken = fmt.Errorf("persist: change version %d does not follow durable version %d", v, s.lastVersion)
+		return
 	}
-	s.pending[ch.Entry.Version] = ch
-	s.drainPendingLocked()
+	if err := s.appendLocked(ch); err != nil {
+		return // store marked broken
+	}
 	if s.snapEvery > 0 && s.sinceSnap >= s.snapEvery {
 		_ = s.snapshotLocked()
-	}
-}
-
-// drainPendingLocked appends parked changes contiguously from lastVersion+1.
-func (s *Store) drainPendingLocked() {
-	for {
-		ch, ok := s.pending[s.lastVersion+1]
-		if !ok {
-			return
-		}
-		delete(s.pending, ch.Entry.Version)
-		if err := s.appendLocked(ch); err != nil {
-			return // store marked broken; remaining pending entries are moot
-		}
 	}
 }
 
@@ -413,17 +397,10 @@ func (s *Store) snapshotLocked() error {
 	}
 	s.walLen = 0
 	s.sinceSnap = 0
+	// Assigned, not maxed: after a load that rewound the version, the next
+	// delivery is the snapshot's version + 1.
 	s.snapVersion = meta.Version
-	if meta.Version > s.lastVersion {
-		s.lastVersion = meta.Version
-	}
-	// Drop parked duplicates the snapshot absorbed, then append survivors.
-	for v := range s.pending {
-		if v <= s.lastVersion {
-			delete(s.pending, v)
-		}
-	}
-	s.drainPendingLocked()
+	s.lastVersion = meta.Version
 	s.count(MetricSnapshots, 1)
 	s.gauge(MetricSnapshotBytes, float64(len(data)))
 	s.observe(MetricSnapshotSeconds, time.Since(start).Seconds())

@@ -288,6 +288,10 @@ func TestLoadRebaselines(t *testing.T) {
 	if err := json.Unmarshal(data, live); err != nil {
 		t.Fatal(err)
 	}
+	// The first mutation after a rewinding load must still reach the WAL.
+	if err := live.Disable("R000001", "ana", "after load"); err != nil {
+		t.Fatal(err)
+	}
 	st.Close()
 
 	st2, err := Open(Options{Dir: dir})
@@ -333,9 +337,9 @@ func TestAutoSnapshot(t *testing.T) {
 	assertEquivalent(t, live, restored)
 }
 
-// TestConcurrentMutators: the reorder buffer serializes out-of-order change
-// deliveries from racing mutators; the restored state matches the final live
-// state exactly. Run with -race in verify.sh/ci.
+// TestConcurrentMutators: racing mutators' changes reach the WAL in version
+// order with no gap, so the store never breaks and the restored state matches
+// the final live state exactly. Run with -race in verify.sh/ci.
 func TestConcurrentMutators(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(Options{Dir: dir})
@@ -389,6 +393,33 @@ func TestConcurrentMutators(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertEquivalent(t, live, restored)
+}
+
+// TestGapBreaksStore: a delivery that skips a version can only be a bug; the
+// store refuses it loudly instead of appending past the hole.
+func TestGapBreaksStore(t *testing.T) {
+	st, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rb := core.NewRulebase()
+	if err := st.Attach(rb); err != nil {
+		t.Fatal(err)
+	}
+	id, err := rb.Add(mustRule(core.NewWhitelist("phones?", "phone")), "ana")
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := st.WALSize()
+	st.onChange(core.Change{Entry: core.AuditEntry{Version: 3, Action: "disable", RuleID: id}, Status: core.Disabled})
+	err = st.Broken()
+	if err == nil || !strings.Contains(err.Error(), "version 3") || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("Broken() = %v, want an error naming versions 3 and 1", err)
+	}
+	if got := st.WALSize(); got != size {
+		t.Fatalf("WAL grew from %d to %d bytes on a gapped delivery", size, got)
+	}
 }
 
 // TestRestoreRequiresFreshStore: API misuse is rejected loudly.

@@ -35,13 +35,11 @@ type CacheConfig struct {
 	// Capacity bounds the total number of cached verdicts across all cache
 	// shards. 0 (or negative) disables caching entirely.
 	Capacity int
-	// Shards is the number of independently locked cache segments (rounded
-	// up to a power of two; default DefaultCacheShards). More shards cut
-	// lock contention on the hit path at a small fixed memory cost.
-	Shards int
 }
 
-// DefaultCacheShards is the default lock-shard count for a VerdictCache.
+// DefaultCacheShards is the number of independently locked segments of a
+// VerdictCache (fewer when Capacity is smaller). It must be a power of two:
+// a fingerprint's segment is its low bits.
 const DefaultCacheShards = 8
 
 // cacheEntry is one cached verdict: valid only at exactly the snapshot
@@ -119,20 +117,9 @@ func NewVerdictCache(cfg CacheConfig, reg *obs.Registry) *VerdictCache {
 	if reg == nil {
 		reg = obs.Default()
 	}
-	n := cfg.Shards
-	if n <= 0 {
-		n = DefaultCacheShards
-	}
-	pow := 1
-	for pow < n {
-		pow <<= 1
-	}
-	if pow > cfg.Capacity {
-		// Never let sharding zero out per-shard capacity.
-		pow = 1
-		for pow*2 <= cfg.Capacity {
-			pow *= 2
-		}
+	pow := DefaultCacheShards
+	for pow > cfg.Capacity {
+		pow >>= 1 // never let sharding zero out per-shard capacity
 	}
 	c := &VerdictCache{
 		shards:     make([]*cacheShard, pow),
@@ -151,9 +138,6 @@ func NewVerdictCache(cfg CacheConfig, reg *obs.Registry) *VerdictCache {
 	reg.Help(MetricCacheStaleDrops, "cached verdicts dropped on snapshot-version mismatch")
 	reg.Help(MetricCacheSize, "cached verdicts currently resident")
 	per := cfg.Capacity / pow
-	if per < 1 {
-		per = 1
-	}
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{
 			entries:  make(map[uint64]*cacheEntry),

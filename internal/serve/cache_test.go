@@ -12,12 +12,12 @@ import (
 	"repro/internal/obs"
 )
 
-func testCache(t *testing.T, capacity, shards int) (*VerdictCache, *obs.Registry) {
+func testCache(t *testing.T, capacity int) (*VerdictCache, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	c := NewVerdictCache(CacheConfig{Capacity: capacity, Shards: shards}, reg)
+	c := NewVerdictCache(CacheConfig{Capacity: capacity}, reg)
 	if c == nil {
-		t.Fatalf("NewVerdictCache(%d, %d) = nil", capacity, shards)
+		t.Fatalf("NewVerdictCache(%d) = nil", capacity)
 	}
 	return c, reg
 }
@@ -43,35 +43,39 @@ func TestVerdictCacheDisabled(t *testing.T) {
 }
 
 func TestVerdictCacheLRUEviction(t *testing.T) {
-	c, _ := testCache(t, 3, 1) // single shard so the LRU order is global
+	// 3 entries per segment; every fingerprint below is a multiple of the
+	// segment count, so all land in segment 0 and its LRU order is global.
+	c, _ := testCache(t, 3*DefaultCacheShards)
+	fp := func(i int) uint64 { return uint64(i * DefaultCacheShards) }
 	vs := make([]*core.Verdict, 5)
 	for i := range vs {
 		vs[i] = &core.Verdict{}
-		c.Put(uint64(i), 1, vs[i])
+		c.Put(fp(i), 1, vs[i])
 	}
-	// Capacity 3: fingerprints 0 and 1 must have been evicted, 2..4 resident.
+	// Segment capacity 3: fingerprints 0 and 1 must have been evicted, 2..4
+	// resident.
 	if c.Len() != 3 {
 		t.Fatalf("len = %d, want 3", c.Len())
 	}
 	for i := 0; i < 2; i++ {
-		if _, ok := c.Get(uint64(i), 1); ok {
+		if _, ok := c.Get(fp(i), 1); ok {
 			t.Fatalf("fp %d should be evicted", i)
 		}
 	}
 	for i := 2; i < 5; i++ {
-		if v, ok := c.Get(uint64(i), 1); !ok || v != vs[i] {
+		if v, ok := c.Get(fp(i), 1); !ok || v != vs[i] {
 			t.Fatalf("fp %d should be resident with its verdict", i)
 		}
 	}
 	// Touch 2 (LRU -> MRU), insert a new entry: 3 is now the eviction victim.
-	if _, ok := c.Get(2, 1); !ok {
+	if _, ok := c.Get(fp(2), 1); !ok {
 		t.Fatal("fp 2 should be resident")
 	}
-	c.Put(99, 1, &core.Verdict{})
-	if _, ok := c.Get(2, 1); !ok {
+	c.Put(fp(99), 1, &core.Verdict{})
+	if _, ok := c.Get(fp(2), 1); !ok {
 		t.Fatal("recently used fp 2 must survive the eviction")
 	}
-	if _, ok := c.Get(3, 1); ok {
+	if _, ok := c.Get(fp(3), 1); ok {
 		t.Fatal("LRU fp 3 should have been evicted")
 	}
 	if st := c.Stats(); st.Evictions != 3 {
@@ -80,7 +84,7 @@ func TestVerdictCacheLRUEviction(t *testing.T) {
 }
 
 func TestVerdictCacheStaleVersionDrop(t *testing.T) {
-	c, _ := testCache(t, 8, 1)
+	c, _ := testCache(t, 8)
 	v2 := &core.Verdict{}
 	c.Put(7, 2, v2)
 	// Looking the entry up at any other version — older (rollback) or newer
@@ -124,7 +128,7 @@ func inflightWaiters(c *VerdictCache, fp uint64) int {
 }
 
 func TestVerdictCacheSingleFlight(t *testing.T) {
-	c, _ := testCache(t, 8, 1)
+	c, _ := testCache(t, 8)
 	const followers = 7
 	var computes int
 	gate := make(chan struct{})
@@ -191,7 +195,7 @@ func TestVerdictCacheSingleFlight(t *testing.T) {
 // TestVerdictCacheCounterPartition pins the accounting contract: every Do
 // resolves as exactly one of hit, miss, or coalesced.
 func TestVerdictCacheCounterPartition(t *testing.T) {
-	c, _ := testCache(t, 16, 2)
+	c, _ := testCache(t, 16)
 	const lookups = 500
 	for i := 0; i < lookups; i++ {
 		fp := uint64(i % 23)

@@ -247,7 +247,7 @@ func (e *Engine) publish(snap *Snapshot, buildTime time.Duration) {
 // Start, readers on Current never block on maintenance.
 func (e *Engine) Start() {
 	e.startOnce.Do(func() {
-		e.unsub = e.rb.Subscribe(func(uint64) {
+		e.unsub, _ = e.rb.SubscribeChanges(func(core.Change) {
 			select {
 			case e.kick <- struct{}{}:
 			default: // a rebuild is already pending; it will pick this up

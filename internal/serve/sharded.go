@@ -112,7 +112,7 @@ type ShardedOptions struct {
 	// Cache sizes the tier's verdict cache. Capacity is stated per shard, so
 	// adding shards adds cache with the rest of the capacity; the tier builds
 	// one cache of Capacity × Shards entries that every shard reads and
-	// fills (it is lock-sharded inside, see CacheConfig.Shards).
+	// fills (it is lock-sharded inside, see DefaultCacheShards).
 	Cache CacheConfig
 }
 

@@ -12,7 +12,7 @@
 //     so a snapshot can never mix two versions.
 //   - Engine: publishes the current Snapshot through an atomic.Pointer, so
 //     readers never take the rulebase lock. Mutations (via
-//     Rulebase.Subscribe) wake a debounced async rebuild-and-swap loop;
+//     Rulebase.SubscribeChanges) wake a debounced async rebuild-and-swap loop;
 //     Acquire is the synchronous version-cached fallback for callers that
 //     need an up-to-date snapshot without Start.
 //   - Server: a bounded worker pool with queue-depth backpressure (explicit
@@ -100,10 +100,6 @@ func (s *Snapshot) Gate() *core.IndexedExecutor { return s.gate }
 // Rules returns the classifier executor (whitelist, blacklist, attribute and
 // type-restrict rules).
 func (s *Snapshot) Rules() *core.IndexedExecutor { return s.rules }
-
-// RuleTelemetry exposes the classifier executor for its telemetry (health
-// reports over this snapshot's lifetime). It is the executor Rules returns.
-func (s *Snapshot) RuleTelemetry() *core.IndexedExecutor { return s.rules }
 
 // Filters returns the active Filter table (target type → filter rule ID) as
 // the caller's own copy — a mutation cannot corrupt the shared immutable

@@ -24,25 +24,33 @@ echo "== go test -race (obs, core, serve incl. sim soak + sharded chaos harness,
 go test -race ./internal/obs ./internal/core ./internal/serve ./internal/catalog \
     ./internal/faultinject ./internal/crowd ./internal/opshttp ./internal/persist
 
-# race_run PKG PATTERN runs go test -race PKG -run PATTERN, but first fails
-# if any |-alternative of PATTERN matches no test in PKG (go test -list), so
-# a renamed or deleted test cannot drop out of the race list silently.
+# race_run PKG PATTERN [FLAGS...] runs go test -race PKG -run PATTERN FLAGS,
+# but first fails if any |-alternative of PATTERN matches no test in PKG (go
+# test -list), so a renamed or deleted test cannot drop out of the race list
+# silently.
 race_run() {
-    listed=$(go test -list '.*' "$1")
+    pkg=$1
+    pattern=$2
+    shift 2
+    listed=$(go test -list '.*' "$pkg")
     old_ifs=$IFS
     IFS='|'
-    for alt in $2; do
+    for alt in $pattern; do
         if ! printf '%s\n' "$listed" | grep -Eq "$alt"; then
-            echo "verify: -run alternative '$alt' matches no test in $1" >&2
+            echo "verify: -run alternative '$alt' matches no test in $pkg" >&2
             exit 1
         fi
     done
     IFS=$old_ifs
-    go test -race "$1" -run "$2"
+    go test -race "$pkg" -run "$pattern" "$@"
 }
 
 echo "== go test -race (chimera resilience over the tier + decision provenance + sharded tier + shared rule telemetry under concurrent batches) =="
 race_run ./internal/chimera 'TestResilientClient|TestResilientClientShutdownLeaksNoGoroutines|TestResilientClientDegradedReadsTierSnapshot|TestClassifyDegraded|TestProvenance|TestShardedServer|TestRuleHealthSeesShardedTraffic|TestConcurrentProcessBatches'
+
+echo "== go test -race -count=20 (ordered change feed: delivery order, registration version, WAL under racing mutators) =="
+race_run ./internal/core 'TestChangeFeedOrdered|TestSubscribeChanges' -count=20
+race_run ./internal/persist 'TestConcurrentMutators' -count=20
 
 echo "== fuzz smoke (10s per target) =="
 go test -fuzz=FuzzParseRule -fuzztime=10s -run '^$' ./internal/pattern
