@@ -15,6 +15,7 @@ package repro
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/mining"
 	"repro/internal/obs"
 	"repro/internal/pattern"
+	"repro/internal/serve"
 	"repro/internal/synonym"
 	"repro/internal/tokenize"
 )
@@ -288,6 +290,92 @@ func BenchmarkSequentialExecutorApply(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex.Apply(items[i%len(items)])
+	}
+}
+
+// benchRulebase returns a rulebase of n rules built from the catalog
+// vocabulary: every type's head terms and synonyms as whitelists, then
+// head-anchored variants (<qualifier>.*<head>) and brand rules until n.
+func benchRulebase(b *testing.B, n int) (*core.Rulebase, []string) {
+	b.Helper()
+	cat := catalog.New(catalog.Config{Seed: 7, NumTypes: 80})
+	rb := core.NewRulebase()
+	var ids []string
+	add := func(r *core.Rule, err error) {
+		if err != nil || len(ids) >= n {
+			return
+		}
+		id, err := rb.Add(r, "bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	types := cat.Types()
+	for _, ty := range types {
+		for _, h := range ty.HeadTerms {
+			add(core.NewWhitelist(h.Text, ty.Name))
+		}
+		for _, s := range ty.Synonyms {
+			add(core.NewWhitelist(s.Text, ty.Name))
+		}
+	}
+	for i := 0; len(ids) < n; i++ {
+		ty, other := types[i%len(types)], types[(i/len(types))%len(types)]
+		if i%10 == 9 {
+			add(core.NewAttrValue("Brand", "brand"+strconv.Itoa(i), []string{ty.Name}))
+			continue
+		}
+		add(core.NewWhitelist(strings.Fields(other.Name)[0]+strconv.Itoa(i/len(types))+".*"+ty.HeadTerms[0].Text, ty.Name))
+	}
+	return rb, ids
+}
+
+// BenchmarkEngineRebuild measures what an analyst's mutation costs before it
+// is served: the mutation plus the synchronous Acquire that publishes the
+// snapshot at its version, on a 10,000-rule rulebase. Disable and
+// UpdateConfidence keep every rule the snapshot indexes (Disable alternates
+// disabling and re-enabling one of 64 rules); Add brings a rule the index has
+// never seen.
+func BenchmarkEngineRebuild(b *testing.B) {
+	const rules = 10000
+	mutations := map[string]func(rb *core.Rulebase, ids []string, i int) error{
+		"Disable": func(rb *core.Rulebase, ids []string, i int) error {
+			id := ids[(i/2)%64]
+			if i%2 == 0 {
+				return rb.Disable(id, "bench", "")
+			}
+			return rb.Enable(id, "bench", "")
+		},
+		"UpdateConfidence": func(rb *core.Rulebase, ids []string, i int) error {
+			return rb.UpdateConfidence(ids[i%len(ids)], 0.5+float64(i%50)/100, "bench")
+		},
+		"Add": func(rb *core.Rulebase, ids []string, i int) error {
+			r, err := core.NewWhitelist("benchadd"+strconv.Itoa(i)+" widgets?", "widgets")
+			if err != nil {
+				return err
+			}
+			_, err = rb.Add(r, "bench")
+			return err
+		},
+	}
+	for _, name := range []string{"Disable", "UpdateConfidence", "Add"} {
+		mutate := mutations[name]
+		b.Run(name, func(b *testing.B) {
+			rb, ids := benchRulebase(b, rules)
+			eng := serve.NewEngine(rb, serve.EngineOptions{Obs: obs.NewRegistry()})
+			defer eng.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := mutate(rb, ids, i); err != nil {
+					b.Fatal(err)
+				}
+				if eng.Acquire().Version() != rb.Version() {
+					b.Fatal("Acquire did not catch up")
+				}
+			}
+		})
 	}
 }
 

@@ -156,7 +156,7 @@ func (e *IndexedExecutor) ApplyBatch(items []*catalog.Item, workers int) []*Verd
 				cand[s] = append(cand[s], p.items...)
 				continue
 			}
-			pat := idx.rules[s].compiled
+			pat := idx.keyed[s].compiled
 			for _, i := range p.items {
 				if pat.MayMatch(sigs[i]) {
 					cand[s] = append(cand[s], i)
@@ -175,7 +175,7 @@ func (e *IndexedExecutor) ApplyBatch(items []*catalog.Item, workers int) []*Verd
 	var rawTotal, candTotal int64
 	for s, r := range idx.rules {
 		c := cand[s]
-		if len(c) == 0 {
+		if len(c) == 0 || r == nil { // nil: a dead slot (RuleIndex.reslot)
 			continue
 		}
 		rawTotal += int64(len(c))
@@ -251,7 +251,7 @@ func (e *IndexedExecutor) ApplyBatch(items []*catalog.Item, workers int) []*Verd
 	}
 
 	if e.tel != nil {
-		e.tel.recordBatch(units, out, rawTotal, candTotal, hits, misses)
+		e.recordBatch(units, out, rawTotal, candTotal, hits, misses)
 	}
 	return out
 }
@@ -288,7 +288,8 @@ func mergeUnits(out []*Verdict, units []batchUnit, lo, hi int) {
 // recordBatch settles the batch's counters after the verdicts are final:
 // batch_* families, the exec-level applies/candidates/matched, and per-rule
 // fired/effective (same semantics as recordApply's post-veto pass).
-func (tel *execTelemetry) recordBatch(units []batchUnit, out []*Verdict, rawTotal, candTotal, hits, misses int64) {
+func (e *IndexedExecutor) recordBatch(units []batchUnit, out []*Verdict, rawTotal, candTotal, hits, misses int64) {
+	tel := e.tel
 	tel.batches.Inc()
 	tel.batchItems.Add(int64(len(out)))
 	tel.units.Add(int64(len(units)))
@@ -302,7 +303,7 @@ func (tel *execTelemetry) recordBatch(units []batchUnit, out []*Verdict, rawTota
 	for ui := range units {
 		u := &units[ui]
 		matchedTotal += int64(len(u.matched))
-		rt := tel.rules[u.slot]
+		rt := e.ruleTel[u.slot]
 		if rt.fired == nil {
 			continue
 		}

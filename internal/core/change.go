@@ -121,11 +121,10 @@ func (rb *Rulebase) ApplyChange(ch Change) error {
 			if r.ID == "" || r.ID != ch.Entry.RuleID {
 				return Change{}, fmt.Errorf("core: add change %d rule id %q does not match entry %q", ch.Entry.Version, r.ID, ch.Entry.RuleID)
 			}
-			if _, exists := rb.rules[r.ID]; exists {
+			if _, exists := rb.byID[r.ID]; exists {
 				return Change{}, fmt.Errorf("core: add change %d duplicates rule %q", ch.Entry.Version, r.ID)
 			}
-			rb.rules[r.ID] = r
-			rb.order = append(rb.order, r.ID)
+			rb.insert(r)
 			// Advance (never rewind) the auto-ID counter; max semantics keep
 			// a concurrent live add from being undone.
 			for {
@@ -134,20 +133,18 @@ func (rb *Rulebase) ApplyChange(ch Change) error {
 					break
 				}
 			}
-		case "disable", "enable", "retire":
-			r, ok := rb.rules[ch.Entry.RuleID]
-			if !ok {
+		case "disable", "enable", "retire", "update":
+			r := rb.get(ch.Entry.RuleID)
+			if r == nil {
 				return Change{}, fmt.Errorf("core: %s change %d targets unknown rule %q", ch.Entry.Action, ch.Entry.Version, ch.Entry.RuleID)
 			}
-			r.Status = statusForAction[ch.Entry.Action]
-			r.UpdatedAt = ch.Entry.Version
-		case "update":
-			r, ok := rb.rules[ch.Entry.RuleID]
-			if !ok {
-				return Change{}, fmt.Errorf("core: update change %d targets unknown rule %q", ch.Entry.Version, ch.Entry.RuleID)
-			}
-			r.Confidence = ch.Confidence
-			r.UpdatedAt = ch.Entry.Version
+			rb.replace(r, ch.Entry.Version, func(c *Rule) {
+				if ch.Entry.Action == "update" {
+					c.Confidence = ch.Confidence
+				} else {
+					c.Status = statusForAction[ch.Entry.Action]
+				}
+			})
 		default:
 			return Change{}, fmt.Errorf("core: change %d has unknown action %q", ch.Entry.Version, ch.Entry.Action)
 		}

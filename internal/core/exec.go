@@ -203,13 +203,36 @@ func (e *SequentialExecutor) Apply(it *catalog.Item) *Verdict {
 // absorbs matches in ascending slot order, which is rule input order (tested as
 // a property). It is immutable after construction and safe for concurrent use.
 type IndexedExecutor struct {
-	idx *RuleIndex
-	tel *execTelemetry // nil unless built by NewInstrumentedExecutor
+	idx     *RuleIndex
+	tel     *execTelemetry  // nil unless built by NewInstrumentedExecutor
+	ruleTel []ruleTelemetry // per-rule counters aligned with idx's slots; nil without telemetry
 }
 
 // NewIndexedExecutor builds the rule index and wraps it, without telemetry.
 func NewIndexedExecutor(rules []*Rule) *IndexedExecutor {
 	return &IndexedExecutor{idx: NewRuleIndex(rules)}
+}
+
+// Successor returns the executor for the next snapshot's rule list, built from
+// this one, and reports whether it shares this executor's rule index. rules
+// must be in rulebase insertion order, as Rulebase.ActiveView returns them.
+// When every indexed rule already has a slot here (disable, enable, retire and
+// confidence updates), the successor shares the postings, the prefilter and
+// the whole telemetry table, and only gets its own slot-aligned rule slice.
+// Otherwise — a rule the index has never seen, a load, or too many dead slots
+// (see RuleIndex.reslot) — it is a full build whose telemetry still carries
+// over by rule ID: only rules new to this executor go through the registry.
+// Verdicts are those of a fresh NewInstrumentedExecutor(rules, ...) either way.
+func (e *IndexedExecutor) Successor(rules []*Rule) (next *IndexedExecutor, shared bool) {
+	if idx, ok := e.idx.reslot(rules); ok {
+		return &IndexedExecutor{idx: idx, tel: e.tel, ruleTel: e.ruleTel}, true
+	}
+	next = NewIndexedExecutor(rules)
+	if e.tel != nil {
+		next.tel = e.tel
+		next.ruleTel = e.tel.ruleTable(next.idx, e)
+	}
+	return next, false
 }
 
 // Apply implements Executor.
@@ -236,7 +259,7 @@ func (e *IndexedExecutor) Apply(it *catalog.Item) *Verdict {
 		}
 	}
 	if tel != nil {
-		tel.recordApply(e.idx.rules, v, len(slots), matched)
+		e.recordApply(v, len(slots), matched)
 		if sampled {
 			tel.latency.Observe(time.Since(start).Seconds())
 		}

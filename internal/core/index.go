@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -35,12 +36,33 @@ import (
 // Postings hold slots — dense int32 positions into rules — not pointers, so
 // anything kept per rule (telemetry, a batch's candidate lists) is a slice
 // aligned with rules, and ascending slot order is rule input order.
+//
+// An index can be reslotted (IndexedExecutor.Successor): the next snapshot's
+// index shares this one's postings and prefilter and only gets its own rules
+// slice, in which a rule that is no longer active leaves a dead (nil) slot that
+// every lookup skips. Shared postings may keep a rule under a witness set that
+// a fresh build over the new rule list would no longer pick as the rarest.
+// That is still sound — it is still a witness set of the same compiled
+// pattern, so the rule is still proposed for every item it can match — and
+// only candidate counts can differ; the next full build re-keys.
 type RuleIndex struct {
+	*postings
+	rules []*Rule // live rule per slot, nil when dead; input order (Filter rules excluded)
+	dead  int     // nil entries in rules
+}
+
+// postings is the part of a RuleIndex a reslotted index shares.
+type postings struct {
 	byToken map[string][]int32
 	byAttr  map[string][]int32
 	always  []int32
-	rules   []*Rule // indexed rules in input order (Filter rules excluded)
+	keyed   []*Rule // the rules the postings were built from, one per slot
 }
+
+// maxDeadShare bounds reslotting: an index whose rules would leave more than
+// 1/maxDeadShare of its slots dead is rebuilt instead, so dead postings never
+// dominate candidate generation.
+const maxDeadShare = 8
 
 // NewRuleIndex builds an index over the given rules. Filter rules are not
 // item-matched and are excluded.
@@ -54,7 +76,7 @@ type RuleIndex struct {
 // element — the head comes last. The choice is a pure function of the rule
 // list: it needs no corpus and does not depend on rule order.
 func NewRuleIndex(rules []*Rule) *RuleIndex {
-	idx := &RuleIndex{
+	p := &postings{
 		byToken: map[string][]int32{},
 		byAttr:  map[string][]int32{},
 	}
@@ -76,26 +98,66 @@ func NewRuleIndex(rules []*Rule) *RuleIndex {
 		}
 	}
 	for _, r := range rules {
-		slot := int32(len(idx.rules))
+		slot := int32(len(p.keyed))
 		switch {
 		case r.IsPatternKind():
 			keys := chooseKeys(r.Pattern(), func(tok string) int { return int(df[tok].n) })
 			if keys == nil {
-				idx.always = append(idx.always, slot)
+				p.always = append(p.always, slot)
 				break
 			}
 			for _, k := range keys {
-				idx.byToken[k] = append(idx.byToken[k], slot)
+				p.byToken[k] = append(p.byToken[k], slot)
 			}
 		case r.Kind == AttrExists || r.Kind == AttrValue:
 			attr := strings.ToLower(r.Attr)
-			idx.byAttr[attr] = append(idx.byAttr[attr], slot)
+			p.byAttr[attr] = append(p.byAttr[attr], slot)
 		default:
 			continue // Filter rules act on predictions, not items
 		}
-		idx.rules = append(idx.rules, r)
+		p.keyed = append(p.keyed, r)
 	}
-	return idx
+	return &RuleIndex{postings: p, rules: p.keyed}
+}
+
+// reslot returns an index over rules that shares idx's postings, or false
+// when rules need a fresh build: some indexed rule has no slot in idx (it was
+// added, or a load replaced it), rules are not in idx's slot order, or more
+// than 1/maxDeadShare of the slots would be dead. Rules are matched to slots by
+// ID in one merge walk — both lists are in rulebase insertion order — and a
+// rule keeps its slot only if it is posted exactly as the slot's rule was:
+// same kind, same compiled pattern (Clone shares it, so a lifecycle or
+// confidence update does) and same attribute. Everything else a verdict reads
+// comes from rules itself.
+func (idx *RuleIndex) reslot(rules []*Rule) (*RuleIndex, bool) {
+	keyed := idx.keyed
+	live := make([]*Rule, len(keyed))
+	s, n := 0, 0
+	for _, r := range rules {
+		if !r.IsPatternKind() && r.Kind != AttrExists && r.Kind != AttrValue {
+			continue
+		}
+		if r.ID == "" {
+			return nil, false
+		}
+		for s < len(keyed) && keyed[s].ID != r.ID {
+			s++
+		}
+		if s == len(keyed) {
+			return nil, false
+		}
+		if k := keyed[s]; k.Kind != r.Kind || k.compiled != r.compiled || k.Attr != r.Attr {
+			return nil, false
+		}
+		live[s] = r
+		s++
+		n++
+	}
+	dead := len(keyed) - n
+	if dead*maxDeadShare > len(keyed) {
+		return nil, false
+	}
+	return &RuleIndex{postings: idx.postings, rules: live, dead: dead}, true
 }
 
 // chooseKeys returns the witness set of p whose tokens are rarest in total
@@ -116,12 +178,18 @@ func chooseKeys(p *pattern.Pattern, freq func(tok string) int) []string {
 	return keys
 }
 
-// Rules returns the indexed rules in input order (Filter rules excluded).
-// The returned slice is shared; callers must not mutate it.
-func (idx *RuleIndex) Rules() []*Rule { return idx.rules }
+// Rules returns the live indexed rules in input order (Filter rules
+// excluded). Without dead slots the returned slice is shared; callers must not
+// mutate it.
+func (idx *RuleIndex) Rules() []*Rule {
+	if idx.dead == 0 {
+		return idx.rules
+	}
+	return slices.DeleteFunc(slices.Clone(idx.rules), func(r *Rule) bool { return r == nil })
+}
 
-// Len returns the number of indexed rules.
-func (idx *RuleIndex) Len() int { return len(idx.rules) }
+// Len returns the number of live indexed rules.
+func (idx *RuleIndex) Len() int { return len(idx.rules) - idx.dead }
 
 // CandidatesFor returns the rules that could match the item, deduplicated,
 // in rule input order. The result is a superset of the actually matching
@@ -136,15 +204,18 @@ func (idx *RuleIndex) CandidatesFor(it *catalog.Item) []*Rule {
 	return out
 }
 
-// candidateSlots appends the item's candidate slots to buf, ascending and
-// deduplicated. Ascending is rule input order: evaluating candidates in it is
-// what makes a per-item verdict list its evidence exactly as the sequential
-// oracle and the batch join do.
+// candidateSlots appends the item's live candidate slots to buf, ascending
+// and deduplicated. Ascending is rule input order: evaluating candidates in it
+// is what makes a per-item verdict list its evidence exactly as the sequential
+// oracle and the batch join do. The prefilter reads the slot's keyed rule,
+// whose compiled pattern a live rule in the slot shares; dead slots are
+// dropped after gathering, so an index without them pays nothing for the
+// check.
 func (idx *RuleIndex) candidateSlots(it *catalog.Item, buf []int32) []int32 {
 	sig := it.TitleSignature()
 	for _, tok := range it.TitleTokens() {
 		for _, s := range idx.byToken[tok] {
-			if idx.rules[s].compiled.MayMatch(sig) {
+			if idx.keyed[s].compiled.MayMatch(sig) {
 				buf = append(buf, s)
 			}
 		}
@@ -152,7 +223,11 @@ func (idx *RuleIndex) candidateSlots(it *catalog.Item, buf []int32) []int32 {
 	for attr := range it.Attrs {
 		buf = append(buf, idx.byAttr[strings.ToLower(attr)]...)
 	}
-	return sortedUnique(append(buf, idx.always...))
+	buf = append(buf, idx.always...)
+	if idx.dead > 0 {
+		buf = slices.DeleteFunc(buf, func(s int32) bool { return idx.rules[s] == nil })
+	}
+	return sortedUnique(buf)
 }
 
 // DataIndex answers the dual question — "which items could this rule

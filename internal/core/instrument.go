@@ -43,10 +43,12 @@ type ruleTelemetry struct {
 	effective *obs.Counter
 }
 
-// execTelemetry is everything an instrumented IndexedExecutor records into.
-// The counters are registry instances (one per name+labels), so executors
-// rebuilt after a rulebase change keep accumulating into the same series.
+// execTelemetry is the executor-level half of what an instrumented
+// IndexedExecutor records into; the per-rule half is its ruleTel table. The
+// counters are registry instances (one per name+labels), so a successor
+// executor shares this struct and keeps accumulating into the same series.
 type execTelemetry struct {
+	reg        *obs.Registry // resolves per-rule counters for rules new to an executor
 	applies    *obs.Counter
 	candidates *obs.Counter
 	matched    *obs.Counter
@@ -61,8 +63,6 @@ type execTelemetry struct {
 	pruned          *obs.Counter
 	internHits      *obs.Counter
 	internMisses    *obs.Counter
-
-	rules []ruleTelemetry // aligned with RuleIndex.rules; read-only after construction
 }
 
 // NewInstrumentedExecutor is NewIndexedExecutor with telemetry recorded into
@@ -81,6 +81,7 @@ func NewInstrumentedExecutor(rules []*Rule, reg *obs.Registry, labels ...string)
 	}
 	e := NewIndexedExecutor(rules)
 	tel := &execTelemetry{
+		reg:             reg,
 		applies:         reg.Counter(MetricExecApplies, labels...),
 		candidates:      reg.Counter(MetricExecCandidates, labels...),
 		matched:         reg.Counter(MetricExecMatched, labels...),
@@ -92,38 +93,62 @@ func NewInstrumentedExecutor(rules []*Rule, reg *obs.Registry, labels ...string)
 		pruned:          reg.Counter(MetricBatchPruned, labels...),
 		internHits:      reg.Counter(MetricBatchInternHits, labels...),
 		internMisses:    reg.Counter(MetricBatchInternMisses, labels...),
-		rules:           make([]ruleTelemetry, len(e.idx.rules)),
 	}
 	reg.Help(MetricRuleFired, "times each rule matched an item")
 	reg.Help(MetricRuleEffective, "times each rule's assertion survived the final verdict")
 	reg.Help(MetricBatchBatches, "batches evaluated through the batch-inverted matcher")
 	reg.Help(MetricBatchUnits, "(rule, candidate-items) work units produced by the batch join")
 	reg.Help(MetricBatchPruned, "duplicate candidates removed by per-unit dedup")
-	for s, r := range e.idx.rules {
-		if r.ID != "" {
-			tel.rules[s] = ruleTelemetry{
-				fired:     reg.Counter(MetricRuleFired, "rule", r.ID),
-				effective: reg.Counter(MetricRuleEffective, "rule", r.ID),
+	e.tel = tel
+	e.ruleTel = tel.ruleTable(e.idx, nil)
+	return e
+}
+
+// ruleTable returns the per-rule counters for idx's slots. A rule prev also
+// had a slot for (matched by ID) reuses prev's pair; only the others are
+// resolved through the registry, which is what a rebuild after a one-rule
+// change would otherwise spend most of its time on.
+func (tel *execTelemetry) ruleTable(idx *RuleIndex, prev *IndexedExecutor) []ruleTelemetry {
+	var carried map[string]ruleTelemetry
+	if prev != nil && len(prev.ruleTel) > 0 {
+		carried = make(map[string]ruleTelemetry, len(prev.ruleTel))
+		for s, r := range prev.idx.keyed {
+			if r.ID != "" {
+				carried[r.ID] = prev.ruleTel[s]
 			}
 		}
 	}
-	e.tel = tel
-	return e
+	out := make([]ruleTelemetry, len(idx.keyed))
+	for s, r := range idx.keyed {
+		if r.ID == "" {
+			continue
+		}
+		rt, ok := carried[r.ID]
+		if !ok {
+			rt = ruleTelemetry{
+				fired:     tel.reg.Counter(MetricRuleFired, "rule", r.ID),
+				effective: tel.reg.Counter(MetricRuleEffective, "rule", r.ID),
+			}
+		}
+		out[s] = rt
+	}
+	return out
 }
 
 // recordApply settles one Apply: candidates proposed, the matched slots, and
 // — now that v is final and vetoes are known — which matches were effective.
-func (tel *execTelemetry) recordApply(rules []*Rule, v *Verdict, candidates int, matched []int32) {
+func (e *IndexedExecutor) recordApply(v *Verdict, candidates int, matched []int32) {
+	tel := e.tel
 	tel.applies.Inc()
 	tel.candidates.Add(int64(candidates))
 	tel.matched.Add(int64(len(matched)))
 	for _, s := range matched {
-		rt := tel.rules[s]
+		rt := e.ruleTel[s]
 		if rt.fired == nil {
 			continue
 		}
 		rt.fired.Inc()
-		if r := rules[s]; r.asserting() && v.survives(r.TargetType) {
+		if r := e.idx.rules[s]; r.asserting() && v.survives(r.TargetType) {
 			rt.effective.Inc()
 		}
 	}
@@ -188,10 +213,10 @@ func (e *IndexedExecutor) Health(minConfidence float64) []RuleHealth {
 	if e.Applies() == 0 {
 		return nil
 	}
-	out := make([]RuleHealth, 0, len(e.idx.rules))
+	out := make([]RuleHealth, 0, e.idx.Len())
 	for s, r := range e.idx.rules {
-		rt := e.tel.rules[s]
-		if rt.fired == nil {
+		rt := e.ruleTel[s]
+		if r == nil || rt.fired == nil {
 			continue
 		}
 		h := RuleHealth{

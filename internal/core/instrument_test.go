@@ -268,7 +268,9 @@ func TestRuleHealthReport(t *testing.T) {
 	vetoed := add(NewWhitelist("olive oils?", "motor oil"))
 	add(NewBlacklist("olive oils?", "motor oil"))
 	lowPrec := add(NewWhitelist("jeans?", "jeans"))
-	lowPrec.Confidence = 0.5
+	if err := rb.UpdateConfidence(lowPrec.ID, 0.5, "ana"); err != nil {
+		t.Fatal(err)
+	}
 
 	inst := NewInstrumentedExecutor(rb.Active(), obs.NewRegistry())
 	if inst.Health(0.92) != nil {

@@ -28,14 +28,20 @@ type AuditEntry struct {
 //
 // Every state change goes through commit. Lock order: commitMu, then mu, then
 // subMu, never the reverse.
+//
+// A stored rule is copy-on-write: once a *Rule has been handed out (Get,
+// All, Active, ActiveView, a serving snapshot) it is never written again. A
+// lifecycle or confidence change replaces the rule with an updated Clone, so
+// readers may use a rule they hold without the lock, and a rule read before a
+// mutation keeps the values it had — use Get(id) for the current ones.
 type Rulebase struct {
 	// commitMu serializes whole commits — state change plus delivery — so
 	// subscribers see changes in version order.
 	commitMu sync.Mutex
 
 	mu      sync.RWMutex
-	rules   map[string]*Rule
-	order   []string // insertion order for deterministic iteration
+	rules   []*Rule        // every rule, in insertion order
+	byID    map[string]int // rule ID -> position in rules
 	version uint64
 	audit   []AuditEntry
 	obs     *obs.Registry // nil = uninstrumented
@@ -74,7 +80,7 @@ func (rb *Rulebase) countMutation(action string) {
 
 // NewRulebase returns an empty rulebase.
 func NewRulebase() *Rulebase {
-	return &Rulebase{rules: map[string]*Rule{}}
+	return &Rulebase{byID: map[string]int{}}
 }
 
 // Version returns the current logical clock value.
@@ -93,9 +99,9 @@ func (rb *Rulebase) Version() uint64 {
 func (rb *Rulebase) ActiveView() (version uint64, active []*Rule) {
 	rb.mu.RLock()
 	defer rb.mu.RUnlock()
-	active = make([]*Rule, 0, len(rb.order))
-	for _, id := range rb.order {
-		if r := rb.rules[id]; r.Status == Active {
+	active = make([]*Rule, 0, len(rb.rules))
+	for _, r := range rb.rules {
+		if r.Status == Active {
 			active = append(active, r)
 		}
 	}
@@ -147,7 +153,7 @@ func (rb *Rulebase) Add(r *Rule, actor string) (string, error) {
 	}
 	note := r.String()
 	err := rb.commit(func() (Change, error) {
-		if _, exists := rb.rules[r.ID]; exists {
+		if _, exists := rb.byID[r.ID]; exists {
 			return Change{}, fmt.Errorf("core: rule id %q already present", r.ID)
 		}
 		rb.version++
@@ -156,8 +162,7 @@ func (rb *Rulebase) Add(r *Rule, actor string) (string, error) {
 		if r.Author == "" {
 			r.Author = actor
 		}
-		rb.rules[r.ID] = r
-		rb.order = append(rb.order, r.ID)
+		rb.insert(r)
 		entry := AuditEntry{rb.version, "add", r.ID, actor, note}
 		rb.audit = append(rb.audit, entry)
 		rb.countMutation("add")
@@ -191,14 +196,28 @@ func (rb *Rulebase) AddAll(rules []*Rule, actor string) error {
 func (rb *Rulebase) Get(id string) *Rule {
 	rb.mu.RLock()
 	defer rb.mu.RUnlock()
-	return rb.rules[id]
+	return rb.get(id)
+}
+
+// get returns the rule with the given id, or nil. Callers hold rb.mu.
+func (rb *Rulebase) get(id string) *Rule {
+	if i, ok := rb.byID[id]; ok {
+		return rb.rules[i]
+	}
+	return nil
+}
+
+// insert appends a rule whose ID is not present. Callers hold rb.mu.
+func (rb *Rulebase) insert(r *Rule) {
+	rb.byID[r.ID] = len(rb.rules)
+	rb.rules = append(rb.rules, r)
 }
 
 // setStatus transitions a rule's lifecycle state.
 func (rb *Rulebase) setStatus(id string, st Status, action, actor, note string) error {
 	return rb.commit(func() (Change, error) {
-		r, ok := rb.rules[id]
-		if !ok {
+		r := rb.get(id)
+		if r == nil {
 			return Change{}, fmt.Errorf("core: no rule %q", id)
 		}
 		if r.Status == Retired && st != Retired {
@@ -208,13 +227,22 @@ func (rb *Rulebase) setStatus(id string, st Status, action, actor, note string) 
 			return Change{}, nil
 		}
 		rb.version++
-		r.Status = st
-		r.UpdatedAt = rb.version
+		rb.replace(r, rb.version, func(c *Rule) { c.Status = st })
 		entry := AuditEntry{rb.version, action, id, actor, note}
 		rb.audit = append(rb.audit, entry)
 		rb.countMutation(action)
 		return Change{Entry: entry, Status: st}, nil
 	})
+}
+
+// replace stores an updated copy of r, stamped with version, in r's place:
+// the copy-on-write step every in-place change goes through. Callers hold
+// rb.mu.
+func (rb *Rulebase) replace(r *Rule, version uint64, update func(*Rule)) {
+	c := r.Clone()
+	update(c)
+	c.UpdatedAt = version
+	rb.rules[rb.byID[r.ID]] = c
 }
 
 // Disable turns a rule off — the per-rule "scale down" of §3.2 ("if that
@@ -242,10 +270,9 @@ func (rb *Rulebase) Retire(id, actor, note string) error {
 func (rb *Rulebase) DisableWhere(pred func(*Rule) bool, actor, note string) []string {
 	rb.mu.RLock()
 	ids := make([]string, 0)
-	for _, id := range rb.order {
-		r := rb.rules[id]
+	for _, r := range rb.rules {
 		if r.Status == Active && pred(r) {
-			ids = append(ids, id)
+			ids = append(ids, r.ID)
 		}
 	}
 	rb.mu.RUnlock()
@@ -268,13 +295,12 @@ func (rb *Rulebase) UpdateConfidence(id string, conf float64, actor string) erro
 	// section (this is the hottest mutation — every precision re-estimate).
 	note := fmt.Sprintf("confidence=%.3f", conf)
 	return rb.commit(func() (Change, error) {
-		r, ok := rb.rules[id]
-		if !ok {
+		r := rb.get(id)
+		if r == nil {
 			return Change{}, fmt.Errorf("core: no rule %q", id)
 		}
 		rb.version++
-		r.Confidence = conf
-		r.UpdatedAt = rb.version
+		rb.replace(r, rb.version, func(c *Rule) { c.Confidence = conf })
 		entry := AuditEntry{rb.version, "update", id, actor, note}
 		rb.audit = append(rb.audit, entry)
 		rb.countMutation("update")
@@ -292,8 +318,7 @@ func (rb *Rulebase) Active(kinds ...Kind) []*Rule {
 		want[k] = true
 	}
 	var out []*Rule
-	for _, id := range rb.order {
-		r := rb.rules[id]
+	for _, r := range rb.rules {
 		if r.Status != Active {
 			continue
 		}
@@ -309,10 +334,8 @@ func (rb *Rulebase) Active(kinds ...Kind) []*Rule {
 func (rb *Rulebase) All() []*Rule {
 	rb.mu.RLock()
 	defer rb.mu.RUnlock()
-	out := make([]*Rule, 0, len(rb.order))
-	for _, id := range rb.order {
-		out = append(out, rb.rules[id])
-	}
+	out := make([]*Rule, len(rb.rules))
+	copy(out, rb.rules)
 	return out
 }
 
@@ -384,9 +407,9 @@ type rulebaseJSON struct {
 func (rb *Rulebase) MarshalJSON() ([]byte, error) {
 	rb.mu.RLock()
 	defer rb.mu.RUnlock()
-	rules := make([]*Rule, 0, len(rb.order))
-	for _, id := range rb.order {
-		rules = append(rules, rb.rules[id])
+	rules := rb.rules
+	if rules == nil {
+		rules = []*Rule{} // "rules": [], never null
 	}
 	return json.Marshal(rulebaseJSON{
 		Version: rb.version, NextID: int(rb.nextID.Load()), Rules: rules, Audit: rb.audit,
@@ -404,17 +427,15 @@ func (rb *Rulebase) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
 	}
-	rules := make(map[string]*Rule, len(j.Rules))
-	order := make([]string, 0, len(j.Rules))
-	for _, r := range j.Rules {
-		if _, dup := rules[r.ID]; dup {
+	byID := make(map[string]int, len(j.Rules))
+	for i, r := range j.Rules {
+		if _, dup := byID[r.ID]; dup {
 			return fmt.Errorf("core: duplicate rule id %q in serialized rulebase", r.ID)
 		}
-		rules[r.ID] = r
-		order = append(order, r.ID)
+		byID[r.ID] = i
 	}
 	return rb.commit(func() (Change, error) {
-		rb.rules, rb.order = rules, order
+		rb.rules, rb.byID = j.Rules, byID
 		rb.version = j.Version
 		rb.nextID.Store(int64(j.NextID))
 		rb.audit = j.Audit

@@ -13,8 +13,13 @@ import (
 const (
 	// MetricSnapshotSwaps counts snapshot publishes (initial build included).
 	MetricSnapshotSwaps = "serve_snapshot_swaps_total"
-	// MetricSnapshotBuild is the rebuild-and-swap latency histogram.
+	// MetricSnapshotBuild is the rebuild-and-swap latency histogram: the
+	// time of each publish's build, delta or full.
 	MetricSnapshotBuild = "serve_snapshot_build_seconds"
+	// MetricSnapshotBuilds counts snapshot builds by kind: "delta" when the
+	// new snapshot shares its predecessor's rule indexes, "full" otherwise
+	// (the first build, an added rule, a load, too many dead slots).
+	MetricSnapshotBuilds = "serve_snapshot_builds_total"
 	// MetricSnapshotVersion is the version of the published snapshot.
 	MetricSnapshotVersion = "serve_snapshot_version"
 	// MetricQueueDepth is the number of queued (not yet picked up) requests.
@@ -93,6 +98,8 @@ type Engine struct {
 	degraded     atomic.Bool
 
 	swaps     *obs.Counter
+	deltas    *obs.Counter
+	fulls     *obs.Counter
 	buildSec  *obs.Histogram
 	verGauge  *obs.Gauge
 	buildErrs *obs.Counter
@@ -129,6 +136,8 @@ func NewEngine(rb *core.Rulebase, opts EngineOptions) *Engine {
 		reg:       reg,
 		debounce:  debounce,
 		swaps:     reg.Counter(MetricSnapshotSwaps),
+		deltas:    reg.Counter(MetricSnapshotBuilds, "kind", "delta"),
+		fulls:     reg.Counter(MetricSnapshotBuilds, "kind", "full"),
 		buildSec:  reg.Histogram(MetricSnapshotBuild, obs.LatencyBuckets),
 		verGauge:  reg.Gauge(MetricSnapshotVersion),
 		buildErrs: reg.Counter(MetricBuildErrors),
@@ -137,6 +146,7 @@ func NewEngine(rb *core.Rulebase, opts EngineOptions) *Engine {
 		done:      make(chan struct{}),
 	}
 	reg.Help(MetricSnapshotSwaps, "snapshot publishes (rebuild-and-swap)")
+	reg.Help(MetricSnapshotBuilds, "snapshot builds by kind: delta (rule indexes shared with the previous snapshot) or full")
 	reg.Help(MetricSnapshotVersion, "rulebase version of the published snapshot")
 	reg.Help(MetricBuildErrors, "failed snapshot rebuilds (stale snapshot kept)")
 	reg.Help(MetricDegraded, "1 while serving a stale snapshot after a failed rebuild")
@@ -147,9 +157,21 @@ func NewEngine(rb *core.Rulebase, opts EngineOptions) *Engine {
 }
 
 // build constructs a snapshot of the current rulebase with the engine's
-// verdict cache attached.
+// verdict cache attached: from the published snapshot when there is one, so
+// a lifecycle or confidence change costs a re-slot, not a re-freeze.
 func (e *Engine) build() *Snapshot {
-	snap := BuildSnapshot(e.rb, e.reg)
+	var snap *Snapshot
+	delta := false
+	if prev := e.cur.Load(); prev != nil {
+		snap, delta = prev.successor(e.rb)
+	} else {
+		snap = BuildSnapshot(e.rb, e.reg)
+	}
+	if delta {
+		e.deltas.Inc()
+	} else {
+		e.fulls.Inc()
+	}
 	snap.cache = e.cache
 	return snap
 }

@@ -14,7 +14,10 @@
 //     readers never take the rulebase lock. Mutations (via
 //     Rulebase.SubscribeChanges) wake a debounced async rebuild-and-swap loop;
 //     Acquire is the synchronous version-cached fallback for callers that
-//     need an up-to-date snapshot without Start.
+//     need an up-to-date snapshot without Start. Either way snapshot N+1 is
+//     built from snapshot N: a disable, enable, retire or confidence change
+//     reuses N's rule indexes and telemetry and only re-slots the rule list;
+//     an added rule or a load takes a full build (Snapshot.successor).
 //   - Server: a bounded worker pool with queue-depth backpressure (explicit
 //     shed on overflow) and graceful drain on shutdown. Each request is
 //     classified entirely against the snapshot current when a worker picks
@@ -36,11 +39,11 @@ import (
 // rules keep firing in old snapshots — that is the isolation contract, not a
 // bug: the batch that started under version v finishes under version v).
 type Snapshot struct {
-	version   uint64
-	activeIDs []string // sorted IDs of the active rules, for audit traceability
-	gate      *core.IndexedExecutor
-	rules     *core.IndexedExecutor
-	filters   map[string]string // target type -> filter rule ID
+	version uint64
+	active  []*core.Rule // the active rules as read, insertion order (see ActiveIDs)
+	gate    *core.IndexedExecutor
+	rules   *core.IndexedExecutor
+	filters map[string]string // target type -> filter rule ID
 
 	// cache is the engine-owned verdict cache, attached after construction
 	// (the engine outlives snapshot generations; entries self-invalidate on
@@ -48,19 +51,38 @@ type Snapshot struct {
 	cache *VerdictCache
 }
 
-// BuildSnapshot freezes rb's active rule set into executors. The version and
-// rule list come from one Rulebase.ActiveView critical section. Executors
-// are instrumented into reg (obs.Default when nil) under the same series
-// labels the Chimera pipeline has always used ("exec"/"gate",
+// BuildSnapshot freezes rb's active rule set into executors: the cold full
+// build. The version and rule list come from one Rulebase.ActiveView critical
+// section. Executors are instrumented into reg (obs.Default when nil) under
+// the same series labels the Chimera pipeline has always used ("exec"/"gate",
 // "exec"/"rules"), so per-rule telemetry accumulates across snapshot
 // generations.
 func BuildSnapshot(rb *core.Rulebase, reg *obs.Registry) *Snapshot {
+	s, gateRules, classRules := readSnapshot(rb)
+	s.gate = core.NewInstrumentedExecutor(gateRules, reg, "exec", "gate")
+	s.rules = core.NewInstrumentedExecutor(classRules, reg, "exec", "rules")
+	return s
+}
+
+// successor builds the snapshot of rb's current state from s
+// (core.IndexedExecutor.Successor, per stage) and reports whether both stages
+// shared s's rule indexes — a delta build — rather than rebuilding one. The
+// result equals BuildSnapshot(rb, reg) for the registry s was built into.
+func (s *Snapshot) successor(rb *core.Rulebase) (next *Snapshot, delta bool) {
+	next, gateRules, classRules := readSnapshot(rb)
+	var gateShared, rulesShared bool
+	next.gate, gateShared = s.gate.Successor(gateRules)
+	next.rules, rulesShared = s.rules.Successor(classRules)
+	return next, gateShared && rulesShared
+}
+
+// readSnapshot takes one ActiveView of rb and returns a snapshot without
+// executors plus the rules of its two stages, in rulebase insertion order.
+func readSnapshot(rb *core.Rulebase) (s *Snapshot, gateRules, classRules []*core.Rule) {
 	version, active := rb.ActiveView()
-	var gateRules, classRules []*core.Rule
 	filters := map[string]string{}
-	ids := make([]string, 0, len(active))
+	classRules = make([]*core.Rule, 0, len(active))
 	for _, r := range active {
-		ids = append(ids, r.ID)
 		switch r.Kind {
 		case core.Gate:
 			gateRules = append(gateRules, r)
@@ -72,14 +94,7 @@ func BuildSnapshot(rb *core.Rulebase, reg *obs.Registry) *Snapshot {
 			classRules = append(classRules, r)
 		}
 	}
-	sort.Strings(ids)
-	return &Snapshot{
-		version:   version,
-		activeIDs: ids,
-		gate:      core.NewInstrumentedExecutor(gateRules, reg, "exec", "gate"),
-		rules:     core.NewInstrumentedExecutor(classRules, reg, "exec", "rules"),
-		filters:   filters,
-	}
+	return &Snapshot{version: version, active: active, filters: filters}, gateRules, classRules
 }
 
 // Version returns the rulebase logical clock this snapshot was built at.
@@ -88,10 +103,15 @@ func (s *Snapshot) Version() uint64 { return s.version }
 // ActiveIDs returns the sorted IDs of the rules active in this snapshot.
 // This is the traceability hook: together with the rulebase audit log it
 // proves every verdict came from exactly one rulebase state (the race tests
-// replay the audit log against it). The returned slice is the caller's own
-// copy — mutating it cannot corrupt the shared immutable snapshot.
+// replay the audit log against it). The list is sorted on each call, off the
+// rebuild path; the returned slice is the caller's own.
 func (s *Snapshot) ActiveIDs() []string {
-	return append([]string(nil), s.activeIDs...)
+	ids := make([]string, len(s.active))
+	for i, r := range s.active {
+		ids[i] = r.ID
+	}
+	sort.Strings(ids)
+	return ids
 }
 
 // Gate returns the Gate-Keeper executor (Gate rules only).

@@ -52,6 +52,10 @@ echo "== go test -race -count=20 (ordered change feed: delivery order, registrat
 race_run ./internal/core 'TestChangeFeedOrdered|TestSubscribeChanges' -count=20
 race_run ./internal/persist 'TestConcurrentMutators' -count=20
 
+echo "== go test -race (delta snapshots equal full builds; copy-on-write rules read during mutations, -count=10) =="
+race_run ./internal/serve 'TestDeltaSnapshotEqualsFullProperty'
+race_run ./internal/core 'TestHealthDuringConfidenceUpdates|TestFindDuplicatesDuringDisables' -count=10
+
 echo "== fuzz smoke (10s per target) =="
 go test -fuzz=FuzzParseRule -fuzztime=10s -run '^$' ./internal/pattern
 go test -fuzz=FuzzWitnessSound -fuzztime=10s -run '^$' ./internal/pattern
