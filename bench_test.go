@@ -441,6 +441,30 @@ func BenchmarkEnsemblePredict(b *testing.B) {
 	benchPredict(b, ens)
 }
 
+// BenchmarkEnsemblePredictWorld times the pipeline's ensemble, and each of
+// its members through Members(), at the benchmark world's shape: 250 types
+// and 2,000 training items. Naive Bayes and the perceptron score every
+// class, so the 60-type fixture above understates their cost about 4x.
+func BenchmarkEnsemblePredictWorld(b *testing.B) {
+	cat := catalog.New(catalog.Config{Seed: 7, NumTypes: 250})
+	ens, err := learn.NewEnsemble([]learn.Classifier{
+		learn.NewNaiveBayes(), learn.NewKNN(5), learn.NewPerceptron(3),
+	}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ens.Train(cat.LabeledData(2000))
+	items := cat.GenerateBatch(catalog.BatchSpec{Size: 256, Epoch: 1})
+	for _, c := range append(append([]learn.Classifier{}, ens.Members()...), ens) {
+		b.Run(c.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.Predict(items[i%len(items)])
+			}
+		})
+	}
+}
+
 func BenchmarkDevSessionTry(b *testing.B) {
 	dev := core.NewDevSession(benchItems(4000))
 	b.ResetTimer()

@@ -480,10 +480,13 @@ func (p *Pipeline) voteDecision(it *catalog.Item, snap *serve.Snapshot, rv *core
 	ruleTypes := rv.FinalTypes()
 	ensPreds := p.Ensemble.Predict(it)
 
-	// Stage 3: Voting Master.
-	votes := map[string]float64{}
+	// Stage 3: Voting Master. Only the rule types and the ensemble's top
+	// types get a vote, so a short slice scanned linearly stands in for a map
+	// and a sort.
+	var buf [16]typeVote
+	votes := buf[:0]
 	for _, t := range ruleTypes {
-		votes[t] += p.cfg.RuleWeight
+		votes = addVote(votes, t, p.cfg.RuleWeight)
 	}
 	for _, pr := range ensPreds {
 		// Blacklist vetoes and attribute constraints bind the learners too.
@@ -493,28 +496,23 @@ func (p *Pipeline) voteDecision(it *catalog.Item, snap *serve.Snapshot, rv *core
 		if rv.Allowed != nil && !rv.Allowed[pr.Type] {
 			continue
 		}
-		votes[pr.Type] += pr.Score
+		votes = addVote(votes, pr.Type, pr.Score)
 	}
 	if len(votes) == 0 {
 		return p.decline(it, "no-votes")
 	}
-	type tv struct {
-		t string
-		v float64
-	}
-	ranked := make([]tv, 0, len(votes))
-	for t, v := range votes {
-		ranked = append(ranked, tv{t, v})
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].v != ranked[j].v {
-			return ranked[i].v > ranked[j].v
+	// best is the maximum under (vote desc, type asc); a tie on the vote
+	// alone makes the item ambiguous.
+	best := votes[0]
+	for _, tv := range votes[1:] {
+		if tv.v > best.v || tv.v == best.v && tv.t < best.t {
+			best = tv
 		}
-		return ranked[i].t < ranked[j].t
-	})
-	best := ranked[0]
-	if len(ranked) > 1 && ranked[1].v == best.v {
-		return p.decline(it, "ambiguous")
+	}
+	for _, tv := range votes {
+		if tv.v == best.v && tv.t != best.t {
+			return p.decline(it, "ambiguous")
+		}
 	}
 	if best.v < p.cfg.VoteThreshold {
 		return p.decline(it, "low-confidence")
@@ -541,6 +539,25 @@ func (p *Pipeline) voteDecision(it *catalog.Item, snap *serve.Snapshot, rv *core
 		}
 	}
 	return Decision{Item: it, Type: best.t, Reason: source, Confidence: conf, Evidence: evidence}
+}
+
+// typeVote is one type's summed vote in the Voting Master.
+type typeVote struct {
+	t string
+	v float64
+}
+
+// addVote adds v to t's entry, appending one that starts at zero.
+func addVote(votes []typeVote, t string, v float64) []typeVote {
+	i := 0
+	for i < len(votes) && votes[i].t != t {
+		i++
+	}
+	if i == len(votes) {
+		votes = append(votes, typeVote{t: t})
+	}
+	votes[i].v += v
+	return votes
 }
 
 func (p *Pipeline) decline(it *catalog.Item, reason string) Decision {

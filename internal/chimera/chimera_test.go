@@ -1,6 +1,8 @@
 package chimera
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +10,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/learn"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -787,5 +790,150 @@ func TestShardedServerInjectsShardContext(t *testing.T) {
 	}
 	if got := inj.Counts()["shard_stall"]; got != onTarget {
 		t.Fatalf("injector stalled %d handler calls, %d items routed to the target shard", got, onTarget)
+	}
+}
+
+// refVoteDecision is the Voting Master as a map of votes and a full sort,
+// kept as the reference voteDecision must agree with decision for decision.
+func refVoteDecision(p *Pipeline, it *catalog.Item, snap *serve.Snapshot, rv *core.Verdict) Decision {
+	// Stage 2: classifiers.
+	ruleTypes := rv.FinalTypes()
+	ensPreds := p.Ensemble.Predict(it)
+
+	// Stage 3: Voting Master.
+	votes := map[string]float64{}
+	for _, t := range ruleTypes {
+		votes[t] += p.cfg.RuleWeight
+	}
+	for _, pr := range ensPreds {
+		// Blacklist vetoes and attribute constraints bind the learners too.
+		if len(rv.Vetoed[pr.Type]) > 0 {
+			continue
+		}
+		if rv.Allowed != nil && !rv.Allowed[pr.Type] {
+			continue
+		}
+		votes[pr.Type] += pr.Score
+	}
+	if len(votes) == 0 {
+		return p.decline(it, "no-votes")
+	}
+	type tv struct {
+		t string
+		v float64
+	}
+	ranked := make([]tv, 0, len(votes))
+	for t, v := range votes {
+		ranked = append(ranked, tv{t, v})
+	}
+	sort.Slice(ranked, func(i, j int) bool {
+		if ranked[i].v != ranked[j].v {
+			return ranked[i].v > ranked[j].v
+		}
+		return ranked[i].t < ranked[j].t
+	})
+	best := ranked[0]
+	if len(ranked) > 1 && ranked[1].v == best.v {
+		return p.decline(it, "ambiguous")
+	}
+	if best.v < p.cfg.VoteThreshold {
+		return p.decline(it, "low-confidence")
+	}
+
+	// Stage 4: Filter.
+	if fid, killed := snap.FilterFor(best.t); killed {
+		return Decision{Item: it, Declined: true, Reason: "filtered:" + best.t + " by " + fid}
+	}
+
+	conf := best.v / (p.cfg.RuleWeight + 1)
+	if conf > 1 {
+		conf = 1
+	}
+	source := "ensemble"
+	var evidence []string
+	for _, t := range ruleTypes {
+		if t == best.t {
+			source = "rules"
+			evidence = ruleIDs(rv.Asserted[best.t])
+			if len(ensPreds) > 0 && ensPreds[0].Type == best.t {
+				source = "combined"
+			}
+		}
+	}
+	return Decision{Item: it, Type: best.t, Reason: source, Confidence: conf, Evidence: evidence}
+}
+
+// fixedPredictions is an ensemble member that predicts the same list for
+// every item.
+type fixedPredictions []learn.Prediction
+
+func (f fixedPredictions) Name() string                             { return "fixed" }
+func (f fixedPredictions) Train([]*catalog.Item)                    {}
+func (f fixedPredictions) Predict(*catalog.Item) []learn.Prediction { return f }
+
+// TestVotingMasterCases hand-builds rule verdicts and ensemble votes for the
+// Voting Master's edge cases and checks voteDecision against the reference
+// and against the expected decision.
+func TestVotingMasterCases(t *testing.T) {
+	rule := func(id string) []*core.Rule { return []*core.Rule{{ID: id}} }
+	cases := []struct {
+		name       string
+		ruleWeight float64
+		asserted   []string
+		vetoed     []string
+		allowed    []string // nil: unconstrained
+		ens        fixedPredictions
+		wantType   string // "" when declined
+		wantReason string
+	}{
+		{name: "rule-only tie", asserted: []string{"rugs", "mats"},
+			wantReason: "ambiguous"},
+		{name: "rule-plus-ensemble tie", ruleWeight: 0.25, asserted: []string{"mats"},
+			ens:        fixedPredictions{{Type: "rugs", Score: 0.5}, {Type: "mats", Score: 0.25}, {Type: "tiles", Score: 0.25}},
+			wantReason: "ambiguous"},
+		{name: "vetoed top ensemble type", vetoed: []string{"rugs"},
+			ens:      fixedPredictions{{Type: "rugs", Score: 0.75}, {Type: "mats", Score: 0.25}},
+			wantType: "mats", wantReason: "ensemble"},
+		{name: "allowed restriction", asserted: []string{"tiles"}, allowed: []string{"mats"},
+			ens:      fixedPredictions{{Type: "rugs", Score: 0.75}, {Type: "mats", Score: 0.25}},
+			wantType: "mats", wantReason: "ensemble"},
+		{name: "rules and ensemble agree", asserted: []string{"rugs", "mats"},
+			ens:      fixedPredictions{{Type: "rugs", Score: 0.75}, {Type: "mats", Score: 0.25}},
+			wantType: "rugs", wantReason: "combined"},
+		{name: "no votes", vetoed: []string{"rugs"},
+			ens:        fixedPredictions{{Type: "rugs", Score: 1}},
+			wantReason: "no-votes"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := New(Config{Seed: 3, Obs: obs.NewRegistry(), RuleWeight: tc.ruleWeight, VoteThreshold: 0.1})
+			ens, err := learn.NewEnsemble([]learn.Classifier{tc.ens}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Ensemble = ens
+			rv := &core.Verdict{Asserted: map[string][]*core.Rule{}, Vetoed: map[string][]*core.Rule{}}
+			for _, ty := range tc.asserted {
+				rv.Asserted[ty] = rule("w-" + ty)
+			}
+			for _, ty := range tc.vetoed {
+				rv.Vetoed[ty] = rule("b-" + ty)
+			}
+			if tc.allowed != nil {
+				rv.Allowed = map[string]bool{}
+				for _, ty := range tc.allowed {
+					rv.Allowed[ty] = true
+				}
+			}
+			it := &catalog.Item{ID: "hand", Attrs: map[string]string{"Title": "braided area rug"}}
+			snap := p.Snapshots().Acquire()
+			got, want := p.voteDecision(it, snap, rv), refVoteDecision(p, it, snap, rv)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("voteDecision = %+v, reference = %+v", got, want)
+			}
+			if got.Type != tc.wantType || got.Reason != tc.wantReason || got.Declined != (tc.wantType == "") {
+				t.Fatalf("decision %+v, want type %q reason %q", got, tc.wantType, tc.wantReason)
+			}
+		})
 	}
 }

@@ -61,9 +61,16 @@ func (m modelPair) train(items []*catalog.Item) {
 	m.want.Train(items)
 }
 
-// diff returns "" when every member and the ensemble predict it bit for bit
-// as the reference does, and otherwise a description of the first mismatch.
+// diff returns "" when the item's interned feature IDs are the vocabulary
+// lookups of Features(it), element by element, and every member and the
+// ensemble predict it bit for bit as the reference does; otherwise it
+// describes the first mismatch.
 func (m modelPair) diff(it *catalog.Item) string {
+	if m.got.voc != nil {
+		if d := diffInterned(m.got.voc, it); d != "" {
+			return "intern: " + d
+		}
+	}
 	gotMembers, wantMembers := m.got.Members(), m.want.Members()
 	for i := range gotMembers {
 		if d := diffPredictions(gotMembers[i].Predict(it), wantMembers[i].Predict(it)); d != "" {
@@ -72,6 +79,28 @@ func (m modelPair) diff(it *catalog.Item) string {
 	}
 	if d := diffPredictions(m.got.Predict(it), m.want.Predict(it)); d != "" {
 		return "ensemble: " + d
+	}
+	return ""
+}
+
+// diffInterned compares the IDs intern assigns it with the vocabulary lookup
+// of each Features(it) string, -1 for a string outside the vocabulary.
+func diffInterned(voc *vocabulary, it *catalog.Item) string {
+	s := getScratch()
+	defer predictPool.Put(s)
+	s.intern(voc, it)
+	feats := Features(it)
+	if len(s.ids) != len(feats) {
+		return fmt.Sprintf("%d IDs for %d features %q", len(s.ids), len(feats), feats)
+	}
+	for j, f := range feats {
+		want, ok := voc.ids[f]
+		if !ok {
+			want = -1
+		}
+		if s.ids[j] != want {
+			return fmt.Sprintf("feature %d (%q): got ID %d, want %d", j, f, s.ids[j], want)
+		}
 	}
 	return ""
 }
@@ -145,8 +174,11 @@ func withTitle(attrs map[string]string, title string) map[string]string {
 
 // TestDenseKernelMatchesReference checks every prediction of every member
 // and of the ensemble against the map-based reference models, bit for bit,
-// on generated and hostile queries, before and after retraining.
+// on generated and hostile queries, before and after retraining, on classes
+// tied across the top-5 cut, and after a member is retrained on its own.
 func TestDenseKernelMatchesReference(t *testing.T) {
+	t.Run("ties", func(t *testing.T) { t.Parallel(); checkTies(t) })
+	t.Run("retrained-member", func(t *testing.T) { t.Parallel(); checkRetrainedMember(t) })
 	for _, seed := range []uint64{3, 41} {
 		seed := seed
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -171,6 +203,135 @@ func TestDenseKernelMatchesReference(t *testing.T) {
 			m.check(t, queries[:1000])
 			m.check(t, queries[len(queries)-600:])
 		})
+	}
+}
+
+// checkTies: items identical but for their type tie their classes exactly,
+// so the top-5 cut of Naive Bayes and the perceptron, kNN's neighbours and
+// the ensemble's ranks all fall inside ties broken by type order.
+func checkTies(t *testing.T) {
+	c := catalog.New(catalog.Config{Seed: 5, NumTypes: 40})
+	train := c.GenerateBatch(catalog.BatchSpec{Size: 600, Epoch: 0})
+	twins := []map[string]string{
+		{"Title": "zqtie velvo marquand osterby plinth", "Brand Name": "Tiebrand"},
+		{"Title": "quorrel dunstable quorrel dunstable", "Colour": "ochre"},
+		{"Title": train[0].Title(), "Brand Name": "Twinco"},
+	}
+	var queries []*catalog.Item
+	for i, attrs := range twins {
+		// Eight types hold exactly the same single item; the types' names
+		// interleave with the catalog's so ties span non-adjacent classes.
+		for j := 0; j < 8; j++ {
+			ty := fmt.Sprintf("%c-tie-%d", 'a'+rune(3*j), i)
+			train = append(train, &catalog.Item{ID: fmt.Sprintf("twin-%d-%d", i, j), TrueType: ty, Attrs: attrs})
+		}
+		queries = append(queries,
+			&catalog.Item{ID: fmt.Sprintf("q-%d", i), Attrs: attrs},
+			&catalog.Item{ID: fmt.Sprintf("q-%d-extra", i), Attrs: withTitle(attrs, attrs["Title"]+" extra words")})
+	}
+	queries = append(queries, c.GenerateBatch(catalog.BatchSpec{Size: 300, Epoch: 1})...)
+
+	m := newModelPair(t)
+	m.train(train)
+	nb := m.got.Members()[0].Predict(queries[0])
+	if len(nb) != 5 || nb[0].Score != nb[4].Score {
+		t.Fatalf("fixture does not tie six or more classes at the top: %v", nb)
+	}
+	m.check(t, queries)
+}
+
+// checkRetrainedMember: a member retrained through Members()[i].Train no
+// longer reads the ensemble's vocabulary. The ensemble must notice and
+// predict through each member's own Predict, still bit for bit as the
+// reference; retraining the ensemble restores the shared path.
+func checkRetrainedMember(t *testing.T) {
+	c := catalog.New(catalog.Config{Seed: 9, NumTypes: 60})
+	train := c.GenerateBatch(catalog.BatchSpec{Size: 900, Epoch: 0})
+	other := c.GenerateBatch(catalog.BatchSpec{Size: 500, Epoch: 2})
+	queries := c.GenerateBatch(catalog.BatchSpec{Size: 300, Epoch: 1})
+	queries = append(queries, hostileQueries(queries[:120])...)
+
+	m := newModelPair(t)
+	m.train(train)
+	if !m.got.sharesVocab() {
+		t.Fatal("a freshly trained ensemble does not share its vocabulary")
+	}
+	for i := range m.got.Members() {
+		m.got.Members()[i].Train(other)
+		m.want.Members()[i].Train(other)
+		if m.got.sharesVocab() {
+			t.Fatalf("member %d retrained on its own, yet the ensemble still uses the shared path", i)
+		}
+		m.check(t, queries)
+	}
+	m.train(other)
+	if !m.got.sharesVocab() {
+		t.Fatal("retraining the ensemble did not restore the shared vocabulary")
+	}
+	m.check(t, queries)
+}
+
+// TestUntrainedEnsembleDoesNoWork: the rules-only pipeline asks an untrained
+// ensemble about every item, so the answer (nil) must come without feature
+// extraction or interning, and without allocating. Every call gets an item
+// whose title was never tokenized, so interning would allocate too.
+func TestUntrainedEnsembleDoesNoWork(t *testing.T) {
+	attrs := map[string]string{"Title": "Apex Quad Core Laptop 15.6 inch", "Brand Name": "Apex"}
+	const runs = 200
+	fresh := make([]*catalog.Item, 2*(runs+1)) // AllocsPerRun adds one warm-up call
+	for i := range fresh {
+		fresh[i] = &catalog.Item{ID: fmt.Sprint(i), Attrs: attrs}
+	}
+	never, err := NewEnsemble(classifiers(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := NewEnsemble(classifiers(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty.Train(nil)
+	next := 0
+	for _, tc := range []struct {
+		name string
+		ens  *Ensemble
+	}{{"never trained", never}, {"trained on nothing", empty}} {
+		n := testing.AllocsPerRun(runs, func() {
+			if ps := tc.ens.Predict(fresh[next]); ps != nil {
+				t.Fatalf("%s: Predict = %v, want nil", tc.name, ps)
+			}
+			next++
+		})
+		if n != 0 {
+			t.Errorf("%s: Predict allocates %.2f times per call, want 0", tc.name, n)
+		}
+	}
+}
+
+// TestNewEnsembleCopiesSlices: edits to the slices a caller passed to
+// NewEnsemble must not reach the ensemble.
+func TestNewEnsembleCopiesSlices(t *testing.T) {
+	train, test := trainTest(t, 800, 80)
+	members := classifiers()
+	weights := []float64{1, 1, 1}
+	ens, err := NewEnsemble(members, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ens.Train(train)
+	want := make([][]Prediction, len(test))
+	for i, it := range test {
+		want[i] = ens.Predict(it)
+	}
+	weights[0], weights[1], weights[2] = 7, 0.25, 0
+	members[1] = NewPerceptron(1)
+	for i, it := range test {
+		if d := diffPredictions(ens.Predict(it), toRef(want[i])); d != "" {
+			t.Fatalf("item %d after the caller edited its slices: %s", i, d)
+		}
+	}
+	if got := ens.Members()[1].Name(); got != "knn" {
+		t.Fatalf("Members()[1] is %s after the caller replaced its own slice entry", got)
 	}
 }
 
@@ -246,8 +407,9 @@ var (
 )
 
 // FuzzDenseKernelMatchesReference feeds arbitrary titles and attribute maps
-// (one "name=value" per line) to a small trained fixture and compares every
-// prediction with the reference bit for bit.
+// (one "name=value" per line) to a small trained fixture, checks the item's
+// interned feature IDs against the vocabulary lookup of Features, and
+// compares every prediction with the reference bit for bit.
 func FuzzDenseKernelMatchesReference(f *testing.F) {
 	f.Add("Apex Quad Core Laptop 15.6 inch", "Brand Name=Apex\nisbn=9781234567890")
 	f.Add("motor oil motor oil motor", "Brand Name=Castrol")

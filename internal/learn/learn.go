@@ -6,11 +6,14 @@
 //
 // Everything trains on catalog items and predicts ranked (type, score)
 // lists; scores are calibrated to [0,1] so the Voting Master can threshold
-// them uniformly. Train folds each model into per-feature postings, so a
-// prediction touches only the postings of the item's own features and sums
-// into dense per-call arrays. Every float64 a prediction returns is the one
-// the map-based models of package learnref compute: each sum adds the same
-// terms in the same order.
+// them uniformly. Train interns every feature and class into one vocabulary
+// (feature IDs in string order, classes in type order) and folds each model
+// into per-feature postings, so a prediction touches only the postings of
+// the item's own features and sums into dense per-call arrays. The ensemble
+// interns an item once for all its members and votes into a class-indexed
+// array. Every float64 a prediction returns is the one the map-based models
+// of package learnref compute: each sum adds the same terms in the same
+// order.
 package learn
 
 import (
@@ -21,6 +24,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/catalog"
 	"repro/internal/tokenize"
@@ -85,12 +89,241 @@ func sortPredictions(ps []Prediction) {
 	})
 }
 
-// topK truncates a prediction list.
-func topK(ps []Prediction, k int) []Prediction {
-	if len(ps) > k {
-		ps = ps[:k]
+// ---------------------------------------------------------------------------
+// Vocabulary: feature IDs and class indices
+// ---------------------------------------------------------------------------
+
+// vocabulary is the feature and class table a model is trained on and
+// predicts through. Feature IDs are assigned in ascending string order, so
+// sorting IDs sorts the features they stand for; classes are sorted, so class
+// index order is type order. Ensemble.Train builds one vocabulary and trains
+// every member from it; a member's own Train builds its own.
+type vocabulary struct {
+	ids     map[string]int32
+	classes []string
+}
+
+// trainSet is a training set interned against its vocabulary.
+type trainSet struct {
+	voc    *vocabulary
+	feats  [][]int32 // per item: the IDs of Features(item), in order
+	labels []int32   // per item: the class index of its TrueType
+}
+
+func newTrainSet(items []*catalog.Item) *trainSet {
+	feats := make([][]string, len(items))
+	var all []string
+	classes := make([]string, len(items))
+	for i, it := range items {
+		feats[i] = Features(it)
+		all = append(all, feats[i]...)
+		classes[i] = it.TrueType
 	}
-	return ps
+	slices.Sort(all)
+	slices.Sort(classes)
+	all = slices.Compact(all)
+	voc := &vocabulary{ids: make(map[string]int32, len(all)), classes: slices.Clone(slices.Compact(classes))}
+	for i, f := range all {
+		voc.ids[f] = int32(i)
+	}
+	ts := &trainSet{voc: voc, feats: make([][]int32, len(items)), labels: make([]int32, len(items))}
+	for i, fs := range feats {
+		ids := make([]int32, len(fs))
+		for j, f := range fs {
+			ids[j] = voc.ids[f]
+		}
+		c, _ := slices.BinarySearch(voc.classes, items[i].TrueType)
+		ts.feats[i], ts.labels[i] = ids, int32(c)
+	}
+	return ts
+}
+
+// trained reports whether the vocabulary has any class to predict.
+func (v *vocabulary) trained() bool { return v != nil && len(v.classes) > 0 }
+
+// id returns the ID of feature f, -1 when f is outside the vocabulary.
+func (v *vocabulary) id(f string) int32 {
+	if id, ok := v.ids[f]; ok {
+		return id
+	}
+	return -1
+}
+
+// keyID is id for a feature assembled in a byte buffer: the string(key)
+// conversion in a map index does not allocate.
+func (v *vocabulary) keyID(key []byte) int32 {
+	if id, ok := v.ids[string(key)]; ok {
+		return id
+	}
+	return -1
+}
+
+// predictions turns ranked class scores into a Prediction list, nil when
+// there are none.
+func (v *vocabulary) predictions(ranked []scored) []Prediction {
+	if len(ranked) == 0 {
+		return nil
+	}
+	preds := make([]Prediction, len(ranked))
+	for i, cs := range ranked {
+		preds[i] = Prediction{Type: v.classes[cs.id], Score: cs.score}
+	}
+	return preds
+}
+
+// predictScratch is one prediction's reusable buffers: the item's feature
+// IDs, the buffers interning needs, a member's ranked output, and the
+// ensemble's dense class-indexed votes. Between uses votes is all zero and
+// seen all false.
+type predictScratch struct {
+	ids     []int32
+	key     []byte
+	attrs   []string
+	ranked  []scored
+	votes   []float64
+	seen    []bool
+	touched []int32
+}
+
+var predictPool sync.Pool // *predictScratch
+
+func getScratch() *predictScratch {
+	if s, ok := predictPool.Get().(*predictScratch); ok {
+		return s
+	}
+	return &predictScratch{}
+}
+
+// intern sets s.ids to the vocabulary IDs of Features(it), in the same order
+// and with the same duplicates, -1 for a feature outside the vocabulary. It
+// builds no feature string: bigram, attr: and brand: keys are assembled in
+// s.key.
+func (s *predictScratch) intern(voc *vocabulary, it *catalog.Item) {
+	ids, key := s.ids[:0], s.key[:0]
+	tokens := it.TitleTokens()
+	for _, t := range tokens {
+		if !tokenize.DefaultStopwords[t] {
+			ids = append(ids, voc.id(t))
+		}
+	}
+	prev := -1
+	for i, t := range tokens {
+		if tokenize.DefaultStopwords[t] {
+			continue
+		}
+		if prev >= 0 {
+			key = append(append(append(key[:0], tokens[prev]...), '_'), t...)
+			ids = append(ids, voc.keyID(key))
+		}
+		prev = i
+	}
+	attrs := s.attrs[:0]
+	for attr := range it.Attrs {
+		switch attr {
+		case "Title", "Description":
+			continue
+		}
+		attrs = append(attrs, attr)
+	}
+	slices.Sort(attrs)
+	for _, attr := range attrs {
+		key = appendLower(append(key[:0], "attr:"...), attr)
+		ids = append(ids, voc.keyID(key))
+	}
+	clear(attrs) // the pooled scratch must not keep the item's strings alive
+	if b, ok := it.Attrs["Brand Name"]; ok {
+		key = appendLower(append(key[:0], "brand:"...), b)
+		ids = append(ids, voc.keyID(key))
+	}
+	s.ids, s.key, s.attrs = ids, key, attrs[:0]
+}
+
+// appendLower appends strings.ToLower(s) to b. Only a non-ASCII s allocates.
+func appendLower(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return append(b, strings.ToLower(s)...)
+		}
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return b
+}
+
+// ---------------------------------------------------------------------------
+// The member kernel every model shares
+// ---------------------------------------------------------------------------
+
+// member is a model that predicts from feature IDs: NaiveBayes, KNN and
+// Perceptron.
+type member interface {
+	// train replaces the model with one trained on ts, adopting ts.voc.
+	train(ts *trainSet)
+	// vocab returns the vocabulary the model was last trained on (nil before
+	// any training).
+	vocab() *vocabulary
+	// predictIDs ranks classes for an item's feature IDs (from vocab(); -1
+	// for unseen features) into buf[:0]. The model must be trained.
+	predictIDs(ids []int32, buf []scored) []scored
+}
+
+// predictItem is a member's Predict: it interns the item against the
+// member's own vocabulary and converts the ranked classes.
+func predictItem(m member, it *catalog.Item) []Prediction {
+	voc := m.vocab()
+	if !voc.trained() {
+		return nil
+	}
+	s := getScratch()
+	s.intern(voc, it)
+	s.ranked = m.predictIDs(s.ids, s.ranked)
+	preds := voc.predictions(s.ranked)
+	predictPool.Put(s)
+	return preds
+}
+
+// scored is an index with its score: a class with its prediction score, or
+// in kNN a training example with its similarity.
+type scored struct {
+	id    int32
+	score float64
+}
+
+// before orders by score descending, then index ascending. For classes this
+// is sortPredictions' order, since class index order is type order.
+func (a scored) before(b scored) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	return a.id < b.id
+}
+
+// insertTop inserts c into top, which is kept in before order and holds at
+// most k entries. When top is full, the caller has checked that c is before
+// its last entry, which c replaces.
+func insertTop(top []scored, c scored, k int) []scored {
+	if len(top) == k {
+		top[k-1] = c
+	} else {
+		top = append(top, c)
+	}
+	for j := len(top) - 1; j > 0 && top[j].before(top[j-1]); j-- {
+		top[j], top[j-1] = top[j-1], top[j]
+	}
+	return top
+}
+
+// sortRanked sorts a short list into before order: an insertion sort that
+// inserts each entry into the sorted prefix before it.
+func sortRanked(ss []scored) {
+	for i := 1; i < len(ss); i++ {
+		insertTop(ss[:i], ss[i], i+1)
+	}
 }
 
 // classWeight is one posting entry: a class index and the feature's term
@@ -114,9 +347,12 @@ func scratchFloats(pool *sync.Pool, n int) *[]float64 {
 	return sp
 }
 
-// softmaxTop5 turns per-class scores into the top five softmax-normalized
-// predictions; temp divides each score's distance from the maximum.
-func softmaxTop5(classes []string, scores []float64, temp float64) []Prediction {
+// softmaxTop5 ranks the five best softmax-normalized class scores into
+// buf[:0]; temp divides each score's distance from the maximum. Each
+// exponential is computed once, and scores is overwritten with them. The
+// top five are kept by insertion under before; classes arrive in index
+// order, so a later class with an equal score never displaces an earlier one.
+func softmaxTop5(scores []float64, temp float64, buf []scored) []scored {
 	maxS := math.Inf(-1)
 	for _, s := range scores {
 		if s > maxS {
@@ -124,15 +360,20 @@ func softmaxTop5(classes []string, scores []float64, temp float64) []Prediction 
 		}
 	}
 	var z float64
-	for _, s := range scores {
-		z += math.Exp((s - maxS) / temp)
+	for i, s := range scores {
+		e := math.Exp((s - maxS) / temp)
+		scores[i] = e
+		z += e
 	}
-	preds := make([]Prediction, len(classes))
-	for i, cl := range classes {
-		preds[i] = Prediction{Type: cl, Score: math.Exp((scores[i]-maxS)/temp) / z}
+	top := buf[:0]
+	for i, e := range scores {
+		c := scored{int32(i), e / z}
+		if len(top) == 5 && !c.before(top[4]) {
+			continue
+		}
+		top = insertTop(top, c, 5)
 	}
-	sortPredictions(preds)
-	return topK(preds, 5)
+	return top
 }
 
 // ---------------------------------------------------------------------------
@@ -143,12 +384,12 @@ func softmaxTop5(classes []string, scores []float64, temp float64) []Prediction 
 // Train stores every smoothed log-likelihood a prediction can add, so Predict
 // computes no logarithms.
 type NaiveBayes struct {
-	classes  []string
+	voc      *vocabulary
 	prior    []float64 // log prior, by class index
 	defaults []float64 // by class index: the term of a vocabulary feature the class never saw
-	// post maps each vocabulary feature to the classes that saw it, with
+	// post holds, by feature ID, the classes that saw the feature, with
 	// log((count+1)/denom).
-	post    map[string][]classWeight
+	post    [][]classWeight
 	scratch sync.Pool // *[]float64 of per-class log posteriors
 }
 
@@ -159,62 +400,57 @@ func NewNaiveBayes() *NaiveBayes { return &NaiveBayes{} }
 func (nb *NaiveBayes) Name() string { return "naive-bayes" }
 
 // Train implements Classifier.
-func (nb *NaiveBayes) Train(items []*catalog.Item) {
-	condCount := map[string]map[string]int{}
-	classTokens := map[string]int{}
-	vocab := map[string]bool{}
-	classN := map[string]int{}
-	for _, it := range items {
-		classN[it.TrueType]++
-		counts := condCount[it.TrueType]
-		if counts == nil {
-			counts = map[string]int{}
-			condCount[it.TrueType] = counts
+func (nb *NaiveBayes) Train(items []*catalog.Item) { nb.train(newTrainSet(items)) }
+
+func (nb *NaiveBayes) vocab() *vocabulary { return nb.voc }
+
+func (nb *NaiveBayes) train(ts *trainSet) {
+	nc := len(ts.voc.classes)
+	condCount := make([]map[int32]int, nc)
+	classTokens := make([]int, nc)
+	classN := make([]int, nc)
+	for i, fs := range ts.feats {
+		c := ts.labels[i]
+		classN[c]++
+		classTokens[c] += len(fs)
+		if condCount[c] == nil {
+			condCount[c] = map[int32]int{}
 		}
-		for _, f := range Features(it) {
-			counts[f]++
-			classTokens[it.TrueType]++
-			vocab[f] = true
+		for _, f := range fs {
+			condCount[c][f]++
 		}
 	}
-	nb.classes = make([]string, 0, len(classN))
-	for cl := range classN {
-		nb.classes = append(nb.classes, cl)
-	}
-	sort.Strings(nb.classes)
-	total := float64(len(items))
-	v := float64(len(vocab) + 1)
-	nb.prior = make([]float64, len(nb.classes))
-	nb.defaults = make([]float64, len(nb.classes))
-	nb.post = make(map[string][]classWeight, len(vocab))
-	for i, cl := range nb.classes {
-		nb.prior[i] = math.Log(float64(classN[cl]) / total)
-		denom := float64(classTokens[cl]) + v
+	total := float64(len(ts.feats))
+	v := float64(len(ts.voc.ids) + 1)
+	nb.voc = ts.voc
+	nb.prior = make([]float64, nc)
+	nb.defaults = make([]float64, nc)
+	nb.post = make([][]classWeight, len(ts.voc.ids))
+	for i := range nb.prior {
+		nb.prior[i] = math.Log(float64(classN[i]) / total)
+		denom := float64(classTokens[i]) + v
 		nb.defaults[i] = math.Log((float64(0) + 1) / denom)
-		for f, n := range condCount[cl] {
+		for f, n := range condCount[i] {
 			nb.post[f] = append(nb.post[f], classWeight{int32(i), math.Log((float64(n) + 1) / denom)})
 		}
 	}
 }
 
 // Predict implements Classifier. Scores are softmax-normalized posteriors.
-func (nb *NaiveBayes) Predict(it *catalog.Item) []Prediction {
-	if len(nb.classes) == 0 {
-		return nil
-	}
-	feats := Features(it)
-	sp := scratchFloats(&nb.scratch, len(nb.classes))
+func (nb *NaiveBayes) Predict(it *catalog.Item) []Prediction { return predictItem(nb, it) }
+
+func (nb *NaiveBayes) predictIDs(ids []int32, buf []scored) []scored {
+	sp := scratchFloats(&nb.scratch, len(nb.prior))
 	logs := *sp
 	copy(logs, nb.prior)
 	// Feature-outer, class-inner: each class still adds its prior and then
 	// one term per vocabulary feature in item order, duplicates included.
-	for _, f := range feats {
-		post, ok := nb.post[f]
-		if !ok {
+	for _, f := range ids {
+		if f < 0 {
 			continue // unseen features carry no between-class signal
 		}
 		i := 0
-		for _, cw := range post {
+		for _, cw := range nb.post[f] {
 			for ; i < int(cw.class); i++ {
 				logs[i] += nb.defaults[i]
 			}
@@ -225,9 +461,9 @@ func (nb *NaiveBayes) Predict(it *catalog.Item) []Prediction {
 			logs[i] += nb.defaults[i]
 		}
 	}
-	preds := softmaxTop5(nb.classes, logs, 1)
+	buf = softmaxTop5(logs, 1, buf)
 	nb.scratch.Put(sp)
-	return preds
+	return buf
 }
 
 // ---------------------------------------------------------------------------
@@ -241,12 +477,11 @@ func (nb *NaiveBayes) Predict(it *catalog.Item) []Prediction {
 type KNN struct {
 	K int // default 5; Predict also reads K <= 0 as 5
 
-	labels  []string
+	voc     *vocabulary
+	labels  []int32 // class index, by training example
 	norms   []float64
-	ids     map[string]int32 // feature → index into post
-	post    []knnPosting
-	nDocs   int
-	scratch sync.Pool // *knnScratch
+	post    []knnPosting // by feature ID
+	scratch sync.Pool    // *knnScratch
 }
 
 type knnPosting struct {
@@ -261,20 +496,8 @@ type knnScratch struct {
 	acc     []float64
 	seen    []bool
 	touched []int32
-	top     []neighbour
-}
-
-type neighbour struct {
-	doc int32
-	sim float64
-}
-
-// before orders neighbours by similarity descending, then doc ascending.
-func (a neighbour) before(b neighbour) bool {
-	if a.sim != b.sim {
-		return a.sim > b.sim
-	}
-	return a.doc < b.doc
+	top     []scored // neighbours: (doc, similarity)
+	sorted  []int32  // the query's feature IDs, sorted
 }
 
 // NewKNN returns an untrained kNN classifier with k neighbours.
@@ -289,7 +512,7 @@ func NewKNN(k int) *KNN {
 func (k *KNN) Name() string { return "knn" }
 
 // runLen returns how many times sorted[i] repeats from index i on.
-func runLen(sorted []string, i int) int {
+func runLen(sorted []int32, i int) int {
 	n := 1
 	for i+n < len(sorted) && sorted[i+n] == sorted[i] {
 		n++
@@ -298,73 +521,72 @@ func runLen(sorted []string, i int) int {
 }
 
 // Train implements Classifier.
-func (k *KNN) Train(items []*catalog.Item) {
-	k.labels = make([]string, len(items))
-	k.norms = make([]float64, len(items))
-	k.ids = map[string]int32{}
-	k.post = nil
-	k.nDocs = len(items)
+func (k *KNN) Train(items []*catalog.Item) { k.train(newTrainSet(items)) }
 
-	// Features are sorted per document: weights are then appended, and norms
-	// summed, in sorted feature order, which keeps both reproducible.
-	docFeats := make([][]string, len(items))
-	for i, it := range items {
-		fs := Features(it)
+func (k *KNN) vocab() *vocabulary { return k.voc }
+
+func (k *KNN) train(ts *trainSet) {
+	nDocs := len(ts.feats)
+	k.voc = ts.voc
+	k.labels = ts.labels
+	k.norms = make([]float64, nDocs)
+	k.post = make([]knnPosting, len(ts.voc.ids))
+
+	// Feature IDs are sorted per document, which sorts the features: weights
+	// are then appended, and norms summed, in sorted feature order, which
+	// keeps both reproducible.
+	docFeats := make([][]int32, nDocs)
+	for i, fs := range ts.feats {
+		fs = slices.Clone(fs)
 		slices.Sort(fs)
 		docFeats[i] = fs
 		for j, n := 0, 0; j < len(fs); j += n {
 			n = runLen(fs, j)
-			id, ok := k.ids[fs[j]]
-			if !ok {
-				id = int32(len(k.post))
-				k.ids[fs[j]] = id
-				k.post = append(k.post, knnPosting{})
-			}
-			k.post[id].docs = append(k.post[id].docs, int32(i))
+			k.post[fs[j]].docs = append(k.post[fs[j]].docs, int32(i))
 		}
 	}
 	for i := range k.post {
 		p := &k.post[i]
-		p.idf = math.Log(float64(k.nDocs+1) / float64(len(p.docs)))
+		p.idf = math.Log(float64(nDocs+1) / float64(len(p.docs)))
 		p.weights = make([]float64, 0, len(p.docs))
 	}
 	for i, fs := range docFeats {
 		var norm float64
 		for j, n := 0, 0; j < len(fs); j += n {
 			n = runLen(fs, j)
-			p := &k.post[k.ids[fs[j]]]
+			p := &k.post[fs[j]]
 			w := float64(n) * p.idf
 			norm += w * w
 			p.weights = append(p.weights, w)
 		}
-		k.labels[i] = items[i].TrueType
 		k.norms[i] = math.Sqrt(norm)
 	}
 }
 
 // Predict implements Classifier. Scores are the per-class share of summed
 // neighbour similarity.
-func (k *KNN) Predict(it *catalog.Item) []Prediction {
-	if k.nDocs == 0 {
-		return nil
-	}
-	feats := Features(it)
-	// Features are visited in sorted order so the floating-point sums — and
-	// therefore near-tie rankings — are identical across runs and instances.
-	slices.Sort(feats)
+func (k *KNN) Predict(it *catalog.Item) []Prediction { return predictItem(k, it) }
+
+func (k *KNN) predictIDs(ids []int32, buf []scored) []scored {
+	nDocs := len(k.norms)
 	s, _ := k.scratch.Get().(*knnScratch)
-	if s == nil || len(s.acc) != k.nDocs {
-		s = &knnScratch{acc: make([]float64, k.nDocs), seen: make([]bool, k.nDocs)}
+	if s == nil || len(s.acc) != nDocs {
+		s = &knnScratch{acc: make([]float64, nDocs), seen: make([]bool, nDocs)}
 	}
 	defer k.scratch.Put(s)
+	// Features are visited in sorted order so the floating-point sums — and
+	// therefore near-tie rankings — are identical across runs and instances.
+	// Unseen features (-1) sort first and are skipped.
+	feats := append(s.sorted[:0], ids...)
+	slices.Sort(feats)
+	s.sorted = feats
 	var qNorm float64
 	for j, n := 0, 0; j < len(feats); j += n {
 		n = runLen(feats, j)
-		id, ok := k.ids[feats[j]]
-		if !ok {
+		if feats[j] < 0 {
 			continue
 		}
-		p := &k.post[id]
+		p := &k.post[feats[j]]
 		w := float64(n) * p.idf
 		qNorm += w * w
 		for d, doc := range p.docs {
@@ -376,7 +598,7 @@ func (k *KNN) Predict(it *catalog.Item) []Prediction {
 		}
 	}
 	if len(s.touched) == 0 {
-		return nil // no feature shared with any training example
+		return buf[:0] // no feature shared with any training example
 	}
 	qNorm = math.Sqrt(qNorm)
 	kk := k.K
@@ -387,43 +609,36 @@ func (k *KNN) Predict(it *catalog.Item) []Prediction {
 	// order a full sort of every touched example would use.
 	top := s.top[:0]
 	for _, doc := range s.touched {
-		c := neighbour{doc, s.acc[doc] / (qNorm * k.norms[doc])}
+		c := scored{doc, s.acc[doc] / (qNorm * k.norms[doc])}
 		s.acc[doc], s.seen[doc] = 0, false
-		if len(top) == kk {
-			if !c.before(top[kk-1]) {
-				continue
-			}
-			top[kk-1] = c
-		} else {
-			top = append(top, c)
+		if len(top) == kk && !c.before(top[kk-1]) {
+			continue
 		}
-		for j := len(top) - 1; j > 0 && top[j].before(top[j-1]); j-- {
-			top[j], top[j-1] = top[j-1], top[j]
-		}
+		top = insertTop(top, c, kk)
 	}
 	s.touched, s.top = s.touched[:0], top
-	preds := make([]Prediction, 0, len(top))
+	ranked := buf[:0]
 	var total float64
 	for _, c := range top {
-		label := k.labels[c.doc]
+		label := k.labels[c.id]
 		i := 0
-		for i < len(preds) && preds[i].Type != label {
+		for i < len(ranked) && ranked[i].id != label {
 			i++
 		}
-		if i == len(preds) {
-			preds = append(preds, Prediction{Type: label})
+		if i == len(ranked) {
+			ranked = append(ranked, scored{id: label})
 		}
-		preds[i].Score += c.sim
-		total += c.sim
+		ranked[i].score += c.score
+		total += c.score
 	}
 	if total <= 0 {
-		return nil
+		return ranked[:0]
 	}
-	for i := range preds {
-		preds[i].Score /= total
+	for i := range ranked {
+		ranked[i].score /= total
 	}
-	sortPredictions(preds)
-	return preds
+	sortRanked(ranked)
+	return ranked
 }
 
 // ---------------------------------------------------------------------------
@@ -435,11 +650,11 @@ func (k *KNN) Predict(it *catalog.Item) []Prediction {
 type Perceptron struct {
 	Epochs int // default 5
 
-	classes []string
-	// post maps a feature to its non-zero averaged weights. A class's score
-	// starts at +0 and adds only non-zero terms, so no partial sum is -0 and
-	// leaving out the zero weights changes no sum.
-	post    map[string][]classWeight
+	voc *vocabulary
+	// post holds, by feature ID, the feature's non-zero averaged weights. A
+	// class's score starts at +0 and adds only non-zero terms, so no partial
+	// sum is -0 and leaving out the zero weights changes no sum.
+	post    [][]classWeight
 	scratch sync.Pool // *[]float64 of per-class scores
 }
 
@@ -456,47 +671,40 @@ func (p *Perceptron) Name() string { return "perceptron" }
 
 // Train implements Classifier. Uses the standard averaging trick
 // (accumulate weight * remaining updates) for stability.
-func (p *Perceptron) Train(items []*catalog.Item) {
-	classSet := map[string]bool{}
-	for _, it := range items {
-		classSet[it.TrueType] = true
-	}
-	p.classes = p.classes[:0]
-	for cl := range classSet {
-		p.classes = append(p.classes, cl)
-	}
-	sort.Strings(p.classes)
+func (p *Perceptron) Train(items []*catalog.Item) { p.train(newTrainSet(items)) }
 
-	w := map[string]map[string]float64{}
-	acc := map[string]map[string]float64{}
-	for _, cl := range p.classes {
-		w[cl] = map[string]float64{}
-		acc[cl] = map[string]float64{}
+func (p *Perceptron) vocab() *vocabulary { return p.voc }
+
+func (p *Perceptron) train(ts *trainSet) {
+	nc := len(ts.voc.classes)
+	w := make([]map[int32]float64, nc)
+	acc := make([]map[int32]float64, nc)
+	for i := range w {
+		w[i] = map[int32]float64{}
+		acc[i] = map[int32]float64{}
 	}
-	feats := make([][]string, len(items))
-	for i, it := range items {
-		feats[i] = Features(it)
-	}
-	steps := p.Epochs * len(items)
+	steps := p.Epochs * len(ts.feats)
 	step := 0
 	for epoch := 0; epoch < p.Epochs; epoch++ {
-		for i, it := range items {
+		for i, fs := range ts.feats {
 			step++
-			pred := p.argmax(w, feats[i])
-			if pred != it.TrueType {
+			truth := ts.labels[i]
+			pred := argmax(w, fs)
+			if pred != truth {
 				remain := float64(steps - step + 1)
-				for _, f := range feats[i] {
-					w[it.TrueType][f]++
-					acc[it.TrueType][f] += remain
+				for _, f := range fs {
+					w[truth][f]++
+					acc[truth][f] += remain
 					w[pred][f]--
 					acc[pred][f] -= remain
 				}
 			}
 		}
 	}
-	p.post = map[string][]classWeight{}
-	for i, cl := range p.classes {
-		for f, v := range acc[cl] {
+	p.voc = ts.voc
+	p.post = make([][]classWeight, len(ts.voc.ids))
+	for i := range acc {
+		for f, v := range acc[i] {
 			if avg := v / float64(steps); avg != 0 {
 				p.post[f] = append(p.post[f], classWeight{int32(i), avg})
 			}
@@ -504,37 +712,38 @@ func (p *Perceptron) Train(items []*catalog.Item) {
 	}
 }
 
-func (p *Perceptron) argmax(w map[string]map[string]float64, feats []string) string {
-	best, bestScore := "", math.Inf(-1)
-	for _, cl := range p.classes {
+// argmax returns the first class with the highest score under weights w.
+func argmax(w []map[int32]float64, feats []int32) int32 {
+	best, bestScore := int32(-1), math.Inf(-1)
+	for cl, cw := range w {
 		var s float64
-		cw := w[cl]
 		for _, f := range feats {
 			s += cw[f]
 		}
 		if s > bestScore {
-			best, bestScore = cl, s
+			best, bestScore = int32(cl), s
 		}
 	}
 	return best
 }
 
 // Predict implements Classifier. Margins are softmax-normalized.
-func (p *Perceptron) Predict(it *catalog.Item) []Prediction {
-	if len(p.classes) == 0 {
-		return nil
-	}
-	feats := Features(it)
-	sp := scratchFloats(&p.scratch, len(p.classes))
+func (p *Perceptron) Predict(it *catalog.Item) []Prediction { return predictItem(p, it) }
+
+func (p *Perceptron) predictIDs(ids []int32, buf []scored) []scored {
+	sp := scratchFloats(&p.scratch, len(p.voc.classes))
 	scores := *sp
-	for _, f := range feats {
+	for _, f := range ids {
+		if f < 0 {
+			continue
+		}
 		for _, cw := range p.post[f] {
 			scores[cw.class] += cw.w
 		}
 	}
-	preds := softmaxTop5(p.classes, scores, 4) // temperature softens raw margins
+	buf = softmaxTop5(scores, 4, buf) // temperature softens raw margins
 	p.scratch.Put(sp)
-	return preds
+	return buf
 }
 
 // ---------------------------------------------------------------------------
@@ -547,9 +756,14 @@ func (p *Perceptron) Predict(it *catalog.Item) []Prediction {
 type Ensemble struct {
 	members []Classifier
 	weights []float64
+	// voc is the vocabulary Train trained the members on (nil before). While
+	// every member still reads it, Predict interns an item once and votes
+	// into a dense class-indexed array.
+	voc *vocabulary
 }
 
-// NewEnsemble builds an ensemble; weights default to 1 each when nil.
+// NewEnsemble builds an ensemble; weights default to 1 each when nil. It
+// keeps copies of both slices, so later edits by the caller do not reach it.
 func NewEnsemble(members []Classifier, weights []float64) (*Ensemble, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("learn: ensemble needs at least one member")
@@ -563,38 +777,115 @@ func NewEnsemble(members []Classifier, weights []float64) (*Ensemble, error) {
 	if len(weights) != len(members) {
 		return nil, fmt.Errorf("learn: %d weights for %d members", len(weights), len(members))
 	}
-	return &Ensemble{members: members, weights: weights}, nil
+	return &Ensemble{members: slices.Clone(members), weights: slices.Clone(weights)}, nil
 }
 
 // Name implements Classifier.
 func (e *Ensemble) Name() string { return "ensemble" }
 
-// Train trains every member on the same data.
+// Train trains every member on the same data: the package's own models from
+// one shared vocabulary, any other Classifier through its Train.
 func (e *Ensemble) Train(items []*catalog.Item) {
+	ts := newTrainSet(items)
 	for _, m := range e.members {
-		m.Train(items)
+		if d, ok := m.(member); ok {
+			d.train(ts)
+		} else {
+			m.Train(items)
+		}
 	}
+	e.voc = ts.voc
 }
 
-// Predict sums weighted member scores and renormalizes.
+// sharesVocab reports whether every member is one of the package's models
+// still trained on e.voc. A member retrained on its own, or a Classifier from
+// elsewhere, sends Predict down the per-member path.
+func (e *Ensemble) sharesVocab() bool {
+	if e.voc == nil {
+		return false
+	}
+	for _, m := range e.members {
+		if d, ok := m.(member); !ok || d.vocab() != e.voc {
+			return false
+		}
+	}
+	return true
+}
+
+// Predict sums weighted member scores and renormalizes. Every type's vote,
+// and the total, add the same terms in member and then rank order on both
+// paths, so the two return the same floats.
 func (e *Ensemble) Predict(it *catalog.Item) []Prediction {
-	votes := map[string]float64{}
+	if !e.sharesVocab() {
+		return e.predictEach(it)
+	}
+	voc := e.voc
+	if !voc.trained() {
+		return nil
+	}
+	s := getScratch()
+	defer predictPool.Put(s)
+	if n := len(voc.classes); cap(s.votes) < n {
+		s.votes, s.seen = make([]float64, n), make([]bool, n)
+	} else {
+		s.votes, s.seen = s.votes[:n], s.seen[:n]
+	}
+	s.intern(voc, it)
+	var total float64
+	touched := s.touched[:0]
+	for i, m := range e.members {
+		s.ranked = m.(member).predictIDs(s.ids, s.ranked)
+		for _, cs := range s.ranked {
+			if !s.seen[cs.id] {
+				s.seen[cs.id] = true
+				touched = append(touched, cs.id)
+			}
+			v := e.weights[i] * cs.score
+			s.votes[cs.id] += v
+			total += v
+		}
+	}
+	ranked := s.ranked[:0]
+	for _, c := range touched {
+		ranked = append(ranked, scored{c, s.votes[c] / total})
+		s.votes[c], s.seen[c] = 0, false
+	}
+	s.touched, s.ranked = touched[:0], ranked
+	if total <= 0 {
+		return nil
+	}
+	sortRanked(ranked)
+	return voc.predictions(ranked)
+}
+
+// predictEach is Predict through every member's own Predict, for ensembles
+// whose members do not share one vocabulary. An untrained member returns
+// nil at once, so an untrained ensemble does no work here.
+func (e *Ensemble) predictEach(it *catalog.Item) []Prediction {
+	var votes []Prediction
 	var total float64
 	for i, m := range e.members {
 		for _, p := range m.Predict(it) {
-			votes[p.Type] += e.weights[i] * p.Score
-			total += e.weights[i] * p.Score
+			j := 0
+			for j < len(votes) && votes[j].Type != p.Type {
+				j++
+			}
+			if j == len(votes) {
+				votes = append(votes, Prediction{Type: p.Type})
+			}
+			v := e.weights[i] * p.Score
+			votes[j].Score += v
+			total += v
 		}
 	}
 	if total <= 0 {
 		return nil
 	}
-	preds := make([]Prediction, 0, len(votes))
-	for cl, v := range votes {
-		preds = append(preds, Prediction{Type: cl, Score: v / total})
+	for j := range votes {
+		votes[j].Score /= total
 	}
-	sortPredictions(preds)
-	return preds
+	sortPredictions(votes)
+	return votes
 }
 
 // Members exposes the ensemble's classifiers (for per-member diagnostics).

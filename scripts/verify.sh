@@ -56,8 +56,8 @@ echo "== go test -race (delta snapshots equal full builds; copy-on-write rules r
 race_run ./internal/serve 'TestDeltaSnapshotEqualsFullProperty'
 race_run ./internal/core 'TestHealthDuringConfidenceUpdates|TestFindDuplicatesDuringDisables' -count=10
 
-echo "== go test -race (ensemble postings: concurrent Predict on one trained model; bit-equal to the map-based reference) =="
-race_run ./internal/learn 'TestPredictConcurrent|TestDenseKernelMatchesReference'
+echo "== go test -race (ensemble postings: concurrent Predict on one trained model; bit-equal to the map-based reference; untrained ensemble allocates nothing; NewEnsemble copies its slices) =="
+race_run ./internal/learn 'TestPredictConcurrent|TestDenseKernelMatchesReference|TestUntrainedEnsembleDoesNoWork|TestNewEnsembleCopiesSlices'
 
 echo "== fuzz smoke (10s per target) =="
 go test -fuzz=FuzzParseRule -fuzztime=10s -run '^$' ./internal/pattern
