@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/chimera"
 	"repro/internal/core"
 	"repro/internal/em"
 	"repro/internal/experiments"
@@ -460,6 +461,42 @@ func BenchmarkEnsemblePredictWorld(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				c.Predict(items[i%len(items)])
+			}
+		})
+	}
+}
+
+// BenchmarkDecisionCacheHit times one decision-cache hit on the per-item
+// path the serving tier's handler takes (Classify goes through the same
+// cache lookup), at the benchmark world's shape: 250 types, 2,000 training
+// items and a whitelist per head term. "hit" serves warm entries with default
+// audit sampling; "uncached" classifies the same items through every stage.
+func BenchmarkDecisionCacheHit(b *testing.B) {
+	cat := catalog.New(catalog.Config{Seed: 7, NumTypes: 250})
+	train := cat.LabeledData(2000)
+	items := cat.GenerateBatch(catalog.BatchSpec{Size: 256, Epoch: 1})
+	for _, tc := range []struct {
+		name  string
+		cache int
+	}{{"hit", 4096}, {"uncached", 0}} {
+		p := chimera.New(chimera.Config{Seed: 7, CacheCapacity: tc.cache, Obs: obs.NewRegistry()})
+		for _, ty := range cat.Types() {
+			r, err := core.NewWhitelist(ty.HeadTerms[0].Text, ty.Name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := p.Rules.Add(r, "bench"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		p.Train(train)
+		for _, it := range items {
+			p.Classify(it)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.Classify(items[i%len(items)])
 			}
 		})
 	}

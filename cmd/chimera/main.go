@@ -42,7 +42,7 @@ func main() {
 		chaos        = flag.Bool("chaos", false, "inject deterministic seeded faults (handler latency, shard-0 stalls, rebuild stalls and failures) during the serving drill, and shrink the shard queues to force transient overload")
 		deadline     = flag.Duration("deadline", 0, "per-batch caller deadline in the serving drill (0 = none)")
 		retry        = flag.Int("retry", 0, "max retry-with-backoff attempts for shed submissions in the serving drill (0 = no retries)")
-		cacheCap     = flag.Int("cache", 0, "verdict-cache capacity: memoize classifier verdicts by (item fingerprint, snapshot version); in the serving drill the capacity is per shard (the tier keeps one cache of this size x shards) (0 = off)")
+		cacheCap     = flag.Int("cache", 0, "decision-cache capacity: memoize whole decisions by (item fingerprint, rulebase state, model generation); the batch loop and the serving drill share the one cache (0 = off)")
 		opsAddr      = flag.String("ops", "", `serve the live-ops HTTP surface (/metrics, /healthz, /readyz, /decisions, /decisions/export, /snapshot, /debug/pprof) on this address for the duration of the run (e.g. "127.0.0.1:6060" or ":0")`)
 		opsLinger    = flag.Duration("ops-linger", 0, "keep the ops server (and the process) up this long after the run finishes, so scrapers can read the final state (requires -ops)")
 		auditTail    = flag.Int("audit", 0, "print the last N decision-provenance records as NDJSON after the run")
@@ -184,7 +184,7 @@ func main() {
 	}
 	fmt.Printf("\nfinal state: %s\n", p.Describe())
 	fmt.Printf("precision history: %v\n", p.PrecisionHistory())
-	printCacheStats("cache", p.Snapshots().Cache().Stats())
+	printCacheStats("cache", p.CacheStats())
 
 	if *serveFor > 0 {
 		o := drillOptions{
@@ -451,7 +451,7 @@ type drillOptions struct {
 
 // printCacheStats prints one serve_cache_* summary line; silent when caching
 // is disabled (zero capacity).
-func printCacheStats(label string, st repro.VerdictCacheStats) {
+func printCacheStats(label string, st repro.CacheStats) {
 	if st.Capacity == 0 {
 		return
 	}
@@ -519,9 +519,10 @@ func tierDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 			Seed:        o.seed + 11,
 		}
 	}
-	// The batch loop's engine counts into the same serve_cache_*,
-	// serve_snapshot_swaps_total and chimera_degraded_* series of the
-	// pipeline registry; the drill reports only its own share.
+	// The batch loop shares the tier's decision cache (the pipeline has one)
+	// and its engine counts into the same serve_snapshot_swaps_total and
+	// chimera_degraded_* series of the pipeline registry; the drill reports
+	// only its own share.
 	swaps := p.Obs.Counter(repro.MetricServeSnapshotSwaps)
 	degraded := p.Obs.Counter(repro.MetricDegradedItems)
 	swapsBefore, degradedBefore := swaps.Value(), degraded.Value()
@@ -530,7 +531,7 @@ func tierDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 	if inj != nil {
 		srv.Engine().SetRebuildFault(inj.RebuildFault)
 	}
-	cacheBefore := srv.CacheStats()
+	cacheBefore := p.CacheStats()
 	opsShardStatuses.Store(func() []repro.ShardStatus { return srv.ShardStatuses() })
 	defer opsShardStatuses.Store((func() []repro.ShardStatus)(nil))
 
@@ -646,7 +647,7 @@ func tierDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 		batches, served, degraded.Value()-degradedBefore, sum(repro.MetricServeShed), expired, failed)
 	fmt.Printf("mutations applied: %d, snapshot swaps: %d, versions observed: %d, final rulebase version: %d\n",
 		mutations, swaps.Value()-swapsBefore, len(versions), p.Rules.Version())
-	cache := srv.CacheStats()
+	cache := p.CacheStats()
 	cache.Hits -= cacheBefore.Hits
 	cache.Misses -= cacheBefore.Misses
 	cache.Coalesced -= cacheBefore.Coalesced

@@ -38,13 +38,15 @@ func fmix64(h uint64) uint64 {
 // Fingerprint returns the item's canonical content hash: a stable 64-bit
 // digest of everything the classifier stages can observe — the item ID, the
 // attribute map in sorted key order, and the tokenized title. It is the
-// serving cache key (paired with a snapshot version), so the contract is:
+// decision cache's key (paired with a stamp: rulebase state and model
+// generation), so the contract is:
 //
 //   - deterministic: the same logical content always hashes to the same
 //     value, across processes and map iteration orders (keys are sorted);
 //   - classification-complete: two items with equal fingerprints present
-//     identical inputs to every rule, so a cached verdict for one is a
-//     correct verdict for the other;
+//     identical inputs to every rule and to every learner (equal
+//     learn.Features, so bit-equal predictions from one model), so a cached
+//     decision for one is a correct decision for the other;
 //   - ground-truth-blind: TrueType is deliberately excluded — production
 //     components must not read it (see the Item doc), and a Relabeled clone
 //     with unchanged attributes classifies identically, so it shares the

@@ -120,6 +120,7 @@ func (p *Pipeline) auditCrowd(requestID string, snapVersion uint64, d Decision, 
 		RequestID:       requestID,
 		ItemID:          d.Item.ID,
 		SnapshotVersion: snapVersion,
+		ModelGeneration: d.ModelGeneration,
 		Path:            obs.PathCrowd,
 		Outcome:         outcome,
 		Type:            d.Type,

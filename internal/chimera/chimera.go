@@ -10,9 +10,11 @@ package chimera
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -64,12 +66,14 @@ type Config struct {
 	MinPatternSupport int
 	// ImpactThreshold feeds the §5.3 impactful-rule tracker (default 200).
 	ImpactThreshold int
-	// CacheCapacity bounds the snapshot engine's verdict cache (see
-	// serve.VerdictCache): classifier-stage verdicts are memoized by (item
-	// fingerprint, snapshot version), so re-submitted items under an
-	// unchanged rulebase skip rule evaluation. 0 disables caching (the
-	// default — per-rule executor telemetry then counts every serving; with
-	// a cache it counts evaluations only).
+	// CacheCapacity bounds the pipeline's decision cache (see serve.Cache):
+	// whole decisions are memoized by (item fingerprint, stamp), the stamp
+	// being the rulebase state of the snapshot (load epoch, version) and the
+	// model generation, so a re-submitted item under an unchanged rulebase
+	// and model skips every stage. Classify, ProcessBatch and the serving
+	// tier all go through it. 0 disables caching (the default — per-rule
+	// executor telemetry then counts every serving; with a cache it counts
+	// evaluations only).
 	CacheCapacity int
 	// Obs receives the pipeline's metrics (default obs.Default(), the
 	// process-wide registry the CLIs dump with -metrics).
@@ -125,8 +129,42 @@ type Decision struct {
 	Reason string
 	// Confidence is the combined normalized score in [0,1].
 	Confidence float64
-	// Evidence lists the rule IDs that supported the prediction.
+	// Evidence lists the rule IDs that supported the prediction. The slice
+	// is the caller's own, on a cache hit too.
 	Evidence []string
+	// ModelGeneration is the generation of the ensemble model the decision
+	// was made with (learn.Model.Generation): 0 while the ensemble is
+	// untrained, and on the gate-only degraded path, which reads no model.
+	ModelGeneration uint64
+}
+
+// stamp is what a cached decision depends on besides the item: the rulebase
+// state its snapshot was built at and the generation of the model.
+type stamp struct {
+	rules core.State
+	model uint64
+}
+
+func stampOf(snap *serve.Snapshot, model *learn.Model) stamp {
+	return stamp{snap.State(), model.Generation()}
+}
+
+// decisionCache memoizes whole decisions by (item fingerprint, stamp).
+type decisionCache = serve.Cache[stamp, Decision]
+
+// cacheable returns d as the cache keeps it: no item (the entry must not keep
+// one alive, and a hit is served for the caller's) and an Evidence slice of
+// its own, so the caller that computed d may change d's.
+func (d Decision) cacheable() Decision {
+	d.Item, d.Evidence = nil, slices.Clone(d.Evidence)
+	return d
+}
+
+// servedFor returns the cached decision d as served for it: with it as the
+// item and an Evidence slice the caller owns.
+func (d Decision) servedFor(it *catalog.Item) Decision {
+	d.Item, d.Evidence = it, slices.Clone(d.Evidence)
+	return d
 }
 
 // BatchResult aggregates a processed batch.
@@ -141,6 +179,9 @@ type BatchResult struct {
 	// SnapshotVersion is the rulebase snapshot the whole batch was
 	// classified under; crowd and onboarding audit records inherit it.
 	SnapshotVersion uint64
+	// ModelGeneration is the ensemble model the whole batch was classified
+	// with (see Decision.ModelGeneration).
+	ModelGeneration uint64
 }
 
 // BatchProfile is the per-batch operational profile: where the time went
@@ -241,9 +282,13 @@ type Pipeline struct {
 
 	// snaps owns the immutable rule-executor snapshots the pipeline
 	// classifies through (see internal/serve): rebuilt only when the
-	// rulebase version changes, swapped atomically, never blocking readers
+	// rulebase state changes, swapped atomically, never blocking readers
 	// on rule maintenance.
 	snaps *serve.Engine
+	// cache is the pipeline's one decision cache (nil when disabled): sized
+	// by Config.CacheCapacity, or by the first caching tier's
+	// ShardedOptions.Cache when the config set none.
+	cache atomic.Pointer[decisionCache]
 
 	mu       sync.Mutex
 	training []*catalog.Item
@@ -257,17 +302,11 @@ type Pipeline struct {
 func New(cfg Config) *Pipeline {
 	cfg = cfg.withDefaults()
 	rng := randx.New(cfg.Seed).Split("chimera")
-	ens, err := learn.NewEnsemble([]learn.Classifier{
-		learn.NewNaiveBayes(), learn.NewKNN(5), learn.NewPerceptron(3),
-	}, nil)
-	if err != nil {
-		panic("chimera: ensemble construction cannot fail: " + err.Error())
-	}
 	p := &Pipeline{
 		cfg:      cfg,
 		rng:      rng,
 		Rules:    core.NewRulebase(),
-		Ensemble: ens,
+		Ensemble: newEnsemble(),
 		Crowd:    crowd.New(crowd.Config{Seed: cfg.Seed + 1}),
 		Analyst:  crowd.NewAnalyst("ana", cfg.Seed+2, 0),
 		Tracker:  evaluate.NewImpactTracker(cfg.ImpactThreshold),
@@ -276,17 +315,29 @@ func New(cfg Config) *Pipeline {
 		Audit:    cfg.Audit,
 	}
 	p.Rules.Instrument(p.Obs)
-	p.snaps = serve.NewEngine(p.Rules, serve.EngineOptions{
-		Obs:   p.Obs,
-		Cache: serve.CacheConfig{Capacity: cfg.CacheCapacity},
-	})
+	p.snaps = serve.NewEngine(p.Rules, serve.EngineOptions{Obs: p.Obs})
+	if cfg.CacheCapacity > 0 {
+		p.cache.Store(serve.NewCache[stamp, Decision](serve.CacheConfig{Capacity: cfg.CacheCapacity}, p.Obs))
+	}
 	p.Obs.Help(MetricDecisions, "decisions per deciding stage / decline family")
 	p.Obs.Help(MetricQueueDepth, "items awaiting manual classification")
 	return p
 }
 
+// newEnsemble returns the standard untrained ensemble: Naive Bayes, kNN(5)
+// and a 3-epoch averaged perceptron under equal weights.
+func newEnsemble() *learn.Ensemble {
+	ens, err := learn.NewEnsemble([]learn.Classifier{
+		learn.NewNaiveBayes(), learn.NewKNN(5), learn.NewPerceptron(3),
+	}, nil)
+	if err != nil {
+		panic("chimera: ensemble construction cannot fail: " + err.Error())
+	}
+	return ens
+}
+
 // Snapshots returns the pipeline's own snapshot engine. It is passive:
-// Classify and ProcessBatch acquire version-cached snapshots synchronously.
+// Classify and ProcessBatch acquire state-cached snapshots synchronously.
 // Serving goes through NewShardedServer / NewResilientClient, whose tier owns
 // a second, running engine.
 func (p *Pipeline) Snapshots() *serve.Engine { return p.snaps }
@@ -294,19 +345,24 @@ func (p *Pipeline) Snapshots() *serve.Engine { return p.snaps }
 // NewShardedServer wraps the pipeline in the scatter-gather serving tier
 // (see serve.ShardedServer): a consistent-hash router over per-shard servers
 // that share one engine snapshotting p.Rules, each classifying through the
-// full Figure-2 stages. faults, when non-nil, injects handler latency into
-// every shard's workers and shard-targeted stalls via ShardDelay — wire its
-// RebuildFault into the tier's engine (ShardedServer.Engine().SetRebuildFault)
-// to fault the snapshot lifecycle. The caller owns Shutdown/Close on the
-// returned tier; the pipeline (and its own passive engine) remain usable
-// afterwards. Rule mutations are safe during serving; retraining the
-// ensemble is not.
+// full Figure-2 stages and the pipeline's decision cache. faults, when
+// non-nil, injects handler latency into every shard's workers and
+// shard-targeted stalls via ShardDelay — wire its RebuildFault into the
+// tier's engine (ShardedServer.Engine().SetRebuildFault) to fault the
+// snapshot lifecycle. The caller owns Shutdown/Close on the returned tier;
+// the pipeline (and its own passive engine) remain usable afterwards. Rule
+// mutations and Train are both safe during serving: each item is decided
+// under one snapshot and one published model, whose generation it records.
+//
+// A pipeline without a decision cache gets one of opts.Cache.Capacity ×
+// shards entries, registered in opts.Obs; one that has one (from
+// Config.CacheCapacity or an earlier tier) shares it with this tier, and
+// opts.Cache is then not read.
 //
 // The tier's engine instruments its snapshots into opts.Obs (default p.Obs)
 // under the pipeline's own series labels, so RuleHealth and /metrics see the
-// rules tier traffic fires; so do the serve_snapshot_* and serve_cache_*
-// series, which in p.Obs therefore count the pipeline's own engine and cache
-// as well as the tier's.
+// rules tier traffic fires; so do the serve_snapshot_* series, which in p.Obs
+// therefore count the pipeline's own engine as well as the tier's.
 func (p *Pipeline) NewShardedServer(opts serve.ShardedOptions, faults *faultinject.Injector) *serve.ShardedServer[Decision] {
 	if opts.Obs == nil {
 		opts.Obs = p.Obs
@@ -314,27 +370,36 @@ func (p *Pipeline) NewShardedServer(opts serve.ShardedOptions, faults *faultinje
 	if opts.Audit == nil {
 		opts.Audit = p.Audit
 	}
-	if opts.Cache.Capacity == 0 && p.cfg.CacheCapacity > 0 {
-		// Inherit the pipeline's cache sizing, per shard (see
-		// serve.ShardedOptions.Cache: one cache of capacity × shards).
-		opts.Cache = serve.CacheConfig{Capacity: p.cfg.CacheCapacity}
-	}
-	return serve.NewShardedServer(p.Rules, func(ctx context.Context, snap *serve.Snapshot, it *catalog.Item) Decision {
+	tier := serve.NewShardedServer(p.Rules, func(ctx context.Context, snap *serve.Snapshot, it *catalog.Item) Decision {
 		if d := faults.HandlerDelay(); d > 0 {
 			time.Sleep(d)
 		}
 		if d := faults.ShardDelay(serve.ShardFromContext(ctx)); d > 0 {
 			time.Sleep(d)
 		}
-		return p.classifyWith(ctx, it, snap)
+		return p.decide(ctx, it, snap, p.Ensemble.Model())
 	}, opts)
+	if opts.Cache.Capacity > 0 {
+		p.mu.Lock()
+		if p.cache.Load() == nil {
+			p.cache.Store(serve.NewCache[stamp, Decision](serve.CacheConfig{Capacity: opts.Cache.Capacity * tier.Shards()}, opts.Obs))
+		}
+		p.mu.Unlock()
+	}
+	return tier
 }
+
+// CacheStats snapshots the decision cache's counters (all zero when the
+// pipeline has none).
+func (p *Pipeline) CacheStats() serve.CacheStats { return p.cache.Load().Stats() }
 
 // Close closes the pipeline's own snapshot engine (a no-op unless a caller
 // started it). The pipeline remains usable afterwards.
 func (p *Pipeline) Close() { p.snaps.Close() }
 
-// Train sets (or extends) the training data and trains the ensemble.
+// Train sets (or extends) the training data and trains the ensemble, which
+// publishes the next model generation. Safe while the pipeline serves:
+// requests in flight finish on the model they read.
 func (p *Pipeline) Train(items []*catalog.Item) {
 	p.mu.Lock()
 	p.training = append(p.training, items...)
@@ -375,34 +440,61 @@ func (p *Pipeline) Classify(it *catalog.Item) Decision {
 // ClassifyCtx is Classify with decision provenance: the request ID carried
 // by ctx (see obs.WithRequestID) is stamped on the item's audit record.
 func (p *Pipeline) ClassifyCtx(ctx context.Context, it *catalog.Item) Decision {
-	return p.classifyWith(ctx, it, p.snaps.Acquire())
+	return p.decide(ctx, it, p.snaps.Acquire(), p.Ensemble.Model())
+}
+
+// decide is the per-item path through the decision cache: a hit serves the
+// decision cached at (item fingerprint, stamp) and runs no stage; a miss
+// runs classifyWith and caches its decision, and concurrent misses on one
+// item coalesce. Without a cache it is classifyWith.
+func (p *Pipeline) decide(ctx context.Context, it *catalog.Item, snap *serve.Snapshot, model *learn.Model) Decision {
+	c := p.cache.Load()
+	if c == nil {
+		return p.classifyWith(ctx, it, snap, model)
+	}
+	start := time.Now()
+	var d Decision
+	cached, hit := c.Do(it.Fingerprint(), stampOf(snap, model), func() Decision {
+		d = p.classifyWith(ctx, it, snap, model)
+		return d.cacheable()
+	})
+	if !hit {
+		return d
+	}
+	d = cached.servedFor(it)
+	p.auditDecision(ctx, snap, d, obs.PathCached, nil, nil, "cache", time.Since(start), "", 0)
+	return d
 }
 
 // classifyWith runs one item through the Figure-2 stages with per-item rule
 // execution — the reference path. ProcessBatch reproduces the same decision
 // from batch-computed verdicts (gateDecision + voteDecision on the same
-// snapshot), which a pipeline test asserts.
-func (p *Pipeline) classifyWith(ctx context.Context, it *catalog.Item, snap *serve.Snapshot) Decision {
+// snapshot and model), which a pipeline test asserts.
+func (p *Pipeline) classifyWith(ctx context.Context, it *catalog.Item, snap *serve.Snapshot, model *learn.Model) Decision {
 	start := time.Now()
 	gv := snap.Gate().Apply(it)
 	gateD := time.Since(start)
 	if d, ok := p.gateDecision(it, snap, gv); ok {
-		p.auditDecision(ctx, snap.Version(), d, obs.PathPerItem, gv, nil, "gate", gateD, "", 0)
+		d.ModelGeneration = model.Generation()
+		p.auditDecision(ctx, snap, d, obs.PathPerItem, gv, nil, "gate", gateD, "", 0)
 		return d
 	}
 	start = time.Now()
-	rv := snap.ApplyCached(it)
-	d := p.voteDecision(it, snap, rv)
-	p.auditDecision(ctx, snap.Version(), d, obs.PathPerItem, gv, rv, "gate", gateD, "classify", time.Since(start))
+	rv := snap.Rules().Apply(it)
+	d := p.voteDecision(it, snap, model, rv)
+	d.ModelGeneration = model.Generation()
+	p.auditDecision(ctx, snap, d, obs.PathPerItem, gv, rv, "gate", gateD, "classify", time.Since(start))
 	return d
 }
 
 // auditDecision offers one decision to the provenance log. The sampling
 // check runs before the record is built, so the sampled-out hot path costs
 // two atomic ops and no allocation. gv/rv are the gate and classifier
-// verdicts the decision came from (either may be nil); stage name/duration
-// pairs with an empty name are dropped.
-func (p *Pipeline) auditDecision(ctx context.Context, snapVersion uint64, d Decision, path string,
+// verdicts the decision came from (either may be nil); a cache hit
+// (obs.PathCached) has none, so a captured one re-runs the gate and rule
+// stages on snap — only those — to name the rules. Stage name/duration pairs
+// with an empty name are dropped.
+func (p *Pipeline) auditDecision(ctx context.Context, snap *serve.Snapshot, d Decision, path string,
 	gv, rv *core.Verdict, s1 string, d1 time.Duration, s2 string, d2 time.Duration) {
 	a := p.Audit
 	if !a.Enabled() {
@@ -416,10 +508,17 @@ func (p *Pipeline) auditDecision(ctx context.Context, snapVersion uint64, d Deci
 		a.CountSampledOut(path, outcome)
 		return
 	}
+	if path == obs.PathCached {
+		gv = snap.Gate().Apply(d.Item)
+		if len(gv.FinalTypes()) == 0 {
+			rv = snap.Rules().Apply(d.Item)
+		}
+	}
 	rec := &obs.DecisionRecord{
 		RequestID:       obs.RequestID(ctx),
 		ItemID:          d.Item.ID,
-		SnapshotVersion: snapVersion,
+		SnapshotVersion: snap.Version(),
+		ModelGeneration: d.ModelGeneration,
 		Path:            path,
 		Outcome:         outcome,
 		Type:            d.Type,
@@ -474,11 +573,11 @@ func (p *Pipeline) gateDecision(it *catalog.Item, snap *serve.Snapshot, gv *core
 }
 
 // voteDecision runs stages 2–4 (classifiers, Voting Master, Filter) from an
-// already-computed classifier-rule verdict.
-func (p *Pipeline) voteDecision(it *catalog.Item, snap *serve.Snapshot, rv *core.Verdict) Decision {
+// already-computed classifier-rule verdict and one model.
+func (p *Pipeline) voteDecision(it *catalog.Item, snap *serve.Snapshot, model *learn.Model, rv *core.Verdict) Decision {
 	// Stage 2: classifiers.
 	ruleTypes := rv.FinalTypes()
-	ensPreds := p.Ensemble.Predict(it)
+	ensPreds := model.Predict(it)
 
 	// Stage 3: Voting Master. Only the rule types and the ensemble's top
 	// types get a vote, so a short slice scanned linearly stands in for a map
@@ -594,70 +693,102 @@ func (p *Pipeline) ProcessBatchCtx(ctx context.Context, items []*catalog.Item) *
 	defer span.End()
 
 	prep := span.Child("prepare")
-	// One snapshot for the whole batch: every item in it is classified under
-	// the same rulebase version, even while maintenance mutates rules.
+	// One snapshot and one model for the whole batch: every item in it is
+	// classified under the same rulebase state and model generation, even
+	// while maintenance mutates rules or the ensemble retrains.
 	snap := p.snaps.Acquire()
+	model := p.Ensemble.Model()
 	prep.End()
-	res := &BatchResult{Decisions: make([]Decision, len(items)), SnapshotVersion: snap.Version()}
+	gen := model.Generation()
+	res := &BatchResult{Decisions: make([]Decision, len(items)), SnapshotVersion: snap.Version(), ModelGeneration: gen}
+
+	classify := span.Child("classify")
+	latency := p.Obs.Histogram(MetricClassifySecs, obs.LatencyBuckets)
+	// Decision-cache hits are served first; todo holds the items that run
+	// the stages, at res.Decisions positions pos (nil: todo is items).
+	cache := p.cache.Load()
+	st := stampOf(snap, model)
+	todo := items
+	var pos []int
+	if cache != nil {
+		todo = nil
+		for i, it := range items {
+			start := time.Now()
+			d, ok := cache.Get(it.Fingerprint(), st)
+			if !ok {
+				todo = append(todo, it)
+				pos = append(pos, i)
+				continue
+			}
+			res.Decisions[i] = d.servedFor(it)
+			p.auditDecision(ctx, snap, res.Decisions[i], obs.PathCached, nil, nil, "cache", time.Since(start), "", 0)
+			latency.Observe(time.Since(start).Seconds())
+		}
+	}
 
 	workers := p.cfg.Workers
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > len(items) {
-		workers = len(items) // no point spawning more goroutines than items
+	if workers > len(todo) {
+		workers = len(todo) // no point spawning more goroutines than items
 	}
-	classify := span.Child("classify")
-	latency := p.Obs.Histogram(MetricClassifySecs, obs.LatencyBuckets)
 	// Batch-inverted rule execution (core.IndexedExecutor.ApplyBatch): gate
 	// the whole batch in one inverted join, then run the classifier stage
 	// only on the items the gate left undecided — mirroring the per-item
-	// short-circuit, so gate telemetry counts every item and classifier
-	// telemetry only the non-gated ones. The per-item loop below then
-	// assembles decisions from the precomputed verdicts.
-	gvs := snap.GateApplyBatch(items, workers)
-	pending := make([]*catalog.Item, 0, len(items))
-	pendIdx := make([]int, 0, len(items))
-	for i := range items {
-		if len(gvs[i].FinalTypes()) == 0 {
-			pending = append(pending, items[i])
-			pendIdx = append(pendIdx, i)
+	// short-circuit, so gate telemetry counts every evaluated item and
+	// classifier telemetry only the non-gated ones. The per-item loop below
+	// then assembles decisions from the precomputed verdicts.
+	var gvs, rvs []*core.Verdict
+	if len(todo) > 0 {
+		gvs = snap.GateApplyBatch(todo, workers)
+		pending := make([]*catalog.Item, 0, len(todo))
+		pendIdx := make([]int, 0, len(todo))
+		for k := range todo {
+			if len(gvs[k].FinalTypes()) == 0 {
+				pending = append(pending, todo[k])
+				pendIdx = append(pendIdx, k)
+			}
 		}
-	}
-	rvs := make([]*core.Verdict, len(items))
-	if len(pending) > 0 {
-		sub := snap.ApplyBatchCached(pending, workers)
-		for k, i := range pendIdx {
-			rvs[i] = sub[k]
+		rvs = make([]*core.Verdict, len(todo))
+		if len(pending) > 0 {
+			sub := snap.ApplyBatch(pending, workers)
+			for j, k := range pendIdx {
+				rvs[k] = sub[j]
+			}
 		}
 	}
 	var wg sync.WaitGroup
 	chunk := 0
 	if workers > 0 {
-		chunk = (len(items) + workers - 1) / workers
+		chunk = (len(todo) + workers - 1) / workers
 	}
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
-		if lo >= len(items) {
+		if lo >= len(todo) {
 			break
 		}
-		hi := lo + chunk
-		if hi > len(items) {
-			hi = len(items)
-		}
+		hi := min(lo+chunk, len(todo))
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
+			for k := lo; k < hi; k++ {
 				start := time.Now()
-				if d, ok := p.gateDecision(items[i], snap, gvs[i]); ok {
-					res.Decisions[i] = d
-					p.auditDecision(ctx, snap.Version(), d, obs.PathBatchGate, gvs[i], nil, "assemble", time.Since(start), "", 0)
-				} else {
-					d := p.voteDecision(items[i], snap, rvs[i])
-					res.Decisions[i] = d
-					p.auditDecision(ctx, snap.Version(), d, obs.PathClassifier, gvs[i], rvs[i], "assemble", time.Since(start), "", 0)
+				it := todo[k]
+				d, ok := p.gateDecision(it, snap, gvs[k])
+				path, rv := obs.PathBatchGate, (*core.Verdict)(nil)
+				if !ok {
+					path, rv = obs.PathClassifier, rvs[k]
+					d = p.voteDecision(it, snap, model, rv)
 				}
+				d.ModelGeneration = gen
+				i := k
+				if pos != nil {
+					i = pos[k]
+					cache.Put(it.Fingerprint(), st, d.cacheable())
+				}
+				res.Decisions[i] = d
+				p.auditDecision(ctx, snap, d, path, gvs[k], rv, "assemble", time.Since(start), "", 0)
 				latency.Observe(time.Since(start).Seconds())
 			}
 		}(lo, hi)

@@ -22,7 +22,13 @@ func fixture(t *testing.T, seed uint64) (*catalog.Catalog, *Pipeline) {
 	cat := catalog.New(catalog.Config{Seed: seed, NumTypes: 40})
 	p := New(Config{Seed: seed})
 	p.Train(cat.LabeledData(4000))
+	addFixtureRules(t, p)
+	return cat, p
+}
 
+// addFixtureRules adds fixture's starter rulebase to p.
+func addFixtureRules(t *testing.T, p *Pipeline) {
+	t.Helper()
 	add := func(r *core.Rule, err error) {
 		t.Helper()
 		if err != nil {
@@ -40,7 +46,6 @@ func fixture(t *testing.T, seed uint64) (*catalog.Catalog, *Pipeline) {
 	add(core.NewBlacklist("olive oils?", "motor oil"))
 	add(core.NewAttrExists("isbn", "books"))
 	add(core.NewGate("(satchel | purse | tote)", "handbags"))
-	return cat, p
 }
 
 func TestClassifyGateKeeper(t *testing.T) {
@@ -927,7 +932,7 @@ func TestVotingMasterCases(t *testing.T) {
 			}
 			it := &catalog.Item{ID: "hand", Attrs: map[string]string{"Title": "braided area rug"}}
 			snap := p.Snapshots().Acquire()
-			got, want := p.voteDecision(it, snap, rv), refVoteDecision(p, it, snap, rv)
+			got, want := p.voteDecision(it, snap, p.Ensemble.Model(), rv), refVoteDecision(p, it, snap, rv)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("voteDecision = %+v, reference = %+v", got, want)
 			}

@@ -6,14 +6,15 @@ import "repro/internal/catalog"
 // current snapshot, deciding stage 3 with the reference Voting Master
 // (refVoteDecision) and without writing audit records.
 func ReferenceDecisions(p *Pipeline, items []*catalog.Item) []Decision {
-	snap := p.Snapshots().Acquire()
+	snap, gen := p.Snapshots().Acquire(), p.Ensemble.Model().Generation()
 	out := make([]Decision, len(items))
 	for i, it := range items {
-		if d, ok := p.gateDecision(it, snap, snap.Gate().Apply(it)); ok {
-			out[i] = d
-			continue
+		d, ok := p.gateDecision(it, snap, snap.Gate().Apply(it))
+		if !ok {
+			d = refVoteDecision(p, it, snap, snap.Apply(it))
 		}
-		out[i] = refVoteDecision(p, it, snap, snap.Apply(it))
+		d.ModelGeneration = gen
+		out[i] = d
 	}
 	return out
 }

@@ -60,6 +60,7 @@ func (p *Pipeline) OnboardDeclined(res *BatchResult, maxRules int) (*OnboardRepo
 				RequestID:       manualReq,
 				ItemID:          d.Item.ID,
 				SnapshotVersion: res.SnapshotVersion,
+				ModelGeneration: d.ModelGeneration,
 				Path:            obs.PathManual,
 				Outcome:         obs.OutcomeLabeled,
 				Type:            label,

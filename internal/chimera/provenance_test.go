@@ -2,6 +2,7 @@ package chimera
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -275,5 +276,49 @@ func TestProvenanceCrowdAndManual(t *testing.T) {
 		if r.Type == "" {
 			t.Errorf("manual record without a label type: %+v", r)
 		}
+	}
+}
+
+// TestProvenanceCachedPath: a decision served from the decision cache is
+// audited on path "cached" with what the evaluated decision's record says —
+// the same rules fired and vetoed (re-derived from the gate and rule stages
+// only), snapshot version and model generation — and the record's JSON
+// names the generation.
+func TestProvenanceCachedPath(t *testing.T) {
+	cat, p := provFixture(t, 414, true)
+	p.cache.Store(serve.NewCache[stamp, Decision](serve.CacheConfig{Capacity: 1024}, p.Obs))
+	items := cat.GenerateBatch(catalog.BatchSpec{Size: 120, Epoch: 1})
+	for pass := 0; pass < 2; pass++ {
+		for _, it := range items {
+			p.Classify(it)
+		}
+	}
+	evaluated := recordsByItem(t, p, obs.PathPerItem)
+	cached := recordsByItem(t, p, obs.PathCached)
+	if len(evaluated) != len(items) || len(cached) != len(items) {
+		t.Fatalf("got %d evaluated and %d cached records for %d items", len(evaluated), len(cached), len(items))
+	}
+	vetoes := 0
+	for _, it := range items {
+		e, c := evaluated[it.ID], cached[it.ID]
+		if c.Type != e.Type || c.Reason != e.Reason || c.Outcome != e.Outcome || c.Confidence != e.Confidence ||
+			c.SnapshotVersion != e.SnapshotVersion || c.ModelGeneration != e.ModelGeneration ||
+			strings.Join(c.Fired, ",") != strings.Join(e.Fired, ",") || strings.Join(c.Vetoed, ",") != strings.Join(e.Vetoed, ",") {
+			t.Fatalf("item %s: cached record %+v, evaluated %+v", it.ID, c, e)
+		}
+		if c.ModelGeneration != 1 {
+			t.Fatalf("item %s: model generation %d, want 1 (trained once)", it.ID, c.ModelGeneration)
+		}
+		vetoes += len(c.Vetoed)
+	}
+	if vetoes == 0 {
+		t.Log("no vetoing rule touched the batch; Vetoed compared empty")
+	}
+	data, err := json.Marshal(cached[items[0].ID])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"model_generation":1`) {
+		t.Fatalf("record JSON lacks model_generation: %s", data)
 	}
 }

@@ -140,7 +140,7 @@ func (p *Pipeline) classifyDegraded(ctx context.Context, snap *serve.Snapshot, i
 		} else {
 			out[i] = Decision{Item: it, Declined: true, Reason: "degraded"}
 		}
-		p.auditDecision(ctx, snap.Version(), out[i], obs.PathDegraded, gv, nil, "gate", time.Since(start), "", 0)
+		p.auditDecision(ctx, snap, out[i], obs.PathDegraded, gv, nil, "gate", time.Since(start), "", 0)
 		if out[i].Declined {
 			declined++
 		}

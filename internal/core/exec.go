@@ -76,9 +76,9 @@ func (v *Verdict) FinalTypes() []string {
 }
 
 // Evidence returns a copy of the rules that asserted t (nil when t did not
-// survive). Verdicts are shared — the serving tier's verdict cache hands the
-// same Verdict to every coalesced caller — so the internal evidence slice
-// must not leak where an append could clobber a neighbor's view.
+// survive). Verdicts may be shared — a verdict cache (serve.VerdictCache)
+// hands the same Verdict to every coalesced caller — so the internal evidence
+// slice must not leak where an append could clobber a neighbor's view.
 func (v *Verdict) Evidence(t string) []*Rule {
 	for _, ft := range v.FinalTypes() {
 		if ft == t {

@@ -43,6 +43,7 @@ type Rulebase struct {
 	rules   []*Rule        // every rule, in insertion order
 	byID    map[string]int // rule ID -> position in rules
 	version uint64
+	epoch   uint64 // load epoch: bumped by every UnmarshalJSON (see State)
 	audit   []AuditEntry
 	obs     *obs.Registry // nil = uninstrumented
 
@@ -90,22 +91,45 @@ func (rb *Rulebase) Version() uint64 {
 	return rb.version
 }
 
-// ActiveView returns the logical clock and the active rules (all kinds, in
-// insertion order) in one consistent read: both come from a single critical
-// section, so the pair describes exactly one rulebase state. This is the
-// primitive the snapshot-isolated serving layer (internal/serve) builds on —
-// reading Version() and Active() separately can interleave with a concurrent
-// mutation and yield a torn (version, rules) pair.
-func (rb *Rulebase) ActiveView() (version uint64, active []*Rule) {
+// State names one rulebase state: the load epoch and the version within it.
+// A load (UnmarshalJSON) may rewind the version to one the rulebase already
+// passed with other content, so the version alone does not name a state; the
+// epoch, bumped by every load, tells the two apart.
+type State struct {
+	Epoch, Version uint64
+}
+
+// State returns the current (epoch, version) pair in one read.
+func (rb *Rulebase) State() State {
 	rb.mu.RLock()
 	defer rb.mu.RUnlock()
-	active = make([]*Rule, 0, len(rb.rules))
+	return State{rb.epoch, rb.version}
+}
+
+// ActiveView returns the logical clock and the active rules (all kinds, in
+// insertion order) in one consistent read: both come from a single critical
+// section, so the pair describes exactly one rulebase state within the
+// current load epoch. StateView is the same read with the epoch.
+func (rb *Rulebase) ActiveView() (version uint64, active []*Rule) {
+	st, active := rb.StateView()
+	return st.Version, active
+}
+
+// StateView returns the rulebase state and its active rules (all kinds, in
+// insertion order) from a single critical section. This is the primitive the
+// snapshot-isolated serving layer (internal/serve) builds on — reading
+// State() and Active() separately can interleave with a concurrent mutation
+// and yield a torn (state, rules) pair.
+func (rb *Rulebase) StateView() (State, []*Rule) {
+	rb.mu.RLock()
+	defer rb.mu.RUnlock()
+	active := make([]*Rule, 0, len(rb.rules))
 	for _, r := range rb.rules {
 		if r.Status == Active {
 			active = append(active, r)
 		}
 	}
-	return rb.version, active
+	return State{rb.epoch, rb.version}, active
 }
 
 // commit is the rulebase's one write path. mutate runs under the write lock
@@ -418,7 +442,8 @@ func (rb *Rulebase) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON implements json.Unmarshaler. The input is decoded and
 // validated in full before the rulebase is touched, so a failed load leaves
-// it exactly as it was. A successful load is one commit: subscribers receive
+// it exactly as it was. A successful load starts a new load epoch (see
+// State) and is one commit: subscribers receive
 // an ActionLoad pseudo-change at the loaded version (a wholesale replacement
 // is not an incremental mutation — a durability layer responds by
 // re-snapshotting, not appending).
@@ -437,6 +462,7 @@ func (rb *Rulebase) UnmarshalJSON(data []byte) error {
 	return rb.commit(func() (Change, error) {
 		rb.rules, rb.byID = j.Rules, byID
 		rb.version = j.Version
+		rb.epoch++
 		rb.nextID.Store(int64(j.NextID))
 		rb.audit = j.Audit
 		return Change{Entry: AuditEntry{Version: j.Version, Action: ActionLoad}}, nil

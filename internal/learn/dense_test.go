@@ -66,8 +66,8 @@ func (m modelPair) train(items []*catalog.Item) {
 // ensemble predict it bit for bit as the reference does; otherwise it
 // describes the first mismatch.
 func (m modelPair) diff(it *catalog.Item) string {
-	if m.got.voc != nil {
-		if d := diffInterned(m.got.voc, it); d != "" {
+	if voc := m.got.Model().voc; voc != nil {
+		if d := diffInterned(voc, it); d != "" {
 			return "intern: " + d
 		}
 	}
@@ -253,19 +253,19 @@ func checkRetrainedMember(t *testing.T) {
 
 	m := newModelPair(t)
 	m.train(train)
-	if !m.got.sharesVocab() {
+	if !m.got.Model().sharesVocab() {
 		t.Fatal("a freshly trained ensemble does not share its vocabulary")
 	}
 	for i := range m.got.Members() {
 		m.got.Members()[i].Train(other)
 		m.want.Members()[i].Train(other)
-		if m.got.sharesVocab() {
+		if m.got.Model().sharesVocab() {
 			t.Fatalf("member %d retrained on its own, yet the ensemble still uses the shared path", i)
 		}
 		m.check(t, queries)
 	}
 	m.train(other)
-	if !m.got.sharesVocab() {
+	if !m.got.Model().sharesVocab() {
 		t.Fatal("retraining the ensemble did not restore the shared vocabulary")
 	}
 	m.check(t, queries)

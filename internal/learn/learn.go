@@ -14,6 +14,11 @@
 // array. Every float64 a prediction returns is the one the map-based models
 // of package learnref compute: each sum adds the same terms in the same
 // order.
+//
+// An Ensemble publishes its trained state as an immutable Model, the way the
+// serving layer publishes rule snapshots: Train builds the next Model beside
+// the current one and swaps it in atomically, so retraining while the
+// ensemble serves never changes memory a concurrent Predict reads.
 package learn
 
 import (
@@ -24,6 +29,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"repro/internal/catalog"
@@ -262,6 +268,9 @@ func appendLower(b []byte, s string) []byte {
 // member is a model that predicts from feature IDs: NaiveBayes, KNN and
 // Perceptron.
 type member interface {
+	Classifier
+	// untrained returns a new, untrained model of the same kind and settings.
+	untrained() member
 	// train replaces the model with one trained on ts, adopting ts.voc.
 	train(ts *trainSet)
 	// vocab returns the vocabulary the model was last trained on (nil before
@@ -404,6 +413,8 @@ func (nb *NaiveBayes) Train(items []*catalog.Item) { nb.train(newTrainSet(items)
 
 func (nb *NaiveBayes) vocab() *vocabulary { return nb.voc }
 
+func (nb *NaiveBayes) untrained() member { return NewNaiveBayes() }
+
 func (nb *NaiveBayes) train(ts *trainSet) {
 	nc := len(ts.voc.classes)
 	condCount := make([]map[int32]int, nc)
@@ -524,6 +535,8 @@ func runLen(sorted []int32, i int) int {
 func (k *KNN) Train(items []*catalog.Item) { k.train(newTrainSet(items)) }
 
 func (k *KNN) vocab() *vocabulary { return k.voc }
+
+func (k *KNN) untrained() member { return NewKNN(k.K) }
 
 func (k *KNN) train(ts *trainSet) {
 	nDocs := len(ts.feats)
@@ -675,6 +688,8 @@ func (p *Perceptron) Train(items []*catalog.Item) { p.train(newTrainSet(items)) 
 
 func (p *Perceptron) vocab() *vocabulary { return p.voc }
 
+func (p *Perceptron) untrained() member { return NewPerceptron(p.Epochs) }
+
 func (p *Perceptron) train(ts *trainSet) {
 	nc := len(ts.voc.classes)
 	w := make([]map[int32]float64, nc)
@@ -752,8 +767,27 @@ func (p *Perceptron) predictIDs(ids []int32, buf []scored) []scored {
 
 // Ensemble combines member classifiers with weighted score voting (§3.1:
 // "train a set of learning-based classifiers, often combining them into an
-// ensemble").
+// ensemble"). Its trained state is a Model, published atomically: Predict
+// reads one Model, and Train publishes the next without touching the one
+// being read.
 type Ensemble struct {
+	// members are the constructor's classifiers. Train trains a fresh model
+	// of each of the package's own kinds (same settings) and any other
+	// Classifier in place.
+	members []Classifier
+	weights []float64
+	trainMu sync.Mutex // serializes Train, so generations publish in order
+	model   atomic.Pointer[Model]
+}
+
+// Model is one trained state of an Ensemble: its members, trained together,
+// and the generation that names it (0 until the first Train, +1 per Train).
+// A Model is immutable once published, so any number of goroutines may
+// predict through it while the ensemble retrains. (A member retrained
+// through its own Train, or a Classifier from outside this package, changes
+// in place; neither is safe while the model serves.)
+type Model struct {
+	gen     uint64
 	members []Classifier
 	weights []float64
 	// voc is the vocabulary Train trained the members on (nil before). While
@@ -777,35 +811,65 @@ func NewEnsemble(members []Classifier, weights []float64) (*Ensemble, error) {
 	if len(weights) != len(members) {
 		return nil, fmt.Errorf("learn: %d weights for %d members", len(weights), len(members))
 	}
-	return &Ensemble{members: slices.Clone(members), weights: slices.Clone(weights)}, nil
+	e := &Ensemble{members: slices.Clone(members), weights: slices.Clone(weights)}
+	e.model.Store(&Model{members: e.members, weights: e.weights})
+	return e, nil
 }
 
 // Name implements Classifier.
 func (e *Ensemble) Name() string { return "ensemble" }
 
-// Train trains every member on the same data: the package's own models from
-// one shared vocabulary, any other Classifier through its Train.
+// Train trains every member on the same data — the package's own models as
+// fresh instances from one shared vocabulary, any other Classifier through
+// its Train — and publishes them as the next generation's Model.
 func (e *Ensemble) Train(items []*catalog.Item) {
+	e.trainMu.Lock()
+	defer e.trainMu.Unlock()
 	ts := newTrainSet(items)
-	for _, m := range e.members {
+	next := &Model{
+		gen:     e.model.Load().gen + 1,
+		members: make([]Classifier, len(e.members)),
+		weights: e.weights,
+		voc:     ts.voc,
+	}
+	for i, m := range e.members {
 		if d, ok := m.(member); ok {
-			d.train(ts)
+			fresh := d.untrained()
+			fresh.train(ts)
+			next.members[i] = fresh
 		} else {
 			m.Train(items)
+			next.members[i] = m
 		}
 	}
-	e.voc = ts.voc
+	e.model.Store(next)
 }
 
+// Model returns the current trained state. A caller that needs one model for
+// several predictions (a batch, or a decision and its generation) reads it
+// once and predicts through it.
+func (e *Ensemble) Model() *Model { return e.model.Load() }
+
+// Predict is the current Model's Predict.
+func (e *Ensemble) Predict(it *catalog.Item) []Prediction { return e.model.Load().Predict(it) }
+
+// Members exposes the current model's classifiers (for per-member
+// diagnostics); before the first Train, the constructor's.
+func (e *Ensemble) Members() []Classifier { return e.model.Load().members }
+
+// Generation returns the model's generation: 0 until the ensemble's first
+// Train, then +1 per Train.
+func (m *Model) Generation() uint64 { return m.gen }
+
 // sharesVocab reports whether every member is one of the package's models
-// still trained on e.voc. A member retrained on its own, or a Classifier from
+// still trained on m.voc. A member retrained on its own, or a Classifier from
 // elsewhere, sends Predict down the per-member path.
-func (e *Ensemble) sharesVocab() bool {
-	if e.voc == nil {
+func (m *Model) sharesVocab() bool {
+	if m.voc == nil {
 		return false
 	}
-	for _, m := range e.members {
-		if d, ok := m.(member); !ok || d.vocab() != e.voc {
+	for _, c := range m.members {
+		if d, ok := c.(member); !ok || d.vocab() != m.voc {
 			return false
 		}
 	}
@@ -815,11 +879,11 @@ func (e *Ensemble) sharesVocab() bool {
 // Predict sums weighted member scores and renormalizes. Every type's vote,
 // and the total, add the same terms in member and then rank order on both
 // paths, so the two return the same floats.
-func (e *Ensemble) Predict(it *catalog.Item) []Prediction {
-	if !e.sharesVocab() {
-		return e.predictEach(it)
+func (m *Model) Predict(it *catalog.Item) []Prediction {
+	if !m.sharesVocab() {
+		return m.predictEach(it)
 	}
-	voc := e.voc
+	voc := m.voc
 	if !voc.trained() {
 		return nil
 	}
@@ -833,14 +897,14 @@ func (e *Ensemble) Predict(it *catalog.Item) []Prediction {
 	s.intern(voc, it)
 	var total float64
 	touched := s.touched[:0]
-	for i, m := range e.members {
-		s.ranked = m.(member).predictIDs(s.ids, s.ranked)
+	for i, c := range m.members {
+		s.ranked = c.(member).predictIDs(s.ids, s.ranked)
 		for _, cs := range s.ranked {
 			if !s.seen[cs.id] {
 				s.seen[cs.id] = true
 				touched = append(touched, cs.id)
 			}
-			v := e.weights[i] * cs.score
+			v := m.weights[i] * cs.score
 			s.votes[cs.id] += v
 			total += v
 		}
@@ -858,14 +922,14 @@ func (e *Ensemble) Predict(it *catalog.Item) []Prediction {
 	return voc.predictions(ranked)
 }
 
-// predictEach is Predict through every member's own Predict, for ensembles
-// whose members do not share one vocabulary. An untrained member returns
-// nil at once, so an untrained ensemble does no work here.
-func (e *Ensemble) predictEach(it *catalog.Item) []Prediction {
+// predictEach is Predict through every member's own Predict, for models
+// whose members do not share one vocabulary. An untrained member returns nil
+// at once, so an untrained model does no work here.
+func (m *Model) predictEach(it *catalog.Item) []Prediction {
 	var votes []Prediction
 	var total float64
-	for i, m := range e.members {
-		for _, p := range m.Predict(it) {
+	for i, c := range m.members {
+		for _, p := range c.Predict(it) {
 			j := 0
 			for j < len(votes) && votes[j].Type != p.Type {
 				j++
@@ -873,7 +937,7 @@ func (e *Ensemble) predictEach(it *catalog.Item) []Prediction {
 			if j == len(votes) {
 				votes = append(votes, Prediction{Type: p.Type})
 			}
-			v := e.weights[i] * p.Score
+			v := m.weights[i] * p.Score
 			votes[j].Score += v
 			total += v
 		}
@@ -887,9 +951,6 @@ func (e *Ensemble) predictEach(it *catalog.Item) []Prediction {
 	sortPredictions(votes)
 	return votes
 }
-
-// Members exposes the ensemble's classifiers (for per-member diagnostics).
-func (e *Ensemble) Members() []Classifier { return e.members }
 
 // ---------------------------------------------------------------------------
 // Evaluation helpers

@@ -139,7 +139,7 @@ func TestEnsembleBeatsOrMatchesMedianMember(t *testing.T) {
 	}
 	ens.Train(train)
 	accs := make([]float64, len(members))
-	for i, m := range members {
+	for i, m := range ens.Members() {
 		accs[i] = Accuracy(m, test)
 	}
 	// median of 3

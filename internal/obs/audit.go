@@ -14,11 +14,11 @@ import (
 // paper's analyst loop (§3.3, §4) needs to answer "why did item X get verdict
 // Y five minutes ago, and under which rule-set version?" — a question the
 // aggregate metric series cannot answer. Every serving path (per-item, batch
-// gate, batch classifier, degraded, crowd evaluation, manual onboarding)
-// writes one DecisionRecord per item into a fixed-capacity sampled ring
-// buffer (AuditLog), tagged with the request ID that entered the system at
-// serve.Server.SubmitCtx and the snapshot version the decision was made
-// under. The ring is lock-free on the write path: one atomic fetch-add for
+// gate, batch classifier, decision-cache hit, degraded, crowd evaluation,
+// manual onboarding) writes one DecisionRecord per item into a
+// fixed-capacity sampled ring buffer (AuditLog), tagged with the request ID
+// that entered the system at serve.Server.SubmitCtx and the snapshot version
+// and model generation the decision was made under. The ring is lock-free on the write path: one atomic fetch-add for
 // the slot, one atomic pointer store for the record.
 
 // Decision paths. A record's Path names the serving route that produced it.
@@ -27,6 +27,7 @@ const (
 	PathBatchGate  = "batch-gate" // batch-inverted path, decided by the Gate Keeper
 	PathClassifier = "classifier" // batch-inverted path, decided by classifiers + voting
 	PathDegraded   = "degraded"   // gate-only degraded fallback
+	PathCached     = "cached"     // served from the decision cache (any entry point)
 	PathCrowd      = "crowd"      // crowd-verification of a sampled decision
 	PathManual     = "manual"     // manual-team labeling of declined items
 	PathServe      = "serve"      // serving-layer failure outcomes (shed, drain, deadline)
@@ -70,6 +71,10 @@ type DecisionRecord struct {
 	// SnapshotVersion is the rulebase logical clock the deciding snapshot
 	// was built at (0 when the outcome precedes snapshot pick-up, e.g. shed).
 	SnapshotVersion uint64 `json:"snapshot_version"`
+	// ModelGeneration is the generation of the ensemble model the decision
+	// was made with (0 while untrained, and when no model was read: degraded
+	// gate-only decisions and serving-layer failures).
+	ModelGeneration uint64 `json:"model_generation"`
 	// Path is the serving route (see the Path* constants).
 	Path string `json:"path"`
 	// Outcome is the failure-taxonomy bucket (see the Outcome* constants).

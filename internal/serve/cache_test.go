@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -212,74 +211,21 @@ func TestVerdictCacheCounterPartition(t *testing.T) {
 	}
 }
 
-// TestSnapshotApplyCachedEquivalence is the tentpole equivalence property:
-// across interleaved rulebase mutations, cached, uncached and batch-inverted
-// classification produce byte-equal verdicts (same Explain rendering), and
-// repeat traffic under a stable version is served from cache.
-func TestSnapshotApplyCachedEquivalence(t *testing.T) {
-	const seed = 31
-	cat := catalog.New(catalog.Config{Seed: seed, NumTypes: 30})
-	rb := buildPropertyRulebase(t, cat, seed)
-	reg := obs.NewRegistry()
-	eng := NewEngine(rb, EngineOptions{Obs: reg, Cache: CacheConfig{Capacity: 4096}})
-	items := cat.GenerateBatch(catalog.BatchSpec{Size: 120, Epoch: 1})
-
-	checkRound := func(round int) {
-		snap := eng.Acquire()
-		// Uncached oracle built fresh from the same rulebase state.
-		oracle := core.NewIndexedExecutor(rb.Active(
-			core.Whitelist, core.Blacklist, core.AttrExists, core.AttrValue,
-			core.TypeRestrict))
-		batch := snap.ApplyBatchCached(items, 3)
-		for pass := 0; pass < 2; pass++ { // pass 1 serves from cache
-			for i, it := range items {
-				want := oracle.Apply(it)
-				got := snap.ApplyCached(it)
-				if !core.VerdictsEqual(got, want) || got.Explain() != want.Explain() {
-					t.Fatalf("round %d pass %d: cached verdict diverges on %q", round, pass, it.Title())
-				}
-				if batch[i].Explain() != want.Explain() {
-					t.Fatalf("round %d: batch-cached verdict diverges on %q", round, it.Title())
-				}
-			}
-		}
-	}
-
-	checkRound(0)
-	active := rb.Active()
-	for round := 1; round <= 4; round++ {
-		// Interleave mutations: disable a stripe, re-enable the previous one,
-		// churn confidences — each bumps the version under the live cache.
-		for i, r := range active {
-			switch (i + round) % 5 {
-			case 0:
-				_ = rb.Disable(r.ID, "prop", "cache equivalence")
-			case 1:
-				_ = rb.Enable(r.ID, "prop", "cache equivalence")
-			case 2:
-				_ = rb.UpdateConfidence(r.ID, 0.5+float64((i+round)%50)/100, "prop")
-			}
-		}
-		checkRound(round)
-	}
-	st := eng.Cache().Stats()
-	if st.Hits == 0 {
-		t.Fatal("repeat passes under a stable version never hit the cache")
-	}
-	if st.StaleDrops == 0 {
-		t.Fatal("version churn never dropped a stale entry")
-	}
-}
-
 // TestCacheDegradedRollbackSafety pins the degraded-mode rule: an engine
-// rolled back to its last good snapshot must never serve verdicts cached
-// under the failed newer version — in either direction.
+// rolled back to its last good snapshot must never be served results cached
+// under the failed newer version — in either direction. The cache is keyed
+// the way a handler keys it: by the snapshot's rulebase state.
 func TestCacheDegradedRollbackSafety(t *testing.T) {
 	cat := catalog.New(catalog.Config{Seed: 5, NumTypes: 20})
 	rb := buildPropertyRulebase(t, cat, 5)
 	reg := obs.NewRegistry()
-	eng := NewEngine(rb, EngineOptions{Obs: reg, Cache: CacheConfig{Capacity: 256}})
+	eng := NewEngine(rb, EngineOptions{Obs: reg})
+	cache := NewCache[core.State, *core.Verdict](CacheConfig{Capacity: 256}, reg)
 	it := cat.GenerateBatch(catalog.BatchSpec{Size: 1, Epoch: 0})[0]
+	cached := func(snap *Snapshot) *core.Verdict {
+		v, _ := cache.Do(it.Fingerprint(), snap.State(), func() *core.Verdict { return snap.Apply(it) })
+		return v
+	}
 
 	good := eng.Acquire()
 	want := good.Apply(it).Explain()
@@ -295,20 +241,20 @@ func TestCacheDegradedRollbackSafety(t *testing.T) {
 			eng.Degraded(), stale.Version(), good.Version())
 	}
 
-	// Simulate verdicts that made it into the cache under the failed newer
-	// version (e.g. from a racing Acquire on another shard replica before
-	// the fault landed): a poisoned sentinel the rollback must never serve.
+	// Simulate a verdict that made it into the cache under the failed newer
+	// state (e.g. from a racing Acquire on another replica before the fault
+	// landed): a poisoned sentinel the rollback must never serve.
 	poisoned := &core.Verdict{}
-	eng.Cache().Put(it.Fingerprint(), rb.Version(), poisoned)
+	cache.Put(it.Fingerprint(), rb.State(), poisoned)
 
-	got := stale.ApplyCached(it)
+	got := cached(stale)
 	if got == poisoned {
 		t.Fatal("rolled-back snapshot served a verdict cached under the failed newer version")
 	}
 	if got.Explain() != want {
 		t.Fatalf("degraded verdict diverges from the last good snapshot's:\n%s\nvs\n%s", got.Explain(), want)
 	}
-	if st := eng.Cache().Stats(); st.StaleDrops == 0 {
+	if st := cache.Stats(); st.StaleDrops == 0 {
 		t.Fatal("the poisoned entry should have been dropped as stale")
 	}
 
@@ -320,60 +266,42 @@ func TestCacheDegradedRollbackSafety(t *testing.T) {
 	if eng.Degraded() || fresh.Version() == good.Version() {
 		t.Fatal("engine should have recovered onto the new version")
 	}
-	if v := fresh.ApplyCached(it); v == poisoned {
+	if v := cached(fresh); v == poisoned {
 		t.Fatal("recovered snapshot served the poisoned verdict")
 	}
 }
 
-// TestShardedTierSharesOneCache exercises the tier's verdict cache end to end
-// through scatter-gather: every shard reads and fills the one cache (sized
-// Capacity × Shards), repeat submissions hit it, and its counters land in
-// the primary registry.
-func TestShardedTierSharesOneCache(t *testing.T) {
-	cat := catalog.New(catalog.Config{Seed: 11, NumTypes: 20})
-	rb := buildPropertyRulebase(t, cat, 11)
-	srv := NewShardedServer(rb, func(ctx context.Context, snap *Snapshot, it *catalog.Item) string {
-		return snap.ApplyCached(it).Explain()
-	}, ShardedOptions{
-		Shards: 3, Workers: 2, QueueDepth: 64,
-		Obs:   obs.NewRegistry(),
-		Cache: CacheConfig{Capacity: 512},
-	})
-	defer srv.Close()
-
-	items := cat.GenerateBatch(catalog.BatchSpec{Size: 90, Epoch: 0})
-	oracle := BuildSnapshot(rb, obs.NewRegistry())
-	for round := 0; round < 3; round++ {
-		tk, err := srv.Submit(items)
-		if err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-		res := tk.Wait()
-		if res.Err() != nil {
-			t.Fatalf("gather: %v", res.Err())
-		}
-		for i, it := range items {
-			if want := oracle.Apply(it).Explain(); res.Results[i] != want {
-				t.Fatalf("round %d: cached sharded verdict diverges on %q", round, it.Title())
+// TestCacheHitRacesReplacement: a Put on a resident fingerprint replaces the
+// entry's value in place, so a concurrent hit must read the value under the
+// shard lock. Run under -race.
+func TestCacheHitRacesReplacement(t *testing.T) {
+	c, _ := testCache(t, 8)
+	a, b := &core.Verdict{}, &core.Verdict{}
+	c.Put(1, 7, a)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			if i%2 == 0 {
+				c.Put(1, 7, b)
+			} else {
+				c.Put(1, 7, a)
 			}
 		}
-	}
-	st := srv.CacheStats()
-	if st.Misses == 0 || st.Hits == 0 {
-		t.Fatalf("tier cache stats = %+v, want both misses (round 1) and hits (rounds 2-3)", st)
-	}
-	if st.Capacity != 3*512 {
-		t.Fatalf("tier capacity = %d, want %d", st.Capacity, 3*512)
-	}
-	if st != srv.Engine().Cache().Stats() {
-		t.Fatalf("tier stats %+v are not the engine cache's %+v", st, srv.Engine().Cache().Stats())
-	}
-	if hits := srv.Registry().Counter(MetricCacheHits).Value(); hits != st.Hits {
-		t.Fatalf("primary registry hits %d != cache stats %d", hits, st.Hits)
-	}
-	for i := 0; i < srv.Shards(); i++ {
-		if n := srv.ShardRegistry(i).Counter(MetricCacheHits).Value() + srv.ShardRegistry(i).Counter(MetricCacheMisses).Value(); n != 0 {
-			t.Fatalf("shard %d's private registry counted %d cache lookups — a second cache exists", i, n)
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			if v, ok := c.Get(1, 7); !ok || (v != a && v != b) {
+				t.Errorf("hit %d: got %p, %v", i, v, ok)
+				return
+			}
+			if v, cached := c.Do(1, 7, func() *core.Verdict { return a }); !cached || (v != a && v != b) {
+				t.Errorf("Do %d: got %p, cached %v", i, v, cached)
+				return
+			}
 		}
-	}
+	}()
+	wg.Wait()
 }

@@ -63,20 +63,16 @@ type EngineOptions struct {
 	// Obs receives the engine's metrics and the snapshots' executor
 	// telemetry (obs.Default when nil).
 	Obs *obs.Registry
-	// Cache configures the engine-owned verdict cache served through
-	// Snapshot.ApplyCached / ApplyBatchCached (see VerdictCache). The zero
-	// value disables caching.
-	Cache CacheConfig
 }
 
 // Engine owns the current Snapshot of one rulebase and keeps it fresh.
 //
 // Readers call Current (lock-free atomic load; may be briefly stale while an
-// async rebuild is pending) or Acquire (version-checked; rebuilds
+// async rebuild is pending) or Acquire (state-checked; rebuilds
 // synchronously when stale — the fallback serving path when the async loop
-// is not running, and the replacement for the old per-batch
-// refreshExecutors: the rebuild is cached by rulebase version, so an
-// unchanged rulebase never rebuilds). Writers mutate the rulebase normally;
+// is not running: the rebuild is cached by rulebase state, (load epoch,
+// version), so an unchanged rulebase never rebuilds and a rewinding load
+// always does). Writers mutate the rulebase normally;
 // after Start, every mutation wakes the debounced rebuild-and-swap loop.
 type Engine struct {
 	rb       *core.Rulebase
@@ -85,11 +81,6 @@ type Engine struct {
 
 	cur     atomic.Pointer[Snapshot]
 	buildMu sync.Mutex // single-flight rebuilds
-
-	// cache is the verdict cache shared across this engine's snapshot
-	// generations (nil when disabled). Entries self-invalidate on version
-	// mismatch, so the cache itself never needs flushing on swap.
-	cache *VerdictCache
 
 	// rebuildFault is the optional fault-injection hook consulted before
 	// every rebuild (see SetRebuildFault); degraded is set while the engine
@@ -119,7 +110,7 @@ type Engine struct {
 type RebuildFaultHook func() (stall time.Duration, err error)
 
 // NewEngine builds the initial snapshot of rb and returns a passive engine:
-// Acquire serves version-cached synchronous rebuilds until Start launches
+// Acquire serves state-cached synchronous rebuilds until Start launches
 // the async loop. A passive engine holds no goroutines and needs no Close
 // (Close is still safe to call).
 func NewEngine(rb *core.Rulebase, opts EngineOptions) *Engine {
@@ -150,15 +141,14 @@ func NewEngine(rb *core.Rulebase, opts EngineOptions) *Engine {
 	reg.Help(MetricSnapshotVersion, "rulebase version of the published snapshot")
 	reg.Help(MetricBuildErrors, "failed snapshot rebuilds (stale snapshot kept)")
 	reg.Help(MetricDegraded, "1 while serving a stale snapshot after a failed rebuild")
-	e.cache = NewVerdictCache(opts.Cache, reg)
 	start := time.Now()
 	e.publish(e.build(), time.Since(start))
 	return e
 }
 
-// build constructs a snapshot of the current rulebase with the engine's
-// verdict cache attached: from the published snapshot when there is one, so
-// a lifecycle or confidence change costs a re-slot, not a re-freeze.
+// build constructs a snapshot of the current rulebase: from the published
+// snapshot when there is one, so a lifecycle or confidence change costs a
+// re-slot, not a re-freeze.
 func (e *Engine) build() *Snapshot {
 	var snap *Snapshot
 	delta := false
@@ -172,12 +162,8 @@ func (e *Engine) build() *Snapshot {
 	} else {
 		e.fulls.Inc()
 	}
-	snap.cache = e.cache
 	return snap
 }
-
-// Cache returns the engine's verdict cache (nil when caching is disabled).
-func (e *Engine) Cache() *VerdictCache { return e.cache }
 
 // Registry returns the engine's metric registry.
 func (e *Engine) Registry() *obs.Registry { return e.reg }
@@ -190,12 +176,12 @@ func (e *Engine) Rulebase() *core.Rulebase { return e.rb }
 // while the async loop catches up; it is never nil and never torn.
 func (e *Engine) Current() *Snapshot { return e.cur.Load() }
 
-// Acquire returns a snapshot that is up to date with the rulebase version at
+// Acquire returns a snapshot that is up to date with the rulebase state at
 // the time of the call, rebuilding synchronously when stale. Rebuilds are
-// single-flight and cached by version: with an unchanged rulebase this is a
-// version compare and an atomic load.
+// single-flight and cached by state: with an unchanged rulebase this is a
+// state compare and an atomic load.
 func (e *Engine) Acquire() *Snapshot {
-	if s := e.cur.Load(); s.Version() == e.rb.Version() {
+	if s := e.cur.Load(); s.State() == e.rb.State() {
 		return s
 	}
 	return e.rebuild()
@@ -210,7 +196,7 @@ func (e *Engine) Acquire() *Snapshot {
 func (e *Engine) rebuild() *Snapshot {
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
-	if s := e.cur.Load(); s.Version() == e.rb.Version() {
+	if s := e.cur.Load(); s.State() == e.rb.State() {
 		return s
 	}
 	start := time.Now()

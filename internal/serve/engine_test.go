@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"testing"
 	"time"
@@ -158,5 +159,54 @@ func TestSnapshotIsolation(t *testing.T) {
 	// A fresh acquisition sees the disable.
 	if got := eng.Acquire().Apply(it).FinalTypes(); len(got) != 0 {
 		t.Fatalf("fresh snapshot still fires disabled rule: %v", got)
+	}
+}
+
+// TestAcquireAfterRewindingLoad: a load can rewind the rulebase to a version
+// it already passed, and the mutations after it can reach a version the
+// engine already published with other content. Acquire must rebuild then —
+// freshness is (load epoch, version), not the version alone — and the new
+// snapshot's State must differ from the old one's, so nothing keyed by it
+// serves the pre-load rules either.
+func TestAcquireAfterRewindingLoad(t *testing.T) {
+	rb := core.NewRulebase()
+	eng := NewEngine(rb, EngineOptions{Obs: obs.NewRegistry()})
+	add := func(pattern, target string) {
+		t.Helper()
+		r, err := core.NewWhitelist(pattern, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rb.Add(r, "test"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add("jeans", "jeans")
+	v1, err := json.Marshal(rb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("rings", "rings")
+	before := eng.Acquire()
+
+	if err := json.Unmarshal(v1, rb); err != nil {
+		t.Fatal(err)
+	}
+	add("motor oil", "motor oil")
+	if rb.Version() != before.Version() {
+		t.Fatalf("fixture: rulebase at version %d, want the rewound-to %d", rb.Version(), before.Version())
+	}
+
+	after := eng.Acquire()
+	if after == before || after.State() == before.State() {
+		t.Fatalf("Acquire kept the pre-load snapshot at %+v", before.State())
+	}
+	it := &catalog.Item{ID: "oil", Attrs: map[string]string{"Title": "synthetic motor oil 5w-30"}}
+	if got := after.Apply(it).FinalTypes(); len(got) != 1 || got[0] != "motor oil" {
+		t.Fatalf("after the load, motor oil classifies as %v, want [motor oil]", got)
+	}
+	ring := &catalog.Item{ID: "ring", Attrs: map[string]string{"Title": "silver rings set"}}
+	if got := after.Apply(ring).FinalTypes(); len(got) != 0 {
+		t.Fatalf("after the load, the discarded rings rule still fires: %v", got)
 	}
 }

@@ -95,7 +95,7 @@ type ShardedOptions struct {
 	Debounce time.Duration
 	// Obs is the primary registry (obs.Default when nil): the serve_shard_* /
 	// serve_scatter_* families, the one engine's serve_snapshot_* series and
-	// per-rule executor telemetry, and the one cache's serve_cache_* series.
+	// per-rule executor telemetry.
 	// Each shard's server and retrier write their unlabeled serve_* internals
 	// (queue depth, sheds, retries) into a private per-shard registry — see
 	// ShardedServer.ShardRegistry — so shards never fight over one gauge.
@@ -109,10 +109,12 @@ type ShardedOptions struct {
 	// retry budget per shard — one hot shard exhausting its budget does not
 	// spend the other shards'. Seeds are decorrelated per shard.
 	Retry *RetryOptions
-	// Cache sizes the tier's verdict cache. Capacity is stated per shard, so
-	// adding shards adds cache with the rest of the capacity; the tier builds
-	// one cache of Capacity × Shards entries that every shard reads and
-	// fills (it is lock-sharded inside, see DefaultCacheShards).
+	// Cache sizes the result cache of a caching handler, per shard: adding
+	// shards adds cache with the rest of the capacity. The tier itself
+	// caches nothing (a handler's result depends on more than the snapshot);
+	// chimera.Pipeline.NewShardedServer builds one decision cache of
+	// Capacity × Shards entries that every shard reads and fills (it is
+	// lock-sharded inside, see DefaultCacheShards).
 	Cache CacheConfig
 }
 
@@ -134,7 +136,7 @@ type shard[R any] struct {
 
 // ShardedServer is the scatter-gather serving tier: a consistent-hash router
 // over N Servers that share one Engine — one published snapshot, one rebuild
-// loop, one verdict cache — and each keep their own bounded queue, worker
+// loop — and each keep their own bounded queue, worker
 // pool and retry budget. A stalled or overloaded shard sheds only its own
 // key range while the rest of the tier keeps serving; a failed rebuild
 // degrades the whole tier, which keeps serving the last good snapshot on
@@ -174,13 +176,11 @@ func NewShardedServer[R any](rb *core.Rulebase, h Handler[R], opts ShardedOption
 	if reg == nil {
 		reg = obs.Default()
 	}
-	cache := opts.Cache
-	cache.Capacity *= nShards
 	s := &ShardedServer[R]{
 		router:         NewShardRouter(nShards, opts.Replicas),
 		route:          route,
 		obs:            reg,
-		eng:            NewEngine(rb, EngineOptions{Obs: reg, Debounce: opts.Debounce, Cache: cache}),
+		eng:            NewEngine(rb, EngineOptions{Obs: reg, Debounce: opts.Debounce}),
 		shards:         make([]*shard[R], nShards),
 		scatterBatches: reg.Counter(MetricScatterBatches),
 		scatterItems:   reg.Counter(MetricScatterItems),
@@ -237,11 +237,10 @@ func (s *ShardedServer[R]) Shards() int { return len(s.shards) }
 func (s *ShardedServer[R]) Router() *ShardRouter { return s.router }
 
 // Registry returns the primary registry holding the labeled serve_shard_*
-// and serve_scatter_* families and the engine's and cache's series.
+// and serve_scatter_* families and the engine's series.
 func (s *ShardedServer[R]) Registry() *obs.Registry { return s.obs }
 
-// Engine returns the tier's snapshot engine (fault hooks, degraded state,
-// verdict cache).
+// Engine returns the tier's snapshot engine (fault hooks, degraded state).
 func (s *ShardedServer[R]) Engine() *Engine { return s.eng }
 
 // Server returns shard i's server (direct per-shard submission, tests).
@@ -250,10 +249,6 @@ func (s *ShardedServer[R]) Server(i int) *Server[R] { return s.shards[i].srv }
 // ShardRegistry returns shard i's private registry — the unlabeled serve_*
 // internals (queue depth, sheds, retry counters) of that shard.
 func (s *ShardedServer[R]) ShardRegistry(i int) *obs.Registry { return s.shards[i].reg }
-
-// CacheStats snapshots the tier's verdict-cache counters (all zero when
-// caching is disabled).
-func (s *ShardedServer[R]) CacheStats() CacheStats { return s.eng.Cache().Stats() }
 
 // ShardFor returns the shard that owns the item's routing key.
 func (s *ShardedServer[R]) ShardFor(it *catalog.Item) int {

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/randx"
@@ -53,9 +54,9 @@ func TestSimShardedSoakEquivalence(t *testing.T) {
 	}
 }
 
-// cacheSimSeed runs its soak with the tier's verdict cache enabled and one
-// duplicated submission per round, so the equivalence oracle also covers the
-// cached read path (hits, single-flight coalescing and stale drops under
+// cacheSimSeed runs its soak with a handler-owned verdict cache enabled and
+// one duplicated submission per round, so the equivalence oracle also covers
+// the cached read path (hits, single-flight coalescing and stale drops under
 // mutation churn all feed the same byte-equality check).
 const cacheSimSeed = 1009
 
@@ -103,12 +104,15 @@ func simRun(t *testing.T, seed uint64) {
 		cacheCfg = CacheConfig{Capacity: 128}
 	}
 	reg := obs.NewRegistry()
+	// A handler-owned verdict cache keyed by the snapshot's rulebase state;
+	// nil (every Do evaluates) when the seed runs uncached.
+	cache := NewCache[core.State, *core.Verdict](cacheCfg, reg)
 	srv := NewShardedServer(rb, func(ctx context.Context, snap *Snapshot, it *catalog.Item) string {
 		if d := inj.ShardDelay(ShardFromContext(ctx)); d > 0 {
 			time.Sleep(d)
 		}
-		// ApplyCached == Apply when the seed runs uncached (nil cache).
-		return snap.ApplyCached(it).Explain()
+		v, _ := cache.Do(it.Fingerprint(), snap.State(), func() *core.Verdict { return snap.Apply(it) })
+		return v.Explain()
 	}, ShardedOptions{
 		Shards:  shards,
 		Workers: 1,
@@ -117,7 +121,6 @@ func simRun(t *testing.T, seed uint64) {
 		QueueDepth: 2,
 		Debounce:   100 * time.Microsecond,
 		Obs:        reg,
-		Cache:      cacheCfg,
 	})
 
 	var books [shards]simTally
@@ -316,7 +319,7 @@ func simRun(t *testing.T, seed uint64) {
 		t.Fatalf("seed %d: sim served nothing — the harness never exercised the happy path", seed)
 	}
 	if cacheOn {
-		st := srv.CacheStats()
+		st := cache.Stats()
 		if st.Misses == 0 {
 			t.Fatalf("seed %d: cache-enabled soak never exercised the cache", seed)
 		}

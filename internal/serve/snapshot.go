@@ -8,12 +8,12 @@
 //
 //   - Snapshot: the active rule set of a core.Rulebase frozen at one version
 //     into immutable pre-built executors (indexed, with telemetry) plus the
-//     filter table. Built from a single atomic read (Rulebase.ActiveView),
-//     so a snapshot can never mix two versions.
+//     filter table. Built from a single atomic read (Rulebase.StateView),
+//     so a snapshot can never mix two rulebase states.
 //   - Engine: publishes the current Snapshot through an atomic.Pointer, so
 //     readers never take the rulebase lock. Mutations (via
 //     Rulebase.SubscribeChanges) wake a debounced async rebuild-and-swap loop;
-//     Acquire is the synchronous version-cached fallback for callers that
+//     Acquire is the synchronous state-cached fallback for callers that
 //     need an up-to-date snapshot without Start. Either way snapshot N+1 is
 //     built from snapshot N: a disable, enable, retire or confidence change
 //     reuses N's rule indexes and telemetry and only re-slots the rule list;
@@ -39,20 +39,15 @@ import (
 // rules keep firing in old snapshots — that is the isolation contract, not a
 // bug: the batch that started under version v finishes under version v).
 type Snapshot struct {
-	version uint64
+	state   core.State
 	active  []*core.Rule // the active rules as read, insertion order (see ActiveIDs)
 	gate    *core.IndexedExecutor
 	rules   *core.IndexedExecutor
 	filters map[string]string // target type -> filter rule ID
-
-	// cache is the engine-owned verdict cache, attached after construction
-	// (the engine outlives snapshot generations; entries self-invalidate on
-	// version mismatch). Nil means uncached; read-only once attached.
-	cache *VerdictCache
 }
 
 // BuildSnapshot freezes rb's active rule set into executors: the cold full
-// build. The version and rule list come from one Rulebase.ActiveView critical
+// build. The state and rule list come from one Rulebase.StateView critical
 // section. Executors are instrumented into reg (obs.Default when nil) under
 // the same series labels the Chimera pipeline has always used ("exec"/"gate",
 // "exec"/"rules"), so per-rule telemetry accumulates across snapshot
@@ -76,10 +71,10 @@ func (s *Snapshot) successor(rb *core.Rulebase) (next *Snapshot, delta bool) {
 	return next, gateShared && rulesShared
 }
 
-// readSnapshot takes one ActiveView of rb and returns a snapshot without
+// readSnapshot takes one StateView of rb and returns a snapshot without
 // executors plus the rules of its two stages, in rulebase insertion order.
 func readSnapshot(rb *core.Rulebase) (s *Snapshot, gateRules, classRules []*core.Rule) {
-	version, active := rb.ActiveView()
+	state, active := rb.StateView()
 	filters := map[string]string{}
 	classRules = make([]*core.Rule, 0, len(active))
 	for _, r := range active {
@@ -94,11 +89,16 @@ func readSnapshot(rb *core.Rulebase) (s *Snapshot, gateRules, classRules []*core
 			classRules = append(classRules, r)
 		}
 	}
-	return &Snapshot{version: version, active: active, filters: filters}, gateRules, classRules
+	return &Snapshot{state: state, active: active, filters: filters}, gateRules, classRules
 }
 
 // Version returns the rulebase logical clock this snapshot was built at.
-func (s *Snapshot) Version() uint64 { return s.version }
+func (s *Snapshot) Version() uint64 { return s.state.Version }
+
+// State returns the rulebase state (load epoch, version) this snapshot was
+// built at: what a cache keys a snapshot's results by, since a load can
+// rewind the version alone.
+func (s *Snapshot) State() core.State { return s.state }
 
 // ActiveIDs returns the sorted IDs of the rules active in this snapshot.
 // This is the traceability hook: together with the rulebase audit log it
@@ -147,68 +147,12 @@ func (s *Snapshot) NumFilters() int { return len(s.filters) }
 // callers that serve verdicts directly rather than full pipeline decisions.
 func (s *Snapshot) Apply(it *catalog.Item) *core.Verdict { return s.rules.Apply(it) }
 
-// Cache returns the verdict cache attached to this snapshot's engine, or nil
-// when serving uncached.
-func (s *Snapshot) Cache() *VerdictCache { return s.cache }
-
-// ApplyCached evaluates the classifier rules against one item through the
-// engine's verdict cache: a hit returns the verdict memoized for (the item's
-// fingerprint, this snapshot's version) — byte-equal to a fresh Apply, since
-// verdicts are immutable and the key pins both the classification input and
-// the exact rulebase version — and concurrent misses on one fingerprint
-// coalesce into a single evaluation. Identical to Apply when no cache is
-// configured.
-//
-// Note the telemetry trade: a cache hit skips the executor, so
-// per-rule fired/selectivity telemetry counts evaluations, not servings.
-func (s *Snapshot) ApplyCached(it *catalog.Item) *core.Verdict {
-	if s.cache == nil {
-		return s.rules.Apply(it)
-	}
-	v, _ := s.cache.Do(it.Fingerprint(), s.version, func() *core.Verdict {
-		return s.rules.Apply(it)
-	})
-	return v
-}
-
 // ApplyBatch evaluates the classifier rules against a whole batch through
 // the executor's batch-inverted join (core.IndexedExecutor.ApplyBatch),
 // returning verdicts positionally aligned with items and byte-identical to
 // per-item Apply. This is the default high-throughput classification path.
 func (s *Snapshot) ApplyBatch(items []*catalog.Item, workers int) []*core.Verdict {
 	return s.rules.ApplyBatch(items, workers)
-}
-
-// ApplyBatchCached is ApplyBatch through the verdict cache: cached verdicts
-// are filled in directly and only the misses go through the batch-inverted
-// join (as one sub-batch), whose verdicts are then inserted for the next
-// round. Positionally aligned with items and verdict-equivalent to
-// ApplyBatch; identical to it when no cache is configured. The batch path
-// does its own miss collection instead of per-item single-flight — the batch
-// is the coalescing unit.
-func (s *Snapshot) ApplyBatchCached(items []*catalog.Item, workers int) []*core.Verdict {
-	if s.cache == nil {
-		return s.rules.ApplyBatch(items, workers)
-	}
-	out := make([]*core.Verdict, len(items))
-	var missIdx []int
-	var miss []*catalog.Item
-	for i, it := range items {
-		if v, ok := s.cache.Get(it.Fingerprint(), s.version); ok {
-			out[i] = v
-		} else {
-			missIdx = append(missIdx, i)
-			miss = append(miss, it)
-		}
-	}
-	if len(miss) > 0 {
-		vs := s.rules.ApplyBatch(miss, workers)
-		for k, i := range missIdx {
-			out[i] = vs[k]
-			s.cache.Put(miss[k].Fingerprint(), s.version, vs[k])
-		}
-	}
-	return out
 }
 
 // GateApplyBatch evaluates the Gate-Keeper rules against a whole batch,

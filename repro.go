@@ -202,8 +202,9 @@ type (
 	ServeRetryOptions = serve.RetryOptions
 	// ShardStatus is one shard's live state (ShardedServer.ShardStatuses).
 	ShardStatus = serve.ShardStatus
-	// VerdictCacheStats is a point-in-time verdict-cache counter snapshot.
-	VerdictCacheStats = serve.CacheStats
+	// CacheStats is a point-in-time decision-cache counter snapshot
+	// (Pipeline.CacheStats).
+	CacheStats = serve.CacheStats
 	// FaultInjector is the deterministic, seeded fault-injection source for
 	// chaos drills; FaultConfig parameterizes it.
 	FaultInjector = faultinject.Injector

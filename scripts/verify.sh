@@ -45,15 +45,15 @@ race_run() {
     go test -race "$pkg" -run "$pattern" "$@"
 }
 
-echo "== go test -race (chimera resilience over the tier + decision provenance + sharded tier + shared rule telemetry under concurrent batches) =="
-race_run ./internal/chimera 'TestResilientClient|TestResilientClientShutdownLeaksNoGoroutines|TestResilientClientDegradedReadsTierSnapshot|TestClassifyDegraded|TestProvenance|TestShardedServer|TestRuleHealthSeesShardedTraffic|TestConcurrentProcessBatches'
+echo "== go test -race (chimera resilience over the tier + decision provenance + sharded tier + shared rule telemetry under concurrent batches + retrain while the tier and ProcessBatch serve + one decision cache) =="
+race_run ./internal/chimera 'TestResilientClient|TestResilientClientShutdownLeaksNoGoroutines|TestResilientClientDegradedReadsTierSnapshot|TestClassifyDegraded|TestProvenance|TestShardedServer|TestRuleHealthSeesShardedTraffic|TestConcurrentProcessBatches|TestRetrainWhileServing|TestShardedTierSharesOneDecisionCache|TestDecisionEvidenceOwnership'
 
 echo "== go test -race -count=20 (ordered change feed: delivery order, registration version, WAL under racing mutators) =="
 race_run ./internal/core 'TestChangeFeedOrdered|TestSubscribeChanges' -count=20
 race_run ./internal/persist 'TestConcurrentMutators' -count=20
 
-echo "== go test -race (delta snapshots equal full builds; copy-on-write rules read during mutations, -count=10) =="
-race_run ./internal/serve 'TestDeltaSnapshotEqualsFullProperty'
+echo "== go test -race (delta snapshots equal full builds; a rewinding load is a new rulebase state; copy-on-write rules read during mutations, -count=10) =="
+race_run ./internal/serve 'TestDeltaSnapshotEqualsFullProperty|TestAcquireAfterRewindingLoad'
 race_run ./internal/core 'TestHealthDuringConfidenceUpdates|TestFindDuplicatesDuringDisables' -count=10
 
 echo "== go test -race (ensemble postings: concurrent Predict on one trained model; bit-equal to the map-based reference; untrained ensemble allocates nothing; NewEnsemble copies its slices) =="
@@ -67,6 +67,7 @@ go test -fuzz=FuzzShardRouter -fuzztime=10s -run '^$' ./internal/serve
 go test -fuzz=FuzzItemFingerprint -fuzztime=10s -run '^$' ./internal/catalog
 go test -fuzz=FuzzWALDecode -fuzztime=10s -run '^$' ./internal/persist
 go test -fuzz=FuzzDenseKernelMatchesReference -fuzztime=10s -run '^$' ./internal/learn
+go test -fuzz=FuzzFingerprintDeterminesPrediction -fuzztime=10s -run '^$' ./internal/learn
 
 echo "== tier-1: go build ./... && go test ./... =="
 go build ./...
