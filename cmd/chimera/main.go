@@ -388,10 +388,10 @@ var opsShardStatuses atomic.Value
 func init() { opsShardStatuses.Store((func() []repro.ShardStatus)(nil)) }
 
 // opsOptions wires the ops surface to the pipeline: metrics from its
-// registry, decisions from its audit ring, health from the serving tier's
-// shard statuses while the drill runs (the pipeline's own engine otherwise),
-// and /snapshot from the engine's current view plus telemetry-ranked rule
-// health.
+// registry, decisions from its audit ring, health from its one engine (which
+// the serving tier serves from) plus the tier's per-shard queues while the
+// drill runs, and /snapshot from a fresh snapshot of that engine and its
+// telemetry-ranked rule health.
 func opsOptions(p *repro.Pipeline) repro.OpsOptions {
 	eng := p.Snapshots()
 	return repro.OpsOptions{
@@ -403,9 +403,8 @@ func opsOptions(p *repro.Pipeline) repro.OpsOptions {
 				Ready:           true,
 				SnapshotVersion: eng.Current().Version(),
 			}
-			// The tier's one engine is the serving engine (degraded state and
-			// version repeat on every shard), and /readyz judges per-shard
-			// queues: the tier is ready while any shard can absorb traffic.
+			// /readyz judges per-shard queues: the tier is ready while any
+			// shard can absorb traffic.
 			if f, _ := opsShardStatuses.Load().(func() []repro.ShardStatus); f != nil {
 				for _, ss := range f() {
 					st.Shards = append(st.Shards, repro.OpsShardHealth{
@@ -415,7 +414,6 @@ func opsOptions(p *repro.Pipeline) repro.OpsOptions {
 						QueueCapacity:   ss.QueueCapacity,
 						SnapshotVersion: ss.SnapshotVersion,
 					})
-					st.Degraded, st.SnapshotVersion = ss.Degraded, ss.SnapshotVersion
 				}
 			}
 			if st.Degraded {
@@ -424,13 +422,13 @@ func opsOptions(p *repro.Pipeline) repro.OpsOptions {
 			return st
 		},
 		Snapshot: func() repro.OpsSnapshotInfo {
-			snap := eng.Current()
+			snap := eng.Acquire()
 			ids := snap.ActiveIDs()
 			return repro.OpsSnapshotInfo{
 				Version:     snap.Version(),
 				ActiveRules: len(ids),
 				RuleIDs:     ids,
-				RuleHealth:  p.RuleHealth(0.92),
+				RuleHealth:  snap.Rules().Health(0.92),
 			}
 		},
 	}
@@ -519,10 +517,9 @@ func tierDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 			Seed:        o.seed + 11,
 		}
 	}
-	// The batch loop shares the tier's decision cache (the pipeline has one)
-	// and its engine counts into the same serve_snapshot_swaps_total and
-	// chimera_degraded_* series of the pipeline registry; the drill reports
-	// only its own share.
+	// The tier serves from the pipeline's one engine and decision cache,
+	// whose serve_snapshot_swaps_total and chimera_degraded_* series already
+	// count the batch loop's work; the drill reports only its own share.
 	swaps := p.Obs.Counter(repro.MetricServeSnapshotSwaps)
 	degraded := p.Obs.Counter(repro.MetricDegradedItems)
 	swapsBefore, degradedBefore := swaps.Value(), degraded.Value()

@@ -280,10 +280,10 @@ type Pipeline struct {
 	Trace *obs.Tracer
 	Audit *obs.AuditLog
 
-	// snaps owns the immutable rule-executor snapshots the pipeline
-	// classifies through (see internal/serve): rebuilt only when the
-	// rulebase state changes, swapped atomically, never blocking readers
-	// on rule maintenance.
+	// snaps is the pipeline's one snapshot engine (see internal/serve),
+	// shared by Classify, ProcessBatch and every tier: rebuilt only when the
+	// rulebase state changes, swapped atomically, never blocking readers on
+	// rule maintenance.
 	snaps *serve.Engine
 	// cache is the pipeline's one decision cache (nil when disabled): sized
 	// by Config.CacheCapacity, or by the first caching tier's
@@ -336,33 +336,30 @@ func newEnsemble() *learn.Ensemble {
 	return ens
 }
 
-// Snapshots returns the pipeline's own snapshot engine. It is passive:
-// Classify and ProcessBatch acquire state-cached snapshots synchronously.
-// Serving goes through NewShardedServer / NewResilientClient, whose tier owns
-// a second, running engine.
+// Snapshots returns the pipeline's one snapshot engine: Classify,
+// ProcessBatch and RuleHealth Acquire from it, and every tier serves from it
+// (tier.Engine()), so a rulebase state is built once whatever serves it.
 func (p *Pipeline) Snapshots() *serve.Engine { return p.snaps }
 
 // NewShardedServer wraps the pipeline in the scatter-gather serving tier
 // (see serve.ShardedServer): a consistent-hash router over per-shard servers
-// that share one engine snapshotting p.Rules, each classifying through the
-// full Figure-2 stages and the pipeline's decision cache. faults, when
-// non-nil, injects handler latency into every shard's workers and
-// shard-targeted stalls via ShardDelay — wire its RebuildFault into the
-// tier's engine (ShardedServer.Engine().SetRebuildFault) to fault the
-// snapshot lifecycle. The caller owns Shutdown/Close on the returned tier;
-// the pipeline (and its own passive engine) remain usable afterwards. Rule
-// mutations and Train are both safe during serving: each item is decided
-// under one snapshot and one published model, whose generation it records.
+// that serve from the pipeline's engine while they run, each classifying
+// through the full Figure-2 stages and the pipeline's decision cache.
+// faults, when non-nil, injects handler latency into every shard's workers
+// and shard-targeted stalls via ShardDelay — wire its RebuildFault into the
+// engine (ShardedServer.Engine().SetRebuildFault) to fault the snapshot
+// lifecycle. The caller owns Shutdown/Close on the returned tier; the
+// pipeline remains usable afterwards. Rule mutations and Train are both safe
+// during serving: each item is decided under one snapshot and one published
+// model, whose generation it records.
 //
 // A pipeline without a decision cache gets one of opts.Cache.Capacity ×
 // shards entries, registered in opts.Obs; one that has one (from
 // Config.CacheCapacity or an earlier tier) shares it with this tier, and
 // opts.Cache is then not read.
 //
-// The tier's engine instruments its snapshots into opts.Obs (default p.Obs)
-// under the pipeline's own series labels, so RuleHealth and /metrics see the
-// rules tier traffic fires; so do the serve_snapshot_* series, which in p.Obs
-// therefore count the pipeline's own engine as well as the tier's.
+// opts.Obs (default p.Obs) receives the serve_shard_* and serve_scatter_*
+// families; the engine's series and rule telemetry stay in p.Obs.
 func (p *Pipeline) NewShardedServer(opts serve.ShardedOptions, faults *faultinject.Injector) *serve.ShardedServer[Decision] {
 	if opts.Obs == nil {
 		opts.Obs = p.Obs
@@ -370,7 +367,7 @@ func (p *Pipeline) NewShardedServer(opts serve.ShardedOptions, faults *faultinje
 	if opts.Audit == nil {
 		opts.Audit = p.Audit
 	}
-	tier := serve.NewShardedServer(p.Rules, func(ctx context.Context, snap *serve.Snapshot, it *catalog.Item) Decision {
+	tier := serve.NewShardedServerOn(p.snaps, func(ctx context.Context, snap *serve.Snapshot, it *catalog.Item) Decision {
 		if d := faults.HandlerDelay(); d > 0 {
 			time.Sleep(d)
 		}
@@ -393,8 +390,9 @@ func (p *Pipeline) NewShardedServer(opts serve.ShardedOptions, faults *faultinje
 // pipeline has none).
 func (p *Pipeline) CacheStats() serve.CacheStats { return p.cache.Load().Stats() }
 
-// Close closes the pipeline's own snapshot engine (a no-op unless a caller
-// started it). The pipeline remains usable afterwards.
+// Close stops the engine's rebuild loop, dropping the holds of any tier
+// still running (it then serves its last snapshot until shut down). The
+// pipeline remains usable afterwards, and a later tier starts the loop anew.
 func (p *Pipeline) Close() { p.snaps.Close() }
 
 // Train sets (or extends) the training data and trains the ensemble, which

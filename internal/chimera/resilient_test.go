@@ -264,8 +264,9 @@ func TestResilientClientDegradesWhenEngineDegraded(t *testing.T) {
 }
 
 // TestResilientClientDegradedReadsTierSnapshot: degraded decisions come from
-// the tier's published snapshot, not the pipeline's own passive engine, which
-// can be arbitrarily stale — here it is pinned two versions back.
+// the snapshot the tier serves, the last one its engine published before the
+// failed rebuild: neither the snapshot read before the tier started nor the
+// rulebase's current state, each one version away from it.
 func TestResilientClientDegradedReadsTierSnapshot(t *testing.T) {
 	cat, p := provFixture(t, 96, false)
 	stale := p.Snapshots().Acquire().Version()
@@ -301,6 +302,62 @@ func TestResilientClientDegradedReadsTierSnapshot(t *testing.T) {
 		if r := recs[it.ID]; r.SnapshotVersion != version {
 			t.Fatalf("item %s: record at snapshot %d, tier serves %d", it.ID, r.SnapshotVersion, version)
 		}
+	}
+}
+
+// TestOneEnginePerPipeline: every tier of a pipeline serves from the
+// pipeline's engine, so with ProcessBatch and a tier both serving, a change
+// is built and published once; and shutting one of two tiers down leaves the
+// other's loop publishing.
+func TestOneEnginePerPipeline(t *testing.T) {
+	cat, p := fixtureWithObs(t, 98, obs.NewRegistry())
+	tier := p.NewShardedServer(serve.ShardedOptions{Shards: 2}, nil)
+	defer tier.Close()
+	if tier.Engine() != p.Snapshots() {
+		t.Fatal("NewShardedServer built a second engine")
+	}
+	batch := cat.GenerateBatch(catalog.BatchSpec{Size: 40, Epoch: 0})
+	serveBoth := func() {
+		t.Helper()
+		p.ProcessBatch(batch)
+		tk, err := tier.Submit(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tk.Wait().Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serveBoth()
+
+	swaps := p.Obs.Counter(serve.MetricSnapshotSwaps)
+	before := swaps.Value()
+	if err := p.Rules.Disable(p.Rules.Active()[0].ID, "ana", "one build per state"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the tier publishing the disable", func() bool { return tier.Engine().Current().State() == p.Rules.State() })
+	serveBoth()
+	if res := p.ProcessBatch(batch); res.SnapshotVersion != p.Rules.Version() {
+		t.Fatalf("ProcessBatch at version %d, rulebase at %d", res.SnapshotVersion, p.Rules.Version())
+	}
+	if got := swaps.Value() - before; got != 1 {
+		t.Fatalf("one disable served by ProcessBatch and a tier published %d snapshots, want 1", got)
+	}
+
+	rc := p.NewResilientClient(serve.ShardedOptions{Shards: 3}, nil)
+	defer rc.Tier().Close()
+	if rc.Tier().Engine() != p.Snapshots() {
+		t.Fatal("NewResilientClient built a second engine")
+	}
+	if err := tier.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	mutate(t, p, "bangles?", "bracelets")
+	waitFor(t, "the remaining tier publishing after the other's shutdown", func() bool {
+		return rc.Tier().Engine().Current().State() == p.Rules.State()
+	})
+	if _, err := rc.Process(context.Background(), batch); err != nil {
+		t.Fatal(err)
 	}
 }
 

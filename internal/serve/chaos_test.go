@@ -47,7 +47,7 @@ func TestChaosEveryTicketResolvesExactlyOnce(t *testing.T) {
 		ids = append(ids, id)
 	}
 	reg := obs.NewRegistry()
-	eng := NewEngine(rb, EngineOptions{Obs: reg, Debounce: 50 * time.Microsecond})
+	eng := NewEngine(rb, EngineOptions{Obs: reg})
 	defer eng.Close()
 
 	inj := faultinject.New(faultinject.Config{

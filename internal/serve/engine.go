@@ -49,17 +49,8 @@ const (
 	MetricDegraded = "serve_degraded"
 )
 
-// DefaultDebounce is the rebuild debounce: after a mutation wakes the async
-// loop, the engine waits this long so a burst of maintenance actions (a
-// scale-down disabling dozens of rules, a batch of patch rules) costs one
-// rebuild, not one per mutation.
-const DefaultDebounce = 2 * time.Millisecond
-
 // EngineOptions parameterizes an Engine. Zero values take defaults.
 type EngineOptions struct {
-	// Debounce is the async rebuild delay after a mutation (DefaultDebounce
-	// when 0; negative means rebuild immediately).
-	Debounce time.Duration
 	// Obs receives the engine's metrics and the snapshots' executor
 	// telemetry (obs.Default when nil).
 	Obs *obs.Registry
@@ -67,23 +58,22 @@ type EngineOptions struct {
 
 // Engine owns the current Snapshot of one rulebase and keeps it fresh.
 //
-// Readers call Current (lock-free atomic load; may be briefly stale while an
-// async rebuild is pending) or Acquire (state-checked; rebuilds
-// synchronously when stale — the fallback serving path when the async loop
-// is not running: the rebuild is cached by rulebase state, (load epoch,
-// version), so an unchanged rulebase never rebuilds and a rewinding load
-// always does). Writers mutate the rulebase normally;
-// after Start, every mutation wakes the debounced rebuild-and-swap loop.
+// Readers call Current (lock-free atomic load; stale by at most the build in
+// progress while the rebuild loop runs) or Acquire (state-checked; rebuilds
+// synchronously when stale: the rebuild is cached by rulebase state, (load
+// epoch, version), so an unchanged rulebase never rebuilds and a rewinding
+// load always does). Writers mutate the rulebase normally. While a Start
+// hold is live, every committed change wakes the rebuild loop; Acquire and
+// the loop share one single-flight build, so each state is built once.
 type Engine struct {
-	rb       *core.Rulebase
-	reg      *obs.Registry
-	debounce time.Duration
+	rb  *core.Rulebase
+	reg *obs.Registry
 
 	cur     atomic.Pointer[Snapshot]
 	buildMu sync.Mutex // single-flight rebuilds
 
-	// rebuildFault is the optional fault-injection hook consulted before
-	// every rebuild (see SetRebuildFault); degraded is set while the engine
+	// rebuildFault is the optional fault-injection hook consulted by every
+	// rebuild (see SetRebuildFault); degraded is set while the engine
 	// serves a stale snapshot because the last rebuild failed.
 	rebuildFault atomic.Pointer[RebuildFaultHook]
 	degraded     atomic.Bool
@@ -96,36 +86,33 @@ type Engine struct {
 	buildErrs *obs.Counter
 	degGauge  *obs.Gauge
 
-	startOnce sync.Once
-	closeOnce sync.Once
-	kick      chan struct{}
-	done      chan struct{}
-	wg        sync.WaitGroup
-	unsub     func()
+	// The rebuild loop, under holdMu: holds counts live Start holds, closing
+	// stop ends the running loop (both nil when none runs), done closes once
+	// it has.
+	holdMu     sync.Mutex
+	holds      int
+	stop, done chan struct{}
+	unsub      func()
+	kick       chan struct{}
 }
 
-// RebuildFaultHook is consulted before each snapshot rebuild: a non-zero
-// stall delays the build (simulating a slow rulebase read), a non-nil error
-// fails it. faultinject.Injector.RebuildFault matches this signature.
+// RebuildFaultHook is consulted by each snapshot rebuild between its build
+// and its publish: a non-zero stall delays the publish (a slow build: changes
+// committed meanwhile go to the next one), a non-nil error discards the
+// build. faultinject.Injector.RebuildFault matches this signature.
 type RebuildFaultHook func() (stall time.Duration, err error)
 
-// NewEngine builds the initial snapshot of rb and returns a passive engine:
-// Acquire serves state-cached synchronous rebuilds until Start launches
-// the async loop. A passive engine holds no goroutines and needs no Close
-// (Close is still safe to call).
+// NewEngine builds the initial snapshot of rb and returns an engine with no
+// holds: Acquire serves state-cached synchronous rebuilds, and no goroutine
+// runs until Start takes the first hold.
 func NewEngine(rb *core.Rulebase, opts EngineOptions) *Engine {
 	reg := opts.Obs
 	if reg == nil {
 		reg = obs.Default()
 	}
-	debounce := opts.Debounce
-	if debounce == 0 {
-		debounce = DefaultDebounce
-	}
 	e := &Engine{
 		rb:        rb,
 		reg:       reg,
-		debounce:  debounce,
 		swaps:     reg.Counter(MetricSnapshotSwaps),
 		deltas:    reg.Counter(MetricSnapshotBuilds, "kind", "delta"),
 		fulls:     reg.Counter(MetricSnapshotBuilds, "kind", "full"),
@@ -134,7 +121,6 @@ func NewEngine(rb *core.Rulebase, opts EngineOptions) *Engine {
 		buildErrs: reg.Counter(MetricBuildErrors),
 		degGauge:  reg.Gauge(MetricDegraded),
 		kick:      make(chan struct{}, 1),
-		done:      make(chan struct{}),
 	}
 	reg.Help(MetricSnapshotSwaps, "snapshot publishes (rebuild-and-swap)")
 	reg.Help(MetricSnapshotBuilds, "snapshot builds by kind: delta (rule indexes shared with the previous snapshot) or full")
@@ -172,8 +158,7 @@ func (e *Engine) Registry() *obs.Registry { return e.reg }
 func (e *Engine) Rulebase() *core.Rulebase { return e.rb }
 
 // Current returns the published snapshot without touching the rulebase lock.
-// It may lag the rulebase by up to the debounce window (plus rebuild time)
-// while the async loop catches up; it is never nil and never torn.
+// With no hold it moves only on Acquire. It is never nil and never torn.
 func (e *Engine) Current() *Snapshot { return e.cur.Load() }
 
 // Acquire returns a snapshot that is up to date with the rulebase state at
@@ -189,7 +174,7 @@ func (e *Engine) Acquire() *Snapshot {
 
 // rebuild builds and publishes a fresh snapshot unless another goroutine
 // already caught the engine up while we waited for the build lock. A
-// rebuild-fault hook may stall the build or fail it outright; on failure the
+// rebuild-fault hook may stall the publish or fail it outright; on failure the
 // engine counts the error, flags itself degraded, and keeps serving the last
 // good snapshot — callers always get a valid (possibly stale) snapshot, never
 // nil and never a torn one.
@@ -200,6 +185,7 @@ func (e *Engine) rebuild() *Snapshot {
 		return s
 	}
 	start := time.Now()
+	snap := e.build()
 	if hook := e.rebuildFault.Load(); hook != nil {
 		stall, err := (*hook)()
 		if stall > 0 {
@@ -211,7 +197,6 @@ func (e *Engine) rebuild() *Snapshot {
 			return e.cur.Load() // stale but valid: the resilience contract
 		}
 	}
-	snap := e.build()
 	e.publish(snap, time.Since(start))
 	e.setDegraded(false)
 	return snap
@@ -249,55 +234,70 @@ func (e *Engine) publish(snap *Snapshot, buildTime time.Duration) {
 	e.verGauge.Set(float64(snap.Version()))
 }
 
-// Start subscribes to the rulebase and launches the async rebuild loop:
-// after a mutation, the loop debounces briefly (collapsing mutation bursts)
-// and then rebuilds and swaps the published snapshot. Idempotent. After
-// Start, readers on Current never block on maintenance.
-func (e *Engine) Start() {
-	e.startOnce.Do(func() {
+// Start takes a hold on the rebuild loop and returns its idempotent release.
+// The first hold subscribes to the rulebase and launches the loop, which
+// builds as soon as a change commits; the capacity-1 kick channel coalesces,
+// so changes committed during a build cost one more build. Start then
+// catches up with Acquire, so a change committed before it is not missed.
+// The last release unsubscribes and stops the loop.
+func (e *Engine) Start() (release func()) {
+	e.holdMu.Lock()
+	if e.holds == 0 {
 		e.unsub, _ = e.rb.SubscribeChanges(func(core.Change) {
 			select {
 			case e.kick <- struct{}{}:
 			default: // a rebuild is already pending; it will pick this up
 			}
 		})
-		e.wg.Add(1)
-		go e.loop()
-	})
+		e.stop, e.done = make(chan struct{}), make(chan struct{})
+		go e.loop(e.stop, e.done)
+	}
+	e.holds++
+	stop := e.stop
+	e.holdMu.Unlock()
+	e.Acquire()
+	var once sync.Once
+	return func() { once.Do(func() { e.release(stop) }) }
 }
 
-func (e *Engine) loop() {
-	defer e.wg.Done()
+// release drops the hold taken on the loop run that stop ends, or every hold
+// when stop is nil. Once none is left it stops the loop and waits, outside
+// holdMu, for it to exit.
+func (e *Engine) release(stop chan struct{}) {
+	e.holdMu.Lock()
+	if stop == nil {
+		e.holds = 0
+	} else if stop == e.stop {
+		e.holds--
+	} // else Close already dropped this hold
+	done := e.done
+	if e.holds > 0 || done == nil {
+		e.holdMu.Unlock()
+		return
+	}
+	e.unsub()
+	close(e.stop)
+	e.stop, e.done, e.unsub = nil, nil, nil
+	e.holdMu.Unlock()
+	<-done
+}
+
+func (e *Engine) loop(stop, done chan struct{}) {
+	defer close(done)
 	for {
 		select {
-		case <-e.done:
+		case <-stop:
 			return
 		case <-e.kick:
-			if e.debounce > 0 {
-				timer := time.NewTimer(e.debounce)
-				select {
-				case <-e.done:
-					timer.Stop()
-					return
-				case <-timer.C:
-				}
-			}
-			// Mutations that land during the build leave a pending kick, so
-			// the loop converges to the latest version.
+			// Changes that commit during the build leave a pending kick, so
+			// the loop converges to the latest state.
 			e.rebuild()
 		}
 	}
 }
 
-// Close stops the async loop and unsubscribes from the rulebase. Safe to
-// call on a never-started engine and safe to call twice. The published
-// snapshot stays valid; Acquire keeps working in passive mode.
-func (e *Engine) Close() {
-	e.closeOnce.Do(func() {
-		if e.unsub != nil {
-			e.unsub()
-		}
-		close(e.done)
-		e.wg.Wait()
-	})
-}
+// Close stops the rebuild loop and drops every hold; their releases become
+// no-ops. Safe to call more than once or on an engine never started. The
+// published snapshot stays valid, Acquire keeps working, and a later Start
+// takes a fresh first hold.
+func (e *Engine) Close() { e.release(nil) }

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,6 +43,119 @@ func TestEngineAsyncSwap(t *testing.T) {
 	}
 	eng.Close()
 	eng.Close() // idempotent
+}
+
+// TestEngineStartCatchesUp: a change committed between NewEngine and Start
+// reaches no change-feed subscriber, so nothing would wake the loop for it;
+// Start itself must catch the published snapshot up before it returns.
+func TestEngineStartCatchesUp(t *testing.T) {
+	eng, _ := testEngine(t)
+	addRule(t, eng.Rulebase(), "sprocket")
+	eng.Start()
+	if got, want := eng.Current().State(), eng.Rulebase().State(); got != want {
+		t.Fatalf("started at %+v, rulebase at %+v", got, want)
+	}
+}
+
+// TestEngineCoalescesWithoutTimer: the loop builds as soon as a change
+// commits, and any number of changes that commit while a build is in flight
+// cost exactly one more build: no timer, no lost wake-up.
+func TestEngineCoalescesWithoutTimer(t *testing.T) {
+	eng, reg := testEngine(t)
+	rb := eng.Rulebase()
+	id := rb.Active()[0].ID
+	eng.Start()
+	swaps := reg.Counter(MetricSnapshotSwaps)
+	before := swaps.Value()
+
+	// The first build stalls after it has read the rulebase, until released.
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var builds atomic.Int32
+	eng.SetRebuildFault(func() (time.Duration, error) {
+		if builds.Add(1) == 1 {
+			close(entered)
+			<-gate
+		}
+		return 0, nil
+	})
+	if err := rb.UpdateConfidence(id, 0.5, "test"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a committed change did not start a build")
+	}
+	const n = 25
+	for i := 0; i < n; i++ {
+		if err := rb.UpdateConfidence(id, 0.6+float64(i)/100, "test"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(gate)
+	waitForState(t, eng, "the changes committed during the stalled build")
+	if got := swaps.Value() - before; got != 2 {
+		t.Fatalf("%d changes during a build led to %d publishes in all, want 2", n, got)
+	}
+	if got := builds.Load(); got != 2 {
+		t.Fatalf("%d builds, want 2", got)
+	}
+}
+
+// TestEngineHolds: the rebuild loop runs while any hold is live. Releasing
+// one of two holds (twice) leaves it publishing; releasing the last stops
+// it; the next Start catches up; and Close drops every hold, so a release
+// taken before Close cannot stop a loop started after it.
+func TestEngineHolds(t *testing.T) {
+	eng, _ := testEngine(t)
+	rb := eng.Rulebase()
+	a, b := eng.Start(), eng.Start()
+	a()
+	a()
+	addRule(t, rb, "one")
+	waitForState(t, eng, "a change with one hold left")
+
+	b()
+	addRule(t, rb, "two")
+	time.Sleep(20 * time.Millisecond)
+	if eng.Current().State() == rb.State() {
+		t.Fatal("the engine published a change with no hold")
+	}
+	stale := eng.Start()
+	if got, want := eng.Current().State(), rb.State(); got != want {
+		t.Fatalf("restarted at %+v, rulebase at %+v", got, want)
+	}
+
+	eng.Close()
+	release := eng.Start()
+	defer release()
+	stale()
+	addRule(t, rb, "three")
+	waitForState(t, eng, "a change after a release dropped by Close")
+}
+
+// addRule adds one whitelist rule: one committed change.
+func addRule(t *testing.T, rb *core.Rulebase, pattern string) {
+	t.Helper()
+	r, err := core.NewWhitelist(pattern, "gizmo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rb.Add(r, "test"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitForState waits up to five seconds for the engine to publish the
+// rulebase's current state.
+func waitForState(t *testing.T, eng *Engine, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); eng.Current().State() != eng.Rulebase().State(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: engine at %+v, rulebase at %+v", what, eng.Current().State(), eng.Rulebase().State())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 }
 
 // TestAcquireCachesByVersion: with an unchanged rulebase, Acquire returns the

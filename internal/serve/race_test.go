@@ -104,7 +104,7 @@ func TestConcurrentMutationAndServing(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	eng := NewEngine(rb, EngineOptions{Obs: reg, Debounce: 200 * time.Microsecond})
+	eng := NewEngine(rb, EngineOptions{Obs: reg})
 	defer eng.Close()
 	srv := NewServer(eng, func(_ context.Context, snap *Snapshot, it *catalog.Item) []string {
 		return snap.Apply(it).FinalTypes()

@@ -95,10 +95,11 @@ func (t *Ticket[R]) WaitContext(ctx context.Context) ([]R, *Snapshot, error) {
 // explicitly declined when the drain deadline expires), and queue depth /
 // sheds / served / expired counts are recorded in obs.
 type Server[R any] struct {
-	eng   *Engine
-	h     Handler[R]
-	obs   *obs.Registry
-	audit *obs.AuditLog
+	eng     *Engine
+	release func() // the server's hold on the engine's rebuild loop
+	h       Handler[R]
+	obs     *obs.Registry
+	audit   *obs.AuditLog
 
 	mu        sync.RWMutex // guards closed + the queue-close transition
 	closed    bool
@@ -122,10 +123,9 @@ func (s *Server[R]) QueueCapacity() int { return cap(s.queue) }
 // Registry returns the registry the server's metrics land in.
 func (s *Server[R]) Registry() *obs.Registry { return s.obs }
 
-// NewServer starts the worker pool (and the engine's async rebuild loop, so
-// workers read fresh snapshots without touching the rulebase lock). The
-// caller owns Shutdown/Drain on the server; the engine is left running for
-// its owner to Close.
+// NewServer takes a hold on the engine (Engine.Start), so workers read fresh
+// snapshots without touching the rulebase lock, and starts the worker pool.
+// The caller owns Shutdown/Drain, which release the hold.
 func NewServer[R any](eng *Engine, h Handler[R], opts ServerOptions) *Server[R] {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -157,7 +157,7 @@ func NewServer[R any](eng *Engine, h Handler[R], opts ServerOptions) *Server[R] 
 	reg.Help(MetricShed, "requests shed at Submit (queue full)")
 	reg.Help(MetricDeclined, "items explicitly declined during shutdown drain")
 	reg.Help(MetricDeadlineExpired, "requests whose caller deadline expired at submit or while queued")
-	eng.Start()
+	s.release = eng.Start()
 	s.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go s.worker()
@@ -273,7 +273,8 @@ func (s *Server[R]) worker() {
 // If ctx expires first, the remaining queued requests are explicitly
 // declined (their tickets resolve with ErrDeclined) and ctx.Err() is
 // returned; requests already being processed always complete. Either way,
-// every submitted ticket resolves. Safe to call more than once.
+// every submitted ticket resolves, and the engine hold is released. Safe to
+// call more than once.
 func (s *Server[R]) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.closed
@@ -286,6 +287,7 @@ func (s *Server[R]) Shutdown(ctx context.Context) error {
 	finished := make(chan struct{})
 	go func() {
 		s.wg.Wait()
+		s.release()
 		close(finished)
 	}()
 	select {

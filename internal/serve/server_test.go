@@ -23,7 +23,7 @@ func testEngine(t testing.TB) (*Engine, *obs.Registry) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	eng := NewEngine(rb, EngineOptions{Obs: reg, Debounce: 100 * time.Microsecond})
+	eng := NewEngine(rb, EngineOptions{Obs: reg})
 	t.Cleanup(eng.Close)
 	return eng, reg
 }

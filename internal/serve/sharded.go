@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -36,7 +35,7 @@ const (
 	// queue state (refreshed by ShardStatuses — wire it into the health
 	// provider so scrapes see fresh gauges). There is no per-shard version or
 	// degraded gauge: the tier has one snapshot, reported by the engine's
-	// MetricSnapshotVersion / MetricDegraded in the same registry.
+	// MetricSnapshotVersion / MetricDegraded in the engine's registry.
 	MetricShardQueueDepth = "serve_shard_queue_depth"
 	MetricShardQueueCap   = "serve_shard_queue_capacity"
 	// MetricScatterBatches / MetricScatterItems count scatter-gather
@@ -90,12 +89,9 @@ type ShardedOptions struct {
 	// totals; defaults follow ServerOptions: 4 workers, depth 64).
 	Workers    int
 	QueueDepth int
-	// Debounce is the engine's rebuild debounce (DefaultDebounce when 0;
-	// negative = immediate).
-	Debounce time.Duration
-	// Obs is the primary registry (obs.Default when nil): the serve_shard_* /
-	// serve_scatter_* families, the one engine's serve_snapshot_* series and
-	// per-rule executor telemetry.
+	// Obs is the primary registry (obs.Default when nil): the serve_shard_*
+	// and serve_scatter_* families. The engine's serve_snapshot_* series and
+	// per-rule executor telemetry land in the engine's own registry.
 	// Each shard's server and retrier write their unlabeled serve_* internals
 	// (queue depth, sheds, retries) into a private per-shard registry — see
 	// ShardedServer.ShardRegistry — so shards never fight over one gauge.
@@ -158,12 +154,17 @@ type ShardedServer[R any] struct {
 	scatterFanout  *obs.Histogram
 }
 
-// NewShardedServer builds the tier over one rulebase: one engine snapshots
-// it and every shard classifies against that engine's current snapshot
-// (sharding partitions load, not semantics). The worker pools and the
-// engine's async rebuild loop start immediately; the caller owns
-// Shutdown/Close.
+// NewShardedServer builds the tier over a new engine of rb, registered in
+// opts.Obs (see NewShardedServerOn).
 func NewShardedServer[R any](rb *core.Rulebase, h Handler[R], opts ShardedOptions) *ShardedServer[R] {
+	return NewShardedServerOn(NewEngine(rb, EngineOptions{Obs: opts.Obs}), h, opts)
+}
+
+// NewShardedServerOn builds the tier over eng: every shard serves the
+// engine's current snapshot (sharding partitions load, not semantics) and
+// holds its rebuild loop, so the tier starts on a fresh snapshot. The caller
+// owns Shutdown/Close, which release the holds; eng stays its owner's.
+func NewShardedServerOn[R any](eng *Engine, h Handler[R], opts ShardedOptions) *ShardedServer[R] {
 	nShards := opts.Shards
 	if nShards <= 0 {
 		nShards = 4
@@ -180,7 +181,7 @@ func NewShardedServer[R any](rb *core.Rulebase, h Handler[R], opts ShardedOption
 		router:         NewShardRouter(nShards, opts.Replicas),
 		route:          route,
 		obs:            reg,
-		eng:            NewEngine(rb, EngineOptions{Obs: reg, Debounce: opts.Debounce}),
+		eng:            eng,
 		shards:         make([]*shard[R], nShards),
 		scatterBatches: reg.Counter(MetricScatterBatches),
 		scatterItems:   reg.Counter(MetricScatterItems),
@@ -237,7 +238,7 @@ func (s *ShardedServer[R]) Shards() int { return len(s.shards) }
 func (s *ShardedServer[R]) Router() *ShardRouter { return s.router }
 
 // Registry returns the primary registry holding the labeled serve_shard_*
-// and serve_scatter_* families and the engine's series.
+// and serve_scatter_* families.
 func (s *ShardedServer[R]) Registry() *obs.Registry { return s.obs }
 
 // Engine returns the tier's snapshot engine (fault hooks, degraded state).
@@ -277,7 +278,7 @@ type ShardStatus struct {
 // per-shard queue depth/capacity gauges in the primary registry, so wiring it
 // into the ops health provider keeps both /readyz and /metrics fresh from one
 // call. (Snapshot version and degraded are the engine's own
-// serve_snapshot_version / serve_degraded gauges in the same registry.)
+// serve_snapshot_version / serve_degraded gauges, in the engine's registry.)
 func (s *ShardedServer[R]) ShardStatuses() []ShardStatus {
 	out := make([]ShardStatus, len(s.shards))
 	degraded, version := s.eng.Degraded(), s.eng.Current().Version()
@@ -512,9 +513,9 @@ func (s *ShardedServer[R]) runPart(ctx context.Context, p *scatterPart[R], wg *s
 
 // Shutdown stops accepting scatter submissions, shuts every shard server
 // down concurrently under ctx (each drains or declines per the Server
-// contract — every in-flight ticket still resolves), then closes the engine.
-// It returns the first shard's error, if any (ctx expiry during a drain).
-// Safe to call more than once.
+// contract — every in-flight ticket still resolves) and releases its engine
+// hold. It returns the first shard's error, if any (ctx expiry during a
+// drain). Safe to call more than once.
 func (s *ShardedServer[R]) Shutdown(ctx context.Context) error {
 	s.closed.Store(true)
 	errs := make([]error, len(s.shards))
@@ -527,7 +528,6 @@ func (s *ShardedServer[R]) Shutdown(ctx context.Context) error {
 		}(i, sh)
 	}
 	wg.Wait()
-	s.eng.Close()
 	for _, err := range errs {
 		if err != nil {
 			return err

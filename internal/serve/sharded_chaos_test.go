@@ -62,7 +62,7 @@ func TestShardedChaosStallIsolatesOneShard(t *testing.T) {
 		return snap.Apply(it).Explain()
 	}, ShardedOptions{
 		Shards: shards, RouteKey: routeByID, Workers: 1, QueueDepth: 1,
-		Debounce: 100 * time.Microsecond, Obs: reg,
+		Obs: reg,
 	})
 	defer srv.Close()
 	// Every rebuild fails: the tier must pin its last good snapshot and flag

@@ -235,7 +235,7 @@ func TestShardedOneRebuildPerMutation(t *testing.T) {
 	}
 	const shards = 4
 	srv := NewShardedServer(rb, explainHandler, ShardedOptions{
-		Shards: shards, RouteKey: routeByID, Debounce: -1, Obs: obs.NewRegistry(),
+		Shards: shards, RouteKey: routeByID, Obs: obs.NewRegistry(),
 	})
 	defer srv.Close()
 	swaps := func() int64 {

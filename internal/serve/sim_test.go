@@ -77,9 +77,9 @@ func simRun(t *testing.T, seed uint64) {
 		ruleIDs = append(ruleIDs, r.ID)
 	}
 
-	// The oracle engine: passive (synchronous Acquire), recording an
-	// immutable snapshot of EVERY rulebase version the run passes through.
-	// A tier serving any version — current, debounce-stale, or pinned by a
+	// The oracle engine: never started (synchronous Acquire only), recording
+	// an immutable snapshot of EVERY rulebase version the run passes through.
+	// A tier serving any version — current, a build behind, or pinned by a
 	// failed rebuild — is then comparable against the oracle's snapshot at
 	// that same version.
 	oracle := NewEngine(rb, EngineOptions{Obs: obs.NewRegistry()})
@@ -119,7 +119,6 @@ func simRun(t *testing.T, seed uint64) {
 		// Shallow queues so overload (sheds) is reachable when stalls pile
 		// work onto one shard — partial failure is part of the soak.
 		QueueDepth: 2,
-		Debounce:   100 * time.Microsecond,
 		Obs:        reg,
 	})
 

@@ -11,13 +11,14 @@
 //     filter table. Built from a single atomic read (Rulebase.StateView),
 //     so a snapshot can never mix two rulebase states.
 //   - Engine: publishes the current Snapshot through an atomic.Pointer, so
-//     readers never take the rulebase lock. Mutations (via
-//     Rulebase.SubscribeChanges) wake a debounced async rebuild-and-swap loop;
-//     Acquire is the synchronous state-cached fallback for callers that
-//     need an up-to-date snapshot without Start. Either way snapshot N+1 is
-//     built from snapshot N: a disable, enable, retire or confidence change
-//     reuses N's rule indexes and telemetry and only re-slots the rule list;
-//     an added rule or a load takes a full build (Snapshot.successor).
+//     readers never take the rulebase lock. While a server holds it
+//     (Engine.Start), every committed change wakes a rebuild-and-swap loop
+//     that builds at once; Acquire is the synchronous state-cached path,
+//     sharing one single-flight build with the loop. Either way snapshot
+//     N+1 is built from snapshot N: a disable, enable, retire or confidence
+//     change reuses N's rule indexes and telemetry and only re-slots the
+//     rule list; an added rule or a load takes a full build
+//     (Snapshot.successor).
 //   - Server: a bounded worker pool with queue-depth backpressure (explicit
 //     shed on overflow) and graceful drain on shutdown. Each request is
 //     classified entirely against the snapshot current when a worker picks

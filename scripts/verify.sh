@@ -45,8 +45,9 @@ race_run() {
     go test -race "$pkg" -run "$pattern" "$@"
 }
 
-echo "== go test -race (chimera resilience over the tier + decision provenance + sharded tier + shared rule telemetry under concurrent batches + retrain while the tier and ProcessBatch serve + one decision cache) =="
-race_run ./internal/chimera 'TestResilientClient|TestResilientClientShutdownLeaksNoGoroutines|TestResilientClientDegradedReadsTierSnapshot|TestClassifyDegraded|TestProvenance|TestShardedServer|TestRuleHealthSeesShardedTraffic|TestConcurrentProcessBatches|TestRetrainWhileServing|TestShardedTierSharesOneDecisionCache|TestDecisionEvidenceOwnership'
+echo "== go test -race (chimera resilience over the tier + decision provenance + sharded tier + shared rule telemetry under concurrent batches + retrain while the tier and ProcessBatch serve + one decision cache + one engine per pipeline) =="
+race_run ./internal/chimera 'TestResilientClient|TestResilientClientShutdownLeaksNoGoroutines|TestResilientClientDegradedReadsTierSnapshot|TestClassifyDegraded|TestProvenance|TestShardedServer|TestRuleHealthSeesShardedTraffic|TestConcurrentProcessBatches|TestRetrainWhileServing|TestShardedTierSharesOneDecisionCache|TestDecisionEvidenceOwnership|TestOneEnginePerPipeline'
+race_run ./cmd/chimera 'TestOpsSnapshotReadsServingEngine'
 
 echo "== go test -race -count=20 (ordered change feed: delivery order, registration version, WAL under racing mutators) =="
 race_run ./internal/core 'TestChangeFeedOrdered|TestSubscribeChanges' -count=20
@@ -55,6 +56,9 @@ race_run ./internal/persist 'TestConcurrentMutators' -count=20
 echo "== go test -race (delta snapshots equal full builds; a rewinding load is a new rulebase state; copy-on-write rules read during mutations, -count=10) =="
 race_run ./internal/serve 'TestDeltaSnapshotEqualsFullProperty|TestAcquireAfterRewindingLoad'
 race_run ./internal/core 'TestHealthDuringConfidenceUpdates|TestFindDuplicatesDuringDisables' -count=10
+
+echo "== go test -race -count=20 (engine lifecycle: Start catches up, held loop publishes on commit and coalesces, holds and Close) =="
+race_run ./internal/serve 'TestEngineStartCatchesUp|TestEngineCoalescesWithoutTimer|TestEngineHolds' -count=20
 
 echo "== go test -race (ensemble postings: concurrent Predict on one trained model; bit-equal to the map-based reference; untrained ensemble allocates nothing; NewEnsemble copies its slices) =="
 race_run ./internal/learn 'TestPredictConcurrent|TestDenseKernelMatchesReference|TestUntrainedEnsembleDoesNoWork|TestNewEnsembleCopiesSlices'
