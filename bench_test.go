@@ -294,13 +294,19 @@ func BenchmarkSequentialExecutorApply(b *testing.B) {
 	}
 }
 
-// benchRulebase returns a rulebase of n rules built from the catalog
-// vocabulary: every type's head terms and synonyms as whitelists, then
-// head-anchored variants (<qualifier>.*<head>) and brand rules until n.
+// benchRulebase returns a rulebase of n rules built from an 80-type
+// catalog's vocabulary (see addBenchRules) and their IDs.
 func benchRulebase(b *testing.B, n int) (*core.Rulebase, []string) {
 	b.Helper()
-	cat := catalog.New(catalog.Config{Seed: 7, NumTypes: 80})
 	rb := core.NewRulebase()
+	return rb, addBenchRules(b, catalog.New(catalog.Config{Seed: 7, NumTypes: 80}), rb, n)
+}
+
+// addBenchRules adds n rules built from cat's vocabulary to rb and returns
+// their IDs: every type's head terms and synonyms as whitelists, then
+// head-anchored variants (<qualifier>.*<head>) and brand rules until n.
+func addBenchRules(b *testing.B, cat *catalog.Catalog, rb *core.Rulebase, n int) []string {
+	b.Helper()
 	var ids []string
 	add := func(r *core.Rule, err error) {
 		if err != nil || len(ids) >= n {
@@ -329,7 +335,7 @@ func benchRulebase(b *testing.B, n int) (*core.Rulebase, []string) {
 		}
 		add(core.NewWhitelist(strings.Fields(other.Name)[0]+strconv.Itoa(i/len(types))+".*"+ty.HeadTerms[0].Text, ty.Name))
 	}
-	return rb, ids
+	return ids
 }
 
 // BenchmarkEngineRebuild measures what an analyst's mutation costs before it
@@ -499,6 +505,31 @@ func BenchmarkDecisionCacheHit(b *testing.B) {
 				p.Classify(items[i%len(items)])
 			}
 		})
+	}
+}
+
+// BenchmarkProcessBatchWorld times Pipeline.ProcessBatch on 128-item batches
+// at the benchmark world's shape: 250 types, 2,000 training items and 10,000
+// rules, with 1 and 2 workers and the default audit sampling. ns/op and B/op
+// are per batch.
+func BenchmarkProcessBatchWorld(b *testing.B) {
+	cat := catalog.New(catalog.Config{Seed: 7, NumTypes: 250})
+	train := cat.LabeledData(2000)
+	items := cat.GenerateBatch(catalog.BatchSpec{Size: 1024, Epoch: 1})
+	const batch = 128
+	for _, workers := range []int{1, 2} {
+		p := chimera.New(chimera.Config{Seed: 7, Workers: workers, Obs: obs.NewRegistry()})
+		addBenchRules(b, cat, p.Rules, 10000)
+		p.Train(train)
+		p.ProcessBatch(items[:batch])
+		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lo := i * batch % len(items)
+				p.ProcessBatch(items[lo : lo+batch])
+			}
+		})
+		p.Close()
 	}
 }
 

@@ -374,7 +374,7 @@ func (p *Pipeline) NewShardedServer(opts serve.ShardedOptions, faults *faultinje
 		if d := faults.ShardDelay(serve.ShardFromContext(ctx)); d > 0 {
 			time.Sleep(d)
 		}
-		return p.decide(ctx, it, snap, p.Ensemble.Model())
+		return p.decide(ctx, it, snap, p.Ensemble.Model(), perItemPaths)
 	}, opts)
 	if opts.Cache.Capacity > 0 {
 		p.mu.Lock()
@@ -438,22 +438,32 @@ func (p *Pipeline) Classify(it *catalog.Item) Decision {
 // ClassifyCtx is Classify with decision provenance: the request ID carried
 // by ctx (see obs.WithRequestID) is stamped on the item's audit record.
 func (p *Pipeline) ClassifyCtx(ctx context.Context, it *catalog.Item) Decision {
-	return p.decide(ctx, it, p.snaps.Acquire(), p.Ensemble.Model())
+	return p.decide(ctx, it, p.snaps.Acquire(), p.Ensemble.Model(), perItemPaths)
 }
 
-// decide is the per-item path through the decision cache: a hit serves the
-// decision cached at (item fingerprint, stamp) and runs no stage; a miss
-// runs classifyWith and caches its decision, and concurrent misses on one
-// item coalesce. Without a cache it is classifyWith.
-func (p *Pipeline) decide(ctx context.Context, it *catalog.Item, snap *serve.Snapshot, model *learn.Model) Decision {
+// auditPaths are the audit-record paths an entry point labels its misses
+// with: gate for items the Gate Keeper decides, vote for the rest.
+type auditPaths struct{ gate, vote string }
+
+var (
+	perItemPaths = auditPaths{obs.PathPerItem, obs.PathPerItem}      // Classify, the tier
+	batchPaths   = auditPaths{obs.PathBatchGate, obs.PathClassifier} // ProcessBatch
+)
+
+// decide is the one per-item decision path, shared by Classify,
+// ProcessBatch and the serving tier: a hit serves the decision cached at
+// (item fingerprint, stamp) and runs no stage; a miss runs classifyWith and
+// caches its decision, and concurrent misses on one item coalesce. Without a
+// cache it is classifyWith.
+func (p *Pipeline) decide(ctx context.Context, it *catalog.Item, snap *serve.Snapshot, model *learn.Model, paths auditPaths) Decision {
 	c := p.cache.Load()
 	if c == nil {
-		return p.classifyWith(ctx, it, snap, model)
+		return p.classifyWith(ctx, it, snap, model, paths)
 	}
 	start := time.Now()
 	var d Decision
 	cached, hit := c.Do(it.Fingerprint(), stampOf(snap, model), func() Decision {
-		d = p.classifyWith(ctx, it, snap, model)
+		d = p.classifyWith(ctx, it, snap, model, paths)
 		return d.cacheable()
 	})
 	if !hit {
@@ -464,24 +474,22 @@ func (p *Pipeline) decide(ctx context.Context, it *catalog.Item, snap *serve.Sna
 	return d
 }
 
-// classifyWith runs one item through the Figure-2 stages with per-item rule
-// execution — the reference path. ProcessBatch reproduces the same decision
-// from batch-computed verdicts (gateDecision + voteDecision on the same
-// snapshot and model), which a pipeline test asserts.
-func (p *Pipeline) classifyWith(ctx context.Context, it *catalog.Item, snap *serve.Snapshot, model *learn.Model) Decision {
+// classifyWith runs one item through the Figure-2 stages under one snapshot
+// and one model, and audits the decision on the path paths names.
+func (p *Pipeline) classifyWith(ctx context.Context, it *catalog.Item, snap *serve.Snapshot, model *learn.Model, paths auditPaths) Decision {
 	start := time.Now()
 	gv := snap.Gate().Apply(it)
 	gateD := time.Since(start)
 	if d, ok := p.gateDecision(it, snap, gv); ok {
 		d.ModelGeneration = model.Generation()
-		p.auditDecision(ctx, snap, d, obs.PathPerItem, gv, nil, "gate", gateD, "", 0)
+		p.auditDecision(ctx, snap, d, paths.gate, gv, nil, "gate", gateD, "", 0)
 		return d
 	}
 	start = time.Now()
 	rv := snap.Rules().Apply(it)
 	d := p.voteDecision(it, snap, model, rv)
 	d.ModelGeneration = model.Generation()
-	p.auditDecision(ctx, snap, d, obs.PathPerItem, gv, rv, "gate", gateD, "classify", time.Since(start))
+	p.auditDecision(ctx, snap, d, paths.vote, gv, rv, "gate", gateD, "classify", time.Since(start))
 	return d
 }
 
@@ -670,10 +678,15 @@ func ruleIDs(rules []*core.Rule) []string {
 	return out
 }
 
-// ProcessBatch classifies a batch in parallel and updates the impact
-// tracker and manual-queue accounting. Each batch leaves a span tree in
-// p.Trace (prepare → classify → accounting), a BatchProfile on the result,
-// and its per-item/per-stage series in p.Obs.
+// batchChunk is how many consecutive items a ProcessBatch worker takes off
+// the shared cursor at a time.
+const batchChunk = 8
+
+// ProcessBatch classifies a batch in parallel, each item through the same
+// decision path as Classify, and updates the impact tracker and manual-queue
+// accounting. Each batch leaves a span tree in p.Trace (prepare → classify →
+// accounting), a BatchProfile on the result, and its per-item/per-stage
+// series in p.Obs.
 func (p *Pipeline) ProcessBatch(items []*catalog.Item) *BatchResult {
 	return p.ProcessBatchCtx(context.Background(), items)
 }
@@ -697,99 +710,33 @@ func (p *Pipeline) ProcessBatchCtx(ctx context.Context, items []*catalog.Item) *
 	snap := p.snaps.Acquire()
 	model := p.Ensemble.Model()
 	prep.End()
-	gen := model.Generation()
-	res := &BatchResult{Decisions: make([]Decision, len(items)), SnapshotVersion: snap.Version(), ModelGeneration: gen}
+	res := &BatchResult{Decisions: make([]Decision, len(items)), SnapshotVersion: snap.Version(), ModelGeneration: model.Generation()}
 
 	classify := span.Child("classify")
 	latency := p.Obs.Histogram(MetricClassifySecs, obs.LatencyBuckets)
-	// Decision-cache hits are served first; todo holds the items that run
-	// the stages, at res.Decisions positions pos (nil: todo is items).
-	cache := p.cache.Load()
-	st := stampOf(snap, model)
-	todo := items
-	var pos []int
-	if cache != nil {
-		todo = nil
-		for i, it := range items {
-			start := time.Now()
-			d, ok := cache.Get(it.Fingerprint(), st)
-			if !ok {
-				todo = append(todo, it)
-				pos = append(pos, i)
-				continue
-			}
-			res.Decisions[i] = d.servedFor(it)
-			p.auditDecision(ctx, snap, res.Decisions[i], obs.PathCached, nil, nil, "cache", time.Since(start), "", 0)
-			latency.Observe(time.Since(start).Seconds())
-		}
-	}
-
-	workers := p.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(todo) {
-		workers = len(todo) // no point spawning more goroutines than items
-	}
-	// Batch-inverted rule execution (core.IndexedExecutor.ApplyBatch): gate
-	// the whole batch in one inverted join, then run the classifier stage
-	// only on the items the gate left undecided — mirroring the per-item
-	// short-circuit, so gate telemetry counts every evaluated item and
-	// classifier telemetry only the non-gated ones. The per-item loop below
-	// then assembles decisions from the precomputed verdicts.
-	var gvs, rvs []*core.Verdict
-	if len(todo) > 0 {
-		gvs = snap.GateApplyBatch(todo, workers)
-		pending := make([]*catalog.Item, 0, len(todo))
-		pendIdx := make([]int, 0, len(todo))
-		for k := range todo {
-			if len(gvs[k].FinalTypes()) == 0 {
-				pending = append(pending, todo[k])
-				pendIdx = append(pendIdx, k)
-			}
-		}
-		rvs = make([]*core.Verdict, len(todo))
-		if len(pending) > 0 {
-			sub := snap.ApplyBatch(pending, workers)
-			for j, k := range pendIdx {
-				rvs[k] = sub[j]
-			}
-		}
-	}
+	// Workers pull batchChunk-item chunks off a shared cursor rather than
+	// splitting the batch evenly: a gate-decided item costs about a
+	// microsecond and a trained one about a hundred, so a fixed split leaves
+	// a worker idle while another finishes the expensive half.
+	workers := min(max(p.cfg.Workers, 1), (len(items)+batchChunk-1)/batchChunk)
+	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	chunk := 0
-	if workers > 0 {
-		chunk = (len(todo) + workers - 1) / workers
-	}
 	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(todo) {
-			break
-		}
-		hi := min(lo+chunk, len(todo))
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			for k := lo; k < hi; k++ {
-				start := time.Now()
-				it := todo[k]
-				d, ok := p.gateDecision(it, snap, gvs[k])
-				path, rv := obs.PathBatchGate, (*core.Verdict)(nil)
-				if !ok {
-					path, rv = obs.PathClassifier, rvs[k]
-					d = p.voteDecision(it, snap, model, rv)
+			for {
+				lo := int(cursor.Add(batchChunk)) - batchChunk
+				if lo >= len(items) {
+					return
 				}
-				d.ModelGeneration = gen
-				i := k
-				if pos != nil {
-					i = pos[k]
-					cache.Put(it.Fingerprint(), st, d.cacheable())
+				for i := lo; i < min(lo+batchChunk, len(items)); i++ {
+					start := time.Now()
+					res.Decisions[i] = p.decide(ctx, items[i], snap, model, batchPaths)
+					latency.Observe(time.Since(start).Seconds())
 				}
-				res.Decisions[i] = d
-				p.auditDecision(ctx, snap, d, path, gvs[k], rv, "assemble", time.Since(start), "", 0)
-				latency.Observe(time.Since(start).Seconds())
 			}
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
 	elapsed := classify.End()

@@ -1,6 +1,7 @@
 package chimera
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -663,10 +664,9 @@ func TestPipelineRuleHealthFeedsMaintenance(t *testing.T) {
 	}
 }
 
-// TestBatchPathMatchesPerItemPath: ProcessBatch's batch-inverted rule
-// execution must reproduce the item-at-a-time reference path (Classify)
-// decision-for-decision — type, decline flag, reason, confidence and
-// evidence.
+// TestBatchPathMatchesPerItemPath: ProcessBatch must reproduce the
+// item-at-a-time reference path (Classify) decision-for-decision — type,
+// decline flag, reason, confidence and evidence.
 func TestBatchPathMatchesPerItemPath(t *testing.T) {
 	cat := catalog.New(catalog.Config{Seed: 93, NumTypes: 40})
 	p := New(Config{Seed: 93, Obs: obs.NewRegistry()})
@@ -696,6 +696,75 @@ func TestBatchPathMatchesPerItemPath(t *testing.T) {
 			db.Confidence != dp.Confidence || strings.Join(db.Evidence, ",") != strings.Join(dp.Evidence, ",") {
 			t.Fatalf("paths diverge on item %d (%q):\nbatch:    %+v\nper-item: %+v",
 				i, it.Title(), db, dp)
+		}
+	}
+}
+
+// TestProcessBatchMatchesClassify: ProcessBatch decides every item through
+// Classify's path, whatever the worker count and however the batch falls on
+// the 8-item chunks: each decision equals Classify's on the same rulebase
+// state and model, field for field, and the audit labels each miss by the
+// batch's vocabulary — batch-gate when the Gate Keeper decides it, classifier
+// otherwise — and each decision-cache hit, a repeat of an item earlier in the
+// same batch included, cached.
+func TestProcessBatchMatchesClassify(t *testing.T) {
+	cat := catalog.New(catalog.Config{Seed: 97, NumTypes: 40})
+	ens := newEnsemble()
+	ens.Train(cat.LabeledData(4000))
+	base := cat.GenerateBatch(catalog.BatchSpec{Size: 129, Epoch: 1})
+	base[0] = &catalog.Item{ID: "gate-satchel", Attrs: map[string]string{"Title": "quilted leather satchel mini"}}
+	base[3] = &catalog.Item{ID: "veto-olive", Attrs: map[string]string{"Title": "extra virgin olive oil 500ml"}}
+	base[9] = &catalog.Item{ID: "gate-tote", Attrs: map[string]string{"Title": "canvas tote bag"}}
+
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, cache := range []int{0, 1024} {
+			for _, size := range []int{0, 1, 7, 8, 9, 129} {
+				items := base[:size]
+				if cache > 0 {
+					// Every item after the first half repeats one of it.
+					items = make([]*catalog.Item, size)
+					for i := range items {
+						items[i] = base[i%((size+1)/2)]
+					}
+				}
+				name := fmt.Sprintf("workers=%d/cache=%d/size=%d", workers, cache, size)
+				p := New(Config{Seed: 97, Workers: workers, CacheCapacity: cache, Obs: obs.NewRegistry(),
+					Audit: obs.NewAuditLog(obs.AuditConfig{Capacity: 1 << 10, SampleEvery: 1})})
+				addFixtureRules(t, p)
+				p.Ensemble = ens
+				ref := uncachedTwin(t, p)
+				snap := p.Snapshots().Acquire()
+
+				res := p.ProcessBatch(items)
+				want := map[string]map[string]uint64{}
+				seen := map[uint64]bool{}
+				for i, it := range items {
+					d := res.Decisions[i]
+					if c := ref.Classify(it); !reflect.DeepEqual(d, c) {
+						t.Fatalf("%s: item %d (%q):\nProcessBatch %+v\nClassify     %+v", name, i, it.Title(), d, c)
+					}
+					path := obs.PathClassifier
+					switch {
+					case cache > 0 && seen[it.Fingerprint()]:
+						path = obs.PathCached
+					case len(snap.Gate().Apply(it).FinalTypes()) > 0:
+						path = obs.PathBatchGate
+					}
+					seen[it.Fingerprint()] = true
+					outcome := obs.OutcomeClassified
+					if d.Declined {
+						outcome = obs.OutcomeDeclined
+					}
+					if want[path] == nil {
+						want[path] = map[string]uint64{}
+					}
+					want[path][outcome]++
+				}
+				if got := p.Audit.Breakdown(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: audit breakdown %v, want %v", name, got, want)
+				}
+				p.Close()
+			}
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/catalog"
-	"repro/internal/obs"
 	"repro/internal/randx"
 )
 
@@ -132,9 +131,9 @@ func TestBatchMatcherEquivalenceProperty(t *testing.T) {
 			}
 		}
 
-		// Items shared by pointer across overlapping sub-batches: ApplyBatch
-		// keeps only batch-local state, so re-matching any sub-slice must
-		// reproduce the full-batch verdicts at the shifted positions.
+		// Items shared by pointer across overlapping sub-batches: re-matching
+		// any sub-slice must reproduce the full-batch verdicts at the shifted
+		// positions.
 		if len(items) > 4 {
 			lo, hi := len(items)/4, 3*len(items)/4
 			sub := idx.ApplyBatch(items[lo:hi], 2)
@@ -191,87 +190,6 @@ func TestBatchMatcherConcurrentBatches(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// TestInstrumentedBatchTelemetry checks the batch_* counter families and
-// that the batch path feeds the same exec-level and per-rule series Apply
-// does — one telemetry view across both paths.
-func TestInstrumentedBatchTelemetry(t *testing.T) {
-	reg := obs.NewRegistry()
-	w1, err := NewWhitelist("gold", "rings")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1.ID = "W1"
-	b1, err := NewBlacklist("toy", "rings")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1.ID = "B1"
-	exec := NewInstrumentedExecutor([]*Rule{w1, b1}, reg, "exec", "rules")
-
-	items := []*catalog.Item{
-		{ID: "a", Attrs: map[string]string{"Title": "gold ring"}},
-		{ID: "b", Attrs: map[string]string{"Title": "toy gold ring"}},
-		{ID: "c", Attrs: map[string]string{"Title": "plain band"}},
-		{ID: "d", Attrs: map[string]string{"Title": "gold gold band"}},
-	}
-	got := exec.ApplyBatch(items, 2)
-	if len(got[0].FinalTypes()) != 1 || got[0].FinalTypes()[0] != "rings" {
-		t.Fatalf("item a: %v", got[0].FinalTypes())
-	}
-	if len(got[1].FinalTypes()) != 0 {
-		t.Fatalf("item b should be vetoed, got %v", got[1].FinalTypes())
-	}
-
-	if v := reg.Counter(MetricBatchBatches, "exec", "rules").Value(); v != 1 {
-		t.Fatalf("batches = %d", v)
-	}
-	if v := reg.Counter(MetricBatchItems, "exec", "rules").Value(); v != 4 {
-		t.Fatalf("batch items = %d", v)
-	}
-	// Units: W1 has candidates (a,b,d), B1 has (b) → 2 units.
-	if v := reg.Counter(MetricBatchUnits, "exec", "rules").Value(); v != 2 {
-		t.Fatalf("units = %d", v)
-	}
-	// 5 distinct tokens across the titles (gold, ring, toy, plain, band) →
-	// 5 intern misses; the 5 repeat occurrences are hits.
-	if v := reg.Counter(MetricBatchInternMisses, "exec", "rules").Value(); v != 5 {
-		t.Fatalf("intern misses = %d", v)
-	}
-	if v := reg.Counter(MetricBatchInternHits, "exec", "rules").Value(); v != 5 {
-		t.Fatalf("intern hits = %d", v)
-	}
-	// Candidate dedup: item d contributes "gold" twice but intra-item dedup
-	// drops the repeat before the join, so nothing is pruned here...
-	if v := reg.Counter(MetricBatchCandidates, "exec", "rules").Value(); v != 4 {
-		t.Fatalf("candidates = %d", v)
-	}
-	// ...and the shared exec-level series accumulate from the batch path.
-	if v := reg.Counter(MetricExecApplies, "exec", "rules").Value(); v != 4 {
-		t.Fatalf("applies = %d", v)
-	}
-	if v := reg.Counter(MetricExecMatched, "exec", "rules").Value(); v != 4 {
-		t.Fatalf("matched = %d", v)
-	}
-	if v := reg.Counter(MetricRuleFired, "rule", "W1").Value(); v != 3 {
-		t.Fatalf("W1 fired = %d", v)
-	}
-	// W1's assertion on item b is vetoed by B1 → effective on a and d only.
-	if v := reg.Counter(MetricRuleEffective, "rule", "W1").Value(); v != 2 {
-		t.Fatalf("W1 effective = %d", v)
-	}
-
-	// Health() must see batch-path telemetry (applies > 0 gates the report).
-	health := exec.Health(0)
-	if len(health) != 2 {
-		t.Fatalf("health records = %d", len(health))
-	}
-	for _, h := range health {
-		if h.Fired == 0 {
-			t.Fatalf("rule %s shows no firings despite batch telemetry", h.RuleID)
 		}
 	}
 }

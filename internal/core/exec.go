@@ -196,12 +196,12 @@ func (e *SequentialExecutor) Apply(it *catalog.Item) *Verdict {
 }
 
 // IndexedExecutor is the production rule kernel: it evaluates only the rules
-// the index proposes, one item at a time (Apply) or a batch at a time
-// (ApplyBatch, batch.go), optionally recording telemetry (instrument.go). All
-// of its verdicts are byte-identical to SequentialExecutor's over the same
-// rules — same types, same evidence, same evidence order — because every path
-// absorbs matches in ascending slot order, which is rule input order (tested as
-// a property). It is immutable after construction and safe for concurrent use.
+// the index proposes, one item at a time, optionally recording telemetry
+// (instrument.go). All of its verdicts are byte-identical to
+// SequentialExecutor's over the same rules — same types, same evidence, same
+// evidence order — because Apply absorbs matches in ascending slot order,
+// which is rule input order (tested as a property). It is immutable after
+// construction and safe for concurrent use.
 type IndexedExecutor struct {
 	idx     *RuleIndex
 	tel     *execTelemetry  // nil unless built by NewInstrumentedExecutor
@@ -267,14 +267,20 @@ func (e *IndexedExecutor) Apply(it *catalog.Item) *Verdict {
 	return v
 }
 
+// ApplyBatch is ExecuteBatchItemwise(e, items, workers): Apply on every item,
+// so the verdicts and the telemetry are those of Apply.
+func (e *IndexedExecutor) ApplyBatch(items []*catalog.Item, workers int) []*Verdict {
+	return ExecuteBatchItemwise(e, items, workers)
+}
+
 // Index exposes the underlying rule index (for stats and tests).
 func (e *IndexedExecutor) Index() *RuleIndex { return e.idx }
 
 // ExecuteBatchItemwise applies exec to every item individually, sharded
 // across workers goroutines — the shared-nothing "cluster" substitute for the
 // paper's Hadoop execution. Results are positionally aligned with items;
-// workers <= 1 runs inline. With a SequentialExecutor this is the reference
-// path IndexedExecutor.ApplyBatch is property-tested against.
+// workers <= 1 runs inline. With a SequentialExecutor it is the reference the
+// indexed executor's verdicts are property-tested against.
 func ExecuteBatchItemwise(exec Executor, items []*catalog.Item, workers int) []*Verdict {
 	out := make([]*Verdict, len(items))
 	if workers > len(items) {

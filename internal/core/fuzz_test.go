@@ -99,9 +99,9 @@ func FuzzVerdictExplain(f *testing.F) {
 			t.Fatalf("indexed executor diverges on %q:\nseq: %s\nidx: %s",
 				title, explain, iv.Explain())
 		}
-		// Same for the batch-inverted join on a single-item batch.
+		// Same for ApplyBatch on a single-item batch.
 		if bv := idx.ApplyBatch([]*catalog.Item{it}, 1)[0]; verdictBytes(t, bv) != verdictBytes(t, v) || bv.Explain() != explain {
-			t.Fatalf("batch join diverges on %q:\nseq: %s\nbatch: %s",
+			t.Fatalf("ApplyBatch diverges on %q:\nseq: %s\nbatch: %s",
 				title, explain, bv.Explain())
 		}
 	})

@@ -14,10 +14,8 @@ import (
 // a particular data item we can quickly locate those rules that are likely
 // to match".
 //
-// Candidate generation has two steps, and both live here (and in
-// IndexedExecutor.ApplyBatch's join, the set-oriented form of the same lookup)
-// rather than in Rule.Matches, so the per-item and batch paths share them and
-// the sequential oracle stays independent of them:
+// Candidate generation has two steps, and both live here rather than in
+// Rule.Matches, so the sequential oracle stays independent of them:
 //
 //   - Posting. A pattern rule posts under one of its witness sets
 //     (pattern.RequiredAlternatives): a title can only match if it contains
@@ -34,8 +32,8 @@ import (
 // over-approximates but never misses a matching rule.
 //
 // Postings hold slots — dense int32 positions into rules — not pointers, so
-// anything kept per rule (telemetry, a batch's candidate lists) is a slice
-// aligned with rules, and ascending slot order is rule input order.
+// anything kept per rule (telemetry) is a slice aligned with rules, and
+// ascending slot order is rule input order.
 //
 // An index can be reslotted (IndexedExecutor.Successor): the next snapshot's
 // index shares this one's postings and prefilter and only gets its own rules
@@ -207,10 +205,9 @@ func (idx *RuleIndex) CandidatesFor(it *catalog.Item) []*Rule {
 // candidateSlots appends the item's live candidate slots to buf, ascending
 // and deduplicated. Ascending is rule input order: evaluating candidates in it
 // is what makes a per-item verdict list its evidence exactly as the sequential
-// oracle and the batch join do. The prefilter reads the slot's keyed rule,
-// whose compiled pattern a live rule in the slot shares; dead slots are
-// dropped after gathering, so an index without them pays nothing for the
-// check.
+// oracle does. The prefilter reads the slot's keyed rule, whose compiled
+// pattern a live rule in the slot shares; dead slots are dropped after
+// gathering, so an index without them pays nothing for the check.
 func (idx *RuleIndex) candidateSlots(it *catalog.Item, buf []int32) []int32 {
 	sig := it.TitleSignature()
 	for _, tok := range it.TitleTokens() {
@@ -228,6 +225,19 @@ func (idx *RuleIndex) candidateSlots(it *catalog.Item, buf []int32) []int32 {
 		buf = slices.DeleteFunc(buf, func(s int32) bool { return idx.rules[s] == nil })
 	}
 	return sortedUnique(buf)
+}
+
+// sortedUnique sorts s ascending and removes duplicates in place. The
+// already-sorted unique case (single-key rules produce it naturally) is
+// detected in one scan and returned untouched.
+func sortedUnique(s []int32) []int32 {
+	for i := 1; i < len(s); i++ {
+		if s[i] <= s[i-1] {
+			slices.Sort(s)
+			return slices.Compact(s)
+		}
+	}
+	return s
 }
 
 // DataIndex answers the dual question — "which items could this rule

@@ -16,9 +16,9 @@ import (
 // it never changes a verdict (a tested property), so it can stay on in
 // production.
 
-// Metric families recorded by an instrumented IndexedExecutor (the
-// core_batch_* families are declared in batch.go). All counters; latency is a
-// histogram over obs.LatencyBuckets, sampled (see LatencySampleEvery).
+// Metric families recorded by an instrumented IndexedExecutor. All counters;
+// latency is a histogram over obs.LatencyBuckets, sampled (see
+// LatencySampleEvery).
 const (
 	MetricExecApplies    = "core_exec_applies_total"
 	MetricExecCandidates = "core_exec_candidates_total"
@@ -54,20 +54,10 @@ type execTelemetry struct {
 	matched    *obs.Counter
 	latency    *obs.Histogram
 	seq        atomic.Int64 // Apply sequence number, drives latency sampling
-
-	// Batch-path families, recorded by ApplyBatch only.
-	batches         *obs.Counter
-	batchItems      *obs.Counter
-	units           *obs.Counter
-	batchCandidates *obs.Counter
-	pruned          *obs.Counter
-	internHits      *obs.Counter
-	internMisses    *obs.Counter
 }
 
 // NewInstrumentedExecutor is NewIndexedExecutor with telemetry recorded into
-// reg (obs.Default() when nil): Apply and ApplyBatch feed one table, so
-// Health and Selectivity read the same totals whichever path classified. The
+// reg (obs.Default() when nil), which Health and Selectivity read. The
 // optional labels (alternating name,value pairs) distinguish the
 // executor-level series when several executors share a registry, e.g.
 // "exec","gate" vs "exec","rules"; per-rule series are labeled by rule ID
@@ -81,24 +71,14 @@ func NewInstrumentedExecutor(rules []*Rule, reg *obs.Registry, labels ...string)
 	}
 	e := NewIndexedExecutor(rules)
 	tel := &execTelemetry{
-		reg:             reg,
-		applies:         reg.Counter(MetricExecApplies, labels...),
-		candidates:      reg.Counter(MetricExecCandidates, labels...),
-		matched:         reg.Counter(MetricExecMatched, labels...),
-		latency:         reg.Histogram(MetricExecLatency, obs.LatencyBuckets, labels...),
-		batches:         reg.Counter(MetricBatchBatches, labels...),
-		batchItems:      reg.Counter(MetricBatchItems, labels...),
-		units:           reg.Counter(MetricBatchUnits, labels...),
-		batchCandidates: reg.Counter(MetricBatchCandidates, labels...),
-		pruned:          reg.Counter(MetricBatchPruned, labels...),
-		internHits:      reg.Counter(MetricBatchInternHits, labels...),
-		internMisses:    reg.Counter(MetricBatchInternMisses, labels...),
+		reg:        reg,
+		applies:    reg.Counter(MetricExecApplies, labels...),
+		candidates: reg.Counter(MetricExecCandidates, labels...),
+		matched:    reg.Counter(MetricExecMatched, labels...),
+		latency:    reg.Histogram(MetricExecLatency, obs.LatencyBuckets, labels...),
 	}
 	reg.Help(MetricRuleFired, "times each rule matched an item")
 	reg.Help(MetricRuleEffective, "times each rule's assertion survived the final verdict")
-	reg.Help(MetricBatchBatches, "batches evaluated through the batch-inverted matcher")
-	reg.Help(MetricBatchUnits, "(rule, candidate-items) work units produced by the batch join")
-	reg.Help(MetricBatchPruned, "duplicate candidates removed by per-unit dedup")
 	e.tel = tel
 	e.ruleTel = tel.ruleTable(e.idx, nil)
 	return e

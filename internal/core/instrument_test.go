@@ -225,21 +225,11 @@ func TestInstrumentedMetricFamiliesPinned(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
-		`counter core_batch_batches_total [{exec rules}]`,
-		`counter core_batch_candidates_pruned_total [{exec rules}]`,
-		`counter core_batch_candidates_total [{exec rules}]`,
-		`counter core_batch_intern_hits_total [{exec rules}]`,
-		`counter core_batch_intern_misses_total [{exec rules}]`,
-		`counter core_batch_items_total [{exec rules}]`,
-		`counter core_batch_units_total [{exec rules}]`,
 		`counter core_exec_applies_total [{exec rules}]`,
 		`counter core_exec_candidates_total [{exec rules}]`,
 		`counter core_exec_matched_total [{exec rules}]`,
 		`counter core_rule_effective_total [{rule W1}]`,
 		`counter core_rule_fired_total [{rule W1}]`,
-		`help core_batch_batches_total "batches evaluated through the batch-inverted matcher"`,
-		`help core_batch_candidates_pruned_total "duplicate candidates removed by per-unit dedup"`,
-		`help core_batch_units_total "(rule, candidate-items) work units produced by the batch join"`,
 		`help core_rule_effective_total "times each rule's assertion survived the final verdict"`,
 		`help core_rule_fired_total "times each rule matched an item"`,
 		`histogram core_exec_apply_seconds [{exec rules}]`,

@@ -24,8 +24,8 @@ import (
 // Decision paths. A record's Path names the serving route that produced it.
 const (
 	PathPerItem    = "per-item"   // reference path: Classify / server handler
-	PathBatchGate  = "batch-gate" // batch-inverted path, decided by the Gate Keeper
-	PathClassifier = "classifier" // batch-inverted path, decided by classifiers + voting
+	PathBatchGate  = "batch-gate" // ProcessBatch, decided by the Gate Keeper
+	PathClassifier = "classifier" // ProcessBatch, decided by classifiers + voting
 	PathDegraded   = "degraded"   // gate-only degraded fallback
 	PathCached     = "cached"     // served from the decision cache (any entry point)
 	PathCrowd      = "crowd"      // crowd-verification of a sampled decision

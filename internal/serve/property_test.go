@@ -71,7 +71,7 @@ func TestSnapshotVerdictEquivalenceProperty(t *testing.T) {
 		freshGate := core.NewIndexedExecutor(rb.Active(core.Gate))
 
 		items := cat.GenerateBatch(catalog.BatchSpec{Size: 80, Epoch: int(seed % 3)})
-		// The batch-inverted path must agree with the fresh per-item
+		// The batch path must agree with the fresh per-item
 		// executors too — the snapshot may never change what the system
 		// says, on either path.
 		batchRules := snap.ApplyBatch(items, 3)

@@ -42,7 +42,7 @@ func itemsForShard[R any](t *testing.T, srv *ShardedServer[R], shard, n int) []*
 
 // TestShardedEquivalenceProperty (satellite): for any seeded catalog batch
 // and rule population, the sharded scatter-gather verdicts are byte-identical
-// to a single Engine's snapshot AND to the core kernel's batch-inverted join
+// to a single Engine's snapshot AND to a fresh core executor's ApplyBatch
 // over the same active rules. Sharding partitions load, never semantics.
 func TestShardedEquivalenceProperty(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -74,7 +74,7 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 				return false
 			}
 			if got := batch[i].Explain(); got != want {
-				t.Logf("seed %d item %d: batch matcher %q != engine %q", seed, i, got, want)
+				t.Logf("seed %d item %d: ApplyBatch %q != engine %q", seed, i, got, want)
 				return false
 			}
 		}

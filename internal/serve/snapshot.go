@@ -148,16 +148,15 @@ func (s *Snapshot) NumFilters() int { return len(s.filters) }
 // callers that serve verdicts directly rather than full pipeline decisions.
 func (s *Snapshot) Apply(it *catalog.Item) *core.Verdict { return s.rules.Apply(it) }
 
-// ApplyBatch evaluates the classifier rules against a whole batch through
-// the executor's batch-inverted join (core.IndexedExecutor.ApplyBatch),
-// returning verdicts positionally aligned with items and byte-identical to
-// per-item Apply. This is the default high-throughput classification path.
+// ApplyBatch evaluates the classifier rules against a whole batch, Apply on
+// each item across workers goroutines (core.IndexedExecutor.ApplyBatch),
+// returning verdicts positionally aligned with items.
 func (s *Snapshot) ApplyBatch(items []*catalog.Item, workers int) []*core.Verdict {
 	return s.rules.ApplyBatch(items, workers)
 }
 
-// GateApplyBatch evaluates the Gate-Keeper rules against a whole batch,
-// batch-inverted, aligned with items.
+// GateApplyBatch evaluates the Gate-Keeper rules against a whole batch, the
+// way ApplyBatch does the classifier rules.
 func (s *Snapshot) GateApplyBatch(items []*catalog.Item, workers int) []*core.Verdict {
 	return s.gate.ApplyBatch(items, workers)
 }

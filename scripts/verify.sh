@@ -45,8 +45,8 @@ race_run() {
     go test -race "$pkg" -run "$pattern" "$@"
 }
 
-echo "== go test -race (chimera resilience over the tier + decision provenance + sharded tier + shared rule telemetry under concurrent batches + retrain while the tier and ProcessBatch serve + one decision cache + one engine per pipeline) =="
-race_run ./internal/chimera 'TestResilientClient|TestResilientClientShutdownLeaksNoGoroutines|TestResilientClientDegradedReadsTierSnapshot|TestClassifyDegraded|TestProvenance|TestShardedServer|TestRuleHealthSeesShardedTraffic|TestConcurrentProcessBatches|TestRetrainWhileServing|TestShardedTierSharesOneDecisionCache|TestDecisionEvidenceOwnership|TestOneEnginePerPipeline'
+echo "== go test -race (chimera resilience over the tier + decision provenance + sharded tier + shared rule telemetry under concurrent batches + ProcessBatch ≡ Classify across worker counts + retrain while the tier and ProcessBatch serve + one decision cache + one engine per pipeline) =="
+race_run ./internal/chimera 'TestResilientClient|TestResilientClientShutdownLeaksNoGoroutines|TestResilientClientDegradedReadsTierSnapshot|TestClassifyDegraded|TestProvenance|TestShardedServer|TestRuleHealthSeesShardedTraffic|TestConcurrentProcessBatches|TestProcessBatchMatchesClassify|TestRetrainWhileServing|TestShardedTierSharesOneDecisionCache|TestDecisionEvidenceOwnership|TestOneEnginePerPipeline'
 race_run ./cmd/chimera 'TestOpsSnapshotReadsServingEngine'
 
 echo "== go test -race -count=20 (ordered change feed: delivery order, registration version, WAL under racing mutators) =="
