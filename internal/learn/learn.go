@@ -25,6 +25,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -483,8 +484,14 @@ func (nb *NaiveBayes) predictIDs(ids []int32, buf []scored) []scored {
 
 // KNN is a k-nearest-neighbour classifier over TF-IDF cosine similarity.
 // Training builds a posting per feature (the training examples holding it,
-// ascending, with their TF-IDF weights), so a prediction only scores
-// examples sharing at least one feature.
+// ascending, with their TF-IDF weights). A feature is long when its posting
+// holds more than a quarter of the examples; for those few, training also
+// keeps a bitmap of the posting and the largest weight-to-norm ratio in it.
+// A prediction scores only the candidates, the examples that share one of
+// the query's short features, and accepts their top K when a bound proves
+// that no other example can enter it; otherwise it scores every example
+// sharing any feature. Both paths add the same terms in the same order, so
+// every similarity, and so every prediction, is the full scan's.
 type KNN struct {
 	K int // default 5; Predict also reads K <= 0 as 5
 
@@ -492,6 +499,7 @@ type KNN struct {
 	labels  []int32 // class index, by training example
 	norms   []float64
 	post    []knnPosting // by feature ID
+	long    []knnLong    // the long features, ascending by feature ID
 	scratch sync.Pool    // *knnScratch
 }
 
@@ -501,14 +509,79 @@ type knnPosting struct {
 	weights []float64 // weights[j] = tf(docs[j]) * idf
 }
 
+// knnLong is what pruning keeps of a long feature. It is a side table, not a
+// field of every posting, because only a handful of features are long.
+type knnLong struct {
+	feat int32
+	// maxNW is the largest weights[j] / norms[docs[j]] over the posting, so
+	// the feature adds at most w * maxNW / qNorm to any example's cosine.
+	maxNW float64
+	// weights is the posting's weights and one trailing zero, in the
+	// posting's own array.
+	weights []float64
+	words   []uint64 // bit d is set when example d holds the feature
+	rank    []int32  // rank[i] = set bits in words[:i]
+}
+
+// weight returns the feature's weight in example doc, or the trailing zero
+// when doc does not hold it. It computes the index either way and then
+// selects, so the compiler need not branch on the bit: a candidate holds a
+// long feature about as often as not.
+func (l *knnLong) weight(doc int32) float64 {
+	word, bit := l.words[doc>>6], uint64(1)<<(doc&63)
+	j := int(l.rank[doc>>6]) + bits.OnesCount64(word&(bit-1))
+	if word&bit == 0 {
+		j = len(l.weights) - 1
+	}
+	return l.weights[j]
+}
+
+// isLongPosting reports whether a posting of df examples out of nDocs is
+// long: it holds more than a quarter of them.
+func isLongPosting(df, nDocs int) bool { return 4*df > nDocs }
+
+// knnPruneMargin is the relative margin by which the K-th candidate must beat
+// the bound on every other example: it covers the rounding of the computed
+// similarities and of the bound itself.
+const knnPruneMargin = 1e-9
+
+// beatsBound reports whether sim is strictly above bound with
+// knnPruneMargin to spare. A similarity equal to the bound does not beat it:
+// an example at the bound could tie the K-th and win on its lower index.
+func beatsBound(sim, bound float64) bool { return sim > bound+bound*knnPruneMargin }
+
+// knnPath is how a prediction found its neighbours.
+type knnPath uint8
+
+const (
+	knnShortOnly knnPath = iota // no long query feature: the candidates are every example sharing a feature
+	knnBounded                  // the K-th candidate beat the bound on every other example
+	knnFullScan                 // too few candidates, or the bound not beaten: every example sharing a feature
+)
+
 // knnScratch is one Predict call's dense dot-product accumulator. Between
-// calls acc is all zero and seen all false.
+// calls acc is all zero, seen all false and touched empty.
 type knnScratch struct {
 	acc     []float64
 	seen    []bool
-	touched []int32
+	touched []int32  // the examples marked seen; capacity nDocs+1
 	top     []scored // neighbours: (doc, similarity)
 	sorted  []int32  // the query's feature IDs, sorted
+}
+
+// mark appends each of docs not yet seen to touched. It does not branch on
+// seen, which postings that overlap at random make unpredictable: every doc
+// is written one past the end, and the end moves only for a new one.
+func (s *knnScratch) mark(docs []int32) {
+	t, n := s.touched[:cap(s.touched)], len(s.touched)
+	for _, doc := range docs {
+		t[n] = doc
+		if !s.seen[doc] {
+			n++
+		}
+		s.seen[doc] = true
+	}
+	s.touched = t[:n]
 }
 
 // NewKNN returns an untrained kNN classifier with k neighbours.
@@ -544,6 +617,7 @@ func (k *KNN) train(ts *trainSet) {
 	k.labels = ts.labels
 	k.norms = make([]float64, nDocs)
 	k.post = make([]knnPosting, len(ts.voc.ids))
+	k.long = nil
 
 	// Feature IDs are sorted per document, which sorts the features: weights
 	// are then appended, and norms summed, in sorted feature order, which
@@ -561,7 +635,11 @@ func (k *KNN) train(ts *trainSet) {
 	for i := range k.post {
 		p := &k.post[i]
 		p.idf = math.Log(float64(nDocs+1) / float64(len(p.docs)))
-		p.weights = make([]float64, 0, len(p.docs))
+		n := len(p.docs)
+		if isLongPosting(n, nDocs) {
+			n++ // knnLong's trailing zero
+		}
+		p.weights = make([]float64, 0, n)
 	}
 	for i, fs := range docFeats {
 		var norm float64
@@ -574,6 +652,41 @@ func (k *KNN) train(ts *trainSet) {
 		}
 		k.norms[i] = math.Sqrt(norm)
 	}
+	for f := range k.post {
+		p := &k.post[f]
+		if !isLongPosting(len(p.docs), nDocs) {
+			continue
+		}
+		l := knnLong{
+			feat:    int32(f),
+			weights: p.weights[:len(p.docs)+1],
+			words:   make([]uint64, (nDocs+63)/64),
+			rank:    make([]int32, (nDocs+63)/64),
+		}
+		for j, doc := range p.docs {
+			l.words[doc>>6] |= 1 << (doc & 63)
+			l.maxNW = max(l.maxNW, p.weights[j]/k.norms[doc])
+		}
+		var r int32
+		for i, word := range l.words {
+			l.rank[i] = r
+			r += int32(bits.OnesCount64(word))
+		}
+		k.long = append(k.long, l)
+	}
+}
+
+// longAt returns the long-feature entry for f, or nil when f is short. The
+// caller visits features in ascending order and carries the cursor li, which
+// starts at 0.
+func (k *KNN) longAt(li *int, f int32) *knnLong {
+	for *li < len(k.long) && k.long[*li].feat < f {
+		*li++
+	}
+	if *li < len(k.long) && k.long[*li].feat == f {
+		return &k.long[*li]
+	}
+	return nil
 }
 
 // Predict implements Classifier. Scores are the per-class share of summed
@@ -581,11 +694,7 @@ func (k *KNN) train(ts *trainSet) {
 func (k *KNN) Predict(it *catalog.Item) []Prediction { return predictItem(k, it) }
 
 func (k *KNN) predictIDs(ids []int32, buf []scored) []scored {
-	nDocs := len(k.norms)
-	s, _ := k.scratch.Get().(*knnScratch)
-	if s == nil || len(s.acc) != nDocs {
-		s = &knnScratch{acc: make([]float64, nDocs), seen: make([]bool, nDocs)}
-	}
+	s := k.getScratch()
 	defer k.scratch.Put(s)
 	// Features are visited in sorted order so the floating-point sums — and
 	// therefore near-tie rankings — are identical across runs and instances.
@@ -593,6 +702,112 @@ func (k *KNN) predictIDs(ids []int32, buf []scored) []scored {
 	feats := append(s.sorted[:0], ids...)
 	slices.Sort(feats)
 	s.sorted = feats
+	top, _, _ := k.neighbours(s, feats)
+	return k.vote(top, buf)
+}
+
+func (k *KNN) getScratch() *knnScratch {
+	nDocs := len(k.norms)
+	s, _ := k.scratch.Get().(*knnScratch)
+	if s == nil || len(s.acc) != nDocs {
+		s = &knnScratch{acc: make([]float64, nDocs), seen: make([]bool, nDocs), touched: make([]int32, 0, nDocs+1)}
+	}
+	return s
+}
+
+// kk is the number of neighbours a prediction keeps.
+func (k *KNN) kk() int {
+	if k.K <= 0 {
+		return 5
+	}
+	return k.K
+}
+
+// neighbours returns the top K training examples under before for the sorted
+// query features, the path that found them, and how many candidates the
+// pruned path scored (0 when it did not get that far).
+func (k *KNN) neighbours(s *knnScratch, feats []int32) (top []scored, path knnPath, cands int) {
+	top, path, cands = k.prunedTop(s, feats)
+	if path == knnFullScan {
+		top = k.fullTop(s, feats)
+	}
+	return top, path, cands
+}
+
+// prunedTop scores only the candidates: the examples in the query's short
+// postings. Long features add to a candidate through their bitmaps, visited
+// in the same ascending feature order as the full scan, so each candidate's
+// accumulator sees the same float additions in the same order. Any other
+// example shares only long features with the query, so its cosine is at most
+// bound = Σ_long w·maxNW / qNorm; the candidates' top K is the true one when
+// there are K of them and the K-th beats that bound strictly. Otherwise the
+// path is knnFullScan, top is nil and the scratch is clean.
+func (k *KNN) prunedTop(s *knnScratch, feats []int32) ([]scored, knnPath, int) {
+	kk := k.kk()
+	// Step 1: the short postings mark the candidates, and the long features
+	// sum the bound. Nothing accumulates yet.
+	var qNorm, bound float64
+	hasLong := false
+	li := 0
+	for j, n := 0, 0; j < len(feats); j += n {
+		n = runLen(feats, j)
+		if feats[j] < 0 {
+			continue
+		}
+		p := &k.post[feats[j]]
+		w := float64(n) * p.idf
+		qNorm += w * w
+		if l := k.longAt(&li, feats[j]); l != nil {
+			hasLong = true
+			bound += w * l.maxNW
+			continue
+		}
+		s.mark(p.docs)
+	}
+	cands := len(s.touched)
+	if hasLong && cands < kk {
+		for _, doc := range s.touched {
+			s.seen[doc] = false
+		}
+		s.touched = s.touched[:0]
+		return nil, knnFullScan, cands
+	}
+	if cands == 0 {
+		return s.top[:0], knnShortOnly, 0 // no feature shared with any training example
+	}
+	qNorm = math.Sqrt(qNorm)
+	// Step 2: every feature in ascending order adds to the candidates.
+	li = 0
+	for j, n := 0, 0; j < len(feats); j += n {
+		n = runLen(feats, j)
+		if feats[j] < 0 {
+			continue
+		}
+		p := &k.post[feats[j]]
+		w := float64(n) * p.idf
+		if l := k.longAt(&li, feats[j]); l != nil {
+			for _, doc := range s.touched {
+				s.acc[doc] += w * l.weight(doc) // adding +0 leaves acc as it is: acc is never -0
+			}
+			continue
+		}
+		for d, doc := range p.docs {
+			s.acc[doc] += w * p.weights[d]
+		}
+	}
+	top := k.topK(s, qNorm, kk)
+	if !hasLong {
+		return top, knnShortOnly, cands
+	}
+	// Step 3: accept only when the K-th candidate beats the bound.
+	if beatsBound(top[kk-1].score, bound/qNorm) {
+		return top, knnBounded, cands
+	}
+	return nil, knnFullScan, cands
+}
+
+// fullTop scores every example that shares a feature with the query.
+func (k *KNN) fullTop(s *knnScratch, feats []int32) []scored {
 	var qNorm float64
 	for j, n := 0, 0; j < len(feats); j += n {
 		n = runLen(feats, j)
@@ -602,24 +817,22 @@ func (k *KNN) predictIDs(ids []int32, buf []scored) []scored {
 		p := &k.post[feats[j]]
 		w := float64(n) * p.idf
 		qNorm += w * w
+		s.mark(p.docs)
 		for d, doc := range p.docs {
-			if !s.seen[doc] {
-				s.seen[doc] = true
-				s.touched = append(s.touched, doc)
-			}
 			s.acc[doc] += w * p.weights[d]
 		}
 	}
 	if len(s.touched) == 0 {
-		return buf[:0] // no feature shared with any training example
+		return s.top[:0] // no feature shared with any training example
 	}
-	qNorm = math.Sqrt(qNorm)
-	kk := k.K
-	if kk <= 0 {
-		kk = 5
-	}
-	// Insertion into a kk-slot array keeps the top kk under before, the total
-	// order a full sort of every touched example would use.
+	return k.topK(s, math.Sqrt(qNorm), k.kk())
+}
+
+// topK turns the touched examples' dot products into similarities and keeps
+// the top kk under before, the total order a full sort of every touched
+// example would use, by insertion into a kk-slot array. It leaves the
+// scratch clean.
+func (k *KNN) topK(s *knnScratch, qNorm float64, kk int) []scored {
 	top := s.top[:0]
 	for _, doc := range s.touched {
 		c := scored{doc, s.acc[doc] / (qNorm * k.norms[doc])}
@@ -630,6 +843,11 @@ func (k *KNN) predictIDs(ids []int32, buf []scored) []scored {
 		top = insertTop(top, c, kk)
 	}
 	s.touched, s.top = s.touched[:0], top
+	return top
+}
+
+// vote ranks the neighbours' classes by their share of summed similarity.
+func (k *KNN) vote(top []scored, buf []scored) []scored {
 	ranked := buf[:0]
 	var total float64
 	for _, c := range top {
@@ -796,8 +1014,10 @@ type Model struct {
 	voc *vocabulary
 }
 
-// NewEnsemble builds an ensemble; weights default to 1 each when nil. It
-// keeps copies of both slices, so later edits by the caller do not reach it.
+// NewEnsemble builds an ensemble; weights default to 1 each when nil. Every
+// weight must be finite and non-negative, and their sum positive and finite,
+// so that every Prediction.Score is a share in [0,1]. It keeps copies of both
+// slices, so later edits by the caller do not reach it.
 func NewEnsemble(members []Classifier, weights []float64) (*Ensemble, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("learn: ensemble needs at least one member")
@@ -810,6 +1030,16 @@ func NewEnsemble(members []Classifier, weights []float64) (*Ensemble, error) {
 	}
 	if len(weights) != len(members) {
 		return nil, fmt.Errorf("learn: %d weights for %d members", len(weights), len(members))
+	}
+	var sum float64
+	for i, w := range weights {
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return nil, fmt.Errorf("learn: member %d has weight %v, want a finite non-negative number", i, w)
+		}
+		sum += w
+	}
+	if !(sum > 0) || math.IsInf(sum, 1) {
+		return nil, fmt.Errorf("learn: weights %v sum to %v, want a positive finite sum", weights, sum)
 	}
 	e := &Ensemble{members: slices.Clone(members), weights: slices.Clone(weights)}
 	e.model.Store(&Model{members: e.members, weights: e.weights})

@@ -1,6 +1,7 @@
 package learn
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/catalog"
@@ -177,6 +178,22 @@ func TestEnsembleValidation(t *testing.T) {
 	}
 	if _, err := NewEnsemble(classifiers(), []float64{1}); err == nil {
 		t.Fatal("weight/member mismatch should be rejected")
+	}
+	// Each of these breaks the confidence contract: NaN or infinite scores,
+	// a top confidence above 1, or no prediction at all.
+	for _, w := range [][]float64{
+		{1, math.NaN(), 1},
+		{1, -1, 1},
+		{1, math.Inf(1), 1},
+		{0, 0, 0},
+		{math.MaxFloat64, math.MaxFloat64, 1},
+	} {
+		if _, err := NewEnsemble(classifiers(), w); err == nil {
+			t.Errorf("weights %v should be rejected", w)
+		}
+	}
+	if _, err := NewEnsemble(classifiers(), []float64{0, 2, 0.5}); err != nil {
+		t.Errorf("weights with a zero beside positive ones: %v", err)
 	}
 }
 

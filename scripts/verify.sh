@@ -72,6 +72,7 @@ go test -fuzz=FuzzItemFingerprint -fuzztime=10s -run '^$' ./internal/catalog
 go test -fuzz=FuzzWALDecode -fuzztime=10s -run '^$' ./internal/persist
 go test -fuzz=FuzzDenseKernelMatchesReference -fuzztime=10s -run '^$' ./internal/learn
 go test -fuzz=FuzzFingerprintDeterminesPrediction -fuzztime=10s -run '^$' ./internal/learn
+go test -fuzz=FuzzKNNPrunedMatchesFullScan -fuzztime=10s -run '^$' ./internal/learn
 
 echo "== tier-1: go build ./... && go test ./... =="
 go build ./...
