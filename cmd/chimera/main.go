@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -381,8 +382,7 @@ func persistRestartDrill(cat *repro.Catalog, p *repro.Pipeline) {
 
 // opsShardStatuses holds a func() []repro.ShardStatus while the serving
 // drill runs, so the ops health provider can report the tier's state and
-// per-shard queue readiness (and refresh the labeled shard gauges on every
-// scrape). A typed-nil func means "no drill running".
+// per-shard queue readiness. A typed-nil func means "no drill running".
 var opsShardStatuses atomic.Value
 
 func init() { opsShardStatuses.Store((func() []repro.ShardStatus)(nil)) }
@@ -627,21 +627,23 @@ func tierDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 	close(stopMut)
 	wg.Wait()
 
-	// The shard servers and retriers keep their unlabeled serve_* counters in
-	// per-shard registries; the drill reports their sums.
-	sum := func(metric string) int64 {
-		var n int64
-		for i := 0; i < srv.Shards(); i++ {
-			n += srv.ShardRegistry(i).Counter(metric).Value()
-		}
-		return n
-	}
+	// Every shard books its ledger, in items, and its retry counters under
+	// its shard label in the pipeline's registry.
 	sts := srv.ShardStatuses()
+	var shed, shardExpired, attempts, recovered, gaveUp int64
+	for _, st := range sts {
+		shard := strconv.Itoa(st.Shard)
+		shed += st.Shed
+		shardExpired += st.Expired
+		attempts += p.Obs.Counter(repro.MetricServeRetryAttempts, "shard", shard).Value()
+		recovered += p.Obs.Counter(repro.MetricServeRetrySuccess, "shard", shard).Value()
+		gaveUp += p.Obs.Counter(repro.MetricServeRetryGiveUp, "shard", shard).Value()
+	}
 	fmt.Printf("\n== serve drill ==\n")
 	fmt.Printf("shards %d, clients %d, mutation target %d/s, window %v\n",
 		srv.Shards(), clients, o.mutPerS, o.window)
-	fmt.Printf("served: %d batches, %d items (%d gate-only), sheds: %d, expired: %d items, failed at shutdown: %d items\n",
-		batches, served, degraded.Value()-degradedBefore, sum(repro.MetricServeShed), expired, failed)
+	fmt.Printf("served: %d batches, %d items (%d gate-only), sheds: %d items, expired: %d items, failed at shutdown: %d items\n",
+		batches, served, degraded.Value()-degradedBefore, shed, expired, failed)
 	fmt.Printf("mutations applied: %d, snapshot swaps: %d, versions observed: %d, final rulebase version: %d\n",
 		mutations, swaps.Value()-swapsBefore, len(versions), p.Rules.Version())
 	cache := p.CacheStats()
@@ -651,20 +653,20 @@ func tierDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 	cache.Evictions -= cacheBefore.Evictions
 	cache.StaleDrops -= cacheBefore.StaleDrops
 	printCacheStats("cache (one, shared by all shards)", cache)
-	fmt.Printf("%-6s %9s %9s %8s %7s %9s  %s\n",
-		"shard", "routed", "served", "shed", "queue", "version", "degraded")
+	fmt.Printf("%-6s %9s %9s %8s %8s %7s %9s  %s\n",
+		"shard", "routed", "served", "shed", "expired", "queue", "version", "degraded")
 	for _, st := range sts {
-		fmt.Printf("%-6d %9d %9d %8d %3d/%-3d %9d  %v\n",
-			st.Shard, st.Routed, st.Served, st.Shed,
+		fmt.Printf("%-6d %9d %9d %8d %8d %3d/%-3d %9d  %v\n",
+			st.Shard, st.Routed, st.Served, st.Shed, st.Expired,
 			st.QueueDepth, st.QueueCapacity, st.SnapshotVersion, st.Degraded)
 	}
 	if o.deadline > 0 {
-		fmt.Printf("deadline %v: %d items expired (%d shard requests expired at submit or while queued)\n",
-			o.deadline, expired, sum(repro.MetricServeDeadlineExpired))
+		fmt.Printf("deadline %v: %d items expired (%d items expired on the shards at submit, in backoff or while queued)\n",
+			o.deadline, expired, shardExpired)
 	}
 	if o.retry > 0 {
 		fmt.Printf("retry (max %d, per-shard budgets): %d attempts, %d sheds recovered on retry, %d gave up\n",
-			o.retry, sum(repro.MetricServeRetryAttempts), sum(repro.MetricServeRetrySuccess), sum(repro.MetricServeRetryGiveUp))
+			o.retry, attempts, recovered, gaveUp)
 	}
 	if inj != nil {
 		fmt.Printf("chaos: %d faults injected %v, tier degraded: %v\n",

@@ -206,7 +206,7 @@ func TestCLIChaosRetryDrill(t *testing.T) {
 // summary reports the expiry accounting line.
 func TestCLIDeadlineDrill(t *testing.T) {
 	out := drill(t, "-serve", "300ms", "-serve-clients", "2", "-deadline", "250ms")
-	for _, want := range []string{"deadline 250ms: ", "items expired (", "shard requests expired"} {
+	for _, want := range []string{"deadline 250ms: ", "items expired (", "items expired on the shards"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

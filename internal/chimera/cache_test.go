@@ -70,11 +70,6 @@ func TestShardedTierSharesOneDecisionCache(t *testing.T) {
 	if hits := reg.Counter(serve.MetricCacheHits).Value(); hits != st.Hits {
 		t.Fatalf("primary registry hits %d != cache stats %d", hits, st.Hits)
 	}
-	for i := 0; i < srv.Shards(); i++ {
-		if n := srv.ShardRegistry(i).Counter(serve.MetricCacheHits).Value() + srv.ShardRegistry(i).Counter(serve.MetricCacheMisses).Value(); n != 0 {
-			t.Fatalf("shard %d's private registry counted %d cache lookups — a second cache exists", i, n)
-		}
-	}
 	// A second tier on the same pipeline shares the one cache: its first
 	// round is all hits.
 	srv2 := p.NewShardedServer(serve.ShardedOptions{Shards: 2, Obs: reg, Cache: serve.CacheConfig{Capacity: 8}}, nil)

@@ -50,7 +50,7 @@ func (p *Pipeline) NewResilientClient(opts serve.ShardedOptions, faults *faultin
 }
 
 // Tier exposes the serving tier (Shutdown, shard statuses, engine fault
-// hooks, per-shard registries).
+// hooks, the shards' ledger in its registry).
 func (rc *ResilientClient) Tier() *serve.ShardedServer[Decision] { return rc.tier }
 
 // Process classifies one batch end to end under the resilience policy:

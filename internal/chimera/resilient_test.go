@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -70,12 +71,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// shardSum sums one unlabeled serve_* counter over the tier's shard
-// registries.
+// shardSum sums one shard-labeled counter over the tier's shards.
 func shardSum(tier *serve.ShardedServer[Decision], metric string) int64 {
 	var n int64
 	for i := 0; i < tier.Shards(); i++ {
-		n += tier.ShardRegistry(i).Counter(metric).Value()
+		n += tier.Registry().Counter(metric, "shard", strconv.Itoa(i)).Value()
 	}
 	return n
 }
@@ -170,7 +170,9 @@ func TestResilientClientDegradesOnSaturation(t *testing.T) {
 			if _, err := srv.Submit(slow); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, "worker pick-up", func() bool { return tier.ShardRegistry(i).Gauge(serve.MetricQueueDepth).Value() == 0 })
+			waitFor(t, "worker pick-up", func() bool {
+				return tier.Registry().Gauge(serve.MetricShardQueueDepth, "shard", strconv.Itoa(i)).Value() == 0
+			})
 			if _, err := srv.Submit(slow); err != nil {
 				t.Fatal(err)
 			}
@@ -208,7 +210,7 @@ func TestResilientClientDegradesOnSaturation(t *testing.T) {
 		if got := reg.Counter(MetricDegradedItems).Value() - degItems; got != int64(len(batch)) {
 			t.Fatalf("degraded-item counter moved by %d, want %d", got, len(batch))
 		}
-		if shardSum(tier, serve.MetricRetryAttempts) == 0 || shardSum(tier, serve.MetricShed) == 0 {
+		if shardSum(tier, serve.MetricRetryAttempts) == 0 || shardSum(tier, serve.MetricShardShed) == 0 {
 			t.Fatal("the saturated shards neither shed nor retried — the fallback was not exercised")
 		}
 		if inj.Total() == 0 {
@@ -243,8 +245,8 @@ func TestResilientClientDegradesWhenEngineDegraded(t *testing.T) {
 		if reg.Counter(MetricDegradedBatches).Value() == degBatches {
 			t.Fatal("degraded-batch counter did not move")
 		}
-		if n := shardSum(tier, serve.MetricItems); n != 0 {
-			t.Fatalf("a degraded tier queued %d items; degraded mode must bypass the shards", n)
+		if n := shardSum(tier, serve.MetricShardRouted); n != 0 {
+			t.Fatalf("a degraded tier routed %d items to its shards; degraded mode must bypass them", n)
 		}
 
 		// Clearing the fault recovers: the next mutation's rebuild succeeds and

@@ -77,6 +77,10 @@ func NewInstrumentedExecutor(rules []*Rule, reg *obs.Registry, labels ...string)
 		matched:    reg.Counter(MetricExecMatched, labels...),
 		latency:    reg.Histogram(MetricExecLatency, obs.LatencyBuckets, labels...),
 	}
+	reg.Help(MetricExecApplies, "items the executor applied its rules to")
+	reg.Help(MetricExecCandidates, "candidate rules the rule index returned, summed over items")
+	reg.Help(MetricExecMatched, "candidate rules that matched, summed over items")
+	reg.Help(MetricExecLatency, "seconds per Apply, sampled one in LatencySampleEvery")
 	reg.Help(MetricRuleFired, "times each rule matched an item")
 	reg.Help(MetricRuleEffective, "times each rule's assertion survived the final verdict")
 	e.tel = tel

@@ -230,6 +230,10 @@ func TestInstrumentedMetricFamiliesPinned(t *testing.T) {
 		`counter core_exec_matched_total [{exec rules}]`,
 		`counter core_rule_effective_total [{rule W1}]`,
 		`counter core_rule_fired_total [{rule W1}]`,
+		`help core_exec_applies_total "items the executor applied its rules to"`,
+		`help core_exec_apply_seconds "seconds per Apply, sampled one in LatencySampleEvery"`,
+		`help core_exec_candidates_total "candidate rules the rule index returned, summed over items"`,
+		`help core_exec_matched_total "candidate rules that matched, summed over items"`,
 		`help core_rule_effective_total "times each rule's assertion survived the final verdict"`,
 		`help core_rule_fired_total "times each rule matched an item"`,
 		`histogram core_exec_apply_seconds [{exec rules}]`,

@@ -1,7 +1,8 @@
 package serve
 
 // The chaos harness: the serving layer under injected faults. A fleet of
-// clients submits batches — plain, deadline-bound, and retry-wrapped — while
+// clients submits batches — plain and deadline-bound, every shed retried
+// with backoff inside the server — while
 // handler latency is injected into the workers, snapshot rebuilds stall and
 // fail at random, a mutator churns the rulebase, and the server is finally
 // shut down with a short drain deadline under load. The invariants:
@@ -9,12 +10,13 @@ package serve
 //   - every submitted ticket resolves exactly once, with one of
 //     {result, ErrQueueFull, ErrShutdown, ErrDeclined, ctx error};
 //   - accounting closes: served + shed + declined + expired + rejected
-//     submissions == attempted submissions — nothing is silently dropped;
+//     submissions == attempted submissions — nothing is silently dropped —
+//     and the server's ledger books exactly those outcomes, in items;
 //   - every served batch carries a coherent snapshot (results aligned with
 //     items, sorted ActiveIDs, never nil) even when its rebuild was faulty.
 //
 // Run under -race in verify.sh/CI, this doubles as the race check for the
-// whole resilience path (fault hooks, retrier, deadline accounting).
+// whole resilience path (fault hooks, retry loop, deadline accounting).
 
 import (
 	"context"
@@ -66,7 +68,9 @@ func TestChaosEveryTicketResolvesExactlyOnce(t *testing.T) {
 		return it.ID
 		// Queue shallower than the client fleet: with 3 in flight and 2
 		// queued, the 6th concurrent submit sheds — overload is reachable.
-	}, ServerOptions{Workers: 3, QueueDepth: 2, Obs: reg})
+	}, ServerOptions{Workers: 3, QueueDepth: 2, Obs: reg, Retry: &RetryOptions{
+		MaxAttempts: 2, BaseDelay: 50 * time.Microsecond, MaxDelay: time.Millisecond, Seed: 1,
+	}})
 
 	// Rule churn for the whole run: the rebuild path (and its injected
 	// faults) stays hot.
@@ -104,10 +108,6 @@ func TestChaosEveryTicketResolvesExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			retr := NewRetrier(srv, RetryOptions{
-				MaxAttempts: 2, BaseDelay: 50 * time.Microsecond,
-				MaxDelay: time.Millisecond, Seed: uint64(c),
-			})
 			for i := 0; i < perClient; i++ {
 				items := make([]*catalog.Item, 4)
 				for k := range items {
@@ -115,19 +115,12 @@ func TestChaosEveryTicketResolvesExactlyOnce(t *testing.T) {
 				}
 				attempted.Add(1)
 
-				var tk *Ticket[string]
-				var err error
 				ctx := context.Background()
 				var cancel context.CancelFunc = func() {}
-				switch i % 3 {
-				case 0:
-					tk, err = srv.Submit(items)
-				case 1:
+				if i%3 == 1 {
 					ctx, cancel = context.WithTimeout(ctx, time.Duration(1+i%5)*time.Millisecond)
-					tk, err = srv.SubmitCtx(ctx, items)
-				case 2:
-					tk, err = retr.Submit(ctx, items)
 				}
+				tk, err := srv.SubmitCtx(ctx, items)
 
 				if err != nil {
 					cancel()
@@ -204,11 +197,16 @@ func TestChaosEveryTicketResolvesExactlyOnce(t *testing.T) {
 	if inj.Total() == 0 {
 		t.Fatal("chaos run injected no faults — the harness is not exercising failure")
 	}
-	// The metric families agree with the harness's own books.
-	if got := reg.Counter(MetricBatches).Value(); got != served.Load() {
-		t.Fatalf("served metric %d != observed %d", got, served.Load())
+	// The ledger agrees with the harness's own books, four items a batch.
+	for name, want := range map[string]int64{
+		MetricShardRouted: attempted.Load(), MetricShardServed: served.Load(), MetricShardShed: shed.Load(),
+		MetricShardDeclined: declined.Load(), MetricShardExpired: expired.Load(), MetricShardRejected: rejected.Load(),
+	} {
+		if got := reg.Counter(name, "shard", "0").Value(); got != 4*want {
+			t.Fatalf("%s = %d, want %d (4 × %d observed batches)", name, got, 4*want, want)
+		}
 	}
-	if v := reg.Gauge(MetricQueueDepth).Value(); v < 0 {
+	if v := reg.Gauge(MetricShardQueueDepth, "shard", "0").Value(); v < 0 {
 		t.Fatalf("queue depth gauge negative after chaos: %v", v)
 	}
 	t.Logf("chaos: attempted=%d served=%d shed=%d declined=%d expired=%d rejected=%d faults=%v",

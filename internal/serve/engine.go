@@ -22,22 +22,17 @@ const (
 	MetricSnapshotBuilds = "serve_snapshot_builds_total"
 	// MetricSnapshotVersion is the version of the published snapshot.
 	MetricSnapshotVersion = "serve_snapshot_version"
-	// MetricQueueDepth is the number of queued (not yet picked up) requests.
-	MetricQueueDepth = "serve_queue_depth"
-	// MetricShed counts requests declined at Submit because the queue was full.
-	MetricShed = "serve_shed_total"
-	// MetricBatches / MetricItems count served requests and their items.
-	MetricBatches = "serve_batches_total"
-	MetricItems   = "serve_items_total"
-	// MetricDeclined counts items declined during a shutdown drain.
-	MetricDeclined = "serve_declined_total"
-	// MetricDeadlineExpired counts requests whose submit-context deadline
-	// expired while they were still queued (resolved with the ctx error).
+	// MetricShed and MetricDeadlineExpired are the unlabeled request counts
+	// the shard ledger replaced (see MetricShardShed, MetricShardExpired).
+	//
+	// Deprecated: no longer written; ROADMAP item 7 retires them.
+	MetricShed            = "serve_shed_total"
 	MetricDeadlineExpired = "serve_deadline_expired_total"
-	// MetricRetryAttempts / MetricRetrySuccess / MetricRetryGiveUp are the
-	// Retrier's accounting: backoff re-submissions after a shed, the sheds
-	// that eventually went through, and the ones the retrier gave up on
-	// (attempts or budget exhausted, or the caller's context expired).
+	// MetricRetryAttempts / MetricRetrySuccess / MetricRetryGiveUp are a
+	// server's retry accounting, labeled by shard: backoff re-submissions
+	// after a shed, the sheds that eventually went through, and the ones it
+	// gave up on (attempts or budget exhausted, or the caller's context
+	// expired).
 	MetricRetryAttempts = "serve_retry_attempts_total"
 	MetricRetrySuccess  = "serve_retry_success_total"
 	MetricRetryGiveUp   = "serve_retry_giveup_total"
@@ -123,6 +118,7 @@ func NewEngine(rb *core.Rulebase, opts EngineOptions) *Engine {
 		kick:      make(chan struct{}, 1),
 	}
 	reg.Help(MetricSnapshotSwaps, "snapshot publishes (rebuild-and-swap)")
+	reg.Help(MetricSnapshotBuild, "seconds each snapshot publish spent building, delta or full")
 	reg.Help(MetricSnapshotBuilds, "snapshot builds by kind: delta (rule indexes shared with the previous snapshot) or full")
 	reg.Help(MetricSnapshotVersion, "rulebase version of the published snapshot")
 	reg.Help(MetricBuildErrors, "failed snapshot rebuilds (stale snapshot kept)")

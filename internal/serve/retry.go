@@ -3,25 +3,22 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/obs"
 	"repro/internal/randx"
 )
 
-// ErrRetryBudget is returned by Retrier.Submit when the retrier's shared
-// retry budget is exhausted: the submit was shed and no backoff attempts
-// remain. It wraps ErrQueueFull so existing shed handling still matches.
-var ErrRetryBudget = &retryBudgetError{}
+// ErrRetryBudget is returned by SubmitCtx when the server's retry budget is
+// exhausted: the submit was shed and no backoff attempts remain. It wraps
+// ErrQueueFull so existing shed handling still matches.
+var ErrRetryBudget = fmt.Errorf("serve: retry budget exhausted (%w)", ErrQueueFull)
 
-type retryBudgetError struct{}
-
-func (*retryBudgetError) Error() string { return "serve: retry budget exhausted, request shed" }
-func (*retryBudgetError) Unwrap() error { return ErrQueueFull }
-
-// RetryOptions parameterizes a Retrier. Zero values take defaults.
+// RetryOptions parameterizes a server's retry of queue-full sheds
+// (ServerOptions.Retry, ShardedOptions.Retry). Zero values take defaults.
 type RetryOptions struct {
 	// MaxAttempts bounds the re-submissions after the initial shed
 	// (default 4; the initial Submit is not counted).
@@ -32,19 +29,17 @@ type RetryOptions struct {
 	// thundering herd that was shed together does not retry together.
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// Budget caps the total re-submissions across the retrier's lifetime
+	// Budget caps the total re-submissions across the server's lifetime
 	// (0 = unlimited). Overload that persists long enough to drain the
 	// budget degrades every later shed to an immediate ErrRetryBudget —
 	// retries are for transient overload, not a substitute for capacity.
 	//
-	// The budget is deliberately SHARED across concurrent callers: it is a
-	// lifetime circuit breaker for the whole client, not a per-call
-	// allowance, so a thundering herd drains it once instead of each caller
-	// retrying MaxAttempts times against a saturated queue. Per-call
-	// isolation is what MaxAttempts provides (each Submit retries at most
-	// MaxAttempts times regardless of other callers); callers needing fully
-	// independent budgets use one Retrier per caller — and a reservation
-	// whose backoff sleep is cancelled by ctx is refunded, never burned.
+	// The budget is shared by every caller of the server: it is a lifetime
+	// circuit breaker, not a per-call allowance, so a thundering herd drains
+	// it once instead of each caller retrying MaxAttempts times against a
+	// saturated queue. Per-call isolation is what MaxAttempts provides, and a
+	// reservation whose backoff sleep is cancelled by ctx is refunded, never
+	// burned.
 	Budget int64
 	// Seed makes the jitter deterministic for tests and chaos runs.
 	Seed uint64
@@ -53,27 +48,23 @@ type RetryOptions struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
-// Retrier wraps a Server's SubmitCtx with capped exponential backoff and
-// full jitter for ErrQueueFull sheds. Every other error (ErrShutdown,
-// context expiry) is returned immediately — backing off cannot fix those.
-// Attempts, eventual successes and give-ups are recorded in the server's
-// registry (serve_retry_*), so a drill can show shed requests succeeding on
-// retry rather than asserting it.
-type Retrier[R any] struct {
-	srv  *Server[R]
-	opts RetryOptions
+// retrier is a server's backoff state: capped exponential backoff with full
+// jitter on ErrQueueFull sheds, a shared budget, and the serve_retry_*
+// counters under the server's shard label, so a drill can show shed
+// requests succeeding on retry rather than asserting it.
+type retrier struct {
+	opts  RetryOptions
+	spent atomic.Int64 // budget reservations held; read only when opts.Budget > 0
 
-	mu     sync.Mutex
-	rng    *randx.Rand
-	budget int64 // remaining; -1 = unlimited
+	mu  sync.Mutex // guards rng
+	rng *randx.Rand
 
 	attempts *obs.Counter
 	success  *obs.Counter
 	giveUp   *obs.Counter
 }
 
-// NewRetrier builds a Retrier over srv.
-func NewRetrier[R any](srv *Server[R], opts RetryOptions) *Retrier[R] {
+func newRetrier(opts RetryOptions, reg *obs.Registry, label string) *retrier {
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 4
 	}
@@ -86,59 +77,20 @@ func NewRetrier[R any](srv *Server[R], opts RetryOptions) *Retrier[R] {
 	if opts.Sleep == nil {
 		opts.Sleep = ctxSleep
 	}
-	budget := opts.Budget
-	if budget == 0 {
-		budget = -1
-	}
-	reg := srv.Registry()
-	r := &Retrier[R]{
-		srv:      srv,
+	reg.Help(MetricRetryAttempts, "backoff re-submissions after a queue-full shed, per shard")
+	reg.Help(MetricRetrySuccess, "shed requests that succeeded on a retry, per shard")
+	reg.Help(MetricRetryGiveUp, "shed requests abandoned (attempts/budget exhausted or ctx expired), per shard")
+	return &retrier{
 		opts:     opts,
 		rng:      randx.New(opts.Seed).Split("retry"),
-		budget:   budget,
-		attempts: reg.Counter(MetricRetryAttempts),
-		success:  reg.Counter(MetricRetrySuccess),
-		giveUp:   reg.Counter(MetricRetryGiveUp),
+		attempts: reg.Counter(MetricRetryAttempts, "shard", label),
+		success:  reg.Counter(MetricRetrySuccess, "shard", label),
+		giveUp:   reg.Counter(MetricRetryGiveUp, "shard", label),
 	}
-	reg.Help(MetricRetryAttempts, "backoff re-submissions after a queue-full shed")
-	reg.Help(MetricRetrySuccess, "shed requests that succeeded on a retry")
-	reg.Help(MetricRetryGiveUp, "shed requests abandoned (attempts/budget exhausted or ctx expired)")
-	return r
-}
-
-// Budget returns the remaining retry budget (-1 = unlimited).
-func (r *Retrier[R]) Budget() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.budget
-}
-
-// takeBudget reserves one retry from the shared budget.
-func (r *Retrier[R]) takeBudget() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.budget == 0 {
-		return false
-	}
-	if r.budget > 0 {
-		r.budget--
-	}
-	return true
-}
-
-// refundBudget returns an unused reservation: the caller took budget for a
-// re-submission that never happened (its backoff sleep was cancelled), and
-// a budget that counts re-submissions must not charge for it.
-func (r *Retrier[R]) refundBudget() {
-	r.mu.Lock()
-	if r.budget >= 0 {
-		r.budget++
-	}
-	r.mu.Unlock()
 }
 
 // jitter draws the full-jitter sleep for the given attempt (0-based).
-func (r *Retrier[R]) jitter(attempt int) time.Duration {
+func (r *retrier) jitter(attempt int) time.Duration {
 	ceiling := r.opts.BaseDelay << uint(attempt)
 	if ceiling <= 0 || ceiling > r.opts.MaxDelay {
 		ceiling = r.opts.MaxDelay
@@ -149,48 +101,46 @@ func (r *Retrier[R]) jitter(attempt int) time.Duration {
 	return time.Duration(f * float64(ceiling))
 }
 
-// Submit submits items through the wrapped server, retrying ErrQueueFull
-// sheds with capped exponential backoff + full jitter until the submit is
-// accepted, attempts or budget run out (ErrRetryBudget / ErrQueueFull —
-// both match errors.Is(err, ErrQueueFull)), or ctx expires (ctx.Err()).
-func (r *Retrier[R]) Submit(ctx context.Context, items []*catalog.Item) (*Ticket[R], error) {
-	ticket, err := r.srv.SubmitCtx(ctx, items)
-	if err == nil || !errors.Is(err, ErrQueueFull) {
-		return ticket, err
-	}
+// retry re-runs enqueue after a shed, with capped exponential backoff and
+// full jitter, until it is accepted (nil), attempts or budget run out
+// (ErrRetryBudget / ErrQueueFull — both match errors.Is(err, ErrQueueFull)),
+// or it fails for a reason backing off cannot fix (ctx expiry, shutdown).
+func (r *retrier) retry(ctx context.Context, enqueue func() error) error {
+	budgeted := r.opts.Budget > 0
+	err := ErrQueueFull
 	for attempt := 0; attempt < r.opts.MaxAttempts; attempt++ {
-		if !r.takeBudget() {
+		if budgeted && r.spent.Add(1) > r.opts.Budget {
+			r.spent.Add(-1)
 			r.giveUp.Inc()
-			return nil, ErrRetryBudget
+			return ErrRetryBudget
 		}
-		if err := r.opts.Sleep(ctx, r.jitter(attempt)); err != nil {
+		if serr := r.opts.Sleep(ctx, r.jitter(attempt)); serr != nil {
 			// The reserved re-submission never happened: refund it so a
 			// caller-side cancellation does not charge the shared breaker.
-			r.refundBudget()
+			if budgeted {
+				r.spent.Add(-1)
+			}
 			r.giveUp.Inc()
-			return nil, err
+			return serr
 		}
 		r.attempts.Inc()
-		ticket, err = r.srv.SubmitCtx(ctx, items)
-		if err == nil {
-			r.success.Inc()
-			return ticket, nil
+		if err = enqueue(); err == nil {
+			return nil // success is booked by the worker that takes it
 		}
 		if !errors.Is(err, ErrQueueFull) {
 			// The shed request is being abandoned for a different terminal
 			// reason (ctx expired between backoff and re-submit, or shutdown):
 			// still a give-up, or the counter undercounts abandoned sheds.
 			r.giveUp.Inc()
-			return nil, err
+			return err
 		}
 	}
 	r.giveUp.Inc()
-	return nil, err
+	return err
 }
 
 // ctxSleep sleeps for d or until ctx is done, returning ctx.Err() in the
-// latter case. A zero d still yields the scheduler via the timer path only
-// when needed.
+// latter case.
 func ctxSleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()

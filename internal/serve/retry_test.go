@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/obs"
 )
 
 // blockedServer is a 1-worker server whose worker signals each pick-up on
@@ -16,20 +17,26 @@ import (
 // overload: saturate() puts one request in flight and fills the queue.
 type blockedServer struct {
 	srv     *Server[string]
+	reg     *obs.Registry
 	started chan struct{}
 	release func()
 }
 
-func retryServer(t *testing.T, queueDepth int) *blockedServer {
+// budgetOf reads a server's remaining retry budget.
+func budgetOf[R any](s *Server[R]) int64 {
+	return s.retry.opts.Budget - s.retry.spent.Load()
+}
+
+func retryServer(t *testing.T, queueDepth int, retry *RetryOptions) *blockedServer {
 	t.Helper()
 	eng, reg := testEngine(t)
 	rel := make(chan struct{})
-	b := &blockedServer{started: make(chan struct{}, 64)}
+	b := &blockedServer{reg: reg, started: make(chan struct{}, 64)}
 	b.srv = NewServer(eng, func(_ context.Context, snap *Snapshot, it *catalog.Item) string {
 		b.started <- struct{}{}
 		<-rel
 		return it.ID
-	}, ServerOptions{Workers: 1, QueueDepth: queueDepth, Obs: reg})
+	}, ServerOptions{Workers: 1, QueueDepth: queueDepth, Obs: reg, Retry: retry})
 	var once sync.Once
 	b.release = func() { once.Do(func() { close(rel) }) }
 	// Cleanup must release first: Drain waits on the parked worker, and a
@@ -46,23 +53,27 @@ func (b *blockedServer) saturate(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-b.started
-	for i := 0; i < b.srv.QueueCapacity(); i++ {
+	for i := 0; i < cap(b.srv.queue); i++ {
 		if _, err := b.srv.Submit(oneItem(fmt.Sprintf("queued-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
+// retryCount reads one of shard 0's serve_retry_* counters.
+func (b *blockedServer) retryCount(name string) int64 {
+	return b.reg.Counter(name, "shard", "0").Value()
+}
+
 // TestRetrierSucceedsAfterTransientOverload: a submit shed on a full queue
 // must go through on a later backoff attempt once capacity frees up — the
-// retry-success metric records it.
+// retry-success metric records it, and the ledger books it served, never
+// shed.
 func TestRetrierSucceedsAfterTransientOverload(t *testing.T) {
-	b := retryServer(t, 1)
-	b.saturate(t)
-
 	// Sleep hook: before the 2nd attempt, free the server.
+	var b *blockedServer
 	attempt := 0
-	r := NewRetrier(b.srv, RetryOptions{
+	b = retryServer(t, 1, &RetryOptions{
 		MaxAttempts: 5, Seed: 1,
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			attempt++
@@ -75,19 +86,22 @@ func TestRetrierSucceedsAfterTransientOverload(t *testing.T) {
 			return nil
 		},
 	})
-	tk, err := r.Submit(context.Background(), oneItem("retried"))
+	b.saturate(t)
+	tk, err := b.srv.Submit(oneItem("retried"))
 	if err != nil {
 		t.Fatalf("retried submit failed: %v", err)
 	}
 	if out, _, err := tk.Wait(); err != nil || out[0] != "retried" {
 		t.Fatalf("retried ticket: %v, %v", out, err)
 	}
-	reg := b.srv.Registry()
-	if n := reg.Counter(MetricRetrySuccess).Value(); n != 1 {
+	if n := b.retryCount(MetricRetrySuccess); n != 1 {
 		t.Fatalf("retry-success counter = %d, want 1", n)
 	}
-	if n := reg.Counter(MetricRetryAttempts).Value(); n < 2 {
+	if n := b.retryCount(MetricRetryAttempts); n < 2 {
 		t.Fatalf("retry-attempts counter = %d, want >= 2", n)
+	}
+	if n := b.reg.Counter(MetricShardShed, "shard", "0").Value(); n != 0 {
+		t.Fatalf("shed counter = %d, want 0: a shed a retry recovers is served", n)
 	}
 }
 
@@ -95,27 +109,27 @@ func TestRetrierSucceedsAfterTransientOverload(t *testing.T) {
 // ErrQueueFull after exactly MaxAttempts re-submissions, tallied as a
 // give-up.
 func TestRetrierGivesUpAfterMaxAttempts(t *testing.T) {
-	b := retryServer(t, 1)
-	b.saturate(t)
-
 	slept := 0
-	r := NewRetrier(b.srv, RetryOptions{
+	b := retryServer(t, 1, &RetryOptions{
 		MaxAttempts: 3, Seed: 2,
 		Sleep: func(ctx context.Context, d time.Duration) error { slept++; return nil },
 	})
-	_, err := r.Submit(context.Background(), oneItem("doomed"))
+	b.saturate(t)
+	_, err := b.srv.Submit(oneItem("doomed"))
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("got %v, want ErrQueueFull", err)
 	}
 	if slept != 3 {
 		t.Fatalf("slept %d times, want 3", slept)
 	}
-	reg := b.srv.Registry()
-	if n := reg.Counter(MetricRetryGiveUp).Value(); n != 1 {
+	if n := b.retryCount(MetricRetryGiveUp); n != 1 {
 		t.Fatalf("give-up counter = %d, want 1", n)
 	}
-	if n := reg.Counter(MetricRetryAttempts).Value(); n != 3 {
+	if n := b.retryCount(MetricRetryAttempts); n != 3 {
 		t.Fatalf("attempts counter = %d, want 3", n)
+	}
+	if n := b.reg.Counter(MetricShardShed, "shard", "0").Value(); n != 1 {
+		t.Fatalf("shed counter = %d, want 1: four attempts, one submission", n)
 	}
 }
 
@@ -123,24 +137,22 @@ func TestRetrierGivesUpAfterMaxAttempts(t *testing.T) {
 // drained, a shed degrades to an immediate ErrRetryBudget (which still
 // matches ErrQueueFull for shed handling).
 func TestRetrierBudget(t *testing.T) {
-	b := retryServer(t, 1)
-	b.saturate(t)
-
-	r := NewRetrier(b.srv, RetryOptions{
+	b := retryServer(t, 1, &RetryOptions{
 		MaxAttempts: 2, Budget: 3, Seed: 3,
 		Sleep: func(ctx context.Context, d time.Duration) error { return nil },
 	})
+	b.saturate(t)
 	// First shed burns 2 budget (both attempts fail), second burns the last.
-	if _, err := r.Submit(context.Background(), oneItem("a")); !errors.Is(err, ErrQueueFull) {
+	if _, err := b.srv.Submit(oneItem("a")); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("first: %v", err)
 	}
-	if _, err := r.Submit(context.Background(), oneItem("b")); !errors.Is(err, ErrQueueFull) {
+	if _, err := b.srv.Submit(oneItem("b")); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("second: %v", err)
 	}
-	if got := r.Budget(); got != 0 {
+	if got := budgetOf(b.srv); got != 0 {
 		t.Fatalf("budget = %d, want 0", got)
 	}
-	_, err := r.Submit(context.Background(), oneItem("c"))
+	_, err := b.srv.Submit(oneItem("c"))
 	if !errors.Is(err, ErrQueueFull) || err.Error() != ErrRetryBudget.Error() {
 		t.Fatalf("post-budget: got %v, want ErrRetryBudget", err)
 	}
@@ -149,26 +161,24 @@ func TestRetrierBudget(t *testing.T) {
 // TestRetrierRespectsContext: an expiring caller context stops the backoff
 // loop with ctx.Err(), not ErrQueueFull.
 func TestRetrierRespectsContext(t *testing.T) {
-	b := retryServer(t, 1)
+	b := retryServer(t, 1, &RetryOptions{MaxAttempts: 50, BaseDelay: 5 * time.Millisecond, Seed: 4})
 	b.saturate(t)
-
-	r := NewRetrier(b.srv, RetryOptions{MaxAttempts: 50, BaseDelay: 5 * time.Millisecond, Seed: 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 	defer cancel()
-	if _, err := r.Submit(ctx, oneItem("impatient")); err != context.DeadlineExceeded {
+	if _, err := b.srv.SubmitCtx(ctx, oneItem("impatient")); err != context.DeadlineExceeded {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}
 }
 
 // TestRetrierJitterIsCappedAndDeterministic: backoff draws stay within
-// [0, min(Base<<attempt, MaxDelay)] and two same-seeded retriers draw the
+// [0, min(Base<<attempt, MaxDelay)] and two same-seeded servers draw the
 // same sleeps.
 func TestRetrierJitterIsCappedAndDeterministic(t *testing.T) {
-	mk := func() *Retrier[string] {
-		b := retryServer(t, 1)
-		b.release()
-		return NewRetrier(b.srv, RetryOptions{
+	mk := func() *retrier {
+		b := retryServer(t, 1, &RetryOptions{
 			BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond, Seed: 9})
+		b.release()
+		return b.srv.retry
 	}
 	a, b := mk(), mk()
 	for attempt := 0; attempt < 12; attempt++ {
@@ -193,24 +203,22 @@ func TestRetrierJitterIsCappedAndDeterministic(t *testing.T) {
 // shed with ErrRetryBudget while the budget's worth of retries had never
 // been spent against the queue.
 func TestRetrierRefundsBudgetOnCancelledSleep(t *testing.T) {
-	b := retryServer(t, 1)
-	b.saturate(t)
-
-	r := NewRetrier(b.srv, RetryOptions{
+	b := retryServer(t, 1, &RetryOptions{
 		MaxAttempts: 2, Budget: 5, Seed: 11,
 		// Every backoff sleep is "interrupted": the reservation never turns
 		// into a re-submission.
 		Sleep: func(ctx context.Context, d time.Duration) error { return context.Canceled },
 	})
+	b.saturate(t)
 	for i := 0; i < 20; i++ {
-		if _, err := r.Submit(context.Background(), oneItem("impatient")); !errors.Is(err, context.Canceled) {
+		if _, err := b.srv.Submit(oneItem("impatient")); !errors.Is(err, context.Canceled) {
 			t.Fatalf("submit %d: got %v, want context.Canceled", i, err)
 		}
 	}
-	if got := r.Budget(); got != 5 {
+	if got := budgetOf(b.srv); got != 5 {
 		t.Fatalf("cancelled sleeps burned the budget: %d of 5 left, want all 5 refunded", got)
 	}
-	if got := b.srv.Registry().Counter(MetricRetryAttempts).Value(); got != 0 {
+	if got := b.retryCount(MetricRetryAttempts); got != 0 {
 		t.Fatalf("%d re-submissions recorded, want 0 — nothing should have charged the budget", got)
 	}
 }
@@ -219,21 +227,19 @@ func TestRetrierRefundsBudgetOnCancelledSleep(t *testing.T) {
 // concurrent permanently-shed submits, total recorded re-submission attempts
 // equal exactly the configured budget, never attempts × callers.
 func TestRetrierSharedBudgetAccounting(t *testing.T) {
-	b := retryServer(t, 1)
-	b.saturate(t)
-
 	const budget = 7
-	r := NewRetrier(b.srv, RetryOptions{
+	b := retryServer(t, 1, &RetryOptions{
 		MaxAttempts: 3, Budget: budget, Seed: 13,
 		Sleep: func(ctx context.Context, d time.Duration) error { return nil },
 	})
+	b.saturate(t)
 	var wg sync.WaitGroup
 	for c := 0; c < 6; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				_, err := r.Submit(context.Background(), oneItem("herd"))
+				_, err := b.srv.Submit(oneItem("herd"))
 				if !errors.Is(err, ErrQueueFull) {
 					t.Errorf("got %v, want an ErrQueueFull-class shed", err)
 				}
@@ -241,10 +247,10 @@ func TestRetrierSharedBudgetAccounting(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Budget(); got != 0 {
+	if got := budgetOf(b.srv); got != 0 {
 		t.Fatalf("budget = %d after the herd, want 0", got)
 	}
-	if got := b.srv.Registry().Counter(MetricRetryAttempts).Value(); got != budget {
+	if got := b.retryCount(MetricRetryAttempts); got != budget {
 		t.Fatalf("herd spent %d re-submissions, want exactly the shared budget %d", got, budget)
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"strconv"
 	"sync"
 
 	"repro/internal/catalog"
@@ -29,6 +30,28 @@ var (
 // decision provenance.
 type Handler[R any] func(ctx context.Context, snap *Snapshot, it *catalog.Item) R
 
+// Metric families of the serving ledger. Every Server books them under its
+// "shard" label (a standalone NewServer is shard "0") where each outcome
+// happens, the counts in items, so per shard
+//
+//	routed = served + shed + expired + declined + rejected
+//
+// once every submission has resolved: each one is routed once and ends in
+// exactly one terminal outcome. A shed that a retry recovers is served; shed
+// includes retry-budget exhaustion; expired is a caller deadline that ran
+// out at submit, in a retry backoff or queued; declined is a shutdown drain;
+// rejected is a submit after shutdown. The queue gauges count requests.
+const (
+	MetricShardRouted     = "serve_shard_routed_total"
+	MetricShardServed     = "serve_shard_served_total"
+	MetricShardShed       = "serve_shard_shed_total"
+	MetricShardExpired    = "serve_shard_expired_total"
+	MetricShardDeclined   = "serve_shard_declined_total"
+	MetricShardRejected   = "serve_shard_rejected_total"
+	MetricShardQueueDepth = "serve_shard_queue_depth"    // queued, not yet picked up
+	MetricShardQueueCap   = "serve_shard_queue_capacity" // set once at construction
+)
+
 // ServerOptions parameterizes a Server. Zero values take defaults.
 type ServerOptions struct {
 	// Workers is the worker-pool size (default 4).
@@ -36,24 +59,28 @@ type ServerOptions struct {
 	// QueueDepth bounds the number of queued requests; Submit sheds beyond
 	// it (default 64).
 	QueueDepth int
-	// Obs receives the server's metrics (default: the engine's registry).
+	// Obs receives the server's ledger (default: the engine's registry).
 	Obs *obs.Registry
 	// Audit, when non-nil, receives a DecisionRecord for every item the
 	// server fails before classification: shed at submit, declined during
-	// shutdown drain, or expired in the queue. (Classification-time records
-	// are the handler's job — the server never sees its verdicts.) These
-	// records are biased, so they bypass sampling.
+	// shutdown drain, or expired. (Classification-time records are the
+	// handler's job — the server never sees its verdicts.) These records are
+	// biased, so they bypass sampling.
 	Audit *obs.AuditLog
+	// Retry, when non-nil, makes SubmitCtx retry queue-full sheds with
+	// capped exponential backoff and full jitter before it gives up.
+	Retry *RetryOptions
 }
 
 // request is one submitted batch and its resolution slot.
 type request[R any] struct {
-	items []*catalog.Item
-	ctx   context.Context // caller's context; checked at worker pick-up
-	out   []R
-	snap  *Snapshot
-	err   error
-	done  chan struct{}
+	items   []*catalog.Item
+	ctx     context.Context // caller's context; checked at worker pick-up
+	retried bool            // queued by a retry; set before the send
+	out     []R
+	snap    *Snapshot
+	err     error
+	done    chan struct{}
 }
 
 // Ticket is the caller's handle on a submitted request.
@@ -86,20 +113,22 @@ func (t *Ticket[R]) WaitContext(ctx context.Context) ([]R, *Snapshot, error) {
 	}
 }
 
-// Server is the concurrent serving frontend: a bounded queue feeding a fixed
+// Server is one shard of the serving tier: a bounded queue feeding a fixed
 // worker pool, where each request is processed entirely against the snapshot
-// current at pick-up time. Backpressure is explicit (ErrQueueFull), caller
-// deadlines propagate end-to-end (SubmitCtx / Ticket.WaitContext — a request
-// whose context expired while queued resolves with the context error instead
-// of burning a worker), shutdown is graceful (queued work completes, or is
-// explicitly declined when the drain deadline expires), and queue depth /
-// sheds / served / expired counts are recorded in obs.
+// current at pick-up time. Backpressure is explicit (ErrQueueFull, after the
+// optional retries), caller deadlines propagate end-to-end (SubmitCtx /
+// Ticket.WaitContext — a request whose context expired while queued resolves
+// with the context error instead of burning a worker), shutdown is graceful
+// (queued work completes, or is explicitly declined when the drain deadline
+// expires), and every submission is booked in the shard's ledger
+// (serve_shard_*) where its outcome happens.
 type Server[R any] struct {
 	eng     *Engine
 	release func() // the server's hold on the engine's rebuild loop
 	h       Handler[R]
-	obs     *obs.Registry
+	shard   int
 	audit   *obs.AuditLog
+	retry   *retrier // nil without ServerOptions.Retry
 
 	mu        sync.RWMutex // guards closed + the queue-close transition
 	closed    bool
@@ -109,24 +138,25 @@ type Server[R any] struct {
 	wg        sync.WaitGroup
 
 	depth    *obs.Gauge
+	routed   *obs.Counter
+	served   *obs.Counter
 	shed     *obs.Counter
-	batches  *obs.Counter
-	items    *obs.Counter
-	declined *obs.Counter
 	expired  *obs.Counter
+	declined *obs.Counter
+	rejected *obs.Counter
 }
 
-// QueueCapacity returns the configured queue depth limit — the denominator
-// for load watermarks over the MetricQueueDepth gauge.
-func (s *Server[R]) QueueCapacity() int { return cap(s.queue) }
-
-// Registry returns the registry the server's metrics land in.
-func (s *Server[R]) Registry() *obs.Registry { return s.obs }
-
-// NewServer takes a hold on the engine (Engine.Start), so workers read fresh
-// snapshots without touching the rulebase lock, and starts the worker pool.
-// The caller owns Shutdown/Drain, which release the hold.
+// NewServer builds a standalone server, shard "0" of its own ledger. It
+// takes a hold on the engine (Engine.Start), so workers read fresh snapshots
+// without touching the rulebase lock, and starts the worker pool. The caller
+// owns Shutdown/Drain, which release the hold.
 func NewServer[R any](eng *Engine, h Handler[R], opts ServerOptions) *Server[R] {
+	return newServer(eng, h, opts, 0)
+}
+
+// newServer builds the server of one shard, booking its ledger under the
+// shard's label and annotating every handler context with WithShard.
+func newServer[R any](eng *Engine, h Handler[R], opts ServerOptions, shard int) *Server[R] {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = 4
@@ -139,24 +169,34 @@ func NewServer[R any](eng *Engine, h Handler[R], opts ServerOptions) *Server[R] 
 	if reg == nil {
 		reg = eng.Registry()
 	}
+	label := strconv.Itoa(shard)
 	s := &Server[R]{
 		eng:      eng,
 		h:        h,
-		obs:      reg,
+		shard:    shard,
 		audit:    opts.Audit,
 		queue:    make(chan *request[R], queueDepth),
 		abort:    make(chan struct{}),
-		depth:    reg.Gauge(MetricQueueDepth),
-		shed:     reg.Counter(MetricShed),
-		batches:  reg.Counter(MetricBatches),
-		items:    reg.Counter(MetricItems),
-		declined: reg.Counter(MetricDeclined),
-		expired:  reg.Counter(MetricDeadlineExpired),
+		depth:    reg.Gauge(MetricShardQueueDepth, "shard", label),
+		routed:   reg.Counter(MetricShardRouted, "shard", label),
+		served:   reg.Counter(MetricShardServed, "shard", label),
+		shed:     reg.Counter(MetricShardShed, "shard", label),
+		expired:  reg.Counter(MetricShardExpired, "shard", label),
+		declined: reg.Counter(MetricShardDeclined, "shard", label),
+		rejected: reg.Counter(MetricShardRejected, "shard", label),
 	}
-	reg.Help(MetricQueueDepth, "requests queued, not yet picked up by a worker")
-	reg.Help(MetricShed, "requests shed at Submit (queue full)")
-	reg.Help(MetricDeclined, "items explicitly declined during shutdown drain")
-	reg.Help(MetricDeadlineExpired, "requests whose caller deadline expired at submit or while queued")
+	reg.Gauge(MetricShardQueueCap, "shard", label).Set(float64(queueDepth))
+	reg.Help(MetricShardRouted, "items submitted to each shard")
+	reg.Help(MetricShardServed, "items each shard classified successfully")
+	reg.Help(MetricShardShed, "items shed by each shard's full queue after its retries")
+	reg.Help(MetricShardExpired, "items whose caller deadline expired at submit, in backoff or queued on each shard")
+	reg.Help(MetricShardDeclined, "items declined by each shard's shutdown drain")
+	reg.Help(MetricShardRejected, "items rejected after shard shutdown")
+	reg.Help(MetricShardQueueDepth, "requests queued on each shard, not yet picked up by a worker")
+	reg.Help(MetricShardQueueCap, "each shard's queue capacity, in requests")
+	if opts.Retry != nil {
+		s.retry = newRetrier(*opts.Retry, reg, label)
+	}
 	s.release = eng.Start()
 	s.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -165,10 +205,10 @@ func NewServer[R any](eng *Engine, h Handler[R], opts ServerOptions) *Server[R] 
 	return s
 }
 
-// Submit enqueues a batch for classification. It never blocks: when the
-// queue is at its depth limit the request is shed with ErrQueueFull (the
-// caller decides whether to retry, spill, or route to manual); after
-// Shutdown it returns ErrShutdown.
+// Submit enqueues a batch for classification. Without ServerOptions.Retry
+// it never blocks: when the queue is at its depth limit the request is shed
+// with ErrQueueFull (the caller decides whether to spill or route to
+// manual); after Shutdown it returns ErrShutdown.
 func (s *Server[R]) Submit(items []*catalog.Item) (*Ticket[R], error) {
 	return s.SubmitCtx(context.Background(), items)
 }
@@ -178,25 +218,46 @@ func (s *Server[R]) Submit(items []*catalog.Item) (*Ticket[R], error) {
 // queueing) and again when a worker picks the request up — a request whose
 // deadline expired while it sat in the queue resolves its ticket with the
 // context error instead of doing dead work. Cancellation does not recall a
-// request that a worker already started.
+// request that a worker already started. With ServerOptions.Retry a shed is
+// retried with backoff inside this call, which then blocks for at most the
+// backoff sleeps; the submission still books exactly one terminal outcome.
 func (s *Server[R]) SubmitCtx(ctx context.Context, items []*catalog.Item) (*Ticket[R], error) {
 	// Every request carries an ID end-to-end: the handler reads it back with
 	// obs.RequestID and stamps it on each item's decision record. Assigned
 	// before the expiry check so even submit-time rejections are auditable.
 	ctx, _ = obs.EnsureRequestID(ctx, "req")
-	if err := ctx.Err(); err != nil {
-		// Same taxonomy bucket as expiring while queued: the caller's deadline
-		// ran out, no snapshot was consulted. Counting it here keeps the
-		// shed/expired split honest — an expired submit is not a shed.
-		s.expired.Inc()
-		s.auditFailure(ctx, items, obs.OutcomeExpired, err.Error())
+	req := &request[R]{items: items, ctx: ctx, done: make(chan struct{})}
+	if err := s.submit(req); err != nil {
 		return nil, err
 	}
-	req := &request[R]{items: items, ctx: ctx, done: make(chan struct{})}
+	return &Ticket[R]{req}, nil
+}
+
+// submit books req as routed and queues it, retrying a shed when configured.
+// A request it cannot queue is resolved here with the returned error.
+func (s *Server[R]) submit(req *request[R]) error {
+	s.routed.Add(int64(len(req.items)))
+	err := s.enqueue(req)
+	if s.retry != nil && errors.Is(err, ErrQueueFull) {
+		err = s.retry.retry(req.ctx, func() error { req.retried = true; return s.enqueue(req) })
+	}
+	if err != nil {
+		s.fail(req, err)
+	}
+	return err
+}
+
+// enqueue makes one attempt to queue req, booking nothing.
+func (s *Server[R]) enqueue(req *request[R]) error {
+	// An expired submit is not a shed: no snapshot was consulted and the
+	// caller's deadline ran out, the same bucket as expiring while queued.
+	if err := req.ctx.Err(); err != nil {
+		return err
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return nil, ErrShutdown
+		return ErrShutdown
 	}
 	// The gauge is incremented before the send: a worker's Add(-1) is always
 	// preceded (happens-after, via the channel) by this Add(1), so the gauge
@@ -204,67 +265,79 @@ func (s *Server[R]) SubmitCtx(ctx context.Context, items []*catalog.Item) (*Tick
 	s.depth.Add(1)
 	select {
 	case s.queue <- req:
-		return &Ticket[R]{req}, nil
+		return nil
 	default:
 		s.depth.Add(-1)
-		s.shed.Inc()
-		s.auditFailure(ctx, items, obs.OutcomeShed, "queue full")
-		return nil, ErrQueueFull
+		return ErrQueueFull
 	}
 }
 
-// auditFailure records one always-captured decision record per item for
-// requests the server resolves without classification. SnapshotVersion is 0:
-// no snapshot was ever consulted.
-func (s *Server[R]) auditFailure(ctx context.Context, items []*catalog.Item, outcome, reason string) {
-	if !s.audit.Enabled() {
-		return
+// fail resolves req with err, its one terminal outcome other than served:
+// it books the outcome in the ledger and, for every outcome but a shutdown
+// rejection (nothing was accepted), audits one always-captured record per
+// item with SnapshotVersion 0 — no snapshot was consulted.
+func (s *Server[R]) fail(req *request[R], err error) {
+	n := int64(len(req.items))
+	outcome, reason := obs.OutcomeExpired, err.Error()
+	switch {
+	case errors.Is(err, ErrShutdown):
+		s.rejected.Add(n)
+		outcome = ""
+	case errors.Is(err, ErrQueueFull):
+		s.shed.Add(n)
+		outcome, reason = obs.OutcomeShed, "queue full"
+	case errors.Is(err, ErrDeclined):
+		s.declined.Add(n)
+		outcome, reason = obs.OutcomeDrain, "shutdown drain deadline expired"
+	default: // context expiry: at submit, during a retry backoff, or queued
+		s.expired.Add(n)
 	}
-	id := obs.RequestID(ctx)
-	for _, it := range items {
-		s.audit.Observe(&obs.DecisionRecord{
-			RequestID: id,
-			ItemID:    it.ID,
-			Path:      obs.PathServe,
-			Outcome:   outcome,
-			Reason:    reason,
-		})
+	if outcome != "" && s.audit.Enabled() {
+		id := obs.RequestID(req.ctx)
+		for _, it := range req.items {
+			s.audit.Observe(&obs.DecisionRecord{
+				RequestID: id,
+				ItemID:    it.ID,
+				Path:      obs.PathServe,
+				Outcome:   outcome,
+				Reason:    reason,
+			})
+		}
 	}
+	req.err = err
+	close(req.done)
 }
 
 func (s *Server[R]) worker() {
 	defer s.wg.Done()
 	for req := range s.queue {
 		s.depth.Add(-1)
+		if req.retried { // booked at pick-up: in before the ticket resolves
+			s.retry.success.Inc()
+		}
 		select {
 		case <-s.abort:
 			// Drain deadline expired: decline explicitly, never drop.
-			req.err = ErrDeclined
-			s.declined.Add(int64(len(req.items)))
-			s.auditFailure(req.ctx, req.items, obs.OutcomeDrain, "shutdown drain deadline expired")
-			close(req.done)
+			s.fail(req, ErrDeclined)
 			continue
 		default:
 		}
 		// The caller's deadline expired while the request was queued: resolve
 		// with the context error rather than serving a result nobody waits for.
 		if err := req.ctx.Err(); err != nil {
-			req.err = err
-			s.expired.Inc()
-			s.auditFailure(req.ctx, req.items, obs.OutcomeExpired, err.Error())
-			close(req.done)
+			s.fail(req, err)
 			continue
 		}
 		// Snapshot isolation: the whole request runs against the snapshot
 		// current at pick-up; a concurrent swap does not affect it.
 		snap := s.eng.Current()
+		ctx := WithShard(req.ctx, s.shard)
 		out := make([]R, len(req.items))
 		for i, it := range req.items {
-			out[i] = s.h(req.ctx, snap, it)
+			out[i] = s.h(ctx, snap, it)
 		}
 		req.out, req.snap = out, snap
-		s.batches.Inc()
-		s.items.Add(int64(len(req.items)))
+		s.served.Add(int64(len(req.items)))
 		close(req.done)
 	}
 }
@@ -277,9 +350,8 @@ func (s *Server[R]) worker() {
 // call more than once.
 func (s *Server[R]) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	already := s.closed
-	s.closed = true
-	if !already {
+	if !s.closed {
+		s.closed = true
 		close(s.queue) // Submit can no longer send: closed is set under mu
 	}
 	s.mu.Unlock()

@@ -68,7 +68,7 @@ func TestServerShedsWhenQueueFull(t *testing.T) {
 	if _, err := srv.Submit(oneItem("overflow")); err != ErrQueueFull {
 		t.Fatalf("overflow Submit: got %v, want ErrQueueFull", err)
 	}
-	if n := reg.Counter(MetricShed).Value(); n != 1 {
+	if n := reg.Counter(MetricShardShed, "shard", "0").Value(); n != 1 {
 		t.Fatalf("shed counter = %d, want 1", n)
 	}
 
@@ -79,7 +79,7 @@ func TestServerShedsWhenQueueFull(t *testing.T) {
 			t.Fatalf("ticket %d: %v", i, err)
 		}
 	}
-	if n := reg.Counter(MetricBatches).Value(); n != 3 {
+	if n := reg.Counter(MetricShardServed, "shard", "0").Value(); n != 3 {
 		t.Fatalf("served %d batches, want 3", n)
 	}
 }
@@ -152,7 +152,7 @@ func TestShutdownDeclinesQueuedRequests(t *testing.T) {
 	if completed != 1 || declined != 9 {
 		t.Fatalf("completed=%d declined=%d, want 1/9", completed, declined)
 	}
-	if n := reg.Counter(MetricDeclined).Value(); n != 9 {
+	if n := reg.Counter(MetricShardDeclined, "shard", "0").Value(); n != 9 {
 		t.Fatalf("declined counter = %d, want 9", n)
 	}
 	if _, err := srv.Submit(oneItem("late")); err != ErrShutdown {
@@ -172,7 +172,7 @@ func TestQueueDepthGaugeNeverNegative(t *testing.T) {
 		return it.ID
 	}, ServerOptions{Workers: 4, QueueDepth: 8, Obs: reg})
 
-	gauge := reg.Gauge(MetricQueueDepth)
+	gauge := reg.Gauge(MetricShardQueueDepth, "shard", "0")
 	stop := make(chan struct{})
 	negative := make(chan float64, 1)
 	var samplers sync.WaitGroup
@@ -273,7 +273,7 @@ func TestSubmitCtxDeadlineWhileQueued(t *testing.T) {
 	if _, _, err := blocker.Wait(); err != nil {
 		t.Fatalf("in-flight ticket: %v", err)
 	}
-	if n := reg.Counter(MetricDeadlineExpired).Value(); n != 1 {
+	if n := reg.Counter(MetricShardExpired, "shard", "0").Value(); n != 1 {
 		t.Fatalf("deadline-expired counter = %d, want 1", n)
 	}
 }
@@ -290,7 +290,7 @@ func TestSubmitCtxRejectsExpiredContext(t *testing.T) {
 	if _, err := srv.SubmitCtx(ctx, oneItem("late")); err != context.Canceled {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	if v := reg.Gauge(MetricQueueDepth).Value(); v != 0 {
+	if v := reg.Gauge(MetricShardQueueDepth, "shard", "0").Value(); v != 0 {
 		t.Fatalf("rejected submit leaked queue depth: %v", v)
 	}
 }
@@ -349,10 +349,10 @@ func TestDrainCompletesEverything(t *testing.T) {
 			t.Fatalf("ticket %d: got %q", i, out[0])
 		}
 	}
-	if n := reg.Counter(MetricDeclined).Value(); n != 0 {
+	if n := reg.Counter(MetricShardDeclined, "shard", "0").Value(); n != 0 {
 		t.Fatalf("declined counter = %d, want 0", n)
 	}
-	if n := reg.Counter(MetricBatches).Value(); n != 12 {
+	if n := reg.Counter(MetricShardServed, "shard", "0").Value(); n != 12 {
 		t.Fatalf("batches counter = %d, want 12", n)
 	}
 }

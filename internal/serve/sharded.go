@@ -3,8 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/catalog"
@@ -12,32 +10,10 @@ import (
 	"repro/internal/obs"
 )
 
-// Metric families recorded by the sharded serving tier. The serve_shard_*
-// families carry a "shard" label, so one scrape shows every shard side by
-// side; the serve_scatter_* families describe whole scatter-gather batches.
+// Metric families recorded by the sharded serving tier about whole
+// scatter-gather batches; each shard's ledger is its Server's serve_shard_*
+// families, in the same registry.
 const (
-	// MetricShardRouted counts items routed to each shard (label shard=N).
-	MetricShardRouted = "serve_shard_routed_total"
-	// MetricShardServed counts items a shard classified successfully.
-	MetricShardServed = "serve_shard_served_total"
-	// MetricShardShed counts items shed by a shard's full queue (retry
-	// budget exhaustion included — anything errors.Is ErrQueueFull).
-	MetricShardShed = "serve_shard_shed_total"
-	// MetricShardExpired counts items whose caller deadline expired while
-	// their sub-batch was queued on a shard.
-	MetricShardExpired = "serve_shard_expired_total"
-	// MetricShardDeclined counts items declined by a shard's shutdown drain.
-	MetricShardDeclined = "serve_shard_declined_total"
-	// MetricShardRejected counts items rejected because the shard (or the
-	// whole tier) was already shut down at submit.
-	MetricShardRejected = "serve_shard_rejected_total"
-	// MetricShardQueueDepth / MetricShardQueueCap mirror each shard's live
-	// queue state (refreshed by ShardStatuses — wire it into the health
-	// provider so scrapes see fresh gauges). There is no per-shard version or
-	// degraded gauge: the tier has one snapshot, reported by the engine's
-	// MetricSnapshotVersion / MetricDegraded in the engine's registry.
-	MetricShardQueueDepth = "serve_shard_queue_depth"
-	MetricShardQueueCap   = "serve_shard_queue_capacity"
 	// MetricScatterBatches / MetricScatterItems count scatter-gather
 	// submissions and their items; MetricScatterPartial counts the batches
 	// that resolved with at least one failed item (partial results).
@@ -59,15 +35,15 @@ type RouteKeyFunc func(*catalog.Item) string
 // shardCtxKey carries the shard index a handler invocation runs on.
 type shardCtxKey struct{}
 
-// WithShard returns a context annotated with the shard index. The sharded
-// server applies it before every handler call; fault injectors and tests use
+// WithShard returns a context annotated with the shard index. Every shard's
+// Server applies it before its handler calls; fault injectors and tests use
 // ShardFromContext to target one shard's handlers.
 func WithShard(ctx context.Context, shard int) context.Context {
 	return context.WithValue(ctx, shardCtxKey{}, shard)
 }
 
 // ShardFromContext returns the shard index a handler is running on, or -1
-// when the context did not come through a ShardedServer.
+// when the context did not come through a Server.
 func ShardFromContext(ctx context.Context) int {
 	if v, ok := ctx.Value(shardCtxKey{}).(int); ok {
 		return v
@@ -89,20 +65,17 @@ type ShardedOptions struct {
 	// totals; defaults follow ServerOptions: 4 workers, depth 64).
 	Workers    int
 	QueueDepth int
-	// Obs is the primary registry (obs.Default when nil): the serve_shard_*
-	// and serve_scatter_* families. The engine's serve_snapshot_* series and
+	// Obs is the tier's registry (obs.Default when nil): every shard's
+	// serve_shard_* ledger and retry counters, under its shard label, and
+	// the serve_scatter_* families. The engine's serve_snapshot_* series and
 	// per-rule executor telemetry land in the engine's own registry.
-	// Each shard's server and retrier write their unlabeled serve_* internals
-	// (queue depth, sheds, retries) into a private per-shard registry — see
-	// ShardedServer.ShardRegistry — so shards never fight over one gauge.
 	Obs *obs.Registry
 	// Audit, when non-nil, is shared by every shard server (the provenance
 	// ring is concurrent-safe), so shed/drain/expired records from all
 	// shards land in one tail.
 	Audit *obs.AuditLog
-	// Retry, when non-nil, wraps each shard's submissions in a per-shard
-	// Retrier: capped backoff with full jitter on that shard's sheds, with a
-	// retry budget per shard — one hot shard exhausting its budget does not
+	// Retry, when non-nil, is every shard server's ServerOptions.Retry, with
+	// a retry budget per shard — one hot shard exhausting its budget does not
 	// spend the other shards'. Seeds are decorrelated per shard.
 	Retry *RetryOptions
 	// Cache sizes the result cache of a caching handler, per shard: adding
@@ -114,26 +87,10 @@ type ShardedOptions struct {
 	Cache CacheConfig
 }
 
-// shard is one independent serving unit: server, optional retrier, a private
-// registry for their unlabeled internals, and the labeled per-shard counters
-// in the primary registry.
-type shard[R any] struct {
-	reg  *obs.Registry
-	srv  *Server[R]
-	retr *Retrier[R]
-
-	routed   *obs.Counter
-	served   *obs.Counter
-	shed     *obs.Counter
-	expired  *obs.Counter
-	declined *obs.Counter
-	rejected *obs.Counter
-}
-
 // ShardedServer is the scatter-gather serving tier: a consistent-hash router
-// over N Servers that share one Engine — one published snapshot, one rebuild
-// loop — and each keep their own bounded queue, worker
-// pool and retry budget. A stalled or overloaded shard sheds only its own
+// over N Servers (the shards) that share one Engine — one published
+// snapshot, one rebuild loop — and one registry, and each keep their own
+// bounded queue, worker pool, retry budget and ledger. A stalled or overloaded shard sheds only its own
 // key range while the rest of the tier keeps serving; a failed rebuild
 // degrades the whole tier, which keeps serving the last good snapshot on
 // every shard. Batch submissions are split by routing key, fanned out to the
@@ -144,7 +101,7 @@ type ShardedServer[R any] struct {
 	route  RouteKeyFunc
 	obs    *obs.Registry
 	eng    *Engine
-	shards []*shard[R]
+	shards []*Server[R]
 
 	closed atomic.Bool
 
@@ -182,51 +139,26 @@ func NewShardedServerOn[R any](eng *Engine, h Handler[R], opts ShardedOptions) *
 		route:          route,
 		obs:            reg,
 		eng:            eng,
-		shards:         make([]*shard[R], nShards),
+		shards:         make([]*Server[R], nShards),
 		scatterBatches: reg.Counter(MetricScatterBatches),
 		scatterItems:   reg.Counter(MetricScatterItems),
 		scatterPartial: reg.Counter(MetricScatterPartial),
 		scatterFanout:  reg.Histogram(MetricScatterFanout, scatterFanoutBuckets),
 	}
-	reg.Help(MetricShardRouted, "items routed to each shard")
-	reg.Help(MetricShardServed, "items each shard classified successfully")
-	reg.Help(MetricShardShed, "items shed by each shard's full queue")
-	reg.Help(MetricShardExpired, "items whose deadline expired queued on each shard")
-	reg.Help(MetricShardDeclined, "items declined by each shard's shutdown drain")
-	reg.Help(MetricShardRejected, "items rejected after shard shutdown")
 	reg.Help(MetricScatterBatches, "scatter-gather batch submissions")
+	reg.Help(MetricScatterItems, "items in scatter-gather batch submissions")
 	reg.Help(MetricScatterPartial, "scatter batches that resolved with at least one failed item")
-	for i := 0; i < nShards; i++ {
-		label := strconv.Itoa(i)
-		sreg := obs.NewRegistry()
-		idx := i
-		wrapped := func(ctx context.Context, snap *Snapshot, it *catalog.Item) R {
-			return h(WithShard(ctx, idx), snap, it)
-		}
-		srv := NewServer(s.eng, wrapped, ServerOptions{
-			Workers:    opts.Workers,
-			QueueDepth: opts.QueueDepth,
-			Obs:        sreg,
-			Audit:      opts.Audit,
-		})
-		sh := &shard[R]{
-			reg:      sreg,
-			srv:      srv,
-			routed:   reg.Counter(MetricShardRouted, "shard", label),
-			served:   reg.Counter(MetricShardServed, "shard", label),
-			shed:     reg.Counter(MetricShardShed, "shard", label),
-			expired:  reg.Counter(MetricShardExpired, "shard", label),
-			declined: reg.Counter(MetricShardDeclined, "shard", label),
-			rejected: reg.Counter(MetricShardRejected, "shard", label),
-		}
+	reg.Help(MetricScatterFanout, "shards each scatter-gather batch touched")
+	for i := range s.shards {
+		sopts := ServerOptions{Workers: opts.Workers, QueueDepth: opts.QueueDepth, Obs: reg, Audit: opts.Audit}
 		if opts.Retry != nil {
 			ropts := *opts.Retry
 			// Decorrelate the per-shard jitter streams so shards that shed
 			// together do not retry in lockstep.
-			ropts.Seed = ropts.Seed ^ (uint64(i+1) * 0x9E3779B97F4A7C15)
-			sh.retr = NewRetrier(srv, ropts)
+			ropts.Seed ^= uint64(i+1) * 0x9E3779B97F4A7C15
+			sopts.Retry = &ropts
 		}
-		s.shards[i] = sh
+		s.shards[i] = newServer(eng, h, sopts, i)
 	}
 	return s
 }
@@ -234,22 +166,24 @@ func NewShardedServerOn[R any](eng *Engine, h Handler[R], opts ShardedOptions) *
 // Shards returns the shard count.
 func (s *ShardedServer[R]) Shards() int { return len(s.shards) }
 
-// Router returns the consistent-hash router (immutable, safe to share).
-func (s *ShardedServer[R]) Router() *ShardRouter { return s.router }
-
-// Registry returns the primary registry holding the labeled serve_shard_*
-// and serve_scatter_* families.
+// Registry returns the tier's registry holding every shard's serve_shard_*
+// ledger and the serve_scatter_* families.
 func (s *ShardedServer[R]) Registry() *obs.Registry { return s.obs }
 
 // Engine returns the tier's snapshot engine (fault hooks, degraded state).
 func (s *ShardedServer[R]) Engine() *Engine { return s.eng }
 
-// Server returns shard i's server (direct per-shard submission, tests).
-func (s *ShardedServer[R]) Server(i int) *Server[R] { return s.shards[i].srv }
+// Server returns shard i's server (direct per-shard submission, tests). A
+// submission to it lands in the same ledger as one through the router.
+func (s *ShardedServer[R]) Server(i int) *Server[R] { return s.shards[i] }
 
-// ShardRegistry returns shard i's private registry — the unlabeled serve_*
-// internals (queue depth, sheds, retry counters) of that shard.
-func (s *ShardedServer[R]) ShardRegistry(i int) *obs.Registry { return s.shards[i].reg }
+// ShardRegistry returns an empty registry that nothing writes: shards keep
+// no private registry, their ledger is in Registry() under the shard label.
+// It never returns the tier's registry, so a caller that sums it with that
+// one counts nothing twice.
+//
+// Deprecated: read Registry(); ROADMAP item 7 retires this shim.
+func (s *ShardedServer[R]) ShardRegistry(int) *obs.Registry { return obs.NewRegistry() }
 
 // ShardFor returns the shard that owns the item's routing key.
 func (s *ShardedServer[R]) ShardFor(it *catalog.Item) int {
@@ -262,7 +196,7 @@ func (s *ShardedServer[R]) Degraded() bool { return s.eng.Degraded() }
 
 // ShardStatus is one shard's live state, as reported by ShardStatuses.
 // Degraded and SnapshotVersion are the tier's and read the same on every
-// shard.
+// shard; the counts are the shard's ledger, in items.
 type ShardStatus struct {
 	Shard           int    `json:"shard"`
 	QueueDepth      int    `json:"queue_depth"`
@@ -272,43 +206,38 @@ type ShardStatus struct {
 	Routed          int64  `json:"routed"`
 	Served          int64  `json:"served"`
 	Shed            int64  `json:"shed"`
+	Expired         int64  `json:"expired"`
 }
 
-// ShardStatuses reports every shard's live state and refreshes the labeled
-// per-shard queue depth/capacity gauges in the primary registry, so wiring it
-// into the ops health provider keeps both /readyz and /metrics fresh from one
-// call. (Snapshot version and degraded are the engine's own
-// serve_snapshot_version / serve_degraded gauges, in the engine's registry.)
+// ShardStatuses reports every shard's live state for the ops health
+// provider. It writes nothing: the shards keep their serve_shard_* gauges
+// live in the tier's registry. (Snapshot version and degraded are the
+// engine's own serve_snapshot_version / serve_degraded gauges.)
 func (s *ShardedServer[R]) ShardStatuses() []ShardStatus {
 	out := make([]ShardStatus, len(s.shards))
 	degraded, version := s.eng.Degraded(), s.eng.Current().Version()
 	for i, sh := range s.shards {
-		st := ShardStatus{
+		out[i] = ShardStatus{
 			Shard:           i,
-			QueueDepth:      int(sh.reg.Gauge(MetricQueueDepth).Value()),
-			QueueCapacity:   sh.srv.QueueCapacity(),
+			QueueDepth:      int(sh.depth.Value()),
+			QueueCapacity:   cap(sh.queue),
 			Degraded:        degraded,
 			SnapshotVersion: version,
 			Routed:          sh.routed.Value(),
 			Served:          sh.served.Value(),
 			Shed:            sh.shed.Value(),
+			Expired:         sh.expired.Value(),
 		}
-		label := strconv.Itoa(i)
-		s.obs.Gauge(MetricShardQueueDepth, "shard", label).Set(float64(st.QueueDepth))
-		s.obs.Gauge(MetricShardQueueCap, "shard", label).Set(float64(st.QueueCapacity))
-		out[i] = st
 	}
 	return out
 }
 
-// scatterPart is one shard's slice of a scatter batch and its resolution.
+// scatterPart is one shard's slice of a scatter batch: the request that
+// shard's server resolves, and the items' original positions.
 type scatterPart[R any] struct {
 	shard int
 	idx   []int // original positions of items, in submission order
-	items []*catalog.Item
-	out   []R
-	snap  *Snapshot
-	err   error
+	req   *request[R]
 }
 
 // GatherResult is a merged scatter-gather resolution, positionally aligned
@@ -358,15 +287,11 @@ func (g *GatherResult[R]) Err() error {
 var ErrPartial = errors.New("serve: scatter batch partially failed")
 
 // ShardedTicket is the caller's handle on a scatter-gather submission. Every
-// part resolves exactly once (each rides a shard Server ticket, which has
-// that contract), so the gather resolves exactly once too.
+// part is a request its shard's Server resolves exactly once, so the gather
+// resolves exactly once too, whether or not anyone waits for it.
 type ShardedTicket[R any] struct {
-	s     *ShardedServer[R]
-	n     int
-	parts []*scatterPart[R]
-	fin   chan struct{}
-	once  sync.Once
-	res   *GatherResult[R]
+	fin chan struct{}
+	res *GatherResult[R]
 }
 
 // Done is closed when every part resolved.
@@ -377,7 +302,6 @@ func (t *ShardedTicket[R]) Done() <-chan struct{} { return t.fin }
 // (GatherResult.Err summarizes them). Safe to call repeatedly.
 func (t *ShardedTicket[R]) Wait() *GatherResult[R] {
 	<-t.fin
-	t.once.Do(t.assemble)
 	return t.res
 }
 
@@ -387,55 +311,35 @@ func (t *ShardedTicket[R]) Wait() *GatherResult[R] {
 func (t *ShardedTicket[R]) WaitContext(ctx context.Context) (*GatherResult[R], error) {
 	select {
 	case <-t.fin:
-		t.once.Do(t.assemble)
 		return t.res, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 }
 
-// assemble merges the resolved parts back into submission order and records
-// the per-shard outcome counters exactly once.
-func (t *ShardedTicket[R]) assemble() {
+// gather merges the resolved parts of an n-item batch back into submission
+// order.
+func gather[R any](n int, parts []*scatterPart[R]) *GatherResult[R] {
 	g := &GatherResult[R]{
-		Results:   make([]R, t.n),
-		Errs:      make([]error, t.n),
-		Snapshots: make([]*Snapshot, t.n),
-		ShardOf:   make([]int, t.n),
+		Results:   make([]R, n),
+		Errs:      make([]error, n),
+		Snapshots: make([]*Snapshot, n),
+		ShardOf:   make([]int, n),
 	}
-	for _, p := range t.parts {
-		sh := t.s.shards[p.shard]
-		n := int64(len(p.items))
-		if p.err != nil {
-			switch {
-			case errors.Is(p.err, ErrQueueFull):
-				sh.shed.Add(n)
-			case errors.Is(p.err, ErrShutdown):
-				sh.rejected.Add(n)
-			case errors.Is(p.err, ErrDeclined):
-				sh.declined.Add(n)
-			default: // context expiry (at submit, queued, or while retrying)
-				sh.expired.Add(n)
-			}
-		} else {
-			sh.served.Add(n)
-		}
+	for _, p := range parts {
 		for k, pos := range p.idx {
 			g.ShardOf[pos] = p.shard
-			if p.err != nil {
-				g.Errs[pos] = p.err
+			if p.req.err != nil {
+				g.Errs[pos] = p.req.err
 				g.Failed++
 				continue
 			}
-			g.Results[pos] = p.out[k]
-			g.Snapshots[pos] = p.snap
+			g.Results[pos] = p.req.out[k]
+			g.Snapshots[pos] = p.req.snap
 			g.Served++
 		}
 	}
-	if g.Failed > 0 {
-		t.s.scatterPartial.Inc()
-	}
-	t.res = g
+	return g
 }
 
 // Submit is SubmitCtx with a background context.
@@ -444,12 +348,12 @@ func (s *ShardedServer[R]) Submit(items []*catalog.Item) (*ShardedTicket[R], err
 }
 
 // SubmitCtx scatter-gathers one batch: items are split by routing key,
-// each part is submitted to its owning shard concurrently (through the
-// shard's retrier when configured), and the ticket merges the verdicts back
+// each part is submitted to its owning shard concurrently (retrying a shed
+// when ShardedOptions.Retry is set), and the ticket merges the verdicts back
 // in input order. Submission never blocks on a full shard queue — that
 // shard's items resolve with ErrQueueFull in the gather while other shards
 // proceed. An already-expired ctx is scattered like any other: each shard
-// server counts and audits the expiry, and the gather resolves those items
+// server books and audits the expiry, and the gather resolves those items
 // with the context error. The only error returned here is ErrShutdown after
 // Shutdown began.
 func (s *ShardedServer[R]) SubmitCtx(ctx context.Context, items []*catalog.Item) (*ShardedTicket[R], error) {
@@ -464,76 +368,53 @@ func (s *ShardedServer[R]) SubmitCtx(ctx context.Context, items []*catalog.Item)
 		sd := s.router.ShardFor(s.route(it))
 		p := byShard[sd]
 		if p == nil {
-			p = &scatterPart[R]{shard: sd}
+			p = &scatterPart[R]{shard: sd, req: &request[R]{ctx: ctx, done: make(chan struct{})}}
 			byShard[sd] = p
 			parts = append(parts, p)
 		}
 		p.idx = append(p.idx, i)
-		p.items = append(p.items, it)
+		p.req.items = append(p.req.items, it)
 	}
-	t := &ShardedTicket[R]{s: s, n: len(items), parts: parts, fin: make(chan struct{})}
+	t := &ShardedTicket[R]{fin: make(chan struct{})}
 	s.scatterBatches.Inc()
 	s.scatterItems.Add(int64(len(items)))
 	s.scatterFanout.Observe(float64(len(parts)))
-	var wg sync.WaitGroup
+	// Each shard's server resolves its part; a retry backoff on one shard
+	// must not hold up the others' submissions.
 	for _, p := range parts {
-		s.shards[p.shard].routed.Add(int64(len(p.items)))
-		wg.Add(1)
-		go s.runPart(ctx, p, &wg)
+		go s.shards[p.shard].submit(p.req)
 	}
 	go func() {
-		wg.Wait()
+		for _, p := range parts {
+			<-p.req.done
+		}
+		t.res = gather(len(items), parts)
+		if t.res.Failed > 0 {
+			s.scatterPartial.Inc()
+		}
 		close(t.fin)
 	}()
 	return t, nil
 }
 
-// runPart drives one shard's slice of a scatter batch to resolution.
-func (s *ShardedServer[R]) runPart(ctx context.Context, p *scatterPart[R], wg *sync.WaitGroup) {
-	defer wg.Done()
-	sh := s.shards[p.shard]
-	var tk *Ticket[R]
-	var err error
-	if sh.retr != nil {
-		tk, err = sh.retr.Submit(ctx, p.items)
-	} else {
-		tk, err = sh.srv.SubmitCtx(ctx, p.items)
-	}
-	if err != nil {
-		p.err = err
-		return
-	}
-	out, snap, werr := tk.Wait()
-	if werr != nil {
-		p.err = werr
-		return
-	}
-	p.out, p.snap = out, snap
-}
-
-// Shutdown stops accepting scatter submissions, shuts every shard server
+// Shutdown stops accepting scatter submissions and shuts every shard server
 // down concurrently under ctx (each drains or declines per the Server
 // contract — every in-flight ticket still resolves) and releases its engine
-// hold. It returns the first shard's error, if any (ctx expiry during a
-// drain). Safe to call more than once.
+// hold. It returns a shard's error, if any (ctx expiry during a drain). Safe
+// to call more than once.
 func (s *ShardedServer[R]) Shutdown(ctx context.Context) error {
 	s.closed.Store(true)
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *shard[R]) {
-			defer wg.Done()
-			errs[i] = sh.srv.Shutdown(ctx)
-		}(i, sh)
+	errs := make(chan error, len(s.shards))
+	for _, sh := range s.shards {
+		go func(sh *Server[R]) { errs <- sh.Shutdown(ctx) }(sh)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	var first error
+	for range s.shards {
+		if err := <-errs; err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
 // Close is Shutdown without a deadline: every queued request completes.

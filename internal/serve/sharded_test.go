@@ -24,14 +24,14 @@ func explainHandler(_ context.Context, snap *Snapshot, it *catalog.Item) string 
 func routeByID(it *catalog.Item) string { return it.ID }
 
 // itemsForShard fabricates n items that all route to the given shard under
-// routeByID on srv's router.
+// routeByID on srv's router (srv must route by ID).
 func itemsForShard[R any](t *testing.T, srv *ShardedServer[R], shard, n int) []*catalog.Item {
 	t.Helper()
 	var out []*catalog.Item
 	for i := 0; len(out) < n; i++ {
 		id := fmt.Sprintf("aim-%d-%d", shard, i)
-		if srv.Router().ShardFor(id) == shard {
-			out = append(out, &catalog.Item{ID: id, Attrs: map[string]string{"Title": "acme widget"}})
+		if it := (&catalog.Item{ID: id, Attrs: map[string]string{"Title": "acme widget"}}); srv.ShardFor(it) == shard {
+			out = append(out, it)
 		}
 		if i > 100000 {
 			t.Fatalf("could not fabricate %d items for shard %d", n, shard)
@@ -172,7 +172,7 @@ func TestShardedPartialFailureIsolatesShard(t *testing.T) {
 	// request actually occupies the queue slot, or the mixed batch below
 	// could take it instead (and then block on the gate we only open after
 	// its Wait — a deadlock, not a shed).
-	depth := srv.ShardRegistry(target).Gauge(MetricQueueDepth)
+	depth := srv.Registry().Gauge(MetricShardQueueDepth, "shard", strconv.Itoa(target))
 	for wait := time.Now().Add(5 * time.Second); depth.Value() != 1; {
 		if time.Now().After(wait) {
 			t.Fatal("queued request never reached the target shard's queue")
@@ -333,8 +333,8 @@ func TestShardFromContext(t *testing.T) {
 	}
 }
 
-// TestShardStatusesRefreshGauges: ShardStatuses reports live per-shard state
-// and pushes the queue figures into the labeled primary-registry gauges.
+// TestShardStatusesRefreshGauges: ShardStatuses reports live per-shard state,
+// and the labeled queue gauges in the tier's registry agree with it.
 func TestShardStatusesRefreshGauges(t *testing.T) {
 	rb := core.NewRulebase()
 	r, _ := core.NewWhitelist("widget", "gadget")
@@ -385,8 +385,9 @@ func TestShardStatusesRefreshGauges(t *testing.T) {
 }
 
 // TestShardedRetrierRecoversTransientShed: with Retry configured, a shard's
-// transient overflow is absorbed by that shard's retrier instead of surfacing
-// as a shed — and the retry telemetry lands in that shard's registry.
+// transient overflow is absorbed by that shard's retry loop instead of
+// surfacing as a shed — the retry telemetry lands under that shard's label,
+// and the ledger books the recovered submission served, not shed.
 func TestShardedRetrierRecoversTransientShed(t *testing.T) {
 	rb := core.NewRulebase()
 	r, _ := core.NewWhitelist("widget", "gadget")
@@ -427,7 +428,8 @@ func TestShardedRetrierRecoversTransientShed(t *testing.T) {
 	// Parts reach the shard asynchronously: hold the gate until the loser of
 	// the queue-slot race has demonstrably shed and re-attempted (a fixed
 	// sleep would race the runPart goroutines' scheduling).
-	attempts := srv.ShardRegistry(target).Counter(MetricRetryAttempts)
+	label := strconv.Itoa(target)
+	attempts := srv.Registry().Counter(MetricRetryAttempts, "shard", label)
 	for wait := time.Now().Add(5 * time.Second); attempts.Value() == 0; {
 		if time.Now().After(wait) {
 			t.Fatal("no retry attempt observed while the target shard was wedged")
@@ -440,10 +442,13 @@ func TestShardedRetrierRecoversTransientShed(t *testing.T) {
 			t.Fatalf("gather failed despite retrier: %v", res.Err())
 		}
 	}
-	if got := srv.ShardRegistry(target).Counter(MetricRetryAttempts).Value(); got == 0 {
+	if got := attempts.Value(); got == 0 {
 		t.Fatal("retrier never attempted — the test exercised nothing")
 	}
-	if got := srv.ShardRegistry(target).Counter(MetricRetrySuccess).Value(); got == 0 {
+	if got := srv.Registry().Counter(MetricRetrySuccess, "shard", label).Value(); got == 0 {
 		t.Fatal("retrier never succeeded, yet the gather served")
+	}
+	if got := srv.Registry().Counter(MetricShardShed, "shard", label).Value(); got != 0 {
+		t.Fatalf("target shard shed counter = %d, want 0: every shed was recovered", got)
 	}
 }

@@ -22,7 +22,7 @@ import (
 // taxonomyServer builds a server with a sample-every-1 audit log and a
 // single worker that blocks on the first item until release is closed —
 // the standard way to hold the queue full deterministically.
-func taxonomyServer(t *testing.T, queueDepth int) (*Server[int], *obs.Registry, *obs.AuditLog, chan struct{}) {
+func taxonomyServer(t *testing.T, queueDepth int, retry *RetryOptions) (*Server[int], *obs.Registry, *obs.AuditLog, chan struct{}) {
 	t.Helper()
 	eng, reg := testEngine(t)
 	audit := obs.NewAuditLog(obs.AuditConfig{Capacity: 64, SampleEvery: 1})
@@ -36,7 +36,7 @@ func taxonomyServer(t *testing.T, queueDepth int) (*Server[int], *obs.Registry, 
 			<-release
 		}
 		return len(snap.Apply(it).FinalTypes())
-	}, ServerOptions{Workers: 1, QueueDepth: queueDepth, Obs: reg, Audit: audit})
+	}, ServerOptions{Workers: 1, QueueDepth: queueDepth, Obs: reg, Audit: audit, Retry: retry})
 	t.Cleanup(func() {
 		select {
 		case <-release:
@@ -65,10 +65,10 @@ func lastAudit(t *testing.T, audit *obs.AuditLog) *obs.DecisionRecord {
 
 // TestTaxonomySubmitTimeExpiry: a context that is already dead at SubmitCtx
 // is an expiry, not a silent rejection — it must count against
-// MetricDeadlineExpired and leave an OutcomeExpired audit record carrying a
+// MetricShardExpired and leave an OutcomeExpired audit record carrying a
 // request ID, exactly like a deadline that expires while queued.
 func TestTaxonomySubmitTimeExpiry(t *testing.T) {
-	srv, reg, audit, _ := taxonomyServer(t, 8)
+	srv, reg, audit, _ := taxonomyServer(t, 8, nil)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -76,10 +76,10 @@ func TestTaxonomySubmitTimeExpiry(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("SubmitCtx with dead ctx: got %v, want context.Canceled", err)
 	}
-	if n := reg.Counter(MetricDeadlineExpired).Value(); n != 1 {
+	if n := reg.Counter(MetricShardExpired, "shard", "0").Value(); n != 1 {
 		t.Fatalf("deadline-expired counter = %d, want 1", n)
 	}
-	if n := reg.Counter(MetricShed).Value(); n != 0 {
+	if n := reg.Counter(MetricShardShed, "shard", "0").Value(); n != 0 {
 		t.Fatalf("shed counter = %d, want 0 (an expired submit is not a shed)", n)
 	}
 	rec := lastAudit(t, audit)
@@ -146,7 +146,7 @@ func TestTaxonomyTierSubmitTimeExpiry(t *testing.T) {
 // in the queue resolves the ticket with the context error, counts as
 // expired, and audits OutcomeExpired.
 func TestTaxonomyQueuedExpiry(t *testing.T) {
-	srv, reg, audit, release := taxonomyServer(t, 8)
+	srv, reg, audit, release := taxonomyServer(t, 8, nil)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
@@ -159,7 +159,7 @@ func TestTaxonomyQueuedExpiry(t *testing.T) {
 	if _, _, err := tk.Wait(); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued-expiry ticket: got %v, want context.DeadlineExceeded", err)
 	}
-	if n := reg.Counter(MetricDeadlineExpired).Value(); n != 1 {
+	if n := reg.Counter(MetricShardExpired, "shard", "0").Value(); n != 1 {
 		t.Fatalf("deadline-expired counter = %d, want 1", n)
 	}
 	rec := lastAudit(t, audit)
@@ -169,9 +169,9 @@ func TestTaxonomyQueuedExpiry(t *testing.T) {
 }
 
 // TestTaxonomyShed: a queue-full rejection is a shed — ErrQueueFull,
-// MetricShed, OutcomeShed — and must not bleed into the expired bucket.
+// MetricShardShed, OutcomeShed — and must not bleed into the expired bucket.
 func TestTaxonomyShed(t *testing.T) {
-	srv, reg, audit, _ := taxonomyServer(t, 1)
+	srv, reg, audit, _ := taxonomyServer(t, 1, nil)
 
 	if _, err := srv.Submit(oneItem("queued")); err != nil {
 		t.Fatal(err)
@@ -180,10 +180,10 @@ func TestTaxonomyShed(t *testing.T) {
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow Submit: got %v, want ErrQueueFull", err)
 	}
-	if n := reg.Counter(MetricShed).Value(); n != 1 {
+	if n := reg.Counter(MetricShardShed, "shard", "0").Value(); n != 1 {
 		t.Fatalf("shed counter = %d, want 1", n)
 	}
-	if n := reg.Counter(MetricDeadlineExpired).Value(); n != 0 {
+	if n := reg.Counter(MetricShardExpired, "shard", "0").Value(); n != 0 {
 		t.Fatalf("deadline-expired counter = %d, want 0 (a shed is not an expiry)", n)
 	}
 	rec := lastAudit(t, audit)
@@ -193,10 +193,10 @@ func TestTaxonomyShed(t *testing.T) {
 }
 
 // TestTaxonomyDrainDecline: a request still queued when the shutdown drain
-// deadline fires is explicitly declined — ErrDeclined, MetricDeclined,
+// deadline fires is explicitly declined — ErrDeclined, MetricShardDeclined,
 // OutcomeDrain — never dropped and never misfiled as an expiry.
 func TestTaxonomyDrainDecline(t *testing.T) {
-	srv, reg, audit, release := taxonomyServer(t, 8)
+	srv, reg, audit, release := taxonomyServer(t, 8, nil)
 
 	tk, err := srv.Submit(oneItem("stranded"))
 	if err != nil {
@@ -215,10 +215,10 @@ func TestTaxonomyDrainDecline(t *testing.T) {
 	if _, _, err := tk.Wait(); !errors.Is(err, ErrDeclined) {
 		t.Fatalf("stranded ticket: got %v, want ErrDeclined", err)
 	}
-	if n := reg.Counter(MetricDeclined).Value(); n != 1 {
+	if n := reg.Counter(MetricShardDeclined, "shard", "0").Value(); n != 1 {
 		t.Fatalf("declined counter = %d, want 1", n)
 	}
-	if n := reg.Counter(MetricDeadlineExpired).Value(); n != 0 {
+	if n := reg.Counter(MetricShardExpired, "shard", "0").Value(); n != 0 {
 		t.Fatalf("deadline-expired counter = %d, want 0 (a drain decline is not an expiry)", n)
 	}
 	rec := lastAudit(t, audit)
@@ -228,7 +228,8 @@ func TestTaxonomyDrainDecline(t *testing.T) {
 }
 
 // TestTaxonomyShutdownReject: a submit after shutdown is a plain rejection —
-// ErrShutdown, no failure counter, no audit record (nothing was accepted).
+// ErrShutdown, booked as rejected and in no failure counter, no audit record
+// (nothing was accepted).
 func TestTaxonomyShutdownReject(t *testing.T) {
 	eng, reg := testEngine(t)
 	audit := obs.NewAuditLog(obs.AuditConfig{Capacity: 16, SampleEvery: 1})
@@ -238,8 +239,11 @@ func TestTaxonomyShutdownReject(t *testing.T) {
 	if _, err := srv.Submit(oneItem("too-late")); !errors.Is(err, ErrShutdown) {
 		t.Fatalf("post-shutdown Submit: got %v, want ErrShutdown", err)
 	}
-	for _, m := range []string{MetricShed, MetricDeclined, MetricDeadlineExpired} {
-		if n := reg.Counter(m).Value(); n != 0 {
+	if n := reg.Counter(MetricShardRejected, "shard", "0").Value(); n != 1 {
+		t.Fatalf("rejected counter = %d after shutdown reject, want 1", n)
+	}
+	for _, m := range []string{MetricShardShed, MetricShardDeclined, MetricShardExpired} {
+		if n := reg.Counter(m, "shard", "0").Value(); n != 0 {
 			t.Fatalf("%s = %d after shutdown reject, want 0", m, n)
 		}
 	}
@@ -250,56 +254,61 @@ func TestTaxonomyShutdownReject(t *testing.T) {
 
 // TestTaxonomyRetrierCtxExpiredInBackoff: a caller cancellation during the
 // backoff sleep abandons the shed request — ctx error out, give-up counted,
-// and the reserved budget refunded (the re-submission never happened).
+// the reserved budget refunded (the re-submission never happened), and the
+// submission booked once, as expired.
 func TestTaxonomyRetrierCtxExpiredInBackoff(t *testing.T) {
-	srv, reg, _, _ := taxonomyServer(t, 1)
-	if _, err := srv.Submit(oneItem("queued")); err != nil {
-		t.Fatal(err)
-	}
-	r := NewRetrier(srv, RetryOptions{
+	srv, reg, _, _ := taxonomyServer(t, 1, &RetryOptions{
 		MaxAttempts: 3,
 		Budget:      5,
 		Sleep:       func(ctx context.Context, _ time.Duration) error { return context.Canceled },
 	})
-	_, err := r.Submit(context.Background(), oneItem("impatient"))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("retrier Submit: got %v, want context.Canceled", err)
+	if _, err := srv.Submit(oneItem("queued")); err != nil {
+		t.Fatal(err)
 	}
-	if n := reg.Counter(MetricRetryGiveUp).Value(); n != 1 {
+	_, err := srv.Submit(oneItem("impatient"))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Submit: got %v, want context.Canceled", err)
+	}
+	if n := reg.Counter(MetricRetryGiveUp, "shard", "0").Value(); n != 1 {
 		t.Fatalf("give-up counter = %d, want 1", n)
 	}
-	if b := r.Budget(); b != 5 {
+	if b := budgetOf(srv); b != 5 {
 		t.Fatalf("budget = %d after cancelled sleep, want 5 (reservation refunded)", b)
+	}
+	if e, s := reg.Counter(MetricShardExpired, "shard", "0").Value(), reg.Counter(MetricShardShed, "shard", "0").Value(); e != 1 || s != 0 {
+		t.Fatalf("expired %d, shed %d: want the abandoned submission booked once, as expired", e, s)
 	}
 }
 
 // TestTaxonomyRetrierCtxExpiredAtResubmit pins the fixed path: the context
-// expires between the backoff sleep and the re-submission, so SubmitCtx
-// rejects with the context error. That is a give-up — the shed request is
-// abandoned — and the rejection itself lands in the expired bucket.
+// expires between the backoff sleep and the re-submission, so the re-submit
+// is rejected with the context error. That is a give-up — the shed request
+// is abandoned — and the submission lands in the expired bucket, once.
 func TestTaxonomyRetrierCtxExpiredAtResubmit(t *testing.T) {
-	srv, reg, audit, _ := taxonomyServer(t, 1)
-	if _, err := srv.Submit(oneItem("queued")); err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
-	r := NewRetrier(srv, RetryOptions{
+	srv, reg, audit, _ := taxonomyServer(t, 1, &RetryOptions{
 		MaxAttempts: 3,
 		// The sleep itself succeeds, but the caller gives up during it.
 		Sleep: func(context.Context, time.Duration) error { cancel(); return nil },
 	})
-	_, err := r.Submit(ctx, oneItem("impatient"))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("retrier Submit: got %v, want context.Canceled", err)
+	if _, err := srv.Submit(oneItem("queued")); err != nil {
+		t.Fatal(err)
 	}
-	if n := reg.Counter(MetricRetryGiveUp).Value(); n != 1 {
+	_, err := srv.SubmitCtx(ctx, oneItem("impatient"))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("SubmitCtx: got %v, want context.Canceled", err)
+	}
+	if n := reg.Counter(MetricRetryGiveUp, "shard", "0").Value(); n != 1 {
 		t.Fatalf("give-up counter = %d, want 1 (abandoned shed must be counted)", n)
 	}
-	if n := reg.Counter(MetricRetryAttempts).Value(); n != 1 {
+	if n := reg.Counter(MetricRetryAttempts, "shard", "0").Value(); n != 1 {
 		t.Fatalf("attempts counter = %d, want 1", n)
 	}
-	if n := reg.Counter(MetricDeadlineExpired).Value(); n != 1 {
-		t.Fatalf("deadline-expired counter = %d, want 1 (the re-submit was rejected as expired)", n)
+	if n := reg.Counter(MetricShardExpired, "shard", "0").Value(); n != 1 {
+		t.Fatalf("expired counter = %d, want 1 (the re-submit was rejected as expired)", n)
+	}
+	if n := reg.Counter(MetricShardShed, "shard", "0").Value(); n != 0 {
+		t.Fatalf("shed counter = %d, want 0 (one submission, one terminal outcome)", n)
 	}
 	rec := lastAudit(t, audit)
 	if rec.Outcome != obs.OutcomeExpired {
@@ -308,26 +317,28 @@ func TestTaxonomyRetrierCtxExpiredAtResubmit(t *testing.T) {
 }
 
 // TestTaxonomyRetryBudgetExhausted: draining the shared budget degrades a
-// shed to ErrRetryBudget (still errors.Is ErrQueueFull) and counts one
-// give-up.
+// shed to ErrRetryBudget (still errors.Is ErrQueueFull), counts one give-up
+// and books the submission once, as shed.
 func TestTaxonomyRetryBudgetExhausted(t *testing.T) {
-	srv, reg, _, _ := taxonomyServer(t, 1)
-	if _, err := srv.Submit(oneItem("queued")); err != nil {
-		t.Fatal(err)
-	}
-	r := NewRetrier(srv, RetryOptions{
+	srv, reg, _, _ := taxonomyServer(t, 1, &RetryOptions{
 		MaxAttempts: 4,
 		Budget:      1,
 		Sleep:       func(context.Context, time.Duration) error { return nil },
 	})
-	_, err := r.Submit(context.Background(), oneItem("doomed"))
+	if _, err := srv.Submit(oneItem("queued")); err != nil {
+		t.Fatal(err)
+	}
+	_, err := srv.Submit(oneItem("doomed"))
 	if !errors.Is(err, ErrRetryBudget) {
-		t.Fatalf("retrier Submit: got %v, want ErrRetryBudget", err)
+		t.Fatalf("Submit: got %v, want ErrRetryBudget", err)
 	}
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatal("ErrRetryBudget must still match ErrQueueFull for shed handling")
 	}
-	if n := reg.Counter(MetricRetryGiveUp).Value(); n != 1 {
+	if n := reg.Counter(MetricRetryGiveUp, "shard", "0").Value(); n != 1 {
 		t.Fatalf("give-up counter = %d, want 1", n)
+	}
+	if n := reg.Counter(MetricShardShed, "shard", "0").Value(); n != 1 {
+		t.Fatalf("shed counter = %d, want 1", n)
 	}
 }

@@ -257,16 +257,14 @@ var (
 	ExportDecisions = persist.ExportDecisions
 )
 
-// Metric names the serving drill reads: the tier's snapshot swaps and the
-// gate-only answers are in the pipeline's registry; sheds, expiries and
-// retries are unlabeled serve_* counters in each shard's registry
-// (ShardedServer.ShardRegistry).
+// Metric names the serving drill reads, all in the pipeline's registry: the
+// tier's snapshot swaps, the gate-only answers, and each shard's retry
+// counters (labeled shard=N, beside the shard's serve_shard_* ledger that
+// ShardedServer.ShardStatuses reports).
 const (
-	MetricServeSnapshotSwaps   = serve.MetricSnapshotSwaps
-	MetricDegradedItems        = chimera.MetricDegradedItems
-	MetricServeShed            = serve.MetricShed
-	MetricServeDeadlineExpired = serve.MetricDeadlineExpired
-	MetricServeRetryAttempts   = serve.MetricRetryAttempts
-	MetricServeRetrySuccess    = serve.MetricRetrySuccess
-	MetricServeRetryGiveUp     = serve.MetricRetryGiveUp
+	MetricServeSnapshotSwaps = serve.MetricSnapshotSwaps
+	MetricDegradedItems      = chimera.MetricDegradedItems
+	MetricServeRetryAttempts = serve.MetricRetryAttempts
+	MetricServeRetrySuccess  = serve.MetricRetrySuccess
+	MetricServeRetryGiveUp   = serve.MetricRetryGiveUp
 )

@@ -60,6 +60,9 @@ race_run ./internal/core 'TestHealthDuringConfidenceUpdates|TestFindDuplicatesDu
 echo "== go test -race -count=20 (engine lifecycle: Start catches up, held loop publishes on commit and coalesces, holds and Close) =="
 race_run ./internal/serve 'TestEngineStartCatchesUp|TestEngineCoalescesWithoutTimer|TestEngineHolds' -count=20
 
+echo "== go test -race -count=10 (the tier's ledger closes without Wait; serve constructors leak no goroutines) =="
+race_run ./internal/serve 'TestShardLedgerClosesWithoutWait|TestServeConstructorsLeakNoGoroutines' -count=10
+
 echo "== go test -race (ensemble postings: concurrent Predict on one trained model; bit-equal to the map-based reference; untrained ensemble allocates nothing; NewEnsemble copies its slices) =="
 race_run ./internal/learn 'TestPredictConcurrent|TestDenseKernelMatchesReference|TestUntrainedEnsembleDoesNoWork|TestNewEnsembleCopiesSlices'
 
