@@ -532,16 +532,18 @@ func (p *Pipeline) auditDecision(ctx context.Context, snap *serve.Snapshot, d De
 		Confidence:      d.Confidence,
 	}
 	if gv != nil {
-		rec.Fired = append(rec.Fired, gv.FiredRuleIDs()...)
-		rec.Vetoed = append(rec.Vetoed, gv.VetoingRuleIDs()...)
+		rec.Fired, rec.Vetoed = gv.FiredRuleIDs(), gv.VetoingRuleIDs()
 	}
 	if rv != nil {
-		rec.Fired = append(rec.Fired, rv.FiredRuleIDs()...)
-		rec.Vetoed = append(rec.Vetoed, rv.VetoingRuleIDs()...)
+		rec.Fired = appendIDs(rec.Fired, rv.FiredRuleIDs())
+		rec.Vetoed = appendIDs(rec.Vetoed, rv.VetoingRuleIDs())
 	}
 	// A filtered decline is a veto by the Filter rule: name it.
 	if fid := filterRuleID(d.Reason); fid != "" {
 		rec.Vetoed = append(rec.Vetoed, fid)
+	}
+	if s1 != "" || s2 != "" {
+		rec.Stages = make([]obs.StageLatency, 0, 2)
 	}
 	if s1 != "" {
 		rec.Stages = append(rec.Stages, obs.StageLatency{Stage: s1, D: d1})
@@ -550,6 +552,15 @@ func (p *Pipeline) auditDecision(ctx context.Context, snap *serve.Snapshot, d De
 		rec.Stages = append(rec.Stages, obs.StageLatency{Stage: s2, D: d2})
 	}
 	a.Observe(rec)
+}
+
+// appendIDs is append(a, b...) that hands back b itself when a is empty, so
+// the common one-verdict record copies nothing.
+func appendIDs(a, b []string) []string {
+	if len(a) == 0 {
+		return b
+	}
+	return append(a, b...)
 }
 
 // filterRuleID extracts the Filter rule ID from a "filtered:<type> by <id>"
@@ -568,10 +579,11 @@ func filterRuleID(reason string) string {
 // verdict. ok is false when the gate does not decide the item and the
 // classifier stages must run.
 func (p *Pipeline) gateDecision(it *catalog.Item, snap *serve.Snapshot, gv *core.Verdict) (Decision, bool) {
-	if len(gv.FinalTypes()) == 0 {
+	finals := gv.FinalTypes()
+	if len(finals) == 0 {
 		return Decision{}, false
 	}
-	t := gv.FinalTypes()[0]
+	t := finals[0]
 	if fid, killed := snap.FilterFor(t); killed {
 		return Decision{Item: it, Declined: true, Reason: "filtered:" + t + " by " + fid}, true
 	}
@@ -595,10 +607,7 @@ func (p *Pipeline) voteDecision(it *catalog.Item, snap *serve.Snapshot, model *l
 	}
 	for _, pr := range ensPreds {
 		// Blacklist vetoes and attribute constraints bind the learners too.
-		if len(rv.Vetoed[pr.Type]) > 0 {
-			continue
-		}
-		if rv.Allowed != nil && !rv.Allowed[pr.Type] {
+		if rv.Vetoes(pr.Type) || !rv.Admits(pr.Type) {
 			continue
 		}
 		votes = addVote(votes, pr.Type, pr.Score)
@@ -637,7 +646,7 @@ func (p *Pipeline) voteDecision(it *catalog.Item, snap *serve.Snapshot, model *l
 	for _, t := range ruleTypes {
 		if t == best.t {
 			source = "rules"
-			evidence = ruleIDs(rv.Asserted[best.t])
+			evidence = ruleIDs(rv.AssertedBy(best.t))
 			if len(ensPreds) > 0 && ensPreds[0].Type == best.t {
 				source = "combined"
 			}

@@ -881,10 +881,7 @@ func refVoteDecision(p *Pipeline, it *catalog.Item, snap *serve.Snapshot, rv *co
 	}
 	for _, pr := range ensPreds {
 		// Blacklist vetoes and attribute constraints bind the learners too.
-		if len(rv.Vetoed[pr.Type]) > 0 {
-			continue
-		}
-		if rv.Allowed != nil && !rv.Allowed[pr.Type] {
+		if rv.Vetoes(pr.Type) || !rv.Admits(pr.Type) {
 			continue
 		}
 		votes[pr.Type] += pr.Score
@@ -928,7 +925,7 @@ func refVoteDecision(p *Pipeline, it *catalog.Item, snap *serve.Snapshot, rv *co
 	for _, t := range ruleTypes {
 		if t == best.t {
 			source = "rules"
-			evidence = ruleIDs(rv.Asserted[best.t])
+			evidence = ruleIDs(rv.AssertedBy(best.t))
 			if len(ensPreds) > 0 && ensPreds[0].Type == best.t {
 				source = "combined"
 			}
@@ -949,7 +946,6 @@ func (f fixedPredictions) Predict(*catalog.Item) []learn.Prediction { return f }
 // Voting Master's edge cases and checks voteDecision against the reference
 // and against the expected decision.
 func TestVotingMasterCases(t *testing.T) {
-	rule := func(id string) []*core.Rule { return []*core.Rule{{ID: id}} }
 	cases := []struct {
 		name       string
 		ruleWeight float64
@@ -986,19 +982,17 @@ func TestVotingMasterCases(t *testing.T) {
 				t.Fatal(err)
 			}
 			p.Ensemble = ens
-			rv := &core.Verdict{Asserted: map[string][]*core.Rule{}, Vetoed: map[string][]*core.Rule{}}
+			var fired []*core.Rule
 			for _, ty := range tc.asserted {
-				rv.Asserted[ty] = rule("w-" + ty)
+				fired = append(fired, &core.Rule{ID: "w-" + ty, Kind: core.Whitelist, TargetType: ty})
 			}
 			for _, ty := range tc.vetoed {
-				rv.Vetoed[ty] = rule("b-" + ty)
+				fired = append(fired, &core.Rule{ID: "b-" + ty, Kind: core.Blacklist, TargetType: ty})
 			}
 			if tc.allowed != nil {
-				rv.Allowed = map[string]bool{}
-				for _, ty := range tc.allowed {
-					rv.Allowed[ty] = true
-				}
+				fired = append(fired, &core.Rule{ID: "c", Kind: core.AttrValue, AllowedTypes: tc.allowed})
 			}
+			rv := core.VerdictOf(fired...)
 			it := &catalog.Item{ID: "hand", Attrs: map[string]string{"Title": "braided area rug"}}
 			snap := p.Snapshots().Acquire()
 			got, want := p.voteDecision(it, snap, p.Ensemble.Model(), rv), refVoteDecision(p, it, snap, rv)

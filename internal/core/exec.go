@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -11,68 +11,124 @@ import (
 // Verdict is the outcome of executing a rule set on one item. Semantics are
 // the staged model §4 motivates: whitelist-family rules assert candidate
 // types, blacklist rules veto types, and attribute-value / type-restrict
-// rules constrain the admissible type set. Because each stage accumulates into sets, the verdict
-// is independent of execution order within a stage — the property E5
-// verifies empirically.
+// rules constrain the admissible type set. Because each stage accumulates
+// into sets, the verdict is independent of execution order within a stage —
+// the property E5 verifies empirically.
+//
+// A verdict holds only the matching rules that have a role in it, in absorb
+// order; every view (AssertedBy, Vetoes, Admits, FinalTypes, …) is derived
+// from that list, so the empty verdict is the zero value and a verdict
+// allocates nothing beyond the list. Verdicts are immutable once an executor
+// returns them, and may be shared.
 type Verdict struct {
-	// Asserted maps each asserted type to the rules that asserted it
-	// (Whitelist, Gate and AttrExists rules).
-	Asserted map[string][]*Rule
-	// Vetoed maps each vetoed type to the blacklist rules that vetoed it.
-	Vetoed map[string][]*Rule
-	// Allowed is the intersection of AttrValue constraints; nil means
-	// unconstrained. An empty non-nil set means contradictory constraints.
-	Allowed map[string]bool
-	// Constraints lists the AttrValue rules that fired.
-	Constraints []*Rule
+	fired []*Rule // asserting, vetoing and constraining matches, in absorb order
 }
 
-// newVerdict returns an empty verdict.
-func newVerdict() *Verdict {
-	return &Verdict{Asserted: map[string][]*Rule{}, Vetoed: map[string][]*Rule{}}
+// emptyVerdict is what an executor returns for an item no rule matched.
+var emptyVerdict = &Verdict{}
+
+// VerdictOf returns the verdict an executor reaches when exactly the given
+// rules match, absorbed in the given order (a Filter rule, which never
+// matches an item, is ignored).
+func VerdictOf(rules ...*Rule) *Verdict {
+	v := &Verdict{}
+	for _, r := range rules {
+		v.absorb(r)
+	}
+	return v
 }
 
 // absorb applies one matching rule to the verdict.
 func (v *Verdict) absorb(r *Rule) {
-	switch r.Kind {
-	case Whitelist, Gate, AttrExists:
-		v.Asserted[r.TargetType] = append(v.Asserted[r.TargetType], r)
-	case Blacklist:
-		v.Vetoed[r.TargetType] = append(v.Vetoed[r.TargetType], r)
-	case AttrValue, TypeRestrict:
-		v.Constraints = append(v.Constraints, r)
-		allowed := map[string]bool{}
-		for _, t := range r.AllowedTypes {
-			allowed[t] = true
-		}
-		if v.Allowed == nil {
-			v.Allowed = allowed
-		} else {
-			for t := range v.Allowed {
-				if !allowed[t] {
-					delete(v.Allowed, t)
-				}
-			}
-		}
+	if r.asserting() || r.vetoing() || r.constraining() {
+		v.fired = append(v.fired, r)
 	}
 }
 
+// AssertedBy returns the rules that asserted t (Whitelist, Gate and
+// AttrExists rules), in absorb order; nil when none did. The slice is the
+// caller's.
+func (v *Verdict) AssertedBy(t string) []*Rule {
+	return v.rules(func(r *Rule) bool { return r.asserting() && r.TargetType == t })
+}
+
+// rules returns the fired rules keep selects, in absorb order, in a slice of
+// exactly their number; nil when it selects none.
+func (v *Verdict) rules(keep func(*Rule) bool) []*Rule {
+	n := 0
+	for _, r := range v.fired {
+		if keep(r) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]*Rule, 0, n)
+	for _, r := range v.fired {
+		if keep(r) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// asserts reports whether some rule asserted t.
+func (v *Verdict) asserts(t string) bool {
+	for _, r := range v.fired {
+		if r.asserting() && r.TargetType == t {
+			return true
+		}
+	}
+	return false
+}
+
+// Vetoes reports whether a blacklist rule vetoed t.
+func (v *Verdict) Vetoes(t string) bool {
+	for _, r := range v.fired {
+		if r.vetoing() && r.TargetType == t {
+			return true
+		}
+	}
+	return false
+}
+
+// Admits reports whether t lies inside every fired constraint (AttrValue and
+// TypeRestrict rules): the intersection of their allowed types. With no
+// constraint every type is admitted; contradictory constraints admit none.
+func (v *Verdict) Admits(t string) bool {
+	for _, r := range v.fired {
+		if r.constraining() && !slices.Contains(r.AllowedTypes, t) {
+			return false
+		}
+	}
+	return true
+}
+
+// Constraints returns the AttrValue and TypeRestrict rules that fired, in
+// absorb order; nil when none did. The slice is the caller's.
+func (v *Verdict) Constraints() []*Rule { return v.rules((*Rule).constraining) }
+
 // survives reports whether an assertion of t stands in the final verdict: not
-// vetoed, and inside the Allowed constraint when one exists.
+// vetoed, and admitted by every constraint.
 func (v *Verdict) survives(t string) bool {
-	return len(v.Vetoed[t]) == 0 && (v.Allowed == nil || v.Allowed[t])
+	return !v.Vetoes(t) && v.Admits(t)
 }
 
 // FinalTypes returns the surviving asserted types, sorted.
 func (v *Verdict) FinalTypes() []string {
-	var out []string
-	for t := range v.Asserted {
-		if v.survives(t) {
-			out = append(out, t)
+	var buf [8]string
+	out := buf[:0]
+	for _, r := range v.fired {
+		if r.asserting() && !slices.Contains(out, r.TargetType) && v.survives(r.TargetType) {
+			out = append(out, r.TargetType)
 		}
 	}
-	sort.Strings(out)
-	return out
+	if len(out) == 0 {
+		return nil
+	}
+	slices.Sort(out)
+	return slices.Clone(out)
 }
 
 // Evidence returns a copy of the rules that asserted t (nil when t did not
@@ -80,59 +136,47 @@ func (v *Verdict) FinalTypes() []string {
 // hands the same Verdict to every coalesced caller — so the internal evidence
 // slice must not leak where an append could clobber a neighbor's view.
 func (v *Verdict) Evidence(t string) []*Rule {
-	for _, ft := range v.FinalTypes() {
-		if ft == t {
-			return append([]*Rule(nil), v.Asserted[t]...)
-		}
+	if !v.survives(t) {
+		return nil
 	}
-	return nil
+	return v.AssertedBy(t)
 }
 
 // FiredRuleIDs returns the sorted, de-duplicated IDs of every rule that
-// matched the item in an asserting or constraining role (Asserted across all
-// types, plus Constraints). Together with VetoingRuleIDs it is the rule-level
-// provenance a decision audit record carries.
+// matched the item in an asserting or constraining role. Together with
+// VetoingRuleIDs it is the rule-level provenance a decision audit record
+// carries.
 func (v *Verdict) FiredRuleIDs() []string {
-	seen := map[string]bool{}
-	for _, rules := range v.Asserted {
-		for _, r := range rules {
-			seen[r.ID] = true
-		}
-	}
-	for _, r := range v.Constraints {
-		seen[r.ID] = true
-	}
-	return sortedKeys(seen)
+	return v.ruleIDs(func(r *Rule) bool { return r.asserting() || r.constraining() })
 }
 
 // VetoingRuleIDs returns the sorted, de-duplicated IDs of every blacklist
 // rule that vetoed a type for the item — the rules a declined item's audit
 // record names as the reason.
 func (v *Verdict) VetoingRuleIDs() []string {
-	seen := map[string]bool{}
-	for _, rules := range v.Vetoed {
-		for _, r := range rules {
-			seen[r.ID] = true
-		}
-	}
-	return sortedKeys(seen)
+	return v.ruleIDs((*Rule).vetoing)
 }
 
-func sortedKeys(m map[string]bool) []string {
-	if len(m) == 0 {
-		return nil
+// ruleIDs returns the sorted, de-duplicated IDs of the fired rules keep
+// selects, or nil when it selects none.
+func (v *Verdict) ruleIDs(keep func(*Rule) bool) []string {
+	var out []string
+	for _, r := range v.fired {
+		if keep(r) {
+			if out == nil {
+				out = make([]string, 0, len(v.fired))
+			}
+			out = append(out, r.ID)
+		}
 	}
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Explain renders a human-readable justification for the verdict — the §3.2
 // "liability concerns may require certain predictions to be explainable"
-// capability that motivates rules in the first place.
+// capability that motivates rules in the first place. Vetoed types are listed
+// sorted, so explanations compare byte for byte (audit logs, golden tests).
 func (v *Verdict) Explain() string {
 	var b []byte
 	app := func(s string) { b = append(b, s...) }
@@ -142,24 +186,25 @@ func (v *Verdict) Explain() string {
 	}
 	for _, t := range finals {
 		app("type " + t + " because:\n")
-		for _, r := range v.Asserted[t] {
-			app("  + " + r.String() + "\n")
+		for _, r := range v.fired {
+			if r.asserting() && r.TargetType == t {
+				app("  + " + r.String() + "\n")
+			}
 		}
 	}
-	// Sort vetoed types before rendering: ranging over the map directly made
-	// the "vetoed by" sections appear in nondeterministic order across runs,
-	// which broke byte-comparison of explanations (audit logs, golden tests).
-	vetoed := make([]string, 0, len(v.Vetoed))
-	for t := range v.Vetoed {
-		if len(v.Asserted[t]) > 0 {
-			vetoed = append(vetoed, t)
+	var vetoed []string
+	for _, r := range v.fired {
+		if r.vetoing() && !slices.Contains(vetoed, r.TargetType) && v.asserts(r.TargetType) {
+			vetoed = append(vetoed, r.TargetType)
 		}
 	}
-	sort.Strings(vetoed)
+	slices.Sort(vetoed)
 	for _, t := range vetoed {
 		app("type " + t + " vetoed by:\n")
-		for _, r := range v.Vetoed[t] {
-			app("  - " + r.String() + "\n")
+		for _, r := range v.fired {
+			if r.vetoing() && r.TargetType == t {
+				app("  - " + r.String() + "\n")
+			}
 		}
 	}
 	return string(b)
@@ -183,7 +228,7 @@ func NewSequentialExecutor(rules []*Rule) *SequentialExecutor {
 
 // Apply implements Executor.
 func (e *SequentialExecutor) Apply(it *catalog.Item) *Verdict {
-	v := newVerdict()
+	v := &Verdict{}
 	for _, r := range e.rules {
 		if r.Kind == Filter {
 			continue
@@ -235,7 +280,8 @@ func (e *IndexedExecutor) Successor(rules []*Rule) (next *IndexedExecutor, share
 	return next, false
 }
 
-// Apply implements Executor.
+// Apply implements Executor. An item no rule matches gets the shared empty
+// verdict, so it costs no allocation.
 func (e *IndexedExecutor) Apply(it *catalog.Item) *Verdict {
 	tel := e.tel
 	sampled := tel != nil && tel.seq.Add(1)%LatencySampleEvery == 0
@@ -249,13 +295,16 @@ func (e *IndexedExecutor) Apply(it *catalog.Item) *Verdict {
 	var matchBuf [24]int32
 	slots := e.idx.candidateSlots(it, slotBuf[:0])
 	matched := matchBuf[:0]
-	v := newVerdict()
 	for _, s := range slots {
-		if r := e.idx.rules[s]; r.Matches(it) {
-			v.absorb(r)
-			if tel != nil {
-				matched = append(matched, s)
-			}
+		if e.idx.rules[s].Matches(it) {
+			matched = append(matched, s)
+		}
+	}
+	v := emptyVerdict
+	if len(matched) > 0 {
+		v = &Verdict{fired: make([]*Rule, 0, len(matched))}
+		for _, s := range matched {
+			v.absorb(e.idx.rules[s])
 		}
 	}
 	if tel != nil {

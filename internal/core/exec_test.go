@@ -177,8 +177,8 @@ func TestExplainContradictoryAllowed(t *testing.T) {
 	w.ID = "W1"
 	v := NewSequentialExecutor([]*Rule{a, b, w}).Apply(
 		item("apex laptop", map[string]string{"Brand Name": "apex", "Carrier": "unlocked"}))
-	if v.Allowed == nil || len(v.Allowed) != 0 {
-		t.Fatalf("constraints should contradict: %v", v.Allowed)
+	if len(v.Constraints()) != 2 || v.Admits("laptop computers") || v.Admits("smart phones") {
+		t.Fatalf("constraints should contradict: %v", v.Constraints())
 	}
 	s := v.Explain()
 	if !contains(s, "no type survives") {
@@ -323,8 +323,8 @@ func TestVerdictContradictoryConstraints(t *testing.T) {
 	w := mustRule(NewWhitelist("laptops?", "laptop computers"))
 	ex := NewSequentialExecutor([]*Rule{a, b, w})
 	v := ex.Apply(item("apex laptop", map[string]string{"Brand Name": "apex", "Carrier": "unlocked"}))
-	if len(v.Allowed) != 0 {
-		t.Fatalf("contradictory constraints should empty the allowed set: %v", v.Allowed)
+	if v.Admits("laptop computers") || v.Admits("smart phones") {
+		t.Fatalf("contradictory constraints should admit no type: %v", v.Constraints())
 	}
 	if len(v.FinalTypes()) != 0 {
 		t.Fatal("nothing should survive contradictory constraints")

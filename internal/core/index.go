@@ -1,12 +1,15 @@
 package core
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/catalog"
-	"repro/internal/pattern"
 )
 
 // RuleIndex answers "which rules could match this item?" without scanning
@@ -20,13 +23,21 @@ import (
 //   - Posting. A pattern rule posts under one of its witness sets
 //     (pattern.RequiredAlternatives): a title can only match if it contains
 //     one of those tokens. Which set is decided by rule-side document
-//     frequency — see NewRuleIndex. Attribute rules post under their
-//     attribute name. Rules with no witness (pure wildcards) sit on an
-//     unconditional scan list.
-//   - Prefilter. A posted rule is proposed only if the item's title signature
-//     intersects every witness mask of its pattern (pattern.MayMatch), which
-//     makes the lookup conjunctive over all witness sets without a second
-//     posting structure.
+//     frequency — see NewRuleIndex. An AttrExists rule posts under its exact
+//     attribute name, and an AttrValue rule under its exact attribute name
+//     and the fold key of its value (attrValueKey), because Rule.Matches reads
+//     the attribute case-sensitively and compares the value with
+//     strings.EqualFold: an item draws only the value rules for the values it
+//     has. Rules with no witness (pure wildcards) sit on an unconditional
+//     scan list.
+//   - Prefilter. A posted pattern rule is proposed only if the item's title
+//     signature intersects every witness mask of its pattern
+//     (pattern.MayMatch), which makes the lookup conjunctive over all
+//     witness sets without a second posting structure. The test reads only
+//     the posting for almost every rule: each carries the signature bits of
+//     the rule's rarest other witness set (see probe), and only rules whose
+//     pattern has a third set, or whose other set has too many bits to
+//     carry, reach the pattern for the full test.
 //
 // Both steps only ever drop rules that cannot match: CandidatesFor
 // over-approximates but never misses a matching rule.
@@ -39,10 +50,11 @@ import (
 // index shares this one's postings and prefilter and only gets its own rules
 // slice, in which a rule that is no longer active leaves a dead (nil) slot that
 // every lookup skips. Shared postings may keep a rule under a witness set that
-// a fresh build over the new rule list would no longer pick as the rarest.
-// That is still sound — it is still a witness set of the same compiled
-// pattern, so the rule is still proposed for every item it can match — and
-// only candidate counts can differ; the next full build re-keys.
+// a fresh build over the new rule list would no longer pick as the rarest, or
+// probe a set that is no longer the rarest other one. That is still sound —
+// both are still witness sets of the same compiled pattern, so the rule is
+// still proposed for every item it can match — and only candidate counts can
+// differ; the next full build re-keys.
 type RuleIndex struct {
 	*postings
 	rules []*Rule // live rule per slot, nil when dead; input order (Filter rules excluded)
@@ -51,10 +63,99 @@ type RuleIndex struct {
 
 // postings is the part of a RuleIndex a reslotted index shares.
 type postings struct {
-	byToken map[string][]int32
-	byAttr  map[string][]int32
+	byToken map[string][]posting
+	byAttr  map[string]*attrPostings // by exact attribute name
 	always  []int32
 	keyed   []*Rule // the rules the postings were built from, one per slot
+}
+
+// posting is one pattern rule under one of its posting tokens: the rule's
+// slot and its prefilter, 8 bytes in all.
+type posting struct {
+	slot  int32
+	probe probe
+}
+
+// probe is a posting's prefilter in one word. The posting token is in the
+// title whenever the posting is visited, so the witness set the rule is
+// posted under is always hit; what is left to test is the rule's other sets.
+// A probe holds every signature bit of the rarest of them (chosen like the
+// posting set) in three one-byte lanes — lanes beyond the set's bits repeat
+// the first — so testing the lanes is exactly testing that set's mask. Two
+// flags cover the rest: probeAny passes without testing the lanes (the rule
+// has no other set, or its rarest other one has more than three bits), and
+// probeFull sends a survivor on to pattern.MayMatch (the lanes do not cover
+// every other set). Either way the test never drops a rule MayMatch would
+// keep, and for the common two-set rule it is all of MayMatch.
+type probe uint32
+
+const (
+	probeLanes = 3
+	probeAny   = probe(1) << 24
+	probeFull  = probe(1) << 25
+)
+
+// newProbe builds the probe of a rule whose pattern has the given witness
+// masks, other being the index of the rarest set it is not posted under (-1
+// when there is none).
+func newProbe(masks []uint64, other int) probe {
+	if other < 0 {
+		return probeAny
+	}
+	m := masks[other]
+	if bits.OnesCount64(m) > probeLanes {
+		return probeAny | probeFull
+	}
+	var pr probe
+	if len(masks) > 2 {
+		pr = probeFull
+	}
+	first := probe(bits.TrailingZeros64(m))
+	for lane := 0; lane < probeLanes; lane++ {
+		b := first
+		if m != 0 {
+			b, m = probe(bits.TrailingZeros64(m)), m&(m-1)
+		}
+		pr |= b << (8 * lane)
+	}
+	return pr
+}
+
+// admits reports whether a title with signature sig may match the posting's
+// rule: the probe passes, and so does MayMatch when the probe asks for it.
+func (idx *RuleIndex) admits(p posting, sig uint64) bool {
+	pr := p.probe
+	if pr&probeAny == 0 && (sig>>(pr&63)|sig>>(pr>>8&63)|sig>>(pr>>16&63))&1 == 0 {
+		return false
+	}
+	return pr&probeFull == 0 || idx.keyed[p.slot].compiled.MayMatch(sig)
+}
+
+// attrPostings are the attribute rules on one exact attribute name.
+type attrPostings struct {
+	exists []int32        // AttrExists rules
+	values []valuePosting // AttrValue rules, sorted by key, then slot
+}
+
+// valuePosting is an AttrValue rule's slot under attrValueKey(Value).
+type valuePosting struct {
+	key  uint64
+	slot int32
+}
+
+// appendTo appends the slots of the rules on ap's attribute that an item
+// whose value for it is val may fire.
+func (ap *attrPostings) appendTo(buf []int32, val string) []int32 {
+	buf = append(buf, ap.exists...)
+	if len(ap.values) == 0 {
+		return buf
+	}
+	k := attrValueKey(val)
+	i, _ := slices.BinarySearchFunc(ap.values, k, func(p valuePosting, k uint64) int { return cmp.Compare(p.key, k) })
+	for ; i < len(ap.values) && ap.values[i].key == k; i++ {
+		buf = append(buf, ap.values[i].slot)
+	}
+	return buf
 }
 
 // maxDeadShare bounds reslotting: an index whose rules would leave more than
@@ -71,12 +172,14 @@ const maxDeadShare = 8
 // tokens. Head-anchored rules (<qualifier>.*<head>) therefore post under the
 // head noun a few dozen rules share, not under a qualifier ("premium") that
 // hundreds do. Ties go to the set with fewer tokens, then to the later
-// element — the head comes last. The choice is a pure function of the rule
-// list: it needs no corpus and does not depend on rule order.
+// element — the head comes last. The posting's probe carries the rarest of
+// the remaining sets under the same order. Both choices are pure functions
+// of the rule list: they need no corpus and do not depend on rule order.
 func NewRuleIndex(rules []*Rule) *RuleIndex {
 	p := &postings{
-		byToken: map[string][]int32{},
-		byAttr:  map[string][]int32{},
+		byToken: map[string][]posting{},
+		byAttr:  map[string]*attrPostings{},
+		keyed:   make([]*Rule, 0, len(rules)),
 	}
 	// df[tok].n is the number of rules with tok in a witness set; last is
 	// the 1-based position of the latest rule counted, so a token repeated
@@ -95,27 +198,100 @@ func NewRuleIndex(rules []*Rule) *RuleIndex {
 			}
 		}
 	}
+	var costBuf [8]int
 	for _, r := range rules {
 		slot := int32(len(p.keyed))
 		switch {
 		case r.IsPatternKind():
-			keys := chooseKeys(r.Pattern(), func(tok string) int { return int(df[tok].n) })
-			if keys == nil {
+			costs := costBuf[:0]
+			for _, ws := range r.Pattern().RequiredAlternatives() {
+				c := 0
+				for _, tok := range ws {
+					c += int(df[tok].n)
+				}
+				costs = append(costs, c)
+			}
+			key, other := rarestTwo(r.Pattern().RequiredAlternatives(), costs)
+			if key < 0 {
 				p.always = append(p.always, slot)
 				break
 			}
-			for _, k := range keys {
-				p.byToken[k] = append(p.byToken[k], slot)
+			pr := newProbe(r.Pattern().WitnessMasks(), other)
+			for _, k := range r.Pattern().RequiredAlternatives()[key] {
+				p.byToken[k] = append(p.byToken[k], posting{slot: slot, probe: pr})
 			}
-		case r.Kind == AttrExists || r.Kind == AttrValue:
-			attr := strings.ToLower(r.Attr)
-			p.byAttr[attr] = append(p.byAttr[attr], slot)
+		case r.Kind == AttrExists:
+			ap := p.attr(r.Attr)
+			ap.exists = append(ap.exists, slot)
+		case r.Kind == AttrValue:
+			ap := p.attr(r.Attr)
+			ap.values = append(ap.values, valuePosting{key: attrValueKey(r.Value), slot: slot})
 		default:
 			continue // Filter rules act on predictions, not items
 		}
 		p.keyed = append(p.keyed, r)
 	}
+	p.compact()
 	return &RuleIndex{postings: p, rules: p.keyed}
+}
+
+// attr returns the attribute postings for the exact name, adding them.
+func (p *postings) attr(name string) *attrPostings {
+	ap := p.byAttr[name]
+	if ap == nil {
+		ap = &attrPostings{}
+		p.byAttr[name] = ap
+	}
+	return ap
+}
+
+// compact moves every token's posting list into one exactly sized array, so
+// the index keeps no append slack (it lives as long as every snapshot that
+// reslots it), and sorts the value postings for lookup; slots were appended
+// ascending, so a stable sort by key keeps equal keys in slot order.
+func (p *postings) compact() {
+	for _, ap := range p.byAttr {
+		slices.SortStableFunc(ap.values, func(a, b valuePosting) int { return cmp.Compare(a.key, b.key) })
+	}
+	n := 0
+	for _, ps := range p.byToken {
+		n += len(ps)
+	}
+	arena := make([]posting, n)
+	for tok, ps := range p.byToken {
+		k := copy(arena, ps)
+		p.byToken[tok], arena = arena[:k:k], arena[k:]
+	}
+}
+
+// attrValueKey hashes an attribute value so that any two values
+// strings.EqualFold reports equal get the same key: each rune is replaced by
+// the smallest rune of its unicode.SimpleFold orbit (the orbits are exactly
+// EqualFold's equivalence classes), and invalid UTF-8 decodes as U+FFFD, as it
+// does in EqualFold. Different values may collide; a collision only adds a
+// candidate that Rule.Matches then rejects. It does not allocate.
+func attrValueKey(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for _, r := range s { // an invalid byte ranges as utf8.RuneError (U+FFFD)
+		h ^= uint64(foldRune(r))
+		h *= 1099511628211
+	}
+	return h
+}
+
+// foldRune returns the smallest rune in r's unicode.SimpleFold orbit.
+func foldRune(r rune) rune {
+	if r < utf8.RuneSelf {
+		if 'a' <= r && r <= 'z' {
+			r -= 'a' - 'A'
+		}
+		return r
+	}
+	least := r
+	for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
+		least = min(least, f)
+	}
+	return least
 }
 
 // reslot returns an index over rules that shares idx's postings, or false
@@ -125,8 +301,8 @@ func NewRuleIndex(rules []*Rule) *RuleIndex {
 // ID in one merge walk — both lists are in rulebase insertion order — and a
 // rule keeps its slot only if it is posted exactly as the slot's rule was:
 // same kind, same compiled pattern (Clone shares it, so a lifecycle or
-// confidence update does) and same attribute. Everything else a verdict reads
-// comes from rules itself.
+// confidence update does), same attribute and same value. Everything else a
+// verdict reads comes from rules itself.
 func (idx *RuleIndex) reslot(rules []*Rule) (*RuleIndex, bool) {
 	keyed := idx.keyed
 	live := make([]*Rule, len(keyed))
@@ -144,7 +320,7 @@ func (idx *RuleIndex) reslot(rules []*Rule) (*RuleIndex, bool) {
 		if s == len(keyed) {
 			return nil, false
 		}
-		if k := keyed[s]; k.Kind != r.Kind || k.compiled != r.compiled || k.Attr != r.Attr {
+		if k := keyed[s]; k.Kind != r.Kind || k.compiled != r.compiled || k.Attr != r.Attr || k.Value != r.Value {
 			return nil, false
 		}
 		live[s] = r
@@ -158,22 +334,23 @@ func (idx *RuleIndex) reslot(rules []*Rule) (*RuleIndex, bool) {
 	return &RuleIndex{postings: idx.postings, rules: live, dead: dead}, true
 }
 
-// chooseKeys returns the witness set of p whose tokens are rarest in total
-// under freq, or nil when p has none. Ties go to the set with fewer tokens,
-// then to the later element.
-func chooseKeys(p *pattern.Pattern, freq func(tok string) int) []string {
-	var keys []string
-	best := 0
-	for _, ws := range p.RequiredAlternatives() {
-		cost := 0
-		for _, tok := range ws {
-			cost += freq(tok)
-		}
-		if keys == nil || cost < best || (cost == best && len(ws) <= len(keys)) {
-			keys, best = ws, cost
+// rarestTwo returns the index of the witness set with the lowest cost (the
+// posting set; costs[i] is set i's total token frequency), and the index of
+// the cheapest of the others (the probe set); -1 where there is none. Ties go
+// to the set with fewer tokens, then to the later element.
+func rarestTwo(sets [][]string, costs []int) (key, other int) {
+	key, other = -1, -1
+	var keyCost, otherCost int
+	for i, ws := range sets {
+		cost := costs[i]
+		switch {
+		case key < 0 || cost < keyCost || cost == keyCost && len(ws) <= len(sets[key]):
+			key, keyCost, other, otherCost = i, cost, key, keyCost
+		case other < 0 || cost < otherCost || cost == otherCost && len(ws) <= len(sets[other]):
+			other, otherCost = i, cost
 		}
 	}
-	return keys
+	return key, other
 }
 
 // Rules returns the live indexed rules in input order (Filter rules
@@ -205,20 +382,25 @@ func (idx *RuleIndex) CandidatesFor(it *catalog.Item) []*Rule {
 // candidateSlots appends the item's live candidate slots to buf, ascending
 // and deduplicated. Ascending is rule input order: evaluating candidates in it
 // is what makes a per-item verdict list its evidence exactly as the sequential
-// oracle does. The prefilter reads the slot's keyed rule, whose compiled
-// pattern a live rule in the slot shares; dead slots are dropped after
-// gathering, so an index without them pays nothing for the check.
+// oracle does. A probe that asks for the full prefilter reads the slot's
+// keyed rule, whose compiled pattern a live rule in the slot shares; dead
+// slots are dropped after gathering, so an index without them pays nothing
+// for the check. It does not allocate unless buf overflows.
 func (idx *RuleIndex) candidateSlots(it *catalog.Item, buf []int32) []int32 {
 	sig := it.TitleSignature()
 	for _, tok := range it.TitleTokens() {
-		for _, s := range idx.byToken[tok] {
-			if idx.keyed[s].compiled.MayMatch(sig) {
-				buf = append(buf, s)
+		for _, p := range idx.byToken[tok] {
+			if idx.admits(p, sig) {
+				buf = append(buf, p.slot)
 			}
 		}
 	}
-	for attr := range it.Attrs {
-		buf = append(buf, idx.byAttr[strings.ToLower(attr)]...)
+	if len(idx.byAttr) > 0 {
+		for attr, val := range it.Attrs {
+			if ap := idx.byAttr[attr]; ap != nil {
+				buf = ap.appendTo(buf, val)
+			}
+		}
 	}
 	buf = append(buf, idx.always...)
 	if idx.dead > 0 {
@@ -290,11 +472,18 @@ func (di *DataIndex) Size() int { return len(di.items) }
 func (di *DataIndex) CandidateItems(r *Rule) []int32 {
 	switch {
 	case r.IsPatternKind():
-		keys := chooseKeys(r.Pattern(), func(tok string) int { return len(di.byToken[tok]) })
-		if keys == nil {
+		sets := r.Pattern().RequiredAlternatives()
+		costs := make([]int, len(sets))
+		for i, ws := range sets {
+			for _, tok := range ws {
+				costs[i] += len(di.byToken[tok])
+			}
+		}
+		key, _ := rarestTwo(sets, costs)
+		if key < 0 {
 			return di.all()
 		}
-		return di.unionTokens(keys)
+		return di.unionTokens(sets[key])
 	case r.Kind == AttrExists || r.Kind == AttrValue:
 		return append([]int32(nil), di.byAttr[strings.ToLower(r.Attr)]...)
 	default:

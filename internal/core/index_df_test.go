@@ -81,9 +81,9 @@ func headAnchoredRules(t testing.TB, cat *catalog.Catalog, n, perType int) []*Ru
 // rule under.
 func postingKeys(idx *RuleIndex) map[string][]string {
 	keys := map[string][]string{}
-	for tok, slots := range idx.byToken {
-		for _, s := range slots {
-			id := idx.rules[s].ID
+	for tok, ps := range idx.byToken {
+		for _, p := range ps {
+			id := idx.rules[p.slot].ID
 			keys[id] = append(keys[id], tok)
 		}
 	}

@@ -15,17 +15,31 @@ import (
 	"repro/internal/randx"
 )
 
-// verdictBytes serializes a verdict canonically: Go's JSON encoder sorts map
-// keys and preserves slice order, so two verdicts marshal to the same bytes
-// iff they assert the same rules in the same absorb order.
+// verdictBytes serializes a verdict canonically: every asserted, vetoed and
+// constraining rule in absorb order, each under its role, plus the final
+// types. Two verdicts marshal to the same bytes iff they hold the same rules
+// in the same absorb order.
 func verdictBytes(t *testing.T, v *Verdict) string {
 	t.Helper()
+	type entry struct {
+		Role string
+		Rule *Rule
+	}
+	var fired []entry
+	for _, r := range v.fired {
+		role := "asserted"
+		switch {
+		case r.vetoing():
+			role = "vetoed"
+		case r.constraining():
+			role = "constraint"
+		}
+		fired = append(fired, entry{role, r})
+	}
 	b, err := json.Marshal(struct {
-		Asserted    map[string][]*Rule
-		Vetoed      map[string][]*Rule
-		Allowed     map[string]bool
-		Constraints []*Rule
-	}{v.Asserted, v.Vetoed, v.Allowed, v.Constraints})
+		Fired []entry
+		Final []string
+	}{fired, v.FinalTypes()})
 	if err != nil {
 		t.Fatal(err)
 	}

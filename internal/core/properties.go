@@ -22,8 +22,9 @@ func verdictFingerprint(v *Verdict) string {
 	// still flagged: analysts debug via evidence (§3.2 traceability).
 	var parts []string
 	for _, t := range finals {
-		ids := make([]string, 0, len(v.Asserted[t]))
-		for _, r := range v.Asserted[t] {
+		evidence := v.AssertedBy(t)
+		ids := make([]string, 0, len(evidence))
+		for _, r := range evidence {
 			ids = append(ids, r.ID)
 		}
 		sort.Strings(ids)

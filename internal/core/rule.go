@@ -214,10 +214,18 @@ func (r *Rule) IsPatternKind() bool {
 }
 
 // asserting reports whether a match of the rule asserts its target type
-// (Verdict.Asserted) — the kinds a veto or constraint can override.
+// (Verdict.AssertedBy) — the kinds a veto or constraint can override.
 func (r *Rule) asserting() bool {
 	return r.Kind == Whitelist || r.Kind == Gate || r.Kind == AttrExists
 }
+
+// vetoing reports whether a match of the rule vetoes its target type
+// (Verdict.Vetoes).
+func (r *Rule) vetoing() bool { return r.Kind == Blacklist }
+
+// constraining reports whether a match of the rule restricts the admissible
+// types to its AllowedTypes (Verdict.Admits).
+func (r *Rule) constraining() bool { return r.Kind == AttrValue || r.Kind == TypeRestrict }
 
 // Matches reports whether the rule's condition holds for the item.
 // For Filter rules it reports whether the rule applies to a *prediction* of

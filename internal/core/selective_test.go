@@ -34,6 +34,19 @@ func TestSelectiveIndexEquivalenceProperty(t *testing.T) {
 		mustRule(NewAttrValue("Brand", "acme", []string{"rings", "motor oil"})),
 		mustRule(mustRule(NewBlacklist("premium", "rings")).WithGuards(Guard{Attr: "Price", Op: "<", Value: "100"})),
 		mustRule(mustRule(NewAttrExists("Material", "rings")).WithGuards(Guard{Attr: "Material", Op: "contains", Value: "gold"})),
+		// Probe shapes: a third witness set (the full test runs after the
+		// probe), and an other set with more bits than the probe carries.
+		mustRule(NewWhitelist("(red | blue | green | black | white) velvet (box | case)", "jewelry storage")),
+		mustRule(NewWhitelist("(red | blue | green | black | white).*velvet", "fabric")),
+		// Attribute rules whose names and values differ in case from the
+		// items': names match exactly, values under strings.EqualFold —
+		// Kelvin sign, long s, capital sharp s and invalid UTF-8 included.
+		mustRule(NewAttrExists("Color", "paint")),
+		mustRule(NewAttrValue("Brand", "ACME", []string{"rings", "paint"})),
+		mustRule(NewAttrValue("brand", "acme", []string{"motor oil"})),
+		mustRule(NewAttrValue("Maker", "\u212Aelvin", []string{"paint"})),
+		mustRule(NewAttrValue("Street", "\u017Ftra\u00DFe", []string{"paint"})),
+		mustRule(NewAttrValue("Origin", "caf\xe9", []string{"paint"})),
 		// A rule still carrying its \syn slot cannot come out of a
 		// constructor; the index must cope with one all the same (the slot
 		// contributes no witness, its golden synonyms still match).
@@ -69,6 +82,14 @@ func TestSelectiveIndexEquivalenceProperty(t *testing.T) {
 		{"Title": "engine oils", "brand": "acme"},
 		{"Title": "tower workstation premium"},
 		{"Title": "single"},
+		{"Title": "black velvet case"},
+		{"Title": "velvet case white"},
+		{"Title": "green and white velvet"},
+		{"Title": "gold ring", "Brand": "AcMe", "Color": "red"},
+		{"Title": "plain widget", "color": "red", "Maker": "KELVIN"},
+		{"Title": "plain widget", "maker": "kelvin", "Street": "STRASSE"},
+		{"Title": "plain widget", "Street": "STRA\u1E9EE", "Origin": "CAF\uFFFD"},
+		{"Title": "plain widget", "Origin": "caf\xc3", "Brand": "acme\u212A"},
 	} {
 		items = append(items, &catalog.Item{ID: fmt.Sprintf("edge%d", i), Attrs: attrs})
 	}
@@ -89,7 +110,7 @@ func TestSelectiveIndexEquivalenceProperty(t *testing.T) {
 	matchedSomething := 0
 	for i, it := range items {
 		w := want[i]
-		if len(w.Asserted)+len(w.Vetoed)+len(w.Constraints) > 0 {
+		if len(w.fired) > 0 {
 			matchedSomething++
 		}
 		// Every path absorbs in rule input order: byte-identical to the oracle.
@@ -115,8 +136,8 @@ func TestSelectiveIndexEquivalenceProperty(t *testing.T) {
 	for _, it := range items {
 		present := tokenize.TokenSet(it.TitleTokens())
 		for tok := range present {
-			for _, s := range ix.byToken[tok] {
-				r := ix.rules[s]
+			for _, p := range ix.byToken[tok] {
+				r := ix.rules[p.slot]
 				posted++
 				all := true
 				for _, ws := range r.Pattern().RequiredAlternatives() {

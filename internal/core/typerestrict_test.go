@@ -63,8 +63,8 @@ func TestTypeRestrictConstrainsOnly(t *testing.T) {
 	if len(v.FinalTypes()) != 0 {
 		t.Fatalf("constraints must not assert types: %v", v.FinalTypes())
 	}
-	if v.Allowed == nil || !v.Allowed["gadgets"] {
-		t.Fatalf("allowed set missing: %v", v.Allowed)
+	if len(v.Constraints()) != 1 || !v.Admits("gadgets") || v.Admits("widgets") {
+		t.Fatalf("constraint missing: %v", v.Constraints())
 	}
 }
 

@@ -165,8 +165,13 @@ type AuditLog struct {
 	disabled    bool
 
 	countMu sync.RWMutex
-	counts  map[string]*atomic.Uint64 // "path\x00outcome" -> total offered
+	counts  map[countKey]*atomic.Uint64 // total offered per (path, outcome)
 }
+
+// countKey is one per-(path, outcome) total's key. A struct of the two
+// strings, not their concatenation: building the key must not allocate on
+// the sampled-out path.
+type countKey struct{ path, outcome string }
 
 // NewAuditLog builds an audit log from cfg. A nil *AuditLog is safe to use
 // everywhere (all methods no-op), as is one built with a negative Capacity.
@@ -183,7 +188,7 @@ func NewAuditLog(cfg AuditConfig) *AuditLog {
 	return &AuditLog{
 		slots:       make([]atomic.Pointer[DecisionRecord], cfg.Capacity),
 		sampleEvery: uint64(cfg.SampleEvery),
-		counts:      map[string]*atomic.Uint64{},
+		counts:      map[countKey]*atomic.Uint64{},
 	}
 }
 
@@ -233,7 +238,7 @@ func (a *AuditLog) Count(path, outcome string) {
 
 // counter returns the get-or-create total for (path, outcome).
 func (a *AuditLog) counter(path, outcome string) *atomic.Uint64 {
-	key := path + "\x00" + outcome
+	key := countKey{path, outcome}
 	a.countMu.RLock()
 	c, ok := a.counts[key]
 	a.countMu.RUnlock()
@@ -349,18 +354,12 @@ func (a *AuditLog) Breakdown() map[string]map[string]uint64 {
 	a.countMu.RLock()
 	defer a.countMu.RUnlock()
 	for key, c := range a.counts {
-		for i := 0; i < len(key); i++ {
-			if key[i] == 0 {
-				path, outcome := key[:i], key[i+1:]
-				m := out[path]
-				if m == nil {
-					m = map[string]uint64{}
-					out[path] = m
-				}
-				m[outcome] = c.Load()
-				break
-			}
+		m := out[key.path]
+		if m == nil {
+			m = map[string]uint64{}
+			out[key.path] = m
 		}
+		m[key.outcome] = c.Load()
 	}
 	return out
 }

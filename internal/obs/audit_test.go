@@ -84,6 +84,21 @@ func TestAuditLogSamplingBias(t *testing.T) {
 	}
 }
 
+// TestCountSampledOutAllocatesNothing: the sampled-out path is what most
+// unbiased decisions take, and ShouldCapture promises it costs an atomic
+// increment, not an allocation — once the (path, outcome) total exists.
+func TestCountSampledOutAllocatesNothing(t *testing.T) {
+	a := NewAuditLog(AuditConfig{Capacity: 16, SampleEvery: 64})
+	path, outcome := PathBatchGate, OutcomeClassified
+	a.CountSampledOut(path, outcome)
+	if n := testing.AllocsPerRun(200, func() { a.CountSampledOut(path, outcome) }); n != 0 {
+		t.Fatalf("CountSampledOut allocates %.1f times per call, want 0", n)
+	}
+	if got := a.Breakdown()[path][outcome]; got != 202 {
+		t.Fatalf("breakdown = %d, want 202", got)
+	}
+}
+
 // TestAuditLogDegradedBias: a classified outcome on the degraded path is
 // still biased (always captured).
 func TestAuditLogDegradedBias(t *testing.T) {

@@ -24,6 +24,13 @@ import (
 // every rule): callers must not modify them.
 func (p *Pattern) RequiredAlternatives() [][]string { return p.witness }
 
+// WitnessMasks returns, aligned with RequiredAlternatives, each witness
+// set's signature mask: the OR of tokenize.TokenBit over its tokens. MayMatch
+// tests a signature against all of them; a rule index may keep one of them
+// beside a posting. Shared like RequiredAlternatives: callers must not
+// modify it.
+func (p *Pattern) WitnessMasks() []uint64 { return p.masks }
+
 // MayMatch reports whether a title with the given tokenize.Signature could
 // match the pattern: every witness set must have at least one token whose
 // bit is set. It can answer true for a title that does not match (a shared

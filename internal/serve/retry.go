@@ -104,8 +104,13 @@ func (r *retrier) jitter(attempt int) time.Duration {
 // retry re-runs enqueue after a shed, with capped exponential backoff and
 // full jitter, until it is accepted (nil), attempts or budget run out
 // (ErrRetryBudget / ErrQueueFull — both match errors.Is(err, ErrQueueFull)),
-// or it fails for a reason backing off cannot fix (ctx expiry, shutdown).
-func (r *retrier) retry(ctx context.Context, enqueue func() error) error {
+// or it fails for a reason backing off cannot fix (ctx expiry, shutdown). A
+// backoff sleep ends early when ctx is done (its error is returned) or when
+// stopped is (the server shut down: ErrShutdown is returned).
+func (r *retrier) retry(ctx, stopped context.Context, enqueue func() error) error {
+	sleepCtx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	defer context.AfterFunc(stopped, func() { cancel(ErrShutdown) })()
 	budgeted := r.opts.Budget > 0
 	err := ErrQueueFull
 	for attempt := 0; attempt < r.opts.MaxAttempts; attempt++ {
@@ -114,7 +119,10 @@ func (r *retrier) retry(ctx context.Context, enqueue func() error) error {
 			r.giveUp.Inc()
 			return ErrRetryBudget
 		}
-		if serr := r.opts.Sleep(ctx, r.jitter(attempt)); serr != nil {
+		if serr := r.opts.Sleep(sleepCtx, r.jitter(attempt)); serr != nil {
+			if errors.Is(context.Cause(sleepCtx), ErrShutdown) {
+				serr = ErrShutdown
+			}
 			// The reserved re-submission never happened: refund it so a
 			// caller-side cancellation does not charge the shared breaker.
 			if budgeted {

@@ -170,6 +170,54 @@ func TestRetrierRespectsContext(t *testing.T) {
 	}
 }
 
+// TestShutdownWakesRetryBackoff: Shutdown must not leave a submitter asleep
+// in a retry backoff on a server that can no longer take its request. With
+// a one-second backoff ceiling (seed 19 draws 0.9 s first), the submitter
+// has to come back with ErrShutdown within 100 ms of Shutdown, booked as
+// rejected, and the shard's ledger must close.
+func TestShutdownWakesRetryBackoff(t *testing.T) {
+	b := retryServer(t, 1, &RetryOptions{MaxAttempts: 50, BaseDelay: time.Second, MaxDelay: time.Second, Seed: 19})
+	b.saturate(t)
+	type result struct {
+		err error
+		at  time.Time
+	}
+	done := make(chan result, 1)
+	go func() {
+		_, err := b.srv.SubmitCtx(context.Background(), oneItem("backing-off"))
+		done <- result{err, time.Now()}
+	}()
+	time.Sleep(30 * time.Millisecond) // the submitter is shed and asleep in its first backoff
+	select {
+	case r := <-done:
+		t.Fatalf("submitter returned before Shutdown: %v", r.err)
+	default:
+	}
+	shutAt := time.Now()
+	shut := make(chan error, 1)
+	go func() { shut <- b.srv.Shutdown(context.Background()) }()
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("submitter still asleep two seconds after Shutdown")
+	}
+	if !errors.Is(r.err, ErrShutdown) {
+		t.Fatalf("SubmitCtx = %v, want ErrShutdown", r.err)
+	}
+	if d := r.at.Sub(shutAt); d > 100*time.Millisecond {
+		t.Fatalf("submitter woke %v after Shutdown, want < 100ms", d)
+	}
+	b.release()
+	if err := <-shut; err != nil {
+		t.Fatal(err)
+	}
+	l := readLedger(b.reg, 0)
+	if l.rejected != 1 || l.routed != l.served+l.shed+l.expired+l.declined+l.rejected {
+		t.Fatalf("ledger does not close with one rejection: %+v", l)
+	}
+}
+
 // TestRetrierJitterIsCappedAndDeterministic: backoff draws stay within
 // [0, min(Base<<attempt, MaxDelay)] and two same-seeded servers draw the
 // same sleeps.

@@ -132,6 +132,8 @@ type Server[R any] struct {
 
 	mu        sync.RWMutex // guards closed + the queue-close transition
 	closed    bool
+	stopped   context.Context // done once Shutdown began: ends retry backoffs
+	stop      context.CancelFunc
 	queue     chan *request[R]
 	abort     chan struct{}
 	abortOnce sync.Once
@@ -194,6 +196,7 @@ func newServer[R any](eng *Engine, h Handler[R], opts ServerOptions, shard int) 
 	reg.Help(MetricShardRejected, "items rejected after shard shutdown")
 	reg.Help(MetricShardQueueDepth, "requests queued on each shard, not yet picked up by a worker")
 	reg.Help(MetricShardQueueCap, "each shard's queue capacity, in requests")
+	s.stopped, s.stop = context.WithCancel(context.Background())
 	if opts.Retry != nil {
 		s.retry = newRetrier(*opts.Retry, reg, label)
 	}
@@ -220,7 +223,8 @@ func (s *Server[R]) Submit(items []*catalog.Item) (*Ticket[R], error) {
 // context error instead of doing dead work. Cancellation does not recall a
 // request that a worker already started. With ServerOptions.Retry a shed is
 // retried with backoff inside this call, which then blocks for at most the
-// backoff sleeps; the submission still books exactly one terminal outcome.
+// backoff sleeps, which Shutdown cuts short (the submission is then rejected
+// with ErrShutdown); the submission still books exactly one terminal outcome.
 func (s *Server[R]) SubmitCtx(ctx context.Context, items []*catalog.Item) (*Ticket[R], error) {
 	// Every request carries an ID end-to-end: the handler reads it back with
 	// obs.RequestID and stamps it on each item's decision record. Assigned
@@ -239,7 +243,7 @@ func (s *Server[R]) submit(req *request[R]) error {
 	s.routed.Add(int64(len(req.items)))
 	err := s.enqueue(req)
 	if s.retry != nil && errors.Is(err, ErrQueueFull) {
-		err = s.retry.retry(req.ctx, func() error { req.retried = true; return s.enqueue(req) })
+		err = s.retry.retry(req.ctx, s.stopped, func() error { req.retried = true; return s.enqueue(req) })
 	}
 	if err != nil {
 		s.fail(req, err)
@@ -353,6 +357,7 @@ func (s *Server[R]) Shutdown(ctx context.Context) error {
 	if !s.closed {
 		s.closed = true
 		close(s.queue) // Submit can no longer send: closed is set under mu
+		s.stop()       // a submitter in a retry backoff gives up now
 	}
 	s.mu.Unlock()
 

@@ -14,11 +14,11 @@ import (
 // scatter-gather batches; each shard's ledger is its Server's serve_shard_*
 // families, in the same registry.
 const (
-	// MetricScatterBatches / MetricScatterItems count scatter-gather
-	// submissions and their items; MetricScatterPartial counts the batches
-	// that resolved with at least one failed item (partial results).
+	// MetricScatterBatches counts scatter-gather submissions (their items
+	// are the shards' serve_shard_routed_total); MetricScatterPartial counts
+	// the batches that resolved with at least one failed item (partial
+	// results).
 	MetricScatterBatches = "serve_scatter_batches_total"
-	MetricScatterItems   = "serve_scatter_items_total"
 	MetricScatterPartial = "serve_scatter_partial_total"
 	// MetricScatterFanout is the per-batch histogram of shards touched.
 	MetricScatterFanout = "serve_scatter_fanout"
@@ -106,7 +106,6 @@ type ShardedServer[R any] struct {
 	closed atomic.Bool
 
 	scatterBatches *obs.Counter
-	scatterItems   *obs.Counter
 	scatterPartial *obs.Counter
 	scatterFanout  *obs.Histogram
 }
@@ -141,12 +140,10 @@ func NewShardedServerOn[R any](eng *Engine, h Handler[R], opts ShardedOptions) *
 		eng:            eng,
 		shards:         make([]*Server[R], nShards),
 		scatterBatches: reg.Counter(MetricScatterBatches),
-		scatterItems:   reg.Counter(MetricScatterItems),
 		scatterPartial: reg.Counter(MetricScatterPartial),
 		scatterFanout:  reg.Histogram(MetricScatterFanout, scatterFanoutBuckets),
 	}
 	reg.Help(MetricScatterBatches, "scatter-gather batch submissions")
-	reg.Help(MetricScatterItems, "items in scatter-gather batch submissions")
 	reg.Help(MetricScatterPartial, "scatter batches that resolved with at least one failed item")
 	reg.Help(MetricScatterFanout, "shards each scatter-gather batch touched")
 	for i := range s.shards {
@@ -377,7 +374,6 @@ func (s *ShardedServer[R]) SubmitCtx(ctx context.Context, items []*catalog.Item)
 	}
 	t := &ShardedTicket[R]{fin: make(chan struct{})}
 	s.scatterBatches.Inc()
-	s.scatterItems.Add(int64(len(items)))
 	s.scatterFanout.Observe(float64(len(parts)))
 	// Each shard's server resolves its part; a retry backoff on one shard
 	// must not hold up the others' submissions.

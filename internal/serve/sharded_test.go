@@ -129,8 +129,14 @@ func TestShardedMergePreservesOrderAndRouting(t *testing.T) {
 	if got := srv.Registry().Counter(MetricScatterBatches).Value(); got != 1 {
 		t.Fatalf("scatter batch counter = %d, want 1", got)
 	}
-	if got := srv.Registry().Counter(MetricScatterItems).Value(); got != 40 {
-		t.Fatalf("scatter item counter = %d, want 40", got)
+	var routed, served int64
+	for sh := 0; sh < 4; sh++ {
+		l := readLedger(srv.Registry(), sh)
+		routed += l.routed
+		served += l.served
+	}
+	if routed != 40 || served != 40 {
+		t.Fatalf("shard ledgers booked %d routed, %d served; want all 40 items on both", routed, served)
 	}
 }
 

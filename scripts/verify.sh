@@ -69,7 +69,9 @@ race_run ./internal/learn 'TestPredictConcurrent|TestDenseKernelMatchesReference
 echo "== fuzz smoke (10s per target) =="
 go test -fuzz=FuzzParseRule -fuzztime=10s -run '^$' ./internal/pattern
 go test -fuzz=FuzzWitnessSound -fuzztime=10s -run '^$' ./internal/pattern
+go test -fuzz=FuzzMatchEqualsBacktracking -fuzztime=10s -run '^$' ./internal/pattern
 go test -fuzz=FuzzVerdictExplain -fuzztime=10s -run '^$' ./internal/core
+go test -fuzz=FuzzAttrValueKey -fuzztime=10s -run '^$' ./internal/core
 go test -fuzz=FuzzShardRouter -fuzztime=10s -run '^$' ./internal/serve
 go test -fuzz=FuzzItemFingerprint -fuzztime=10s -run '^$' ./internal/catalog
 go test -fuzz=FuzzWALDecode -fuzztime=10s -run '^$' ./internal/persist
