@@ -172,9 +172,8 @@ func main() {
 		actions := fmt.Sprintf("%d patch rules, %d relabeled", len(rep.NewRuleIDs), rep.Relabeled)
 		if !rep.PassedGate {
 			// First-responder drill: scale down the degraded types, note it.
-			flagged := flaggedDecisions(res)
-			degraded := degradedTypes(flagged)
-			for _, ty := range degraded {
+			flagged := repro.FlaggedFrom(res, repro.CorrectByGroundTruth)
+			for _, ty := range repro.DegradedTypes(flagged, 10) {
 				if _, err := p.ScaleDownType(ty, "ana", "auto scale-down"); err == nil {
 					actions += fmt.Sprintf(", scaled down %q", ty)
 				}
@@ -677,28 +676,4 @@ func tierDrill(cat *repro.Catalog, p *repro.Pipeline, o drillOptions) {
 		srv.Engine().Acquire()
 		fmt.Printf("recovery: tier degraded after clean rebuild: %v\n", srv.Degraded())
 	}
-}
-
-func flaggedDecisions(res *repro.BatchResult) []repro.Decision {
-	var out []repro.Decision
-	for _, d := range res.Decisions {
-		if !d.Declined && d.Type != d.Item.TrueType {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-func degradedTypes(flagged []repro.Decision) []string {
-	counts := map[string]int{}
-	for _, d := range flagged {
-		counts[d.Type]++
-	}
-	var out []string
-	for ty, n := range counts {
-		if n >= 10 {
-			out = append(out, ty)
-		}
-	}
-	return out
 }

@@ -258,15 +258,6 @@ func (c *Catalog) makeVendors(n int) []Vendor {
 // Types returns the taxonomy in popularity-rank order.
 func (c *Catalog) Types() []*TypeSpec { return c.types }
 
-// TypeNames returns all type names in rank order.
-func (c *Catalog) TypeNames() []string {
-	names := make([]string, len(c.types))
-	for i, t := range c.types {
-		names[i] = t.Name
-	}
-	return names
-}
-
 // TypeByName returns the spec for name, or nil.
 func (c *Catalog) TypeByName(name string) *TypeSpec {
 	for _, t := range c.types {

@@ -304,6 +304,6 @@ func FlaggedFrom(res *BatchResult, truth func(Decision) bool) []Decision {
 	return out
 }
 
-// WrongAgainstGroundTruth is a truth function for FlaggedFrom based on the
-// simulator's ground truth.
-func WrongAgainstGroundTruth(d Decision) bool { return d.Type == d.Item.TrueType }
+// CorrectByGroundTruth is a truth function for FlaggedFrom: it reports
+// whether the decision matches the simulator's ground truth.
+func CorrectByGroundTruth(d Decision) bool { return d.Type == d.Item.TrueType }

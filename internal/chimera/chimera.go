@@ -205,16 +205,27 @@ type BatchProfile struct {
 	Stages map[string]int `json:"stages"`
 }
 
-// stageOf normalizes a decision into its profile/metrics stage label.
+// stageOf normalizes a decision into its profile/metrics stage label. The
+// pipeline's own decline families map to constants, so labelling a decline
+// allocates nothing.
 func stageOf(d Decision) string {
 	if !d.Declined {
 		return d.Reason
 	}
-	reason := d.Reason
-	if i := strings.IndexByte(reason, ':'); i >= 0 {
-		reason = reason[:i]
+	switch reason, _, _ := strings.Cut(d.Reason, ":"); reason {
+	case "no-votes":
+		return "declined:no-votes"
+	case "ambiguous":
+		return "declined:ambiguous"
+	case "low-confidence":
+		return "declined:low-confidence"
+	case "filtered":
+		return "declined:filtered"
+	case "degraded":
+		return "declined:degraded"
+	default:
+		return "declined:" + reason
 	}
-	return "declined:" + reason
 }
 
 // Classified returns the emitted decisions.

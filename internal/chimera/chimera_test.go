@@ -273,7 +273,7 @@ func TestFlaggedFromAndTruth(t *testing.T) {
 		{Item: it, Type: "jeans"},
 		{Item: it, Declined: true},
 	}}
-	flagged := FlaggedFrom(res, WrongAgainstGroundTruth)
+	flagged := FlaggedFrom(res, CorrectByGroundTruth)
 	if len(flagged) != 1 || flagged[0].Type != "jeans" {
 		t.Fatalf("flagged = %v", flagged)
 	}
@@ -1003,5 +1003,27 @@ func TestVotingMasterCases(t *testing.T) {
 				t.Fatalf("decision %+v, want type %q reason %q", got, tc.wantType, tc.wantReason)
 			}
 		})
+	}
+}
+
+var stageSink string
+
+// TestStageOfDeclineAllocatesNothing: each decline family the pipeline
+// produces maps to its stage label without building a string.
+func TestStageOfDeclineAllocatesNothing(t *testing.T) {
+	for reason, want := range map[string]string{
+		"no-votes":                  "declined:no-votes",
+		"ambiguous":                 "declined:ambiguous",
+		"low-confidence":            "declined:low-confidence",
+		"filtered:phone by R000001": "declined:filtered",
+		"degraded":                  "declined:degraded",
+	} {
+		d := Decision{Declined: true, Reason: reason}
+		if got := stageOf(d); got != want {
+			t.Fatalf("stageOf(%q) = %q, want %q", reason, got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { stageSink = stageOf(d) }); n != 0 {
+			t.Errorf("stageOf(%q) allocates %.0f times, want 0", reason, n)
+		}
 	}
 }

@@ -3,25 +3,31 @@ package core
 import "fmt"
 
 // Change is one completed rulebase mutation as a self-contained, applyable
-// record: the audit entry plus exactly the payload a replayer needs to
-// reproduce the state transition (the added rule's content, the new
-// confidence, the auto-ID counter). It is the unit the write-ahead log in
-// internal/persist appends, and ApplyChange is its inverse.
+// record: the audit entry's fields plus exactly the payload a replayer needs
+// to reproduce the state transition (the added rule's content, the new
+// confidence, the auto-ID counter). It is also the record the write-ahead log
+// in internal/persist frames, so its JSON keys are the on-disk format: keep
+// them, their order and their omitempty flags. Rulebase.apply makes the
+// transition a Change records, for live mutations and ApplyChange alike.
 type Change struct {
-	// Entry is the audit entry the mutation appended (version, action, rule
-	// ID, actor, note).
-	Entry AuditEntry
-	// Rule is a deep copy of the rule as of the mutation ("add" only): the
-	// content frozen at mutation time, safe to retain and serialize after
-	// later mutations touch the live rule.
-	Rule *Rule
-	// Status is the resulting lifecycle state ("disable"/"enable"/"retire").
-	Status Status
+	Version uint64 `json:"v"`
+	Action  string `json:"action"` // add / update / disable / enable / retire
+	RuleID  string `json:"rule_id,omitempty"`
+	Actor   string `json:"actor,omitempty"`
+	Note    string `json:"note,omitempty"`
+	// Rule is the added rule's content frozen at mutation time ("add" only),
+	// safe to retain and serialize after later mutations touch the live rule.
+	Rule *Rule `json:"rule,omitempty"`
 	// Confidence is the new precision estimate ("update" only).
-	Confidence float64
+	Confidence float64 `json:"confidence,omitempty"`
 	// NextID is the auto-ID counter after the mutation ("add" only), so a
 	// replayed rulebase assigns the same IDs to future auto-ID adds.
-	NextID int
+	NextID int `json:"next_id,omitempty"`
+}
+
+// Entry returns the audit entry the mutation appended.
+func (ch Change) Entry() AuditEntry {
+	return AuditEntry{ch.Version, ch.Action, ch.RuleID, ch.Actor, ch.Note}
 }
 
 // ActionLoad is the pseudo-action delivered to change subscribers when the
@@ -89,18 +95,11 @@ func (rb *Rulebase) changeSubs() []func(Change) {
 	return fns
 }
 
-// statusForAction maps a lifecycle audit action to the state it produces.
-var statusForAction = map[string]Status{
-	"disable": Disabled,
-	"enable":  Active,
-	"retire":  Retired,
-}
-
 // ApplyChange replays one recorded mutation onto the rulebase, reproducing
 // the exact state transition the original mutation made: same version, same
 // audit entry (verbatim, including actor and note), same rule content and
-// clock stamps. Records must be applied in order — Entry.Version must be
-// exactly Version()+1 — which is how a WAL replayer detects gaps.
+// clock stamps. Records must be applied in order — Version must be exactly
+// Version()+1 — which is how a WAL replayer detects gaps.
 //
 // Replay is delivered to subscribers like any live mutation, so a serving
 // engine tracking the rulebase rebuilds. A durability layer never hears its
@@ -109,49 +108,69 @@ var statusForAction = map[string]Status{
 // new history.
 func (rb *Rulebase) ApplyChange(ch Change) error {
 	return rb.commit(func() (Change, error) {
-		if ch.Entry.Version != rb.version+1 {
-			return Change{}, fmt.Errorf("core: change version %d does not follow rulebase version %d", ch.Entry.Version, rb.version)
+		if ch.Version != rb.version+1 {
+			return Change{}, fmt.Errorf("core: change version %d does not follow rulebase version %d", ch.Version, rb.version)
 		}
-		switch ch.Entry.Action {
-		case "add":
-			if ch.Rule == nil {
-				return Change{}, fmt.Errorf("core: add change %d has no rule payload", ch.Entry.Version)
-			}
-			r := ch.Rule.Clone()
-			if r.ID == "" || r.ID != ch.Entry.RuleID {
-				return Change{}, fmt.Errorf("core: add change %d rule id %q does not match entry %q", ch.Entry.Version, r.ID, ch.Entry.RuleID)
-			}
-			if _, exists := rb.byID[r.ID]; exists {
-				return Change{}, fmt.Errorf("core: add change %d duplicates rule %q", ch.Entry.Version, r.ID)
-			}
-			rb.insert(r)
-			// Advance (never rewind) the auto-ID counter; max semantics keep
-			// a concurrent live add from being undone.
-			for {
-				cur := rb.nextID.Load()
-				if int64(ch.NextID) <= cur || rb.nextID.CompareAndSwap(cur, int64(ch.NextID)) {
-					break
-				}
-			}
-		case "disable", "enable", "retire", "update":
-			r := rb.get(ch.Entry.RuleID)
-			if r == nil {
-				return Change{}, fmt.Errorf("core: %s change %d targets unknown rule %q", ch.Entry.Action, ch.Entry.Version, ch.Entry.RuleID)
-			}
-			rb.replace(r, ch.Entry.Version, func(c *Rule) {
-				if ch.Entry.Action == "update" {
-					c.Confidence = ch.Confidence
-				} else {
-					c.Status = statusForAction[ch.Entry.Action]
-				}
-			})
-		default:
-			return Change{}, fmt.Errorf("core: change %d has unknown action %q", ch.Entry.Version, ch.Entry.Action)
+		ch.Rule = ch.Rule.Clone() // the caller keeps its payload
+		if err := rb.apply(ch); err != nil {
+			return Change{}, err
 		}
-		rb.version = ch.Entry.Version
-		rb.audit = append(rb.audit, ch.Entry)
 		return ch, nil
 	})
+}
+
+// apply makes the state transition ch records, at ch.Version: it is the one
+// code path that changes the rules, the version and the audit log, for live
+// mutations and replay alike (UnmarshalJSON's wholesale load aside). An
+// added rule is stored as ch.Rule, not a copy; any other change stores an
+// updated Clone of the rule (copy-on-write). Callers hold rb.mu.
+func (rb *Rulebase) apply(ch Change) error {
+	switch ch.Action {
+	case "add":
+		r := ch.Rule
+		if r == nil {
+			return fmt.Errorf("core: add change %d has no rule payload", ch.Version)
+		}
+		if r.ID == "" || r.ID != ch.RuleID {
+			return fmt.Errorf("core: add change %d rule id %q does not match entry %q", ch.Version, r.ID, ch.RuleID)
+		}
+		if _, exists := rb.byID[r.ID]; exists {
+			return fmt.Errorf("core: add change %d duplicates rule %q", ch.Version, r.ID)
+		}
+		rb.byID[r.ID] = len(rb.rules)
+		rb.rules = append(rb.rules, r)
+		// Advance (never rewind) the auto-ID counter; max semantics keep a
+		// concurrent live add from being undone.
+		for {
+			cur := rb.nextID.Load()
+			if int64(ch.NextID) <= cur || rb.nextID.CompareAndSwap(cur, int64(ch.NextID)) {
+				break
+			}
+		}
+	case "disable", "enable", "retire", "update":
+		i, ok := rb.byID[ch.RuleID]
+		if !ok {
+			return fmt.Errorf("core: %s change %d targets unknown rule %q", ch.Action, ch.Version, ch.RuleID)
+		}
+		c := rb.rules[i].Clone()
+		switch ch.Action {
+		case "disable":
+			c.Status = Disabled
+		case "enable":
+			c.Status = Active
+		case "retire":
+			c.Status = Retired
+		default:
+			c.Confidence = ch.Confidence
+		}
+		c.UpdatedAt = ch.Version
+		rb.rules[i] = c
+	default:
+		return fmt.Errorf("core: change %d has unknown action %q", ch.Version, ch.Action)
+	}
+	rb.version = ch.Version
+	rb.audit = append(rb.audit, ch.Entry())
+	return nil
 }
 
 // Clone returns a deep copy of the rule: slices are copied, the compiled

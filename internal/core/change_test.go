@@ -71,10 +71,10 @@ func TestSubscribeChangesDelivery(t *testing.T) {
 		t.Fatalf("got %d changes, want %d", len(*got), len(audit))
 	}
 	for i, ch := range *got {
-		if ch.Entry != audit[i] {
-			t.Fatalf("change %d entry = %+v, want audit %+v", i, ch.Entry, audit[i])
+		if ch.Entry() != audit[i] {
+			t.Fatalf("change %d entry = %+v, want audit %+v", i, ch.Entry(), audit[i])
 		}
-		if ch.Entry.Action == "add" && ch.Rule == nil {
+		if ch.Action == "add" && ch.Rule == nil {
 			t.Fatalf("add change %d has no rule payload", i)
 		}
 	}
@@ -83,7 +83,7 @@ func TestSubscribeChangesDelivery(t *testing.T) {
 	rb2 := NewRulebase()
 	for _, ch := range *got {
 		if err := rb2.ApplyChange(ch); err != nil {
-			t.Fatalf("ApplyChange(%d): %v", ch.Entry.Version, err)
+			t.Fatalf("ApplyChange(%d): %v", ch.Version, err)
 		}
 	}
 	if rb2.Version() != rb.Version() {
@@ -120,7 +120,7 @@ func TestSubscribeChangesRegistrationVersion(t *testing.T) {
 	if _, err := rb.Add(mustRule(NewWhitelist("late", "t")), "a"); err != nil {
 		t.Fatal(err)
 	}
-	if len(*got) != 1 || (*got)[0].Entry.Version != 2 {
+	if len(*got) != 1 || (*got)[0].Version != 2 {
 		t.Fatalf("delivered = %+v, want exactly version 2", *got)
 	}
 	cancel()
@@ -163,25 +163,25 @@ func TestApplyChangeValidation(t *testing.T) {
 	r.ID = "R000001"
 	r.CreatedAt, r.UpdatedAt = 1, 1
 
-	if err := rb.ApplyChange(Change{Entry: AuditEntry{Version: 5, Action: "add", RuleID: "R000001"}, Rule: r}); err == nil {
+	if err := rb.ApplyChange(Change{Version: 5, Action: "add", RuleID: "R000001", Rule: r}); err == nil {
 		t.Fatal("version gap accepted")
 	}
-	if err := rb.ApplyChange(Change{Entry: AuditEntry{Version: 1, Action: "add", RuleID: "R000001"}}); err == nil {
+	if err := rb.ApplyChange(Change{Version: 1, Action: "add", RuleID: "R000001"}); err == nil {
 		t.Fatal("add without rule payload accepted")
 	}
-	if err := rb.ApplyChange(Change{Entry: AuditEntry{Version: 1, Action: "frobnicate", RuleID: "R000001"}}); err == nil {
+	if err := rb.ApplyChange(Change{Version: 1, Action: "frobnicate", RuleID: "R000001"}); err == nil {
 		t.Fatal("unknown action accepted")
 	}
-	if err := rb.ApplyChange(Change{Entry: AuditEntry{Version: 1, Action: "disable", RuleID: "nope"}}); err == nil {
+	if err := rb.ApplyChange(Change{Version: 1, Action: "disable", RuleID: "nope"}); err == nil {
 		t.Fatal("disable of unknown rule accepted")
 	}
 	if rb.Version() != 0 || len(rb.Audit()) != 0 {
 		t.Fatalf("failed replays mutated state: version=%d audit=%d", rb.Version(), len(rb.Audit()))
 	}
-	if err := rb.ApplyChange(Change{Entry: AuditEntry{Version: 1, Action: "add", RuleID: "R000001"}, Rule: r, NextID: 1}); err != nil {
+	if err := rb.ApplyChange(Change{Version: 1, Action: "add", RuleID: "R000001", Rule: r, NextID: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rb.ApplyChange(Change{Entry: AuditEntry{Version: 2, Action: "add", RuleID: "R000001"}, Rule: r, NextID: 1}); err == nil {
+	if err := rb.ApplyChange(Change{Version: 2, Action: "add", RuleID: "R000001", Rule: r, NextID: 1}); err == nil {
 		t.Fatal("duplicate add accepted")
 	}
 }
@@ -208,8 +208,8 @@ func TestApplyChangeDelivers(t *testing.T) {
 		t.Fatalf("replay delivered %d changes, want %d", len(*delivered), len(*stream))
 	}
 	for i, ch := range *delivered {
-		if ch.Entry != (*stream)[i].Entry {
-			t.Fatalf("delivered change %d entry = %+v, want %+v", i, ch.Entry, (*stream)[i].Entry)
+		if ch.Entry() != (*stream)[i].Entry() {
+			t.Fatalf("delivered change %d entry = %+v, want %+v", i, ch.Entry(), (*stream)[i].Entry())
 		}
 	}
 
@@ -250,7 +250,7 @@ func TestChangeFeedOrdered(t *testing.T) {
 	firstBegun := make(chan struct{})
 	secondRecorded := make(chan struct{})
 	cancel, _ := rb.SubscribeChanges(func(ch Change) {
-		switch ch.Entry.Version {
+		switch ch.Version {
 		case 1:
 			close(firstBegun)
 			select {

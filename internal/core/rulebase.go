@@ -26,8 +26,9 @@ type AuditEntry struct {
 // managed today in an ad-hoc fashion"). Every mutation bumps a logical clock
 // and appends to the audit log.
 //
-// Every state change goes through commit. Lock order: commitMu, then mu, then
-// subMu, never the reverse.
+// Every state change goes through commit, and every one but UnmarshalJSON's
+// wholesale load through apply, which live mutations and ApplyChange share.
+// Lock order: commitMu, then mu, then subMu, never the reverse.
 //
 // A stored rule is copy-on-write: once a *Rule has been handed out (Get,
 // All, Active, ActiveView, a serving snapshot) it is never written again. A
@@ -144,7 +145,7 @@ func (rb *Rulebase) commit(mutate func() (Change, error)) error {
 	rb.mu.Lock()
 	ch, err := mutate()
 	var fns []func(Change)
-	if err == nil && ch.Entry.Action != "" {
+	if err == nil && ch.Action != "" {
 		fns = rb.changeSubs()
 	}
 	rb.mu.Unlock()
@@ -180,25 +181,20 @@ func (rb *Rulebase) Add(r *Rule, actor string) (string, error) {
 		if _, exists := rb.byID[r.ID]; exists {
 			return Change{}, fmt.Errorf("core: rule id %q already present", r.ID)
 		}
-		rb.version++
-		r.CreatedAt = rb.version
-		r.UpdatedAt = rb.version
+		v := rb.version + 1
+		r.CreatedAt, r.UpdatedAt = v, v
 		if r.Author == "" {
 			r.Author = actor
 		}
-		rb.insert(r)
-		entry := AuditEntry{rb.version, "add", r.ID, actor, note}
-		rb.audit = append(rb.audit, entry)
-		rb.countMutation("add")
-		ch := Change{Entry: entry}
-		if rb.hasChangeSubs() {
+		ch, err := rb.applyLive(Change{Version: v, Action: "add", RuleID: r.ID, Actor: actor, Note: note,
+			Rule: r, NextID: int(rb.nextID.Load())})
+		if err == nil && rb.hasChangeSubs() {
 			// Freeze the rule content at mutation time: once rb.mu is
 			// released the inserted rule is shared and may be mutated again
 			// before the change record is consumed.
 			ch.Rule = r.Clone()
-			ch.NextID = int(rb.nextID.Load())
 		}
-		return ch, nil
+		return ch, err
 	})
 	if err != nil {
 		return "", err
@@ -231,12 +227,6 @@ func (rb *Rulebase) get(id string) *Rule {
 	return nil
 }
 
-// insert appends a rule whose ID is not present. Callers hold rb.mu.
-func (rb *Rulebase) insert(r *Rule) {
-	rb.byID[r.ID] = len(rb.rules)
-	rb.rules = append(rb.rules, r)
-}
-
 // setStatus transitions a rule's lifecycle state.
 func (rb *Rulebase) setStatus(id string, st Status, action, actor, note string) error {
 	return rb.commit(func() (Change, error) {
@@ -250,23 +240,18 @@ func (rb *Rulebase) setStatus(id string, st Status, action, actor, note string) 
 		if r.Status == st {
 			return Change{}, nil
 		}
-		rb.version++
-		rb.replace(r, rb.version, func(c *Rule) { c.Status = st })
-		entry := AuditEntry{rb.version, action, id, actor, note}
-		rb.audit = append(rb.audit, entry)
-		rb.countMutation(action)
-		return Change{Entry: entry, Status: st}, nil
+		return rb.applyLive(Change{Version: rb.version + 1, Action: action, RuleID: id, Actor: actor, Note: note})
 	})
 }
 
-// replace stores an updated copy of r, stamped with version, in r's place:
-// the copy-on-write step every in-place change goes through. Callers hold
-// rb.mu.
-func (rb *Rulebase) replace(r *Rule, version uint64, update func(*Rule)) {
-	c := r.Clone()
-	update(c)
-	c.UpdatedAt = version
-	rb.rules[rb.byID[r.ID]] = c
+// applyLive applies a validated live mutation, built at the next version, and
+// counts it. Callers hold rb.mu.
+func (rb *Rulebase) applyLive(ch Change) (Change, error) {
+	if err := rb.apply(ch); err != nil {
+		return Change{}, err
+	}
+	rb.countMutation(ch.Action)
+	return ch, nil
 }
 
 // Disable turns a rule off — the per-rule "scale down" of §3.2 ("if that
@@ -319,16 +304,10 @@ func (rb *Rulebase) UpdateConfidence(id string, conf float64, actor string) erro
 	// section (this is the hottest mutation — every precision re-estimate).
 	note := fmt.Sprintf("confidence=%.3f", conf)
 	return rb.commit(func() (Change, error) {
-		r := rb.get(id)
-		if r == nil {
+		if rb.get(id) == nil {
 			return Change{}, fmt.Errorf("core: no rule %q", id)
 		}
-		rb.version++
-		rb.replace(r, rb.version, func(c *Rule) { c.Confidence = conf })
-		entry := AuditEntry{rb.version, "update", id, actor, note}
-		rb.audit = append(rb.audit, entry)
-		rb.countMutation("update")
-		return Change{Entry: entry, Confidence: conf}, nil
+		return rb.applyLive(Change{Version: rb.version + 1, Action: "update", RuleID: id, Actor: actor, Note: note, Confidence: conf})
 	})
 }
 
@@ -465,7 +444,7 @@ func (rb *Rulebase) UnmarshalJSON(data []byte) error {
 		rb.epoch++
 		rb.nextID.Store(int64(j.NextID))
 		rb.audit = j.Audit
-		return Change{Entry: AuditEntry{Version: j.Version, Action: ActionLoad}}, nil
+		return Change{Version: j.Version, Action: ActionLoad}, nil
 	})
 }
 

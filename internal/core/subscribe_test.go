@@ -8,7 +8,7 @@ import "testing"
 func TestSubscribeNotifications(t *testing.T) {
 	rb := NewRulebase()
 	var got []uint64
-	cancel, _ := rb.SubscribeChanges(func(ch Change) { got = append(got, ch.Entry.Version) })
+	cancel, _ := rb.SubscribeChanges(func(ch Change) { got = append(got, ch.Version) })
 
 	id, err := rb.Add(mustRule(NewWhitelist("rings?", "rings")), "ana")
 	if err != nil {
@@ -47,8 +47,8 @@ func TestSubscribeNotifications(t *testing.T) {
 	// Subscribers may read the rulebase: delivery runs outside the rulebase
 	// lock.
 	cancel2, _ := rb.SubscribeChanges(func(ch Change) {
-		if rv := rb.Version(); rv < ch.Entry.Version {
-			t.Errorf("re-entrant Version() = %d behind notified %d", rv, ch.Entry.Version)
+		if rv := rb.Version(); rv < ch.Version {
+			t.Errorf("re-entrant Version() = %d behind notified %d", rv, ch.Version)
 		}
 		_ = rb.Active()
 	})

@@ -22,7 +22,7 @@ func TestMutationsCopyOnWrite(t *testing.T) {
 	if err := rb.UpdateConfidence(id, 0.25, "ana"); err != nil {
 		t.Fatal(err)
 	}
-	if err := rb.ApplyChange(Change{Entry: AuditEntry{Version: rb.Version() + 1, Action: "retire", RuleID: id}}); err != nil {
+	if err := rb.ApplyChange(Change{Version: rb.Version() + 1, Action: "retire", RuleID: id}); err != nil {
 		t.Fatal(err)
 	}
 	if old.Status != Active || old.Confidence != 1 || old.UpdatedAt != old.CreatedAt {

@@ -176,7 +176,7 @@ func E10(opts ClassifyOptions) *Report {
 	detected := impRep.EstPrecision < 0.92
 	rep.Findingf("monitor estimate on drifted batch: %.3f (gate %s)", impRep.EstPrecision, passWord(!detected))
 
-	flagged := chimera.FlaggedFrom(res1, chimera.WrongAgainstGroundTruth)
+	flagged := chimera.FlaggedFrom(res1, chimera.CorrectByGroundTruth)
 	degraded := chimera.DegradedTypes(flagged, 5)
 	var tokens []*chimera.RestoreToken
 	for _, ty := range degraded {

@@ -1,24 +1,5 @@
 package experiments
 
-// RunAll executes every experiment at its default (reduced) scale with the
-// given seed and returns the reports in E-number order. It is the engine
-// behind `cmd/experiments -all` and the source of EXPERIMENTS.md.
-func RunAll(seed uint64) []*Report {
-	return []*Report{
-		E1(ClassifyOptions{Seed: seed}),
-		E2(SynonymOptions{Seed: seed}),
-		E3(RuleGenOptions{Seed: seed}),
-		E4(ExecOptions{Seed: seed}),
-		E5(ExecOptions{Seed: seed}),
-		E6(EvalOptions{Seed: seed}),
-		E7(SisterOptions{Seed: seed}),
-		E8(SisterOptions{Seed: seed}),
-		E9(SisterOptions{Seed: seed}),
-		E10(ClassifyOptions{Seed: seed}),
-		E11(ExecOptions{Seed: seed}),
-	}
-}
-
 // ByID runs a single experiment by its identifier ("E1" … "E11"), returning
 // nil for unknown IDs.
 func ByID(id string, seed uint64) *Report {

@@ -164,12 +164,6 @@ func (kb *KB) Parents(child string) []string {
 	return append([]string(nil), kb.parents[child]...)
 }
 
-// HasCategory reports whether the taxonomy knows the category.
-func (kb *KB) HasCategory(name string) bool {
-	_, ok := kb.parents[name]
-	return ok
-}
-
 // Entity returns the entity with the canonical name, or nil.
 func (kb *KB) Entity(name string) *Entity { return kb.entities[name] }
 

@@ -11,11 +11,17 @@ import (
 // CLIs print with -profile. It is deliberately minimal: spans carry a name,
 // a wall-clock duration and children; there is no context propagation or
 // export protocol. Span creation is two small allocations, cheap enough for
-// per-batch (not per-item) granularity.
+// per-batch (not per-item) granularity. A tracer keeps only the newest
+// maxRoots (256) root spans, so a long-running pipeline that starts a tree
+// per batch holds a bounded trace.
 type Tracer struct {
 	mu    sync.Mutex
 	roots []*Span
 }
+
+// maxRoots bounds a Tracer's root spans, far above the five trees
+// -profile's default run starts.
+const maxRoots = 256
 
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer { return &Tracer{} }
@@ -32,10 +38,15 @@ type Span struct {
 	children []*Span
 }
 
-// Start opens a new root span.
+// Start opens a new root span, dropping the oldest root when the tracer
+// already holds maxRoots.
 func (t *Tracer) Start(name string) *Span {
 	sp := &Span{name: name, start: time.Now()}
 	t.mu.Lock()
+	if len(t.roots) == maxRoots {
+		copy(t.roots, t.roots[1:])
+		t.roots = t.roots[:maxRoots-1]
+	}
 	t.roots = append(t.roots, sp)
 	t.mu.Unlock()
 	return sp

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -79,5 +80,23 @@ func TestTracerConcurrent(t *testing.T) {
 	root.End()
 	if got := len(root.Children()); got != 16 {
 		t.Fatalf("children = %d, want 16", got)
+	}
+}
+
+// TestTracerKeepsNewestRoots: past maxRoots root spans the tracer drops the
+// oldest, so Roots holds exactly the newest maxRoots in start order.
+func TestTracerKeepsNewestRoots(t *testing.T) {
+	tr := NewTracer()
+	for i := 0; i <= maxRoots; i++ {
+		tr.Start(fmt.Sprintf("batch-%d", i)).End()
+	}
+	roots := tr.Roots()
+	if len(roots) != maxRoots {
+		t.Fatalf("kept %d roots, want %d", len(roots), maxRoots)
+	}
+	for i, sp := range roots {
+		if want := fmt.Sprintf("batch-%d", i+1); sp.Name() != want {
+			t.Fatalf("root %d = %q, want %q", i, sp.Name(), want)
+		}
 	}
 }

@@ -30,7 +30,7 @@ func buildHistory(t *testing.T, st *Store, rb *core.Rulebase) (fingerprints map[
 
 	off := 0
 	cancel, _ := rb.SubscribeChanges(func(ch core.Change) {
-		frame, err := EncodeRecord(recordOf(ch))
+		frame, err := EncodeRecord(ch)
 		if err != nil {
 			t.Fatal(err)
 		}

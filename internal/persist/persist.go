@@ -103,11 +103,11 @@ type Store struct {
 
 	mu          sync.Mutex
 	wal         *os.File
-	walLen      int64    // durable WAL length in bytes
-	records     []Record // decoded at Open, consumed by Restore
-	snapVersion uint64   // version held by the durable snapshot
-	lastVersion uint64   // last version durable anywhere (snapshot or WAL)
-	sinceSnap   int      // appends since the last snapshot
+	walLen      int64         // durable WAL length in bytes
+	records     []core.Change // decoded at Open, consumed by Restore
+	snapVersion uint64        // version held by the durable snapshot
+	lastVersion uint64        // last version durable anywhere (snapshot or WAL)
+	sinceSnap   int           // appends since the last snapshot
 	rb          *core.Rulebase
 	unsub       func()
 	restored    bool
@@ -221,7 +221,7 @@ func (s *Store) Restore(rb *core.Rulebase) (RestoreStats, error) {
 		if rec.Version <= st.SnapshotVersion {
 			continue
 		}
-		if err := rb.ApplyChange(rec.change()); err != nil {
+		if err := rb.ApplyChange(rec); err != nil {
 			return st, fmt.Errorf("persist: replaying WAL: %w", err)
 		}
 		st.Replayed++
@@ -270,14 +270,14 @@ func (s *Store) onChange(ch core.Change) {
 	if s.broken != nil || s.closed {
 		return
 	}
-	if ch.Entry.Action == core.ActionLoad {
+	if ch.Action == core.ActionLoad {
 		// Wholesale replacement (UnmarshalJSON): the WAL stream is no longer
 		// an increment over the durable state — re-baseline with a full
 		// snapshot (which also resets the WAL).
 		_ = s.snapshotLocked()
 		return
 	}
-	switch v := ch.Entry.Version; {
+	switch v := ch.Version; {
 	case v <= s.lastVersion:
 		return
 	case v > s.lastVersion+1:
@@ -298,7 +298,7 @@ func (s *Store) onChange(ch core.Change) {
 // torn-write injector: a torn append writes only a prefix and kills the
 // store, exactly as a crash mid-write would.
 func (s *Store) appendLocked(ch core.Change) error {
-	frame, err := EncodeRecord(recordOf(ch))
+	frame, err := EncodeRecord(ch)
 	if err != nil {
 		s.broken = err
 		return err
@@ -321,7 +321,7 @@ func (s *Store) appendLocked(ch core.Change) error {
 		s.observe(MetricFsyncSeconds, time.Since(start).Seconds())
 	}
 	s.walLen += int64(len(frame))
-	s.lastVersion = ch.Entry.Version
+	s.lastVersion = ch.Version
 	s.sinceSnap++
 	s.count(MetricWALAppends, 1)
 	s.count(MetricWALBytes, int64(len(frame)))
@@ -429,14 +429,6 @@ func (s *Store) Close() error {
 	err := s.wal.Close()
 	s.wal = nil
 	return err
-}
-
-// LastVersion returns the last rulebase version made durable (snapshot or
-// WAL record).
-func (s *Store) LastVersion() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastVersion
 }
 
 // WALSize returns the durable WAL length in bytes.

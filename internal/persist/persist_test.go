@@ -412,7 +412,7 @@ func TestGapBreaksStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := st.WALSize()
-	st.onChange(core.Change{Entry: core.AuditEntry{Version: 3, Action: "disable", RuleID: id}, Status: core.Disabled})
+	st.onChange(core.Change{Version: 3, Action: "disable", RuleID: id})
 	err = st.Broken()
 	if err == nil || !strings.Contains(err.Error(), "version 3") || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("Broken() = %v, want an error naming versions 3 and 1", err)
@@ -515,7 +515,7 @@ func TestRecordRoundTrip(t *testing.T) {
 
 	var buf []byte
 	for _, ch := range stream {
-		frame, err := EncodeRecord(recordOf(ch))
+		frame, err := EncodeRecord(ch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -530,7 +530,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	replayed := core.NewRulebase()
 	for _, rec := range recs {
-		if err := replayed.ApplyChange(rec.change()); err != nil {
+		if err := replayed.ApplyChange(rec); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,7 +1,9 @@
 // Package persist is the durability layer for the rulebase: a write-ahead
-// log of mutations (fed by core.Rulebase.SubscribeChanges — the same
-// mutation feed the serving engine rebuilds from), periodic compacted
-// snapshots of the full rule state, and crash-safe restore. The §4
+// log of mutations, periodic compacted snapshots of the full rule state, and
+// crash-safe restore. A WAL record is a core.Change framed as it arrives from
+// core.Rulebase.SubscribeChanges (the feed the serving engine rebuilds from);
+// restore hands it back to core.Rulebase.ApplyChange, which makes the
+// transition through the same code as the live mutation did. The §4
 // maintenance agenda — rule provenance, analyst actions, long-lived rule
 // lifecycles — assumes the rulebase and its audit history survive restarts;
 // this package is what makes that true.
@@ -22,54 +24,6 @@ import (
 	"repro/internal/core"
 )
 
-// Record is one durable rulebase mutation: the audit entry fields plus the
-// payload core.Rulebase.ApplyChange needs to reproduce the state transition.
-// The lifecycle status after disable/enable/retire is derived from Action on
-// replay, so it is deliberately not stored.
-type Record struct {
-	Version uint64 `json:"v"`
-	Action  string `json:"action"`
-	RuleID  string `json:"rule_id,omitempty"`
-	Actor   string `json:"actor,omitempty"`
-	Note    string `json:"note,omitempty"`
-	// Rule is the added rule's content frozen at mutation time ("add" only).
-	Rule *core.Rule `json:"rule,omitempty"`
-	// Confidence is the new precision estimate ("update" only).
-	Confidence float64 `json:"confidence,omitempty"`
-	// NextID is the auto-ID counter after the mutation ("add" only).
-	NextID int `json:"next_id,omitempty"`
-}
-
-// recordOf converts a live mutation into its durable form.
-func recordOf(ch core.Change) Record {
-	return Record{
-		Version:    ch.Entry.Version,
-		Action:     ch.Entry.Action,
-		RuleID:     ch.Entry.RuleID,
-		Actor:      ch.Entry.Actor,
-		Note:       ch.Entry.Note,
-		Rule:       ch.Rule,
-		Confidence: ch.Confidence,
-		NextID:     ch.NextID,
-	}
-}
-
-// change converts a replayed record back into an applyable mutation.
-func (rec Record) change() core.Change {
-	return core.Change{
-		Entry: core.AuditEntry{
-			Version: rec.Version,
-			Action:  rec.Action,
-			RuleID:  rec.RuleID,
-			Actor:   rec.Actor,
-			Note:    rec.Note,
-		},
-		Rule:       rec.Rule,
-		Confidence: rec.Confidence,
-		NextID:     rec.NextID,
-	}
-}
-
 // Frame layout: [4-byte little-endian payload length][4-byte IEEE CRC32 of
 // the payload][JSON payload]. The length bound rejects implausible frames
 // early so a corrupt length byte cannot make the decoder swallow the rest of
@@ -79,14 +33,15 @@ const (
 	maxRecordSize   = 1 << 24
 )
 
-// EncodeRecord renders one framed WAL entry.
-func EncodeRecord(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+// EncodeRecord renders one mutation as a framed WAL entry; the payload is
+// the Change's JSON.
+func EncodeRecord(ch core.Change) ([]byte, error) {
+	payload, err := json.Marshal(ch)
 	if err != nil {
-		return nil, fmt.Errorf("persist: encoding WAL record %d: %w", rec.Version, err)
+		return nil, fmt.Errorf("persist: encoding WAL record %d: %w", ch.Version, err)
 	}
 	if len(payload) > maxRecordSize {
-		return nil, fmt.Errorf("persist: WAL record %d is %d bytes, over the %d limit", rec.Version, len(payload), maxRecordSize)
+		return nil, fmt.Errorf("persist: WAL record %d is %d bytes, over the %d limit", ch.Version, len(payload), maxRecordSize)
 	}
 	frame := make([]byte, frameHeaderSize+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
@@ -101,7 +56,7 @@ func EncodeRecord(rec Record) ([]byte, error) {
 // fails: a short header, an implausible length, a frame extending past the
 // end of data, a CRC mismatch, or an undecodable payload all simply end the
 // valid prefix — exactly the state a crash mid-append leaves behind.
-func DecodeRecords(data []byte) (recs []Record, durable int, torn bool) {
+func DecodeRecords(data []byte) (recs []core.Change, durable int, torn bool) {
 	off := 0
 	for len(data)-off >= frameHeaderSize {
 		length := int(binary.LittleEndian.Uint32(data[off : off+4]))
@@ -112,11 +67,11 @@ func DecodeRecords(data []byte) (recs []Record, durable int, torn bool) {
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+4:off+8]) {
 			break
 		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		var ch core.Change
+		if err := json.Unmarshal(payload, &ch); err != nil {
 			break
 		}
-		recs = append(recs, rec)
+		recs = append(recs, ch)
 		off += frameHeaderSize + length
 	}
 	return recs, off, off < len(data)

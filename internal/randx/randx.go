@@ -59,9 +59,6 @@ func (r *Rand) Uint64() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {

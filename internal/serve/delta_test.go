@@ -195,24 +195,24 @@ func TestDeltaSnapshotEqualsFullProperty(t *testing.T) {
 				op = "update"
 				err = rb.UpdateConfidence(pick(), rng.Float64(), "prop")
 			case k < 95:
-				ch := core.Change{Entry: core.AuditEntry{Version: rb.Version() + 1, RuleID: pick(), Actor: "replay"}}
+				ch := core.Change{Version: rb.Version() + 1, RuleID: pick(), Actor: "replay"}
 				switch rng.Intn(5) {
 				case 0:
 					r := deltaRule(rng, types)
 					replayed++
 					r.ID = fmt.Sprintf("X%05d", replayed)
-					ch.Entry.RuleID, ch.Rule = r.ID, r
-					ch.Entry.Action = "add"
+					ch.RuleID, ch.Rule = r.ID, r
+					ch.Action = "add"
 				case 1:
-					ch.Entry.Action = "disable"
+					ch.Action = "disable"
 				case 2:
-					ch.Entry.Action = "enable"
+					ch.Action = "enable"
 				case 3:
-					ch.Entry.Action = "retire"
+					ch.Action = "retire"
 				default:
-					ch.Entry.Action, ch.Confidence = "update", rng.Float64()
+					ch.Action, ch.Confidence = "update", rng.Float64()
 				}
-				op = "replay " + ch.Entry.Action
+				op = "replay " + ch.Action
 				err = rb.ApplyChange(ch)
 			default:
 				if checkpoint == nil {

@@ -110,8 +110,16 @@ type (
 	BatchResult = chimera.BatchResult
 )
 
-// NewPipeline assembles a pipeline with the standard ensemble.
-var NewPipeline = chimera.New
+var (
+	// NewPipeline assembles a pipeline with the standard ensemble.
+	NewPipeline = chimera.New
+	// FlaggedFrom, CorrectByGroundTruth and DegradedTypes pick a batch's
+	// first-responder scale-down candidates: the types whose wrong
+	// decisions reach a threshold, sorted.
+	FlaggedFrom          = chimera.FlaggedFrom
+	CorrectByGroundTruth = chimera.CorrectByGroundTruth
+	DegradedTypes        = chimera.DegradedTypes
+)
 
 // --- Tools and evaluation (internal/synonym, internal/mining, internal/evaluate)
 

@@ -75,6 +75,7 @@ go test -fuzz=FuzzAttrValueKey -fuzztime=10s -run '^$' ./internal/core
 go test -fuzz=FuzzShardRouter -fuzztime=10s -run '^$' ./internal/serve
 go test -fuzz=FuzzItemFingerprint -fuzztime=10s -run '^$' ./internal/catalog
 go test -fuzz=FuzzWALDecode -fuzztime=10s -run '^$' ./internal/persist
+go test -fuzz=FuzzReplayEqualsLive -fuzztime=10s -run '^$' ./internal/persist
 go test -fuzz=FuzzDenseKernelMatchesReference -fuzztime=10s -run '^$' ./internal/learn
 go test -fuzz=FuzzFingerprintDeterminesPrediction -fuzztime=10s -run '^$' ./internal/learn
 go test -fuzz=FuzzKNNPrunedMatchesFullScan -fuzztime=10s -run '^$' ./internal/learn
