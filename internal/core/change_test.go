@@ -353,29 +353,39 @@ func TestApplyChangeNextID(t *testing.T) {
 	}
 }
 
-// TestAddAutoIDCollision: an auto-assigned ID colliding with an explicitly
-// chosen one errors instead of silently overwriting (the pre-fix code path
-// replaced the rule in the map while leaving a duplicate in the order list).
+// TestAddAutoIDCollision: an auto-assigned ID that an explicit add already
+// took is skipped, not reused and not burned: the auto add succeeds with the
+// next free ID, its change records the live counter, and the counter moves
+// only for adds that happen.
 func TestAddAutoIDCollision(t *testing.T) {
 	rb := NewRulebase()
+	var changes []Change
+	cancel, _ := rb.SubscribeChanges(func(ch Change) { changes = append(changes, ch) })
+	defer cancel()
 	explicit := mustRule(NewWhitelist("x", "t"))
 	explicit.ID = "R000001"
 	if _, err := rb.Add(explicit, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rb.Add(mustRule(NewWhitelist("y", "t")), "a"); err == nil {
-		t.Fatal("auto-ID collision with explicit rule did not error")
+	for _, want := range []string{"R000002", "R000003"} {
+		id, err := rb.Add(mustRule(NewWhitelist("y", "t")), "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != want {
+			t.Fatalf("auto ID = %q, want %q", id, want)
+		}
+		if last := changes[len(changes)-1]; last.RuleID != want || last.Note != rb.Get(want).String() {
+			t.Fatalf("change records rule %q with note %q, want %q", last.RuleID, last.Note, want)
+		}
 	}
-	// The burned draw leaves a hole; the next auto add succeeds with R000002.
-	id, err := rb.Add(mustRule(NewWhitelist("z", "t")), "a")
-	if err != nil {
-		t.Fatal(err)
+	if rb.Len() != 3 {
+		t.Fatalf("rulebase has %d rules, want 3", rb.Len())
 	}
-	if id != "R000002" {
-		t.Fatalf("next auto ID = %q, want R000002", id)
-	}
-	if rb.Len() != 2 {
-		t.Fatalf("rulebase has %d rules, want 2", rb.Len())
+	for i, ch := range changes[1:] {
+		if ch.NextID != i+2 {
+			t.Fatalf("change for %s records next_id %d, want %d", ch.RuleID, ch.NextID, i+2)
+		}
 	}
 }
 

@@ -171,15 +171,25 @@ func (rb *Rulebase) Add(r *Rule, actor string) (string, error) {
 	// Assign the auto-ID and render the audit note before taking rb.mu: both
 	// allocate (fmt formatting over the whole rule), and the serving path
 	// contends on this lock for every ActiveView. Auto-IDs are drawn from an
-	// atomic counter, so a draw burned on a later validation error simply
-	// leaves a hole in the sequence.
-	if r.ID == "" {
+	// atomic counter.
+	auto := r.ID == ""
+	if auto {
 		r.ID = fmt.Sprintf("R%06d", rb.nextID.Add(1))
 	}
 	note := r.String()
 	err := rb.commit(func() (Change, error) {
 		if _, exists := rb.byID[r.ID]; exists {
-			return Change{}, fmt.Errorf("core: rule id %q already present", r.ID)
+			if !auto {
+				return Change{}, fmt.Errorf("core: rule id %q already present", r.ID)
+			}
+			// An explicit add took the drawn ID: draw on to a free one, so
+			// the counter moves only for an add that happens and the change
+			// records it.
+			for exists {
+				r.ID = fmt.Sprintf("R%06d", rb.nextID.Add(1))
+				_, exists = rb.byID[r.ID]
+			}
+			note = r.String()
 		}
 		v := rb.version + 1
 		r.CreatedAt, r.UpdatedAt = v, v

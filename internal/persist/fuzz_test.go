@@ -106,14 +106,13 @@ func FuzzWALDecode(f *testing.F) {
 // ApplyChange onto a fresh rulebase; the two must marshal to the same bytes
 // after every op. The ops cover auto- and explicit-ID adds of every kind,
 // duplicate IDs, disable/enable/retire of unknown, retired and
-// already-in-state rules, and confidence updates.
-//
-// Explicit IDs never take the form of an auto ID the counter has not reached
-// yet: such an ID makes a later auto-ID add fail after drawing, and that
-// burned draw moves the live counter without a record until the next add.
+// already-in-state rules, and confidence updates. Explicit IDs may take the
+// form of an auto ID the counter has not reached yet, which a later auto add
+// must then skip.
 func FuzzReplayEqualsLive(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 2, 1, 2, 1, 3, 1, 5, 200, 4, 2, 3, 2})
 	f.Add([]byte{1, 3, 1, 3, 7, 1, 0, 4, 6, 9, 2, 0, 5, 0, 0, 5})
+	f.Add([]byte{1, 1, 1, 5, 0, 0, 0, 1, 0, 2, 1, 9, 0, 3, 2, 4})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		live, replica := core.NewRulebase(), core.NewRulebase()
 		var delivered []core.Change
@@ -162,6 +161,9 @@ func FuzzReplayEqualsLive(f *testing.F) {
 			case 1:
 				r := newRule(arg)
 				r.ID = fmt.Sprintf("X%d", arg%8)
+				if arg%4 == 1 {
+					r.ID = fmt.Sprintf("R%06d", 1+arg%8) // an auto ID, reached or not
+				}
 				if arg%3 == 0 && len(ids) > 0 {
 					r.ID = ids[int(arg)%len(ids)] // a duplicate of an auto ID
 				}
