@@ -228,12 +228,6 @@ func FuzzKNNPrunedMatchesFullScan(f *testing.F) {
 	f.Add([]byte{14, 40, 3, 0, 1, 5, 130, 129, 2, 9, 10, 11, 1, 0, 3, 15, 16, 0, 12, 2, 0, 3, 0xf5, 0, 1})
 	f.Add([]byte{1, 63, 0x81, 0x82, 0x83, 6, 1, 1, 1, 1, 1, 1, 0, 2, 0, 1, 0xff, 0xff})
 	f.Add([]byte{6, 20, 1, 7, 2, 8, 3, 9, 4, 2, 5, 6, 0x90, 1, 0, 0, 0, 0, 0, 0, 0, 3, 7, 8, 9})
-	// Features 0, 1, 2 and 4 are long, 3, 5, 6 and 7 short. The queries after
-	// the 20 documents hold a run of three or four long features, long runs
-	// split by a short feature, and runs at the start and at the end.
-	f.Add([]byte{6, 19, 10, 4, 4, 5, 0, 25, 1, 2, 6, 2, 0, 4, 1, 2, 2, 6, 1, 25, 4, 1, 6, 1, 1, 18, 4, 7, 1, 4, 2, 16, 0, 0, 7, 25, 1, 2, 7, 0, 1, 17, 1, 3, 2, 2, 18, 2, 0, 6, 1, 1, 3, 6, 0, 2, 2, 3, 5, 1, 4, 2, 18, 4, 0, 2, 5, 0, 28, 7, 14, 3, 0, 5, 9, 5, 3, 7, 2, 1, 2, 4, 8, 4, 4, 8, 4, 1, 8, 0, 1, 3, 0, 1, 2, 3, 4, 0, 1, 2, 4, 6, 2, 2, 3, 4, 2, 1, 5, 2, 3, 0, 1, 3, 4, 4, 0, 1, 2, 3, 4, 4, 0, 3, 4, 7, 5})
-	f.Add([]byte{6, 19, 16, 1, 7, 2, 3, 7, 1, 1, 1, 30, 4, 5, 1, 17, 0, 2, 6, 1, 18, 5, 2, 1, 4, 1, 3, 0, 3, 2, 4, 25, 0, 2, 4, 6, 0, 24, 1, 4, 6, 2, 9, 1, 1, 6, 25, 0, 4, 2, 3, 4, 17, 4, 0, 4, 3, 30, 5, 0, 1, 1, 7, 3, 2, 7, 7, 6, 29, 3, 3, 14, 5, 0, 1, 22, 1, 1, 0, 0, 30, 2, 1, 0, 3, 0, 1, 2, 3, 4, 0, 1, 2, 4, 6, 2, 2, 3, 4, 2, 1, 5, 2, 3, 0, 1, 3, 4, 4, 0, 1, 2, 3, 4, 4, 0, 3, 4, 7, 5})
-	f.Add([]byte{6, 19, 3, 1, 4, 6, 4, 30, 4, 1, 3, 10, 0, 4, 7, 0, 4, 7, 1, 2, 4, 1, 10, 6, 0, 4, 2, 4, 3, 2, 4, 0, 4, 17, 5, 1, 2, 2, 3, 2, 6, 4, 4, 17, 0, 2, 6, 0, 2, 1, 1, 3, 4, 2, 3, 4, 1, 0, 11, 4, 1, 6, 2, 0, 1, 7, 5, 9, 5, 3, 5, 28, 5, 16, 7, 7, 5, 22, 2, 2, 2, 0, 4, 4, 0, 1, 9, 2, 4, 2, 3, 0, 1, 2, 3, 4, 0, 1, 2, 4, 6, 2, 2, 3, 4, 2, 1, 5, 2, 3, 0, 1, 3, 4, 4, 0, 1, 2, 3, 4, 4, 0, 3, 4, 7, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ts, rest := fuzzKNNTrainSet(data)
 		k := NewKNN(5)

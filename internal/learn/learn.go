@@ -361,12 +361,6 @@ func scratchFloats(pool *sync.Pool, n int) *[]float64 {
 // exponential is computed once, and scores is overwritten with them. The
 // top five are kept by insertion under before; classes arrive in index
 // order, so a later class with an equal score never displaces an earlier one.
-//
-// Once five are kept, a class divides e by z only when e is above e5, the
-// exponential of the 5th entry. The cut needs no margin: division by z > 0
-// and its rounding are monotone, so e <= e5 gives e/z <= e5/z after
-// rounding, and a later class whose quotient only ties the 5th loses on its
-// index. That holds in the subnormal range too.
 func softmaxTop5(scores []float64, temp float64, buf []scored) []scored {
 	maxS := math.Inf(-1)
 	for _, s := range scores {
@@ -381,19 +375,12 @@ func softmaxTop5(scores []float64, temp float64, buf []scored) []scored {
 		z += e
 	}
 	top := buf[:0]
-	var e5 float64
 	for i, e := range scores {
-		if len(top) == 5 && e <= e5 {
-			continue
-		}
 		c := scored{int32(i), e / z}
 		if len(top) == 5 && !c.before(top[4]) {
 			continue
 		}
 		top = insertTop(top, c, 5)
-		if len(top) == 5 {
-			e5 = scores[top[4].id]
-		}
 	}
 	return top
 }
@@ -536,17 +523,6 @@ type knnLong struct {
 	dense []float64
 }
 
-// longTerm is one long query feature's addition: its query weight and its
-// dense weights by example.
-type longTerm struct {
-	w     float64
-	dense []float64
-}
-
-// maxLongRun is how many long query features prunedTop adds in one pass over
-// the candidates. A longer run is added in passes of this many.
-const maxLongRun = 4
-
 // isLongPosting reports whether a posting of df examples out of nDocs is
 // long: it holds more than a quarter of them.
 func isLongPosting(df, nDocs int) bool { return 4*df > nDocs }
@@ -578,35 +554,6 @@ type knnScratch struct {
 	touched []int32  // the examples marked seen; capacity nDocs+1
 	top     []scored // neighbours: (doc, similarity)
 	sorted  []int32  // the query's feature IDs, sorted
-}
-
-// addLong adds a run of long features to every touched example, in run
-// order, holding the example's sum in a register across the run: the
-// additions, and so the sum's bits, are those of one pass per feature.
-// Adding w * +0 leaves a sum as it is, since no sum is -0.
-func (s *knnScratch) addLong(run []longTerm) {
-	acc := s.acc
-	switch len(run) {
-	case 0:
-	case 1:
-		w, dense := run[0].w, run[0].dense
-		for _, doc := range s.touched {
-			acc[doc] += w * dense[doc]
-		}
-	case 2:
-		w0, d0, w1, d1 := run[0].w, run[0].dense, run[1].w, run[1].dense
-		for _, doc := range s.touched {
-			acc[doc] = acc[doc] + w0*d0[doc] + w1*d1[doc]
-		}
-	default:
-		for _, doc := range s.touched {
-			a := acc[doc]
-			for _, t := range run {
-				a += t.w * t.dense[doc]
-			}
-			acc[doc] = a
-		}
-	}
 }
 
 // mark appends each of docs not yet seen to touched. It does not branch on
@@ -762,14 +709,13 @@ func (k *KNN) neighbours(s *knnScratch, feats []int32) (top []scored, path knnPa
 
 // prunedTop scores only the candidates: the examples in the query's short
 // postings. Long features add to every candidate through their dense
-// weights, visited in the same ascending feature order as the full scan: a
-// run of long features with no short one between them is added in one pass
-// (addLong), flushed before the next short posting and at the end, so each
-// candidate's accumulator sees the same float additions in the same order.
-// Any other example shares only long features with the query, so its cosine
-// is at most bound = Σ_long w·maxNW / qNorm; the candidates' top K is the
-// true one when there are K of them and the K-th beats that bound strictly.
-// Otherwise the path is knnFullScan, top is nil and the scratch is clean.
+// weights, visited in the same ascending feature order as the full scan, so
+// each candidate's accumulator sees the same float additions in the same
+// order. Any other example shares only long features with the query, so its
+// cosine is at most bound = Σ_long w·maxNW / qNorm; the candidates' top K is
+// the true one when there are K of them and the K-th beats that bound
+// strictly. Otherwise the path is knnFullScan, top is nil and the scratch is
+// clean.
 func (k *KNN) prunedTop(s *knnScratch, feats []int32) ([]scored, knnPath, int) {
 	kk := k.kk()
 	// Step 1: the short postings mark the candidates, and the long features
@@ -805,8 +751,6 @@ func (k *KNN) prunedTop(s *knnScratch, feats []int32) ([]scored, knnPath, int) {
 	}
 	qNorm = math.Sqrt(qNorm)
 	// Step 2: every feature in ascending order adds to the candidates.
-	var run [maxLongRun]longTerm
-	nRun := 0
 	li = 0
 	for j, n := 0, 0; j < len(feats); j += n {
 		n = runLen(feats, j)
@@ -816,21 +760,15 @@ func (k *KNN) prunedTop(s *knnScratch, feats []int32) ([]scored, knnPath, int) {
 		p := &k.post[feats[j]]
 		w := float64(n) * p.idf
 		if l := k.longAt(&li, feats[j]); l != nil {
-			if nRun == maxLongRun {
-				s.addLong(run[:nRun])
-				nRun = 0
+			for _, doc := range s.touched {
+				s.acc[doc] += w * l.dense[doc] // adding +0 leaves acc as it is: acc is never -0
 			}
-			run[nRun] = longTerm{w, l.dense}
-			nRun++
 			continue
 		}
-		s.addLong(run[:nRun])
-		nRun = 0
 		for d, doc := range p.docs {
 			s.acc[doc] += w * p.weights[d]
 		}
 	}
-	s.addLong(run[:nRun])
 	top := k.topK(s, qNorm, kk)
 	if !hasLong {
 		return top, knnShortOnly, cands
@@ -864,46 +802,19 @@ func (k *KNN) fullTop(s *knnScratch, feats []int32) []scored {
 	return k.topK(s, math.Sqrt(qNorm), k.kk())
 }
 
-// topCutMargin is the relative margin of topK's cut: far above the 2⁻⁵³
-// relative rounding of each operation in the cut and in the division.
-const topCutMargin = 1e-12
-
-// topCutMinScore is the smallest K-th similarity that arms topK's cut. Below
-// the normal range a product's rounding error is no longer relative, so the
-// margin would not cover it.
-const topCutMinScore = 1e-280
-
 // topK turns the touched examples' dot products into similarities and keeps
 // the top kk under before, the total order a full sort of every touched
 // example would use, by insertion into a kk-slot array. It leaves the
 // scratch clean.
-//
-// Once kk are kept, an example whose dot product is below cut·d, where
-// cut = kth·(1−topCutMargin) and d = qNorm·norm, is skipped without the
-// division. The constant and the two products each round within 2⁻⁵³
-// relative, so such a dot product is below kth·d·(1−topCutMargin/2), and
-// division is monotone: the quotient, even rounded, is strictly below kth and
-// could not have entered, not even on a tie, where a lower index would win.
-// The cut is armed only while kth is at least topCutMinScore. Every norm,
-// and qNorm, is at least one idf, log((N+1)/N) > 1/(N+1), so cut·d stays
-// normal for any N below 10¹³.
 func (k *KNN) topK(s *knnScratch, qNorm float64, kk int) []scored {
 	top := s.top[:0]
-	var cut float64 // 0 until armed: no dot product is below 0
 	for _, doc := range s.touched {
-		acc, d := s.acc[doc], qNorm*k.norms[doc]
+		c := scored{doc, s.acc[doc] / (qNorm * k.norms[doc])}
 		s.acc[doc], s.seen[doc] = 0, false
-		if acc < cut*d {
-			continue
-		}
-		c := scored{doc, acc / d}
 		if len(top) == kk && !c.before(top[kk-1]) {
 			continue
 		}
 		top = insertTop(top, c, kk)
-		if len(top) == kk && top[kk-1].score >= topCutMinScore {
-			cut = top[kk-1].score * (1 - topCutMargin)
-		}
 	}
 	s.touched, s.top = s.touched[:0], top
 	return top

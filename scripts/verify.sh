@@ -79,7 +79,6 @@ go test -fuzz=FuzzReplayEqualsLive -fuzztime=10s -run '^$' ./internal/persist
 go test -fuzz=FuzzDenseKernelMatchesReference -fuzztime=10s -run '^$' ./internal/learn
 go test -fuzz=FuzzFingerprintDeterminesPrediction -fuzztime=10s -run '^$' ./internal/learn
 go test -fuzz=FuzzKNNPrunedMatchesFullScan -fuzztime=10s -run '^$' ./internal/learn
-go test -fuzz=FuzzTop5CutMatchesFullSort -fuzztime=10s -run '^$' ./internal/learn
 
 echo "== tier-1: go build ./... && go test ./... =="
 go build ./...
