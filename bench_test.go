@@ -271,6 +271,29 @@ func BenchmarkIndexedExecutorApply(b *testing.B) {
 	}
 }
 
+// BenchmarkIndexedExecutorApplyWorld times Apply at the benchmark world's
+// shape — 10,000 addBenchRules rules over a 250-type catalog — cycling over 16
+// items (the rules and items the kernel reads stay in cache) and over 32,768
+// (the benchmark's item pool: most of what each item reads is cold). The gap
+// between the two is what the kernel spends waiting on memory.
+func BenchmarkIndexedExecutorApplyWorld(b *testing.B) {
+	cat := catalog.New(catalog.Config{Seed: 7, NumTypes: 250})
+	rb := core.NewRulebase()
+	addBenchRules(b, cat, rb, 10000)
+	ex := core.NewIndexedExecutor(rb.Active())
+	items := cat.GenerateBatch(catalog.BatchSpec{Size: 32768, Epoch: 1})
+	for _, it := range items {
+		it.TitleTokens()
+	}
+	for _, n := range []int{16, len(items)} {
+		b.Run("items="+strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ex.Apply(items[i%n])
+			}
+		})
+	}
+}
+
 // BenchmarkInstrumentedExecutorApply measures the kernel with telemetry on against
 // BenchmarkIndexedExecutorApply on the same rulebase and items; the ratio of
 // the two ns/op figures is the observability overhead (budget: <5%).

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/pattern"
 )
 
 // Verdict is the outcome of executing a rule set on one item. Semantics are
@@ -241,7 +242,8 @@ func (e *SequentialExecutor) Apply(it *catalog.Item) *Verdict {
 }
 
 // IndexedExecutor is the production rule kernel: it evaluates only the rules
-// the index proposes, one item at a time, optionally recording telemetry
+// the index proposes, one item at a time, each from the compiled program the
+// index keeps for it (RuleIndex.matches), optionally recording telemetry
 // (instrument.go). All of its verdicts are byte-identical to
 // SequentialExecutor's over the same rules — same types, same evidence, same
 // evidence order — because Apply absorbs matches in ascending slot order,
@@ -262,8 +264,9 @@ func NewIndexedExecutor(rules []*Rule) *IndexedExecutor {
 // this one, and reports whether it shares this executor's rule index. rules
 // must be in rulebase insertion order, as Rulebase.ActiveView returns them.
 // When every indexed rule already has a slot here (disable, enable, retire and
-// confidence updates), the successor shares the postings, the prefilter and
-// the whole telemetry table, and only gets its own slot-aligned rule slice.
+// confidence updates), the successor shares the dictionary, the postings, the
+// prefilter, the arena of compiled programs and the whole telemetry table, and
+// only gets its own slot-aligned rule slice.
 // Otherwise — a rule the index has never seen, a load, or too many dead slots
 // (see RuleIndex.reslot) — it is a full build whose telemetry still carries
 // over by rule ID: only rules new to this executor go through the registry.
@@ -290,13 +293,15 @@ func (e *IndexedExecutor) Apply(it *catalog.Item) *Verdict {
 		start = time.Now()
 	}
 	// Both arrays stay on the stack unless an item draws more than 64
-	// postings or matches more than 24 rules.
+	// postings or matches more than 24 rules; so does the interned title the
+	// candidate lookup fills and every program reads.
 	var slotBuf [64]int32
 	var matchBuf [24]int32
-	slots := e.idx.candidateSlots(it, slotBuf[:0])
+	var title pattern.IDTitle
+	slots := e.idx.candidateSlots(it, slotBuf[:0], &title)
 	matched := matchBuf[:0]
 	for _, s := range slots {
-		if e.idx.rules[s].Matches(it) {
+		if e.idx.matches(s, it, &title) {
 			matched = append(matched, s)
 		}
 	}

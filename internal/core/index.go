@@ -10,12 +10,14 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/catalog"
+	"repro/internal/pattern"
 )
 
 // RuleIndex answers "which rules could match this item?" without scanning
 // the whole rulebase — the §5.3 solution: "index these rules, so that given
 // a particular data item we can quickly locate those rules that are likely
-// to match".
+// to match" — and decides each candidate from a compact program it keeps per
+// rule.
 //
 // Candidate generation has two steps, and both live here rather than in
 // Rule.Matches, so the sequential oracle stays independent of them:
@@ -23,7 +25,10 @@ import (
 //   - Posting. A pattern rule posts under one of its witness sets
 //     (pattern.RequiredAlternatives): a title can only match if it contains
 //     one of those tokens. Which set is decided by rule-side document
-//     frequency — see NewRuleIndex. An AttrExists rule posts under its exact
+//     frequency — see NewRuleIndex. Every literal token a posted pattern
+//     mentions has an ID in one dictionary, and a token's postings are a
+//     contiguous run of one array indexed by ID, so each title token costs
+//     one dictionary lookup. An AttrExists rule posts under its exact
 //     attribute name, and an AttrValue rule under its exact attribute name
 //     and the fold key of its value (attrValueKey), because Rule.Matches reads
 //     the attribute case-sensitively and compares the value with
@@ -31,30 +36,37 @@ import (
 //     has. Rules with no witness (pure wildcards) sit on an unconditional
 //     scan list.
 //   - Prefilter. A posted pattern rule is proposed only if the item's title
-//     signature intersects every witness mask of its pattern
-//     (pattern.MayMatch), which makes the lookup conjunctive over all
+//     signature intersects every witness mask of its pattern (what
+//     pattern.MayMatch tests), which makes the lookup conjunctive over all
 //     witness sets without a second posting structure. The test reads only
 //     the posting for almost every rule: each carries the signature bits of
 //     the rule's rarest other witness set (see probe), and only rules whose
 //     pattern has a third set, or whose other set has too many bits to
-//     carry, reach the pattern for the full test.
+//     carry, read the masks left over, which the rule's arena record holds.
 //
 // Both steps only ever drop rules that cannot match: CandidatesFor
 // over-approximates but never misses a matching rule.
 //
+// Deciding a candidate reads the arena (see arena): the pattern compiled to a
+// shift-and program over dictionary IDs (pattern.AppendProgram), run against
+// the title's ID sequence, which the posting lookups produce on the way. The
+// live rule is read only for a candidate that matched (its guards, then its
+// place in the verdict). Titles of more than pattern.MaxProgramTitle tokens,
+// attribute rules and patterns without a program form take Rule.Matches.
+//
 // Postings hold slots — dense int32 positions into rules — not pointers, so
-// anything kept per rule (telemetry) is a slice aligned with rules, and
+// anything kept per rule (telemetry, the arena) is aligned with rules, and
 // ascending slot order is rule input order.
 //
 // An index can be reslotted (IndexedExecutor.Successor): the next snapshot's
-// index shares this one's postings and prefilter and only gets its own rules
-// slice, in which a rule that is no longer active leaves a dead (nil) slot that
-// every lookup skips. Shared postings may keep a rule under a witness set that
-// a fresh build over the new rule list would no longer pick as the rarest, or
-// probe a set that is no longer the rarest other one. That is still sound —
-// both are still witness sets of the same compiled pattern, so the rule is
-// still proposed for every item it can match — and only candidate counts can
-// differ; the next full build re-keys.
+// index shares this one's dictionary, postings, prefilter and arena and only
+// gets its own rules slice, in which a rule that is no longer active leaves a
+// dead (nil) slot that every lookup skips. Shared postings may keep a rule
+// under a witness set that a fresh build over the new rule list would no
+// longer pick as the rarest, or probe a set that is no longer the rarest other
+// one. That is still sound — both are still witness sets of the same compiled
+// pattern, so the rule is still proposed for every item it can match — and
+// only candidate counts can differ; the next full build re-keys.
 type RuleIndex struct {
 	*postings
 	rules []*Rule // live rule per slot, nil when dead; input order (Filter rules excluded)
@@ -63,10 +75,13 @@ type RuleIndex struct {
 
 // postings is the part of a RuleIndex a reslotted index shares.
 type postings struct {
-	byToken map[string][]posting
-	byAttr  map[string]*attrPostings // by exact attribute name
-	always  []int32
-	keyed   []*Rule // the rules the postings were built from, one per slot
+	dict   map[string]int32 // every literal token a posted pattern mentions → its ID, from 1
+	tokOff []uint32         // ID i's postings are posts[tokOff[i]:tokOff[i+1]]; ID 0 has none
+	posts  []posting
+	byAttr map[string]*attrPostings // by exact attribute name
+	always []int32
+	arena  arena
+	keyed  []*Rule // the rules the postings were built from, one per slot
 }
 
 // posting is one pattern rule under one of its posting tokens: the rule's
@@ -84,9 +99,10 @@ type posting struct {
 // the first — so testing the lanes is exactly testing that set's mask. Two
 // flags cover the rest: probeAny passes without testing the lanes (the rule
 // has no other set, or its rarest other one has more than three bits), and
-// probeFull sends a survivor on to pattern.MayMatch (the lanes do not cover
-// every other set). Either way the test never drops a rule MayMatch would
-// keep, and for the common two-set rule it is all of MayMatch.
+// probeFull sends a survivor on to the masks the lanes leave out, which the
+// slot's arena record holds. Either way the test never drops a rule
+// pattern.MayMatch would keep, and for the common two-set rule it is all of
+// it.
 type probe uint32
 
 const (
@@ -122,13 +138,79 @@ func newProbe(masks []uint64, other int) probe {
 }
 
 // admits reports whether a title with signature sig may match the posting's
-// rule: the probe passes, and so does MayMatch when the probe asks for it.
+// rule: the probe passes, and so do the slot's left-over masks when the probe
+// asks for them.
 func (idx *RuleIndex) admits(p posting, sig uint64) bool {
 	pr := p.probe
 	if pr&probeAny == 0 && (sig>>(pr&63)|sig>>(pr>>8&63)|sig>>(pr>>16&63))&1 == 0 {
 		return false
 	}
-	return pr&probeFull == 0 || idx.keyed[p.slot].compiled.MayMatch(sig)
+	return pr&probeFull == 0 || idx.arena.masksHit(p.slot, sig)
+}
+
+// arena holds, per slot, what deciding the slot's rule reads, in one
+// exactly sized word array: slot s's record is words[off[s]:off[s+1]],
+//
+//	meta word     bit 15 (noProgram): decide by Rule.Matches; bits 0–14: the
+//	              number of masks that follow
+//	masks         the witness masks the posting's probe lanes do not cover
+//	              (probeFull only), four words each, low word first
+//	program       the pattern's shift-and program (pattern.AppendProgram)
+//
+// Records are in slot order, so the rules a title draws read nearby words.
+type arena struct {
+	off   []uint32
+	words []uint16
+}
+
+const noProgram = 1 << 15
+
+// record returns slot s's record.
+func (a *arena) record(s int32) []uint16 { return a.words[a.off[s]:a.off[s+1]] }
+
+// masksHit reports whether sig intersects every mask in slot s's record.
+func (a *arena) masksHit(s int32, sig uint64) bool {
+	rec := a.record(s)
+	for i := 1; i+4 <= 1+4*int(rec[0]&^noProgram); i += 4 {
+		m := uint64(rec[i]) | uint64(rec[i+1])<<16 | uint64(rec[i+2])<<32 | uint64(rec[i+3])<<48
+		if m&sig == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// program returns slot s's program, or false when the slot has none.
+func (a *arena) program(s int32) ([]uint16, bool) {
+	rec := a.record(s)
+	return rec[1+4*int(rec[0]&^noProgram):], rec[0]&noProgram == 0
+}
+
+// appendRecord appends a record to the arena: the masks of sets the posting
+// probe pr leaves untested (none unless pr has probeFull; key and other are
+// the posting set and the probe set, -1 when absent), and the pattern's
+// program with token IDs from id, or noProgram when p is nil or has no
+// program form.
+func (a *arena) appendRecord(p *pattern.Pattern, pr probe, key, other int, id func(string) int) {
+	meta := len(a.words)
+	a.words = append(a.words, 0)
+	if pr&probeFull != 0 {
+		for i, m := range p.WitnessMasks() {
+			if i == key || i == other && pr&probeAny == 0 || a.words[meta] == noProgram-1 {
+				continue // a mask past the count's range only weakens the prefilter
+			}
+			a.words = append(a.words, uint16(m), uint16(m>>16), uint16(m>>32), uint16(m>>48))
+			a.words[meta]++
+		}
+	}
+	ok := false
+	if p != nil {
+		a.words, ok = p.AppendProgram(a.words, id)
+	}
+	if !ok {
+		a.words[meta] |= noProgram
+	}
+	a.off = append(a.off, uint32(len(a.words)))
 }
 
 // attrPostings are the attribute rules on one exact attribute name.
@@ -176,60 +258,101 @@ const maxDeadShare = 8
 // the remaining sets under the same order. Both choices are pure functions
 // of the rule list: they need no corpus and do not depend on rule order.
 func NewRuleIndex(rules []*Rule) *RuleIndex {
+	// A world-shaped record is six words; eight per rule keeps the arena
+	// from regrowing during the build, and compact trims the rest.
 	p := &postings{
-		byToken: map[string][]posting{},
-		byAttr:  map[string]*attrPostings{},
-		keyed:   make([]*Rule, 0, len(rules)),
+		dict:   map[string]int32{},
+		byAttr: map[string]*attrPostings{},
+		arena:  arena{off: make([]uint32, 1, len(rules)+1), words: make([]uint16, 0, 8*len(rules))},
+		keyed:  make([]*Rule, 0, len(rules)),
 	}
-	// df[tok].n is the number of rules with tok in a witness set; last is
-	// the 1-based position of the latest rule counted, so a token repeated
-	// within one rule counts once.
+	intern := func(tok string) int {
+		id, ok := p.dict[tok]
+		if !ok {
+			id = int32(len(p.dict) + 1)
+			p.dict[tok] = id
+		}
+		return int(id)
+	}
+	// df[id].n is the number of rules with token id in a witness set; last
+	// is the 1-based position of the latest rule counted, so a token
+	// repeated within one rule counts once. Witness tokens are interned
+	// first, so they have the lowest IDs.
 	type tally struct{ n, last int32 }
-	df := map[string]tally{}
+	df := []tally{{}}
 	for i, r := range rules {
 		if !r.IsPatternKind() {
 			continue
 		}
 		for _, ws := range r.Pattern().RequiredAlternatives() {
 			for _, tok := range ws {
-				if t := df[tok]; t.last != int32(i+1) {
-					df[tok] = tally{n: t.n + 1, last: int32(i + 1)}
+				id := intern(tok)
+				if id == len(df) {
+					df = append(df, tally{})
+				}
+				if t := &df[id]; t.last != int32(i+1) {
+					t.n, t.last = t.n+1, int32(i+1)
 				}
 			}
 		}
 	}
+	// keyedPosting is a posting before it is grouped by token ID.
+	type keyedPosting struct {
+		id int32
+		posting
+	}
+	pending := make([]keyedPosting, 0, len(rules))
 	var costBuf [8]int
 	for _, r := range rules {
 		slot := int32(len(p.keyed))
 		switch {
 		case r.IsPatternKind():
+			sets := r.Pattern().RequiredAlternatives()
 			costs := costBuf[:0]
-			for _, ws := range r.Pattern().RequiredAlternatives() {
+			for _, ws := range sets {
 				c := 0
 				for _, tok := range ws {
-					c += int(df[tok].n)
+					c += int(df[intern(tok)].n)
 				}
 				costs = append(costs, c)
 			}
-			key, other := rarestTwo(r.Pattern().RequiredAlternatives(), costs)
+			key, other := rarestTwo(sets, costs)
+			pr := probeAny
 			if key < 0 {
 				p.always = append(p.always, slot)
-				break
+			} else {
+				pr = newProbe(r.Pattern().WitnessMasks(), other)
+				for _, k := range sets[key] {
+					pending = append(pending, keyedPosting{int32(intern(k)), posting{slot: slot, probe: pr}})
+				}
 			}
-			pr := newProbe(r.Pattern().WitnessMasks(), other)
-			for _, k := range r.Pattern().RequiredAlternatives()[key] {
-				p.byToken[k] = append(p.byToken[k], posting{slot: slot, probe: pr})
-			}
+			p.arena.appendRecord(r.Pattern(), pr, key, other, intern)
 		case r.Kind == AttrExists:
 			ap := p.attr(r.Attr)
 			ap.exists = append(ap.exists, slot)
+			p.arena.appendRecord(nil, 0, -1, -1, nil)
 		case r.Kind == AttrValue:
 			ap := p.attr(r.Attr)
 			ap.values = append(ap.values, valuePosting{key: attrValueKey(r.Value), slot: slot})
+			p.arena.appendRecord(nil, 0, -1, -1, nil)
 		default:
 			continue // Filter rules act on predictions, not items
 		}
 		p.keyed = append(p.keyed, r)
+	}
+	// Group the postings by token ID, keeping slot order within each ID.
+	p.tokOff = make([]uint32, len(p.dict)+2)
+	for _, kp := range pending {
+		p.tokOff[kp.id+1]++
+	}
+	for i := 1; i < len(p.tokOff); i++ {
+		p.tokOff[i] += p.tokOff[i-1]
+	}
+	p.posts = make([]posting, len(pending))
+	fill := slices.Clone(p.tokOff)
+	for _, kp := range pending {
+		p.posts[fill[kp.id]] = kp.posting
+		fill[kp.id]++
 	}
 	p.compact()
 	return &RuleIndex{postings: p, rules: p.keyed}
@@ -245,23 +368,16 @@ func (p *postings) attr(name string) *attrPostings {
 	return ap
 }
 
-// compact moves every token's posting list into one exactly sized array, so
-// the index keeps no append slack (it lives as long as every snapshot that
-// reslots it), and sorts the value postings for lookup; slots were appended
-// ascending, so a stable sort by key keeps equal keys in slot order.
+// compact trims the arena to its exact size, so the index keeps no append
+// slack (it lives as long as every snapshot that reslots it), and sorts the
+// value postings for lookup; slots were appended ascending, so a stable sort
+// by key keeps equal keys in slot order.
 func (p *postings) compact() {
 	for _, ap := range p.byAttr {
 		slices.SortStableFunc(ap.values, func(a, b valuePosting) int { return cmp.Compare(a.key, b.key) })
 	}
-	n := 0
-	for _, ps := range p.byToken {
-		n += len(ps)
-	}
-	arena := make([]posting, n)
-	for tok, ps := range p.byToken {
-		k := copy(arena, ps)
-		p.byToken[tok], arena = arena[:k:k], arena[k:]
-	}
+	p.arena.off = slices.Clone(p.arena.off)
+	p.arena.words = slices.Clone(p.arena.words)
 }
 
 // attrValueKey hashes an attribute value so that any two values
@@ -371,7 +487,8 @@ func (idx *RuleIndex) Len() int { return len(idx.rules) - idx.dead }
 // rules. Deduplication is by slot, so rules that were never added to a
 // rulebase (and share the empty ID) are still all considered.
 func (idx *RuleIndex) CandidatesFor(it *catalog.Item) []*Rule {
-	slots := idx.candidateSlots(it, nil)
+	var title pattern.IDTitle
+	slots := idx.candidateSlots(it, nil, &title)
 	out := make([]*Rule, len(slots))
 	for i, s := range slots {
 		out[i] = idx.rules[s]
@@ -380,16 +497,22 @@ func (idx *RuleIndex) CandidatesFor(it *catalog.Item) []*Rule {
 }
 
 // candidateSlots appends the item's live candidate slots to buf, ascending
-// and deduplicated. Ascending is rule input order: evaluating candidates in it
-// is what makes a per-item verdict list its evidence exactly as the sequential
-// oracle does. A probe that asks for the full prefilter reads the slot's
-// keyed rule, whose compiled pattern a live rule in the slot shares; dead
-// slots are dropped after gathering, so an index without them pays nothing
-// for the check. It does not allocate unless buf overflows.
-func (idx *RuleIndex) candidateSlots(it *catalog.Item, buf []int32) []int32 {
+// and deduplicated, and adds the ID of each title token to title. Ascending is
+// rule input order: evaluating candidates in it is what makes a per-item
+// verdict list its evidence exactly as the sequential oracle does. A probe
+// that asks for the full prefilter reads the slot's arena record; dead slots
+// are dropped after gathering, so an index without them pays nothing for the
+// check. It does not allocate unless buf overflows.
+func (idx *RuleIndex) candidateSlots(it *catalog.Item, buf []int32, title *pattern.IDTitle) []int32 {
 	sig := it.TitleSignature()
 	for _, tok := range it.TitleTokens() {
-		for _, p := range idx.byToken[tok] {
+		id := idx.dict[tok]
+		if id <= pattern.MaxProgramID {
+			title.Add(uint16(id))
+		} else {
+			title.Add(0)
+		}
+		for _, p := range idx.posts[idx.tokOff[id]:idx.tokOff[id+1]] {
 			if idx.admits(p, sig) {
 				buf = append(buf, p.slot)
 			}
@@ -407,6 +530,19 @@ func (idx *RuleIndex) candidateSlots(it *catalog.Item, buf []int32) []int32 {
 		buf = slices.DeleteFunc(buf, func(s int32) bool { return idx.rules[s] == nil })
 	}
 	return sortedUnique(buf)
+}
+
+// matches reports whether the live rule in slot s matches the item whose
+// interned title is title: by the slot's program when it has one and the
+// title fits, reading the rule only for its guards once the pattern matched;
+// by Rule.Matches otherwise.
+func (idx *RuleIndex) matches(s int32, it *catalog.Item, title *pattern.IDTitle) bool {
+	if prog, ok := idx.arena.program(s); ok {
+		if m, ok := pattern.MatchProgram(prog, title); ok {
+			return m && idx.rules[s].guardsHold(it)
+		}
+	}
+	return idx.rules[s].Matches(it)
 }
 
 // sortedUnique sorts s ascending and removes duplicates in place. The

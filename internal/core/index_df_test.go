@@ -81,8 +81,8 @@ func headAnchoredRules(t testing.TB, cat *catalog.Catalog, n, perType int) []*Ru
 // rule under.
 func postingKeys(idx *RuleIndex) map[string][]string {
 	keys := map[string][]string{}
-	for tok, ps := range idx.byToken {
-		for _, p := range ps {
+	for tok := range idx.dict {
+		for _, p := range idx.postingsOf(tok) {
 			id := idx.rules[p.slot].ID
 			keys[id] = append(keys[id], tok)
 		}
@@ -91,6 +91,12 @@ func postingKeys(idx *RuleIndex) map[string][]string {
 		sort.Strings(ks)
 	}
 	return keys
+}
+
+// postingsOf returns the postings under tok.
+func (idx *RuleIndex) postingsOf(tok string) []posting {
+	id := idx.dict[tok]
+	return idx.posts[idx.tokOff[id]:idx.tokOff[id+1]]
 }
 
 // TestDFIndexPicksRareWitness pins the key policy on hand-built rule lists:
@@ -110,7 +116,7 @@ func TestDFIndexPicksRareWitness(t *testing.T) {
 	if got := postingKeys(idx)["rare"]; !reflect.DeepEqual(got, []string{"vortex", "zirconia"}) {
 		t.Fatalf("rule should post under its rare witness pair, got %v", got)
 	}
-	if got := len(idx.byToken["premium"]); got != 0 {
+	if got := len(idx.postingsOf("premium")); got != 0 {
 		t.Fatalf("no rule should post under the qualifier 51 rules share, %d do", got)
 	}
 	if got := idx.CandidatesFor(item("premium everyday thing", nil)); len(got) != 0 {

@@ -243,9 +243,12 @@ func (r *Rule) Matches(it *catalog.Item) bool {
 	default:
 		return false
 	}
-	if !base {
-		return false
-	}
+	return base && r.guardsHold(it)
+}
+
+// guardsHold reports whether every guard of the rule holds for the item: the
+// part of Matches left once the pattern or attribute condition has matched.
+func (r *Rule) guardsHold(it *catalog.Item) bool {
 	for _, g := range r.Guards {
 		if !g.Holds(it) {
 			return false

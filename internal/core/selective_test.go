@@ -136,7 +136,7 @@ func TestSelectiveIndexEquivalenceProperty(t *testing.T) {
 	for _, it := range items {
 		present := tokenize.TokenSet(it.TitleTokens())
 		for tok := range present {
-			for _, p := range ix.byToken[tok] {
+			for _, p := range ix.postingsOf(tok) {
 				r := ix.rules[p.slot]
 				posted++
 				all := true

@@ -115,25 +115,73 @@ func TestMatchEqualsBacktracking(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", src, err)
 		}
+		dict := map[string]int{"d": 1} // d is in the dictionary but in no pattern but one
 		for _, toks := range all {
-			if got, want := p.Match(toks), backtrackMatch(p, toks); got != want {
+			want := backtrackMatch(p, toks)
+			if got := p.Match(toks); got != want {
 				t.Fatalf("%q on %q: Match = %v, backtracking = %v", src, toks, got, want)
+			}
+			got, ok := programMatch(t, p, dict, toks)
+			if ok != (len(toks) <= MaxProgramTitle) || ok && got != want {
+				t.Fatalf("%q on %q: MatchProgram = %v (ok %v), backtracking = %v", src, toks, got, ok, want)
 			}
 		}
 	}
 }
 
+// programMatch runs p's program against toks interned through dict, adding
+// the pattern's tokens to dict first; a title token dict lacks gets ID 0.
+func programMatch(t testing.TB, p *Pattern, dict map[string]int, toks []string) (matched, ok bool) {
+	t.Helper()
+	prog, built := p.AppendProgram(nil, func(tok string) int {
+		if _, ok := dict[tok]; !ok {
+			dict[tok] = len(dict) + 1
+		}
+		return dict[tok]
+	})
+	if !built {
+		t.Fatalf("%q has no program form", p.Raw())
+	}
+	var title IDTitle
+	for _, tok := range toks {
+		title.Add(uint16(dict[tok]))
+	}
+	return MatchProgram(prog, &title)
+}
+
+// stretch returns toks repeated cyclically to exactly n tokens (a filler
+// token no pattern mentions when toks is empty).
+func stretch(toks []string, n int) []string {
+	if len(toks) == 0 {
+		toks = []string{"filler"}
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = toks[i%len(toks)]
+	}
+	return out
+}
+
 // FuzzMatchEqualsBacktracking checks Match against the recursive oracle on
 // any parsable pattern and any title of at most 24 tokens (the oracle's cost
-// grows exponentially with the number of gaps).
+// grows exponentially with the number of gaps), and the pattern's program
+// against both on the same title interned through a dictionary. known title
+// tokens are interned before the pattern's, so the dictionary also holds
+// tokens the program does not mention; the rest of the title's tokens are
+// missing from it. The program is also checked against Match on the title
+// stretched to 0 and 63 tokens, and must decline 64 and 100.
 func FuzzMatchEqualsBacktracking(f *testing.F) {
 	for _, src := range oraclePatterns {
-		f.Add(src, "a b c d a b")
-		f.Add(src, "")
+		f.Add(src, "a b c d a b", uint8(2))
+		f.Add(src, "", uint8(0))
 	}
-	f.Add("diamond.*trio sets?", "diamond ring trio set")
-	f.Add("pick[ -]?up (oil | lubricant)s?", "pick up lubricants")
-	f.Fuzz(func(t *testing.T, src, title string) {
+	f.Add("diamond.*trio sets?", "diamond ring trio set", uint8(1))
+	f.Add("pick[ -]?up (oil | lubricant)s?", "pick up lubricants", uint8(0))
+	f.Add("(a | b c)? (d e | d)? f", "b c d e f", uint8(3))
+	f.Add(`(\syn) oils?`, "motor oil", uint8(1))
+	f.Add(`(motor | engine | \syn) oils?`, "engine oils", uint8(0))
+	f.Add(`a \w+ (b | c d)`, "a x c d", uint8(4))
+	f.Fuzz(func(t *testing.T, src, title string, known uint8) {
 		p, err := Parse(src)
 		if err != nil {
 			return
@@ -142,8 +190,28 @@ func FuzzMatchEqualsBacktracking(f *testing.F) {
 		if len(toks) > 24 {
 			toks = toks[:24]
 		}
-		if got, want := p.Match(toks), backtrackMatch(p, toks); got != want {
+		dict := map[string]int{}
+		for _, tok := range toks[:min(int(known), len(toks))] {
+			if _, ok := dict[tok]; !ok {
+				dict[tok] = len(dict) + 1
+			}
+		}
+		want := backtrackMatch(p, toks)
+		if got := p.Match(toks); got != want {
 			t.Fatalf("%q on %q: Match = %v, backtracking = %v", src, toks, got, want)
+		}
+		if got, ok := programMatch(t, p, dict, toks); !ok || got != want {
+			t.Fatalf("%q on %q: MatchProgram = %v (ok %v), backtracking = %v", src, toks, got, ok, want)
+		}
+		for _, n := range []int{0, MaxProgramTitle, MaxProgramTitle + 1, 100} {
+			long := stretch(toks, n)
+			got, ok := programMatch(t, p, dict, long)
+			if ok != (n <= MaxProgramTitle) {
+				t.Fatalf("%q on %d tokens: MatchProgram ok = %v", src, n, ok)
+			}
+			if want := p.Match(long); ok && got != want {
+				t.Fatalf("%q on %q: MatchProgram = %v, Match = %v", src, long, got, want)
+			}
 		}
 	})
 }

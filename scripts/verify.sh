@@ -66,6 +66,10 @@ race_run ./internal/serve 'TestShardLedgerClosesWithoutWait|TestServeConstructor
 echo "== go test -race (ensemble postings: concurrent Predict on one trained model; bit-equal to the map-based reference; untrained ensemble allocates nothing; NewEnsemble copies its slices) =="
 race_run ./internal/learn 'TestPredictConcurrent|TestDenseKernelMatchesReference|TestUntrainedEnsembleDoesNoWork|TestNewEnsembleCopiesSlices'
 
+# FuzzMatchEqualsBacktracking also runs each pattern's shift-and program over
+# the title interned through a dictionary (0, 63, 64 and 100 tokens included);
+# FuzzVerdictExplain runs the kernel's programs and their Rule.Matches
+# fallbacks on world-shaped and guarded rules.
 echo "== fuzz smoke (10s per target) =="
 go test -fuzz=FuzzParseRule -fuzztime=10s -run '^$' ./internal/pattern
 go test -fuzz=FuzzWitnessSound -fuzztime=10s -run '^$' ./internal/pattern
