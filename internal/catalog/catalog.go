@@ -36,7 +36,6 @@ type Item struct {
 
 	tokOnce     sync.Once
 	titleTokens []string // computed by tokOnce; nil is a valid cached value
-	titleSig    uint64   // computed by tokOnce; tokenize.Signature(titleTokens)
 
 	fpOnce sync.Once
 	fp     uint64 // computed by fpOnce; see Fingerprint
@@ -55,17 +54,8 @@ func (it *Item) TitleTokens() []string {
 	return it.titleTokens
 }
 
-// TitleSignature returns tokenize.Signature of the title tokens — the word
-// the rule index tests against each pattern's witness masks before it runs
-// the matcher. It is computed with the tokens, under the same sync.Once.
-func (it *Item) TitleSignature() uint64 {
-	it.tokOnce.Do(it.tokenizeTitle)
-	return it.titleSig
-}
-
 func (it *Item) tokenizeTitle() {
 	it.titleTokens = tokenize.Tokenize(it.Attrs["Title"])
-	it.titleSig = tokenize.Signature(it.titleTokens)
 }
 
 // RouteKey returns the item's shard routing key: the submitting vendor —
@@ -85,9 +75,9 @@ func (it *Item) RouteKey() string {
 // analyst/manual-team relabeling operation. Item must not be copied by value
 // (it embeds the token-cache sync.Once), so this is the supported way to
 // derive a corrected record; the copy shares the attribute map (treated as
-// read-only everywhere) and re-tokenizes, re-signs and re-fingerprints lazily
-// on first use, so a clone whose Attrs map is later swapped for an edited copy
-// hashes the new content.
+// read-only everywhere) and re-tokenizes and re-fingerprints lazily on first
+// use, so a clone whose Attrs map is later swapped for an edited copy hashes
+// the new content.
 func (it *Item) Relabeled(trueType string) *Item {
 	return &Item{
 		ID:       it.ID,

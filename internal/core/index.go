@@ -36,20 +36,24 @@ import (
 //     has. Rules with no witness (pure wildcards) sit on an unconditional
 //     scan list.
 //   - Prefilter. A posted pattern rule is proposed only if the item's title
-//     signature intersects every witness mask of its pattern (what
-//     pattern.MayMatch tests), which makes the lookup conjunctive over all
-//     witness sets without a second posting structure. The test reads only
-//     the posting for almost every rule: each carries the signature bits of
-//     the rule's rarest other witness set (see probe), and only rules whose
-//     pattern has a third set, or whose other set has too many bits to
-//     carry, read the masks left over, which the rule's arena record holds.
+//     signature intersects the mask of every witness set of its pattern,
+//     which makes the lookup conjunctive over all witness sets without a
+//     second posting structure. Both are built from dictionary IDs (see
+//     idBit): the signature ORs the bits of the title tokens the dictionary
+//     holds, a mask the bits of its set's tokens. Every witness token is in
+//     the dictionary, so a title holding one has its bit set, and a token no
+//     rule mentions sets no bit at all. The test reads only the posting for
+//     almost every rule: each carries the signature bits of the rule's
+//     rarest other witness set (see probe), and only rules whose pattern has
+//     a third set, or whose other set has too many bits to carry, read the
+//     masks left over, which the rule's arena record holds.
 //
 // Both steps only ever drop rules that cannot match: CandidatesFor
 // over-approximates but never misses a matching rule.
 //
 // Deciding a candidate reads the arena (see arena): the pattern compiled to a
 // shift-and program over dictionary IDs (pattern.AppendProgram), run against
-// the title's ID sequence, which the posting lookups produce on the way. The
+// the title's ID sequence, which the dictionary lookups produce. The
 // live rule is read only for a candidate that matched (its guards, then its
 // place in the verdict). Titles of more than pattern.MaxProgramTitle tokens,
 // attribute rules and patterns without a program form take Rule.Matches.
@@ -61,7 +65,8 @@ import (
 // An index can be reslotted (IndexedExecutor.Successor): the next snapshot's
 // index shares this one's dictionary, postings, prefilter and arena and only
 // gets its own rules slice, in which a rule that is no longer active leaves a
-// dead (nil) slot that every lookup skips. Shared postings may keep a rule
+// dead (nil) slot that every lookup skips. Sharing the dictionary shares the
+// token bits, so the shared masks stay exact. Shared postings may keep a rule
 // under a witness set that a fresh build over the new rule list would no
 // longer pick as the rarest, or probe a set that is no longer the rarest other
 // one. That is still sound — both are still witness sets of the same compiled
@@ -78,11 +83,14 @@ type postings struct {
 	dict   map[string]int32 // every literal token a posted pattern mentions → its ID, from 1
 	tokOff []uint32         // ID i's postings are posts[tokOff[i]:tokOff[i+1]]; ID 0 has none
 	posts  []posting
-	byAttr map[string]*attrPostings // by exact attribute name
+	attrs  []attrPostings // one per exact attribute name a rule posts under, probed by name
 	always []int32
 	arena  arena
 	keyed  []*Rule // the rules the postings were built from, one per slot
 }
+
+// idBit returns the signature bit of the token with dictionary ID id (≥ 1).
+func idBit(id int32) uint64 { return 1 << (id & 63) }
 
 // posting is one pattern rule under one of its posting tokens: the rule's
 // slot and its prefilter, 8 bytes in all.
@@ -100,9 +108,9 @@ type posting struct {
 // flags cover the rest: probeAny passes without testing the lanes (the rule
 // has no other set, or its rarest other one has more than three bits), and
 // probeFull sends a survivor on to the masks the lanes leave out, which the
-// slot's arena record holds. Either way the test never drops a rule
-// pattern.MayMatch would keep, and for the common two-set rule it is all of
-// it.
+// slot's arena record holds. Either way the test never drops a rule whose
+// title signature hits every mask, and for the common two-set rule it is the
+// whole test.
 type probe uint32
 
 const (
@@ -111,7 +119,7 @@ const (
 	probeFull  = probe(1) << 25
 )
 
-// newProbe builds the probe of a rule whose pattern has the given witness
+// newProbe builds the probe of a rule whose witness sets have the given
 // masks, other being the index of the rarest set it is not posted under (-1
 // when there is none).
 func newProbe(masks []uint64, other int) probe {
@@ -186,16 +194,16 @@ func (a *arena) program(s int32) ([]uint16, bool) {
 	return rec[1+4*int(rec[0]&^noProgram):], rec[0]&noProgram == 0
 }
 
-// appendRecord appends a record to the arena: the masks of sets the posting
-// probe pr leaves untested (none unless pr has probeFull; key and other are
-// the posting set and the probe set, -1 when absent), and the pattern's
-// program with token IDs from id, or noProgram when p is nil or has no
-// program form.
-func (a *arena) appendRecord(p *pattern.Pattern, pr probe, key, other int, id func(string) int) {
+// appendRecord appends a record to the arena: the masks of p's witness sets
+// that the posting probe pr leaves untested (none unless pr has probeFull; key
+// and other are the posting set and the probe set, -1 when absent), and the
+// pattern's program with token IDs from id, or noProgram when p is nil or has
+// no program form.
+func (a *arena) appendRecord(p *pattern.Pattern, masks []uint64, pr probe, key, other int, id func(string) int) {
 	meta := len(a.words)
 	a.words = append(a.words, 0)
 	if pr&probeFull != 0 {
-		for i, m := range p.WitnessMasks() {
+		for i, m := range masks {
 			if i == key || i == other && pr&probeAny == 0 || a.words[meta] == noProgram-1 {
 				continue // a mask past the count's range only weakens the prefilter
 			}
@@ -215,6 +223,7 @@ func (a *arena) appendRecord(p *pattern.Pattern, pr probe, key, other int, id fu
 
 // attrPostings are the attribute rules on one exact attribute name.
 type attrPostings struct {
+	name   string
 	exists []int32        // AttrExists rules
 	values []valuePosting // AttrValue rules, sorted by key, then slot
 }
@@ -256,15 +265,26 @@ const maxDeadShare = 8
 // hundreds do. Ties go to the set with fewer tokens, then to the later
 // element — the head comes last. The posting's probe carries the rarest of
 // the remaining sets under the same order. Both choices are pure functions
-// of the rule list: they need no corpus and do not depend on rule order.
+// of the rule list: they need no corpus and do not depend on rule order. A
+// set's mask, the OR of its tokens' bits, is taken in the pass that sums its
+// cost.
 func NewRuleIndex(rules []*Rule) *RuleIndex {
 	// A world-shaped record is six words; eight per rule keeps the arena
 	// from regrowing during the build, and compact trims the rest.
 	p := &postings{
-		dict:   map[string]int32{},
-		byAttr: map[string]*attrPostings{},
-		arena:  arena{off: make([]uint32, 1, len(rules)+1), words: make([]uint16, 0, 8*len(rules))},
-		keyed:  make([]*Rule, 0, len(rules)),
+		dict:  map[string]int32{},
+		arena: arena{off: make([]uint32, 1, len(rules)+1), words: make([]uint16, 0, 8*len(rules))},
+		keyed: make([]*Rule, 0, len(rules)),
+	}
+	attrAt := map[string]int{} // exact attribute name → its index in p.attrs
+	attr := func(name string) *attrPostings {
+		i, ok := attrAt[name]
+		if !ok {
+			i = len(p.attrs)
+			attrAt[name] = i
+			p.attrs = append(p.attrs, attrPostings{name: name})
+		}
+		return &p.attrs[i]
 	}
 	intern := func(tok string) int {
 		id, ok := p.dict[tok]
@@ -303,38 +323,41 @@ func NewRuleIndex(rules []*Rule) *RuleIndex {
 	}
 	pending := make([]keyedPosting, 0, len(rules))
 	var costBuf [8]int
+	var maskBuf [8]uint64
 	for _, r := range rules {
 		slot := int32(len(p.keyed))
 		switch {
 		case r.IsPatternKind():
 			sets := r.Pattern().RequiredAlternatives()
-			costs := costBuf[:0]
+			costs, masks := costBuf[:0], maskBuf[:0]
 			for _, ws := range sets {
-				c := 0
+				c, m := 0, uint64(0)
 				for _, tok := range ws {
-					c += int(df[intern(tok)].n)
+					id := intern(tok)
+					c += int(df[id].n)
+					m |= idBit(int32(id))
 				}
-				costs = append(costs, c)
+				costs, masks = append(costs, c), append(masks, m)
 			}
 			key, other := rarestTwo(sets, costs)
 			pr := probeAny
 			if key < 0 {
 				p.always = append(p.always, slot)
 			} else {
-				pr = newProbe(r.Pattern().WitnessMasks(), other)
+				pr = newProbe(masks, other)
 				for _, k := range sets[key] {
 					pending = append(pending, keyedPosting{int32(intern(k)), posting{slot: slot, probe: pr}})
 				}
 			}
-			p.arena.appendRecord(r.Pattern(), pr, key, other, intern)
+			p.arena.appendRecord(r.Pattern(), masks, pr, key, other, intern)
 		case r.Kind == AttrExists:
-			ap := p.attr(r.Attr)
+			ap := attr(r.Attr)
 			ap.exists = append(ap.exists, slot)
-			p.arena.appendRecord(nil, 0, -1, -1, nil)
+			p.arena.appendRecord(nil, nil, 0, -1, -1, nil)
 		case r.Kind == AttrValue:
-			ap := p.attr(r.Attr)
+			ap := attr(r.Attr)
 			ap.values = append(ap.values, valuePosting{key: attrValueKey(r.Value), slot: slot})
-			p.arena.appendRecord(nil, 0, -1, -1, nil)
+			p.arena.appendRecord(nil, nil, 0, -1, -1, nil)
 		default:
 			continue // Filter rules act on predictions, not items
 		}
@@ -358,23 +381,13 @@ func NewRuleIndex(rules []*Rule) *RuleIndex {
 	return &RuleIndex{postings: p, rules: p.keyed}
 }
 
-// attr returns the attribute postings for the exact name, adding them.
-func (p *postings) attr(name string) *attrPostings {
-	ap := p.byAttr[name]
-	if ap == nil {
-		ap = &attrPostings{}
-		p.byAttr[name] = ap
-	}
-	return ap
-}
-
 // compact trims the arena to its exact size, so the index keeps no append
 // slack (it lives as long as every snapshot that reslots it), and sorts the
 // value postings for lookup; slots were appended ascending, so a stable sort
 // by key keeps equal keys in slot order.
 func (p *postings) compact() {
-	for _, ap := range p.byAttr {
-		slices.SortStableFunc(ap.values, func(a, b valuePosting) int { return cmp.Compare(a.key, b.key) })
+	for i := range p.attrs {
+		slices.SortStableFunc(p.attrs[i].values, func(a, b valuePosting) int { return cmp.Compare(a.key, b.key) })
 	}
 	p.arena.off = slices.Clone(p.arena.off)
 	p.arena.words = slices.Clone(p.arena.words)
@@ -497,14 +510,19 @@ func (idx *RuleIndex) CandidatesFor(it *catalog.Item) []*Rule {
 }
 
 // candidateSlots appends the item's live candidate slots to buf, ascending
-// and deduplicated, and adds the ID of each title token to title. Ascending is
+// and deduplicated, and adds the ID of each title token to title. It interns
+// the title first — one dictionary lookup per token, which also yields the
+// title signature — and then walks the postings of each ID. Ascending is
 // rule input order: evaluating candidates in it is what makes a per-item
 // verdict list its evidence exactly as the sequential oracle does. A probe
 // that asks for the full prefilter reads the slot's arena record; dead slots
 // are dropped after gathering, so an index without them pays nothing for the
-// check. It does not allocate unless buf overflows.
+// check. It does not allocate unless the title has more than 64 tokens or buf
+// overflows.
 func (idx *RuleIndex) candidateSlots(it *catalog.Item, buf []int32, title *pattern.IDTitle) []int32 {
-	sig := it.TitleSignature()
+	var idBuf [64]int32
+	ids := idBuf[:0]
+	var sig uint64
 	for _, tok := range it.TitleTokens() {
 		id := idx.dict[tok]
 		if id <= pattern.MaxProgramID {
@@ -512,17 +530,22 @@ func (idx *RuleIndex) candidateSlots(it *catalog.Item, buf []int32, title *patte
 		} else {
 			title.Add(0)
 		}
+		if id != 0 {
+			sig |= idBit(id)
+		}
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
 		for _, p := range idx.posts[idx.tokOff[id]:idx.tokOff[id+1]] {
 			if idx.admits(p, sig) {
 				buf = append(buf, p.slot)
 			}
 		}
 	}
-	if len(idx.byAttr) > 0 {
-		for attr, val := range it.Attrs {
-			if ap := idx.byAttr[attr]; ap != nil {
-				buf = ap.appendTo(buf, val)
-			}
+	for i := range idx.attrs {
+		ap := &idx.attrs[i]
+		if val, ok := it.Attrs[ap.name]; ok {
+			buf = ap.appendTo(buf, val)
 		}
 	}
 	buf = append(buf, idx.always...)

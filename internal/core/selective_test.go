@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,11 +59,27 @@ func TestSelectiveIndexEquivalenceProperty(t *testing.T) {
 	}
 	rules = append(rules, extra...)
 
+	seq := NewSequentialExecutor(rules)
+	idx := NewIndexedExecutor(rules)
+	inst := NewInstrumentedExecutor(rules, obs.NewRegistry())
+	ix := idx.Index()
+
 	items := cat.GenerateBatch(catalog.BatchSpec{Size: 300})
-	var saturated []string // far more distinct tokens than bits: every signature bit set
+	catalogItems := items
+	// Far more distinct tokens than bits, most of them unknown to the
+	// dictionary (they set no bit) and one dictionary token per bit: every
+	// signature bit set.
+	var saturated []string
 	for i := 0; i < 600; i++ {
 		saturated = append(saturated, fmt.Sprintf("tok%d", i))
 	}
+	perBit := make([]string, 64)
+	for tok, id := range ix.dict {
+		if b := id & 63; perBit[b] == "" || tok < perBit[b] {
+			perBit[b] = tok
+		}
+	}
+	saturated = append(saturated, perBit...)
 	saturated = append(saturated, "premium", "gold", "ring")
 	for i, attrs := range []map[string]string{
 		{"Title": ""},
@@ -93,13 +110,9 @@ func TestSelectiveIndexEquivalenceProperty(t *testing.T) {
 	} {
 		items = append(items, &catalog.Item{ID: fmt.Sprintf("edge%d", i), Attrs: attrs})
 	}
-	if sig := items[302].TitleSignature(); sig != ^uint64(0) {
+	if sig := indexSignature(ix, items[302]); sig != ^uint64(0) {
 		t.Fatalf("the long title should saturate the signature, got %064b", sig)
 	}
-
-	seq := NewSequentialExecutor(rules)
-	idx := NewIndexedExecutor(rules)
-	inst := NewInstrumentedExecutor(rules, obs.NewRegistry())
 
 	want := ExecuteBatchItemwise(seq, items, 1)
 	batches := map[string][]*Verdict{
@@ -128,12 +141,12 @@ func TestSelectiveIndexEquivalenceProperty(t *testing.T) {
 		t.Fatalf("fixture is too quiet to test anything: only %d of %d items match a rule", matchedSomething, len(items))
 	}
 
-	// What the two steps buy on this fixture, and the signature's
+	// What the two steps buy on catalog titles, and the signature's
 	// false-positive rate: of the posted rules that do NOT have every witness
 	// set present in the title, how many the 64-bit test lets through.
 	var posted, passed, exact int
-	ix := idx.Index()
-	for _, it := range items {
+	for _, it := range catalogItems {
+		sig := indexSignature(ix, it)
 		present := tokenize.TokenSet(it.TitleTokens())
 		for tok := range present {
 			for _, p := range ix.postingsOf(tok) {
@@ -150,17 +163,68 @@ func TestSelectiveIndexEquivalenceProperty(t *testing.T) {
 				if all {
 					exact++
 				}
-				if r.Pattern().MayMatch(it.TitleSignature()) {
+				if ix.admits(p, sig) {
 					passed++
+				} else if all {
+					t.Fatalf("the prefilter rejected %q on %q, whose witness sets are all present", r.Source, it.Title())
 				}
 			}
 		}
 	}
-	n := float64(len(items))
-	t.Logf("%d rules, %d items: posted %.1f/item, passed the signature %.1f/item, all witnesses really present %.1f/item; signature false-positive rate %.3f",
-		len(rules), len(items), float64(posted)/n, float64(passed)/n, float64(exact)/n,
+	n := float64(len(catalogItems))
+	t.Logf("%d rules, %d catalog items: posted %.1f/item, passed the signature %.1f/item, all witnesses really present %.1f/item; signature false-positive rate %.3f",
+		len(rules), len(catalogItems), float64(posted)/n, float64(passed)/n, float64(exact)/n,
 		float64(passed-exact)/float64(posted-exact))
-	if passed < exact {
-		t.Fatalf("signature rejected a rule whose witnesses are all present: passed %d < exact %d", passed, exact)
+}
+
+// TestSignatureIgnoresTokensOutsideDictionary: the title signature is built
+// from dictionary IDs, so a title token no rule mentions sets no bit and
+// cannot carry a rule past the prefilter by colliding with one of its witness
+// tokens. The fixture's "velvet102" is such a collision under a string hash of
+// the tokens: it shares "diamond"'s bit there, and diamond is the set the
+// posting's probe tests (the rule posts under "trio").
+func TestSignatureIgnoresTokensOutsideDictionary(t *testing.T) {
+	rules := []*Rule{
+		mustRule(NewWhitelist("diamond.*trio sets?", "rings")),
+		mustRule(NewWhitelist("rings?", "rings")),
 	}
+	for i, r := range rules {
+		r.ID = fmt.Sprintf("D%d", i)
+	}
+	idx := NewIndexedExecutor(rules)
+	seq := NewSequentialExecutor(rules)
+	ix := idx.Index()
+	if _, ok := ix.dict["velvet102"]; ok {
+		t.Fatal("fixture void: velvet102 is in the dictionary")
+	}
+	for _, tc := range []struct {
+		title     string
+		candidate bool
+	}{
+		{"trio set velvet102", false},
+		{"trio set only", false}, // every witness set must be hit, not just the posting's
+		{"velvet102 ring trio sets", false},
+		{"diamond ring trio set", true},
+		{"trio sets diamond", true}, // the prefilter ignores order; the program rejects it
+	} {
+		it := item(tc.title, nil)
+		if got := slices.Contains(ix.CandidatesFor(it), rules[0]); got != tc.candidate {
+			t.Errorf("%q: %s is a candidate = %v, want %v", tc.title, rules[0].Source, got, tc.candidate)
+		}
+		if got, want := idx.Apply(it), seq.Apply(it); verdictBytes(t, got) != verdictBytes(t, want) {
+			t.Errorf("%q:\ngot  %s\nwant %s", tc.title, got.Explain(), want.Explain())
+		}
+	}
+}
+
+// indexSignature is the signature candidateSlots tests an item's postings
+// against: the bits of its title tokens that are in the dictionary.
+func indexSignature(idx *RuleIndex, it *catalog.Item) uint64 {
+	var sig uint64
+	for _, tok := range it.TitleTokens() {
+		if id := idx.dict[tok]; id != 0 {
+			sig |= idBit(id)
+		}
+	}
+	return sig
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"repro/internal/randx"
-	"repro/internal/tokenize"
 )
 
 // ---------------------------------------------------------------------------
@@ -24,37 +23,14 @@ import (
 // every rule): callers must not modify them.
 func (p *Pattern) RequiredAlternatives() [][]string { return p.witness }
 
-// WitnessMasks returns, aligned with RequiredAlternatives, each witness
-// set's signature mask: the OR of tokenize.TokenBit over its tokens. MayMatch
-// tests a signature against all of them; a rule index may keep one of them
-// beside a posting. Shared like RequiredAlternatives: callers must not
-// modify it.
-func (p *Pattern) WitnessMasks() []uint64 { return p.masks }
-
-// MayMatch reports whether a title with the given tokenize.Signature could
-// match the pattern: every witness set must have at least one token whose
-// bit is set. It can answer true for a title that does not match (a shared
-// bit, or witnesses present in the wrong order) but never false for one that
-// does — Match implies every witness set is hit, and a present token always
-// has its bit set. Patterns without witnesses pass every signature.
-func (p *Pattern) MayMatch(sig uint64) bool {
-	for _, m := range p.masks {
-		if m&sig == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// analyze derives the witness sets and their signature masks from elems.
+// analyze derives the witness sets from elems.
 func (p *Pattern) analyze() {
-	p.witness, p.masks = nil, nil
+	p.witness = nil
 	for _, e := range p.elems {
 		if e.Kind != KindLit || e.Optional {
 			continue
 		}
 		ws := make([]string, 0, len(e.Alts))
-		var mask uint64
 	alts:
 		for _, alt := range e.Alts {
 			for _, seen := range ws {
@@ -63,10 +39,8 @@ func (p *Pattern) analyze() {
 				}
 			}
 			ws = append(ws, alt[0])
-			mask |= tokenize.TokenBit(alt[0])
 		}
 		p.witness = append(p.witness, ws)
-		p.masks = append(p.masks, mask)
 	}
 }
 

@@ -32,6 +32,13 @@ func TestRequiredAlternativesSkipsOptionalAndWildcard(t *testing.T) {
 	if !reflect.DeepEqual(req[0], []string{"set", "sets"}) {
 		t.Fatalf("bad witness: %v", req[0])
 	}
+	// Pure wildcards and all-\syn patterns have no witness set at all: a
+	// rule index must scan them unconditionally.
+	for _, src := range []string{`(\w+) (\w+)`, `\syn`} {
+		if w := MustParse(src).RequiredAlternatives(); w != nil {
+			t.Fatalf("%q must have no witness sets: %v", src, w)
+		}
+	}
 }
 
 func TestRequiredAlternativesMultiTokenUsesFirstToken(t *testing.T) {
@@ -59,40 +66,6 @@ func TestRequiredAlternativesCachedAndDeduplicated(t *testing.T) {
 	syn := MustParse(`(motor | engine | \syn) oils?`).WithSynExpanded([][]string{{"car"}})
 	if got := syn.RequiredAlternatives(); !reflect.DeepEqual(got, [][]string{{"motor", "engine", "car"}, {"oil", "oils"}}) {
 		t.Fatalf("expanded pattern has stale witnesses: %v", got)
-	}
-}
-
-func TestMayMatch(t *testing.T) {
-	p := MustParse("diamond.*trio sets?")
-	sig := func(title string) uint64 { return tokenize.Signature(tokenize.Tokenize(title)) }
-	if !p.MayMatch(sig("diamond ring trio set")) {
-		t.Fatal("a matching title must pass")
-	}
-	// Every witness set must be hit, not just the posting key's.
-	reject := sig("trio set only")
-	if reject&tokenize.TokenBit("diamond") != 0 {
-		t.Fatal("fixture void: a filler token shares diamond's bit under the current hash; pick another")
-	}
-	if p.MayMatch(reject) {
-		t.Fatal("a title without any 'diamond' witness bit must be rejected")
-	}
-	if p.MayMatch(0) {
-		t.Fatal("the empty title has no bits and matches no pattern with witnesses")
-	}
-	// No witnesses, no masks: pure wildcards and all-\syn patterns pass
-	// every signature, including the empty one.
-	for _, src := range []string{`(\w+) (\w+)`, `\syn`} {
-		w := MustParse(src)
-		if w.RequiredAlternatives() != nil {
-			t.Fatalf("%q must have no witness sets: %v", src, w.RequiredAlternatives())
-		}
-		if !w.MayMatch(0) || !w.MayMatch(^uint64(0)) {
-			t.Fatalf("%q has no masks and must pass every signature", src)
-		}
-	}
-	// A saturated signature rejects nothing.
-	if !p.MayMatch(^uint64(0)) {
-		t.Fatal("saturated signature must pass")
 	}
 }
 

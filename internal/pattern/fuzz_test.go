@@ -83,11 +83,10 @@ func FuzzParseRule(f *testing.F) {
 }
 
 // FuzzWitnessSound checks the one fact both halves of the rule index rest on
-// (posting under a witness set, and the signature prefilter): for any
-// parsable pattern and any token list,
+// (posting under a witness set, and the signature prefilter over the sets'
+// tokens): for any parsable pattern and any token list,
 //
 //	Match(tokens)  ⇒  every RequiredAlternatives() set has a token in tokens
-//	               ∧  MayMatch(tokenize.Signature(tokens))
 //
 // Random (pattern, title) pairs rarely match, so each parsable pattern is
 // also checked against a title GenerateMatch builds for it from the fuzzed
@@ -145,8 +144,5 @@ func checkWitnessSound(t *testing.T, p *Pattern, tokens []string) {
 		if !hit {
 			t.Fatalf("%q matches %q but witness set %d %q is not hit", p.Raw(), tokens, i, ws)
 		}
-	}
-	if !p.MayMatch(tokenize.Signature(tokens)) {
-		t.Fatalf("%q matches %q but MayMatch rejects its signature", p.Raw(), tokens)
 	}
 }

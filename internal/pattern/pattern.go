@@ -70,9 +70,8 @@ type Pattern struct {
 	elems []Elem
 
 	// Derived from elems by analyze when the pattern is built; read-only
-	// afterwards (see RequiredAlternatives and MayMatch).
+	// afterwards (see RequiredAlternatives).
 	witness [][]string
-	masks   []uint64
 }
 
 // maxAlternatives caps the cross-product expansion of a single word unit or

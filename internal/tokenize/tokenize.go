@@ -96,35 +96,6 @@ func NGrams(s string, q int) []string {
 	return grams
 }
 
-// TokenBit maps a token to one of the 64 bits of a title signature: FNV-1a
-// over the bytes, one multiplicative mixing step, top six bits. It is the
-// hash both sides of the rule-index prefilter agree on — catalog.Item signs
-// its title with it and pattern.Parse builds witness masks with it — so it
-// must stay a pure function of the token's bytes.
-func TokenBit(tok string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(tok); i++ {
-		h ^= uint64(tok[i])
-		h *= 1099511628211
-	}
-	h ^= h >> 32
-	h *= 0x9E3779B97F4A7C15
-	return 1 << (h >> 58)
-}
-
-// Signature ORs the TokenBit of every token: a 64-bit Bloom filter of the
-// token set with one hash. A clear bit proves every token hashing to it
-// absent; a set bit proves nothing, so tests against a signature err only
-// towards "may be present". Past 64 distinct tokens it saturates and rejects
-// nothing.
-func Signature(tokens []string) uint64 {
-	var sig uint64
-	for _, t := range tokens {
-		sig |= TokenBit(t)
-	}
-	return sig
-}
-
 // TokenSet returns the deduplicated set of tokens as a map.
 func TokenSet(tokens []string) map[string]bool {
 	set := make(map[string]bool, len(tokens))

@@ -66,23 +66,33 @@ race_run ./internal/serve 'TestShardLedgerClosesWithoutWait|TestServeConstructor
 echo "== go test -race (ensemble postings: concurrent Predict on one trained model; bit-equal to the map-based reference; untrained ensemble allocates nothing; NewEnsemble copies its slices) =="
 race_run ./internal/learn 'TestPredictConcurrent|TestDenseKernelMatchesReference|TestUntrainedEnsembleDoesNoWork|TestNewEnsembleCopiesSlices'
 
+# fuzz PKG TARGET runs a 10 s smoke of TARGET. Minimizing an input that
+# widened coverage is capped at 1 s: at the default 60 s one long input takes
+# the rest of the smoke, and the engine runs the target there without counting
+# it, so the exec counter stops. A failing input is still reported and saved.
+fuzz() {
+    go test -fuzz="$2" -fuzztime=10s -fuzzminimizetime=1s -run '^$' "$1"
+}
+
 # FuzzMatchEqualsBacktracking also runs each pattern's shift-and program over
 # the title interned through a dictionary (0, 63, 64 and 100 tokens included);
-# FuzzVerdictExplain runs the kernel's programs and their Rule.Matches
-# fallbacks on world-shaped and guarded rules.
+# FuzzWitnessSound checks that a match hits every witness set, which the rule
+# index's postings and title signature rest on; FuzzVerdictExplain runs the
+# kernel's programs and their Rule.Matches fallbacks on world-shaped and
+# guarded rules.
 echo "== fuzz smoke (10s per target) =="
-go test -fuzz=FuzzParseRule -fuzztime=10s -run '^$' ./internal/pattern
-go test -fuzz=FuzzWitnessSound -fuzztime=10s -run '^$' ./internal/pattern
-go test -fuzz=FuzzMatchEqualsBacktracking -fuzztime=10s -run '^$' ./internal/pattern
-go test -fuzz=FuzzVerdictExplain -fuzztime=10s -run '^$' ./internal/core
-go test -fuzz=FuzzAttrValueKey -fuzztime=10s -run '^$' ./internal/core
-go test -fuzz=FuzzShardRouter -fuzztime=10s -run '^$' ./internal/serve
-go test -fuzz=FuzzItemFingerprint -fuzztime=10s -run '^$' ./internal/catalog
-go test -fuzz=FuzzWALDecode -fuzztime=10s -run '^$' ./internal/persist
-go test -fuzz=FuzzReplayEqualsLive -fuzztime=10s -run '^$' ./internal/persist
-go test -fuzz=FuzzDenseKernelMatchesReference -fuzztime=10s -run '^$' ./internal/learn
-go test -fuzz=FuzzFingerprintDeterminesPrediction -fuzztime=10s -run '^$' ./internal/learn
-go test -fuzz=FuzzKNNPrunedMatchesFullScan -fuzztime=10s -run '^$' ./internal/learn
+fuzz ./internal/pattern FuzzParseRule
+fuzz ./internal/pattern FuzzWitnessSound
+fuzz ./internal/pattern FuzzMatchEqualsBacktracking
+fuzz ./internal/core FuzzVerdictExplain
+fuzz ./internal/core FuzzAttrValueKey
+fuzz ./internal/serve FuzzShardRouter
+fuzz ./internal/catalog FuzzItemFingerprint
+fuzz ./internal/persist FuzzWALDecode
+fuzz ./internal/persist FuzzReplayEqualsLive
+fuzz ./internal/learn FuzzDenseKernelMatchesReference
+fuzz ./internal/learn FuzzFingerprintDeterminesPrediction
+fuzz ./internal/learn FuzzKNNPrunedMatchesFullScan
 
 echo "== tier-1: go build ./... && go test ./... =="
 go build ./...
