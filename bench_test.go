@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/chimera"
@@ -27,6 +28,7 @@ import (
 	"repro/internal/mining"
 	"repro/internal/obs"
 	"repro/internal/pattern"
+	"repro/internal/persist"
 	"repro/internal/serve"
 	"repro/internal/synonym"
 	"repro/internal/tokenize"
@@ -407,6 +409,136 @@ func BenchmarkEngineRebuild(b *testing.B) {
 			}
 		})
 	}
+}
+
+// worldRules returns the 10,000 rules addBenchRules draws from the
+// benchmark world's 250-type catalog, as fresh clones with no ID or clock
+// stamps, ready for Add.
+func worldRules(b *testing.B) []*core.Rule {
+	b.Helper()
+	rb := core.NewRulebase()
+	addBenchRules(b, catalog.New(catalog.Config{Seed: 7, NumTypes: 250}), rb, 10000)
+	rules := rb.All()
+	for i, r := range rules {
+		c := r.Clone()
+		c.ID, c.Author, c.CreatedAt, c.UpdatedAt = "", "", 0, 0
+		rules[i] = c
+	}
+	return rules
+}
+
+// durableWorld returns a rulebase holding worldRules with a store attached
+// under a fresh directory, auto-compaction off, and the rule IDs.
+func durableWorld(b *testing.B) (*core.Rulebase, *persist.Store, []string) {
+	b.Helper()
+	st, err := persist.Open(persist.Options{Dir: b.TempDir(), SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = st.Close() })
+	rb := core.NewRulebase()
+	if err := st.Attach(rb); err != nil {
+		b.Fatal(err)
+	}
+	var ids []string
+	for _, r := range worldRules(b) {
+		id, err := rb.Add(r, "bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	return rb, st, ids
+}
+
+// BenchmarkStoreSnapshot times one compaction of the 10,000-rule world: the
+// rulebase marshaled, written, renamed over the last snapshot, and the WAL
+// reset (no fsync). It uses only public API, so it also runs copied into a
+// parent checkout.
+func BenchmarkStoreSnapshot(b *testing.B) {
+	_, st, _ := durableWorld(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWALAppend times one mutation with a store attached to the
+// 10,000-rule world and auto-compaction off, so each op is the mutation plus
+// its WAL record (no fsync): Add carries the whole rule in its record,
+// UpdateConfidence only the new value.
+func BenchmarkWALAppend(b *testing.B) {
+	b.Run("Add", func(b *testing.B) {
+		rb, _, _ := durableWorld(b)
+		rules := make([]*core.Rule, b.N)
+		for i := range rules {
+			r, err := core.NewWhitelist("benchadd"+strconv.Itoa(i)+" widgets?", "widgets")
+			if err != nil {
+				b.Fatal(err)
+			}
+			rules[i] = r
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for _, r := range rules {
+			if _, err := rb.Add(r, "bench"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("UpdateConfidence", func(b *testing.B) {
+		rb, _, ids := durableWorld(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := rb.UpdateConfidence(ids[i%len(ids)], 0.5+float64(i%50)/100, "bench"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkDurableBulkLoad times the durable set-up of the benchmark world:
+// 10,000 Adds into a fresh rulebase with a store attached and the default
+// auto-compaction (every 1,024 appends). max_add_ms is the longest single
+// Add, an append that also compacted: the stall every mutator waits out.
+func BenchmarkDurableBulkLoad(b *testing.B) {
+	rules := worldRules(b)
+	var longest time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st, err := persist.Open(persist.Options{Dir: b.TempDir()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rb := core.NewRulebase()
+		if err := st.Attach(rb); err != nil {
+			b.Fatal(err)
+		}
+		fresh := make([]*core.Rule, len(rules))
+		for j, r := range rules {
+			fresh[j] = r.Clone()
+		}
+		b.StartTimer()
+		for _, r := range fresh {
+			start := time.Now()
+			if _, err := rb.Add(r, "bench"); err != nil {
+				b.Fatal(err)
+			}
+			longest = max(longest, time.Since(start))
+		}
+		b.StopTimer()
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(longest.Microseconds())/1e3, "max_add_ms")
 }
 
 func BenchmarkFrequentSequences(b *testing.B) {

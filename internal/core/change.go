@@ -1,28 +1,79 @@
 package core
 
-import "fmt"
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+)
 
 // Change is one completed rulebase mutation as a self-contained, applyable
 // record: the audit entry's fields plus exactly the payload a replayer needs
 // to reproduce the state transition (the added rule's content, the new
 // confidence, the auto-ID counter). It is also the record the write-ahead log
-// in internal/persist frames, so its JSON keys are the on-disk format: keep
-// them, their order and their omitempty flags. Rulebase.apply makes the
+// in internal/persist frames, so changeJSON's keys are the on-disk format:
+// keep them, their order and their omitempty flags. Rulebase.apply makes the
 // transition a Change records, for live mutations and ApplyChange alike.
 type Change struct {
-	Version uint64 `json:"v"`
-	Action  string `json:"action"` // add / update / disable / enable / retire
-	RuleID  string `json:"rule_id,omitempty"`
-	Actor   string `json:"actor,omitempty"`
-	Note    string `json:"note,omitempty"`
+	Version uint64
+	Action  string // add / update / disable / enable / retire
+	RuleID  string
+	Actor   string
+	Note    string
 	// Rule is the added rule's content frozen at mutation time ("add" only),
 	// safe to retain and serialize after later mutations touch the live rule.
-	Rule *Rule `json:"rule,omitempty"`
+	Rule *Rule
 	// Confidence is the new precision estimate ("update" only).
-	Confidence float64 `json:"confidence,omitempty"`
+	Confidence float64
 	// NextID is the auto-ID counter after the mutation ("add" only), so a
 	// replayed rulebase assigns the same IDs to future auto-ID adds.
-	NextID int `json:"next_id,omitempty"`
+	NextID int
+}
+
+// changeJSON is Change's serialized form, with the added rule in its flat
+// form so a record is encoded and decoded in one pass.
+type changeJSON struct {
+	Version    uint64    `json:"v"`
+	Action     string    `json:"action"`
+	RuleID     string    `json:"rule_id,omitempty"`
+	Actor      string    `json:"actor,omitempty"`
+	Note       string    `json:"note,omitempty"`
+	Rule       *ruleJSON `json:"rule,omitempty"`
+	Confidence float64   `json:"confidence,omitempty"`
+	NextID     int       `json:"next_id,omitempty"`
+}
+
+// MarshalJSON implements json.Marshaler.
+func (ch Change) MarshalJSON() ([]byte, error) {
+	j := changeJSON{
+		Version: ch.Version, Action: ch.Action, RuleID: ch.RuleID, Actor: ch.Actor,
+		Note: ch.Note, Confidence: ch.Confidence, NextID: ch.NextID,
+	}
+	if ch.Rule != nil {
+		r := ch.Rule.toJSON()
+		j.Rule = &r
+	}
+	return json.Marshal(j)
+}
+
+// UnmarshalJSON implements json.Unmarshaler, recompiling the added rule's
+// pattern.
+func (ch *Change) UnmarshalJSON(data []byte) error {
+	var j changeJSON
+	if err := json.Unmarshal(data, &j); err != nil {
+		return err
+	}
+	var r *Rule
+	if j.Rule != nil {
+		r = new(Rule)
+		if err := r.fromJSON(j.Rule); err != nil {
+			return err
+		}
+	}
+	*ch = Change{
+		Version: j.Version, Action: j.Action, RuleID: j.RuleID, Actor: j.Actor,
+		Note: j.Note, Rule: r, Confidence: j.Confidence, NextID: j.NextID,
+	}
+	return nil
 }
 
 // Entry returns the audit entry the mutation appended.
@@ -137,6 +188,9 @@ func (rb *Rulebase) apply(ch Change) error {
 		if _, exists := rb.byID[r.ID]; exists {
 			return fmt.Errorf("core: add change %d duplicates rule %q", ch.Version, r.ID)
 		}
+		if err := checkConfidence(r.Confidence); err != nil {
+			return fmt.Errorf("core: add change %d: %w", ch.Version, err)
+		}
 		rb.byID[r.ID] = len(rb.rules)
 		rb.rules = append(rb.rules, r)
 		// Advance (never rewind) the auto-ID counter; max semantics keep a
@@ -151,6 +205,11 @@ func (rb *Rulebase) apply(ch Change) error {
 		i, ok := rb.byID[ch.RuleID]
 		if !ok {
 			return fmt.Errorf("core: %s change %d targets unknown rule %q", ch.Action, ch.Version, ch.RuleID)
+		}
+		if ch.Action == "update" {
+			if err := checkConfidence(ch.Confidence); err != nil {
+				return fmt.Errorf("core: update change %d: %w", ch.Version, err)
+			}
 		}
 		c := rb.rules[i].Clone()
 		switch ch.Action {
@@ -170,6 +229,15 @@ func (rb *Rulebase) apply(ch Change) error {
 	}
 	rb.version = ch.Version
 	rb.audit = append(rb.audit, ch.Entry())
+	return nil
+}
+
+// checkConfidence rejects a confidence JSON cannot encode: a NaN or infinite
+// one would commit and then fail the durability layer's record of it.
+func checkConfidence(c float64) error {
+	if math.IsNaN(c) || math.IsInf(c, 0) {
+		return fmt.Errorf("core: confidence %v is not a finite number", c)
+	}
 	return nil
 }
 

@@ -285,7 +285,8 @@ func TestChangeFeedOrdered(t *testing.T) {
 }
 
 // TestFailedLoadLeavesRulebaseUntouched: a load that fails validation (a
-// duplicated rule entry) changes nothing and delivers nothing.
+// duplicated rule entry, a null rule entry) changes nothing and delivers
+// nothing.
 func TestFailedLoadLeavesRulebaseUntouched(t *testing.T) {
 	rb := NewRulebase()
 	for _, src := range []string{"rings?", "jeans?", "oils?"} {
@@ -302,12 +303,16 @@ func TestFailedLoadLeavesRulebaseUntouched(t *testing.T) {
 
 	foreign := mustRule(NewWhitelist("records?", "vinyl"))
 	foreign.ID = "X000001"
-	bad, err := json.Marshal(rulebaseJSON{Version: 1, NextID: 1, Rules: []*Rule{foreign, foreign}})
+	dup, err := json.Marshal(rulebaseJSON{Version: 1, NextID: 1, Rules: []ruleJSON{foreign.toJSON(), foreign.toJSON()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(bad, rb); err == nil {
+	if err := json.Unmarshal(dup, rb); err == nil {
 		t.Fatal("load with a duplicated rule entry accepted")
+	}
+	null := `{"version":1,"next_id":1,"rules":[null],"audit":null}`
+	if err := json.Unmarshal([]byte(null), rb); err == nil {
+		t.Fatal("load with a null rule entry accepted")
 	}
 	after, err := json.Marshal(rb)
 	if err != nil {

@@ -314,16 +314,24 @@ var statusNames = map[string]Status{
 	"active": Active, "disabled": Disabled, "retired": Retired,
 }
 
-// MarshalJSON implements json.Marshaler.
-func (r *Rule) MarshalJSON() ([]byte, error) {
-	return json.Marshal(ruleJSON{
+// toJSON returns the rule's serialized form. It shares the rule's slices, so
+// it is for encoding only.
+func (r *Rule) toJSON() ruleJSON {
+	return ruleJSON{
 		ID: r.ID, Kind: r.Kind.String(), Source: r.Source,
 		TargetType: r.TargetType, Attr: r.Attr, Value: r.Value,
 		AllowedTypes: r.AllowedTypes, Guards: r.Guards, Author: r.Author,
 		Provenance: r.Provenance, Confidence: r.Confidence,
 		Status: r.Status.String(), CreatedAt: r.CreatedAt,
 		UpdatedAt: r.UpdatedAt, Note: r.Note,
-	})
+	}
+}
+
+// MarshalJSON implements json.Marshaler. Encoders of the rulebase and of a
+// Change encode toJSON's flat form inside their own, never a nested call of
+// this method: json.Marshal would validate and compact its output again.
+func (r *Rule) MarshalJSON() ([]byte, error) {
+	return json.Marshal(r.toJSON())
 }
 
 // UnmarshalJSON implements json.Unmarshaler, recompiling patterns.
@@ -332,6 +340,12 @@ func (r *Rule) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
 	}
+	return r.fromJSON(&j)
+}
+
+// fromJSON sets r from its serialized form: the one conversion a decoded rule
+// takes, alone or inside a rulebase.
+func (r *Rule) fromJSON(j *ruleJSON) error {
 	kind, ok := kindNames[j.Kind]
 	if !ok {
 		return fmt.Errorf("core: unknown rule kind %q", j.Kind)

@@ -168,6 +168,9 @@ func (rb *Rulebase) Add(r *Rule, actor string) (string, error) {
 	if r == nil {
 		return "", fmt.Errorf("core: nil rule")
 	}
+	if err := checkConfidence(r.Confidence); err != nil {
+		return "", err // before an auto-ID is drawn
+	}
 	// Assign the auto-ID and render the audit note before taking rb.mu: both
 	// allocate (fmt formatting over the whole rule), and the serving path
 	// contends on this lock for every ActiveView. Auto-IDs are drawn from an
@@ -412,21 +415,30 @@ func (rb *Rulebase) Stats() Stats {
 type rulebaseJSON struct {
 	Version uint64       `json:"version"`
 	NextID  int          `json:"next_id"`
-	Rules   []*Rule      `json:"rules"`
+	Rules   []ruleJSON   `json:"rules"`
 	Audit   []AuditEntry `json:"audit"`
 }
 
 // MarshalJSON implements json.Marshaler.
 func (rb *Rulebase) MarshalJSON() ([]byte, error) {
+	data, _, err := rb.MarshalVersioned()
+	return data, err
+}
+
+// MarshalVersioned is MarshalJSON plus the version the bytes hold, read in
+// the same critical section, so a caller that needs both (a snapshot writer)
+// does not parse the bytes back. Each rule is encoded once, in its flat form.
+func (rb *Rulebase) MarshalVersioned() ([]byte, uint64, error) {
 	rb.mu.RLock()
 	defer rb.mu.RUnlock()
-	rules := rb.rules
-	if rules == nil {
-		rules = []*Rule{} // "rules": [], never null
+	rules := make([]ruleJSON, len(rb.rules)) // "rules": [], never null
+	for i, r := range rb.rules {
+		rules[i] = r.toJSON()
 	}
-	return json.Marshal(rulebaseJSON{
+	data, err := json.Marshal(rulebaseJSON{
 		Version: rb.version, NextID: int(rb.nextID.Load()), Rules: rules, Audit: rb.audit,
 	})
+	return data, rb.version, err
 }
 
 // UnmarshalJSON implements json.Unmarshaler. The input is decoded and
@@ -441,15 +453,22 @@ func (rb *Rulebase) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
 	}
-	byID := make(map[string]int, len(j.Rules))
-	for i, r := range j.Rules {
+	rules := make([]*Rule, len(j.Rules))
+	for i := range j.Rules {
+		rules[i] = new(Rule)
+		if err := rules[i].fromJSON(&j.Rules[i]); err != nil {
+			return err
+		}
+	}
+	byID := make(map[string]int, len(rules))
+	for i, r := range rules {
 		if _, dup := byID[r.ID]; dup {
 			return fmt.Errorf("core: duplicate rule id %q in serialized rulebase", r.ID)
 		}
 		byID[r.ID] = i
 	}
 	return rb.commit(func() (Change, error) {
-		rb.rules, rb.byID = j.Rules, byID
+		rb.rules, rb.byID = rules, byID
 		rb.version = j.Version
 		rb.epoch++
 		rb.nextID.Store(int64(j.NextID))

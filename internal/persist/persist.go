@@ -347,18 +347,12 @@ func (s *Store) snapshotLocked() error {
 		return errors.New("persist: no rulebase attached to snapshot")
 	}
 	start := time.Now()
-	data, err := json.Marshal(s.rb)
+	// The marshal is the authoritative cut, and it reports the version it
+	// captured: concurrent mutations notified after it will re-arrive
+	// through onChange and be deduplicated against that version.
+	data, version, err := s.rb.MarshalVersioned()
 	if err != nil {
 		return fmt.Errorf("persist: marshaling snapshot: %w", err)
-	}
-	// The marshal is the authoritative cut: concurrent mutations notified
-	// after it will re-arrive through onChange and be deduplicated against
-	// the version actually captured.
-	var meta struct {
-		Version uint64 `json:"version"`
-	}
-	if err := json.Unmarshal(data, &meta); err != nil {
-		return fmt.Errorf("persist: reading back snapshot version: %w", err)
 	}
 	tmp := s.snapPath() + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -399,8 +393,8 @@ func (s *Store) snapshotLocked() error {
 	s.sinceSnap = 0
 	// Assigned, not maxed: after a load that rewound the version, the next
 	// delivery is the snapshot's version + 1.
-	s.snapVersion = meta.Version
-	s.lastVersion = meta.Version
+	s.snapVersion = version
+	s.lastVersion = version
 	s.count(MetricSnapshots, 1)
 	s.gauge(MetricSnapshotBytes, float64(len(data)))
 	s.observe(MetricSnapshotSeconds, time.Since(start).Seconds())

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -419,6 +420,69 @@ func TestGapBreaksStore(t *testing.T) {
 	}
 	if got := st.WALSize(); got != size {
 		t.Fatalf("WAL grew from %d to %d bytes on a gapped delivery", size, got)
+	}
+}
+
+// TestNonFiniteConfidenceRefused: a NaN or infinite confidence, which JSON
+// cannot encode, is refused before the version moves — by an update, by an
+// add and by a replayed change — so the attached store stays healthy and
+// goes on logging.
+func TestNonFiniteConfidenceRefused(t *testing.T) {
+	st, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rb := core.NewRulebase()
+	if err := st.Attach(rb); err != nil {
+		t.Fatal(err)
+	}
+	id, err := rb.Add(mustRule(core.NewWhitelist("phones?", "phone")), "ana")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := mustRule(core.NewWhitelist("cases?", "case"))
+	inf.Confidence = math.Inf(1)
+	refused := map[string]func() error{
+		"update NaN":  func() error { return rb.UpdateConfidence(id, math.NaN(), "eval") },
+		"update -Inf": func() error { return rb.UpdateConfidence(id, math.Inf(-1), "eval") },
+		"add +Inf": func() error {
+			_, err := rb.Add(inf, "ana")
+			return err
+		},
+		"replayed update NaN": func() error {
+			return rb.ApplyChange(core.Change{Version: rb.Version() + 1, Action: "update", RuleID: id, Confidence: math.NaN()})
+		},
+		"replayed add +Inf": func() error {
+			r := inf.Clone()
+			r.ID = "X1"
+			return rb.ApplyChange(core.Change{Version: rb.Version() + 1, Action: "add", RuleID: r.ID, Rule: r})
+		},
+	}
+	for name, mutation := range refused {
+		v, size := rb.Version(), st.WALSize()
+		if err := mutation(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if rb.Version() != v || st.WALSize() != size {
+			t.Errorf("%s: version %d -> %d, WAL %d -> %d bytes", name, v, rb.Version(), size, st.WALSize())
+		}
+	}
+	if inf.ID != "" {
+		t.Errorf("refused add assigned ID %q", inf.ID)
+	}
+	if err := st.Broken(); err != nil {
+		t.Fatalf("store broken: %v", err)
+	}
+	size := st.WALSize()
+	if err := rb.Disable(id, "ana", "off"); err != nil {
+		t.Fatal(err)
+	}
+	if st.WALSize() <= size {
+		t.Fatalf("WAL stayed at %d bytes after a disable", size)
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -34,9 +34,10 @@ const (
 )
 
 // EncodeRecord renders one mutation as a framed WAL entry; the payload is
-// the Change's JSON.
+// the Change's JSON, from its own MarshalJSON (json.Marshal would compact
+// the bytes a second time).
 func EncodeRecord(ch core.Change) ([]byte, error) {
-	payload, err := json.Marshal(ch)
+	payload, err := ch.MarshalJSON()
 	if err != nil {
 		return nil, fmt.Errorf("persist: encoding WAL record %d: %w", ch.Version, err)
 	}

@@ -79,7 +79,9 @@ fuzz() {
 # FuzzWitnessSound checks that a match hits every witness set, which the rule
 # index's postings and title signature rest on; FuzzVerdictExplain runs the
 # kernel's programs and their Rule.Matches fallbacks on world-shaped and
-# guarded rules.
+# guarded rules; FuzzSnapshotMatchesNested holds the snapshot file, the
+# rulebase's JSON and every WAL frame to the nested encoder kept in
+# internal/persist/nested_test.go.
 echo "== fuzz smoke (10s per target) =="
 fuzz ./internal/pattern FuzzParseRule
 fuzz ./internal/pattern FuzzWitnessSound
@@ -90,6 +92,7 @@ fuzz ./internal/serve FuzzShardRouter
 fuzz ./internal/catalog FuzzItemFingerprint
 fuzz ./internal/persist FuzzWALDecode
 fuzz ./internal/persist FuzzReplayEqualsLive
+fuzz ./internal/persist FuzzSnapshotMatchesNested
 fuzz ./internal/learn FuzzDenseKernelMatchesReference
 fuzz ./internal/learn FuzzFingerprintDeterminesPrediction
 fuzz ./internal/learn FuzzKNNPrunedMatchesFullScan
