@@ -466,6 +466,29 @@ func BenchmarkStoreSnapshot(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreRestore times the start of a durable process over the
+// 10,000-rule world: Open of a compacted store (empty WAL) and Restore into a
+// fresh rulebase. It uses only public API, so it also runs copied into a
+// parent checkout.
+func BenchmarkStoreRestore(b *testing.B) {
+	_, st, _ := durableWorld(b)
+	if err := st.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rst, err := persist.Open(persist.Options{Dir: st.Dir()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rst.Restore(core.NewRulebase()); err != nil {
+			b.Fatal(err)
+		}
+		_ = rst.Close()
+	}
+}
+
 // BenchmarkWALAppend times one mutation with a store attached to the
 // 10,000-rule world and auto-compaction off, so each op is the mutation plus
 // its WAL record (no fsync): Add carries the whole rule in its record,

@@ -284,10 +284,10 @@ func main() {
 }
 
 // persistRestartDrill proves the durability contract live: load the
-// pipeline's rules into a store-attached rulebase, layer fresh mutations on
-// top (so the WAL has a tail), kill the store — Close never writes a parting
-// snapshot — then restore into a new rulebase and require the same version
-// and byte-identical verdicts over a fresh sample batch.
+// pipeline's rules into a fresh rulebase, attach it to a store, layer fresh
+// mutations on top (so the WAL has a tail), kill the store — Close never
+// writes a parting snapshot — then restore into a new rulebase and require
+// the same version and byte-identical verdicts over a fresh sample batch.
 func persistRestartDrill(cat *repro.Catalog, p *repro.Pipeline) {
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "persist drill: "+format+"\n", args...)
@@ -303,18 +303,19 @@ func persistRestartDrill(cat *repro.Catalog, p *repro.Pipeline) {
 	if err != nil {
 		fail("%v", err)
 	}
-	live := repro.NewRulebase()
-	if err := st.Attach(live); err != nil {
-		fail("attach: %v", err)
-	}
-	// Loading the pipeline's rule state wholesale re-baselines the store;
-	// the mutations after it land as WAL records recovery must replay.
+	// A load initializes a fresh rulebase; attaching the loaded rulebase
+	// takes the store's baseline snapshot, and the mutations after it land
+	// as WAL records recovery must replay.
 	state, err := json.Marshal(p.Rules)
 	if err != nil {
 		fail("marshal: %v", err)
 	}
+	live := repro.NewRulebase()
 	if err := json.Unmarshal(state, live); err != nil {
 		fail("load: %v", err)
+	}
+	if err := st.Attach(live); err != nil {
+		fail("attach: %v", err)
 	}
 	r, err := repro.NewWhitelist("vinyl records?", "vinyl")
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -292,39 +291,4 @@ func TestRetrainWhileServing(t *testing.T) {
 		}
 	}
 	t.Logf("%d decisions checked over generations %v", len(got), seen)
-}
-
-// TestDecisionCacheAfterRewindingLoad: a load can rewind the rulebase to a
-// version it already passed, with other rules. Decisions cached before the
-// load must not be served after it, though the version matches again: the
-// stamp carries the load epoch.
-func TestDecisionCacheAfterRewindingLoad(t *testing.T) {
-	p := New(Config{Seed: 3, CacheCapacity: 64, Obs: obs.NewRegistry()})
-	add := func(pattern, target string) {
-		t.Helper()
-		r, err := core.NewWhitelist(pattern, target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Rules.Add(r, "ana"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	oil := &catalog.Item{ID: "oil", Attrs: map[string]string{"Title": "synthetic motor oil 5w-30"}}
-	add("jeans?", "jeans")
-	v1, err := json.Marshal(p.Rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	add("rings?", "rings")
-	if d := p.Classify(oil); !d.Declined {
-		t.Fatalf("fixture: motor oil decided %+v before any oil rule", d)
-	}
-	if err := json.Unmarshal(v1, p.Rules); err != nil {
-		t.Fatal(err)
-	}
-	add("(motor | engine) oils?", "motor oil")
-	if d := p.Classify(oil); d.Type != "motor oil" {
-		t.Fatalf("after the rewinding load, motor oil decided %+v: a pre-load decision was served", d)
-	}
 }

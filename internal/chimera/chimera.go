@@ -68,11 +68,11 @@ type Config struct {
 	ImpactThreshold int
 	// CacheCapacity bounds the pipeline's decision cache (see serve.Cache):
 	// whole decisions are memoized by (item fingerprint, stamp), the stamp
-	// being the rulebase state of the snapshot (load epoch, version) and the
-	// model generation, so a re-submitted item under an unchanged rulebase
-	// and model skips every stage. Classify, ProcessBatch and the serving
-	// tier all go through it. 0 disables caching (the default — per-rule
-	// executor telemetry then counts every serving; with a cache it counts
+	// being the rulebase version of the snapshot and the model generation,
+	// so a re-submitted item under an unchanged rulebase and model skips
+	// every stage. Classify, ProcessBatch and the serving tier all go
+	// through it. 0 disables caching (the default — per-rule executor
+	// telemetry then counts every serving; with a cache it counts
 	// evaluations only).
 	CacheCapacity int
 	// Obs receives the pipeline's metrics (default obs.Default(), the
@@ -139,14 +139,13 @@ type Decision struct {
 }
 
 // stamp is what a cached decision depends on besides the item: the rulebase
-// state its snapshot was built at and the generation of the model.
+// version its snapshot was built at and the generation of the model.
 type stamp struct {
-	rules core.State
-	model uint64
+	rules, model uint64
 }
 
 func stampOf(snap *serve.Snapshot, model *learn.Model) stamp {
-	return stamp{snap.State(), model.Generation()}
+	return stamp{snap.Version(), model.Generation()}
 }
 
 // decisionCache memoizes whole decisions by (item fingerprint, stamp).

@@ -337,7 +337,7 @@ func TestOneEnginePerPipeline(t *testing.T) {
 	if err := p.Rules.Disable(p.Rules.Active()[0].ID, "ana", "one build per state"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the tier publishing the disable", func() bool { return tier.Engine().Current().State() == p.Rules.State() })
+	waitFor(t, "the tier publishing the disable", func() bool { return tier.Engine().Current().Version() == p.Rules.Version() })
 	serveBoth()
 	if res := p.ProcessBatch(batch); res.SnapshotVersion != p.Rules.Version() {
 		t.Fatalf("ProcessBatch at version %d, rulebase at %d", res.SnapshotVersion, p.Rules.Version())
@@ -356,7 +356,7 @@ func TestOneEnginePerPipeline(t *testing.T) {
 	}
 	mutate(t, p, "bangles?", "bracelets")
 	waitFor(t, "the remaining tier publishing after the other's shutdown", func() bool {
-		return rc.Tier().Engine().Current().State() == p.Rules.State()
+		return rc.Tier().Engine().Current().Version() == p.Rules.Version()
 	})
 	if _, err := rc.Process(context.Background(), batch); err != nil {
 		t.Fatal(err)

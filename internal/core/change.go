@@ -81,24 +81,19 @@ func (ch Change) Entry() AuditEntry {
 	return AuditEntry{ch.Version, ch.Action, ch.RuleID, ch.Actor, ch.Note}
 }
 
-// ActionLoad is the pseudo-action delivered to change subscribers when the
-// rulebase is wholesale replaced via UnmarshalJSON. It is not an incremental
-// mutation — the version may even move backwards — so a durability layer must
-// respond by re-snapshotting the full state rather than appending.
-const ActionLoad = "load"
-
 // SubscribeChanges registers fn to receive every subsequent mutation — live
-// mutations, ApplyChange replays and UnmarshalJSON loads alike — as an
-// applyable Change record, and returns the rulebase version as of
-// registration. The two are read atomically, so fn receives exactly the
-// versions after version, in version order: deliveries run on the committing
-// goroutine, outside the rulebase lock, and the next commit waits until every
-// subscriber has returned.
+// mutations and ApplyChange replays alike — as an applyable Change record,
+// and returns the rulebase version as of registration. The two are read
+// atomically, so fn receives exactly the versions after version, in version
+// order: deliveries run on the committing goroutine, outside the rulebase
+// lock, and the next commit waits until every subscriber has returned.
 //
 // fn may read the rulebase but must not mutate it (the mutation would wait
 // for the delivery that is calling it). Every mutator waits on fn, so it
 // should be fast — typically a non-blocking send that wakes an async loop.
-// The returned cancel removes the subscription.
+// The returned cancel removes the subscription. A subscribed rulebase refuses
+// a load (UnmarshalJSON initializes only a fresh one), so fn never sees the
+// state replaced under it.
 func (rb *Rulebase) SubscribeChanges(fn func(Change)) (cancel func(), version uint64) {
 	// Holding the read half of rb.mu blocks mutators for the duration of the
 	// registration, making the (subscriber set, version) pair consistent.
@@ -172,7 +167,7 @@ func (rb *Rulebase) ApplyChange(ch Change) error {
 
 // apply makes the state transition ch records, at ch.Version: it is the one
 // code path that changes the rules, the version and the audit log, for live
-// mutations and replay alike (UnmarshalJSON's wholesale load aside). An
+// mutations and replay alike (UnmarshalJSON's initial load aside). An
 // added rule is stored as ch.Rule, not a copy; any other change stores an
 // updated Clone of the rule (copy-on-write). Callers hold rb.mu.
 func (rb *Rulebase) apply(ch Change) error {

@@ -284,48 +284,6 @@ func TestChangeFeedOrdered(t *testing.T) {
 	}
 }
 
-// TestFailedLoadLeavesRulebaseUntouched: a load that fails validation (a
-// duplicated rule entry, a null rule entry) changes nothing and delivers
-// nothing.
-func TestFailedLoadLeavesRulebaseUntouched(t *testing.T) {
-	rb := NewRulebase()
-	for _, src := range []string{"rings?", "jeans?", "oils?"} {
-		if _, err := rb.Add(mustRule(NewWhitelist(src, "t-"+src)), "ana"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before, err := json.Marshal(rb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delivered, cancel, _ := collectChanges(rb)
-	defer cancel()
-
-	foreign := mustRule(NewWhitelist("records?", "vinyl"))
-	foreign.ID = "X000001"
-	dup, err := json.Marshal(rulebaseJSON{Version: 1, NextID: 1, Rules: []ruleJSON{foreign.toJSON(), foreign.toJSON()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(dup, rb); err == nil {
-		t.Fatal("load with a duplicated rule entry accepted")
-	}
-	null := `{"version":1,"next_id":1,"rules":[null],"audit":null}`
-	if err := json.Unmarshal([]byte(null), rb); err == nil {
-		t.Fatal("load with a null rule entry accepted")
-	}
-	after, err := json.Marshal(rb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(after) != string(before) {
-		t.Fatalf("failed load changed the rulebase:\nbefore: %s\nafter:  %s", before, after)
-	}
-	if len(*delivered) != 0 {
-		t.Fatalf("failed load delivered %d changes", len(*delivered))
-	}
-}
-
 // TestApplyChangeNextID: a replayed rulebase assigns the same auto-IDs to
 // future adds as the live one would.
 func TestApplyChangeNextID(t *testing.T) {

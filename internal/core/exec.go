@@ -267,7 +267,8 @@ func NewIndexedExecutor(rules []*Rule) *IndexedExecutor {
 // confidence updates), the successor shares the dictionary, the postings, the
 // prefilter, the arena of compiled programs and the whole telemetry table, and
 // only gets its own slot-aligned rule slice.
-// Otherwise — a rule the index has never seen, a load, or too many dead slots
+// Otherwise — a rule the index has never seen (an added rule, or the rules of
+// another rulebase, such as one loaded from JSON), or too many dead slots
 // (see RuleIndex.reslot) — it is a full build whose telemetry still carries
 // over by rule ID: only rules new to this executor go through the registry.
 // Verdicts are those of a fresh NewInstrumentedExecutor(rules, ...) either way.

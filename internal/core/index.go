@@ -425,7 +425,8 @@ func foldRune(r rune) rune {
 
 // reslot returns an index over rules that shares idx's postings, or false
 // when rules need a fresh build: some indexed rule has no slot in idx (it was
-// added, or a load replaced it), rules are not in idx's slot order, or more
+// added, or it is another rulebase's rule under a known ID, as after a load
+// into a fresh rulebase), rules are not in idx's slot order, or more
 // than 1/maxDeadShare of the slots would be dead. Rules are matched to slots by
 // ID in one merge walk — both lists are in rulebase insertion order — and a
 // rule keeps its slot only if it is posted exactly as the slot's rule was:

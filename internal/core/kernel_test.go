@@ -49,10 +49,11 @@ func FuzzAttrValueKey(f *testing.F) {
 	})
 }
 
-// TestSuccessorRekeysChangedAttrValue: a load can replace an AttrValue rule
-// with one of the same ID, kind and attribute but another value. Its posting
-// is keyed by the value, so the successor must not share the old postings —
-// it would keep proposing the rule for the old value only.
+// TestSuccessorRekeysChangedAttrValue: a rulebase loaded from edited JSON can
+// hold an AttrValue rule with the ID, kind and attribute of one the executor
+// indexed but another value. Its posting is keyed by the value, so the
+// successor over the loaded rules must not share the old postings — it would
+// keep proposing the rule for the old value only.
 func TestSuccessorRekeysChangedAttrValue(t *testing.T) {
 	rb := NewRulebase()
 	for _, r := range []*Rule{
@@ -72,10 +73,11 @@ func TestSuccessorRekeysChangedAttrValue(t *testing.T) {
 	if edited == string(data) {
 		t.Fatal("the serialized rulebase has no acme value to edit")
 	}
-	if err := rb.UnmarshalJSON([]byte(edited)); err != nil {
+	loaded := NewRulebase()
+	if err := loaded.UnmarshalJSON([]byte(edited)); err != nil {
 		t.Fatal(err)
 	}
-	active := rb.Active()
+	active := loaded.Active()
 	next, shared := e.Successor(active)
 	if shared {
 		t.Fatal("a changed AttrValue value must not share the old postings")

@@ -27,7 +27,8 @@ type AuditEntry struct {
 // and appends to the audit log.
 //
 // Every state change goes through commit, and every one but UnmarshalJSON's
-// wholesale load through apply, which live mutations and ApplyChange share.
+// initial load through apply, which live mutations and ApplyChange share. The
+// version only moves forward, so one version names one rulebase state.
 // Lock order: commitMu, then mu, then subMu, never the reverse.
 //
 // A stored rule is copy-on-write: once a *Rule has been handed out (Get,
@@ -44,7 +45,6 @@ type Rulebase struct {
 	rules   []*Rule        // every rule, in insertion order
 	byID    map[string]int // rule ID -> position in rules
 	version uint64
-	epoch   uint64 // load epoch: bumped by every UnmarshalJSON (see State)
 	audit   []AuditEntry
 	obs     *obs.Registry // nil = uninstrumented
 
@@ -92,45 +92,22 @@ func (rb *Rulebase) Version() uint64 {
 	return rb.version
 }
 
-// State names one rulebase state: the load epoch and the version within it.
-// A load (UnmarshalJSON) may rewind the version to one the rulebase already
-// passed with other content, so the version alone does not name a state; the
-// epoch, bumped by every load, tells the two apart.
-type State struct {
-	Epoch, Version uint64
-}
-
-// State returns the current (epoch, version) pair in one read.
-func (rb *Rulebase) State() State {
-	rb.mu.RLock()
-	defer rb.mu.RUnlock()
-	return State{rb.epoch, rb.version}
-}
-
 // ActiveView returns the logical clock and the active rules (all kinds, in
-// insertion order) in one consistent read: both come from a single critical
-// section, so the pair describes exactly one rulebase state within the
-// current load epoch. StateView is the same read with the epoch.
+// insertion order) from a single critical section, so the pair describes
+// exactly one rulebase state. This is the primitive the snapshot-isolated
+// serving layer (internal/serve) builds on — reading Version() and Active()
+// separately can interleave with a concurrent mutation and yield a torn
+// (version, rules) pair.
 func (rb *Rulebase) ActiveView() (version uint64, active []*Rule) {
-	st, active := rb.StateView()
-	return st.Version, active
-}
-
-// StateView returns the rulebase state and its active rules (all kinds, in
-// insertion order) from a single critical section. This is the primitive the
-// snapshot-isolated serving layer (internal/serve) builds on — reading
-// State() and Active() separately can interleave with a concurrent mutation
-// and yield a torn (state, rules) pair.
-func (rb *Rulebase) StateView() (State, []*Rule) {
 	rb.mu.RLock()
 	defer rb.mu.RUnlock()
-	active := make([]*Rule, 0, len(rb.rules))
+	active = make([]*Rule, 0, len(rb.rules))
 	for _, r := range rb.rules {
 		if r.Status == Active {
 			active = append(active, r)
 		}
 	}
-	return State{rb.epoch, rb.version}, active
+	return rb.version, active
 }
 
 // commit is the rulebase's one write path. mutate runs under the write lock
@@ -441,17 +418,24 @@ func (rb *Rulebase) MarshalVersioned() ([]byte, uint64, error) {
 	return data, rb.version, err
 }
 
-// UnmarshalJSON implements json.Unmarshaler. The input is decoded and
-// validated in full before the rulebase is touched, so a failed load leaves
-// it exactly as it was. A successful load starts a new load epoch (see
-// State) and is one commit: subscribers receive
-// an ActionLoad pseudo-change at the loaded version (a wholesale replacement
-// is not an incremental mutation — a durability layer responds by
-// re-snapshotting, not appending).
+// UnmarshalJSON implements json.Unmarshaler as an initializer: it loads only
+// into a rulebase that has never committed (version 0) and has no change
+// subscriber, and it refuses a serialized rulebase that holds rules or audit
+// entries at version 0 (a next_id alone is allowed: Add draws an auto-ID
+// before it commits, so a marshal racing the first add can record one). The
+// version therefore only moves forward and names one state.
+// The input is decoded and validated in full before the rulebase is touched,
+// and the load is one commit, so concurrent mutators are serialized against
+// it: a refused load returns an error and changes and delivers nothing, and
+// a successful one has no subscriber to deliver to.
 func (rb *Rulebase) UnmarshalJSON(data []byte) error {
 	var j rulebaseJSON
 	if err := json.Unmarshal(data, &j); err != nil {
 		return err
+	}
+	if j.Version == 0 && (len(j.Rules) > 0 || len(j.Audit) > 0) {
+		return fmt.Errorf("core: serialized rulebase holds %d rules and %d audit entries at version 0",
+			len(j.Rules), len(j.Audit))
 	}
 	rules := make([]*Rule, len(j.Rules))
 	for i := range j.Rules {
@@ -468,12 +452,17 @@ func (rb *Rulebase) UnmarshalJSON(data []byte) error {
 		byID[r.ID] = i
 	}
 	return rb.commit(func() (Change, error) {
+		if rb.version != 0 {
+			return Change{}, fmt.Errorf("core: load into a rulebase at version %d: a load only initializes a fresh rulebase", rb.version)
+		}
+		if rb.hasChangeSubs() {
+			return Change{}, fmt.Errorf("core: load into a rulebase with a change subscriber: a load only initializes a fresh rulebase")
+		}
 		rb.rules, rb.byID = rules, byID
 		rb.version = j.Version
-		rb.epoch++
 		rb.nextID.Store(int64(j.NextID))
 		rb.audit = j.Audit
-		return Change{Version: j.Version, Action: ActionLoad}, nil
+		return Change{}, nil
 	})
 }
 

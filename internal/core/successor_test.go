@@ -104,9 +104,10 @@ func TestFindDuplicatesDuringDisables(t *testing.T) {
 
 // TestSuccessorSharesOrRebuilds walks an executor through successive rule
 // lists: lifecycle and confidence changes share the index (dead slots are
-// skipped by every accessor), an added rule, a load and too many dead slots
-// rebuild it, and in every generation each live slot's per-rule counters are
-// the registry's own series for that rule ID.
+// skipped by every accessor), an added rule, the rules of a fresh rulebase
+// loaded from this one's JSON and too many dead slots rebuild it, and in
+// every generation each live slot's per-rule counters are the registry's own
+// series for that rule ID.
 func TestSuccessorSharesOrRebuilds(t *testing.T) {
 	rb := NewRulebase()
 	for i := 0; i < 24; i++ {
@@ -198,6 +199,7 @@ func TestSuccessorSharesOrRebuilds(t *testing.T) {
 	step("add", false)
 	data, err := json.Marshal(rb)
 	must(err)
+	rb = NewRulebase() // step reads the loaded rulebase from here on
 	must(rb.UnmarshalJSON(data))
 	step("load", false)
 	step("unchanged", true)

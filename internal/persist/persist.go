@@ -105,19 +105,20 @@ type Store struct {
 	wal         *os.File
 	walLen      int64         // durable WAL length in bytes
 	records     []core.Change // decoded at Open, consumed by Restore
-	snapVersion uint64        // version held by the durable snapshot
 	lastVersion uint64        // last version durable anywhere (snapshot or WAL)
+	snapRead    bool          // lastVersion counts the snapshot (see readSnapshot)
 	sinceSnap   int           // appends since the last snapshot
 	rb          *core.Rulebase
 	unsub       func()
-	restored    bool
 	broken      error // ErrTornWrite / ErrShortRead / first append IO error
 	closed      bool
 }
 
-// Open opens (or initializes) a persist directory: reads the snapshot
-// version, scans the WAL, and truncates any torn tail so subsequent appends
-// start at the durable boundary.
+// Open opens (or initializes) a persist directory: scans the WAL and
+// truncates any torn tail so subsequent appends start at the durable
+// boundary. The snapshot is left on disk: Restore decodes it into the
+// rulebase, and an Attach with no Restore before it decodes it for its
+// version.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("persist: Options.Dir is required")
@@ -136,20 +137,6 @@ func Open(opts Options) (*Store, error) {
 		faults:    opts.Faults,
 	}
 	s.registerHelp()
-
-	// Snapshot version, if a snapshot exists.
-	if data, err := os.ReadFile(s.snapPath()); err == nil {
-		var meta struct {
-			Version uint64 `json:"version"`
-		}
-		if err := json.Unmarshal(data, &meta); err != nil {
-			return nil, fmt.Errorf("persist: corrupt snapshot %s: %w", s.snapPath(), err)
-		}
-		s.snapVersion = meta.Version
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("persist: reading snapshot: %w", err)
-	}
-	s.lastVersion = s.snapVersion
 
 	// Scan the WAL: keep the longest valid prefix, drop the torn tail.
 	wal, err := os.OpenFile(s.walPath(), os.O_CREATE|os.O_RDWR, 0o644)
@@ -170,9 +157,7 @@ func Open(opts Options) (*Store, error) {
 	s.records = recs
 	s.walLen = int64(durable)
 	for _, rec := range recs {
-		if rec.Version > s.lastVersion {
-			s.lastVersion = rec.Version
-		}
+		s.lastVersion = max(s.lastVersion, rec.Version)
 	}
 	switch {
 	case short:
@@ -194,11 +179,12 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Restore rebuilds rb from the durable state: unmarshal the snapshot (when
-// one exists), then replay every WAL record beyond it, in order. Records at
-// or below the snapshot version are skipped — a crash between snapshot
+// Restore rebuilds rb from the durable state: load the snapshot (when one
+// exists) into rb, then replay every WAL record beyond it, in order. Records
+// at or below the snapshot version are skipped — a crash between snapshot
 // rename and WAL reset legitimately leaves such records behind. Must be
-// called before Attach and on a rulebase this store will own.
+// called before Attach and on a fresh rulebase this store will own: a
+// snapshot loads only into a fresh rulebase (core.Rulebase.UnmarshalJSON).
 func (s *Store) Restore(rb *core.Rulebase) (RestoreStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -209,14 +195,10 @@ func (s *Store) Restore(rb *core.Rulebase) (RestoreStats, error) {
 	if s.rb != nil {
 		return st, errors.New("persist: Restore must precede Attach")
 	}
-	if data, err := os.ReadFile(s.snapPath()); err == nil {
-		if err := json.Unmarshal(data, rb); err != nil {
-			return st, fmt.Errorf("persist: loading snapshot: %w", err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return st, fmt.Errorf("persist: reading snapshot: %w", err)
+	var err error
+	if st.SnapshotVersion, err = s.readSnapshot(rb); err != nil {
+		return st, err
 	}
-	st.SnapshotVersion = rb.Version()
 	for _, rec := range s.records {
 		if rec.Version <= st.SnapshotVersion {
 			continue
@@ -227,16 +209,39 @@ func (s *Store) Restore(rb *core.Rulebase) (RestoreStats, error) {
 		st.Replayed++
 	}
 	st.Version = rb.Version()
-	s.restored = true
 	s.count(MetricReplayed, int64(st.Replayed))
 	s.count(MetricRestores, 1)
 	return st, nil
 }
 
+// readSnapshot loads the snapshot file, when one exists, into rb and returns
+// the version it holds (0 without one); lastVersion counts it from then on.
+// A snapshot that does not load is an error, and the file is left as it is.
+func (s *Store) readSnapshot(rb *core.Rulebase) (uint64, error) {
+	data, err := os.ReadFile(s.snapPath())
+	if errors.Is(err, os.ErrNotExist) {
+		s.snapRead = true
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("persist: reading snapshot: %w", err)
+	}
+	if err := json.Unmarshal(data, rb); err != nil {
+		return 0, fmt.Errorf("persist: loading snapshot %s: %w", s.snapPath(), err)
+	}
+	s.snapRead = true
+	s.lastVersion = max(s.lastVersion, rb.Version())
+	return rb.Version(), nil
+}
+
 // Attach subscribes to rb's mutation feed so every subsequent mutation is
-// appended to the WAL. If rb's version differs from the durable state (an
-// already-populated rulebase adopted for the first time, or mutations made
-// between Restore and Attach), a full baseline snapshot is taken first.
+// appended to the WAL. A full baseline snapshot is taken first when rb's
+// version differs from the durable state (mutations made between Restore and
+// Attach), and whenever rb holds anything and no Restore came before: such a
+// rulebase (seeded, or loaded from a file) has a history of its own, so even
+// at the durable version it is not the durable state. With no Restore before
+// it, Attach decodes the snapshot for the durable version, and refuses one
+// that does not load rather than overwrite it.
 func (s *Store) Attach(rb *core.Rulebase) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -249,13 +254,19 @@ func (s *Store) Attach(rb *core.Rulebase) error {
 	if s.rb != nil {
 		return errors.New("persist: already attached")
 	}
+	foreign := !s.snapRead
+	if foreign {
+		if _, err := s.readSnapshot(core.NewRulebase()); err != nil {
+			return err
+		}
+	}
 	s.rb = rb
 	// Registration returns the rulebase version atomically; every mutation
 	// beyond it is delivered to onChange, in order. s.mu is held until the
 	// baseline snapshot is written, so onChange runs only after it.
 	var ver uint64
 	s.unsub, ver = rb.SubscribeChanges(s.onChange)
-	if ver != s.lastVersion {
+	if ver != s.lastVersion || foreign && ver != 0 {
 		return s.snapshotLocked()
 	}
 	return nil
@@ -268,13 +279,6 @@ func (s *Store) onChange(ch core.Change) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.broken != nil || s.closed {
-		return
-	}
-	if ch.Action == core.ActionLoad {
-		// Wholesale replacement (UnmarshalJSON): the WAL stream is no longer
-		// an increment over the durable state — re-baseline with a full
-		// snapshot (which also resets the WAL).
-		_ = s.snapshotLocked()
 		return
 	}
 	switch v := ch.Version; {
@@ -391,9 +395,6 @@ func (s *Store) snapshotLocked() error {
 	}
 	s.walLen = 0
 	s.sinceSnap = 0
-	// Assigned, not maxed: after a load that rewound the version, the next
-	// delivery is the snapshot's version + 1.
-	s.snapVersion = version
 	s.lastVersion = version
 	s.count(MetricSnapshots, 1)
 	s.gauge(MetricSnapshotBytes, float64(len(data)))

@@ -263,9 +263,73 @@ func TestAttachPopulatedTakesBaseline(t *testing.T) {
 	assertEquivalent(t, live, restored)
 }
 
-// TestLoadRebaselines: wholesale replacement via UnmarshalJSON re-baselines
-// the durable state instead of appending (the version can even rewind).
-func TestLoadRebaselines(t *testing.T) {
+// TestAttachLoadedTakesBaseline: a rulebase loaded from a file (rulemaint
+// -in) and attached with no Restore before it takes a baseline even at the
+// store's durable version: the same version in another history is another
+// state, so a restore must return the loaded rules, not the store's old ones.
+func TestAttachLoadedTakesBaseline(t *testing.T) {
+	dir := t.TempDir()
+	add := func(rb *core.Rulebase, srcs ...string) {
+		t.Helper()
+		for _, src := range srcs {
+			if _, err := rb.Add(mustRule(core.NewWhitelist(src, "t-"+src)), "ana"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := core.NewRulebase()
+	if err := st.Attach(old); err != nil {
+		t.Fatal(err)
+	}
+	add(old, "rings?", "jeans?")
+	st.Close()
+
+	other := core.NewRulebase()
+	add(other, "oils?", "mice")
+	data, err := json.Marshal(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := core.NewRulebase()
+	if err := json.Unmarshal(data, loaded); err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Version() != old.Version() {
+		t.Fatalf("fixture: loaded at version %d, store at %d", loaded.Version(), old.Version())
+	}
+	st2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st2.Attach(loaded); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Disable("R000001", "ana", "after attach"); err != nil {
+		t.Fatal(err)
+	}
+	st2.Close()
+
+	st3, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.Close()
+	restored := core.NewRulebase()
+	if _, err := st3.Restore(restored); err != nil {
+		t.Fatal(err)
+	}
+	assertEquivalent(t, loaded, restored)
+}
+
+// TestCorruptSnapshotRefused: a truncated or garbage snapshot file is
+// refused by Restore into a fresh rulebase and by Attach of a populated one
+// with no Restore before it — never overwritten by a baseline — and neither
+// the snapshot nor the WAL changes by a byte.
+func TestCorruptSnapshotRefused(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(Options{Dir: dir})
 	if err != nil {
@@ -276,35 +340,58 @@ func TestLoadRebaselines(t *testing.T) {
 		t.Fatal(err)
 	}
 	mutate(t, live)
-
-	// Serialize a much smaller independent rulebase and load it wholesale.
-	other := core.NewRulebase()
-	if _, err := other.Add(mustRule(core.NewWhitelist("records?", "vinyl")), "import"); err != nil {
+	if err := st.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, live); err != nil {
-		t.Fatal(err)
-	}
-	// The first mutation after a rewinding load must still reach the WAL.
-	if err := live.Disable("R000001", "ana", "after load"); err != nil {
-		t.Fatal(err)
+	if _, err := live.Add(mustRule(core.NewWhitelist("keyboards?", "keyboard")), "ana"); err != nil {
+		t.Fatal(err) // a WAL tail beyond the snapshot
 	}
 	st.Close()
-
-	st2, err := Open(Options{Dir: dir})
+	snapPath, walPath := filepath.Join(dir, snapshotFile), filepath.Join(dir, walFile)
+	good, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
-	restored := core.NewRulebase()
-	if _, err := st2.Restore(restored); err != nil {
-		t.Fatal(err)
+	wal, err := os.ReadFile(walPath)
+	if err != nil || len(wal) == 0 {
+		t.Fatalf("fixture: WAL %d bytes, %v", len(wal), err)
 	}
-	assertEquivalent(t, live, restored)
+
+	for name, snap := range map[string][]byte{
+		"truncated": good[:len(good)/2],
+		"garbage":   []byte("\x00\xffnot a snapshot {\"version\": 3"),
+	} {
+		if err := os.WriteFile(snapPath, snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		openThen := func(use func(*Store) error) error {
+			st, err := Open(Options{Dir: dir})
+			if err != nil {
+				return err
+			}
+			defer st.Close()
+			return use(st)
+		}
+		if err := openThen(func(st *Store) error {
+			_, err := st.Restore(core.NewRulebase())
+			return err
+		}); err == nil {
+			t.Errorf("%s snapshot: Restore into a fresh rulebase succeeded", name)
+		}
+		populated := core.NewRulebase()
+		mutate(t, populated)
+		if err := openThen(func(st *Store) error { return st.Attach(populated) }); err == nil {
+			t.Errorf("%s snapshot: Attach of a populated rulebase succeeded", name)
+		}
+		if _, err := populated.Add(mustRule(core.NewWhitelist("mice", "mouse")), "ana"); err != nil {
+			t.Fatal(err)
+		}
+		for path, want := range map[string][]byte{snapPath: snap, walPath: wal} {
+			if got, err := os.ReadFile(path); err != nil || string(got) != string(want) {
+				t.Errorf("%s snapshot: %s changed (%d bytes, want %d; %v)", name, filepath.Base(path), len(got), len(want), err)
+			}
+		}
+	}
 }
 
 // TestAutoSnapshot: SnapshotEvery compacts automatically and restore still

@@ -78,7 +78,7 @@ type cacheShard[S comparable, V any] struct {
 
 // Cache memoizes one value per item fingerprint, valid at exactly one stamp:
 // the state of everything else the value was computed from. The pipeline's
-// decision cache stamps a Decision with (load epoch, rulebase version, model
+// decision cache stamps a Decision with (rulebase version, model
 // generation); the verdict instantiation (VerdictCache) stamps a classifier
 // verdict with a snapshot version. It is the serving layer's answer to the
 // paper's skewed re-submission traffic: under a stable stamp the Zipf head of

@@ -220,10 +220,10 @@ func TestCacheDegradedRollbackSafety(t *testing.T) {
 	rb := buildPropertyRulebase(t, cat, 5)
 	reg := obs.NewRegistry()
 	eng := NewEngine(rb, EngineOptions{Obs: reg})
-	cache := NewCache[core.State, *core.Verdict](CacheConfig{Capacity: 256}, reg)
+	cache := NewCache[uint64, *core.Verdict](CacheConfig{Capacity: 256}, reg)
 	it := cat.GenerateBatch(catalog.BatchSpec{Size: 1, Epoch: 0})[0]
 	cached := func(snap *Snapshot) *core.Verdict {
-		v, _ := cache.Do(it.Fingerprint(), snap.State(), func() *core.Verdict { return snap.Apply(it) })
+		v, _ := cache.Do(it.Fingerprint(), snap.Version(), func() *core.Verdict { return snap.Apply(it) })
 		return v
 	}
 
@@ -245,7 +245,7 @@ func TestCacheDegradedRollbackSafety(t *testing.T) {
 	// state (e.g. from a racing Acquire on another replica before the fault
 	// landed): a poisoned sentinel the rollback must never serve.
 	poisoned := &core.Verdict{}
-	cache.Put(it.Fingerprint(), rb.State(), poisoned)
+	cache.Put(it.Fingerprint(), rb.Version(), poisoned)
 
 	got := cached(stale)
 	if got == poisoned {

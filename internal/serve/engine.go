@@ -18,7 +18,7 @@ const (
 	MetricSnapshotBuild = "serve_snapshot_build_seconds"
 	// MetricSnapshotBuilds counts snapshot builds by kind: "delta" when the
 	// new snapshot shares its predecessor's rule indexes, "full" otherwise
-	// (the first build, an added rule, a load, too many dead slots).
+	// (the first build, an added rule, too many dead slots).
 	MetricSnapshotBuilds = "serve_snapshot_builds_total"
 	// MetricSnapshotVersion is the version of the published snapshot.
 	MetricSnapshotVersion = "serve_snapshot_version"
@@ -54,12 +54,12 @@ type EngineOptions struct {
 // Engine owns the current Snapshot of one rulebase and keeps it fresh.
 //
 // Readers call Current (lock-free atomic load; stale by at most the build in
-// progress while the rebuild loop runs) or Acquire (state-checked; rebuilds
-// synchronously when stale: the rebuild is cached by rulebase state, (load
-// epoch, version), so an unchanged rulebase never rebuilds and a rewinding
-// load always does). Writers mutate the rulebase normally. While a Start
-// hold is live, every committed change wakes the rebuild loop; Acquire and
-// the loop share one single-flight build, so each state is built once.
+// progress while the rebuild loop runs) or Acquire (version-checked; rebuilds
+// synchronously when stale: the rebuild is cached by rulebase version, which
+// names one rulebase state, so an unchanged rulebase never rebuilds). Writers
+// mutate the rulebase normally. While a Start hold is live, every committed
+// change wakes the rebuild loop; Acquire and the loop share one single-flight
+// build, so each version is built once.
 type Engine struct {
 	rb  *core.Rulebase
 	reg *obs.Registry
@@ -98,7 +98,7 @@ type Engine struct {
 type RebuildFaultHook func() (stall time.Duration, err error)
 
 // NewEngine builds the initial snapshot of rb and returns an engine with no
-// holds: Acquire serves state-cached synchronous rebuilds, and no goroutine
+// holds: Acquire serves version-cached synchronous rebuilds, and no goroutine
 // runs until Start takes the first hold.
 func NewEngine(rb *core.Rulebase, opts EngineOptions) *Engine {
 	reg := opts.Obs
@@ -159,10 +159,10 @@ func (e *Engine) Current() *Snapshot { return e.cur.Load() }
 
 // Acquire returns a snapshot that is up to date with the rulebase state at
 // the time of the call, rebuilding synchronously when stale. Rebuilds are
-// single-flight and cached by state: with an unchanged rulebase this is a
-// state compare and an atomic load.
+// single-flight and cached by version: with an unchanged rulebase this is a
+// version compare and an atomic load.
 func (e *Engine) Acquire() *Snapshot {
-	if s := e.cur.Load(); s.State() == e.rb.State() {
+	if s := e.cur.Load(); s.Version() == e.rb.Version() {
 		return s
 	}
 	return e.rebuild()
@@ -177,7 +177,7 @@ func (e *Engine) Acquire() *Snapshot {
 func (e *Engine) rebuild() *Snapshot {
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
-	if s := e.cur.Load(); s.State() == e.rb.State() {
+	if s := e.cur.Load(); s.Version() == e.rb.Version() {
 		return s
 	}
 	start := time.Now()

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -52,8 +51,8 @@ func TestEngineStartCatchesUp(t *testing.T) {
 	eng, _ := testEngine(t)
 	addRule(t, eng.Rulebase(), "sprocket")
 	eng.Start()
-	if got, want := eng.Current().State(), eng.Rulebase().State(); got != want {
-		t.Fatalf("started at %+v, rulebase at %+v", got, want)
+	if got, want := eng.Current().Version(), eng.Rulebase().Version(); got != want {
+		t.Fatalf("started at %d, rulebase at %d", got, want)
 	}
 }
 
@@ -118,12 +117,12 @@ func TestEngineHolds(t *testing.T) {
 	b()
 	addRule(t, rb, "two")
 	time.Sleep(20 * time.Millisecond)
-	if eng.Current().State() == rb.State() {
+	if eng.Current().Version() == rb.Version() {
 		t.Fatal("the engine published a change with no hold")
 	}
 	stale := eng.Start()
-	if got, want := eng.Current().State(), rb.State(); got != want {
-		t.Fatalf("restarted at %+v, rulebase at %+v", got, want)
+	if got, want := eng.Current().Version(), rb.Version(); got != want {
+		t.Fatalf("restarted at %d, rulebase at %d", got, want)
 	}
 
 	eng.Close()
@@ -150,9 +149,9 @@ func addRule(t *testing.T, rb *core.Rulebase, pattern string) {
 // rulebase's current state.
 func waitForState(t *testing.T, eng *Engine, what string) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); eng.Current().State() != eng.Rulebase().State(); {
+	for deadline := time.Now().Add(5 * time.Second); eng.Current().Version() != eng.Rulebase().Version(); {
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: engine at %+v, rulebase at %+v", what, eng.Current().State(), eng.Rulebase().State())
+			t.Fatalf("%s: engine at %d, rulebase at %d", what, eng.Current().Version(), eng.Rulebase().Version())
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -273,54 +272,5 @@ func TestSnapshotIsolation(t *testing.T) {
 	// A fresh acquisition sees the disable.
 	if got := eng.Acquire().Apply(it).FinalTypes(); len(got) != 0 {
 		t.Fatalf("fresh snapshot still fires disabled rule: %v", got)
-	}
-}
-
-// TestAcquireAfterRewindingLoad: a load can rewind the rulebase to a version
-// it already passed, and the mutations after it can reach a version the
-// engine already published with other content. Acquire must rebuild then —
-// freshness is (load epoch, version), not the version alone — and the new
-// snapshot's State must differ from the old one's, so nothing keyed by it
-// serves the pre-load rules either.
-func TestAcquireAfterRewindingLoad(t *testing.T) {
-	rb := core.NewRulebase()
-	eng := NewEngine(rb, EngineOptions{Obs: obs.NewRegistry()})
-	add := func(pattern, target string) {
-		t.Helper()
-		r, err := core.NewWhitelist(pattern, target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rb.Add(r, "test"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	add("jeans", "jeans")
-	v1, err := json.Marshal(rb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	add("rings", "rings")
-	before := eng.Acquire()
-
-	if err := json.Unmarshal(v1, rb); err != nil {
-		t.Fatal(err)
-	}
-	add("motor oil", "motor oil")
-	if rb.Version() != before.Version() {
-		t.Fatalf("fixture: rulebase at version %d, want the rewound-to %d", rb.Version(), before.Version())
-	}
-
-	after := eng.Acquire()
-	if after == before || after.State() == before.State() {
-		t.Fatalf("Acquire kept the pre-load snapshot at %+v", before.State())
-	}
-	it := &catalog.Item{ID: "oil", Attrs: map[string]string{"Title": "synthetic motor oil 5w-30"}}
-	if got := after.Apply(it).FinalTypes(); len(got) != 1 || got[0] != "motor oil" {
-		t.Fatalf("after the load, motor oil classifies as %v, want [motor oil]", got)
-	}
-	ring := &catalog.Item{ID: "ring", Attrs: map[string]string{"Title": "silver rings set"}}
-	if got := after.Apply(ring).FinalTypes(); len(got) != 0 {
-		t.Fatalf("after the load, the discarded rings rule still fires: %v", got)
 	}
 }

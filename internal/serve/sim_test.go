@@ -106,12 +106,12 @@ func simRun(t *testing.T, seed uint64) {
 	reg := obs.NewRegistry()
 	// A handler-owned verdict cache keyed by the snapshot's rulebase state;
 	// nil (every Do evaluates) when the seed runs uncached.
-	cache := NewCache[core.State, *core.Verdict](cacheCfg, reg)
+	cache := NewCache[uint64, *core.Verdict](cacheCfg, reg)
 	srv := NewShardedServer(rb, func(ctx context.Context, snap *Snapshot, it *catalog.Item) string {
 		if d := inj.ShardDelay(ShardFromContext(ctx)); d > 0 {
 			time.Sleep(d)
 		}
-		v, _ := cache.Do(it.Fingerprint(), snap.State(), func() *core.Verdict { return snap.Apply(it) })
+		v, _ := cache.Do(it.Fingerprint(), snap.Version(), func() *core.Verdict { return snap.Apply(it) })
 		return v.Explain()
 	}, ShardedOptions{
 		Shards:  shards,

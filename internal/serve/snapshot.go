@@ -8,17 +8,16 @@
 //
 //   - Snapshot: the active rule set of a core.Rulebase frozen at one version
 //     into immutable pre-built executors (indexed, with telemetry) plus the
-//     filter table. Built from a single atomic read (Rulebase.StateView),
+//     filter table. Built from a single atomic read (Rulebase.ActiveView),
 //     so a snapshot can never mix two rulebase states.
 //   - Engine: publishes the current Snapshot through an atomic.Pointer, so
 //     readers never take the rulebase lock. While a server holds it
 //     (Engine.Start), every committed change wakes a rebuild-and-swap loop
-//     that builds at once; Acquire is the synchronous state-cached path,
+//     that builds at once; Acquire is the synchronous version-cached path,
 //     sharing one single-flight build with the loop. Either way snapshot
 //     N+1 is built from snapshot N: a disable, enable, retire or confidence
 //     change reuses N's rule indexes and telemetry and only re-slots the
-//     rule list; an added rule or a load takes a full build
-//     (Snapshot.successor).
+//     rule list; an added rule takes a full build (Snapshot.successor).
 //   - Server: a bounded worker pool with queue-depth backpressure (explicit
 //     shed on overflow) and graceful drain on shutdown. Each request is
 //     classified entirely against the snapshot current when a worker picks
@@ -40,7 +39,7 @@ import (
 // rules keep firing in old snapshots — that is the isolation contract, not a
 // bug: the batch that started under version v finishes under version v).
 type Snapshot struct {
-	state   core.State
+	version uint64
 	active  []*core.Rule // the active rules as read, insertion order (see ActiveIDs)
 	gate    *core.IndexedExecutor
 	rules   *core.IndexedExecutor
@@ -48,7 +47,7 @@ type Snapshot struct {
 }
 
 // BuildSnapshot freezes rb's active rule set into executors: the cold full
-// build. The state and rule list come from one Rulebase.StateView critical
+// build. The version and rule list come from one Rulebase.ActiveView critical
 // section. Executors are instrumented into reg (obs.Default when nil) under
 // the same series labels the Chimera pipeline has always used ("exec"/"gate",
 // "exec"/"rules"), so per-rule telemetry accumulates across snapshot
@@ -72,10 +71,10 @@ func (s *Snapshot) successor(rb *core.Rulebase) (next *Snapshot, delta bool) {
 	return next, gateShared && rulesShared
 }
 
-// readSnapshot takes one StateView of rb and returns a snapshot without
+// readSnapshot takes one ActiveView of rb and returns a snapshot without
 // executors plus the rules of its two stages, in rulebase insertion order.
 func readSnapshot(rb *core.Rulebase) (s *Snapshot, gateRules, classRules []*core.Rule) {
-	state, active := rb.StateView()
+	version, active := rb.ActiveView()
 	filters := map[string]string{}
 	classRules = make([]*core.Rule, 0, len(active))
 	for _, r := range active {
@@ -90,16 +89,12 @@ func readSnapshot(rb *core.Rulebase) (s *Snapshot, gateRules, classRules []*core
 			classRules = append(classRules, r)
 		}
 	}
-	return &Snapshot{state: state, active: active, filters: filters}, gateRules, classRules
+	return &Snapshot{version: version, active: active, filters: filters}, gateRules, classRules
 }
 
-// Version returns the rulebase logical clock this snapshot was built at.
-func (s *Snapshot) Version() uint64 { return s.state.Version }
-
-// State returns the rulebase state (load epoch, version) this snapshot was
-// built at: what a cache keys a snapshot's results by, since a load can
-// rewind the version alone.
-func (s *Snapshot) State() core.State { return s.state }
+// Version returns the rulebase logical clock this snapshot was built at: the
+// one rulebase state it holds, and what a cache keys its results by.
+func (s *Snapshot) Version() uint64 { return s.version }
 
 // ActiveIDs returns the sorted IDs of the rules active in this snapshot.
 // This is the traceability hook: together with the rulebase audit log it

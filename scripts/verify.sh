@@ -53,8 +53,9 @@ echo "== go test -race -count=20 (ordered change feed: delivery order, registrat
 race_run ./internal/core 'TestChangeFeedOrdered|TestSubscribeChanges' -count=20
 race_run ./internal/persist 'TestConcurrentMutators' -count=20
 
-echo "== go test -race (delta snapshots equal full builds; a rewinding load is a new rulebase state; copy-on-write rules read during mutations, -count=10) =="
-race_run ./internal/serve 'TestDeltaSnapshotEqualsFullProperty|TestAcquireAfterRewindingLoad'
+echo "== go test -race (delta snapshots equal full builds; a load only initializes a fresh rulebase, raced by an add and a subscription; copy-on-write rules read during mutations, -count=10) =="
+race_run ./internal/serve 'TestDeltaSnapshotEqualsFullProperty'
+race_run ./internal/core 'TestLoadOnlyInitializes'
 race_run ./internal/core 'TestHealthDuringConfidenceUpdates|TestFindDuplicatesDuringDisables' -count=10
 
 echo "== go test -race -count=20 (engine lifecycle: Start catches up, held loop publishes on commit and coalesces, holds and Close) =="
@@ -79,8 +80,10 @@ fuzz() {
 # FuzzWitnessSound checks that a match hits every witness set, which the rule
 # index's postings and title signature rest on; FuzzVerdictExplain runs the
 # kernel's programs and their Rule.Matches fallbacks on world-shaped and
-# guarded rules; FuzzSnapshotMatchesNested holds the snapshot file, the
-# rulebase's JSON and every WAL frame to the nested encoder kept in
+# guarded rules; FuzzRulebaseLoad loads arbitrary bytes into a fresh
+# rulebase (a refused load leaves it fresh, a load re-marshals stably);
+# FuzzSnapshotMatchesNested holds the snapshot file, the rulebase's JSON and
+# every WAL frame to the nested encoder kept in
 # internal/persist/nested_test.go.
 echo "== fuzz smoke (10s per target) =="
 fuzz ./internal/pattern FuzzParseRule
@@ -88,6 +91,7 @@ fuzz ./internal/pattern FuzzWitnessSound
 fuzz ./internal/pattern FuzzMatchEqualsBacktracking
 fuzz ./internal/core FuzzVerdictExplain
 fuzz ./internal/core FuzzAttrValueKey
+fuzz ./internal/core FuzzRulebaseLoad
 fuzz ./internal/serve FuzzShardRouter
 fuzz ./internal/catalog FuzzItemFingerprint
 fuzz ./internal/persist FuzzWALDecode
