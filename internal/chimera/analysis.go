@@ -236,7 +236,8 @@ type RestoreToken struct {
 
 // ScaleDownType implements the §2.2 drill: temporarily stop classifying a
 // type by adding a Filter rule (predictions route to manual) and disabling
-// the type's own rules. The returned token restores the previous state.
+// the type's own rules, as one changeset (refused whole if one of those rules
+// is retired meanwhile). The returned token restores the previous state.
 func (p *Pipeline) ScaleDownType(typeName, actor, note string) (*RestoreToken, error) {
 	f, err := core.NewFilter(typeName)
 	if err != nil {
@@ -244,26 +245,36 @@ func (p *Pipeline) ScaleDownType(typeName, actor, note string) (*RestoreToken, e
 	}
 	f.Provenance = "scale-down"
 	f.Note = note
-	fid, err := p.Rules.Add(f, actor)
-	if err != nil {
+	tok := &RestoreToken{DisabledIDs: []string{}, TypeName: typeName}
+	ops := []core.Change{{Action: "add", Rule: f}}
+	for _, r := range p.Rules.Active() {
+		if r.TargetType == typeName && r.Kind != core.Filter {
+			ops = append(ops, core.Change{Action: "disable", RuleID: r.ID, Note: "scale-down: " + note})
+			tok.DisabledIDs = append(tok.DisabledIDs, r.ID)
+		}
+	}
+	if _, err := p.Rules.Commit(actor, ops...); err != nil {
 		return nil, err
 	}
-	ids := p.Rules.DisableWhere(func(r *core.Rule) bool {
-		return r.TargetType == typeName && r.Kind != core.Filter
-	}, actor, "scale-down: "+note)
-	return &RestoreToken{FilterID: fid, DisabledIDs: ids, TypeName: typeName}, nil
+	tok.FilterID = f.ID
+	return tok, nil
 }
 
-// Restore re-enables the scaled-down rules and retires the filter.
+// Restore retires the filter and re-enables the scaled-down rules, leaving
+// out any retired since, as one changeset.
 func (p *Pipeline) Restore(tok *RestoreToken, actor string) error {
 	if tok == nil {
 		return fmt.Errorf("chimera: nil restore token")
 	}
-	if err := p.Rules.Retire(tok.FilterID, actor, "restore "+tok.TypeName); err != nil {
-		return err
+	note := "restore " + tok.TypeName
+	ops := []core.Change{{Action: "retire", RuleID: tok.FilterID, Note: note}}
+	for _, id := range tok.DisabledIDs {
+		if r := p.Rules.Get(id); r != nil && r.Status != core.Retired {
+			ops = append(ops, core.Change{Action: "enable", RuleID: id, Note: note})
+		}
 	}
-	p.Rules.EnableAll(tok.DisabledIDs, actor, "restore "+tok.TypeName)
-	return nil
+	_, err := p.Rules.Commit(actor, ops...)
+	return err
 }
 
 // DegradedTypes inspects a batch's flagged sample (via the last

@@ -13,6 +13,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/learn"
 	"repro/internal/obs"
+	"repro/internal/persist"
 	"repro/internal/serve"
 )
 
@@ -223,6 +224,74 @@ func TestScaleDownAndRestore(t *testing.T) {
 	after := p.ProcessBatch(batch)
 	if len(after.Classified()) < classifiedBefore*9/10 {
 		t.Fatalf("restore incomplete: %d vs %d", len(after.Classified()), classifiedBefore)
+	}
+}
+
+// TestScaleDownIsOneCommit: a scale-down and its restore are one changeset
+// each — the version moves by 1, a subscriber gets one delivery and the
+// attached store appends one WAL frame — and a rule retired between the two
+// is left out of the restore.
+func TestScaleDownIsOneCommit(t *testing.T) {
+	p := New(Config{Seed: 81})
+	addFixtureRules(t, p)
+	extra, err := core.NewWhitelist("signet rings?", "rings")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Rules.Add(extra, "ana"); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	st, err := persist.Open(persist.Options{Dir: t.TempDir(), SnapshotEvery: -1, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Attach(p.Rules); err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	cancel, _ := p.Rules.SubscribeChanges(func(core.Change) { delivered++ })
+	defer cancel()
+	commit := func(what string, run func() error) {
+		t.Helper()
+		v, n, frames := p.Rules.Version(), delivered, reg.Counter(persist.MetricWALAppends).Value()
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := p.Rules.Version(); got != v+1 {
+			t.Fatalf("%s: version %d -> %d, want +1", what, v, got)
+		}
+		if delivered != n+1 {
+			t.Fatalf("%s: %d deliveries, want 1", what, delivered-n)
+		}
+		if got := reg.Counter(persist.MetricWALAppends).Value(); got != frames+1 {
+			t.Fatalf("%s: %d WAL frames, want 1", what, got-frames)
+		}
+	}
+
+	var tok *RestoreToken
+	commit("scale-down", func() (err error) {
+		tok, err = p.ScaleDownType("rings", "ana", "drill")
+		return err
+	})
+	if len(tok.DisabledIDs) != 3 {
+		t.Fatalf("scale-down disabled %v, want the 3 rings rules", tok.DisabledIDs)
+	}
+	if err := p.Rules.Retire(tok.DisabledIDs[0], "ana", "bad rule"); err != nil {
+		t.Fatal(err)
+	}
+	commit("restore", func() error { return p.Restore(tok, "dev") })
+	if p.Rules.Get(tok.FilterID).Status != core.Retired || p.Rules.Get(tok.DisabledIDs[0]).Status != core.Retired {
+		t.Fatal("restore must retire the filter and leave the retired rule retired")
+	}
+	for _, id := range tok.DisabledIDs[1:] {
+		if p.Rules.Get(id).Status != core.Active {
+			t.Fatalf("rule %s not restored", id)
+		}
+	}
+	if err := st.Broken(); err != nil {
+		t.Fatal(err)
 	}
 }
 

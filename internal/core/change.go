@@ -6,16 +6,15 @@ import (
 	"math"
 )
 
-// Change is one completed rulebase mutation as a self-contained, applyable
-// record: the audit entry's fields plus exactly the payload a replayer needs
-// to reproduce the state transition (the added rule's content, the new
-// confidence, the auto-ID counter). It is also the record the write-ahead log
-// in internal/persist frames, so changeJSON's keys are the on-disk format:
-// keep them, their order and their omitempty flags. Rulebase.apply makes the
-// transition a Change records, for live mutations and ApplyChange alike.
+// Change is one commit as a self-contained, applyable record: the audit
+// entry's fields plus exactly the payload a replayer needs (the added rule's
+// content, the new confidence, the auto-ID counter). A commit of one step is
+// that step, flat; one of several holds them in Ops. It is the record the
+// write-ahead log in internal/persist frames, so changeJSON's keys are the
+// on-disk format: keep them, their order and their omitempty flags.
 type Change struct {
 	Version uint64
-	Action  string // add / update / disable / enable / retire
+	Action  string // add / update / disable / enable / retire; "" with Ops
 	RuleID  string
 	Actor   string
 	Note    string
@@ -24,29 +23,35 @@ type Change struct {
 	Rule *Rule
 	// Confidence is the new precision estimate ("update" only).
 	Confidence float64
-	// NextID is the auto-ID counter after the mutation ("add" only), so a
+	// NextID is the auto-ID counter after a commit with an add, so a
 	// replayed rulebase assigns the same IDs to future auto-ID adds.
 	NextID int
+	// Ops are the steps of a commit of several, in op order, each without
+	// Version, Actor or NextID.
+	Ops []Change
 }
 
 // changeJSON is Change's serialized form, with the added rule in its flat
-// form so a record is encoded and decoded in one pass.
+// form so a record is encoded and decoded in one pass. A one-step record
+// never has an empty version or action, so their omitempty flags leave its
+// bytes as they were before Ops existed; they keep the steps of Ops short.
 type changeJSON struct {
-	Version    uint64    `json:"v"`
-	Action     string    `json:"action"`
+	Version    uint64    `json:"v,omitempty"`
+	Action     string    `json:"action,omitempty"`
 	RuleID     string    `json:"rule_id,omitempty"`
 	Actor      string    `json:"actor,omitempty"`
 	Note       string    `json:"note,omitempty"`
 	Rule       *ruleJSON `json:"rule,omitempty"`
 	Confidence float64   `json:"confidence,omitempty"`
 	NextID     int       `json:"next_id,omitempty"`
+	Ops        []Change  `json:"ops,omitempty"`
 }
 
 // MarshalJSON implements json.Marshaler.
 func (ch Change) MarshalJSON() ([]byte, error) {
 	j := changeJSON{
 		Version: ch.Version, Action: ch.Action, RuleID: ch.RuleID, Actor: ch.Actor,
-		Note: ch.Note, Confidence: ch.Confidence, NextID: ch.NextID,
+		Note: ch.Note, Confidence: ch.Confidence, NextID: ch.NextID, Ops: ch.Ops,
 	}
 	if ch.Rule != nil {
 		r := ch.Rule.toJSON()
@@ -55,8 +60,8 @@ func (ch Change) MarshalJSON() ([]byte, error) {
 	return json.Marshal(j)
 }
 
-// UnmarshalJSON implements json.Unmarshaler, recompiling the added rule's
-// pattern.
+// UnmarshalJSON implements json.Unmarshaler, recompiling the added rules'
+// patterns.
 func (ch *Change) UnmarshalJSON(data []byte) error {
 	var j changeJSON
 	if err := json.Unmarshal(data, &j); err != nil {
@@ -71,159 +76,135 @@ func (ch *Change) UnmarshalJSON(data []byte) error {
 	}
 	*ch = Change{
 		Version: j.Version, Action: j.Action, RuleID: j.RuleID, Actor: j.Actor,
-		Note: j.Note, Rule: r, Confidence: j.Confidence, NextID: j.NextID,
+		Note: j.Note, Rule: r, Confidence: j.Confidence, NextID: j.NextID, Ops: j.Ops,
 	}
 	return nil
 }
 
-// Entry returns the audit entry the mutation appended.
-func (ch Change) Entry() AuditEntry {
-	return AuditEntry{ch.Version, ch.Action, ch.RuleID, ch.Actor, ch.Note}
+// ruleIDs returns the rules ch's steps name, in order.
+func (ch Change) ruleIDs() []string {
+	if len(ch.Ops) == 0 && ch.Action != "" {
+		return []string{ch.RuleID}
+	}
+	ids := make([]string, len(ch.Ops))
+	for i := range ch.Ops {
+		ids[i] = ch.Ops[i].RuleID
+	}
+	return ids
 }
 
-// SubscribeChanges registers fn to receive every subsequent mutation — live
-// mutations and ApplyChange replays alike — as an applyable Change record,
-// and returns the rulebase version as of registration. The two are read
-// atomically, so fn receives exactly the versions after version, in version
-// order: deliveries run on the committing goroutine, outside the rulebase
-// lock, and the next commit waits until every subscriber has returned.
-//
-// fn may read the rulebase but must not mutate it (the mutation would wait
-// for the delivery that is calling it). Every mutator waits on fn, so it
-// should be fast — typically a non-blocking send that wakes an async loop.
-// The returned cancel removes the subscription. A subscribed rulebase refuses
-// a load (UnmarshalJSON initializes only a fresh one), so fn never sees the
-// state replaced under it.
+// SubscribeChanges registers fn to receive every later commit — a live
+// changeset or an ApplyChange replay — as one applyable Change, and returns
+// the version as of registration, read atomically with it: fn receives
+// exactly the versions after it, in order, on the committing goroutine,
+// outside the rulebase lock, and the next commit waits for fn. fn may read
+// the rulebase or cancel but not mutate it, and should be fast (typically a
+// non-blocking send). Registration and cancel take the write lock. A
+// subscribed rulebase refuses a load, so fn never sees the state replaced.
 func (rb *Rulebase) SubscribeChanges(fn func(Change)) (cancel func(), version uint64) {
-	// Holding the read half of rb.mu blocks mutators for the duration of the
-	// registration, making the (subscriber set, version) pair consistent.
-	rb.mu.RLock()
-	ver := rb.version
-	rb.subMu.Lock()
+	rb.mu.Lock()
+	defer rb.mu.Unlock()
 	if rb.chSubs == nil {
 		rb.chSubs = map[int]func(Change){}
 	}
 	id := rb.nextSub
 	rb.nextSub++
 	rb.chSubs[id] = fn
-	rb.subMu.Unlock()
-	rb.mu.RUnlock()
 	return func() {
-		rb.subMu.Lock()
+		rb.mu.Lock()
 		delete(rb.chSubs, id)
-		rb.subMu.Unlock()
-	}, ver
+		rb.mu.Unlock()
+	}, rb.version
 }
 
-// hasChangeSubs reports whether any change subscriber is registered, so
-// mutators can skip building the (allocating) Change payload when nobody
-// listens. Called under rb.mu — the lock order is always mu before subMu.
-func (rb *Rulebase) hasChangeSubs() bool {
-	rb.subMu.RLock()
-	n := len(rb.chSubs)
-	rb.subMu.RUnlock()
-	return n > 0
-}
-
-// changeSubs copies the subscriber set (nil when empty). commit calls it
-// under rb.mu, which excludes registration, so the copy holds exactly the
-// subscribers registered before the commit's version.
-func (rb *Rulebase) changeSubs() []func(Change) {
-	rb.subMu.RLock()
-	defer rb.subMu.RUnlock()
-	if len(rb.chSubs) == 0 {
-		return nil
-	}
-	fns := make([]func(Change), 0, len(rb.chSubs))
-	for _, fn := range rb.chSubs {
-		fns = append(fns, fn)
-	}
-	return fns
-}
-
-// ApplyChange replays one recorded mutation onto the rulebase, reproducing
-// the exact state transition the original mutation made: same version, same
-// audit entry (verbatim, including actor and note), same rule content and
-// clock stamps. Records must be applied in order — Version must be exactly
-// Version()+1 — which is how a WAL replayer detects gaps.
-//
-// Replay is delivered to subscribers like any live mutation, so a serving
-// engine tracking the rulebase rebuilds. A durability layer never hears its
-// own replay because persist.Store.Restore must precede Attach. Mutation
-// metrics are not counted — replay reconstructs history, it does not make
-// new history.
+// ApplyChange replays one recorded commit, reproducing the transition it made:
+// same version, audit entries, rule content and stamps, every step of a
+// changeset or none. Version must be exactly Version()+1, which is how a WAL
+// replayer detects gaps. Replay is delivered to subscribers like a live
+// commit (a durability layer never hears its own, as persist.Store.Restore
+// precedes Attach) and is not counted in the mutation metric.
 func (rb *Rulebase) ApplyChange(ch Change) error {
 	return rb.commit(func() (Change, error) {
 		if ch.Version != rb.version+1 {
 			return Change{}, fmt.Errorf("core: change version %d does not follow rulebase version %d", ch.Version, rb.version)
 		}
-		ch.Rule = ch.Rule.Clone() // the caller keeps its payload
-		if err := rb.apply(ch); err != nil {
+		// The caller keeps its payload.
+		ch.Rule = ch.Rule.Clone()
+		ch.Ops = append([]Change(nil), ch.Ops...)
+		for i := range ch.Ops {
+			ch.Ops[i].Rule = ch.Ops[i].Rule.Clone()
+		}
+		steps := ch.Ops
+		if len(steps) == 0 {
+			steps = []Change{ch}
+		}
+		if err := rb.apply(ch, steps); err != nil {
 			return Change{}, err
 		}
 		return ch, nil
 	})
 }
 
-// apply makes the state transition ch records, at ch.Version: it is the one
-// code path that changes the rules, the version and the audit log, for live
-// mutations and replay alike (UnmarshalJSON's initial load aside). An
-// added rule is stored as ch.Rule, not a copy; any other change stores an
-// updated Clone of the rule (copy-on-write). Callers hold rb.mu.
-func (rb *Rulebase) apply(ch Change) error {
-	switch ch.Action {
-	case "add":
-		r := ch.Rule
-		if r == nil {
-			return fmt.Errorf("core: add change %d has no rule payload", ch.Version)
+// actionStatus maps each lifecycle action to the status it sets.
+var actionStatus = map[string]Status{"disable": Disabled, "enable": Active, "retire": Retired}
+
+// apply makes the transition ch records, at ch.Version, whose steps are steps
+// (its Ops, or ch itself): the one code path that changes the rules, the
+// version and the audit log (UnmarshalJSON's initial load aside). It checks
+// every step against the state before the commit, and that no rule is named
+// twice, before it changes anything. An added rule is stored as its step's
+// Rule and stamped as Commit says (a replayed one already carries those
+// stamps); another step stores an updated Clone (copy-on-write). Callers hold
+// rb.mu.
+func (rb *Rulebase) apply(ch Change, steps []Change) error {
+	named := map[string]bool{}
+	for i := range steps {
+		s := &steps[i]
+		_, exists := rb.byID[s.RuleID]
+		_, status := actionStatus[s.Action]
+		conf := s.Confidence
+		switch {
+		case s.Action == "add" && s.Rule != nil && s.RuleID != "" && !exists && (s.Rule.ID == "" || s.Rule.ID == s.RuleID):
+			conf = s.Rule.Confidence
+		case s.Action == "add":
+			return fmt.Errorf("core: add change %d: rule %q missing, taken or not the payload's", ch.Version, s.RuleID)
+		case !status && s.Action != "update":
+			return fmt.Errorf("core: change %d has unknown action %q", ch.Version, s.Action)
+		case !exists:
+			return fmt.Errorf("core: %s change %d targets unknown rule %q", s.Action, ch.Version, s.RuleID)
 		}
-		if r.ID == "" || r.ID != ch.RuleID {
-			return fmt.Errorf("core: add change %d rule id %q does not match entry %q", ch.Version, r.ID, ch.RuleID)
+		if err := checkConfidence(conf); err != nil {
+			return fmt.Errorf("core: %s change %d: %w", s.Action, ch.Version, err)
 		}
-		if _, exists := rb.byID[r.ID]; exists {
-			return fmt.Errorf("core: add change %d duplicates rule %q", ch.Version, r.ID)
+		if named[s.RuleID] {
+			return fmt.Errorf("core: change %d names rule %q twice", ch.Version, s.RuleID)
 		}
-		if err := checkConfidence(r.Confidence); err != nil {
-			return fmt.Errorf("core: add change %d: %w", ch.Version, err)
-		}
-		rb.byID[r.ID] = len(rb.rules)
-		rb.rules = append(rb.rules, r)
-		// Advance (never rewind) the auto-ID counter; max semantics keep a
-		// concurrent live add from being undone.
-		for {
-			cur := rb.nextID.Load()
-			if int64(ch.NextID) <= cur || rb.nextID.CompareAndSwap(cur, int64(ch.NextID)) {
-				break
+		named[s.RuleID] = true
+	}
+	for i := range steps {
+		s := &steps[i]
+		if r := s.Rule; s.Action == "add" {
+			r.ID, r.CreatedAt, r.UpdatedAt = s.RuleID, ch.Version, ch.Version
+			if r.Author == "" {
+				r.Author = ch.Actor
 			}
-		}
-	case "disable", "enable", "retire", "update":
-		i, ok := rb.byID[ch.RuleID]
-		if !ok {
-			return fmt.Errorf("core: %s change %d targets unknown rule %q", ch.Action, ch.Version, ch.RuleID)
-		}
-		if ch.Action == "update" {
-			if err := checkConfidence(ch.Confidence); err != nil {
-				return fmt.Errorf("core: update change %d: %w", ch.Version, err)
+			rb.byID[r.ID] = len(rb.rules)
+			rb.rules = append(rb.rules, r)
+		} else {
+			j := rb.byID[s.RuleID]
+			c := rb.rules[j].Clone()
+			if st, ok := actionStatus[s.Action]; ok {
+				c.Status = st
+			} else {
+				c.Confidence = s.Confidence
 			}
+			c.UpdatedAt = ch.Version
+			rb.rules[j] = c
 		}
-		c := rb.rules[i].Clone()
-		switch ch.Action {
-		case "disable":
-			c.Status = Disabled
-		case "enable":
-			c.Status = Active
-		case "retire":
-			c.Status = Retired
-		default:
-			c.Confidence = ch.Confidence
-		}
-		c.UpdatedAt = ch.Version
-		rb.rules[i] = c
-	default:
-		return fmt.Errorf("core: change %d has unknown action %q", ch.Version, ch.Action)
+		rb.audit = append(rb.audit, AuditEntry{ch.Version, s.Action, s.RuleID, ch.Actor, s.Note})
 	}
 	rb.version = ch.Version
-	rb.audit = append(rb.audit, ch.Entry())
+	rb.nextID = max(rb.nextID, ch.NextID)
 	return nil
 }
 

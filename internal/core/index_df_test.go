@@ -251,11 +251,15 @@ func TestNewGateAndAddAll(t *testing.T) {
 	if rb.Len() != 2 {
 		t.Fatalf("AddAll added %d", rb.Len())
 	}
-	// AddAll stops at the first error (duplicate ID).
+	// AddAll refuses the whole changeset on an error (duplicate ID), even
+	// with a good rule before it.
 	dup := mustRule(NewFilter("vitamins"))
 	dup.ID = g.ID
-	if err := rb.AddAll([]*Rule{dup}, "ana"); err == nil {
+	if err := rb.AddAll([]*Rule{mustRule(NewFilter("snacks")), dup}, "ana"); err == nil {
 		t.Fatal("AddAll should propagate errors")
+	}
+	if rb.Len() != 2 {
+		t.Fatalf("a refused AddAll left %d rules, want 2", rb.Len())
 	}
 }
 

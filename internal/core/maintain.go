@@ -361,20 +361,18 @@ func PlanHealthActions(health []RuleHealth, totalApplies, minApplies int64) []He
 	return out
 }
 
-// ApplyHealthActions executes the "disable" actions against the rulebase
-// (audit-logged with the telemetry reason) and returns the affected rule
-// IDs. "review" actions are left to the analyst and skipped.
+// ApplyHealthActions executes the "disable" actions against the rulebase as
+// one changeset (audit-logged with the telemetry reason) and returns the IDs
+// of the rules it disabled, in insertion order. "review" actions are left to
+// the analyst, and unknown, retired and already disabled rules are skipped.
 func (rb *Rulebase) ApplyHealthActions(actions []HealthAction, actor string) []string {
-	var out []string
+	notes := map[string]string{}
 	for _, a := range actions {
-		if a.Action != "disable" {
-			continue
-		}
-		if err := rb.Disable(a.RuleID, actor, "telemetry: "+a.Reason); err == nil {
-			out = append(out, a.RuleID)
+		if _, dup := notes[a.RuleID]; a.Action == "disable" && !dup {
+			notes[a.RuleID] = "telemetry: " + a.Reason
 		}
 	}
-	return out
+	return rb.commitWhere("disable", actor, func(r *Rule) (string, bool) { note, ok := notes[r.ID]; return note, ok })
 }
 
 // groupPatternRules groups active pattern rules by (kind, target).

@@ -258,31 +258,31 @@ func (r *Rule) guardsHold(it *catalog.Item) bool {
 }
 
 // String renders a compact human-readable form.
-func (r *Rule) String() string {
-	s := r.baseString()
+func (r *Rule) String() string { return r.render(r.ID) }
+
+// render is String with the rule's ID taken to be id.
+func (r *Rule) render(id string) string {
+	var s string
+	switch r.Kind {
+	case Whitelist, Gate:
+		s = fmt.Sprintf("[%s %s] %s → %s", id, r.Kind, r.Source, r.TargetType)
+	case Blacklist:
+		s = fmt.Sprintf("[%s %s] %s → NOT %s", id, r.Kind, r.Source, r.TargetType)
+	case AttrExists:
+		s = fmt.Sprintf("[%s %s] has(%s) → %s", id, r.Kind, r.Attr, r.TargetType)
+	case AttrValue:
+		s = fmt.Sprintf("[%s %s] %s=%s → one of %v", id, r.Kind, r.Attr, r.Value, r.AllowedTypes)
+	case Filter:
+		s = fmt.Sprintf("[%s %s] kill predictions of %s", id, r.Kind, r.TargetType)
+	case TypeRestrict:
+		s = fmt.Sprintf("[%s %s] %s → one of %v", id, r.Kind, r.Source, r.AllowedTypes)
+	default:
+		s = fmt.Sprintf("[%s unknown]", id)
+	}
 	for _, g := range r.Guards {
 		s += " [if " + g.String() + "]"
 	}
 	return s
-}
-
-func (r *Rule) baseString() string {
-	switch r.Kind {
-	case Whitelist, Gate:
-		return fmt.Sprintf("[%s %s] %s → %s", r.ID, r.Kind, r.Source, r.TargetType)
-	case Blacklist:
-		return fmt.Sprintf("[%s %s] %s → NOT %s", r.ID, r.Kind, r.Source, r.TargetType)
-	case AttrExists:
-		return fmt.Sprintf("[%s %s] has(%s) → %s", r.ID, r.Kind, r.Attr, r.TargetType)
-	case AttrValue:
-		return fmt.Sprintf("[%s %s] %s=%s → one of %v", r.ID, r.Kind, r.Attr, r.Value, r.AllowedTypes)
-	case Filter:
-		return fmt.Sprintf("[%s %s] kill predictions of %s", r.ID, r.Kind, r.TargetType)
-	case TypeRestrict:
-		return fmt.Sprintf("[%s %s] %s → one of %v", r.ID, r.Kind, r.Source, r.AllowedTypes)
-	default:
-		return fmt.Sprintf("[%s unknown]", r.ID)
-	}
 }
 
 // ruleJSON is the serialized form of a rule.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -27,9 +26,14 @@ type AuditEntry struct {
 // and appends to the audit log.
 //
 // Every state change goes through commit, and every one but UnmarshalJSON's
-// initial load through apply, which live mutations and ApplyChange share. The
-// version only moves forward, so one version names one rulebase state.
-// Lock order: commitMu, then mu, then subMu, never the reverse.
+// initial load through apply, which Commit (every mutator's one write path)
+// and ApplyChange share. One analyst intent is one changeset, so one version.
+// The version only moves forward, so one version names one rulebase state.
+//
+// Lock order: commitMu, then mu, which also guards the change subscribers.
+// Deliveries run outside mu, so a subscriber may read or cancel; hence
+// serve.Engine.release may cancel under its holdMu and persist.Store.Close
+// under the store's mutex, which that store's deliveries take.
 //
 // A stored rule is copy-on-write: once a *Rule has been handed out (Get,
 // All, Active, ActiveView, a serving snapshot) it is never written again. A
@@ -46,23 +50,14 @@ type Rulebase struct {
 	byID    map[string]int // rule ID -> position in rules
 	version uint64
 	audit   []AuditEntry
-	obs     *obs.Registry // nil = uninstrumented
-
-	// nextID is the auto-ID counter. Atomic (not guarded by mu) so Add can
-	// assign the ID — and render the allocating audit note from it — before
-	// entering the critical section.
-	nextID atomic.Int64
-
-	// Change subscribers (see SubscribeChanges). Guarded separately from mu
-	// so delivery runs outside the rulebase lock and subscribers may read the
-	// rulebase (e.g. take an ActiveView).
-	subMu   sync.RWMutex
-	chSubs  map[int]func(Change)
+	nextID  int                  // the auto-ID counter: the last number drawn
+	chSubs  map[int]func(Change) // change subscribers (see SubscribeChanges)
 	nextSub int
+	obs     *obs.Registry // nil = uninstrumented
 }
 
-// MetricRulebaseMutations counts rulebase mutations by action label
-// (add / disable / enable / retire / update).
+// MetricRulebaseMutations counts the steps of live commits by action label
+// (add / disable / enable / retire / update); a changeset counts each step.
 const MetricRulebaseMutations = "core_rulebase_mutations_total"
 
 // Instrument attaches an observability registry; every subsequent mutation
@@ -71,13 +66,6 @@ func (rb *Rulebase) Instrument(reg *obs.Registry) {
 	rb.mu.Lock()
 	rb.obs = reg
 	rb.mu.Unlock()
-}
-
-// countMutation records one mutation; callers hold rb.mu.
-func (rb *Rulebase) countMutation(action string) {
-	if rb.obs != nil {
-		rb.obs.Counter(MetricRulebaseMutations, "action", action).Inc()
-	}
 }
 
 // NewRulebase returns an empty rulebase.
@@ -110,20 +98,20 @@ func (rb *Rulebase) ActiveView() (version uint64, active []*Rule) {
 	return rb.version, active
 }
 
-// commit is the rulebase's one write path. mutate runs under the write lock
-// and returns the Change it made — the zero Change when it changed nothing —
-// or an error. A Change is then delivered to every subscriber registered
-// before the commit: outside rb.mu, so readers never wait on a subscriber,
-// but still under commitMu, so the next commit waits and every subscriber
-// sees changes in version order.
+// commit runs one state change: mutate, under the write lock, returns the
+// Change it made (zero when none) or an error. A Change is delivered to the
+// subscribers registered before it outside rb.mu, so readers never wait on a
+// subscriber, but under commitMu, so every subscriber sees version order.
 func (rb *Rulebase) commit(mutate func() (Change, error)) error {
 	rb.commitMu.Lock()
 	defer rb.commitMu.Unlock()
 	rb.mu.Lock()
 	ch, err := mutate()
-	var fns []func(Change)
-	if err == nil && ch.Action != "" {
-		fns = rb.changeSubs()
+	var fns []func(Change) // the subscribers registered before this version
+	if err == nil && ch.Version != 0 {
+		for _, fn := range rb.chSubs {
+			fns = append(fns, fn)
+		}
 	}
 	rb.mu.Unlock()
 	for _, fn := range fns {
@@ -139,67 +127,120 @@ func (rb *Rulebase) Len() int {
 	return len(rb.rules)
 }
 
-// Add inserts a rule, assigning its ID and clock stamps. The actor is
-// recorded in the audit log and as the rule author when the rule has none.
-func (rb *Rulebase) Add(r *Rule, actor string) (string, error) {
-	if r == nil {
-		return "", fmt.Errorf("core: nil rule")
-	}
-	if err := checkConfidence(r.Confidence); err != nil {
-		return "", err // before an auto-ID is drawn
-	}
-	// Assign the auto-ID and render the audit note before taking rb.mu: both
-	// allocate (fmt formatting over the whole rule), and the serving path
-	// contends on this lock for every ActiveView. Auto-IDs are drawn from an
-	// atomic counter.
-	auto := r.ID == ""
-	if auto {
-		r.ID = fmt.Sprintf("R%06d", rb.nextID.Add(1))
-	}
-	note := r.String()
-	err := rb.commit(func() (Change, error) {
-		if _, exists := rb.byID[r.ID]; exists {
-			if !auto {
-				return Change{}, fmt.Errorf("core: rule id %q already present", r.ID)
-			}
-			// An explicit add took the drawn ID: draw on to a free one, so
-			// the counter moves only for an add that happens and the change
-			// records it.
-			for exists {
-				r.ID = fmt.Sprintf("R%06d", rb.nextID.Add(1))
-				_, exists = rb.byID[r.ID]
-			}
-			note = r.String()
-		}
-		v := rb.version + 1
-		r.CreatedAt, r.UpdatedAt = v, v
-		if r.Author == "" {
-			r.Author = actor
-		}
-		ch, err := rb.applyLive(Change{Version: v, Action: "add", RuleID: r.ID, Actor: actor, Note: note,
-			Rule: r, NextID: int(rb.nextID.Load())})
-		if err == nil && rb.hasChangeSubs() {
-			// Freeze the rule content at mutation time: once rb.mu is
-			// released the inserted rule is shared and may be mutated again
-			// before the change record is consumed.
-			ch.Rule = r.Clone()
-		}
-		return ch, err
-	})
-	if err != nil {
-		return "", err
-	}
-	return r.ID, nil
+// Commit applies ops as one changeset at the next version: the one live write
+// path, which every mutator builds on. An op is a Change without Version,
+// Actor or NextID: an add carries Rule (an empty ID draws the next auto-ID;
+// the rule is stamped, takes actor as author when it has none, and its
+// String() is the note); disable, enable and retire carry RuleID and Note
+// (an op whose rule is already in that state is dropped, and one moving a
+// retired rule is an error); an update also carries a finite Confidence.
+// A changeset names each rule at most once and is all or nothing: on any
+// error nothing changes, no auto-ID is drawn and nothing is delivered.
+// Commit returns the Change applied — the one step, or one whose Ops holds
+// the steps in op order — or the zero Change when every op was dropped. The
+// audit log gets an entry per step, and subscribers one delivery.
+func (rb *Rulebase) Commit(actor string, ops ...Change) (Change, error) {
+	return rb.commitOps(actor, ops, "", nil)
 }
 
-// AddAll inserts a batch of rules, stopping at the first error.
-func (rb *Rulebase) AddAll(rules []*Rule, actor string) error {
-	for _, r := range rules {
-		if _, err := rb.Add(r, actor); err != nil {
-			return err
+// commitOps is Commit over ops plus, when pick is non-nil, one action op for
+// each rule not retired that pick accepts, with the note pick returns, built
+// in insertion order under the write lock: from the state it applies to.
+func (rb *Rulebase) commitOps(actor string, ops []Change, action string, pick func(*Rule) (string, bool)) (Change, error) {
+	var ch Change
+	err := rb.commit(func() (Change, error) {
+		for i := 0; pick != nil && i < len(rb.rules); i++ {
+			if note, ok := pick(rb.rules[i]); ok && rb.rules[i].Status != Retired {
+				ops = append(ops, Change{Action: action, RuleID: rb.rules[i].ID, Note: note})
+			}
 		}
+		var one [1]Change // a one-step commit's step, kept off the heap
+		steps, nextID, err := rb.prepare(ops, one[:0])
+		if err != nil || len(steps) == 0 {
+			return Change{}, err
+		}
+		ch = Change{Version: rb.version + 1, Actor: actor, NextID: nextID}
+		if err := rb.apply(ch, steps); err != nil {
+			return Change{}, err
+		}
+		for i := range steps {
+			if rb.obs != nil {
+				rb.obs.Counter(MetricRulebaseMutations, "action", steps[i].Action).Inc()
+			}
+			if steps[i].Rule != nil && len(rb.chSubs) > 0 {
+				// Freeze the added rule's content: the caller still holds it
+				// and may write it before the record is consumed.
+				steps[i].Rule = steps[i].Rule.Clone()
+			}
+		}
+		if len(steps) > 1 {
+			ch.Ops = append([]Change(nil), steps...)
+		} else {
+			steps[0].Version, steps[0].Actor, steps[0].NextID = ch.Version, actor, nextID
+			ch = steps[0]
+		}
+		return ch, nil
+	})
+	return ch, err
+}
+
+// prepare appends ops to steps as steps: each with only its action's
+// fields, auto-IDs drawn past the taken ones from a copy of the counter, add
+// notes rendered, no-op status changes dropped. It returns them and the
+// counter to record (0 without an add); apply checks the rest. Callers hold
+// rb.mu.
+func (rb *Rulebase) prepare(ops, steps []Change) ([]Change, int, error) {
+	next, adds := rb.nextID, false
+	named := map[string]bool{} // the changeset's rules so far
+	for _, op := range ops {
+		s := Change{Action: op.Action, RuleID: op.RuleID, Note: op.Note}
+		switch st, status := actionStatus[s.Action]; {
+		case s.Action == "add" && op.Rule != nil:
+			adds, s.Rule, s.RuleID = true, op.Rule, op.Rule.ID
+			for taken := false; s.RuleID == "" || taken; {
+				next++
+				s.RuleID = fmt.Sprintf("R%06d", next)
+				_, taken = rb.byID[s.RuleID]
+				taken = taken || named[s.RuleID]
+			}
+			s.Note = s.Rule.render(s.RuleID)
+		case s.Action == "update":
+			s.Confidence = op.Confidence
+		case status:
+			r := rb.get(s.RuleID)
+			if r != nil && r.Status == st {
+				continue
+			}
+			if r != nil && r.Status == Retired {
+				return nil, 0, fmt.Errorf("core: rule %q is retired and cannot be %s", s.RuleID, s.Action)
+			}
+		}
+		named[s.RuleID] = true
+		steps = append(steps, s)
 	}
-	return nil
+	if !adds {
+		next = 0
+	}
+	return steps, next, nil
+}
+
+// Add inserts a rule, assigning its ID and clock stamps, and returns its ID.
+// The actor is recorded in the audit log and as the rule author when the
+// rule has none.
+func (rb *Rulebase) Add(r *Rule, actor string) (string, error) {
+	ch, err := rb.Commit(actor, Change{Action: "add", Rule: r})
+	return ch.RuleID, err
+}
+
+// AddAll inserts a batch of rules as one changeset: one version, or nothing
+// when any rule is refused.
+func (rb *Rulebase) AddAll(rules []*Rule, actor string) error {
+	ops := make([]Change, len(rules))
+	for i, r := range rules {
+		ops[i] = Change{Action: "add", Rule: r}
+	}
+	_, err := rb.Commit(actor, ops...)
+	return err
 }
 
 // Get returns the rule with the given id, or nil.
@@ -217,75 +258,51 @@ func (rb *Rulebase) get(id string) *Rule {
 	return nil
 }
 
-// setStatus transitions a rule's lifecycle state.
-func (rb *Rulebase) setStatus(id string, st Status, action, actor, note string) error {
-	return rb.commit(func() (Change, error) {
-		r := rb.get(id)
-		if r == nil {
-			return Change{}, fmt.Errorf("core: no rule %q", id)
-		}
-		if r.Status == Retired && st != Retired {
-			return Change{}, fmt.Errorf("core: rule %q is retired and cannot be %s", id, action)
-		}
-		if r.Status == st {
-			return Change{}, nil
-		}
-		return rb.applyLive(Change{Version: rb.version + 1, Action: action, RuleID: id, Actor: actor, Note: note})
-	})
-}
-
-// applyLive applies a validated live mutation, built at the next version, and
-// counts it. Callers hold rb.mu.
-func (rb *Rulebase) applyLive(ch Change) (Change, error) {
-	if err := rb.apply(ch); err != nil {
-		return Change{}, err
-	}
-	rb.countMutation(ch.Action)
-	return ch, nil
-}
-
 // Disable turns a rule off — the per-rule "scale down" of §3.2 ("if that
 // rule misclassifies widely, we can simply disable it, with minimal impacts
 // on the rest of the system").
 func (rb *Rulebase) Disable(id, actor, note string) error {
-	return rb.setStatus(id, Disabled, "disable", actor, note)
+	_, err := rb.Commit(actor, Change{Action: "disable", RuleID: id, Note: note})
+	return err
 }
 
 // Enable re-activates a disabled rule ("restore the system to the previous
 // state quickly").
 func (rb *Rulebase) Enable(id, actor, note string) error {
-	return rb.setStatus(id, Active, "enable", actor, note)
+	_, err := rb.Commit(actor, Change{Action: "enable", RuleID: id, Note: note})
+	return err
 }
 
 // Retire permanently removes a rule from execution, keeping it for audit.
 func (rb *Rulebase) Retire(id, actor, note string) error {
-	return rb.setStatus(id, Retired, "retire", actor, note)
+	_, err := rb.Commit(actor, Change{Action: "retire", RuleID: id, Note: note})
+	return err
 }
 
-// DisableWhere disables every active rule for which pred returns true and
-// returns the affected IDs — the bulk "scale down the bad parts" operation
-// (e.g. all rules targeting clothes types when clothes classification goes
-// bad). The returned IDs can be passed to EnableAll to restore.
+// DisableWhere disables, as one changeset, every active rule for which pred
+// returns true and returns the affected IDs — the bulk "scale down the bad
+// parts" operation (e.g. all rules targeting clothes types when clothes
+// classification goes bad). The returned IDs can be passed to EnableAll to
+// restore. pred runs under the rulebase lock and must not call the rulebase.
 func (rb *Rulebase) DisableWhere(pred func(*Rule) bool, actor, note string) []string {
-	rb.mu.RLock()
-	ids := make([]string, 0)
-	for _, r := range rb.rules {
-		if r.Status == Active && pred(r) {
-			ids = append(ids, r.ID)
-		}
-	}
-	rb.mu.RUnlock()
-	for _, id := range ids {
-		_ = rb.Disable(id, actor, note)
-	}
-	return ids
+	return rb.commitWhere("disable", actor, func(r *Rule) (string, bool) { return note, r.Status == Active && pred(r) })
 }
 
-// EnableAll re-enables the given rule IDs, ignoring retired rules.
+// EnableAll re-enables the given rule IDs as one changeset, leaving out
+// unknown and retired rules.
 func (rb *Rulebase) EnableAll(ids []string, actor, note string) {
+	want := make(map[string]bool, len(ids))
 	for _, id := range ids {
-		_ = rb.Enable(id, actor, note)
+		want[id] = true
 	}
+	rb.commitWhere("enable", actor, func(r *Rule) (string, bool) { return note, want[r.ID] })
+}
+
+// commitWhere commits action on the rules pick accepts (see commitOps) and
+// returns the IDs it changed.
+func (rb *Rulebase) commitWhere(action, actor string, pick func(*Rule) (note string, ok bool)) []string {
+	ch, _ := rb.commitOps(actor, nil, action, pick)
+	return ch.ruleIDs()
 }
 
 // UpdateConfidence records a fresh precision estimate for a rule.
@@ -293,12 +310,8 @@ func (rb *Rulebase) UpdateConfidence(id string, conf float64, actor string) erro
 	// The audit note allocates; render it before entering the critical
 	// section (this is the hottest mutation — every precision re-estimate).
 	note := fmt.Sprintf("confidence=%.3f", conf)
-	return rb.commit(func() (Change, error) {
-		if rb.get(id) == nil {
-			return Change{}, fmt.Errorf("core: no rule %q", id)
-		}
-		return rb.applyLive(Change{Version: rb.version + 1, Action: "update", RuleID: id, Actor: actor, Note: note, Confidence: conf})
-	})
+	_, err := rb.Commit(actor, Change{Action: "update", RuleID: id, Note: note, Confidence: conf})
+	return err
 }
 
 // Active returns active rules, optionally filtered by kinds (empty = all
@@ -413,21 +426,18 @@ func (rb *Rulebase) MarshalVersioned() ([]byte, uint64, error) {
 		rules[i] = r.toJSON()
 	}
 	data, err := json.Marshal(rulebaseJSON{
-		Version: rb.version, NextID: int(rb.nextID.Load()), Rules: rules, Audit: rb.audit,
+		Version: rb.version, NextID: rb.nextID, Rules: rules, Audit: rb.audit,
 	})
 	return data, rb.version, err
 }
 
 // UnmarshalJSON implements json.Unmarshaler as an initializer: it loads only
 // into a rulebase that has never committed (version 0) and has no change
-// subscriber, and it refuses a serialized rulebase that holds rules or audit
-// entries at version 0 (a next_id alone is allowed: Add draws an auto-ID
-// before it commits, so a marshal racing the first add can record one). The
-// version therefore only moves forward and names one state.
-// The input is decoded and validated in full before the rulebase is touched,
-// and the load is one commit, so concurrent mutators are serialized against
-// it: a refused load returns an error and changes and delivers nothing, and
-// a successful one has no subscriber to deliver to.
+// subscriber, and refuses rules or audit entries at version 0, so the version
+// only moves forward. A next_id alone at version 0 is accepted because files
+// from earlier builds, which drew auto-IDs before committing, may hold one;
+// a marshal can no longer see an uncommitted ID. The input is validated in
+// full first and the load is one commit: a refused load changes nothing.
 func (rb *Rulebase) UnmarshalJSON(data []byte) error {
 	var j rulebaseJSON
 	if err := json.Unmarshal(data, &j); err != nil {
@@ -455,13 +465,10 @@ func (rb *Rulebase) UnmarshalJSON(data []byte) error {
 		if rb.version != 0 {
 			return Change{}, fmt.Errorf("core: load into a rulebase at version %d: a load only initializes a fresh rulebase", rb.version)
 		}
-		if rb.hasChangeSubs() {
+		if len(rb.chSubs) > 0 {
 			return Change{}, fmt.Errorf("core: load into a rulebase with a change subscriber: a load only initializes a fresh rulebase")
 		}
-		rb.rules, rb.byID = rules, byID
-		rb.version = j.Version
-		rb.nextID.Store(int64(j.NextID))
-		rb.audit = j.Audit
+		rb.rules, rb.byID, rb.version, rb.nextID, rb.audit = rules, byID, j.Version, j.NextID, j.Audit
 		return Change{}, nil
 	})
 }

@@ -3,6 +3,7 @@ package persist
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,8 +14,9 @@ import (
 
 // buildHistory runs a scripted mutation sequence on a store-attached
 // rulebase, recording after every step the serialized state fingerprint and
-// (via a parallel change subscription) the exact WAL frame each mutation
-// produced. Returns the live rulebase, the per-version fingerprints
+// (via a parallel change subscription) the exact WAL frame each commit
+// produced. The last two steps are changesets of several steps (a mixed
+// Commit and a DisableWhere), one frame each. Returns the live rulebase, the per-version fingerprints
 // (including version 0), and the cumulative frame-end offsets.
 func buildHistory(t *testing.T, st *Store, rb *core.Rulebase) (fingerprints map[uint64]string, frameEnds []int, versions []uint64) {
 	t.Helper()
@@ -66,6 +68,19 @@ func buildHistory(t *testing.T, st *Store, rb *core.Rulebase) (fingerprints map[
 		func() error {
 			_, err := rb.Add(mustRule(core.NewGate("espresso", "espresso machine")), "ana")
 			return err
+		},
+		func() error {
+			_, err := rb.Commit("ops",
+				core.Change{Action: "add", Rule: mustRule(core.NewFilter("toys"))},
+				core.Change{Action: "disable", RuleID: "R000001", Note: "toys drill"},
+				core.Change{Action: "disable", RuleID: "R000003", Note: "toys drill"})
+			return err
+		},
+		func() error {
+			if ids := rb.DisableWhere(func(r *core.Rule) bool { return r.Kind != core.Filter }, "ana", "scale down"); len(ids) != 5 {
+				return fmt.Errorf("DisableWhere disabled %v, want 5 rules", ids)
+			}
+			return nil
 		},
 	}
 	for i, step := range steps {

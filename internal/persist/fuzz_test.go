@@ -106,13 +106,16 @@ func FuzzWALDecode(f *testing.F) {
 // ApplyChange onto a fresh rulebase; the two must marshal to the same bytes
 // after every op. The ops cover auto- and explicit-ID adds of every kind,
 // duplicate IDs, disable/enable/retire of unknown, retired and
-// already-in-state rules, and confidence updates. Explicit IDs may take the
+// already-in-state rules, confidence updates, and changesets: DisableWhere,
+// EnableAll, and a mixed Commit that is refused whole when it names a rule
+// twice or moves a retired one. Explicit IDs may take the
 // form of an auto ID the counter has not reached yet, which a later auto add
 // must then skip.
 func FuzzReplayEqualsLive(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 2, 1, 2, 1, 3, 1, 5, 200, 4, 2, 3, 2})
 	f.Add([]byte{1, 3, 1, 3, 7, 1, 0, 4, 6, 9, 2, 0, 5, 0, 0, 5})
 	f.Add([]byte{1, 1, 1, 5, 0, 0, 0, 1, 0, 2, 1, 9, 0, 3, 2, 4})
+	f.Add([]byte{0, 0, 0, 1, 8, 0, 8, 1, 4, 0, 8, 3, 6, 1, 7, 0, 8, 4})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		live, replica := core.NewRulebase(), core.NewRulebase()
 		var delivered []core.Change
@@ -152,7 +155,7 @@ func FuzzReplayEqualsLive(f *testing.F) {
 			op, arg := ops[0], ops[1]
 			ops = ops[2:]
 			var what string
-			switch op % 8 {
+			switch op % 9 {
 			case 0:
 				what = "auto add"
 				if id, err := live.Add(newRule(arg), "fuzz"); err == nil {
@@ -186,9 +189,21 @@ func FuzzReplayEqualsLive(f *testing.F) {
 			case 6:
 				what = "disable where"
 				live.DisableWhere(func(r *core.Rule) bool { return len(r.ID)%2 == int(arg)%2 }, "fuzz", "bulk")
-			default:
+			case 7:
 				what = "enable all"
 				live.EnableAll(ids, "fuzz", "restore")
+			default:
+				// A mixed changeset; it may name one rule twice or move a
+				// retired one, and then must be refused whole.
+				what = "commit"
+				r := newRule(arg)
+				if _, err := live.Commit("fuzz",
+					core.Change{Action: "add", Rule: r},
+					core.Change{Action: "disable", RuleID: pick(arg), Note: "off"},
+					core.Change{Action: "update", RuleID: pick(arg + 1), Confidence: float64(arg%3) / 2},
+				); err == nil {
+					ids = append(ids, r.ID)
+				}
 			}
 
 			var wal []byte

@@ -64,16 +64,34 @@ type nestedRulebaseJSON struct {
 	Audit   []core.AuditEntry `json:"audit"`
 }
 
-// nestedChange is core.Change with the rule nested.
+// nestedChange is core.Change with the rule nested. A one-step record never
+// has an empty version or action, so their omitempty flags keep its bytes
+// those of the encoder without them; they drop both from the steps of Ops.
 type nestedChange struct {
-	Version    uint64      `json:"v"`
-	Action     string      `json:"action"`
-	RuleID     string      `json:"rule_id,omitempty"`
-	Actor      string      `json:"actor,omitempty"`
-	Note       string      `json:"note,omitempty"`
-	Rule       *nestedRule `json:"rule,omitempty"`
-	Confidence float64     `json:"confidence,omitempty"`
-	NextID     int         `json:"next_id,omitempty"`
+	Version    uint64         `json:"v,omitempty"`
+	Action     string         `json:"action,omitempty"`
+	RuleID     string         `json:"rule_id,omitempty"`
+	Actor      string         `json:"actor,omitempty"`
+	Note       string         `json:"note,omitempty"`
+	Rule       *nestedRule    `json:"rule,omitempty"`
+	Confidence float64        `json:"confidence,omitempty"`
+	NextID     int            `json:"next_id,omitempty"`
+	Ops        []nestedChange `json:"ops,omitempty"`
+}
+
+// nestedOf returns ch, and each of its steps, with the rule nested.
+func nestedOf(ch core.Change) nestedChange {
+	nc := nestedChange{
+		Version: ch.Version, Action: ch.Action, RuleID: ch.RuleID, Actor: ch.Actor,
+		Note: ch.Note, Confidence: ch.Confidence, NextID: ch.NextID,
+	}
+	if ch.Rule != nil {
+		nc.Rule = &nestedRule{ch.Rule}
+	}
+	for _, s := range ch.Ops {
+		nc.Ops = append(nc.Ops, nestedOf(s))
+	}
+	return nc
 }
 
 // nestedSnapshot returns the snapshot bytes of a rulebase holding rules and
@@ -101,14 +119,7 @@ func nestedSnapshot(version uint64, nextID int, rules []*core.Rule, audit []core
 
 // nestedRecord frames ch as one WAL record.
 func nestedRecord(ch core.Change) ([]byte, error) {
-	nc := nestedChange{
-		Version: ch.Version, Action: ch.Action, RuleID: ch.RuleID, Actor: ch.Actor,
-		Note: ch.Note, Confidence: ch.Confidence, NextID: ch.NextID,
-	}
-	if ch.Rule != nil {
-		nc.Rule = &nestedRule{ch.Rule}
-	}
-	payload, err := json.Marshal(nc)
+	payload, err := json.Marshal(nestedOf(ch))
 	if err != nil {
 		return nil, err
 	}
@@ -145,6 +156,7 @@ func FuzzSnapshotMatchesNested(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 1, 6, 6, 0})
 	f.Add([]byte{0, 7, 0, 8, 1, 1, 2, 3, 5, 2, 5, 1, 3, 3, 4, 1, 7, 0, 6, 0})
 	f.Add([]byte{1, 9, 0, 10, 0, 11, 2, 0, 2, 1, 3, 2, 5, 6, 5, 7, 4, 0, 7, 1, 6, 1})
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 8, 0, 8, 3, 2, 1, 8, 2, 6, 0, 8, 5, 7, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		dir := t.TempDir()
 		st, err := Open(Options{Dir: dir, SnapshotEvery: 3})
@@ -158,7 +170,7 @@ func FuzzSnapshotMatchesNested(f *testing.F) {
 		}
 		nextID := 0
 		cancel, _ := rb.SubscribeChanges(func(ch core.Change) {
-			if ch.Action == "add" {
+			if ch.NextID != 0 {
 				nextID = ch.NextID
 			}
 			got, err := EncodeRecord(ch)
@@ -265,7 +277,7 @@ func FuzzSnapshotMatchesNested(f *testing.F) {
 			op, arg := ops[0], ops[1]
 			ops = ops[2:]
 			var what string
-			switch op % 8 {
+			switch op % 9 {
 			case 0:
 				what = "auto add"
 				if id, err := rb.Add(newRule(arg), str(int(arg))); err == nil {
@@ -294,6 +306,18 @@ func FuzzSnapshotMatchesNested(f *testing.F) {
 				what = "snapshot"
 				if err := st.Snapshot(); err != nil {
 					t.Fatalf("op %d: %v", n, err)
+				}
+			case 8:
+				what = "commit"
+				r := newRule(arg)
+				ch, err := rb.Commit(str(int(arg)),
+					core.Change{Action: "add", Rule: r},
+					core.Change{Action: "disable", RuleID: pick(arg), Note: str(int(arg) + 4)},
+					core.Change{Action: "update", RuleID: pick(arg + 1), Note: str(int(arg) + 5),
+						Confidence: oracleConfidences[int(arg)%len(oracleConfidences)]})
+				if err == nil {
+					ids = append(ids, r.ID)
+					what = fmt.Sprintf("commit of %d steps", max(1, len(ch.Ops)))
 				}
 			default:
 				what = "NaN"

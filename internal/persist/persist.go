@@ -272,9 +272,9 @@ func (s *Store) Attach(rb *core.Rulebase) error {
 	return nil
 }
 
-// onChange receives one committed mutation. Deliveries arrive in version
-// order, so each is appended as the next WAL record — unless a snapshot taken
-// outside a delivery (Attach's baseline, Store.Snapshot) already captured it.
+// onChange receives one commit. Deliveries arrive in version order, so each
+// is appended as the next WAL record — unless a snapshot taken outside a
+// delivery (Attach's baseline, Store.Snapshot) already captured it.
 func (s *Store) onChange(ch core.Change) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -300,11 +300,16 @@ func (s *Store) onChange(ch core.Change) {
 
 // appendLocked frames one change and writes it to the WAL, honoring the
 // torn-write injector: a torn append writes only a prefix and kills the
-// store, exactly as a crash mid-write would.
+// store, exactly as a crash mid-write would. A change that does not encode
+// (one over maxRecordSize: a commit's confidences are finite) is captured by
+// a snapshot instead, which resets the WAL; the next commit waits on this
+// delivery, so the snapshot holds exactly this change's version.
 func (s *Store) appendLocked(ch core.Change) error {
 	frame, err := EncodeRecord(ch)
 	if err != nil {
-		s.broken = err
+		if err = s.snapshotLocked(); err != nil {
+			s.broken = err
+		}
 		return err
 	}
 	if keep := s.faults.WALTornWrite(len(frame)); keep < len(frame) {

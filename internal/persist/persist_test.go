@@ -425,6 +425,69 @@ func TestAutoSnapshot(t *testing.T) {
 	assertEquivalent(t, live, restored)
 }
 
+// TestOversizeChangesetSnapshots hits the WAL record bound: one DisableWhere
+// over 17 rules with a 1 MiB note encodes to over maxRecordSize, so no frame
+// can hold it. The store makes it durable by a snapshot instead and stays
+// healthy: a later change is appended to the reset WAL, and Open+Restore
+// equals the live rulebase.
+func TestOversizeChangesetSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	st, err := Open(Options{Dir: dir, SnapshotEvery: -1, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := core.NewRulebase()
+	if err := st.Attach(live); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 17; i++ {
+		if _, err := live.Add(mustRule(core.NewWhitelist(fmt.Sprintf("w%d", i), "rings")), "ana"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	note := strings.Repeat("n", 1<<20)
+	ids := live.DisableWhere(func(*core.Rule) bool { return true }, "ana", note)
+	if len(ids) != 17 {
+		t.Fatalf("disabled %d rules, want 17", len(ids))
+	}
+	if err := st.Broken(); err != nil {
+		t.Fatalf("an oversize changeset broke the store: %v", err)
+	}
+	if got := reg.Counter(MetricSnapshots).Value(); got != 1 {
+		t.Fatalf("%d snapshots written, want 1 (the oversize changeset)", got)
+	}
+	if err := live.Enable(ids[0], "ana", "back"); err != nil {
+		t.Fatal(err)
+	}
+	if st.WALSize() == 0 {
+		t.Fatal("the change after the snapshot was not appended to the WAL")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	restored := core.NewRulebase()
+	if _, err := again.Restore(restored); err != nil {
+		t.Fatal(err)
+	}
+	a, err := json.Marshal(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(restored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Fatal("restored rulebase differs from live")
+	}
+}
+
 // TestConcurrentMutators: racing mutators' changes reach the WAL in version
 // order with no gap, so the store never breaks and the restored state matches
 // the final live state exactly. Run with -race in verify.sh/ci.

@@ -27,7 +27,8 @@ import (
 // Frame layout: [4-byte little-endian payload length][4-byte IEEE CRC32 of
 // the payload][JSON payload]. The length bound rejects implausible frames
 // early so a corrupt length byte cannot make the decoder swallow the rest of
-// the file as one giant record.
+// the file as one giant record. A changeset can exceed it (tens of thousands
+// of rules, or long notes); Store then makes it durable by a snapshot.
 const (
 	frameHeaderSize = 8
 	maxRecordSize   = 1 << 24

@@ -56,9 +56,6 @@ type ShardedOptions struct {
 	// Shards is the number of independent queue+worker-pool units (default
 	// 4). All of them classify against the tier's one snapshot engine.
 	Shards int
-	// Replicas is the consistent-hash virtual-node count per shard
-	// (DefaultRouterReplicas when 0).
-	Replicas int
 	// RouteKey extracts the routing key (default catalog.Item.RouteKey).
 	RouteKey RouteKeyFunc
 	// Workers / QueueDepth configure each shard's server (per shard, not
@@ -134,7 +131,7 @@ func NewShardedServerOn[R any](eng *Engine, h Handler[R], opts ShardedOptions) *
 		reg = obs.Default()
 	}
 	s := &ShardedServer[R]{
-		router:         NewShardRouter(nShards, opts.Replicas),
+		router:         NewShardRouter(nShards, DefaultRouterReplicas),
 		route:          route,
 		obs:            reg,
 		eng:            eng,

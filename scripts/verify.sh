@@ -58,6 +58,10 @@ race_run ./internal/serve 'TestDeltaSnapshotEqualsFullProperty'
 race_run ./internal/core 'TestLoadOnlyInitializes'
 race_run ./internal/core 'TestHealthDuringConfidenceUpdates|TestFindDuplicatesDuringDisables' -count=10
 
+echo "== go test -race (one changeset, one version: readers never see part of one, -count=10; a refused changeset changes, delivers and draws nothing) =="
+race_run ./internal/serve 'TestChangesetVisibleWhole' -count=10
+race_run ./internal/core 'TestCommitAllOrNothing'
+
 echo "== go test -race -count=20 (engine lifecycle: Start catches up, held loop publishes on commit and coalesces, holds and Close) =="
 race_run ./internal/serve 'TestEngineStartCatchesUp|TestEngineCoalescesWithoutTimer|TestEngineHolds' -count=20
 
